@@ -12,6 +12,13 @@ pub const DEFAULT_BUFFER_SIZE: usize = 1024;
 
 /// A parallel batch-dynamic kd-tree: log-structured set of vEB-layout
 /// static trees with capacities `X·2^i`, plus a flat buffer of size `< X`.
+///
+/// `clone()` is O(X + log n): the buffer is copied, every static tree is
+/// shared ([`VebTree`]'s structure is immutable and its deletion overlay
+/// copy-on-write). Inserts and drains only ever *replace* trees, so a
+/// clone keeps answering its own epoch; a delete that removes points from
+/// a still-shared tree first copies that tree's ~1.2 B/pt overlay, which
+/// [`cow_bytes`](Self::cow_bytes) counts.
 #[derive(Debug, Clone)]
 pub struct BdlTree<const D: usize> {
     /// Buffer holding `< x` points (the paper's buffer kd-tree; at this
@@ -28,6 +35,8 @@ pub struct BdlTree<const D: usize> {
     next_id: u32,
     epoch: u64,
     rebuilds: u64,
+    /// Overlay bytes copied by deletes that hit a tree shared with a clone.
+    cow_bytes: u64,
 }
 
 impl<const D: usize> BdlTree<D> {
@@ -55,6 +64,7 @@ impl<const D: usize> BdlTree<D> {
             next_id: 0,
             epoch: 0,
             rebuilds: 0,
+            cow_bytes: 0,
         }
     }
 
@@ -94,6 +104,13 @@ impl<const D: usize> BdlTree<D> {
     /// Total points ever inserted (ids are assigned from this counter).
     pub fn total_inserted(&self) -> u64 {
         self.next_id as u64
+    }
+
+    /// Bytes copied so far by deletes that removed points from a static
+    /// tree a clone still shared — the copy-on-write work counter (0 for
+    /// a tree that was never cloned).
+    pub fn cow_bytes(&self) -> u64 {
+        self.cow_bytes
     }
 
     /// Occupancy bitmask `F` of the static trees (bit `i` ⇔ `trees[i]`
@@ -202,15 +219,21 @@ impl<const D: usize> BdlTree<D> {
             .retain(|(p, _)| !victims.contains(&p.bits_key()));
         let mut deleted = before_buf - self.buffer.len();
         // Parallel bulk erase across all occupied trees.
-        let counts: Vec<usize> = self
+        let counts: Vec<(usize, u64)> = self
             .trees
             .par_iter_mut()
             .map(|slot| match slot {
-                Some(t) => t.erase(batch),
-                None => 0,
+                Some(t) => {
+                    let copied = t.cow_bytes();
+                    (t.erase(batch), t.cow_bytes() - copied)
+                }
+                None => (0, 0),
             })
             .collect();
-        deleted += counts.iter().sum::<usize>();
+        for (erased, copied) in counts {
+            deleted += erased;
+            self.cow_bytes += copied;
+        }
         self.live -= deleted;
         // Drain trees below half capacity and reinsert their survivors.
         let mut reinsert: Vec<(Point<D>, u32)> = Vec::new();
@@ -306,6 +329,20 @@ impl<const D: usize> BdlTree<D> {
             b.extend(&p);
         }
         b
+    }
+
+    /// Per static tree (smallest first; empty levels skipped): whether
+    /// `other` still shares its immutable structure — true everywhere
+    /// right after `clone()`, false once either side rebuilt the level.
+    pub fn levels_shared_with(&self, other: &Self) -> Vec<bool> {
+        self.trees
+            .iter()
+            .zip(&other.trees)
+            .filter_map(|pair| match pair {
+                (Some(a), Some(b)) => Some(a.shares_core_with(b)),
+                _ => None,
+            })
+            .collect()
     }
 
     /// Sizes of the occupied static trees, smallest first (diagnostics).
@@ -480,5 +517,128 @@ mod tests {
         for (i, &sz) in t.tree_sizes().iter().enumerate() {
             assert!(sz <= 64 << i, "tree {i} oversize: {sz}");
         }
+    }
+
+    /// Everything a reader can ask of a tree, in canonical form.
+    type Answers<const D: usize> = (Vec<Vec<Neighbor>>, Vec<Vec<u32>>, Vec<(Point<D>, u32)>);
+
+    fn answers<const D: usize>(t: &BdlTree<D>, probes: &[Point<D>]) -> Answers<D> {
+        let boxes: Vec<Bbox<D>> = probes
+            .chunks(2)
+            .map(|c| Bbox::from_points(&[c[0], c[c.len() - 1]]))
+            .collect();
+        let mut live = t.collect_live();
+        live.sort_by_key(|&(_, id)| id);
+        (t.knn_batch(probes, 4), t.range_box_batch(&boxes), live)
+    }
+
+    /// A clone must keep answering like a tree *replayed* to the clone's
+    /// write prefix (never like another clone, which would share state)
+    /// while the original goes through insert cascades, deletes that hit
+    /// the levels both share, and half-capacity drains.
+    fn clones_survive_the_original<const D: usize>(seed: u64) {
+        let x = 32;
+        let pts = uniform_cube::<D>(6_000, seed);
+        let probes: Vec<Point<D>> = pts.iter().step_by(97).copied().collect();
+        // One write per entry; `true` inserts the range, `false` deletes it.
+        let script: [(bool, std::ops::Range<usize>); 8] = [
+            (true, 0..3_000),
+            (false, 0..40),           // hits the big shared level, no drain
+            (true, 3_000..3_000 + x), // cascade: destroys and rebuilds levels
+            (false, 40..1_700),       // drains levels below half capacity
+            (true, 3_100..4_500),
+            (false, 2_000..2_010),
+            (false, 4_000..4_400),
+            (true, 4_500..6_000),
+        ];
+        let replay = |upto: usize| {
+            let mut t = BdlTree::<D>::with_buffer_size(x);
+            for (insert, range) in &script[..upto] {
+                if *insert {
+                    t.insert(&pts[range.clone()]);
+                } else {
+                    t.delete(&pts[range.clone()]);
+                }
+            }
+            t
+        };
+        let mut live = BdlTree::<D>::with_buffer_size(x);
+        let mut clones: Vec<(usize, BdlTree<D>)> = Vec::new();
+        for (step, (insert, range)) in script.iter().enumerate() {
+            clones.push((step, live.clone()));
+            if *insert {
+                live.insert(&pts[range.clone()]);
+            } else {
+                live.delete(&pts[range.clone()]);
+            }
+            for (upto, clone) in &clones {
+                assert_eq!(
+                    answers(clone, &probes),
+                    answers(&replay(*upto), &probes),
+                    "D={D}: clone of prefix {upto} after write {step}"
+                );
+            }
+            // Retire out of pin order: the second-oldest clone goes first.
+            if clones.len() > 3 {
+                clones.remove(1);
+            }
+        }
+        assert_eq!(
+            answers(&live, &probes),
+            answers(&replay(script.len()), &probes)
+        );
+    }
+
+    #[test]
+    fn clones_answer_like_a_replayed_tree_2d() {
+        clones_survive_the_original::<2>(21);
+    }
+
+    #[test]
+    fn clones_answer_like_a_replayed_tree_5d() {
+        clones_survive_the_original::<5>(22);
+    }
+
+    #[test]
+    fn clone_shares_every_level_and_a_small_delete_copies_only_an_overlay() {
+        let n = 100_000;
+        let pts = uniform_cube::<2>(n, 23);
+        let mut t = BdlTree::<2>::from_points(&pts);
+        let pin = t.clone();
+        let shared = t.levels_shared_with(&pin);
+        assert!(
+            !shared.is_empty() && shared.iter().all(|&s| s),
+            "{shared:?}"
+        );
+        assert_eq!(t.cow_bytes(), 0, "cloning copies nothing");
+
+        // A delete that finds nothing writes nothing, shared or not.
+        assert_eq!(t.delete(&[Point::new([-1.0, -1.0])]), 0);
+        assert_eq!(t.cow_bytes(), 0);
+
+        let before = t.tree_sizes();
+        assert_eq!(t.delete(&pts[..125]), 125);
+        let hit_pts: usize = before
+            .iter()
+            .zip(t.tree_sizes())
+            .filter(|(b, a)| *b != a)
+            .map(|(b, _)| *b)
+            .sum();
+        let copied = t.cow_bytes();
+        assert!(copied > 0, "the pin shared the levels the delete hit");
+        assert!(
+            copied < 4 * hit_pts as u64,
+            "{copied} B copied for {hit_pts} points in the levels hit"
+        );
+        // Still the same structure underneath: only the overlay diverged.
+        assert!(t.levels_shared_with(&pin).iter().all(|&s| s));
+        assert_eq!(pin.len(), n);
+        assert_eq!(pin.knn(&pts[0], 1)[0].id, 0, "the pin still holds point 0");
+        assert!(t.knn(&pts[0], 1)[0].dist_sq > 0.0);
+
+        // The copy is paid once per pin, not once per delete.
+        assert_eq!(t.delete(&pts[125..250]), 125);
+        assert_eq!(t.cow_bytes(), copied);
+        assert_eq!(pin.cow_bytes(), 0);
     }
 }

@@ -170,6 +170,19 @@ impl<const D: usize> ZdTree<D> {
         b
     }
 
+    /// All stored `(point, id)` pairs, in Morton order.
+    pub fn collect_live(&self) -> Vec<(Point<D>, u32)> {
+        (0..self.pts.len())
+            .map(|i| (self.pts.get(i), self.pts.id(i)))
+            .collect()
+    }
+
+    /// Bytes copied by copy-on-write: always 0 — the Zd-tree shares
+    /// nothing with its clones (a clone is a full copy up front).
+    pub fn cow_bytes(&self) -> u64 {
+        0
+    }
+
     fn code_of(&self, p: &Point<D>) -> u64 {
         morton_code(p, &self.universe)
     }

@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn workload_is_frozen() {
-        // The digests recorded in BENCH_scale.json stay comparable across
+        // The `ANCHORS` digests in `scale_sweep` stay comparable across
         // sessions only if these streams never change.
         let q = knn_queries(TIERS[0]);
         let b = range_boxes(TIERS[0]);

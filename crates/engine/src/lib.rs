@@ -14,8 +14,9 @@
 //!   [`SpatialIndex::pin`] freezes the current epoch into an owned view
 //!   that answers bit-identically to a frozen copy while later write
 //!   epochs apply on the live side (O(1) for the copy-on-write
-//!   `DynKdTree`, per-shard pinned roots + id-map watermarks for
-//!   [`ShardedIndex`], clone-freeze elsewhere).
+//!   `DynKdTree`, O(X + log n) for the structure-sharing `BdlTree`,
+//!   per-shard pinned roots + id-map watermarks for [`ShardedIndex`],
+//!   a full copy for `ZdTree` and the oracle).
 //! * [`VecIndex`] — the `Vec`-of-points oracle: trivially correct answers
 //!   for cross-validation in tests and benches.
 //! * [`ShardedIndex`] — Morton-prefix sharded execution over any backend:
@@ -71,9 +72,18 @@ use pargeo_bdltree::{BdlTree, ZdTree};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::{DynKdTree, Neighbor};
 
+/// Compacted live set of an index: `pts[i]` is the live point with id
+/// `ids[i]`, ids strictly ascending.
+pub type LivePoints<const D: usize> = (Vec<u32>, Vec<Point<D>>);
+
 /// Point-in-time statistics of a [`SpatialIndex`] — the "epoch" view a
 /// serving layer reports per update round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+///
+/// Equality compares the *state* fields only: [`cow_bytes`](Self::cow_bytes)
+/// counts work done on the way there, which depends on how many pins were
+/// outstanding, so an index that served pinned readers still equals a
+/// replayed copy that never did.
+#[derive(Debug, Clone, Copy, Eq, Default)]
 pub struct Snapshot {
     /// Update batches (insert or delete) applied so far.
     pub epoch: u64,
@@ -94,6 +104,28 @@ pub struct Snapshot {
     /// Structure nodes currently allocated across the backend's arenas —
     /// the `index_nodes_total` gauge.
     pub nodes: usize,
+    /// Bytes copied so far by copy-on-write — writes that found state
+    /// shared with a pinned view and copied it before mutating. The
+    /// machine-independent reading of what pinning costs; 0 for backends
+    /// that never share. Not part of equality.
+    pub cow_bytes: u64,
+}
+
+impl PartialEq for Snapshot {
+    fn eq(&self, other: &Self) -> bool {
+        let state = |s: &Self| {
+            (
+                s.epoch,
+                s.live,
+                s.inserted,
+                s.deleted,
+                s.rebuilds,
+                s.arena_bytes,
+                s.nodes,
+            )
+        };
+        state(self) == state(other)
+    }
 }
 
 /// A batch-dynamic spatial index over `D`-dimensional points.
@@ -155,11 +187,21 @@ pub trait SpatialIndex<const D: usize> {
     /// overlaps read fan-out with write application on.
     ///
     /// Cost: [`DynKdTree`] pins in O(1) (its queryable core is `Arc`-backed
-    /// copy-on-write; the *next* write batch pays one copy per pinned
-    /// epoch), [`ShardedIndex`] pins in O(S) shard
-    /// pins, and the remaining backends clone-freeze (O(n), the default
-    /// strategy for any backend without a native persistent core).
+    /// copy-on-write; the *next* write batch copies each slab it touches,
+    /// once per pinned epoch). [`BdlTree`] pins in O(X + log n): the
+    /// insert buffer is copied and every static tree shared; inserts and
+    /// drains replace trees without touching the pinned ones, and the
+    /// first delete that removes points from a shared tree copies that
+    /// tree's deletion overlay (~1.2 B/pt, never coordinates).
+    /// [`ShardedIndex`] pins in O(S) shard pins. [`ZdTree`] and the
+    /// [`VecIndex`] oracle copy themselves whole (O(n)). Every copy made
+    /// on behalf of a pin is counted in [`Snapshot::cow_bytes`].
     fn pin(&self) -> Box<dyn SnapshotView<D>>;
+
+    /// The live points and their ids, ascending by id — what a serving
+    /// layer derives whole-dataset structures from without keeping its
+    /// own copy of the coordinates. O(live log live).
+    fn live_points(&self) -> LivePoints<D>;
 
     /// Bounding box of the live points — the index's current effective
     /// region, which *shrinks* when deletes remove extreme points (unlike
@@ -173,7 +215,7 @@ pub trait SpatialIndex<const D: usize> {
 /// index), so reads against epoch E proceed concurrently with — and are
 /// bit-identical regardless of — write batches applying epoch E+1 on the
 /// live side. Any backend clone can serve as a view through the
-/// [`Frozen`] adapter (the default clone-freeze pin strategy).
+/// [`Frozen`] adapter.
 ///
 /// Determinism contract is inherited unchanged: `range_batch` rows sorted
 /// ascending, `knn_batch` rows ordered by `(distance², id)`, all answers
@@ -202,6 +244,10 @@ pub trait SnapshotView<const D: usize>: Send + Sync {
     /// Epoch statistics as of the pin.
     fn snapshot(&self) -> Snapshot;
 
+    /// The pinned-live points and their ids, ascending by id (see
+    /// [`SpatialIndex::live_points`]).
+    fn live_points(&self) -> LivePoints<D>;
+
     /// Per-shard epoch statistics as of the pin (single-element for
     /// unsharded backends) — reported against the pinned epoch, never the
     /// live one.
@@ -210,12 +256,13 @@ pub trait SnapshotView<const D: usize>: Send + Sync {
     }
 }
 
-/// Clone-freeze adapter: hands a frozen clone of any backend out as a
-/// [`SnapshotView`]. This is the default pin strategy — O(n) for a deep
-/// clone, O(1) for backends with `Arc`-backed copy-on-write cores (the
-/// clone shares the core and later writes copy before mutating). A
-/// newtype rather than a blanket impl so no backend implements both
-/// traits and read-method calls never turn ambiguous at call sites.
+/// The one pin adapter: hands a clone of any backend out as a
+/// [`SnapshotView`]. What the pin costs is what the backend's `clone()`
+/// costs — O(1) for [`DynKdTree`] and O(X + log n) for [`BdlTree`], whose
+/// clones share structure and copy on write; O(n) for [`ZdTree`] and
+/// [`VecIndex`], whose clones are full copies. A newtype rather than a
+/// blanket impl so no backend implements both traits and read-method
+/// calls never turn ambiguous at call sites.
 pub struct Frozen<T>(pub T);
 
 impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Frozen<T> {
@@ -239,6 +286,10 @@ impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Froze
         self.0.snapshot()
     }
 
+    fn live_points(&self) -> LivePoints<D> {
+        self.0.live_points()
+    }
+
     fn shard_snapshots(&self) -> Vec<Snapshot> {
         self.0.shard_snapshots()
     }
@@ -246,9 +297,10 @@ impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Froze
 
 /// Forwards [`SpatialIndex`] to a tree backend's inherent methods. All
 /// three tree backends expose the same surface (`insert`/`delete`/
-/// `knn_batch`/`range_box_batch`/`len` plus the `epoch`/`total_inserted`/
-/// `rebuilds` counters), so one definition serves them all — a new trait
-/// method or `Snapshot` field is added exactly once.
+/// `knn_batch`/`range_box_batch`/`len`/`collect_live` plus the `epoch`/
+/// `total_inserted`/`rebuilds`/`cow_bytes` counters), so one definition
+/// serves them all — a new trait method or `Snapshot` field is added
+/// exactly once.
 macro_rules! impl_spatial_index {
     ($backend:ident, $name:literal) => {
         impl<const D: usize> SpatialIndex<D> for $backend<D> {
@@ -285,15 +337,21 @@ macro_rules! impl_spatial_index {
                     rebuilds: self.rebuilds(),
                     arena_bytes: self.arena_bytes(),
                     nodes: self.node_count(),
+                    cow_bytes: self.cow_bytes(),
                 }
             }
 
             fn pin(&self) -> Box<dyn SnapshotView<D>> {
-                // Clone-freeze: `DynKdTree`'s core is `Arc`-backed, so its
-                // clone is an O(1) copy-on-write pin; BDL and Zd clones are
-                // O(n) frozen copies. Either way `Frozen` makes the clone
-                // the view.
+                // `DynKdTree` and `BdlTree` clones share structure behind
+                // `Arc`s (O(1) / O(X + log n)); a `ZdTree` clone is a full
+                // copy. Either way `Frozen` makes the clone the view.
                 Box::new(Frozen(self.clone()))
+            }
+
+            fn live_points(&self) -> LivePoints<D> {
+                let mut live = self.collect_live();
+                live.sort_unstable_by_key(|&(_, id)| id);
+                live.into_iter().map(|(p, id)| (id, p)).unzip()
             }
 
             fn live_bbox(&self) -> Bbox<D> {

@@ -6,7 +6,7 @@
 //! exactly what the cross-validation suites and the bench's correctness
 //! anchor need.
 
-use crate::{Frozen, Snapshot, SnapshotView, SpatialIndex};
+use crate::{Frozen, LivePoints, Snapshot, SnapshotView, SpatialIndex};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::Neighbor;
 
@@ -111,14 +111,20 @@ impl<const D: usize> SpatialIndex<D> for VecIndex<D> {
             rebuilds: 0,
             arena_bytes: self.items.len() * std::mem::size_of::<(Point<D>, u32)>(),
             nodes: 0,
+            cow_bytes: 0,
         }
     }
 
     fn pin(&self) -> Box<dyn SnapshotView<D>> {
-        // Clone-freeze: the oracle is the reference implementation of the
-        // default pin strategy — an O(n) frozen copy is the semantic every
-        // cheaper pin must match bit-for-bit.
+        // The oracle is the reference implementation of pinning: an O(n)
+        // frozen copy is the semantic every cheaper pin must match
+        // bit-for-bit.
         Box::new(Frozen(self.clone()))
+    }
+
+    fn live_points(&self) -> LivePoints<D> {
+        // Items stay insertion-ordered, so ids already ascend.
+        self.items.iter().map(|&(p, id)| (id, p)).unzip()
     }
 
     fn live_bbox(&self) -> Bbox<D> {

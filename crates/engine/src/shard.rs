@@ -35,7 +35,8 @@
 //! ## Epoch-pinned snapshots
 //!
 //! [`SpatialIndex::pin`] on a `ShardedIndex` pins every shard's backend
-//! (O(1) per copy-on-write backend, clone-freeze otherwise) together with
+//! (whatever that backend's pin costs: O(1) dyn-kd, O(X + log n) BDL, a
+//! full copy for Zd and the oracle) together with
 //! its id map — the maps live behind `Arc`s, appended via `Arc::make_mut`
 //! (in place while unpinned, copied once per pinned epoch otherwise), and
 //! each pinned map carries its *watermark* (length at pin), below which
@@ -44,7 +45,7 @@
 //! sharded index while later write epochs apply, and reports
 //! `shard_snapshots()` against the pinned epoch.
 
-use crate::{Snapshot, SnapshotView, SpatialIndex};
+use crate::{LivePoints, Snapshot, SnapshotView, SpatialIndex};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::{canonical_order, Neighbor};
 use pargeo_morton::{morton_code, morton_shard_of, parallel_bbox};
@@ -87,6 +88,28 @@ trait ReadShard<const D: usize> {
     /// One box query's matches, already translated to global ids (sorted,
     /// by the same monotonicity).
     fn range(&self, query: &Bbox<D>) -> Vec<u32>;
+    /// The shard's live points under their global ids (ascending, by the
+    /// same monotonicity).
+    fn live_points(&self) -> LivePoints<D>;
+}
+
+/// Rewrites a shard's local ids to global ids in place.
+fn to_global<const D: usize>(global_ids: &[u32], (mut ids, pts): LivePoints<D>) -> LivePoints<D> {
+    for id in &mut ids {
+        *id = global_ids[*id as usize];
+    }
+    (ids, pts)
+}
+
+/// The live points of every shard, merged ascending by global id.
+fn live_points_all<const D: usize, S: ReadShard<D>>(shards: &[S]) -> LivePoints<D> {
+    let mut all: Vec<(u32, Point<D>)> = Vec::new();
+    for shard in shards {
+        let (ids, pts) = shard.live_points();
+        all.extend(ids.into_iter().zip(pts));
+    }
+    all.sort_unstable_by_key(|&(id, _)| id);
+    all.into_iter().unzip()
 }
 
 impl<const D: usize> ReadShard<D> for Shard<D> {
@@ -117,6 +140,10 @@ impl<const D: usize> ReadShard<D> for Shard<D> {
             .into_iter()
             .map(|id| self.global_ids[id as usize])
             .collect()
+    }
+
+    fn live_points(&self) -> LivePoints<D> {
+        to_global(&self.global_ids, self.index.live_points())
     }
 }
 
@@ -515,6 +542,7 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
             snap.rebuilds += sub.rebuilds;
             snap.arena_bytes += sub.arena_bytes;
             snap.nodes += sub.nodes;
+            snap.cow_bytes += sub.cow_bytes;
         }
         snap
     }
@@ -540,6 +568,10 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
             name: self.name,
             obs: self.obs.clone(),
         })
+    }
+
+    fn live_points(&self) -> LivePoints<D> {
+        live_points_all(&self.shards)
     }
 
     fn live_bbox(&self) -> Bbox<D> {
@@ -599,6 +631,10 @@ impl<const D: usize> ReadShard<D> for ShardView<D> {
             })
             .collect()
     }
+
+    fn live_points(&self) -> LivePoints<D> {
+        to_global(&self.global_ids, self.index.live_points())
+    }
 }
 
 /// An epoch-pinned view of a whole [`ShardedIndex`]: per-shard pinned
@@ -647,8 +683,13 @@ impl<const D: usize> SnapshotView<D> for ShardedView<D> {
             snap.rebuilds += sub.rebuilds;
             snap.arena_bytes += sub.arena_bytes;
             snap.nodes += sub.nodes;
+            snap.cow_bytes += sub.cow_bytes;
         }
         snap
+    }
+
+    fn live_points(&self) -> LivePoints<D> {
+        live_points_all(&self.shards)
     }
 
     fn shard_snapshots(&self) -> Vec<Snapshot> {

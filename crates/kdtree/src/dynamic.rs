@@ -21,9 +21,9 @@
 //! Every queryable field lives behind an [`Arc`] in one shared core, so
 //! [`DynKdTree::pin_view`] is O(1): it bumps the reference counts and
 //! freezes the current epoch into a [`DynKdView`]. Subsequent writes go
-//! through `Arc::make_mut` — they mutate in place while nothing is pinned
-//! (the unpinned tree pays only an `Arc` deref) and copy-on-write exactly
-//! once per pinned epoch otherwise. A threshold rebuild swaps whole `Arc`s,
+//! through a counting `Arc::make_mut` — they mutate in place while nothing
+//! is pinned (the unpinned tree pays only an `Arc` deref) and copy-on-write
+//! exactly once per pinned epoch otherwise. A threshold rebuild swaps whole `Arc`s,
 //! so a pinned view keeps the *old* root alive untouched while the live
 //! side rebuilds — reads never wait on writes and never see them.
 //!
@@ -224,6 +224,8 @@ pub struct DynKdTree<const D: usize> {
     next_id: u32,
     epoch: u64,
     rebuilds: u64,
+    /// Bytes copied so far by writes that found a slab pinned.
+    cow_bytes: u64,
 }
 
 impl<const D: usize> DynKdTree<D> {
@@ -244,6 +246,7 @@ impl<const D: usize> DynKdTree<D> {
             next_id: 0,
             epoch: 0,
             rebuilds: 0,
+            cow_bytes: 0,
         }
     }
 
@@ -301,6 +304,13 @@ impl<const D: usize> DynKdTree<D> {
         self.core.tree.node_count()
     }
 
+    /// Bytes copied so far because a write found the insert buffer or the
+    /// liveness slab shared with a pinned view (one copy per slab per
+    /// pinned epoch) — the copy-on-write work counter.
+    pub fn cow_bytes(&self) -> u64 {
+        self.cow_bytes
+    }
+
     /// Pins an immutable O(1) snapshot of the current epoch: the view
     /// shares the tree's copy-on-write core and answers every query
     /// bit-identically to a frozen clone taken now, no matter how many
@@ -319,7 +329,8 @@ impl<const D: usize> DynKdTree<D> {
     pub fn insert(&mut self, batch: &[Point<D>]) {
         self.epoch += 1;
         let next_id = self.next_id;
-        Arc::make_mut(&mut self.core.buffer).extend(
+        let bytes = self.core.buffer.len() * std::mem::size_of::<(Point<D>, u32)>();
+        crate::cow_mut(&mut self.core.buffer, bytes, &mut self.cow_bytes).extend(
             batch
                 .iter()
                 .enumerate()
@@ -351,7 +362,8 @@ impl<const D: usize> DynKdTree<D> {
                 .iter()
                 .any(|(p, _)| victims.contains(&p.bits_key()))
             {
-                let buffer = Arc::make_mut(&mut self.core.buffer);
+                let bytes = self.core.buffer.len() * std::mem::size_of::<(Point<D>, u32)>();
+                let buffer = crate::cow_mut(&mut self.core.buffer, bytes, &mut self.cow_bytes);
                 let before = buffer.len();
                 buffer.retain(|(p, _)| !victims.contains(&p.bits_key()));
                 deleted += before - buffer.len();
@@ -373,7 +385,8 @@ impl<const D: usize> DynKdTree<D> {
                 .collect()
         });
         if hits.iter().any(|h| !h.is_empty()) {
-            let alive = Arc::make_mut(&mut self.core.alive);
+            let bytes = self.core.alive.len() * std::mem::size_of::<bool>();
+            let alive = crate::cow_mut(&mut self.core.alive, bytes, &mut self.cow_bytes);
             for positions in &hits {
                 for &pos in positions {
                     let pos = pos as usize;

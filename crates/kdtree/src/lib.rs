@@ -32,3 +32,21 @@ pub use dynamic::{DynKdTree, DynKdView};
 pub use knn::{canonical_order, knn_brute_force, KnnBuffer, Neighbor};
 pub use tree::{KdTree, SplitRule};
 pub use veb::VebTree;
+
+use std::sync::Arc;
+
+/// `Arc::make_mut` that says what it copied: when `arc` is shared, clones
+/// the value (leaving the other holders theirs) and adds `bytes` — the
+/// caller's measure of that clone — to `copied`; when unique, writes in
+/// place and counts nothing. The work counter behind `cow_bytes`.
+pub(crate) fn cow_mut<'a, T: Clone>(
+    arc: &'a mut Arc<T>,
+    bytes: usize,
+    copied: &mut u64,
+) -> &'a mut T {
+    if Arc::get_mut(arc).is_none() {
+        *arc = Arc::new(T::clone(arc));
+        *copied += bytes as u64;
+    }
+    Arc::get_mut(arc).expect("unique: just copied or never shared")
+}

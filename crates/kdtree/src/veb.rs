@@ -8,8 +8,8 @@
 //!
 //! * parallel construction (Algorithm 1),
 //! * parallel bulk deletion with subtree collapse (Algorithm 2) — deleted
-//!   points are tombstoned in their leaves and fully dead subtrees are
-//!   spliced out of the tree by child-pointer rewiring,
+//!   points are tombstoned and fully dead subtrees are flagged so every
+//!   traversal steps over them exactly as if they had been spliced out,
 //! * k-NN search into a shared [`KnnBuffer`] (the hook the BDL-tree uses to
 //!   combine answers across its log-structured set of trees).
 //!
@@ -22,25 +22,32 @@
 //! columnar [`SoaPoints`] arena and one liveness slab, and each leaf holds
 //! only a `[start, end)` range into them — no per-leaf heap allocations,
 //! so a 10M-point tree costs a handful of slabs instead of ~600k vectors.
+//!
+//! Storage is also **shared**: everything `build_with` produces (node
+//! geometry, leaf ranges, coordinate and id columns) is never written
+//! again and sits behind one `Arc`; the only state deletion changes — the
+//! liveness slab and the dead-subtree flags, about 1.2 B/pt — sits behind
+//! a second, copy-on-write `Arc`. `clone()` is two reference-count bumps,
+//! and the first `erase` that actually removes a point from a shared tree
+//! copies that small overlay, never a coordinate, id or bounding box.
 
 use crate::knn::KnnBuffer;
 use crate::tree::{scatter_soa, SplitRule};
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
 use rayon::prelude::*;
+use std::sync::Arc;
 
 const SEQ_CUTOFF: usize = 4096;
 
 /// Default points per leaf.
 pub const VEB_LEAF_SIZE: usize = 16;
 
-/// A leaf's range `[start, end)` into the tree-level point arena plus its
-/// live (non-tombstoned) count.
+/// A leaf's range `[start, end)` into the tree-level point arena.
 #[derive(Debug, Clone, Copy)]
 struct VLeaf {
     start: u32,
     end: u32,
-    live: u32,
 }
 
 #[derive(Debug, Clone)]
@@ -62,18 +69,40 @@ impl<const D: usize> VNode<D> {
     }
 }
 
-/// A static kd-tree in van Emde Boas layout with tombstone deletion.
-#[derive(Debug, Clone)]
-pub struct VebTree<const D: usize> {
+/// What construction produces and nothing ever writes again.
+#[derive(Debug)]
+struct VebCore<const D: usize> {
     nodes: Vec<VNode<D>>,
     leaves: Vec<VLeaf>,
     /// Columnar point arena in build-partition order; leaves hold ranges.
     pts: SoaPoints<D>,
+}
+
+/// The state deletion changes, copied on the first write while shared.
+#[derive(Debug, Clone)]
+struct Overlay {
     /// Liveness of arena slot `i` (false = tombstoned).
     alive: Vec<bool>,
-    /// Current root slot (`u32::MAX` when the whole tree died).
+    /// `dead[slot]` ⇔ no live point remains under node `slot`. Empty until
+    /// the first subtree dies, so an undamaged tree's traversals pay one
+    /// length test per child and no lookup.
+    dead: Vec<bool>,
+}
+
+/// A static kd-tree in van Emde Boas layout with tombstone deletion.
+///
+/// `clone()` shares the structure and the deletion overlay (O(1)); the
+/// clone and the original then diverge copy-on-write, see the module docs.
+#[derive(Debug, Clone)]
+pub struct VebTree<const D: usize> {
+    core: Arc<VebCore<D>>,
+    overlay: Arc<Overlay>,
+    /// Topmost node with two live children, or the last live leaf
+    /// (`u32::MAX` when the whole tree died).
     root: u32,
     live: usize,
+    /// Overlay bytes copied by copy-on-write so far.
+    cow_bytes: u64,
 }
 
 // ---------- construction ----------
@@ -111,14 +140,7 @@ impl<const D: usize> VebTree<D> {
     pub fn build_with(items: &[(Point<D>, u32)], leaf_size: usize, rule: SplitRule) -> Self {
         assert!(leaf_size >= 1);
         if items.is_empty() {
-            return VebTree {
-                nodes: Vec::new(),
-                leaves: Vec::new(),
-                pts: SoaPoints::new(),
-                alive: Vec::new(),
-                root: u32::MAX,
-                live: 0,
-            };
+            return Self::from_parts(Vec::new(), Vec::new(), SoaPoints::new(), u32::MAX);
         }
         let mut work: Vec<(Point<D>, u32)> = items.to_vec();
         // Phase 1: parallel balanced build into a boxed tree. Leaves record
@@ -176,13 +198,21 @@ impl<const D: usize> VebTree<D> {
         }
         // Phase 5: columnar scatter of the partitioned points — one arena
         // for the whole tree, leaves address it by range.
+        let pts = scatter_soa(&work, SEQ_CUTOFF);
+        Self::from_parts(nodes, leaves, pts, slot[0] as u32)
+    }
+
+    fn from_parts(nodes: Vec<VNode<D>>, leaves: Vec<VLeaf>, pts: SoaPoints<D>, root: u32) -> Self {
+        let live = pts.len();
         VebTree {
-            nodes,
-            leaves,
-            pts: scatter_soa(&work, SEQ_CUTOFF),
-            alive: vec![true; items.len()],
-            root: slot[0] as u32,
-            live: items.len(),
+            core: Arc::new(VebCore { nodes, leaves, pts }),
+            overlay: Arc::new(Overlay {
+                alive: vec![true; live],
+                dead: Vec::new(),
+            }),
+            root,
+            live,
+            cow_bytes: 0,
         }
     }
 
@@ -202,49 +232,86 @@ impl<const D: usize> VebTree<D> {
         if self.root == u32::MAX {
             Bbox::empty()
         } else {
-            self.nodes[self.root as usize].bbox
+            self.core.nodes[self.root as usize].bbox
         }
     }
 
     /// All live `(point, id)` pairs.
     pub fn collect_live(&self) -> Vec<(Point<D>, u32)> {
+        let pts = &self.core.pts;
         let mut out = Vec::with_capacity(self.live);
-        for i in 0..self.pts.len() {
-            if self.alive[i] {
-                out.push((self.pts.get(i), self.pts.id(i)));
+        for i in 0..pts.len() {
+            if self.overlay.alive[i] {
+                out.push((pts.get(i), pts.id(i)));
             }
         }
         out
     }
 
     /// Heap bytes held by the tree's flat arenas (node array, leaf table,
-    /// coordinate columns, liveness slab).
+    /// coordinate columns, liveness slab, dead-subtree flags) — counted
+    /// once per tree however many clones share them.
     pub fn arena_bytes(&self) -> usize {
-        self.nodes.len() * std::mem::size_of::<VNode<D>>()
-            + self.leaves.len() * std::mem::size_of::<VLeaf>()
-            + self.pts.bytes()
-            + self.alive.len() * std::mem::size_of::<bool>()
+        self.core.nodes.len() * std::mem::size_of::<VNode<D>>()
+            + self.core.leaves.len() * std::mem::size_of::<VLeaf>()
+            + self.core.pts.bytes()
+            + self.overlay.bytes()
+    }
+
+    /// True iff `other` is a clone of this tree that still shares its
+    /// immutable structure (node geometry, leaf ranges, point columns).
+    pub fn shares_core_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.core, &other.core)
+    }
+
+    /// Overlay bytes this tree has copied because a clone shared them when
+    /// an `erase` removed its first point — the whole copy-on-write cost
+    /// of the tree's lifetime.
+    pub fn cow_bytes(&self) -> u64 {
+        self.cow_bytes
     }
 
     // ---------- deletion (Algorithm 2) ----------
 
     /// Deletes every live point whose coordinates match a query point
     /// (all duplicates of a matched value are removed). Fully-dead subtrees
-    /// are spliced out. Returns the number of points deleted.
+    /// are flagged and skipped by every later traversal. Returns the
+    /// number of points deleted.
+    ///
+    /// The search is read-only; only when it found a victim is the overlay
+    /// written — and copied first if a clone still shares it.
     pub fn erase(&mut self, queries: &[Point<D>]) -> usize {
         if self.root == u32::MAX || queries.is_empty() {
             return 0;
         }
-        let mut q: Vec<Point<D>> = queries.to_vec();
-        let ctx = EraseCtx {
-            nodes: self.nodes.as_mut_ptr(),
-            leaves: self.leaves.as_mut_ptr(),
-            alive: self.alive.as_mut_ptr(),
+        let mut hits: Vec<u32> = Vec::new();
+        let mut died: Vec<u32> = Vec::new();
+        let all_dead = self
+            .walk()
+            .erase_scan(self.root, queries, &mut hits, &mut died);
+        if hits.is_empty() {
+            return 0;
+        }
+        let bytes = self.overlay.bytes();
+        let overlay = crate::cow_mut(&mut self.overlay, bytes, &mut self.cow_bytes);
+        for &i in &hits {
+            overlay.alive[i as usize] = false;
+        }
+        if !died.is_empty() {
+            if overlay.dead.is_empty() {
+                overlay.dead = vec![false; self.core.nodes.len()];
+            }
+            for &slot in &died {
+                overlay.dead[slot as usize] = true;
+            }
+        }
+        self.live -= hits.len();
+        self.root = if all_dead {
+            u32::MAX
+        } else {
+            self.walk().live_child(self.root)
         };
-        let (new_root, deleted) = erase_rec(ctx, &self.pts, self.root, &mut q);
-        self.root = new_root.unwrap_or(u32::MAX);
-        self.live -= deleted;
-        deleted
+        hits.len()
     }
 
     // ---------- k-NN ----------
@@ -252,31 +319,7 @@ impl<const D: usize> VebTree<D> {
     /// Accumulates the k nearest live points to `q` into `buf`.
     pub fn knn_into(&self, q: &Point<D>, buf: &mut KnnBuffer) {
         if self.root != u32::MAX {
-            self.knn_rec(self.root, q, buf);
-        }
-    }
-
-    fn knn_rec(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer) {
-        let node = &self.nodes[idx as usize];
-        if node.is_leaf() {
-            let leaf = &self.leaves[node.leaf as usize];
-            for i in leaf.start as usize..leaf.end as usize {
-                if self.alive[i] {
-                    buf.insert(self.pts.dist_sq(i, q), self.pts.id(i));
-                }
-            }
-            return;
-        }
-        let (near, far) = if q[node.dim as usize] <= node.val {
-            (node.left, node.right)
-        } else {
-            (node.right, node.left)
-        };
-        if self.nodes[near as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
-            self.knn_rec(near, q, buf);
-        }
-        if self.nodes[far as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
-            self.knn_rec(far, q, buf);
+            self.walk().knn_rec(self.root, q, buf);
         }
     }
 
@@ -297,7 +340,167 @@ impl<const D: usize> VebTree<D> {
     /// the live points), so pruning may over-visit but never misses.
     pub fn range_into(&self, query: &Bbox<D>, out: &mut Vec<u32>) {
         if self.root != u32::MAX {
-            self.range_rec(self.root, query, out);
+            self.walk().range_rec(self.root, query, out);
+        }
+    }
+
+    /// Number of live points inside `query` without materializing them.
+    pub fn count_box(&self, query: &Bbox<D>) -> usize {
+        if self.root == u32::MAX {
+            0
+        } else {
+            self.walk().count_rec(self.root, query)
+        }
+    }
+
+    /// Number of tree nodes (diagnostics).
+    pub fn node_count(&self) -> usize {
+        self.core.nodes.len()
+    }
+
+    /// The tree's slabs borrowed for one traversal.
+    fn walk(&self) -> Walk<'_, D> {
+        Walk {
+            nodes: &self.core.nodes,
+            leaves: &self.core.leaves,
+            pts: &self.core.pts,
+            alive: &self.overlay.alive,
+            dead: &self.overlay.dead,
+        }
+    }
+}
+
+/// One tree's slabs borrowed for a traversal, so the two `Arc`s are
+/// resolved once per query and not once per node visited. Every method
+/// takes the slot of a node that holds a live point.
+struct Walk<'a, const D: usize> {
+    nodes: &'a [VNode<D>],
+    leaves: &'a [VLeaf],
+    pts: &'a SoaPoints<D>,
+    alive: &'a [bool],
+    dead: &'a [bool],
+}
+
+impl<const D: usize> Walk<'_, D> {
+    /// Steps from slot `c` over every node with a dead child, to where a
+    /// spliced tree would point.
+    #[inline]
+    fn live_child(&self, mut c: u32) -> u32 {
+        if self.dead.is_empty() {
+            return c;
+        }
+        loop {
+            let node = &self.nodes[c as usize];
+            if node.is_leaf() {
+                return c;
+            }
+            if self.dead[node.left as usize] {
+                c = node.right;
+            } else if self.dead[node.right as usize] {
+                c = node.left;
+            } else {
+                return c;
+            }
+        }
+    }
+
+    /// Routes `queries` down from node `idx` (which holds a live point),
+    /// appending the arena slots they kill to `hits` and every node left
+    /// without a live point to `died`. Returns whether `idx` is such a
+    /// node. Writes nothing: sibling subtrees run in parallel on plain
+    /// shared borrows.
+    fn erase_scan(
+        &self,
+        idx: u32,
+        queries: &[Point<D>],
+        hits: &mut Vec<u32>,
+        died: &mut Vec<u32>,
+    ) -> bool {
+        let node = &self.nodes[idx as usize];
+        let all_dead = if node.is_leaf() {
+            let leaf = &self.leaves[node.leaf as usize];
+            let before = hits.len();
+            let mut alive = 0usize;
+            for i in leaf.start..leaf.end {
+                if !self.alive[i as usize] {
+                    continue;
+                }
+                alive += 1;
+                // Bitwise identity (`Point::bits_key`) — the library-wide
+                // delete-by-value semantic shared by every backend.
+                let key = self.pts.get(i as usize).bits_key();
+                if queries.iter().any(|q| q.bits_key() == key) {
+                    hits.push(i);
+                }
+            }
+            hits.len() - before == alive
+        } else {
+            let dim = node.dim as usize;
+            // Queries equal to the split coordinate may live on either
+            // side, so they go to both children (superset routing keeps
+            // deletion exact).
+            let (mut ql, mut qr) = (Vec::new(), Vec::new());
+            for q in queries {
+                if q[dim] <= node.val {
+                    ql.push(*q);
+                }
+                if q[dim] >= node.val {
+                    qr.push(*q);
+                }
+            }
+            let dead = self.dead;
+            let scan = |c: u32, qs: &[Point<D>], hits: &mut Vec<u32>, died: &mut Vec<u32>| {
+                if !dead.is_empty() && dead[c as usize] {
+                    true
+                } else if qs.is_empty() {
+                    false
+                } else {
+                    self.erase_scan(c, qs, hits, died)
+                }
+            };
+            if ql.len() + qr.len() >= SEQ_CUTOFF {
+                let (mut r_hits, mut r_died) = (Vec::new(), Vec::new());
+                let (l, r) = rayon::join(
+                    || scan(node.left, &ql, hits, died),
+                    || scan(node.right, &qr, &mut r_hits, &mut r_died),
+                );
+                hits.append(&mut r_hits);
+                died.append(&mut r_died);
+                l && r
+            } else {
+                let l = scan(node.left, &ql, hits, died);
+                let r = scan(node.right, &qr, hits, died);
+                l && r
+            }
+        };
+        if all_dead {
+            died.push(idx);
+        }
+        all_dead
+    }
+
+    fn knn_rec(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer) {
+        let node = &self.nodes[idx as usize];
+        if node.is_leaf() {
+            let leaf = &self.leaves[node.leaf as usize];
+            for i in leaf.start as usize..leaf.end as usize {
+                if self.alive[i] {
+                    buf.insert(self.pts.dist_sq(i, q), self.pts.id(i));
+                }
+            }
+            return;
+        }
+        let (left, right) = (self.live_child(node.left), self.live_child(node.right));
+        let (near, far) = if q[node.dim as usize] <= node.val {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        if self.nodes[near as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
+            self.knn_rec(near, q, buf);
+        }
+        if self.nodes[far as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
+            self.knn_rec(far, q, buf);
         }
     }
 
@@ -310,42 +513,36 @@ impl<const D: usize> VebTree<D> {
             let leaf = &self.leaves[node.leaf as usize];
             let whole = query.contains_box(&node.bbox);
             for i in leaf.start as usize..leaf.end as usize {
-                if self.alive[i] && (whole || query.contains_soa(&self.pts, i)) {
+                if self.alive[i] && (whole || query.contains_soa(self.pts, i)) {
                     out.push(self.pts.id(i));
                 }
             }
             return;
         }
-        self.range_rec(node.left, query, out);
-        self.range_rec(node.right, query, out);
+        self.range_rec(self.live_child(node.left), query, out);
+        self.range_rec(self.live_child(node.right), query, out);
     }
 
-    /// Number of live points inside `query` without materializing them.
-    pub fn count_box(&self, query: &Bbox<D>) -> usize {
-        fn go<const D: usize>(t: &VebTree<D>, idx: u32, query: &Bbox<D>) -> usize {
-            let node = &t.nodes[idx as usize];
-            if !node.bbox.intersects(query) {
-                return 0;
-            }
-            if node.is_leaf() {
-                let leaf = &t.leaves[node.leaf as usize];
-                let whole = query.contains_box(&node.bbox);
-                return (leaf.start as usize..leaf.end as usize)
-                    .filter(|&i| t.alive[i] && (whole || query.contains_soa(&t.pts, i)))
-                    .count();
-            }
-            go(t, node.left, query) + go(t, node.right, query)
+    fn count_rec(&self, idx: u32, query: &Bbox<D>) -> usize {
+        let node = &self.nodes[idx as usize];
+        if !node.bbox.intersects(query) {
+            return 0;
         }
-        if self.root == u32::MAX {
-            0
-        } else {
-            go(self, self.root, query)
+        if node.is_leaf() {
+            let leaf = &self.leaves[node.leaf as usize];
+            let whole = query.contains_box(&node.bbox);
+            return (leaf.start as usize..leaf.end as usize)
+                .filter(|&i| self.alive[i] && (whole || query.contains_soa(self.pts, i)))
+                .count();
         }
+        self.count_rec(self.live_child(node.left), query)
+            + self.count_rec(self.live_child(node.right), query)
     }
+}
 
-    /// Number of tree nodes (diagnostics).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+impl Overlay {
+    fn bytes(&self) -> usize {
+        (self.alive.len() + self.dead.len()) * std::mem::size_of::<bool>()
     }
 }
 
@@ -448,7 +645,6 @@ fn flatten<const D: usize>(
             leaves.push(VLeaf {
                 start: start as u32,
                 end: end as u32,
-                live: (end - start) as u32,
             });
             arena.push(ArenaNode {
                 bbox,
@@ -547,110 +743,6 @@ fn hyperceiling(n: usize) -> usize {
     n.max(1).next_power_of_two()
 }
 
-// ---------- parallel erase ----------
-
-/// Raw shared pointers into the node array, leaf table, and liveness slab.
-/// Sound because concurrent recursive calls operate on disjoint subtrees
-/// (the tree is a tree), so they touch disjoint nodes, leaves, and
-/// disjoint `[start, end)` slab ranges.
-#[derive(Clone, Copy)]
-struct EraseCtx<const D: usize> {
-    nodes: *mut VNode<D>,
-    leaves: *mut VLeaf,
-    alive: *mut bool,
-}
-unsafe impl<const D: usize> Send for EraseCtx<D> {}
-unsafe impl<const D: usize> Sync for EraseCtx<D> {}
-
-fn erase_rec<const D: usize>(
-    ctx: EraseCtx<D>,
-    pts: &SoaPoints<D>,
-    idx: u32,
-    queries: &mut [Point<D>],
-) -> (Option<u32>, usize) {
-    // SAFETY: each recursive call touches only node `idx`, its leaf entry,
-    // its slab range, and its descendants; sibling calls are disjoint.
-    let node = unsafe { &mut *ctx.nodes.add(idx as usize) };
-    if node.is_leaf() {
-        let leaf = unsafe { &mut *ctx.leaves.add(node.leaf as usize) };
-        let mut deleted = 0usize;
-        for q in queries.iter() {
-            for i in leaf.start as usize..leaf.end as usize {
-                // Bitwise identity (`Point::bits_key`) — the library-wide
-                // delete-by-value semantic shared by every backend.
-                let alive = unsafe { &mut *ctx.alive.add(i) };
-                if *alive && pts.get(i).bits_key() == q.bits_key() {
-                    *alive = false;
-                    leaf.live -= 1;
-                    deleted += 1;
-                }
-            }
-        }
-        if leaf.live == 0 {
-            return (None, deleted);
-        }
-        return (Some(idx), deleted);
-    }
-    let dim = node.dim as usize;
-    let val = node.val;
-    // Queries equal to the split coordinate may live on either side, so they
-    // go to both children (superset routing keeps deletion exact).
-    let mut ql: Vec<Point<D>> = Vec::new();
-    let mut qr: Vec<Point<D>> = Vec::new();
-    for q in queries.iter() {
-        if q[dim] <= val {
-            ql.push(*q);
-        }
-        if q[dim] >= val {
-            qr.push(*q);
-        }
-    }
-    let (left, right) = (node.left, node.right);
-    let ((l_new, dl), (r_new, dr)) = if ql.len() + qr.len() >= SEQ_CUTOFF {
-        rayon::join(
-            move || {
-                if ql.is_empty() {
-                    (Some(left), 0)
-                } else {
-                    erase_rec(ctx, pts, left, &mut ql)
-                }
-            },
-            move || {
-                if qr.is_empty() {
-                    (Some(right), 0)
-                } else {
-                    erase_rec(ctx, pts, right, &mut qr)
-                }
-            },
-        )
-    } else {
-        (
-            if ql.is_empty() {
-                (Some(left), 0)
-            } else {
-                erase_rec(ctx, pts, left, &mut ql)
-            },
-            if qr.is_empty() {
-                (Some(right), 0)
-            } else {
-                erase_rec(ctx, pts, right, &mut qr)
-            },
-        )
-    };
-    let deleted = dl + dr;
-    let result = match (l_new, r_new) {
-        (Some(l), Some(r)) => {
-            node.left = l;
-            node.right = r;
-            Some(idx)
-        }
-        (Some(l), None) => Some(l),
-        (None, Some(r)) => Some(r),
-        (None, None) => None,
-    };
-    (result, deleted)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -687,7 +779,7 @@ mod tests {
         fn go<const D: usize>(t: &VebTree<D>, i: u32, seen: &mut [bool]) -> usize {
             assert!(!seen[i as usize]);
             seen[i as usize] = true;
-            let n = &t.nodes[i as usize];
+            let n = &t.core.nodes[i as usize];
             if n.is_leaf() {
                 1
             } else {
@@ -710,13 +802,13 @@ mod tests {
         let t = VebTree::build_with_leaf_size(&items(&pts), 1);
         assert_eq!(t.node_count(), 15);
         assert_eq!(t.root, 0);
-        let root = &t.nodes[0];
+        let root = &t.core.nodes[0];
         assert!(
             root.left < 3 && root.right < 3,
             "top half must occupy slots 0..3"
         );
-        let l = &t.nodes[root.left as usize];
-        let r = &t.nodes[root.right as usize];
+        let l = &t.core.nodes[root.left as usize];
+        let r = &t.core.nodes[root.right as usize];
         let mut bottoms = vec![l.left, l.right, r.left, r.right];
         bottoms.sort();
         assert_eq!(bottoms, vec![3, 6, 9, 12]);
@@ -767,6 +859,81 @@ mod tests {
         assert!(t.collect_live().is_empty());
         // knn on a dead tree returns nothing.
         assert!(t.knn(&pts[0], 3).is_empty());
+    }
+
+    /// Brute-force answers over `(point, id)` survivors, for comparison.
+    fn check_against<const D: usize>(t: &VebTree<D>, survivors: &[(Point<D>, u32)]) {
+        let pts: Vec<Point<D>> = survivors.iter().map(|s| s.0).collect();
+        assert_eq!(t.len(), survivors.len());
+        // Every survivor is reachable: no live point hides under a flag.
+        let mut reached = Vec::new();
+        t.range_into(&Bbox::from_points(&pts), &mut reached);
+        reached.sort_unstable();
+        let ids: Vec<u32> = survivors.iter().map(|s| s.1).collect();
+        assert_eq!(reached, ids);
+        for (q, _) in survivors.iter().step_by(41) {
+            let got: Vec<f64> = t.knn(q, 5).iter().map(|n| n.dist_sq).collect();
+            let want: Vec<f64> = knn_brute_force(&pts, q, 5)
+                .iter()
+                .map(|n| n.dist_sq)
+                .collect();
+            assert_eq!(got, want);
+            let query = Bbox::from_points(&[*q, pts[0]]);
+            let mut got = Vec::new();
+            t.range_into(&query, &mut got);
+            got.sort_unstable();
+            let mut want: Vec<u32> = survivors
+                .iter()
+                .filter(|(p, _)| query.contains(p))
+                .map(|&(_, id)| id)
+                .collect();
+            want.sort_unstable();
+            assert_eq!(t.count_box(&query), want.len());
+            assert_eq!(got, want);
+        }
+    }
+
+    #[test]
+    fn clustered_erase_kills_subtrees_and_a_clone_keeps_its_epoch() {
+        // Spatially clustered deletes empty whole subtrees — the case the
+        // dead flags exist for — and a clone taken in between must not
+        // see the later erase.
+        let pts = uniform_cube::<2>(4_000, 9);
+        let all = items(&pts);
+        let mid = pts.iter().map(|p| p[0]).sum::<f64>() / pts.len() as f64;
+        let mut t = VebTree::build(&all);
+        let west: Vec<_> = pts.iter().copied().filter(|p| p[0] < mid).collect();
+        assert_eq!(t.erase(&west), west.len());
+        assert!(
+            t.overlay.dead.iter().any(|&d| d),
+            "half the plane gone must leave dead subtrees"
+        );
+        assert_eq!(t.cow_bytes(), 0, "nothing shared yet");
+        let east: Vec<_> = all.iter().copied().filter(|(p, _)| p[0] >= mid).collect();
+        check_against(&t, &east);
+
+        let pin = t.clone();
+        assert!(pin.shares_core_with(&t));
+        let south: Vec<_> = pts.iter().copied().filter(|p| p[1] < mid).collect();
+        let north_east: Vec<_> = east.iter().copied().filter(|(p, _)| p[1] >= mid).collect();
+        assert_eq!(t.erase(&south), east.len() - north_east.len());
+        assert_eq!(t.cow_bytes() as usize, pin.overlay.bytes());
+        check_against(&t, &north_east);
+        check_against(&pin, &east);
+        assert!(pin.shares_core_with(&t), "erase never copies the structure");
+    }
+
+    #[test]
+    fn a_leaf_dies_only_with_its_last_point() {
+        let pts: Vec<Point<1>> = (0..8).map(|i| Point::new([i as f64])).collect();
+        let mut t = VebTree::build_with_leaf_size(&items(&pts), 4);
+        assert_eq!(t.erase(&pts[..3]), 3);
+        assert!(t.overlay.dead.is_empty(), "point 3 keeps its leaf alive");
+        assert_eq!(t.knn(&pts[0], 1)[0].id, 3);
+        assert_eq!(t.erase(&pts[3..4]), 1);
+        assert!(t.overlay.dead.iter().any(|&d| d));
+        assert_eq!(t.knn(&pts[0], 1)[0].id, 4);
+        assert_eq!(t.count_box(&Bbox::from_points(&pts)), 4);
     }
 
     #[test]

@@ -89,6 +89,15 @@ pub(crate) struct StoreObs {
     /// allocated across the backing index's arenas, refreshed alongside
     /// [`Self::index_arena_bytes`].
     pub index_nodes: Arc<Gauge>,
+    /// `geostore_index_cow_bytes_total` — bytes the backing index copied
+    /// on write because a pinned view shared them, advanced at every
+    /// write epoch by the index [`Snapshot`](pargeo_engine::Snapshot)'s
+    /// `cow_bytes` delta: what pinning costs, independent of the machine.
+    pub index_cow_bytes: Arc<Counter>,
+    /// `geostore_mirror_divergence_total` — delete runs in which the
+    /// index removed a different number of points than the id mirror
+    /// retired (answered with a typed error). Non-zero means a bug.
+    pub mirror_divergence: Arc<Counter>,
 }
 
 impl StoreObs {
@@ -116,6 +125,8 @@ impl StoreObs {
         let prefilter_discarded = registry.counter("geostore_prefilter_discarded_total", &[]);
         let index_arena_bytes = registry.gauge("index_arena_bytes", &[("backend", backend)]);
         let index_nodes = registry.gauge("index_nodes_total", &[("backend", backend)]);
+        let index_cow_bytes = registry.counter("geostore_index_cow_bytes_total", &[]);
+        let mirror_divergence = registry.counter("geostore_mirror_divergence_total", &[]);
         Self {
             registry,
             level,
@@ -130,6 +141,8 @@ impl StoreObs {
             prefilter_discarded,
             index_arena_bytes,
             index_nodes,
+            index_cow_bytes,
+            mirror_divergence,
         }
     }
 }
@@ -167,5 +180,51 @@ mod tests {
             )),
             "gauge missing or stale:\n{text}"
         );
+    }
+
+    #[test]
+    fn cow_bytes_counter_follows_the_index_and_labels_the_write_span() {
+        use crate::{Backend, Request};
+        let pts = uniform_cube::<2>(5_000, 8);
+        let stream = [
+            Request::Insert(pts[..4_000].to_vec()),
+            Request::Knn {
+                queries: pts[..4].to_vec(),
+                k: 2,
+            },
+            Request::Delete(pts[..50].to_vec()),
+            Request::Range(Vec::new()),
+            Request::Insert(pts[4_000..].to_vec()),
+        ];
+        let exported = |pipeline: bool| {
+            let mut store = GeoStore::<2>::builder()
+                .backend(Backend::Bdl)
+                .pipeline(pipeline)
+                .observe(ObsLevel::Trace)
+                .build();
+            store.execute(&stream);
+            let registry = store.registry().expect("observed store");
+            let total = registry
+                .counter("geostore_index_cow_bytes_total", &[])
+                .get();
+            assert_eq!(total, store.stats().snapshot.cow_bytes);
+            let per_epoch: Vec<u64> = registry
+                .trace_events()
+                .iter()
+                .filter(|e| e.scope == "write_apply")
+                .map(|e| {
+                    let label = e.labels.iter().find(|(k, _)| *k == "cow_bytes");
+                    label.expect("labelled").1.parse().expect("a byte count")
+                })
+                .collect();
+            (total, per_epoch)
+        };
+        // The serial planner never pins, so nothing is ever shared.
+        assert_eq!(exported(false), (0, vec![0, 0, 0]));
+        // Pipelined, the delete overlaps the k-NN run's pin and pays for
+        // the overlay of the levels it hits; inserts only replace trees.
+        let (total, per_epoch) = exported(true);
+        assert!(total > 0 && total < 4 * 4_000, "{total} B");
+        assert_eq!(per_epoch, vec![0, total, 0]);
     }
 }

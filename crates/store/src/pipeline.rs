@@ -3,11 +3,16 @@
 //! [`StoreSnapshot`] is what [`GeoStore::pin`](crate::GeoStore::pin)
 //! returns: a fully owned, immutable capture of the store at one write
 //! epoch. It holds the index's pinned [`SnapshotView`] (O(1) for the
-//! copy-on-write kd-tree and the sharded executor, clone-freeze
-//! otherwise), the compacted live view, the epoch's memoized derived
+//! copy-on-write kd-tree, O(X + log n) for the structure-sharing
+//! BDL-tree, per-shard for the sharded executor; only the Zd-tree and
+//! the oracle still copy themselves whole), the epoch's memoized derived
 //! values, and the store statistics as of the pin — everything needed to
 //! answer every read request class *bit-identically to a frozen copy of
-//! the store* while later write epochs apply on the live side.
+//! the store* while later write epochs apply on the live side. Pinning
+//! does no work proportional to the live set: the compacted live view is
+//! borrowed from the store if the epoch already built one and is
+//! otherwise derived from the pinned view (`live_points()`) the first
+//! time a derived structure not memoized at pin time is asked for.
 //!
 //! Lifecycle: **pin → overlap → retire.** The pipelined executor pins one
 //! snapshot per read run (after the run's derived-memo ensure pass, so
@@ -15,9 +20,10 @@
 //! run's read fan-out against the snapshot with the *next* write epoch's
 //! apply on the live store, and retires the snapshot by dropping it —
 //! which releases the pinned `Arc`s (memory cost: one copy-on-write delta
-//! per pinned epoch plus whatever superseded structures the pin kept
-//! alive) and decrements the `geostore_pinned_views` gauge. Snapshots may
-//! outlive rebuilds and may be dropped in any order.
+//! per pinned epoch — counted in `geostore_index_cow_bytes_total` — plus
+//! whatever superseded structures the pin kept alive) and decrements the
+//! `geostore_pinned_views` gauge. Snapshots may outlive rebuilds and may
+//! be dropped in any order.
 
 use crate::derived::{self, DerivedVal};
 use crate::obs::{self, StoreObs};
@@ -27,12 +33,13 @@ use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
 use pargeo_parlay as parlay;
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Compacted live view shared with the store: `pts[i]` is the live point
-/// with store id `ids[i]`, ids strictly ascending.
-pub(crate) type LiveView<const D: usize> = (Vec<u32>, Vec<Point<D>>);
+/// with store id `ids[i]`, ids strictly ascending — the index's own
+/// [`LivePoints`](pargeo_engine::LivePoints), since index ids are store ids.
+pub(crate) type LiveView<const D: usize> = pargeo_engine::LivePoints<D>;
 
 /// An immutable capture of a [`GeoStore`](crate::GeoStore) at one write
 /// epoch, created by [`GeoStore::pin`](crate::GeoStore::pin).
@@ -49,7 +56,9 @@ pub(crate) type LiveView<const D: usize> = (Vec<u32>, Vec<Point<D>>);
 /// report the *pinned* epoch, never the live one.
 pub struct StoreSnapshot<const D: usize> {
     view: Box<dyn SnapshotView<D>>,
-    live_view: Arc<LiveView<D>>,
+    /// The store's compacted live view when the pinned epoch had already
+    /// built one; otherwise derived from `view` on first need.
+    live_view: OnceLock<Arc<LiveView<D>>>,
     stats: StoreStats,
     /// Derived values at the pinned epoch: seeded from the store's memo
     /// cache, extended lazily for kinds first requested through the
@@ -64,7 +73,7 @@ impl<const D: usize> StoreSnapshot<D> {
     /// into the `geostore_pinned_views` gauge.
     pub(crate) fn new(
         view: Box<dyn SnapshotView<D>>,
-        live_view: Arc<LiveView<D>>,
+        live_view: Option<Arc<LiveView<D>>>,
         stats: StoreStats,
         derived: HashMap<DerivedKind, GeoResult<DerivedVal<D>>>,
         obs: Option<Arc<StoreObs>>,
@@ -74,7 +83,7 @@ impl<const D: usize> StoreSnapshot<D> {
         }
         Self {
             view,
-            live_view,
+            live_view: live_view.map(OnceLock::from).unwrap_or_default(),
             stats,
             derived: Mutex::new(derived),
             obs,
@@ -94,12 +103,12 @@ impl<const D: usize> StoreSnapshot<D> {
 
     /// Number of live points at the pinned epoch.
     pub fn len(&self) -> usize {
-        self.live_view.0.len()
+        self.view.len()
     }
 
     /// True iff the pinned epoch held no live points.
     pub fn is_empty(&self) -> bool {
-        self.live_view.0.is_empty()
+        self.view.is_empty()
     }
 
     /// Per-shard epoch statistics as of the pin — one [`Snapshot`] per
@@ -148,11 +157,11 @@ impl<const D: usize> StoreSnapshot<D> {
                         what: "k must be positive",
                     });
                 }
-                if *k > self.live_view.0.len() {
+                if *k > self.len() {
                     return Err(GeoError::KTooLarge {
                         op: "knn",
                         k: *k,
-                        n: self.live_view.0.len(),
+                        n: self.len(),
                     });
                 }
                 Ok(Response::Knn(self.view.knn_batch(queries, *k)))
@@ -190,7 +199,11 @@ impl<const D: usize> StoreSnapshot<D> {
             return v.clone();
         }
         let t = self.obs.as_ref().map(|_| Instant::now());
-        let (ids, pts) = &*self.live_view;
+        // Index ids are store ids (both count inserted points in order),
+        // so the pinned view's own live points are the store's live view.
+        let (ids, pts) = &**self
+            .live_view
+            .get_or_init(|| Arc::new(self.view.live_points()));
         let value = derived::compute(kind, ids, pts);
         if let (Some(o), Some(t)) = (&self.obs, t) {
             o.class_nanos[4].record_duration(t.elapsed());

@@ -723,23 +723,30 @@ impl<const D: usize> GeoStore<D> {
     }
 
     /// Pins an immutable [`StoreSnapshot`] of the current write epoch: the
-    /// index's epoch-pinned view (O(1) for copy-on-write backends), the
-    /// compacted live set, the epoch's memoized derived values, and the
-    /// statistics as of now. The snapshot answers every read request class
-    /// bit-identically to a frozen copy of this store taken at this
-    /// instant, regardless of how many write epochs follow; it may outlive
-    /// rebuilds and be dropped in any order relative to other snapshots.
-    pub fn pin(&mut self) -> StoreSnapshot<D> {
-        let view = self.index.pin();
-        let live_view = self.live_view();
-        let stats = self.stats();
+    /// index's epoch-pinned view (see [`SpatialIndex::pin`] for what each
+    /// backend pays), the epoch's memoized derived values, and the
+    /// statistics as of now — nothing proportional to the live set. The
+    /// compacted live view is shared only if this epoch already built one;
+    /// otherwise the snapshot derives it from its pinned view the first
+    /// time a derived structure is asked of it. The snapshot answers every
+    /// read request class bit-identically to a frozen copy of this store
+    /// taken at this instant, regardless of how many write epochs follow;
+    /// it may outlive rebuilds and be dropped in any order relative to
+    /// other snapshots.
+    pub fn pin(&self) -> StoreSnapshot<D> {
         let derived: HashMap<DerivedKind, GeoResult<DerivedVal<D>>> = self
             .cache
             .iter()
             .filter(|(_, e)| e.epoch == self.write_epoch)
             .map(|(k, e)| (*k, e.value.clone()))
             .collect();
-        StoreSnapshot::new(view, live_view, stats, derived, self.obs.clone())
+        StoreSnapshot::new(
+            self.index.pin(),
+            self.live_view.clone(),
+            self.stats(),
+            derived,
+            self.obs.clone(),
+        )
     }
 
     // ---- continuous admission ------------------------------------------
@@ -820,6 +827,7 @@ impl<const D: usize> GeoStore<D> {
             g
         });
         let t = Instant::now();
+        let mut cow_bytes = 0u64;
         let mut coalesced: Vec<Point<D>> = Vec::new();
         for req in run {
             let Request::Insert(batch) = req else {
@@ -852,12 +860,13 @@ impl<const D: usize> GeoStore<D> {
             }
         } else {
             self.index.insert(&coalesced);
-            self.bump_epoch(false);
+            cow_bytes = self.bump_epoch(false);
         }
         if let Some(o) = &obs {
             o.class_nanos[0].record_duration(t.elapsed());
             if let Some(s) = span.as_mut() {
                 s.label("points", coalesced.len());
+                s.label("cow_bytes", cow_bytes);
             }
         }
     }
@@ -872,8 +881,12 @@ impl<const D: usize> GeoStore<D> {
             g
         });
         let t = Instant::now();
+        let mut cow_bytes = 0u64;
+        let first_response = out.len();
         let mut coalesced: Vec<Point<D>> = Vec::new();
-        let mut dying: std::collections::HashSet<u32> = std::collections::HashSet::new();
+        // Unique by construction: a key leaves `by_key` with the first
+        // request that names it, so no id is claimed twice.
+        let mut dying: Vec<u32> = Vec::new();
         for req in run {
             let Request::Delete(batch) = req else {
                 unreachable!("delete run")
@@ -901,15 +914,39 @@ impl<const D: usize> GeoStore<D> {
                 o.memo[obs::MEMO_SPARED].inc();
             }
         } else {
-            self.live_ids.retain(|id| !dying.contains(id));
+            // Both lists ascend, so one merge pass retires the ids: work
+            // per live id is a compare, not a hash probe.
+            dying.sort_unstable();
+            let mut next = dying.iter().copied().peekable();
+            self.live_ids.retain(|&id| {
+                while next.peek().is_some_and(|&d| d < id) {
+                    next.next();
+                }
+                next.peek() != Some(&id)
+            });
             let removed = self.index.delete(&coalesced);
-            debug_assert_eq!(removed, dying.len(), "mirror diverged from index");
-            self.bump_epoch(true);
+            if removed != dying.len() {
+                // The id mirror and the index disagree about what was
+                // live. The counts already pushed came from the mirror and
+                // can no longer be vouched for: the run's requests get a
+                // typed error instead of a possibly wrong `Deleted`.
+                if let Some(o) = &obs {
+                    o.mirror_divergence.inc();
+                }
+                for resp in &mut out[first_response..] {
+                    *resp = Err(GeoError::BadParameter {
+                        op: "delete",
+                        what: "id mirror diverged from the index",
+                    });
+                }
+            }
+            cow_bytes = self.bump_epoch(true);
         }
         if let Some(o) = &obs {
             o.class_nanos[1].record_duration(t.elapsed());
             if let Some(s) = span.as_mut() {
                 s.label("points", dying.len());
+                s.label("cow_bytes", cow_bytes);
             }
         }
     }
@@ -921,13 +958,20 @@ impl<const D: usize> GeoStore<D> {
     /// with a live delta engine (the engine absorbs the batch on the next
     /// request); across a delete epoch, a rebuild marker per maintainable
     /// entry (deletes shuffle compacted positions, so no engine survives).
-    fn bump_epoch(&mut self, deleting: bool) {
+    ///
+    /// Returns the bytes the index copied on write during this epoch (read
+    /// from its snapshot; 0 when unobserved — the snapshot is only taken
+    /// for the gauges).
+    fn bump_epoch(&mut self, deleting: bool) -> u64 {
         self.write_epoch += 1;
+        let mut cow_bytes = 0;
         if let Some(o) = &self.obs {
             o.epochs.inc();
             let s = self.index.snapshot();
             o.index_arena_bytes.set(s.arena_bytes as i64);
             o.index_nodes.set(s.nodes as i64);
+            cow_bytes = s.cow_bytes.saturating_sub(o.index_cow_bytes.get());
+            o.index_cow_bytes.add(cow_bytes);
         }
         self.live_view = None;
         if !self.incremental {
@@ -944,6 +988,7 @@ impl<const D: usize> GeoStore<D> {
             self.cache
                 .retain(|_, e| e.engine.is_some() || e.rebuild_pending);
         }
+        cow_bytes
     }
 
     /// Answers a run of read requests: derived structures are memoized
@@ -1173,10 +1218,16 @@ impl<const D: usize> GeoStore<D> {
     }
 
     /// Deletes by value; returns the number of points removed.
+    ///
+    /// # Panics
+    /// If the id mirror and the index disagree about what was removed —
+    /// a bug in the backend, which [`execute`](Self::execute) reports as a
+    /// typed error instead.
     pub fn delete(&mut self, batch: &[Point<D>]) -> usize {
         match self.run(Request::Delete(batch.to_vec())) {
             Ok(Response::Deleted { count }) => count,
-            _ => unreachable!("delete is infallible"),
+            Err(e) => panic!("delete: {e}"),
+            Ok(_) => unreachable!("delete answers with a count"),
         }
     }
 
@@ -1245,5 +1296,89 @@ impl<const D: usize> GeoStore<D> {
             Response::DelaunayGraph(g) => Ok(g),
             _ => unreachable!(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pargeo_engine::{LivePoints, SnapshotView};
+
+    /// An index whose `delete` removes what it is told to and reports one
+    /// fewer — the mirror ≡ index invariant broken from the index side.
+    struct UnderReporting(VecIndex<2>);
+
+    impl SpatialIndex<2> for UnderReporting {
+        fn backend_name(&self) -> &'static str {
+            "under-reporting"
+        }
+        fn insert(&mut self, batch: &[Point<2>]) {
+            self.0.insert(batch)
+        }
+        fn delete(&mut self, batch: &[Point<2>]) -> usize {
+            self.0.delete(batch).saturating_sub(1)
+        }
+        fn knn_batch(&self, queries: &[Point<2>], k: usize) -> Vec<Vec<Neighbor>> {
+            self.0.knn_batch(queries, k)
+        }
+        fn range_batch(&self, queries: &[Bbox<2>]) -> Vec<Vec<u32>> {
+            self.0.range_batch(queries)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn snapshot(&self) -> Snapshot {
+            self.0.snapshot()
+        }
+        fn pin(&self) -> Box<dyn SnapshotView<2>> {
+            self.0.pin()
+        }
+        fn live_points(&self) -> LivePoints<2> {
+            self.0.live_points()
+        }
+        fn live_bbox(&self) -> Bbox<2> {
+            self.0.live_bbox()
+        }
+    }
+
+    #[test]
+    fn mirror_divergence_is_a_typed_error_and_a_counter() {
+        let pts: Vec<Point<2>> = (0..10).map(|i| Point::new([i as f64, 0.0])).collect();
+        let mut store = GeoStore::<2>::builder()
+            .backend(Backend::Oracle)
+            .observe(ObsLevel::Metrics)
+            .build();
+        store.index = Box::new(UnderReporting(VecIndex::new()));
+        store.insert(&pts);
+        let diverged = Err(GeoError::BadParameter {
+            op: "delete",
+            what: "id mirror diverged from the index",
+        });
+        // Every request of the coalesced run is answered with the error —
+        // none of their mirror-derived counts can be vouched for — and
+        // requests outside the run are untouched.
+        let got = store.execute(&[
+            Request::Stats,
+            Request::Delete(pts[..2].to_vec()),
+            Request::Delete(pts[2..3].to_vec()),
+            Request::Range(vec![Bbox::from_points(&pts)]),
+            Request::Delete(vec![Point::new([-1.0, -1.0])]),
+        ]);
+        assert!(matches!(got[0], Ok(Response::Stats(_))));
+        assert_eq!(got[1], diverged);
+        assert_eq!(got[2], diverged);
+        assert_eq!(got[3], Ok(Response::Range(vec![(3..10).collect()])));
+        // A run the mirror says removes nothing never reaches the index.
+        assert_eq!(got[4], Ok(Response::Deleted { count: 0 }));
+        let divergences = store
+            .registry()
+            .expect("metrics level")
+            .counter("geostore_mirror_divergence_total", &[])
+            .get();
+        assert_eq!(divergences, 1, "one diverged run");
+        // The epoch still advanced and the mirror retired its ids: the
+        // store stays serviceable, it does not pretend nothing happened.
+        assert_eq!(store.len(), 7);
+        assert_eq!(store.stats().write_epoch, 2);
     }
 }

@@ -287,6 +287,57 @@ fn snapshots_survive_rebuilds_compaction_and_out_of_order_drops() {
 }
 
 #[test]
+fn derived_kinds_first_asked_of_a_snapshot_use_its_pinned_live_set() {
+    // A pin copies no live view. A derived kind that was not memoised at
+    // pin time, first asked of the snapshot after the live store has moved
+    // on through insert and delete epochs, must be computed over the
+    // *pinned* live set — derived from the pinned index view, or shared
+    // from the store when the pinned epoch had already built one — and so
+    // equal what a reference store replayed to the pin's prefix answers.
+    let pts = pargeo::datagen::uniform_cube::<2>(1_400, 48);
+    for backend in backends() {
+        for shards in [1usize, 4] {
+            for view_built_before_pin in [false, true] {
+                let make = || {
+                    GeoStore::<2>::builder()
+                        .backend(backend)
+                        .shards(shards)
+                        .build()
+                };
+                let prefix = |store: &mut GeoStore<2>| {
+                    store.insert(&pts[..800]);
+                    store.delete(&pts[100..250]);
+                    if view_built_before_pin {
+                        // Builds the epoch's live view and memoises Seb —
+                        // and nothing else.
+                        store.seb().unwrap();
+                    }
+                };
+                let mut store = make();
+                prefix(&mut store);
+                let snap = store.pin();
+                store.insert(&pts[800..]);
+                store.delete(&pts[..100]);
+                store.delete(&pts[900..1_000]);
+
+                let mut frozen = make();
+                prefix(&mut frozen);
+                let ctx = format!(
+                    "{} S={shards} view_built={view_built_before_pin}",
+                    backend.label()
+                );
+                assert_eq!(snap.len(), frozen.len(), "{ctx}: live count");
+                assert_eq!(snap.emst(), frozen.emst(), "{ctx}: emst");
+                assert_eq!(snap.hull(), frozen.hull(), "{ctx}: hull");
+                assert_eq!(snap.knn_graph(3), frozen.knn_graph(3), "{ctx}: knn graph");
+                assert_eq!(snap.seb(), frozen.seb(), "{ctx}: seb");
+                assert_ne!(snap.len(), store.len(), "{ctx}: the live store moved on");
+            }
+        }
+    }
+}
+
+#[test]
 fn pinned_views_gauge_tracks_snapshot_lifetimes() {
     let pts = pargeo::datagen::uniform_cube::<2>(400, 45);
     let mut store = GeoStore::<2>::builder().observe(ObsLevel::Metrics).build();

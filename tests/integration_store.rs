@@ -716,3 +716,51 @@ fn workload_replay_digests_agree_across_backends() {
         assert_eq!(r.ops, want.ops, "{}", r.backend);
     }
 }
+
+#[test]
+fn duplicate_victims_within_and_across_delete_runs_count_once() {
+    // The id mirror retires ids by one sorted merge against the live-id
+    // list, which relies on every dying id being claimed exactly once: a
+    // value named twice in one request, again by a later request of the
+    // same coalesced run, and again by a later run must be counted by the
+    // first claimant only — on every backend, sharded or not.
+    let pts = points(600, 37);
+    let (a, b, c) = (pts[0], pts[1], pts[2]);
+    let mut initial = pts.clone();
+    initial.extend([a, a, b]); // three live copies of a, two of b
+    let reqs = vec![
+        Request::Insert(initial),
+        Request::Delete(vec![a, a, b]),       // 3 + 2
+        Request::Delete(vec![a, c, b, c]),    // same run: only c is left to claim
+        Request::Delete(pts[3..40].to_vec()), // same run: dying ids now 0,600,601,1,602,2,3..
+        Request::Hull,
+        Request::Delete(vec![a, b, c, pts[3]]), // next run: nothing left
+        Request::Delete(pts[590..].iter().rev().copied().collect()),
+        Request::Range(vec![Bbox::from_points(&pts)]),
+    ];
+    let deleted = |r: &GeoResult<Response<2>>| match r {
+        Ok(Response::Deleted { count }) => *count,
+        other => panic!("not a delete response: {other:?}"),
+    };
+    let mut want: Option<Vec<GeoResult<Response<2>>>> = None;
+    for backend in [Backend::Oracle, Backend::DynKd, Backend::Bdl, Backend::Zd] {
+        for shards in [1usize, 4] {
+            let mut store = GeoStore::<2>::builder()
+                .backend(backend)
+                .shards(shards)
+                .build();
+            let got = store.execute(&reqs);
+            let counts: Vec<usize> = [1, 2, 3, 5, 6].iter().map(|&i| deleted(&got[i])).collect();
+            assert_eq!(counts, [5, 1, 37, 0, 10], "{} S={shards}", backend.label());
+            assert_eq!(store.len(), 603 - 5 - 1 - 37 - 10);
+            let Ok(Response::Range(rows)) = &got[7] else {
+                panic!("range response")
+            };
+            assert_eq!(rows[0], (40u32..590).collect::<Vec<_>>());
+            match &want {
+                None => want = Some(got),
+                Some(w) => assert_eq!(w, &got, "{} S={shards}", backend.label()),
+            }
+        }
+    }
+}
