@@ -1,7 +1,7 @@
-//! Mixed-workload sweep of the unified batch-dynamic engine: every
-//! `SpatialIndex` backend (dyn-kd, BDL, Zd) × every named workload preset
-//! (uniform mix, insert-heavy IS, sliding window, hotspot reads,
-//! seed-spreader churn) × T1/Tp thread counts. Answer digests are asserted
+//! Mixed-workload sweep of the unified batch-dynamic engine: both
+//! `SpatialIndex` trees (BDL and its Zd comparator) × every named
+//! workload preset (uniform mix, insert-heavy IS, sliding window, hotspot
+//! reads, seed-spreader churn) × T1/Tp thread counts. Answer digests are asserted
 //! equal across backends at full scale, and against the brute-force oracle
 //! at 1/10 scale, so every timed run is also a correctness run.
 //! Scale with `PARGEO_N` (initial load is `n/2`).
@@ -11,13 +11,12 @@ use pargeo_bench::{env_n, header, max_threads, t1_tp};
 
 fn make_backend(which: usize) -> Box<dyn SpatialIndex<2> + Send + Sync> {
     match which {
-        0 => Box::new(DynKdTree::<2>::new()),
-        1 => Box::new(BdlTree::<2>::new()),
+        0 => Box::new(BdlTree::<2>::new()),
         _ => Box::new(ZdTree::<2>::new()),
     }
 }
 
-const BACKENDS: [&str; 3] = ["dyn-kd", "bdl", "zd"];
+const BACKENDS: [&str; 2] = ["bdl", "zd"];
 
 fn main() {
     let n = env_n(50_000);

@@ -1,20 +1,15 @@
-//! Mixed-serving sweep of the GeoStore façade: every dynamic backend
-//! (dyn-kd, BDL, Zd) × every store workload preset (mixed serving,
-//! analytics-heavy, churn + analytics, hotspot reads, seed-spreader) ×
-//! T1/Tp thread counts. Each preset mixes index updates, spatial queries,
+//! Mixed-serving sweep of the GeoStore façade: the default (BDL-tree)
+//! store × every store workload preset (mixed serving, analytics-heavy,
+//! churn + analytics, hotspot reads, seed-spreader) × T1/Tp thread
+//! counts. Each preset mixes index updates, spatial queries,
 //! and whole-dataset derived structures (hull, SEB, closest pair, EMST,
 //! k-NN graph, Delaunay), so the epoch planner and the per-epoch memo
-//! cache are on the measured path. Answer digests are asserted equal
-//! across backends at full scale, and against the brute-force oracle
-//! store at 1/10 scale, so every timed run is also a correctness run.
+//! cache are on the measured path. Answer digests are asserted equal to
+//! the brute-force oracle store's at 1/10 scale, unsharded and 4-sharded.
 //! Scale with `PARGEO_N` (initial load is `n/2`).
 
 use pargeo::prelude::*;
 use pargeo_bench::{env_n, header, max_threads, t1_tp};
-
-fn make_store(backend: Backend) -> GeoStore<2> {
-    GeoStore::builder().backend(backend).build()
-}
 
 fn main() {
     let n = env_n(50_000);
@@ -24,34 +19,32 @@ fn main() {
         n / 2
     );
 
-    // Correctness anchor at 1/10 scale: every backend vs the oracle
+    // Correctness anchor at 1/10 scale: the default store vs the oracle
     // store, unsharded and through the morton-routed 4-shard executor
     // (the full shard sweep lives in the `shard_sweep` binary).
     let small = WorkloadSpec::store_presets((n / 10).max(500));
     for spec in &small {
         let w: Workload<2> = spec.generate();
-        let mut oracle = make_store(Backend::Oracle);
+        let mut oracle: GeoStore<2> = GeoStore::builder().backend(Backend::Oracle).build();
         let want = run_store_workload(&mut oracle, &w);
-        for backend in Backend::all() {
-            let mut store = make_store(backend);
-            let got = run_store_workload(&mut store, &w);
-            assert_eq!(
-                got.digest, want.digest,
-                "{} diverged from oracle on {}",
-                got.backend, spec.name
-            );
-            assert_eq!(got.errors, want.errors, "{}", spec.name);
-            let mut sharded = GeoStore::builder().backend(backend).shards(4).build();
-            let got = run_store_workload(&mut sharded, &w);
-            assert_eq!(
-                got.digest, want.digest,
-                "{} S=4 diverged from oracle on {}",
-                got.backend, spec.name
-            );
-        }
+        let mut store: GeoStore<2> = GeoStore::builder().build();
+        let got = run_store_workload(&mut store, &w);
+        assert_eq!(
+            got.digest, want.digest,
+            "{} diverged from oracle on {}",
+            got.backend, spec.name
+        );
+        assert_eq!(got.errors, want.errors, "{}", spec.name);
+        let mut sharded: GeoStore<2> = GeoStore::builder().shards(4).build();
+        let got = run_store_workload(&mut sharded, &w);
+        assert_eq!(
+            got.digest, want.digest,
+            "{} S=4 diverged from oracle on {}",
+            got.backend, spec.name
+        );
     }
     println!(
-        "anchor: {} small-scale workloads match the oracle store on all backends (S in {{1, 4}})\n",
+        "anchor: {} small-scale workloads match the oracle store (S in {{1, 4}})\n",
         small.len()
     );
 
@@ -63,10 +56,9 @@ fn main() {
     {
         let spec = &small[0];
         let w: Workload<2> = spec.generate();
-        let mut plain = make_store(Backend::DynKd);
+        let mut plain: GeoStore<2> = GeoStore::builder().build();
         let want = run_store_workload(&mut plain, &w);
         let mut observed: GeoStore<2> = GeoStore::builder()
-            .backend(Backend::DynKd)
             .shards(4)
             .observe(ObsLevel::Trace)
             .build();
@@ -126,38 +118,24 @@ fn main() {
     ]);
     for spec in WorkloadSpec::store_presets(n) {
         let w: Workload<2> = spec.generate();
-        // Full-scale digests must agree across backends (checked once,
-        // outside the timed region).
-        let reports: Vec<StoreReport> = Backend::all()
-            .into_iter()
-            .map(|b| {
-                let mut store = make_store(b);
-                run_store_workload(&mut store, &w)
-            })
-            .collect();
-        assert!(
-            reports.windows(2).all(|r| r[0].digest == r[1].digest),
-            "backends disagree on workload {}",
-            spec.name
+        // One untimed run supplies the counters and latency percentiles.
+        let full = run_store_workload(&mut GeoStore::builder().build(), &w);
+        let (t1, tp, speedup) = t1_tp(|| {
+            let mut store: GeoStore<2> = GeoStore::builder().build();
+            run_store_workload(&mut store, &w).final_live
+        });
+        println!(
+            "| {} | {} | {} | {t1:.3} | {tp:.3} | {speedup:.2}x | {} | {}/{} | {:.3} | {:.3} | {:.3} | {:.3} |",
+            spec.name,
+            full.backend,
+            full.shards,
+            full.ops.4,
+            full.cache.hits,
+            full.cache.misses,
+            full.read_lat.p50_ms(),
+            full.read_lat.p99_ms(),
+            full.derived_lat.p50_ms(),
+            full.derived_lat.p99_ms(),
         );
-        for (backend, full) in Backend::all().into_iter().zip(&reports) {
-            let (t1, tp, speedup) = t1_tp(|| {
-                let mut store = make_store(backend);
-                run_store_workload(&mut store, &w).final_live
-            });
-            println!(
-                "| {} | {} | {} | {t1:.3} | {tp:.3} | {speedup:.2}x | {} | {}/{} | {:.3} | {:.3} | {:.3} | {:.3} |",
-                spec.name,
-                backend.label(),
-                full.shards,
-                full.ops.4,
-                full.cache.hits,
-                full.cache.misses,
-                full.read_lat.p50_ms(),
-                full.read_lat.p99_ms(),
-                full.derived_lat.p50_ms(),
-                full.derived_lat.p99_ms(),
-            );
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! Large-n trajectory: build/query throughput and peak RSS for every
-//! batch-dynamic backend at n ∈ {10^5, 10^6, 10^7} (the ROADMAP's
+//! Large-n trajectory: build/query throughput and peak RSS for the
+//! BDL-tree and its Zd comparator at n ∈ {10^5, 10^6, 10^7} (the ROADMAP's
 //! three-orders-of-magnitude ladder; `PARGEO_SCALE=full` enables the 10^7
 //! tier, the default stops at 10^6, `smoke` at 10^5).
 //!
@@ -17,13 +17,12 @@ use pargeo_bench::{header, max_threads, time};
 
 fn make_backend(which: usize) -> Box<dyn SpatialIndex<2> + Send + Sync> {
     match which {
-        0 => Box::new(DynKdTree::<2>::new()),
-        1 => Box::new(BdlTree::<2>::new()),
+        0 => Box::new(BdlTree::<2>::new()),
         _ => Box::new(ZdTree::<2>::new()),
     }
 }
 
-const BACKENDS: [&str; 3] = ["dyn-kd", "bdl", "zd"];
+const BACKENDS: [&str; 2] = ["bdl", "zd"];
 
 /// Per-tier answer digests `(n, knn, range)` captured from the
 /// pre-refactor (pointer-layout, array-of-structs) backends. The sweep

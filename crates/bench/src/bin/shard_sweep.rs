@@ -1,5 +1,5 @@
-//! Sharded-store sweep: every dynamic backend (dyn-kd, BDL, Zd) × shard
-//! counts {1, 4, 16} × every store workload preset (including the
+//! Sharded-store sweep: the default (BDL-tree) store × shard counts
+//! {1, 4, 16} × every store workload preset (including the
 //! `hotspot-shard` write-skew stressor) × T1/Tp thread counts, through the
 //! GeoStore façade's morton-routed `ShardedIndex` executor. Cross-shard
 //! digest anchors make every timed run a correctness run: at full scale
@@ -30,28 +30,26 @@ fn main() {
         n / 2
     );
 
-    // Correctness anchor at 1/10 scale: every backend × every shard count
-    // vs the (unsharded) oracle store.
+    // Correctness anchor at 1/10 scale: every shard count vs the
+    // (unsharded) oracle store.
     let small = WorkloadSpec::store_presets((n / 10).max(500));
     for spec in &small {
         let w: Workload<2> = spec.generate();
         let mut oracle = make(Backend::Oracle, 0);
         let want = run_store_workload(&mut oracle, &w);
-        for backend in Backend::all() {
-            for s in SHARDS {
-                let mut store = make(backend, s);
-                let got = run_store_workload(&mut store, &w);
-                assert_eq!(
-                    got.digest, want.digest,
-                    "{} S={s} diverged from oracle on {}",
-                    got.backend, spec.name
-                );
-                assert_eq!(got.errors, want.errors, "{} S={s}", spec.name);
-            }
+        for s in SHARDS {
+            let mut store = make(Backend::Bdl, s);
+            let got = run_store_workload(&mut store, &w);
+            assert_eq!(
+                got.digest, want.digest,
+                "{} S={s} diverged from oracle on {}",
+                got.backend, spec.name
+            );
+            assert_eq!(got.errors, want.errors, "{} S={s}", spec.name);
         }
     }
     println!(
-        "anchor: {} small-scale workloads match the oracle store on all backends x shard counts\n",
+        "anchor: {} small-scale workloads match the oracle store at all shard counts\n",
         small.len()
     );
 
@@ -68,36 +66,34 @@ fn main() {
     ]);
     for spec in WorkloadSpec::store_presets(n) {
         let w: Workload<2> = spec.generate();
-        for backend in Backend::all() {
-            // Full-scale cross-shard anchor (outside the timed region):
-            // sharding must be invisible in the digest.
-            let mut base = make(backend, 0);
-            let base_r = run_store_workload(&mut base, &w);
-            for s in SHARDS {
-                let mut store = make(backend, s);
-                let r = run_store_workload(&mut store, &w);
-                assert_eq!(
-                    r.digest, base_r.digest,
-                    "{} S={s} diverged from unsharded on {}",
-                    r.backend, spec.name
-                );
-                let (t1, tp, speedup) = t1_tp(|| {
-                    let mut store = make(backend, s);
-                    run_store_workload(&mut store, &w).final_live
-                });
-                // Router balance: live points per morton shard, as
-                // reported by the store's per-shard snapshots.
-                debug_assert_eq!(r.shard_live.iter().sum::<usize>(), r.final_live);
-                let lo = r.shard_live.iter().min().copied().unwrap_or(0);
-                let hi = r.shard_live.iter().max().copied().unwrap_or(0);
-                println!(
-                    "| {} | {} | {s} | {t1:.3} | {tp:.3} | {speedup:.2}x | {} | {lo}..{hi} | {:.3} |",
-                    spec.name,
-                    backend.label(),
-                    r.final_live,
-                    r.read_lat.p99_ms(),
-                );
-            }
+        // Full-scale cross-shard anchor (outside the timed region):
+        // sharding must be invisible in the digest.
+        let mut base = make(Backend::Bdl, 0);
+        let base_r = run_store_workload(&mut base, &w);
+        for s in SHARDS {
+            let mut store = make(Backend::Bdl, s);
+            let r = run_store_workload(&mut store, &w);
+            assert_eq!(
+                r.digest, base_r.digest,
+                "{} S={s} diverged from unsharded on {}",
+                r.backend, spec.name
+            );
+            let (t1, tp, speedup) = t1_tp(|| {
+                let mut store = make(Backend::Bdl, s);
+                run_store_workload(&mut store, &w).final_live
+            });
+            // Router balance: live points per morton shard, as
+            // reported by the store's per-shard snapshots.
+            debug_assert_eq!(r.shard_live.iter().sum::<usize>(), r.final_live);
+            let lo = r.shard_live.iter().min().copied().unwrap_or(0);
+            let hi = r.shard_live.iter().max().copied().unwrap_or(0);
+            println!(
+                "| {} | {} | {s} | {t1:.3} | {tp:.3} | {speedup:.2}x | {} | {lo}..{hi} | {:.3} |",
+                spec.name,
+                r.backend,
+                r.final_live,
+                r.read_lat.p99_ms(),
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
-//! Snapshot-pipelined serving vs the epoch-serial planner: every dynamic
-//! backend × every store workload preset, T1/Tp for both executors. The
-//! pipelined executor pins a copy-on-write snapshot per read run and
-//! overlaps the run's fan-out with the next write epoch's apply; the
-//! overlap ratio column reports how many read runs actually found a write
+//! Snapshot-pipelined serving vs the epoch-serial planner: the default
+//! (BDL-tree) store × every store workload preset, T1/Tp for both
+//! executors. The pipelined executor pins a copy-on-write snapshot per
+//! read run and overlaps the run's fan-out with the next write epoch's
+//! apply; the overlap ratio column reports how many read runs actually found a write
 //! epoch to hide behind (from the `geostore_pipeline_*` counters). Every
 //! timed stream is also a correctness run: pipelined responses are
 //! asserted per-request identical to the serial executor's at full scale,
@@ -52,43 +52,28 @@ fn main() {
 
     // Correctness anchor at 1/10 scale: pipelined responses equal the
     // serial planner's per request, and both match the oracle store's
-    // digest, for every preset and backend.
+    // digest, for every preset.
     let small = WorkloadSpec::store_presets((n / 10).max(500));
     for spec in &small {
         let w: Workload<2> = spec.generate();
         let reqs = to_requests(&w);
         let mut oracle = make(Backend::Oracle, false);
         let want_digest = digest_responses(&oracle.execute(&reqs));
-        for backend in Backend::all() {
-            let serial = make(backend, false).execute(&reqs);
-            let piped = make(backend, true).execute(&reqs);
-            assert_eq!(
-                serial.len(),
-                piped.len(),
-                "{} response count on {}",
-                backend.label(),
-                spec.name
-            );
-            for (i, (a, b)) in serial.iter().zip(&piped).enumerate() {
-                assert_eq!(
-                    a,
-                    b,
-                    "{} pipelined response {i} diverged on {}",
-                    backend.label(),
-                    spec.name
-                );
-            }
-            assert_eq!(
-                digest_responses(&serial),
-                want_digest,
-                "{} serial diverged from oracle on {}",
-                backend.label(),
-                spec.name
-            );
+        let serial = make(Backend::Bdl, false).execute(&reqs);
+        let piped = make(Backend::Bdl, true).execute(&reqs);
+        assert_eq!(serial.len(), piped.len(), "response count on {}", spec.name);
+        for (i, (a, b)) in serial.iter().zip(&piped).enumerate() {
+            assert_eq!(a, b, "pipelined response {i} diverged on {}", spec.name);
         }
+        assert_eq!(
+            digest_responses(&serial),
+            want_digest,
+            "serial diverged from oracle on {}",
+            spec.name
+        );
     }
     println!(
-        "anchor: {} small-scale presets pipelined == serial per request, oracle-anchored, all backends\n",
+        "anchor: {} small-scale presets pipelined == serial per request, oracle-anchored\n",
         small.len()
     );
 
@@ -106,38 +91,35 @@ fn main() {
     for spec in WorkloadSpec::store_presets(n) {
         let w: Workload<2> = spec.generate();
         let reqs = to_requests(&w);
-        for backend in Backend::all() {
-            let (s1, sp, _) = t1_tp(|| make(backend, false).execute(&reqs).len());
-            let (p1, pp, _) = t1_tp(|| make(backend, true).execute(&reqs).len());
+        let (s1, sp, _) = t1_tp(|| make(Backend::Bdl, false).execute(&reqs).len());
+        let (p1, pp, _) = t1_tp(|| make(Backend::Bdl, true).execute(&reqs).len());
 
-            // Overlap ratio from an observed (untimed) pipelined run; the
-            // pinned-view gauge must be back to zero when the stream ends.
-            let mut observed: GeoStore<2> = GeoStore::builder()
-                .backend(backend)
-                .pipeline(true)
-                .observe(ObsLevel::Metrics)
-                .build();
-            observed.execute(&reqs);
-            let registry = observed.registry().expect("observed store");
-            let counter = |name: &str| {
-                registry
-                    .counter_values()
-                    .iter()
-                    .find(|(k, _)| k == name)
-                    .map(|(_, v)| *v)
-                    .unwrap_or(0)
-            };
-            let runs = counter("geostore_pipeline_runs_total");
-            let overlapped = counter("geostore_pipeline_overlapped_total");
-            let pinned_end = registry.gauge("geostore_pinned_views", &[]).get();
-            assert_eq!(pinned_end, 0, "pipelined executor leaked a pinned view");
+        // Overlap ratio from an observed (untimed) pipelined run; the
+        // pinned-view gauge must be back to zero when the stream ends.
+        let mut observed: GeoStore<2> = GeoStore::builder()
+            .pipeline(true)
+            .observe(ObsLevel::Metrics)
+            .build();
+        observed.execute(&reqs);
+        let registry = observed.registry().expect("observed store");
+        let counter = |name: &str| {
+            registry
+                .counter_values()
+                .iter()
+                .find(|(k, _)| k == name)
+                .map(|(_, v)| *v)
+                .unwrap_or(0)
+        };
+        let runs = counter("geostore_pipeline_runs_total");
+        let overlapped = counter("geostore_pipeline_overlapped_total");
+        let pinned_end = registry.gauge("geostore_pinned_views", &[]).get();
+        assert_eq!(pinned_end, 0, "pipelined executor leaked a pinned view");
 
-            println!(
-                "| {} | {} | {s1:.3} | {sp:.3} | {p1:.3} | {pp:.3} | {:.2}x | {overlapped}/{runs} | {pinned_end} |",
-                spec.name,
-                backend.label(),
-                sp / pp,
-            );
-        }
+        println!(
+            "| {} | {} | {s1:.3} | {sp:.3} | {p1:.3} | {pp:.3} | {:.2}x | {overlapped}/{runs} | {pinned_end} |",
+            spec.name,
+            Backend::Bdl.label(),
+            sp / pp,
+        );
     }
 }

@@ -12,7 +12,7 @@
 //! |---|---|
 //! | (0) service façade: one typed `Request`/`Response` surface over everything | [`store`] |
 //! | (1) static & batch-dynamic kd-trees, k-NN, range search | [`kdtree`], [`bdltree`] |
-//! | (1a) unified batch-dynamic engine (`SpatialIndex` over all tree backends) | [`engine`] |
+//! | (1a) unified batch-dynamic engine (`SpatialIndex` over the BDL-tree, its Zd-tree comparator and the oracle) | [`engine`] |
 //! | (1b) range / segment / rectangle query engine (Sun & Blelloch) | [`rangequery`] |
 //! | (2) computational geometry: hull, SEB, closest pair, BCCP, WSPD, Morton sort | [`hull`], [`seb`], [`closestpair`], [`wspd`], [`morton`] |
 //! | (3) spatial graph generators: k-NN graph, β-skeleton, Gabriel, Delaunay, EMST, spanner | [`graphgen`], [`delaunay`], [`wspd`] |
@@ -24,8 +24,8 @@
 //! ## Quickstart — the GeoStore façade
 //!
 //! Every capability below is also reachable through [`store::GeoStore`]:
-//! one object owns the point set plus a chosen batch-dynamic index and
-//! serves *mixed* batched traffic — updates, spatial queries, and
+//! one object owns the point set plus a batch-dynamic index (the paper's
+//! BDL-tree) and serves *mixed* batched traffic — updates, spatial queries, and
 //! whole-dataset derived structures — through one typed
 //! [`Request`](store::Request)/[`Response`](store::Response) surface.
 //!
@@ -35,8 +35,9 @@
 //! // 10k uniform points in a square (paper's U distribution).
 //! let pts = pargeo::datagen::uniform_cube::<2>(10_000, 42);
 //!
-//! // Pick a backend (dyn-kd, BDL, or Zd — identical answers), load.
-//! let mut store: GeoStore<2> = GeoStore::builder().backend(Backend::DynKd).build();
+//! // Build a store (it serves from the BDL-tree) and load it.
+//! let mut store: GeoStore<2> = GeoStore::builder().build();
+//! assert_eq!(store.backend(), Backend::Bdl);
 //! store.insert(&pts);
 //!
 //! // Batched spatial queries …
@@ -62,14 +63,11 @@
 //! ]);
 //! assert!(responses.iter().all(|r| r.is_ok()));
 //!
-//! // Shard the spatial core: `.shards(S)` routes the same backend
+//! // Shard the spatial core: `.shards(S)` routes the index
 //! // through a morton-prefix `ShardedIndex` — write batches apply in
 //! // parallel across shards, reads fan out only to shards that can
 //! // contribute, and answers are bit-identical to the unsharded store.
-//! let mut sharded: GeoStore<2> = GeoStore::builder()
-//!     .backend(Backend::DynKd)
-//!     .shards(8)
-//!     .build();
+//! let mut sharded: GeoStore<2> = GeoStore::builder().shards(8).build();
 //! sharded.insert(&pts);
 //! assert_eq!(sharded.shard_count(), 8);
 //! assert_eq!(sharded.knn(&pts[..5], 8).unwrap(), nn);
@@ -80,7 +78,6 @@
 //! // or JSON. Off (the default) records nothing; answers are
 //! // bit-identical at every level.
 //! let mut observed: GeoStore<2> = GeoStore::builder()
-//!     .backend(Backend::DynKd)
 //!     .shards(4)
 //!     .observe(ObsLevel::Metrics)
 //!     .build();
@@ -140,11 +137,11 @@
 //! use pargeo::prelude::*;
 //!
 //! let pts = pargeo::datagen::uniform_cube::<3>(2_000, 7);
-//! // Three batch-dynamic backends, one API.
+//! // The serving tree, its §6.3 comparator and the oracle: one API.
 //! let mut backends: Vec<Box<dyn SpatialIndex<3>>> = vec![
-//!     Box::new(DynKdTree::new()),
 //!     Box::new(BdlTree::new()),
 //!     Box::new(ZdTree::new()),
+//!     Box::new(VecIndex::new()),
 //! ];
 //! for b in &mut backends {
 //!     b.insert(&pts[..1_500]);
@@ -209,7 +206,7 @@
 //! assert_eq!(w.ops.len(), 10);
 //! // Replay it on a backend and on the brute-force oracle: identical
 //! // answer digests prove the backend served every query correctly.
-//! let mut tree = DynKdTree::<2>::new();
+//! let mut tree = BdlTree::<2>::new();
 //! let mut oracle = VecIndex::<2>::new();
 //! let a = run_workload(&mut tree, &w);
 //! let b = run_workload(&mut oracle, &w);
@@ -268,7 +265,7 @@ pub mod prelude {
         hull3d_divide_conquer, hull3d_pseudo, hull3d_quickhull_parallel, hull3d_randinc,
         hull3d_seq, try_hull2d, try_hull3d, Hull2dIncremental, Hull3d, HullBatchOutcome,
     };
-    pub use pargeo_kdtree::{B1Tree, B2Tree, DynKdTree, DynKdView, KdTree, SplitRule, VebTree};
+    pub use pargeo_kdtree::{B1Tree, B2Tree, KdTree, SplitRule, VebTree};
     pub use pargeo_obs::{HistSummary, ObsLevel, Registry};
     pub use pargeo_rangequery::{
         BatchQuery, Count, IntervalTree, RangeTree2d, RectangleSet, Report,

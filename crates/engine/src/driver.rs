@@ -159,7 +159,6 @@ mod tests {
     use crate::VecIndex;
     use pargeo_bdltree::{BdlTree, ZdTree};
     use pargeo_datagen::{Distribution, WorkloadSpec};
-    use pargeo_kdtree::DynKdTree;
 
     #[test]
     fn all_backends_produce_identical_digests() {
@@ -171,14 +170,9 @@ mod tests {
         assert!(want.knn_results > 0, "workload generated no knn work");
         assert!(want.range_results > 0, "workload generated no range work");
 
-        let mut dynkd = DynKdTree::<2>::new();
         let mut bdl = BdlTree::<2>::with_buffer_size(128);
         let mut zd = ZdTree::<2>::new();
-        for got in [
-            run_workload(&mut dynkd, &w),
-            run_workload(&mut bdl, &w),
-            run_workload(&mut zd, &w),
-        ] {
+        for got in [run_workload(&mut bdl, &w), run_workload(&mut zd, &w)] {
             assert_eq!(got.digest(), want.digest(), "{} digest", got.backend);
             assert_eq!(got.final_live, want.final_live, "{}", got.backend);
             assert_eq!(got.inserted, want.inserted, "{}", got.backend);

@@ -1,21 +1,20 @@
 //! # pargeo-engine — the unified batch-dynamic spatial index engine
 //!
-//! ParGeo's Module 1 grows three batch-dynamic backends — the
-//! delete-marking [`DynKdTree`], the log-structured [`BdlTree`] (paper §5),
-//! and the Morton-order [`ZdTree`] (§6.3) — which historically exposed
-//! ad-hoc, incompatible APIs. This crate unifies them behind one trait so a
-//! single workload can be served by, and cross-validated across, every
-//! backend:
+//! ParGeo's Module 1 has two batch-dynamic trees — the log-structured
+//! [`BdlTree`] (paper §5), which serves, and the Morton-order [`ZdTree`]
+//! (§6.3), its comparator. This crate puts both behind one trait so a
+//! single workload can be served by, and cross-validated across, either
+//! tree and the oracle:
 //!
 //! * [`SpatialIndex`] — batched `insert` / `delete` / `knn_batch` /
-//!   `range_batch` plus [`Snapshot`]-style epoch stats, implemented by all
-//!   three tree backends and by the brute-force [`VecIndex`] oracle.
+//!   `range_batch` plus [`Snapshot`]-style epoch stats, implemented by both
+//!   trees and by the brute-force [`VecIndex`] oracle.
 //! * [`SnapshotView`] — the epoch-pinned immutable read half:
 //!   [`SpatialIndex::pin`] freezes the current epoch into an owned view
 //!   that answers bit-identically to a frozen copy while later write
-//!   epochs apply on the live side (O(1) for the copy-on-write
-//!   `DynKdTree`, O(X + log n) for the structure-sharing `BdlTree`,
-//!   per-shard pinned roots + id-map watermarks for [`ShardedIndex`],
+//!   epochs apply on the live side (O(X + log n) for the
+//!   structure-sharing `BdlTree`, per-shard pinned roots + id-map
+//!   watermarks for [`ShardedIndex`],
 //!   a full copy for `ZdTree` and the oracle).
 //! * [`VecIndex`] — the `Vec`-of-points oracle: trivially correct answers
 //!   for cross-validation in tests and benches.
@@ -70,7 +69,7 @@ pub use shard::ShardedIndex;
 
 use pargeo_bdltree::{BdlTree, ZdTree};
 use pargeo_geometry::{Bbox, Point};
-use pargeo_kdtree::{DynKdTree, Neighbor};
+use pargeo_kdtree::Neighbor;
 
 /// Compacted live set of an index: `pts[i]` is the live point with id
 /// `ids[i]`, ids strictly ascending.
@@ -94,8 +93,7 @@ pub struct Snapshot {
     /// Total points deleted (`inserted - live` for value-delete backends).
     pub deleted: u64,
     /// Internal structure (re)builds performed — vEB trees constructed by
-    /// the BDL cascade, radix rebuilds of the Zd-tree, threshold rebuilds
-    /// of the dynamic kd-tree.
+    /// the BDL cascade, radix rebuilds of the Zd-tree.
     pub rebuilds: u64,
     /// Heap bytes held by the backend's flat arenas (node slabs,
     /// coordinate columns, id/liveness slabs, insert buffers) — the
@@ -186,10 +184,8 @@ pub trait SpatialIndex<const D: usize> {
     /// afterwards — the isolation primitive the pipelined store executor
     /// overlaps read fan-out with write application on.
     ///
-    /// Cost: [`DynKdTree`] pins in O(1) (its queryable core is `Arc`-backed
-    /// copy-on-write; the *next* write batch copies each slab it touches,
-    /// once per pinned epoch). [`BdlTree`] pins in O(X + log n): the
-    /// insert buffer is copied and every static tree shared; inserts and
+    /// Cost: [`BdlTree`] pins in O(X + log n): the insert buffer is
+    /// copied and every static tree shared; inserts and
     /// drains replace trees without touching the pinned ones, and the
     /// first delete that removes points from a shared tree copies that
     /// tree's deletion overlay (~1.2 B/pt, never coordinates).
@@ -258,11 +254,11 @@ pub trait SnapshotView<const D: usize>: Send + Sync {
 
 /// The one pin adapter: hands a clone of any backend out as a
 /// [`SnapshotView`]. What the pin costs is what the backend's `clone()`
-/// costs — O(1) for [`DynKdTree`] and O(X + log n) for [`BdlTree`], whose
-/// clones share structure and copy on write; O(n) for [`ZdTree`] and
-/// [`VecIndex`], whose clones are full copies. A newtype rather than a
-/// blanket impl so no backend implements both traits and read-method
-/// calls never turn ambiguous at call sites.
+/// costs — O(X + log n) for [`BdlTree`], whose clones share structure
+/// and copy on write; O(n) for [`ZdTree`] and [`VecIndex`], whose clones
+/// are full copies. A newtype rather than a blanket impl so no backend
+/// implements both traits and read-method calls never turn ambiguous at
+/// call sites.
 pub struct Frozen<T>(pub T);
 
 impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Frozen<T> {
@@ -295,11 +291,11 @@ impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Froze
     }
 }
 
-/// Forwards [`SpatialIndex`] to a tree backend's inherent methods. All
-/// three tree backends expose the same surface (`insert`/`delete`/
+/// Forwards [`SpatialIndex`] to a tree backend's inherent methods. Both
+/// tree backends expose the same surface (`insert`/`delete`/
 /// `knn_batch`/`range_box_batch`/`len`/`collect_live` plus the `epoch`/
 /// `total_inserted`/`rebuilds`/`cow_bytes` counters), so one definition
-/// serves them all — a new trait method or `Snapshot` field is added
+/// serves both — a new trait method or `Snapshot` field is added
 /// exactly once.
 macro_rules! impl_spatial_index {
     ($backend:ident, $name:literal) => {
@@ -342,9 +338,9 @@ macro_rules! impl_spatial_index {
             }
 
             fn pin(&self) -> Box<dyn SnapshotView<D>> {
-                // `DynKdTree` and `BdlTree` clones share structure behind
-                // `Arc`s (O(1) / O(X + log n)); a `ZdTree` clone is a full
-                // copy. Either way `Frozen` makes the clone the view.
+                // A `BdlTree` clone shares structure behind `Arc`s
+                // (O(X + log n)); a `ZdTree` clone is a full copy. Either
+                // way `Frozen` makes the clone the view.
                 Box::new(Frozen(self.clone()))
             }
 
@@ -361,7 +357,6 @@ macro_rules! impl_spatial_index {
     };
 }
 
-impl_spatial_index!(DynKdTree, "dyn-kd");
 impl_spatial_index!(BdlTree, "bdl");
 impl_spatial_index!(ZdTree, "zd");
 
@@ -372,7 +367,6 @@ mod tests {
 
     fn backends<const D: usize>() -> Vec<Box<dyn SpatialIndex<D>>> {
         vec![
-            Box::new(DynKdTree::<D>::new()),
             Box::new(BdlTree::<D>::with_buffer_size(128)),
             Box::new(ZdTree::<D>::new()),
             Box::new(VecIndex::<D>::new()),

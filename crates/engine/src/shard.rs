@@ -35,10 +35,10 @@
 //! ## Epoch-pinned snapshots
 //!
 //! [`SpatialIndex::pin`] on a `ShardedIndex` pins every shard's backend
-//! (whatever that backend's pin costs: O(1) dyn-kd, O(X + log n) BDL, a
-//! full copy for Zd and the oracle) together with
-//! its id map — the maps live behind `Arc`s, appended via `Arc::make_mut`
-//! (in place while unpinned, copied once per pinned epoch otherwise), and
+//! (whatever that backend's pin costs: O(X + log n) BDL, a full copy for
+//! Zd and the oracle) together with its id map — the maps live behind
+//! `Arc`s, appended via `Arc::make_mut` (in place while unpinned, copied
+//! once per pinned epoch otherwise), and
 //! each pinned map carries its *watermark* (length at pin), below which
 //! every local id the pinned backend can return must fall. The resulting
 //! view answers reads bit-identically to a frozen copy of the whole
@@ -338,7 +338,6 @@ impl<const D: usize> ShardedIndex<D> {
             })
             .collect();
         let name = match shards[0].index.backend_name() {
-            "dyn-kd" => "sharded-dyn-kd",
             "bdl" => "sharded-bdl",
             "zd" => "sharded-zd",
             "vec-oracle" => "sharded-vec-oracle",
@@ -703,14 +702,12 @@ mod tests {
     use crate::VecIndex;
     use pargeo_bdltree::{BdlTree, ZdTree};
     use pargeo_datagen::uniform_cube;
-    use pargeo_kdtree::DynKdTree;
 
     fn factories() -> Vec<(
         &'static str,
         Box<dyn Fn(usize) -> Box<dyn SpatialIndex<2> + Send + Sync>>,
     )> {
         vec![
-            ("dyn-kd", Box::new(|_| Box::new(DynKdTree::<2>::new()))),
             (
                 "bdl",
                 Box::new(|_| Box::new(BdlTree::<2>::with_buffer_size(64))),
@@ -770,7 +767,7 @@ mod tests {
     #[test]
     fn snapshot_aggregates_the_shards() {
         let pts = uniform_cube::<2>(2_000, 5);
-        let mut t = ShardedIndex::<2>::new(4, |_| Box::new(DynKdTree::new()));
+        let mut t = ShardedIndex::<2>::new(4, |_| Box::new(BdlTree::new()));
         t.insert(&pts[..1_500]);
         assert_eq!(t.delete(&pts[..500]), 500);
         t.insert(&pts[1_500..]);
@@ -779,7 +776,7 @@ mod tests {
         assert_eq!(s.live, 1_500);
         assert_eq!(s.inserted, 2_000);
         assert_eq!(s.deleted, 500);
-        assert_eq!(t.backend_name(), "sharded-dyn-kd");
+        assert_eq!(t.backend_name(), "sharded-bdl");
     }
 
     #[test]
@@ -841,7 +838,7 @@ mod tests {
             .collect();
         let mut all = near.clone();
         all.extend_from_slice(&far);
-        let mut t = ShardedIndex::<2>::new(4, |_| Box::new(DynKdTree::new()));
+        let mut t = ShardedIndex::<2>::new(4, |_| Box::new(BdlTree::new()));
         t.insert(&all);
         let far_box = Bbox::from_points(&far);
         let covering_before = t

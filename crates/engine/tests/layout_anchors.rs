@@ -1,8 +1,8 @@
 //! Bit-identicality anchors for the flat-arena/SoA memory layout.
 //!
-//! The node arenas, columnar point store, and slot-based delete matching
-//! are pure layout changes: every answer the engine reports must be
-//! byte-for-byte what the boxed-node/AoS layout reported. The constants
+//! The node arenas and columnar point store are pure layout changes:
+//! every answer the engine reports must be byte-for-byte what the
+//! boxed-node/AoS layout reported. The constants
 //! below were captured by replaying the five workload presets (n = 2 000)
 //! against the pre-refactor tree and folding every reported id into the
 //! driver's order-sensitive checksums. Any layout change that reorders a
@@ -14,7 +14,6 @@ use pargeo_bdltree::{BdlTree, ZdTree};
 use pargeo_datagen::{Workload, WorkloadSpec};
 use pargeo_engine::{run_workload, ShardedIndex, SpatialIndex, VecIndex};
 use pargeo_geometry::{Bbox, Point2};
-use pargeo_kdtree::DynKdTree;
 use proptest::prelude::*;
 
 /// `(preset name, knn_checksum, range_checksum)` from the boxed-node/AoS
@@ -34,8 +33,7 @@ const PRESET_ANCHORS: &[(&str, u64, u64)] = &[
 
 fn make(which: usize) -> Box<dyn SpatialIndex<2> + Send + Sync> {
     match which {
-        0 => Box::new(DynKdTree::<2>::new()),
-        1 => Box::new(BdlTree::<2>::new()),
+        0 => Box::new(BdlTree::<2>::new()),
         _ => Box::new(ZdTree::<2>::new()),
     }
 }
@@ -50,7 +48,7 @@ fn preset_digests_match_pre_refactor_layout() {
         assert_eq!(want.digest(), (knn, range), "oracle drifted: {name}");
         for threads in [1usize, 2] {
             pargeo_parlay::with_threads(threads, || {
-                for which in 0..3 {
+                for which in 0..2 {
                     let mut b = make(which);
                     let got = run_workload(b.as_mut(), &w);
                     assert_eq!(
@@ -82,7 +80,6 @@ type Factory = Box<dyn Fn() -> Box<dyn SpatialIndex<2> + Send + Sync>>;
 
 fn factories() -> Vec<(&'static str, Factory)> {
     vec![
-        ("dyn-kd", Box::new(|| Box::new(DynKdTree::<2>::new()))),
         (
             "bdl",
             Box::new(|| Box::new(BdlTree::<2>::with_buffer_size(32))),

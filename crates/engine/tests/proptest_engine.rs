@@ -7,7 +7,6 @@
 use pargeo_bdltree::{BdlTree, ZdTree};
 use pargeo_engine::{ShardedIndex, SpatialIndex, VecIndex};
 use pargeo_geometry::{Bbox, Point2};
-use pargeo_kdtree::DynKdTree;
 use proptest::prelude::*;
 
 fn lattice_points() -> impl Strategy<Value = Vec<Point2>> {
@@ -19,7 +18,6 @@ fn lattice_points() -> impl Strategy<Value = Vec<Point2>> {
 
 fn backends() -> Vec<Box<dyn SpatialIndex<2>>> {
     vec![
-        Box::new(DynKdTree::<2>::new()),
         Box::new(BdlTree::<2>::with_buffer_size(32)),
         Box::new(ZdTree::<2>::new()),
     ]
@@ -77,7 +75,6 @@ type Factory = Box<dyn Fn() -> Box<dyn SpatialIndex<2> + Send + Sync>>;
 
 fn shardable_factories() -> Vec<(&'static str, Factory)> {
     vec![
-        ("dyn-kd", Box::new(|| Box::new(DynKdTree::<2>::new()))),
         (
             "bdl",
             Box::new(|| Box::new(BdlTree::<2>::with_buffer_size(32))),

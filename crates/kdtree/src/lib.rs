@@ -15,38 +15,16 @@
 //! * [`baselines`] — the §6.3 comparison baselines: **B1** (rebuild on every
 //!   batch update) and **B2** (in-place leaf insertion + tombstone deletes,
 //!   no rebalancing).
-//! * [`dynamic`] — [`DynKdTree`], the delete-marking + threshold-rebuild
-//!   dynamic tree that backs the engine's kd-tree `SpatialIndex` backend.
 
 #![warn(missing_docs)]
 
 pub mod baselines;
-pub mod dynamic;
 pub mod knn;
 pub mod range;
 pub mod tree;
 pub mod veb;
 
 pub use baselines::{B1Tree, B2Tree};
-pub use dynamic::{DynKdTree, DynKdView};
 pub use knn::{canonical_order, knn_brute_force, KnnBuffer, Neighbor};
 pub use tree::{KdTree, SplitRule};
 pub use veb::VebTree;
-
-use std::sync::Arc;
-
-/// `Arc::make_mut` that says what it copied: when `arc` is shared, clones
-/// the value (leaving the other holders theirs) and adds `bytes` — the
-/// caller's measure of that clone — to `copied`; when unique, writes in
-/// place and counts nothing. The work counter behind `cow_bytes`.
-pub(crate) fn cow_mut<'a, T: Clone>(
-    arc: &'a mut Arc<T>,
-    bytes: usize,
-    copied: &mut u64,
-) -> &'a mut T {
-    if Arc::get_mut(arc).is_none() {
-        *arc = Arc::new(T::clone(arc));
-        *copied += bytes as u64;
-    }
-    Arc::get_mut(arc).expect("unique: just copied or never shared")
-}

@@ -45,33 +45,6 @@ impl<const D: usize> KdTree<D> {
         self.range_box_rec(self.node(node.right), query, out);
     }
 
-    /// *Slot* indices (positions in the reordered point store, not
-    /// original ids) of all points inside `query`, in traversal order —
-    /// the candidate probe the dynamic tree's bitwise delete matching
-    /// uses so it never needs its own copy of the point set.
-    pub(crate) fn range_box_slots(&self, query: &Bbox<D>) -> Vec<u32> {
-        fn go<const D: usize>(t: &KdTree<D>, node: &Node<D>, query: &Bbox<D>, out: &mut Vec<u32>) {
-            if !node.bbox.intersects(query) {
-                return;
-            }
-            if node.is_leaf() || query.contains_box(&node.bbox) {
-                for i in node.start as usize..node.end as usize {
-                    if query.contains_soa(&t.pts, i) {
-                        out.push(i as u32);
-                    }
-                }
-                return;
-            }
-            go(t, t.node(node.left), query, out);
-            go(t, t.node(node.right), query, out);
-        }
-        let mut out = Vec::new();
-        if let Some(root) = self.root() {
-            go(self, root, query, &mut out);
-        }
-        out
-    }
-
     /// Original ids of all points within distance `radius` of `center`
     /// (boundary inclusive), sorted ascending.
     pub fn range_ball(&self, center: &Point<D>, radius: f64) -> Vec<u32> {

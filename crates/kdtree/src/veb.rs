@@ -292,8 +292,12 @@ impl<const D: usize> VebTree<D> {
         if hits.is_empty() {
             return 0;
         }
-        let bytes = self.overlay.bytes();
-        let overlay = crate::cow_mut(&mut self.overlay, bytes, &mut self.cow_bytes);
+        // `make_mut` clones the overlay only when a clone still shares
+        // it; that copy is the work `cow_bytes` counts.
+        if Arc::get_mut(&mut self.overlay).is_none() {
+            self.cow_bytes += self.overlay.bytes() as u64;
+        }
+        let overlay = Arc::make_mut(&mut self.overlay);
         for &i in &hits {
             overlay.alive[i as usize] = false;
         }

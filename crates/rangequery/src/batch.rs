@@ -26,7 +26,7 @@
 //! ```
 
 use pargeo_geometry::Bbox;
-use pargeo_kdtree::{DynKdTree, KdTree};
+use pargeo_kdtree::KdTree;
 use rayon::prelude::*;
 
 /// Number of queries below which `answer_batch` stays sequential.
@@ -78,26 +78,6 @@ impl<const D: usize> BatchQuery<Count<Bbox<D>>> for KdTree<D> {
 /// Kd-tree backend: box reporting (sorted ids, see `pargeo-kdtree`'s
 /// deterministic-output guarantee).
 impl<const D: usize> BatchQuery<Report<Bbox<D>>> for KdTree<D> {
-    type Answer = Vec<u32>;
-
-    fn answer(&self, query: &Report<Bbox<D>>) -> Vec<u32> {
-        self.range_box(&query.0)
-    }
-}
-
-/// Dynamic kd-tree backend: box counting over the live points — the
-/// batch-dynamic engine's kd-tree served through the same read surface as
-/// the static structures.
-impl<const D: usize> BatchQuery<Count<Bbox<D>>> for DynKdTree<D> {
-    type Answer = usize;
-
-    fn answer(&self, query: &Count<Bbox<D>>) -> usize {
-        self.count_box(&query.0)
-    }
-}
-
-/// Dynamic kd-tree backend: box reporting (sorted insertion-order ids).
-impl<const D: usize> BatchQuery<Report<Bbox<D>>> for DynKdTree<D> {
     type Answer = Vec<u32>;
 
     fn answer(&self, query: &Report<Bbox<D>>) -> Vec<u32> {

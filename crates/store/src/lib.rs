@@ -3,15 +3,15 @@
 //! ParGeo's design claim is one library surface spanning trees,
 //! computational-geometry kernels, and spatial-graph generators. This
 //! crate turns that surface into a *service*: a [`GeoStore`] owns the
-//! point set plus a chosen batch-dynamic index backend and serves batched
+//! point set plus a batch-dynamic index — the BDL-tree — and serves batched
 //! **mixed** traffic — index updates, spatial queries, and whole-dataset
 //! derived structures — through one typed [`Request`]/[`Response`] pair.
 //!
 //! * [`GeoStore`] — built via
-//!   [`GeoStore::builder()`](GeoStore::builder)`.backend(..).split_rule(..).threads(..)`;
-//!   every backend of `pargeo-engine`'s `SpatialIndex` (dyn-kd, BDL, Zd,
-//!   plus the brute-force oracle) serves the same requests with identical
-//!   answers.
+//!   [`GeoStore::builder()`](GeoStore::builder)`.shards(..).threads(..)`;
+//!   it serves from `pargeo-engine`'s `SpatialIndex` over the paper's
+//!   BDL-tree, and [`Backend::Oracle`] swaps in the brute-force reference
+//!   that answers the same requests identically.
 //! * [`Request`] / [`Response`] — `Insert`, `Delete`, `Knn`, `Range`,
 //!   `Hull`, `Seb`, `ClosestPair`, `Emst`, `KnnGraph`, `DelaunayGraph`,
 //!   `Stats`. Every algorithm runs through its crate's non-panicking
@@ -45,14 +45,14 @@
 //! * [`run_store_workload`] — replays a `pargeo-datagen`
 //!   [`Workload`](pargeo_datagen::Workload) (including its
 //!   derived-structure ops) against a store and digests every answer, the
-//!   anchor the `geostore` bench asserts across backends.
+//!   anchor the `geostore` bench asserts against the oracle.
 //!
 //! ```
-//! use pargeo_store::{Backend, GeoStore, Request, Response};
+//! use pargeo_store::{GeoStore, Request, Response};
 //! use pargeo_datagen::uniform_cube;
 //!
 //! let pts = uniform_cube::<2>(1_000, 7);
-//! let mut store: GeoStore<2> = GeoStore::builder().backend(Backend::Bdl).build();
+//! let mut store: GeoStore<2> = GeoStore::builder().build();
 //! store.insert(&pts);
 //!
 //! // One typed surface for index queries and derived structures alike.

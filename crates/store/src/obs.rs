@@ -168,14 +168,14 @@ mod tests {
             .render_prometheus();
         assert!(
             text.contains(&format!(
-                "index_arena_bytes{{backend=\"dyn-kd\"}} {}",
+                "index_arena_bytes{{backend=\"bdl\"}} {}",
                 snap.arena_bytes
             )),
             "gauge missing or stale:\n{text}"
         );
         assert!(
             text.contains(&format!(
-                "index_nodes_total{{backend=\"dyn-kd\"}} {}",
+                "index_nodes_total{{backend=\"bdl\"}} {}",
                 snap.nodes
             )),
             "gauge missing or stale:\n{text}"

@@ -4,10 +4,10 @@ use crate::derived::{self, DerivedVal, Engine};
 use crate::obs::{self, StoreObs};
 use crate::pipeline::{LiveView, StoreSnapshot};
 use crate::request::{CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
-use pargeo_bdltree::{BdlTree, ZdTree};
+use pargeo_bdltree::{bdl::DEFAULT_BUFFER_SIZE, BdlTree};
 use pargeo_engine::{ShardedIndex, Snapshot, SpatialIndex, VecIndex};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
-use pargeo_kdtree::{DynKdTree, Neighbor, SplitRule};
+use pargeo_kdtree::Neighbor;
 use pargeo_obs::{ObsLevel, Registry};
 use pargeo_parlay as parlay;
 use std::collections::HashMap;
@@ -17,12 +17,8 @@ use std::time::{Duration, Instant};
 /// The dynamic index backend serving a store's point queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Backend {
-    /// Delete-marking dynamic kd-tree with threshold rebuilds.
-    DynKd,
-    /// Log-structured BDL-tree (paper §5).
+    /// Log-structured BDL-tree (paper §5) — the serving backend.
     Bdl,
-    /// Morton-order Zd-tree (paper §6.3).
-    Zd,
     /// Brute-force `Vec` oracle — O(n) per query; for cross-validation
     /// in tests and benches, never production traffic.
     Oracle,
@@ -32,16 +28,9 @@ impl Backend {
     /// Short label for reports and benches.
     pub fn label(self) -> &'static str {
         match self {
-            Backend::DynKd => "dyn-kd",
             Backend::Bdl => "bdl",
-            Backend::Zd => "zd",
             Backend::Oracle => "vec-oracle",
         }
-    }
-
-    /// All production backends (the oracle excluded).
-    pub fn all() -> [Backend; 3] {
-        [Backend::DynKd, Backend::Bdl, Backend::Zd]
     }
 }
 
@@ -49,23 +38,16 @@ impl Backend {
 ///
 /// ```
 /// use pargeo_store::{Backend, GeoStore};
-/// use pargeo_kdtree::SplitRule;
 ///
-/// let store: GeoStore<2> = GeoStore::builder()
-///     .backend(Backend::Bdl)
-///     .split_rule(SplitRule::SpatialMedian)
-///     .shards(4)
-///     .threads(2)
-///     .build();
+/// let store: GeoStore<2> = GeoStore::builder().shards(4).threads(2).build();
 /// assert!(store.is_empty());
+/// assert_eq!(store.backend(), Backend::Bdl);
 /// assert_eq!(store.shard_count(), 4);
 /// ```
 #[derive(Debug, Clone)]
 pub struct GeoStoreBuilder<const D: usize> {
     backend: Backend,
-    split_rule: SplitRule,
-    rebuild_fraction: f64,
-    buffer_size: Option<usize>,
+    buffer_size: usize,
     threads: Option<usize>,
     shards: Option<usize>,
     incremental: bool,
@@ -86,10 +68,8 @@ pub const DEFAULT_DAMAGE_THRESHOLD: f64 = 0.5;
 impl<const D: usize> Default for GeoStoreBuilder<D> {
     fn default() -> Self {
         Self {
-            backend: Backend::DynKd,
-            split_rule: SplitRule::ObjectMedian,
-            rebuild_fraction: pargeo_kdtree::dynamic::DEFAULT_REBUILD_FRACTION,
-            buffer_size: None,
+            backend: Backend::Bdl,
+            buffer_size: DEFAULT_BUFFER_SIZE,
             threads: None,
             shards: None,
             incremental: true,
@@ -105,28 +85,17 @@ impl<const D: usize> Default for GeoStoreBuilder<D> {
 }
 
 impl<const D: usize> GeoStoreBuilder<D> {
-    /// Selects the dynamic index backend (default: [`Backend::DynKd`]).
+    /// Selects the index backend (default: [`Backend::Bdl`];
+    /// [`Backend::Oracle`] is the reference tests and benches compare it
+    /// against).
     pub fn backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
         self
     }
 
-    /// Split rule for the kd-tree backend (ignored by the others).
-    pub fn split_rule(mut self, rule: SplitRule) -> Self {
-        self.split_rule = rule;
-        self
-    }
-
-    /// Tombstone fraction that triggers a kd-tree rebuild (ignored by the
-    /// other backends).
-    pub fn rebuild_fraction(mut self, fraction: f64) -> Self {
-        self.rebuild_fraction = fraction;
-        self
-    }
-
-    /// Buffer size of the BDL cascade (ignored by the other backends).
+    /// Buffer size of the BDL cascade (at least 1; ignored by the oracle).
     pub fn buffer_size(mut self, size: usize) -> Self {
-        self.buffer_size = Some(size);
+        self.buffer_size = size.max(1);
         self
     }
 
@@ -285,15 +254,7 @@ impl<const D: usize> GeoStoreBuilder<D> {
         }
         let make = || -> Box<dyn SpatialIndex<D> + Send + Sync> {
             match self.backend {
-                Backend::DynKd => Box::new(DynKdTree::<D>::with_config(
-                    self.split_rule,
-                    self.rebuild_fraction,
-                )),
-                Backend::Bdl => match self.buffer_size {
-                    Some(x) => Box::new(BdlTree::<D>::with_buffer_size(x)),
-                    None => Box::new(BdlTree::<D>::new()),
-                },
-                Backend::Zd => Box::new(ZdTree::<D>::new()),
+                Backend::Bdl => Box::new(BdlTree::<D>::with_buffer_size(self.buffer_size)),
                 Backend::Oracle => Box::new(VecIndex::<D>::new()),
             }
         };
@@ -335,6 +296,21 @@ impl<const D: usize> GeoStoreBuilder<D> {
             cache_stats: CacheStats::default(),
         }
     }
+}
+
+/// The store id of the first of `incoming` points appended after `stored`
+/// ones, or the typed refusal when they would not all fit the `u32` id
+/// space. The bound is `u32::MAX` points in all (ids `0..u32::MAX`): the
+/// index counts the ids it has handed out in a `u32` of its own.
+fn first_store_id(stored: usize, incoming: usize) -> GeoResult<u32> {
+    stored
+        .checked_add(incoming)
+        .filter(|&total| u32::try_from(total).is_ok())
+        .and_then(|_| u32::try_from(stored).ok())
+        .ok_or(GeoError::BadParameter {
+            op: "insert",
+            what: "store id space exhausted",
+        })
 }
 
 /// Hard cap on the admission queue: a queue this deep seals regardless of
@@ -828,21 +804,28 @@ impl<const D: usize> GeoStore<D> {
         });
         let t = Instant::now();
         let mut cow_bytes = 0u64;
+        let batches = run.iter().map(|req| match req {
+            Request::Insert(batch) => batch,
+            _ => unreachable!("insert run"),
+        });
+        // The whole run is one index batch, so it is admitted or refused
+        // whole, before the mirror is touched.
+        let incoming = batches.clone().map(Vec::len).sum();
+        let mut next_id = match first_store_id(self.points.len(), incoming) {
+            Ok(id) => id,
+            Err(e) => {
+                out.extend(run.iter().map(|_| Err(e)));
+                return;
+            }
+        };
         let mut coalesced: Vec<Point<D>> = Vec::new();
-        for req in run {
-            let Request::Insert(batch) = req else {
-                unreachable!("insert run")
-            };
-            let first_id = if batch.is_empty() {
-                None
-            } else {
-                Some(self.points.len() as u32)
-            };
+        for batch in batches {
+            let first_id = (!batch.is_empty()).then_some(next_id);
             for &p in batch {
-                let id = self.points.len() as u32;
                 self.points.push(p);
-                self.live_ids.push(id); // fresh ids ascend: order preserved
-                self.by_key.entry(p.bits_key()).or_default().push(id);
+                self.live_ids.push(next_id); // fresh ids ascend: order preserved
+                self.by_key.entry(p.bits_key()).or_default().push(next_id);
+                next_id += 1; // stays within `first_store_id`'s checked total
             }
             coalesced.extend_from_slice(batch);
             out.push(Ok(Response::Inserted {
@@ -1210,10 +1193,15 @@ impl<const D: usize> GeoStore<D> {
     // ---- typed sugar over `run` ----------------------------------------
 
     /// Inserts a batch; returns the first assigned id (`None` when empty).
+    ///
+    /// # Panics
+    /// If the batch does not fit the `u32` store id space, which
+    /// [`execute`](Self::execute) reports as a typed error instead.
     pub fn insert(&mut self, batch: &[Point<D>]) -> Option<u32> {
         match self.run(Request::Insert(batch.to_vec())) {
             Ok(Response::Inserted { first_id, .. }) => first_id,
-            _ => unreachable!("insert is infallible"),
+            Err(e) => panic!("insert: {e}"),
+            Ok(_) => unreachable!("insert answers with its first id"),
         }
     }
 
@@ -1338,6 +1326,37 @@ mod tests {
         }
         fn live_bbox(&self) -> Bbox<2> {
             self.0.live_bbox()
+        }
+    }
+
+    #[test]
+    fn store_ids_are_minted_checked_at_the_u32_boundary() {
+        let max = u32::MAX as usize;
+        let exhausted = Err(GeoError::BadParameter {
+            op: "insert",
+            what: "store id space exhausted",
+        });
+        assert_eq!(first_store_id(0, 0), Ok(0));
+        assert_eq!(first_store_id(0, max), Ok(0));
+        assert_eq!(first_store_id(max - 1, 1), Ok(u32::MAX - 1));
+        assert_eq!(first_store_id(max, 0), Ok(u32::MAX));
+        assert_eq!(first_store_id(max, 1), exhausted);
+        assert_eq!(first_store_id(max - 1, 2), exhausted);
+        assert_eq!(first_store_id(0, max + 1), exhausted);
+        assert_eq!(first_store_id(7, usize::MAX), exhausted);
+    }
+
+    #[test]
+    fn zero_buffer_size_is_clamped_at_the_builder() {
+        let pts: Vec<Point<2>> = (0..40).map(|i| Point::new([i as f64, 1.0])).collect();
+        let builder = GeoStore::<2>::builder().buffer_size(0);
+        let built = builder.clone().build();
+        let tried = builder.try_build().expect("no dedicated pool to fail");
+        for mut store in [built, tried] {
+            assert_eq!(store.insert(&pts), Some(0));
+            assert_eq!(store.delete(&pts[..10]), 10);
+            let nearest = store.knn(&pts[..1], 1).expect("30 live points");
+            assert_eq!(nearest[0][0].id, 10);
         }
     }
 

@@ -1,9 +1,9 @@
 //! Property tests for delta maintenance under churn: random streams of
 //! interleaved inserts, deletes, and derived-structure requests replayed
 //! on an incremental store (the default) and cross-validated three ways —
-//! against a `.incremental(false)` wholesale-recompute store, against an
-//! independent per-request full recompute from a live-set mirror, and
-//! across every backend × shard count × thread count. Bit-identical
+//! against a `.incremental(false)` wholesale-recompute store on the oracle
+//! backend, against an independent per-request full recompute from a
+//! live-set mirror, and across shard count × thread count. Bit-identical
 //! answers everywhere is the tentpole's correctness anchor.
 
 use pargeo_geometry::{GeoError, Point2};
@@ -150,44 +150,41 @@ fn check_maintained(
 fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCaseError> {
     let (reqs, snaps) = interpret(pts, ops);
 
-    // The wholesale-recompute baseline: same backend family, incremental
+    // The wholesale-recompute baseline: the oracle backend, incremental
     // maintenance off, unsharded.
     let mut baseline = GeoStore::<2>::builder()
-        .backend(Backend::DynKd)
+        .backend(Backend::Oracle)
         .incremental(false)
         .threads(threads)
         .build();
     let want = baseline.execute(&reqs);
     let want_digest = digest_responses(&want);
 
-    for backend in Backend::all() {
-        for shards in [1usize, 4] {
-            let mut store = GeoStore::<2>::builder()
-                .backend(backend)
-                .shards(shards)
-                .threads(threads)
-                .build();
-            let responses = store.execute(&reqs);
-            let name = format!("{} S={shards} T={threads}", backend.label());
-            prop_assert_eq!(responses.len(), want.len(), "{}", &name);
+    for shards in [1usize, 4] {
+        let mut store = GeoStore::<2>::builder()
+            .shards(shards)
+            .threads(threads)
+            .build();
+        let responses = store.execute(&reqs);
+        let name = format!("S={shards} T={threads}");
+        prop_assert_eq!(responses.len(), want.len(), "{}", &name);
+        prop_assert_eq!(
+            digest_responses(&responses),
+            want_digest,
+            "{}: incremental digest != wholesale-recompute digest",
+            &name
+        );
+        for (i, ((req, resp), snap)) in reqs.iter().zip(&responses).zip(&snaps).enumerate() {
+            // Bit-identical per response, not just digest-equal.
             prop_assert_eq!(
-                digest_responses(&responses),
-                want_digest,
-                "{}: incremental digest != wholesale-recompute digest",
-                &name
+                resp,
+                &want[i],
+                "{} request {}: incremental != wholesale recompute",
+                &name,
+                i
             );
-            for (i, ((req, resp), snap)) in reqs.iter().zip(&responses).zip(&snaps).enumerate() {
-                // Bit-identical per response, not just digest-equal.
-                prop_assert_eq!(
-                    resp,
-                    &want[i],
-                    "{} request {}: incremental != wholesale recompute",
-                    &name,
-                    i
-                );
-                if let Some((ids, live)) = snap {
-                    check_maintained(&format!("{} request {i}", &name), req, resp, ids, live)?;
-                }
+            if let Some((ids, live)) = snap {
+                check_maintained(&format!("{} request {i}", &name), req, resp, ids, live)?;
             }
         }
     }

@@ -8,7 +8,7 @@
 //! memo-rebuild epochs the live store applies afterwards.
 
 use pargeo_geometry::{Bbox, Point2};
-use pargeo_store::{Backend, GeoStore, Request, StoreSnapshot};
+use pargeo_store::{Backend, GeoStore, GeoStoreBuilder, Request, StoreSnapshot};
 use proptest::prelude::*;
 
 /// One raw op descriptor; interpreted against the evolving store state.
@@ -120,19 +120,23 @@ fn check_pin(pin: &Pin, queries: &[Point2], qbox: Bbox<2>, ctx: &str) -> Result<
     Ok(())
 }
 
+/// The default store with a BDL buffer small enough that the pools (under
+/// 160 points, which the default 1024-point buffer would absorb whole)
+/// build static trees, cascade, and copy deletion overlays under pins.
+fn cascading() -> GeoStoreBuilder<2> {
+    GeoStore::builder().buffer_size(4)
+}
+
 fn run_case(
     pts: &[Point2],
     ops: &[OpSpec],
-    backend: Backend,
+    builder: GeoStoreBuilder<2>,
     shards: usize,
 ) -> Result<(), TestCaseError> {
-    let mut store = GeoStore::<2>::builder()
-        .backend(backend)
-        .shards(shards)
-        .build();
+    let mut store = builder.shards(shards).build();
     let queries: Vec<Point2> = pts.iter().step_by(7).take(6).copied().collect();
     let qbox = Bbox::from_points(&pts[..pts.len() / 2]);
-    let name = backend.label();
+    let name = store.backend().label();
 
     let mut prefix: Vec<Request<2>> = Vec::new();
     let mut inserted: Vec<Point2> = Vec::new();
@@ -225,7 +229,7 @@ fn scripted_interleaving_exercises_the_property_paths() {
         OpSpec::LiveDerived { which: 1 },
     ];
     for shards in [1usize, 4] {
-        run_case(&pts, &ops, Backend::DynKd, shards).unwrap();
+        run_case(&pts, &ops, cascading(), shards).unwrap();
     }
 }
 
@@ -234,17 +238,17 @@ proptest! {
 
     /// Random pin/write/read/drop interleavings: a snapshot pinned at
     /// epoch E equals the brute-force frozen copy at E regardless of
-    /// later insert, delete, and memo-rebuild epochs, for every backend.
+    /// later insert, delete, and memo-rebuild epochs — buffer-only,
+    /// cascading, sharded, and on the oracle's own full-copy pins.
     #[test]
     fn pinned_snapshots_equal_frozen_copies(
         pts in pool(),
         ops in prop::collection::vec(op_strategy(), 4..22),
     ) {
-        for backend in Backend::all() {
-            run_case(&pts, &ops, backend, 1)?;
-        }
+        run_case(&pts, &ops, GeoStore::builder(), 1)?;
+        run_case(&pts, &ops, cascading(), 1)?;
         // The sharded executor pins per-shard roots; same property.
-        run_case(&pts, &ops, Backend::DynKd, 4)?;
-        run_case(&pts, &ops, Backend::Oracle, 1)?;
+        run_case(&pts, &ops, cascading(), 4)?;
+        run_case(&pts, &ops, GeoStore::builder().backend(Backend::Oracle), 1)?;
     }
 }

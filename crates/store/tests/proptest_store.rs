@@ -1,6 +1,7 @@
 //! Property tests for the GeoStore façade: random mixed workloads
 //! (interleaved writes, spatial queries, and derived-structure requests
-//! with duplicate-heavy lattice points) replayed on every backend, with
+//! with duplicate-heavy lattice points) replayed on the default store and
+//! on one whose BDL buffer is small enough to cascade at these sizes, with
 //! every `Response` cross-validated against a fresh recomputation from an
 //! independent mirror and against the `VecIndex`-oracle store — at two
 //! thread counts.
@@ -335,16 +336,16 @@ fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCa
         .build();
     let oracle_responses = oracle.execute(&reqs);
 
-    for backend in Backend::all() {
-        let mut store = GeoStore::<2>::builder()
-            .backend(backend)
-            .threads(threads)
-            .build();
+    // The pools hold under 200 points, which the default 1024-point BDL
+    // buffer absorbs whole; the 4-point buffer puts the same stream
+    // through static trees, cascades and tree-side deletes.
+    let default = GeoStore::<2>::builder();
+    for (name, builder) in [("bdl", default.clone()), ("bdl-x4", default.buffer_size(4))] {
+        let mut store = builder.threads(threads).build();
+        prop_assert_eq!(store.backend(), Backend::Bdl);
         let responses = store.execute(&reqs);
-        let name = store.backend().label();
         prop_assert_eq!(responses.len(), reqs.len(), "{}", name);
 
-        // Cross-backend/oracle: digests must agree in full.
         prop_assert_eq!(
             digest_responses(&responses),
             digest_responses(&oracle_responses),
@@ -353,17 +354,16 @@ fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCa
         );
 
         for (i, ((req, resp), snap)) in reqs.iter().zip(&responses).zip(&snaps).enumerate() {
-            // Spatial queries: exact row equality with the oracle store
-            // (the deterministic (distance², id) / sorted-ids contracts).
-            if matches!(req, Request::Knn { .. } | Request::Range(_)) {
-                prop_assert_eq!(
-                    resp,
-                    &oracle_responses[i],
-                    "{} request {} != oracle",
-                    name,
-                    i
-                );
-            }
+            // Exact equality with the oracle store on every answer: the
+            // deterministic (distance², id) / sorted-ids contracts for
+            // spatial queries, the shared live view for derived ones.
+            prop_assert_eq!(
+                resp,
+                &oracle_responses[i],
+                "{} request {} != oracle",
+                name,
+                i
+            );
             if let Some((ids, live)) = snap {
                 check_response(name, i, req, resp, ids, live)?;
             }

@@ -21,67 +21,62 @@ fn main() {
     let pts = uniform_cube::<2>(n, 21);
     println!("== GeoStore: mixed serving over {n} points ==\n");
 
-    for backend in Backend::all() {
-        let mut store: GeoStore<2> = GeoStore::builder().backend(backend).build();
-        let t = Instant::now();
-        store.insert(&pts);
-        let load = t.elapsed();
+    // The default store serves from the paper's BDL-tree.
+    let mut store: GeoStore<2> = GeoStore::builder().build();
+    let t = Instant::now();
+    store.insert(&pts);
+    let load = t.elapsed();
 
-        // A mixed batch through the epoch planner: the two deletes
-        // coalesce into one index batch, the reads fan out data-parallel.
-        let queries: Vec<Point2> = pts.iter().step_by(101).copied().collect();
-        let t = Instant::now();
-        let responses = store.execute(&[
-            Request::Delete(pts[..n / 10].to_vec()),
-            Request::Delete(pts[n / 10..n / 5].to_vec()),
-            Request::Knn {
-                queries: queries.clone(),
-                k: 8,
-            },
-            Request::Hull,
-            Request::Seb,
-            Request::ClosestPair,
-        ]);
-        let mixed = t.elapsed();
-        assert!(responses.iter().all(|r| r.is_ok()));
+    // A mixed batch through the epoch planner: the two deletes
+    // coalesce into one index batch, the reads fan out data-parallel.
+    let queries: Vec<Point2> = pts.iter().step_by(101).copied().collect();
+    let t = Instant::now();
+    let responses = store.execute(&[
+        Request::Delete(pts[..n / 10].to_vec()),
+        Request::Delete(pts[n / 10..n / 5].to_vec()),
+        Request::Knn {
+            queries: queries.clone(),
+            k: 8,
+        },
+        Request::Hull,
+        Request::Seb,
+        Request::ClosestPair,
+    ]);
+    let mixed = t.elapsed();
+    assert!(responses.iter().all(|r| r.is_ok()));
 
-        // Analytics between writes are cache hits.
-        let t = Instant::now();
-        let h1 = store.hull().unwrap();
-        let h2 = store.hull().unwrap();
-        let cached = t.elapsed();
-        assert_eq!(h1, h2);
+    // Analytics between writes are cache hits.
+    let t = Instant::now();
+    let h1 = store.hull().unwrap();
+    let h2 = store.hull().unwrap();
+    let cached = t.elapsed();
+    assert_eq!(h1, h2);
 
-        let stats = store.stats();
-        println!(
-            "{:<8} load {:>8.1?}  mixed batch {:>8.1?}  2x cached hull {:>8.1?}  \
-             live {}  epochs {}  cache {}/{} hit/miss",
-            backend.label(),
-            load,
-            mixed,
-            cached,
-            store.len(),
-            stats.write_epoch,
-            stats.cache.hits,
-            stats.cache.misses,
-        );
-    }
+    let stats = store.stats();
+    println!(
+        "{:<8} load {:>8.1?}  mixed batch {:>8.1?}  2x cached hull {:>8.1?}  \
+         live {}  epochs {}  cache {}/{} hit/miss",
+        store.backend().label(),
+        load,
+        mixed,
+        cached,
+        store.len(),
+        stats.write_epoch,
+        stats.cache.hits,
+        stats.cache.misses,
+    );
 
-    // Sharded execution: the same backend behind a morton-prefix router.
+    // Sharded execution: the same index behind a morton-prefix router.
     // Writes apply in parallel across shards, reads fan out only to the
     // shards whose region can contribute — and the answers (here: the
     // k-NN rows of the same queries) are bit-identical to the unsharded
     // store's at every shard count.
-    println!("\n== Sharded spatial core (Backend::Zd) ==\n");
-    let queries: Vec<Point2> = pts.iter().step_by(101).copied().collect();
-    let mut unsharded: GeoStore<2> = GeoStore::builder().backend(Backend::Zd).build();
+    println!("\n== Sharded spatial core ==\n");
+    let mut unsharded: GeoStore<2> = GeoStore::builder().build();
     unsharded.insert(&pts);
     let want = unsharded.knn(&queries, 8).unwrap();
     for shards in [1usize, 4, 16] {
-        let mut store: GeoStore<2> = GeoStore::builder()
-            .backend(Backend::Zd)
-            .shards(shards)
-            .build();
+        let mut store: GeoStore<2> = GeoStore::builder().shards(shards).build();
         let t = Instant::now();
         store.insert(&pts);
         let load = t.elapsed();

@@ -5,7 +5,9 @@ The `geostore` binary, run with PARGEO_OBS_DUMP=1, prints its observed
 store's registry rendered as JSON and as Prometheus text between
 `--- obs json ---` / `--- obs prometheus ---` / `--- obs end ---`
 markers. This script asserts both renderings parse and contain the
-expected metric families — the CI gate that exposition stays well-formed.
+expected metric families — the CI gate that exposition stays well-formed —
+and that the dumped store, which is built with no `.backend(..)` call, is
+the BDL-tree store: its index gauges must carry `backend="bdl"`.
 """
 import json
 import re
@@ -19,6 +21,7 @@ EXPECTED_COUNTERS = {
     "shard_routed_points_total",
 }
 EXPECTED_HISTOGRAMS = {"geostore_request_nanos", "span_nanos"}
+DEFAULT_BACKEND_GAUGES = ("index_arena_bytes", "index_nodes_total")
 
 PROM_SAMPLE = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?\d+(\.\d+)?$')
 
@@ -60,6 +63,11 @@ def main() -> None:
         if line and not line.startswith("#") and not PROM_SAMPLE.match(line)
     ]
     assert not bad, f"malformed Prometheus sample lines: {bad[:5]}"
+    for gauge in DEFAULT_BACKEND_GAUGES:
+        labelled = re.findall(rf"^{gauge}\{{([^}}]*)\}} \d+$", prom, re.M)
+        assert labelled == ['backend="bdl"'], (
+            f'{gauge}: expected one sample labelled backend="bdl", got {labelled}'
+        )
 
     print(
         f"obs dump ok: {len(counters)} counter / {len(hists)} histogram "

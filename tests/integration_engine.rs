@@ -1,7 +1,7 @@
 //! Cross-module integration: the unified batch-dynamic engine.
 //!
 //! One mixed workload (interleaved batch insert / delete / k-NN / range)
-//! replays identically over all three `SpatialIndex` backends, the
+//! replays identically over both `SpatialIndex` trees (BDL and Zd), the
 //! brute-force `Vec` oracle, and two thread counts; answer digests must
 //! match bit-for-bit. The read path additionally cross-checks against the
 //! static `RangeTree2d` through the `BatchQuery` machinery.
@@ -20,7 +20,6 @@ fn presets_small() -> Vec<WorkloadSpec> {
 
 fn backends() -> Vec<Box<dyn SpatialIndex<2>>> {
     vec![
-        Box::new(DynKdTree::<2>::new()),
         Box::new(BdlTree::<2>::with_buffer_size(256)),
         Box::new(ZdTree::<2>::new()),
     ]
@@ -63,7 +62,6 @@ fn sharded_engine_replays_every_preset_digest_identically() {
         let want = run_workload(&mut oracle, &w);
         for s in [1usize, 2, 8] {
             let sharded: Vec<Box<dyn SpatialIndex<2>>> = vec![
-                Box::new(ShardedIndex::<2>::new(s, |_| Box::new(DynKdTree::new()))),
                 Box::new(ShardedIndex::<2>::new(s, |_| {
                     Box::new(BdlTree::with_buffer_size(256))
                 })),
@@ -90,14 +88,13 @@ fn workload_replay_is_thread_count_invariant() {
     let mut spec = WorkloadSpec::new("threads", Distribution::UniformCube, 3_000, 16);
     spec.seed = 21;
     let w: Workload<3> = spec.generate();
-    for mk in [0usize, 1, 2] {
+    for mk in [0usize, 1] {
         let reports: Vec<WorkloadReport> = [1usize, 2]
             .iter()
             .map(|&threads| {
                 pargeo::parlay::with_threads(threads, || {
                     let mut b: Box<dyn SpatialIndex<3>> = match mk {
-                        0 => Box::new(DynKdTree::<3>::new()),
-                        1 => Box::new(BdlTree::<3>::with_buffer_size(256)),
+                        0 => Box::new(BdlTree::<3>::with_buffer_size(256)),
                         _ => Box::new(ZdTree::<3>::new()),
                     };
                     run_workload(b.as_mut(), &w)
@@ -116,11 +113,10 @@ fn workload_replay_is_thread_count_invariant() {
 #[test]
 fn read_path_is_swappable_with_the_static_range_tree() {
     // Update the dynamic backends, then serve the same Report queries from
-    // a RangeTree2d built over the oracle's live set — all four answers
+    // a RangeTree2d built over the oracle's live set — all three answers
     // must coincide (after translating tree positions to insertion ids).
     let pts = pargeo::datagen::uniform_cube::<2>(3_000, 9);
     let mut oracle = VecIndex::<2>::new();
-    let mut dynkd = DynKdTree::<2>::new();
     let mut bdl = BdlTree::<2>::with_buffer_size(128);
     let mut zd = ZdTree::<2>::new();
     let stream: [(&[Point2], bool); 4] = [
@@ -132,12 +128,10 @@ fn read_path_is_swappable_with_the_static_range_tree() {
     for (batch, is_insert) in stream {
         if is_insert {
             SpatialIndex::insert(&mut oracle, batch);
-            dynkd.insert(batch);
             bdl.insert(batch);
             zd.insert(batch);
         } else {
             let n = SpatialIndex::delete(&mut oracle, batch);
-            assert_eq!(dynkd.delete(batch), n);
             assert_eq!(bdl.delete(batch), n);
             assert_eq!(zd.delete(batch), n);
         }
@@ -158,7 +152,6 @@ fn read_path_is_swappable_with_the_static_range_tree() {
             ids
         })
         .collect();
-    assert_eq!(dynkd.answer_batch(&queries), want, "dyn-kd vs range tree");
     assert_eq!(bdl.answer_batch(&queries), want, "bdl vs range tree");
     assert_eq!(zd.answer_batch(&queries), want, "zd vs range tree");
 }

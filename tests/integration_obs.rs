@@ -2,7 +2,7 @@
 //!
 //! The contract under test: a `GeoStore` built with `.observe(..)` at any
 //! level serves **bit-identical** answers (and digests) to an unobserved
-//! store, on every backend and shard count — while, when on, its registry
+//! store and to the oracle store, at every shard count — while, when on, its registry
 //! reports non-empty per-class latency histograms, per-shard routing
 //! counters that sum to the store totals, and memo-path counters/spans
 //! that mirror `CacheStats` exactly.
@@ -26,32 +26,25 @@ fn make(backend: Backend, shards: usize, level: ObsLevel) -> GeoStore<2> {
 #[test]
 fn observe_levels_never_perturb_digests() {
     let w = workload();
-    for backend in Backend::all() {
-        // 0 = unsharded executor; 1 and 4 = morton-routed shard counts.
-        for shards in [0usize, 1, 4] {
-            let mut off = make(backend, shards, ObsLevel::Off);
-            assert!(off.registry().is_none());
-            assert_eq!(off.obs_level(), ObsLevel::Off);
-            let want = run_store_workload(&mut off, &w);
-            for level in [ObsLevel::Metrics, ObsLevel::Trace] {
-                let mut on = make(backend, shards, level);
-                assert_eq!(on.obs_level(), level);
-                let got = run_store_workload(&mut on, &w);
-                assert_eq!(
-                    got.digest,
-                    want.digest,
-                    "observe({level:?}) perturbed the digest: {} S={shards}",
-                    backend.label()
-                );
-                assert_eq!(got.errors, want.errors, "{} S={shards}", backend.label());
-                assert_eq!(
-                    got.final_live,
-                    want.final_live,
-                    "{} S={shards}",
-                    backend.label()
-                );
-                assert_eq!(got.cache, want.cache, "{} S={shards}", backend.label());
-            }
+    let reference = run_store_workload(&mut make(Backend::Oracle, 0, ObsLevel::Off), &w);
+    // 0 = unsharded executor; 1 and 4 = morton-routed shard counts.
+    for shards in [0usize, 1, 4] {
+        let mut off = make(Backend::Bdl, shards, ObsLevel::Off);
+        assert!(off.registry().is_none());
+        assert_eq!(off.obs_level(), ObsLevel::Off);
+        let want = run_store_workload(&mut off, &w);
+        assert_eq!(want.digest, reference.digest, "S={shards} vs the oracle");
+        for level in [ObsLevel::Metrics, ObsLevel::Trace] {
+            let mut on = make(Backend::Bdl, shards, level);
+            assert_eq!(on.obs_level(), level);
+            let got = run_store_workload(&mut on, &w);
+            assert_eq!(
+                got.digest, want.digest,
+                "observe({level:?}) perturbed the digest: S={shards}"
+            );
+            assert_eq!(got.errors, want.errors, "S={shards}");
+            assert_eq!(got.final_live, want.final_live, "S={shards}");
+            assert_eq!(got.cache, want.cache, "S={shards}");
         }
     }
 }
@@ -59,7 +52,7 @@ fn observe_levels_never_perturb_digests() {
 #[test]
 fn per_shard_counters_sum_to_store_totals() {
     let w = workload();
-    let mut store = make(Backend::DynKd, 4, ObsLevel::Metrics);
+    let mut store = make(Backend::Bdl, 4, ObsLevel::Metrics);
     let r = run_store_workload(&mut store, &w);
     let stats = store.stats();
 

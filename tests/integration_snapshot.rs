@@ -1,10 +1,10 @@
 //! Integration: snapshot-isolated concurrent serving. The pipelined
 //! executor (`pipeline(true)`) — epoch-pinned reads overlapping live
 //! write-apply — must answer every request stream bit-identically to the
-//! epoch-serial planner, per request and not just by digest, across every
-//! backend, shard count, and thread count; store snapshots must keep
-//! answering their pinned epoch through rebuilds, compactions, and
-//! out-of-order drops.
+//! epoch-serial planner, per request and not just by digest, across shard
+//! and thread counts, and both must answer like the oracle store; store
+//! snapshots must keep answering their pinned epoch through BDL cascades
+//! and out-of-order drops.
 
 use pargeo::prelude::*;
 use pargeo::store::digest_responses;
@@ -32,10 +32,36 @@ fn to_requests(w: &Workload<2>) -> Vec<Request<2>> {
     reqs
 }
 
-fn backends() -> Vec<Backend> {
-    let mut v = Backend::all().to_vec();
-    v.push(Backend::Oracle);
-    v
+/// The stores every sweep runs: the default, the default with a BDL
+/// buffer small enough that a 64-point batch cascades (so pins share
+/// static trees, not just a copied buffer), and the oracle reference.
+fn configs() -> [(&'static str, GeoStoreBuilder<2>); 3] {
+    let default = GeoStore::<2>::builder();
+    [
+        ("bdl", default.clone()),
+        ("bdl-x16", default.clone().buffer_size(16)),
+        ("vec-oracle", default.backend(Backend::Oracle)),
+    ]
+}
+
+fn oracle_store() -> GeoStore<2> {
+    GeoStore::builder().backend(Backend::Oracle).build()
+}
+
+/// Per-request equality with another backend's stream: everything but
+/// `Stats`, whose snapshot carries the index's own arena sizes.
+fn assert_answers_equal(
+    want: &[GeoResult<Response<2>>],
+    got: &[GeoResult<Response<2>>],
+    ctx: &str,
+) {
+    assert_eq!(want.len(), got.len(), "{ctx}: response count");
+    for (i, (a, b)) in want.iter().zip(got).enumerate() {
+        match (a, b) {
+            (Ok(Response::Stats(_)), Ok(Response::Stats(_))) => {}
+            _ => assert_eq!(a, b, "{ctx}: response {i} diverged from the oracle"),
+        }
+    }
 }
 
 /// Per-request equality, every variant included — `Stats` too: the
@@ -59,34 +85,33 @@ fn assert_streams_equal(
 
 #[test]
 fn pipelined_executor_is_bit_identical_on_every_store_preset() {
-    // The acceptance sweep: every store preset, every backend (oracle
-    // included), shards ∈ {1, 4}, two thread counts — the pipelined
-    // executor's responses equal the epoch-serial planner's, request by
-    // request.
+    // The acceptance sweep: every store preset, every configuration
+    // (oracle included), shards ∈ {1, 4}, two thread counts — the
+    // pipelined executor's responses equal the epoch-serial planner's,
+    // request by request, and the serial planner's equal the oracle's.
     for mut spec in WorkloadSpec::store_presets(1_200) {
         spec.batch_size = spec.batch_size.min(64);
         let w: Workload<2> = spec.generate();
         let reqs = to_requests(&w);
-        for backend in backends() {
+        let reference = oracle_store().execute(&reqs);
+        for (name, builder) in configs() {
             for shards in [1usize, 4] {
-                let mut serial = GeoStore::<2>::builder()
-                    .backend(backend)
-                    .shards(shards)
-                    .build();
+                let mut serial = builder.clone().shards(shards).build();
                 let want = serial.execute(&reqs);
+                assert_answers_equal(
+                    &reference,
+                    &want,
+                    &format!("{name} S={shards} preset={}", spec.name),
+                );
                 for threads in [1usize, 2] {
-                    let mut piped = GeoStore::<2>::builder()
-                        .backend(backend)
+                    let mut piped = builder
+                        .clone()
                         .shards(shards)
                         .threads(threads)
                         .pipeline(true)
                         .build();
                     let got = piped.execute(&reqs);
-                    let ctx = format!(
-                        "{} S={shards} T={threads} preset={}",
-                        backend.label(),
-                        spec.name
-                    );
+                    let ctx = format!("{name} S={shards} T={threads} preset={}", spec.name);
                     assert_streams_equal(&want, &got, &ctx);
                     assert_eq!(serial.len(), piped.len(), "{ctx}: final live");
                     assert_eq!(
@@ -134,20 +159,14 @@ fn pipelined_scripted_stream_with_stats_is_exact() {
         Request::Stats,
         Request::Insert(vec![]), // no-op write run at the tail
     ];
-    for backend in backends() {
+    let reference = oracle_store().execute(&reqs);
+    for (name, builder) in configs() {
         for shards in [1usize, 4] {
-            let mut serial = GeoStore::<2>::builder()
-                .backend(backend)
-                .shards(shards)
-                .build();
-            let want = serial.execute(&reqs);
-            let mut piped = GeoStore::<2>::builder()
-                .backend(backend)
-                .shards(shards)
-                .pipeline(true)
-                .build();
+            let want = builder.clone().shards(shards).build().execute(&reqs);
+            let mut piped = builder.clone().shards(shards).pipeline(true).build();
             let got = piped.execute(&reqs);
-            let ctx = format!("{} S={shards} scripted", backend.label());
+            let ctx = format!("{name} S={shards} scripted");
+            assert_answers_equal(&reference, &want, &ctx);
             assert_streams_equal(&want, &got, &ctx);
         }
     }
@@ -208,21 +227,16 @@ fn submit_flush_matches_batch_execute_for_every_window() {
 #[test]
 fn snapshots_survive_rebuilds_compaction_and_out_of_order_drops() {
     // Lifetime regression: snapshots pinned at two different epochs keep
-    // answering their own epoch — bit-identically to a frozen reference
-    // store replayed to the same prefix — while the live store churns
-    // through delete-triggered rebuilds, and no matter the drop order.
+    // answering their own epoch — bit-identically to a frozen oracle
+    // store replayed to the same prefix — while the live store's BDL
+    // levels cascade, merge and rebuild under them (a 16-point buffer
+    // over ~250-point shards), and no matter the drop order.
     let pts = pargeo::datagen::uniform_cube::<2>(2_000, 43);
     let queries: Vec<Point2> = pts.iter().step_by(71).copied().collect();
     let boxes = pargeo::datagen::uniform_rects::<2>(12, 6, 0.25);
 
-    let make = || {
-        GeoStore::<2>::builder()
-            .backend(Backend::DynKd)
-            .shards(4)
-            .rebuild_fraction(0.1)
-            .build()
-    };
-    let mut store = make();
+    let mut store = GeoStore::<2>::builder().shards(4).buffer_size(16).build();
+    let rebuilds = |s: &GeoStore<2>| s.stats().snapshot.rebuilds;
 
     // Epoch A: first kilopoint, memo warmed.
     store.insert(&pts[..1_000]);
@@ -230,17 +244,22 @@ fn snapshots_survive_rebuilds_compaction_and_out_of_order_drops() {
     let snap_a = store.pin();
 
     // Frozen reference at epoch A.
-    let mut ref_a = make();
+    let mut ref_a = oracle_store();
     ref_a.insert(&pts[..1_000]);
     ref_a.hull().unwrap();
 
-    // Epoch B: a delete heavy enough to trigger compaction/rebuild, plus
-    // fresh inserts.
+    // Epoch B: a delete that collapses subtrees of the pinned levels,
+    // plus fresh inserts that cascade into them.
+    let built_at_a = rebuilds(&store);
     store.delete(&pts[..600]);
     store.insert(&pts[1_000..]);
+    assert!(
+        rebuilds(&store) > built_at_a,
+        "the live side rebuilt levels"
+    );
     let snap_b = store.pin();
 
-    let mut ref_b = make();
+    let mut ref_b = oracle_store();
     ref_b.insert(&pts[..1_000]);
     ref_b.hull().unwrap();
     ref_b.delete(&pts[..600]);
@@ -293,17 +312,11 @@ fn derived_kinds_first_asked_of_a_snapshot_use_its_pinned_live_set() {
     // on through insert and delete epochs, must be computed over the
     // *pinned* live set — derived from the pinned index view, or shared
     // from the store when the pinned epoch had already built one — and so
-    // equal what a reference store replayed to the pin's prefix answers.
+    // equal what an oracle store replayed to the pin's prefix answers.
     let pts = pargeo::datagen::uniform_cube::<2>(1_400, 48);
-    for backend in backends() {
+    for (name, builder) in configs() {
         for shards in [1usize, 4] {
             for view_built_before_pin in [false, true] {
-                let make = || {
-                    GeoStore::<2>::builder()
-                        .backend(backend)
-                        .shards(shards)
-                        .build()
-                };
                 let prefix = |store: &mut GeoStore<2>| {
                     store.insert(&pts[..800]);
                     store.delete(&pts[100..250]);
@@ -313,19 +326,16 @@ fn derived_kinds_first_asked_of_a_snapshot_use_its_pinned_live_set() {
                         store.seb().unwrap();
                     }
                 };
-                let mut store = make();
+                let mut store = builder.clone().shards(shards).build();
                 prefix(&mut store);
                 let snap = store.pin();
                 store.insert(&pts[800..]);
                 store.delete(&pts[..100]);
                 store.delete(&pts[900..1_000]);
 
-                let mut frozen = make();
+                let mut frozen = oracle_store();
                 prefix(&mut frozen);
-                let ctx = format!(
-                    "{} S={shards} view_built={view_built_before_pin}",
-                    backend.label()
-                );
+                let ctx = format!("{name} S={shards} view_built={view_built_before_pin}");
                 assert_eq!(snap.len(), frozen.len(), "{ctx}: live count");
                 assert_eq!(snap.emst(), frozen.emst(), "{ctx}: emst");
                 assert_eq!(snap.hull(), frozen.hull(), "{ctx}: hull");

@@ -1,6 +1,6 @@
-//! Integration: the GeoStore façade serves every `Request` variant over
-//! all three dynamic backends with identical answers — cross-backend and
-//! against direct per-crate calls on the same live set.
+//! Integration: the GeoStore façade serves every `Request` variant from
+//! the BDL-tree with the answers of the brute-force oracle store — and of
+//! direct per-crate calls on the same live set.
 
 use pargeo::prelude::*;
 use pargeo::store::digest_responses;
@@ -43,42 +43,76 @@ fn script(pts: &[Point2]) -> Vec<Request<2>> {
     ]
 }
 
-fn stores() -> Vec<GeoStore<2>> {
-    let mut v: Vec<GeoStore<2>> = Backend::all()
-        .into_iter()
-        .map(|b| GeoStore::builder().backend(b).build())
-        .collect();
-    v.push(GeoStore::builder().backend(Backend::Oracle).build());
-    v
+fn oracle_store() -> GeoStore<2> {
+    GeoStore::builder().backend(Backend::Oracle).build()
+}
+
+/// The serving configurations the oracle is compared with: the default
+/// store, and the default with a BDL buffer small enough that these
+/// streams run through many cascade levels rather than one or two.
+fn serving() -> [(&'static str, GeoStoreBuilder<2>); 2] {
+    let default = GeoStore::builder();
+    [
+        ("bdl", default.clone()),
+        ("bdl-x32", default.buffer_size(32)),
+    ]
 }
 
 #[test]
 fn all_backends_serve_identical_digests() {
     let pts = points(2_000, 31);
     let reqs = script(&pts);
-    let mut all: Vec<(&'static str, Vec<GeoResult<Response<2>>>)> = Vec::new();
-    for mut store in stores() {
-        let name = store.backend().label();
-        all.push((name, store.execute(&reqs)));
-    }
-    let (ref_name, ref_responses) = &all[0];
-    let want = digest_responses(ref_responses);
-    for (name, responses) in &all[1..] {
+    let want = oracle_store().execute(&reqs);
+    for (name, builder) in serving() {
+        let mut store = builder.build();
+        assert_eq!(store.backend(), Backend::Bdl);
+        let got = store.execute(&reqs);
         assert_eq!(
-            digest_responses(responses),
-            want,
-            "{name} digest diverged from {ref_name}"
+            digest_responses(&got),
+            digest_responses(&want),
+            "{name} digest diverged from the oracle"
         );
-        // Derived structures are computed from the store mirror (identical
-        // across backends), so those responses must be *exactly* equal.
-        for (i, (a, b)) in ref_responses.iter().zip(responses).enumerate() {
+        // Spatial answers follow the deterministic (distance², id) and
+        // sorted-ids contracts and derived structures are computed from
+        // the store mirror, so every response must be *exactly* equal.
+        for (i, (a, b)) in want.iter().zip(&got).enumerate() {
             match (a, b) {
-                (Ok(Response::Knn(_)), Ok(Response::Knn(_))) => {} // ids checked via digest
-                (Ok(Response::Stats(_)), Ok(Response::Stats(_))) => {} // backend-specific
+                (Ok(Response::Stats(a)), Ok(Response::Stats(b))) => {
+                    // Arena sizes are the index's own; the rest is shared.
+                    assert_eq!(a.write_epoch, b.write_epoch, "{name} response {i}");
+                    assert_eq!(a.cache, b.cache, "{name} response {i}");
+                    assert_eq!(a.snapshot.live, b.snapshot.live, "{name} response {i}");
+                }
                 _ => assert_eq!(a, b, "{name} response {i} diverged"),
             }
         }
     }
+}
+
+#[test]
+fn default_store_is_the_bdl_store() {
+    // `builder().build()` and `.backend(Backend::Bdl)` are one
+    // configuration: same backend, same answers, same statistics.
+    let spec = WorkloadSpec::store_presets(2_000)
+        .into_iter()
+        .find(|s| s.name == "mixed-serving")
+        .expect("mixed-serving preset");
+    let w: Workload<2> = spec.generate();
+    let mut default: GeoStore<2> = GeoStore::builder().build();
+    let mut named: GeoStore<2> = GeoStore::builder().backend(Backend::Bdl).build();
+    assert_eq!(default.backend(), Backend::Bdl);
+    let (a, b) = (
+        run_store_workload(&mut default, &w),
+        run_store_workload(&mut named, &w),
+    );
+    assert_eq!(a.backend, "bdl");
+    assert_eq!(a.digest, b.digest);
+    assert_eq!(
+        (a.final_live, a.errors, a.ops),
+        (b.final_live, b.errors, b.ops)
+    );
+    assert_eq!(default.stats(), named.stats());
+    assert!(default.stats().snapshot.nodes > 0, "the stream built trees");
 }
 
 #[test]
@@ -183,7 +217,7 @@ fn memoization_hits_between_writes_and_invalidates_on_them() {
 
 #[test]
 fn typed_errors_are_identical_across_backends() {
-    for backend in Backend::all() {
+    for backend in [Backend::Bdl, Backend::Oracle] {
         let mut store: GeoStore<2> = GeoStore::builder().backend(backend).build();
         let name = backend.label();
         assert_eq!(
@@ -306,11 +340,15 @@ fn typed_errors_are_identical_across_backends() {
 #[test]
 fn hull3d_served_in_three_dimensions() {
     let pts = pargeo::datagen::uniform_cube::<3>(800, 36);
-    let mut store: GeoStore<3> = GeoStore::builder().backend(Backend::Zd).build();
+    let mut store: GeoStore<3> = GeoStore::builder().build();
     store.insert(&pts);
     let hull = store.hull().unwrap();
     let want = try_hull3d(&pts).unwrap();
     assert_eq!(hull, want.vertices);
+    // The 3D index itself answers like the oracle's.
+    let mut oracle: GeoStore<3> = GeoStore::builder().backend(Backend::Oracle).build();
+    oracle.insert(&pts);
+    assert_eq!(store.knn(&pts[..20], 4), oracle.knn(&pts[..20], 4));
 
     // Coplanar 3D input: typed degenerate error through the store path.
     let mut flat: GeoStore<3> = GeoStore::builder().build();
@@ -329,31 +367,28 @@ fn hull3d_served_in_three_dimensions() {
 
 #[test]
 fn sharded_stores_are_digest_identical_for_every_backend_and_preset() {
-    // The acceptance sweep: for every backend and every store preset,
-    // GeoStore with S ∈ {1, 2, 8} shards produces bit-identical workload
-    // digests to the unsharded store and to the oracle store.
+    // The acceptance sweep: for every store preset, GeoStore with
+    // S ∈ {1, 2, 8} shards produces bit-identical workload digests to the
+    // unsharded store and to the oracle store.
     for mut spec in WorkloadSpec::store_presets(1_600) {
         spec.batch_size = spec.batch_size.min(100);
         let w: Workload<2> = spec.generate();
-        let mut oracle: GeoStore<2> = GeoStore::builder().backend(Backend::Oracle).build();
-        let want = run_store_workload(&mut oracle, &w);
-        for backend in Backend::all() {
-            let mut base = GeoStore::builder().backend(backend).build();
-            let b = run_store_workload(&mut base, &w);
+        let want = run_store_workload(&mut oracle_store(), &w);
+        for (name, builder) in serving() {
+            let b = run_store_workload(&mut builder.clone().build(), &w);
             assert_eq!(b.shards, 1);
             assert_eq!(
                 b.digest, want.digest,
-                "{} unsharded vs oracle on {}",
-                b.backend, spec.name
+                "{name} unsharded vs oracle on {}",
+                spec.name
             );
             for s in [1usize, 2, 8] {
-                let mut store = GeoStore::builder().backend(backend).shards(s).build();
-                let r = run_store_workload(&mut store, &w);
+                let r = run_store_workload(&mut builder.clone().shards(s).build(), &w);
                 assert_eq!(r.shards, s, "1/2/8 are powers of two already");
                 assert_eq!(
                     r.digest, want.digest,
-                    "{} S={s} digest diverged on {}",
-                    r.backend, spec.name
+                    "{name} S={s} digest diverged on {}",
+                    spec.name
                 );
                 assert_eq!(r.errors, want.errors, "{} S={s}", spec.name);
                 assert_eq!(r.final_live, want.final_live, "{} S={s}", spec.name);
@@ -366,26 +401,25 @@ fn sharded_stores_are_digest_identical_for_every_backend_and_preset() {
 #[test]
 fn sharded_execute_matches_the_scripted_stream_exactly() {
     // The scripted mixed stream (every Request variant) through sharded
-    // stores: responses must be exactly those of the unsharded store.
+    // stores: responses must be exactly those of the unsharded oracle
+    // store.
     let pts = points(2_000, 38);
     let reqs = script(&pts);
-    for backend in Backend::all() {
-        let mut base = GeoStore::builder().backend(backend).build();
-        let want = base.execute(&reqs);
+    let want = oracle_store().execute(&reqs);
+    for (name, builder) in serving() {
         for s in [2usize, 8] {
-            let mut store = GeoStore::builder().backend(backend).shards(s).build();
+            let mut store = builder.clone().shards(s).build();
             let responses = store.execute(&reqs);
             assert_eq!(store.shard_count(), s);
             assert_eq!(
                 digest_responses(&responses),
                 digest_responses(&want),
-                "{} S={s} digest",
-                backend.label()
+                "{name} S={s} digest"
             );
             for (i, (a, b)) in want.iter().zip(&responses).enumerate() {
                 match (a, b) {
                     (Ok(Response::Stats(_)), Ok(Response::Stats(_))) => {} // index-internal
-                    _ => assert_eq!(a, b, "{} S={s} response {i}", backend.label()),
+                    _ => assert_eq!(a, b, "{name} S={s} response {i}"),
                 }
             }
         }
@@ -435,38 +469,34 @@ fn incremental_maintenance_is_bit_identical_across_backends_and_shards() {
     // The tentpole's acceptance sweep: the delta-maintaining store (the
     // default) must answer the scripted mixed stream — fresh computes,
     // insert-only epochs, delete-forced rebuilds — bit-identically to a
-    // wholesale-recompute store, for every backend and shard count.
+    // wholesale-recompute oracle store, at every shard count.
     let pts = points(2_000, 39);
     let reqs = script(&pts);
-    for backend in Backend::all() {
-        let mut plain = GeoStore::<2>::builder()
-            .backend(backend)
-            .incremental(false)
-            .build();
-        let want = plain.execute(&reqs);
-        assert_eq!(
-            plain.stats().cache.incremental,
-            0,
-            "wholesale baseline must never take the delta path"
-        );
+    let mut plain = GeoStore::<2>::builder()
+        .backend(Backend::Oracle)
+        .incremental(false)
+        .build();
+    let want = plain.execute(&reqs);
+    assert_eq!(
+        plain.stats().cache.incremental,
+        0,
+        "wholesale baseline must never take the delta path"
+    );
+    for (name, builder) in serving() {
         for shards in [1usize, 4] {
-            let mut store = GeoStore::<2>::builder()
-                .backend(backend)
-                .shards(shards)
-                .build();
+            let mut store = builder.clone().shards(shards).build();
             let responses = store.execute(&reqs);
             assert_eq!(
                 digest_responses(&responses),
                 digest_responses(&want),
-                "{} S={shards}: incremental digest != wholesale digest",
-                backend.label()
+                "{name} S={shards}: incremental digest != wholesale digest"
             );
             for (i, (a, b)) in want.iter().zip(&responses).enumerate() {
                 match (a, b) {
                     // Cache counters legitimately differ between the two
                     // maintenance modes; everything else is bit-for-bit.
                     (Ok(Response::Stats(_)), Ok(Response::Stats(_))) => {}
-                    _ => assert_eq!(a, b, "{} S={shards} response {i}", backend.label()),
+                    _ => assert_eq!(a, b, "{name} S={shards} response {i}"),
                 }
             }
         }
@@ -490,7 +520,7 @@ fn degenerate_live_views_after_deletes_stay_typed_for_every_kind() {
             s.delaunay_graph(),
         )
     };
-    for backend in Backend::all() {
+    for backend in [Backend::Bdl, Backend::Oracle] {
         let name = backend.label();
         let grid: Vec<Point2> = (0..36)
             .map(|i| Point2::new([(i % 6) as f64, (i / 6) as f64]))
@@ -700,20 +730,13 @@ fn workload_replay_digests_agree_across_backends() {
     let w: Workload<2> = spec.generate();
     assert!(w.derived_count() > 0, "preset generated no analytics ops");
 
-    let mut reports: Vec<StoreReport> = Vec::new();
-    for backend in Backend::all() {
-        let mut store = GeoStore::builder().backend(backend).build();
-        reports.push(run_store_workload(&mut store, &w));
-    }
-    let mut oracle = GeoStore::builder().backend(Backend::Oracle).build();
-    reports.push(run_store_workload(&mut oracle, &w));
-
-    let want = &reports[3];
-    for r in &reports[..3] {
-        assert_eq!(r.digest, want.digest, "{} digest", r.backend);
-        assert_eq!(r.final_live, want.final_live, "{}", r.backend);
-        assert_eq!(r.errors, want.errors, "{}", r.backend);
-        assert_eq!(r.ops, want.ops, "{}", r.backend);
+    let want = run_store_workload(&mut oracle_store(), &w);
+    for (name, builder) in serving() {
+        let r = run_store_workload(&mut builder.build(), &w);
+        assert_eq!(r.digest, want.digest, "{name} digest");
+        assert_eq!(r.final_live, want.final_live, "{name}");
+        assert_eq!(r.errors, want.errors, "{name}");
+        assert_eq!(r.ops, want.ops, "{name}");
     }
 }
 
@@ -723,7 +746,7 @@ fn duplicate_victims_within_and_across_delete_runs_count_once() {
     // list, which relies on every dying id being claimed exactly once: a
     // value named twice in one request, again by a later request of the
     // same coalesced run, and again by a later run must be counted by the
-    // first claimant only — on every backend, sharded or not.
+    // first claimant only — on the oracle and the BDL-tree, sharded or not.
     let pts = points(600, 37);
     let (a, b, c) = (pts[0], pts[1], pts[2]);
     let mut initial = pts.clone();
@@ -743,7 +766,7 @@ fn duplicate_victims_within_and_across_delete_runs_count_once() {
         other => panic!("not a delete response: {other:?}"),
     };
     let mut want: Option<Vec<GeoResult<Response<2>>>> = None;
-    for backend in [Backend::Oracle, Backend::DynKd, Backend::Bdl, Backend::Zd] {
+    for backend in [Backend::Oracle, Backend::Bdl] {
         for shards in [1usize, 4] {
             let mut store = GeoStore::<2>::builder()
                 .backend(backend)
