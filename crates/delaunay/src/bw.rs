@@ -1,11 +1,11 @@
-//! Bowyer–Watson drivers: sequential (Morton/BRIO order) and the parallel
-//! reservation-based batch insertion.
+//! Bowyer–Watson drivers over the [`TriMesh`] kernel: sequential (Morton
+//! order) and the parallel reservation-based batch insertion.
 
-use crate::tri::TriMesh;
+use crate::tri::{Cavity, TriMesh};
 use pargeo_geometry::{GeoError, GeoResult, Point2};
 use pargeo_parlay as parlay;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 const EMPTY: usize = usize::MAX;
 
@@ -29,47 +29,46 @@ impl Delaunay {
     }
 }
 
-/// Sequential Bowyer–Watson, inserting in Morton order (a BRIO-style
-/// locality order that keeps point-location walks short).
-pub fn delaunay_seq(points: &[Point2]) -> Delaunay {
-    let mut mesh = TriMesh::new(points);
-    let n = points.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
+/// Rejects NaN and infinite coordinates, which no predicate orders.
+pub(crate) fn check_finite(points: &[Point2]) -> GeoResult<()> {
+    if points
+        .iter()
+        .any(|p| !(p[0].is_finite() && p[1].is_finite()))
     {
-        let mut pts = points.to_vec();
-        let ids = pargeo_morton::morton_sort(&mut pts);
-        order.copy_from_slice(&ids);
+        return Err(GeoError::BadParameter {
+            op: "delaunay",
+            what: "non-finite coordinate",
+        });
     }
-    let mut tri_of: Vec<u32> = vec![0; n];
-    mesh.tris[0].pts = order.clone();
-    for &q in &order {
-        let t0 = tri_of[q as usize];
-        if !mesh.tris[t0 as usize].alive {
-            // Stale only if q duplicates an inserted vertex whose cavity
-            // consumed the triangle — re-locate among alive triangles is
-            // unnecessary because redistribution keeps refs fresh.
-            unreachable!("conflict list kept tri_of fresh");
-        }
-        if mesh.is_vertex_of(t0, q) {
-            continue; // duplicate point
-        }
-        let region = mesh.conflict_region(t0, q);
-        let new_tris = mesh.insert_vertex(q, &region);
-        for &dead in &region {
-            let pts = std::mem::take(&mut mesh.tris[dead as usize].pts);
-            for t in pts {
-                if t == q {
-                    continue;
-                }
-                if let Some(&nt) = new_tris.iter().find(|&&nt| mesh.contains(nt, t)) {
-                    tri_of[t as usize] = nt;
-                    mesh.tris[nt as usize].pts.push(t);
-                } else {
-                    debug_assert!(false, "cavity must cover its points");
-                }
-            }
-        }
+    Ok(())
+}
+
+/// The input checks shared by the fallible entry points.
+pub(crate) fn check_input(points: &[Point2]) -> GeoResult<()> {
+    if points.is_empty() {
+        return Err(GeoError::EmptyInput { op: "delaunay" });
     }
+    if points.len() < 3 {
+        return Err(GeoError::TooFewPoints {
+            op: "delaunay",
+            needed: 3,
+            got: points.len(),
+        });
+    }
+    check_finite(points)
+}
+
+/// Sequential Bowyer–Watson, inserting in Morton order (a BRIO-style
+/// locality order). Inputs [`try_delaunay`] rejects give no triangles.
+pub fn delaunay_seq(points: &[Point2]) -> Delaunay {
+    if check_input(points).is_err() {
+        return Delaunay {
+            triangles: Vec::new(),
+        };
+    }
+    let mut mesh = TriMesh::with_points(points);
+    let order = pargeo_morton::morton_sort(&mut points.to_vec());
+    mesh.insert_all(order, f64::INFINITY);
     Delaunay {
         triangles: mesh.extract(),
     }
@@ -81,20 +80,11 @@ pub fn delaunay(points: &[Point2]) -> Delaunay {
 }
 
 /// Non-panicking Delaunay triangulation: rejects inputs that admit no
-/// full-dimensional triangulation — empty, fewer than three points, or all
-/// points collinear/coincident — with a typed [`GeoError`] instead of
-/// returning an empty triangle list.
+/// full-dimensional triangulation — empty, fewer than three points, a
+/// non-finite coordinate, or all points collinear/coincident — with a
+/// typed [`GeoError`] instead of returning an empty triangle list.
 pub fn try_delaunay(points: &[Point2]) -> GeoResult<Delaunay> {
-    if points.is_empty() {
-        return Err(GeoError::EmptyInput { op: "delaunay" });
-    }
-    if points.len() < 3 {
-        return Err(GeoError::TooFewPoints {
-            op: "delaunay",
-            needed: 3,
-            got: points.len(),
-        });
-    }
+    check_input(points)?;
     let d = delaunay(points);
     if d.is_empty() {
         return Err(GeoError::Degenerate {
@@ -105,60 +95,56 @@ pub fn try_delaunay(points: &[Point2]) -> GeoResult<Delaunay> {
     Ok(d)
 }
 
-struct Plan {
-    q: u32,
-    region: Vec<u32>,
-    boundary: Vec<u32>,
-    duplicate: bool,
-}
-
 /// Parallel reservation-based Delaunay with an explicit permutation seed.
+/// Inputs [`try_delaunay`] rejects give no triangles.
+///
+/// Each round, a prefix of the uninserted points computes its cavities on
+/// the shared mesh and priority-writes its rank onto every slot a re-star
+/// would touch; the points that hold all their reservations own disjoint
+/// slot sets, so their cavities are re-starred in place and their
+/// conflict lists redistributed independently. The conflict lists, the
+/// point → triangle map and the reservations are side tables of this
+/// driver, indexed like the mesh's slab.
 pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
     let n = points.len();
-    if n < 3 {
+    if check_input(points).is_err() {
         return Delaunay {
             triangles: Vec::new(),
         };
     }
-    let mut mesh = TriMesh::new(points);
-    let mut reservations: Vec<AtomicUsize> = vec![AtomicUsize::new(EMPTY)];
+    let mut mesh = TriMesh::with_points(points);
     let order = parlay::random_permutation(n, seed);
-    let mut tri_of: Vec<u32> = vec![0; n];
+    let mut reservations: Vec<AtomicUsize> = vec![AtomicUsize::new(EMPTY)];
+    // Uninserted points lying inside each triangle, and the inverse map.
+    // `tri_of` is written by the winners of a round in parallel (each
+    // point by the one winner whose cavity held it) and read in the next
+    // round; the fork-join between phases orders the two, so `Relaxed`.
+    let mut conf: Vec<Vec<u32>> = vec![order.clone()];
+    let tri_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
     let mut alive_pt: Vec<bool> = vec![true; n];
-    mesh.tris[0].pts = order.clone();
     let mut p: Vec<u32> = order;
 
     while !p.is_empty() {
-        let r = round_size(mesh.alive_count, parlay::num_threads(), p.len());
+        let r = round_size(mesh.v.len(), parlay::num_threads(), p.len());
         let batch = &p[..r];
-        // Phase A: conflict regions + reservations.
-        let plans: Vec<Plan> = batch
+        // Phase A: conflict cavities + reservations (`None` = duplicate).
+        let plans: Vec<Option<Cavity>> = batch
             .par_iter()
             .enumerate()
             .map(|(rank, &q)| {
-                let t0 = tri_of[q as usize];
+                let t0 = tri_of[q as usize].load(Ordering::Relaxed);
                 if mesh.is_vertex_of(t0, q) {
-                    return Plan {
-                        q,
-                        region: Vec::new(),
-                        boundary: Vec::new(),
-                        duplicate: true,
-                    };
+                    return None;
                 }
-                let region = mesh.conflict_region(t0, q);
-                let boundary = mesh.boundary_of(&region);
-                for &t in region.iter().chain(&boundary) {
+                let mut cav = Cavity::default();
+                mesh.cavity(t0, q, &mut cav);
+                for t in cav.touched() {
                     let slot = &reservations[t as usize];
                     if slot.load(Ordering::Relaxed) > rank {
                         slot.fetch_min(rank, Ordering::Relaxed);
                     }
                 }
-                Plan {
-                    q,
-                    region,
-                    boundary,
-                    duplicate: false,
-                }
+                Some(cav)
             })
             .collect();
         // Phase A': winners.
@@ -166,77 +152,64 @@ pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
             .par_iter()
             .enumerate()
             .map(|(rank, pl)| {
-                !pl.duplicate
-                    && pl
-                        .region
-                        .iter()
-                        .chain(&pl.boundary)
-                        .all(|&t| reservations[t as usize].load(Ordering::Relaxed) == rank)
+                pl.as_ref().is_some_and(|cav| {
+                    cav.touched()
+                        .all(|t| reservations[t as usize].load(Ordering::Relaxed) == rank)
+                })
             })
             .collect();
-        // Phase B: sequential surgery per winner.
-        let mut winners: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (rank, pl) in plans.iter().enumerate() {
-            if pl.duplicate {
-                alive_pt[pl.q as usize] = false;
-                continue;
+        // Phase B: sequential surgery per winner, remembering the slots of
+        // its new triangles (the cavity's own plus two fresh ones).
+        let mut winners: Vec<(u32, &Cavity, Vec<u32>)> = Vec::new();
+        for ((&q, pl), &won) in batch.iter().zip(&plans).zip(&success) {
+            match pl {
+                None => alive_pt[q as usize] = false,
+                Some(cav) if won => {
+                    let fresh = mesh.restar(q, cav);
+                    alive_pt[q as usize] = false;
+                    winners.push((q, cav, cav.region.iter().copied().chain(fresh).collect()));
+                }
+                Some(_) => {}
             }
-            if !success[rank] {
-                continue;
-            }
-            let new_tris = mesh.insert_vertex(pl.q, &pl.region);
-            while reservations.len() < mesh.tris.len() {
-                reservations.push(AtomicUsize::new(EMPTY));
-            }
-            alive_pt[pl.q as usize] = false;
-            winners.push((rank, new_tris));
         }
-        // Phase C: parallel redistribution by containment.
-        {
-            let tris_ptr = SendPtr(mesh.tris.as_mut_ptr());
-            let tri_of_ptr = SendPtr(tri_of.as_mut_ptr());
-            let plans_ref = &plans;
-            let mesh_points: &[Point2] = &mesh.points;
-            winners.par_iter().for_each(|(rank, new_tris)| {
-                let (tris_ptr, tri_of_ptr) = (tris_ptr, tri_of_ptr);
-                let pl = &plans_ref[*rank];
-                // SAFETY: the reservation gives this winner exclusive
-                // ownership of its cavity triangles, the new triangles, and
-                // the points in the cavity's conflict lists.
-                unsafe {
-                    for &dead in &pl.region {
-                        let pts = std::mem::take(&mut (*tris_ptr.0.add(dead as usize)).pts);
-                        for t in pts {
-                            if t == pl.q {
-                                continue;
-                            }
-                            let mut placed = false;
-                            for &nt in new_tris {
-                                if contains_raw(mesh_points, tris_ptr.0, nt, t) {
-                                    *tri_of_ptr.0.add(t as usize) = nt;
-                                    (*tris_ptr.0.add(nt as usize)).pts.push(t);
-                                    placed = true;
-                                    break;
-                                }
-                            }
-                            debug_assert!(placed, "cavity must cover its points");
-                            if !placed {
-                                // Defensive: drop rather than corrupt.
-                                *tri_of_ptr.0.add(t as usize) = u32::MAX;
-                            }
+        reservations.resize_with(mesh.v.len(), || AtomicUsize::new(EMPTY));
+        conf.resize_with(mesh.v.len(), Vec::new);
+        // Phase C: parallel redistribution by containment. Each winner
+        // reads the lists of its cavity and builds those of its new
+        // triangles, which then replace them slot by slot.
+        let moved: Vec<Vec<Vec<u32>>> = winners
+            .par_iter()
+            .map(|(q, cav, slots)| {
+                let mut lists = vec![Vec::new(); slots.len()];
+                let pending = cav.region.iter().flat_map(|&dead| &conf[dead as usize]);
+                for &t in pending.filter(|&t| t != q) {
+                    let home = slots.iter().position(|&nt| mesh.contains(nt, t));
+                    debug_assert!(home.is_some(), "cavity must cover its points");
+                    match home {
+                        Some(i) => {
+                            tri_of[t as usize].store(slots[i], Ordering::Relaxed);
+                            lists[i].push(t);
                         }
+                        // Defensive: drop rather than corrupt.
+                        None => tri_of[t as usize].store(u32::MAX, Ordering::Relaxed),
                     }
                 }
-            });
+                lists
+            })
+            .collect();
+        for ((_, _, slots), lists) in winners.iter().zip(moved) {
+            for (&slot, list) in slots.iter().zip(lists) {
+                conf[slot as usize] = list;
+            }
         }
         // Phase D: reset + pack.
         plans.par_iter().for_each(|pl| {
-            for &t in pl.region.iter().chain(&pl.boundary) {
+            for t in pl.iter().flat_map(Cavity::touched) {
                 reservations[t as usize].store(EMPTY, Ordering::Relaxed);
             }
         });
         p = parlay::filter(&p, |&t| {
-            alive_pt[t as usize] && tri_of[t as usize] != u32::MAX
+            alive_pt[t as usize] && tri_of[t as usize].load(Ordering::Relaxed) != u32::MAX
         });
     }
     Delaunay {
@@ -255,26 +228,6 @@ fn round_size(alive_tris: usize, threads: usize, remaining: usize) -> usize {
     let adaptive = (remaining / 8).min(alive_tris / 8);
     floor.max(adaptive).min(remaining)
 }
-
-#[inline]
-unsafe fn contains_raw(points: &[Point2], tris: *const crate::tri::Tri, t: u32, q: u32) -> bool {
-    let v = unsafe { &(*tris.add(t as usize)).v };
-    let p = &points[q as usize];
-    (0..3).all(|i| {
-        pargeo_geometry::orient2d(&points[v[i] as usize], &points[v[(i + 1) % 3] as usize], p)
-            != pargeo_geometry::Orientation::Negative
-    })
-}
-
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

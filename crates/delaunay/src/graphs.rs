@@ -27,31 +27,29 @@ pub fn delaunay_edges(d: &Delaunay) -> Vec<(u32, u32)> {
 /// adjacent triangle lies outside (or on) the circle with `uv` as diameter,
 /// i.e. the angle it subtends at the opposite vertex is at most 90°.
 pub fn gabriel_graph(points: &[Point2], d: &Delaunay) -> Vec<(u32, u32)> {
-    use std::collections::HashMap;
-    // edge -> opposite vertices (1 for hull edges, 2 for interior).
-    let mut opposite: HashMap<(u32, u32), Vec<u32>> = HashMap::new();
+    // (edge, opposite vertex), sorted: each edge becomes one run of length
+    // 1 (hull edge) or 2 (interior), and the output comes out sorted.
+    let mut opposite: Vec<((u32, u32), u32)> = Vec::with_capacity(3 * d.len());
     for t in &d.triangles {
         for i in 0..3 {
             let (a, b) = (t[i], t[(i + 1) % 3]);
-            let w = t[(i + 2) % 3];
-            opposite.entry((a.min(b), a.max(b))).or_default().push(w);
+            opposite.push(((a.min(b), a.max(b)), t[(i + 2) % 3]));
         }
     }
-    let mut out: Vec<(u32, u32)> = opposite
-        .into_iter()
-        .filter(|((u, v), opps)| {
-            let pu = points[*u as usize];
-            let pv = points[*v as usize];
-            opps.iter().all(|&w| {
-                let pw = points[w as usize];
-                // w strictly inside the diametral circle ⇔ angle(u,w,v) > 90°
-                // ⇔ (u - w)·(v - w) < 0.
-                (pu - pw).dot(&(pv - pw)) >= 0.0
-            })
-        })
-        .map(|(e, _)| e)
-        .collect();
-    out.sort_unstable();
+    opposite.sort_unstable();
+    let mut out = Vec::new();
+    for run in opposite.chunk_by(|x, y| x.0 == y.0) {
+        let (u, v) = run[0].0;
+        let (pu, pv) = (points[u as usize], points[v as usize]);
+        // w strictly inside the diametral circle ⇔ angle(u,w,v) > 90°
+        // ⇔ (u - w)·(v - w) < 0.
+        if run.iter().all(|&(_, w)| {
+            let pw = points[w as usize];
+            (pu - pw).dot(&(pv - pw)) >= 0.0
+        }) {
+            out.push((u, v));
+        }
+    }
     out
 }
 

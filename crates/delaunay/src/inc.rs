@@ -3,13 +3,16 @@
 //! [`DelaunayIncremental`] keeps the Bowyer–Watson mesh of a growing
 //! *prefix* of a point slice alive across insert batches. Determinism is
 //! the whole point: after inserting a fixed point sequence into a fixed
-//! super-triangle, the alive triangle **set** is uniquely determined —
-//! each insertion removes exactly the (connected) set of triangles whose
+//! super-triangle, the triangle **set** is uniquely determined — each
+//! insertion removes exactly the (connected) set of triangles whose
 //! circumcircle strictly contains the new point and stars the cavity —
 //! so [`DelaunayIncremental::edges`] after any batch schedule is
 //! bit-identical to a fresh index-order build over the same prefix, even
 //! on maximally cocircular inputs where the triangulation itself is not
-//! unique.
+//! unique. For the same reason nothing the kernel does to be fast can
+//! show in an answer: which triangle a location walk starts from, and
+//! which slab slots a cavity's new triangles land in, choose among
+//! representations of the same set.
 //!
 //! Two preconditions guard that equivalence:
 //!
@@ -20,10 +23,15 @@
 //! - batches append in index order, matching the canonical full build
 //!   ([`DelaunayIncremental::try_build`], which the store also uses for
 //!   its full recomputes).
+//!
+//! A build *is* a batch: `try_build` makes an empty mesh over the bbox
+//! and runs the same insertion loop over `0..n` that a batch runs over
+//! its own ids, so a 500-point advance costs 500 insertions — appending
+//! points rewrites no triangle and the slab holds no dead slot to skip.
 
-use crate::bw::Delaunay;
+use crate::bw::{check_finite, check_input, Delaunay};
 use crate::tri::TriMesh;
-use pargeo_geometry::{orient2d, Bbox, GeoError, GeoResult, Orientation, Point2};
+use pargeo_geometry::{Bbox, GeoError, GeoResult, Point2};
 
 /// What a batch insert did to the maintained triangulation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,8 +50,9 @@ pub enum DelaunayBatchOutcome {
         killed: usize,
     },
     /// A batch point falls outside the bbox the super-triangle was built
-    /// from; applying it would diverge from a fresh build. The engine is
-    /// left untouched — the caller should rebuild.
+    /// from; applying it would diverge from a fresh build. Decided before
+    /// anything is applied: the engine is left untouched and usable — the
+    /// caller should rebuild.
     OutsideBounds,
 }
 
@@ -54,8 +63,6 @@ pub struct DelaunayIncremental {
     mesh: TriMesh,
     /// Bbox of the prefix the super-triangle was derived from.
     bbox: Bbox<2>,
-    /// Hint triangle for point-location walks.
-    hint: u32,
     /// Set when a batch aborted mid-flight; the mesh is incomplete.
     poisoned: bool,
 }
@@ -65,67 +72,16 @@ impl DelaunayIncremental {
     /// canonical schedule batches resume), with the same typed errors as
     /// [`try_delaunay`](crate::try_delaunay).
     pub fn try_build(points: &[Point2]) -> GeoResult<Self> {
-        if points.is_empty() {
-            return Err(GeoError::EmptyInput { op: "delaunay" });
-        }
-        if points.len() < 3 {
-            return Err(GeoError::TooFewPoints {
-                op: "delaunay",
-                needed: 3,
-                got: points.len(),
-            });
-        }
-        let mut bbox = Bbox::empty();
-        for p in points {
-            bbox.extend(p);
-        }
+        check_input(points)?;
+        let bbox = Bbox::from_points(points);
         let mut eng = DelaunayIncremental {
-            mesh: TriMesh::new(points),
+            mesh: TriMesh::new(&bbox),
             bbox,
-            hint: 0,
             poisoned: false,
         };
-        // Conflict-list insertion (as in `delaunay_seq`) in index order:
-        // every uninserted point tracks one triangle containing it, so no
-        // location walks are needed during the build.
-        let n = points.len();
-        let mut tri_of: Vec<u32> = vec![0; n];
-        eng.mesh.tris[0].pts = (0..n as u32).collect();
-        for q in 0..n as u32 {
-            let mut t0 = tri_of[q as usize];
-            if !eng.mesh.tris[t0 as usize].alive {
-                // Redistribution keeps `tri_of` fresh; this is a defensive
-                // re-location, never expected to run.
-                match eng.locate(q) {
-                    Some(t) => t0 = t,
-                    None => continue,
-                }
-            }
-            if eng.mesh.is_vertex_of(t0, q) {
-                continue; // duplicate point collapses onto the first copy
-            }
-            let region = eng.mesh.conflict_region(t0, q);
-            let new_tris = eng.mesh.insert_vertex(q, &region);
-            eng.hint = *new_tris.last().expect("cavity produces triangles");
-            for &dead in &region {
-                let pts = std::mem::take(&mut eng.mesh.tris[dead as usize].pts);
-                for t in pts {
-                    if t == q {
-                        continue;
-                    }
-                    if let Some(&nt) = new_tris.iter().find(|&&nt| eng.mesh.contains(nt, t)) {
-                        tri_of[t as usize] = nt;
-                        eng.mesh.tris[nt as usize].pts.push(t);
-                    }
-                }
-            }
-        }
-        // Drop leftover conflict lists (uninserted duplicates); batch
-        // appends locate by walking instead.
-        for t in &mut eng.mesh.tris {
-            t.pts = Vec::new();
-        }
-        if eng.mesh.extract().is_empty() {
+        eng.mesh.append_points(points);
+        eng.mesh.insert_all(0..points.len() as u32, f64::INFINITY);
+        if eng.mesh.real_tris().next().is_none() {
             return Err(GeoError::Degenerate {
                 op: "delaunay",
                 what: "collinear",
@@ -136,130 +92,62 @@ impl DelaunayIncremental {
 
     /// Length of the consumed prefix.
     pub fn consumed(&self) -> usize {
-        self.mesh.super_base as usize
+        self.mesh.points.len()
     }
 
     /// Appends `new_pts` (the points after the consumed prefix, in index
     /// order) to the triangulation.
     ///
-    /// Returns [`DelaunayBatchOutcome::DamageExceeded`] — poisoning the
-    /// engine — once more than `max_damage · (alive triangles at batch
-    /// start + 3 · batch size)` triangles have been killed.
+    /// Non-finite coordinates are an error and points outside the built
+    /// bbox are [`DelaunayBatchOutcome::OutsideBounds`]; both are decided
+    /// before anything is applied and leave the engine as it was. Returns
+    /// [`DelaunayBatchOutcome::DamageExceeded`] — poisoning the engine —
+    /// once more than `max_damage · (triangles at batch start + 3 · batch
+    /// size)` triangles have been killed.
     pub fn try_insert_batch(
         &mut self,
         new_pts: &[Point2],
         max_damage: f64,
     ) -> GeoResult<DelaunayBatchOutcome> {
-        if self.poisoned {
-            return Err(GeoError::BadParameter {
-                op: "delaunay_insert_batch",
-                what: "engine poisoned by an aborted batch; rebuild required",
-            });
-        }
+        self.usable("delaunay_insert_batch")?;
+        check_finite(new_pts)?;
         if new_pts.iter().any(|p| !self.bbox.contains(p)) {
             return Ok(DelaunayBatchOutcome::OutsideBounds);
         }
-        let budget = max_damage * (self.mesh.alive_count + 3 * new_pts.len()) as f64;
-        let first = self.mesh.super_base;
+        let budget = max_damage * (self.mesh.v.len() + 3 * new_pts.len()) as f64;
+        let first = self.consumed() as u32;
         self.mesh.append_points(new_pts);
-        if self.hint >= self.mesh.tris.len() as u32 {
-            self.hint = 0;
-        }
-        let mut inserted = 0usize;
-        let mut killed = 0usize;
-        for q in first..first + new_pts.len() as u32 {
-            match self.insert_one(q) {
-                Some(k) => {
-                    killed += k;
-                    if k > 0 {
-                        inserted += 1;
-                    }
-                }
-                None => {
-                    // Locate failed: the mesh no longer encloses q. Treat
-                    // like an out-of-bounds point, but the mesh already
-                    // holds part of the batch — poison it.
-                    self.poisoned = true;
-                    return Ok(DelaunayBatchOutcome::OutsideBounds);
-                }
-            }
-            if killed as f64 > budget {
-                self.poisoned = true;
-                return Ok(DelaunayBatchOutcome::DamageExceeded { killed });
-            }
+        let (inserted, killed, done) = self.mesh.insert_all(first..self.consumed() as u32, budget);
+        if !done {
+            // Over budget. (A point that passed the bbox check cannot fail
+            // to be located; if one did, the run stops the same way — a
+            // half-applied batch is never reported as `OutsideBounds`.)
+            self.poisoned = true;
+            return Ok(DelaunayBatchOutcome::DamageExceeded { killed });
         }
         Ok(DelaunayBatchOutcome::Applied { inserted, killed })
     }
 
-    /// Inserts point `q`, returning the number of triangles its cavity
-    /// killed (0 for a duplicate), or `None` if no triangle contains `q`.
-    fn insert_one(&mut self, q: u32) -> Option<usize> {
-        let t0 = self.locate(q)?;
-        if self.mesh.is_vertex_of(t0, q) {
-            return Some(0); // duplicate point collapses onto the first copy
+    fn usable(&self, op: &'static str) -> GeoResult<&TriMesh> {
+        if self.poisoned {
+            return Err(GeoError::BadParameter {
+                op,
+                what: "engine poisoned by an aborted batch; rebuild required",
+            });
         }
-        let region = self.mesh.conflict_region(t0, q);
-        let killed = region.len();
-        let new_tris = self.mesh.insert_vertex(q, &region);
-        self.hint = *new_tris.last().expect("cavity produces triangles");
-        Some(killed)
-    }
-
-    /// Orientation walk from the hint triangle, with a step cap and an
-    /// exhaustive-scan fallback so location terminates on any mesh (walks
-    /// can cycle on degenerate inputs).
-    fn locate(&mut self, q: u32) -> Option<u32> {
-        let tris = &self.mesh.tris;
-        let mut t = self.hint;
-        if !tris[t as usize].alive {
-            t = tris.iter().position(|t| t.alive)? as u32;
-        }
-        let cap = tris.len();
-        let mut steps = 0usize;
-        'walk: while steps < cap {
-            let tri = &tris[t as usize];
-            for i in 0..3 {
-                let a = &self.mesh.points[tri.v[i] as usize];
-                let b = &self.mesh.points[tri.v[(i + 1) % 3] as usize];
-                if orient2d(a, b, &self.mesh.points[q as usize]) == Orientation::Negative {
-                    let g = tri.nbr[i];
-                    if g == u32::MAX {
-                        break 'walk; // outside the super-triangle
-                    }
-                    t = g;
-                    steps += 1;
-                    continue 'walk;
-                }
-            }
-            self.hint = t;
-            return Some(t);
-        }
-        // Fallback: linear scan (degenerate walk cycle or outside hint).
-        let found =
-            (0..tris.len() as u32).find(|&t| tris[t as usize].alive && self.mesh.contains(t, q));
-        if let Some(t) = found {
-            self.hint = t;
-        }
-        found
+        Ok(&self.mesh)
     }
 
     /// The triangulation over the consumed prefix (real triangles only).
     pub fn triangulation(&self) -> GeoResult<Delaunay> {
-        if self.poisoned {
-            return Err(GeoError::BadParameter {
-                op: "delaunay_extract",
-                what: "engine poisoned by an aborted batch; rebuild required",
-            });
-        }
-        Ok(Delaunay {
-            triangles: self.mesh.extract(),
-        })
+        let triangles = self.usable("delaunay_extract")?.extract();
+        Ok(Delaunay { triangles })
     }
 
     /// Sorted, deduplicated `(min, max)` edge list — the canonical output
     /// the store compares across incremental and full recomputes.
     pub fn edges(&self) -> GeoResult<Vec<(u32, u32)>> {
-        Ok(crate::graphs::delaunay_edges(&self.triangulation()?))
+        Ok(self.usable("delaunay_extract")?.edges())
     }
 }
 
@@ -269,6 +157,7 @@ mod tests {
     use crate::tri::validate_delaunay;
     use crate::try_delaunay;
     use pargeo_datagen::uniform_cube;
+    use proptest::prelude::*;
 
     fn lattice(w: usize) -> Vec<Point2> {
         let mut pts = Vec::new();
@@ -387,6 +276,51 @@ mod tests {
         );
         assert_eq!(eng.edges().unwrap(), edges_before);
         assert_eq!(eng.consumed(), 200);
+        // Also when the offending point comes last in an otherwise fine
+        // batch: refused whole, and the engine stays usable.
+        let inside = Bbox::from_points(&pts).center();
+        assert_eq!(
+            eng.try_insert_batch(&[inside, far[0]], 1.0).unwrap(),
+            DelaunayBatchOutcome::OutsideBounds
+        );
+        assert_eq!(eng.edges().unwrap(), edges_before);
+        assert_eq!(eng.consumed(), 200);
+        assert!(matches!(
+            eng.try_insert_batch(&[inside], 1.0).unwrap(),
+            DelaunayBatchOutcome::Applied { inserted: 1, .. }
+        ));
+        assert_eq!(eng.consumed(), 201);
+    }
+
+    /// NaN and infinite coordinates are refused up front by every
+    /// fallible entry point; a refused batch leaves the engine as it was.
+    #[test]
+    fn non_finite_coordinates_are_rejected() {
+        let refused = GeoError::BadParameter {
+            op: "delaunay",
+            what: "non-finite coordinate",
+        };
+        let good = uniform_cube::<2>(200, 3);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 17, 199] {
+                let mut pts = good.clone();
+                pts[at] = Point2::new([pts[at][0], bad]);
+                assert_eq!(DelaunayIncremental::try_build(&pts).err(), Some(refused));
+                assert_eq!(try_delaunay(&pts).err(), Some(refused));
+                assert!(crate::delaunay(&pts).is_empty());
+                assert!(crate::delaunay_seq(&pts).is_empty());
+            }
+            let mut eng = DelaunayIncremental::try_build(&good).unwrap();
+            let edges_before = eng.edges().unwrap();
+            let batch = [good[5], Point2::new([bad, 0.5]), good[6]];
+            assert_eq!(eng.try_insert_batch(&batch, 1.0).err(), Some(refused));
+            assert_eq!(eng.edges().unwrap(), edges_before);
+            assert_eq!(eng.consumed(), 200);
+            assert!(matches!(
+                eng.try_insert_batch(&good[..9], 1.0).unwrap(),
+                DelaunayBatchOutcome::Applied { inserted: 0, .. }
+            ));
+        }
     }
 
     /// A zero damage budget aborts on the first cavity and poisons the
@@ -401,5 +335,51 @@ mod tests {
         }
         assert!(eng.try_insert_batch(&pts[200..], 1.0).is_err());
         assert!(eng.edges().is_err());
+    }
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// White-box twins of `tests/proptest_inc.rs`, on uniform points
+        /// and on a duplicate-heavy lattice (cocircular quadruples and
+        /// collinear runs everywhere): after every batch the slab holds
+        /// exactly the live mesh — `2m + 1` triangles over `m` distinct
+        /// points, no dead slot — and an engine whose every walk starts
+        /// at slot 0 instead of the hinted triangle holds the same one.
+        #[test]
+        fn slab_has_no_dead_slot_and_the_hint_is_answer_neutral(
+            cells in prop::collection::vec((0i32..12, 0i32..12), 8..200),
+            seed in 0u64..1_000_000,
+            on_lattice in 0u8..2,
+            schedule in prop::collection::vec(1usize..60, 1..8),
+        ) {
+            let pts = with_corner_prefix(if on_lattice == 1 {
+                cells.iter().map(|&(x, y)| Point2::new([x as f64, y as f64])).collect()
+            } else {
+                uniform_cube::<2>(cells.len(), seed)
+            });
+            let bbox = Bbox::from_points(&pts);
+            prop_assume!(bbox.side(0) > 0.0 && bbox.side(1) > 0.0);
+            let mut at = 4;
+            let mut hinted = DelaunayIncremental::try_build(&pts[..at]).unwrap();
+            let mut blind = DelaunayIncremental {
+                mesh: TriMesh::new(&bbox),
+                bbox,
+                poisoned: false,
+            };
+            blind.mesh.no_hint = true;
+            blind.try_insert_batch(&pts[..at], f64::INFINITY).unwrap();
+            for step in schedule {
+                let to = (at + step).min(pts.len());
+                let a = hinted.try_insert_batch(&pts[at..to], f64::INFINITY).unwrap();
+                let b = blind.try_insert_batch(&pts[at..to], f64::INFINITY).unwrap();
+                prop_assert_eq!(a, b);
+                at = to;
+                prop_assert_eq!(hinted.edges().unwrap(), blind.edges().unwrap());
+                let distinct: std::collections::HashSet<[u64; 2]> =
+                    pts[..at].iter().map(|p| p.bits_key()).collect();
+                prop_assert_eq!(hinted.mesh.v.len(), 2 * distinct.len() + 1);
+                prop_assert_eq!(blind.mesh.v.len(), 2 * distinct.len() + 1);
+            }
+        }
     }
 }

@@ -10,6 +10,13 @@
 //! = "inside the circumcircle", which is how ParGeo reuses one parallel
 //! scheme across incremental geometry algorithms.
 //!
+//! All three drivers — the index-order engine [`DelaunayIncremental`],
+//! the Morton-order [`delaunay_seq`] and the parallel [`delaunay`] — share
+//! one kernel: a flat triangle slab that is always exactly the live mesh,
+//! whose cavities are found by a tour of their dual tree and re-starred
+//! in place — no hashing anywhere, and in the sequential drivers no
+//! allocation per insertion.
+//!
 //! The triangulation is seeded with a far-away enclosing super-triangle
 //! whose corners are removed at the end. The corners sit `10⁶ ×` the input
 //! diameter away; with exact predicates this yields the true Delaunay

@@ -146,7 +146,7 @@ pub(crate) enum Engine {
     /// Incremental 2D hull over the compacted live view.
     Hull2(Hull2dIncremental),
     /// Incremental 2D Delaunay over the compacted live view.
-    Delaunay2(DelaunayIncremental),
+    Delaunay2(Box<DelaunayIncremental>),
 }
 
 /// Computes `kind` like [`compute`], additionally returning a delta
@@ -200,7 +200,7 @@ pub(crate) fn compute_full<const D: usize>(
                 Ok(eng) => match eng.edges() {
                     Ok(es) => (
                         Ok(DerivedVal::Graph(remap_edges(&es, ids))),
-                        Some(Engine::Delaunay2(eng)),
+                        Some(Engine::Delaunay2(Box::new(eng))),
                         0,
                     ),
                     Err(e) => (Err(e), None, 0),
@@ -212,40 +212,75 @@ pub(crate) fn compute_full<const D: usize>(
     }
 }
 
+/// Why a maintained structure was rebuilt wholesale instead of advanced —
+/// the `cause` label of `geostore_memo_fallback_total` and of the
+/// `derived_memo` span.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Fallback {
+    /// A delete epoch dropped the engine (deletes shuffle positions).
+    Delete,
+    /// A batch point fell outside the bbox the engine was built on.
+    OutsideBounds,
+    /// The batch tore down more than the damage threshold allows.
+    Damage,
+    /// The engine's consumed prefix is no longer a prefix of the view.
+    AnchorLost,
+    /// The engine answered with an error: poisoned by an aborted batch,
+    /// or handed a batch no build would accept either.
+    Poisoned,
+}
+
+impl Fallback {
+    /// Every cause, in metric-label order.
+    pub(crate) const ALL: [Fallback; 5] = [
+        Fallback::Delete,
+        Fallback::OutsideBounds,
+        Fallback::Damage,
+        Fallback::AnchorLost,
+        Fallback::Poisoned,
+    ];
+
+    pub(crate) fn label(self) -> &'static str {
+        match self {
+            Fallback::Delete => "delete",
+            Fallback::OutsideBounds => "outside_bounds",
+            Fallback::Damage => "damage",
+            Fallback::AnchorLost => "anchor_lost",
+            Fallback::Poisoned => "poisoned",
+        }
+    }
+}
+
 /// Advances a delta engine over the current live view (whose consumed
 /// prefix must be unchanged — the store checks the id anchor before
-/// calling). Returns the new canonical value, or `None` when the engine
-/// declined (damage threshold, bbox growth, shrunken prefix) — the caller
-/// must then drop the engine and recompute wholesale.
+/// calling). Returns the new canonical value, or why the engine declined
+/// — the caller must then drop the engine and recompute wholesale.
 pub(crate) fn advance_engine<const D: usize>(
     engine: &mut Engine,
     ids: &[u32],
     pts: &[Point<D>],
     max_damage: f64,
-) -> Option<DerivedVal<D>> {
+) -> Result<DerivedVal<D>, Fallback> {
+    let p2 = cast_slice::<D, 2>(pts).ok_or(Fallback::AnchorLost)?;
     match engine {
-        Engine::Hull2(h) => {
-            let p2 = cast_slice::<D, 2>(pts)?;
-            match h.try_insert_batch(p2, max_damage) {
-                Ok(HullBatchOutcome::Applied { .. }) => {
-                    let hull = h.hull(p2).ok()?;
-                    Some(DerivedVal::Hull(remap_ids(&hull, ids)))
-                }
-                _ => None,
+        Engine::Hull2(h) => match h.try_insert_batch(p2, max_damage) {
+            Ok(HullBatchOutcome::Applied { .. }) => {
+                let hull = h.hull(p2).map_err(|_| Fallback::Poisoned)?;
+                Ok(DerivedVal::Hull(remap_ids(&hull, ids)))
             }
-        }
+            Ok(HullBatchOutcome::DamageExceeded { .. }) => Err(Fallback::Damage),
+            Err(_) => Err(Fallback::Poisoned),
+        },
         Engine::Delaunay2(d) => {
-            let p2 = cast_slice::<D, 2>(pts)?;
-            let consumed = d.consumed();
-            if consumed > p2.len() {
-                return None;
-            }
-            match d.try_insert_batch(&p2[consumed..], max_damage) {
+            let fresh = p2.get(d.consumed()..).ok_or(Fallback::AnchorLost)?;
+            match d.try_insert_batch(fresh, max_damage) {
                 Ok(DelaunayBatchOutcome::Applied { .. }) => {
-                    let edges = d.edges().ok()?;
-                    Some(DerivedVal::Graph(remap_edges(&edges, ids)))
+                    let edges = d.edges().map_err(|_| Fallback::Poisoned)?;
+                    Ok(DerivedVal::Graph(remap_edges(&edges, ids)))
                 }
-                _ => None,
+                Ok(DelaunayBatchOutcome::DamageExceeded { .. }) => Err(Fallback::Damage),
+                Ok(DelaunayBatchOutcome::OutsideBounds) => Err(Fallback::OutsideBounds),
+                Err(_) => Err(Fallback::Poisoned),
             }
         }
     }
@@ -315,5 +350,20 @@ mod tests {
             }
             other => panic!("wrong variant: {other:?}"),
         }
+    }
+    #[test]
+    fn non_finite_points_fail_the_delaunay_request_with_a_typed_error() {
+        use crate::{GeoStore, Request};
+        let mut pts = uniform_cube::<2>(200, 4);
+        pts[77] = Point::new([pts[77][0], f64::INFINITY]);
+        let mut store = GeoStore::<2>::builder().build();
+        let responses = store.execute(&[Request::Insert(pts), Request::DelaunayGraph]);
+        assert_eq!(
+            responses[1],
+            Err(GeoError::BadParameter {
+                op: "delaunay",
+                what: "non-finite coordinate"
+            })
+        );
     }
 }

@@ -7,7 +7,8 @@
 //! the store is built with [`ObsLevel::Off`] (the default) none of this
 //! exists and the serve path skips a single `Option` branch.
 
-use crate::request::{MemoPath, Request};
+use crate::derived::Fallback;
+use crate::request::{DerivedKind, MemoPath, Request};
 use pargeo_obs::{Counter, Gauge, Histogram, ObsLevel, Registry};
 use std::sync::Arc;
 
@@ -45,6 +46,10 @@ pub(crate) const MEMO_HIT: usize = 3;
 /// Slot of the spared-write-run counter in [`MEMO_PATHS`].
 pub(crate) const MEMO_SPARED: usize = 4;
 
+/// `geostore_memo_fallback_total{kind=..}` label order: the kinds a delta
+/// engine maintains, the only ones that can fall back.
+pub(crate) const MAINTAINED: [DerivedKind; 2] = [DerivedKind::Hull, DerivedKind::DelaunayGraph];
+
 /// Pre-resolved metric handles for one store. Cloned as an `Arc` at the
 /// top of every instrumented method so span guards never borrow `self`.
 pub(crate) struct StoreObs {
@@ -61,6 +66,10 @@ pub(crate) struct StoreObs {
     pub class_nanos: Vec<Arc<Histogram>>,
     /// `geostore_memo_total{path=..}`, indexed by [`MEMO_PATHS`].
     pub memo: Vec<Arc<Counter>>,
+    /// `geostore_memo_fallback_total{kind=.., cause=..}` — why each
+    /// `rebuilt` of `geostore_memo_total` was not an `incremental`:
+    /// [`MAINTAINED`]-major, [`Fallback::ALL`]-minor.
+    memo_fallback: Vec<Arc<Counter>>,
     /// `geostore_write_epochs_total` — epoch bumps applied.
     pub epochs: Arc<Counter>,
     /// `geostore_pinned_views` — snapshots currently pinned (incremented
@@ -117,6 +126,14 @@ impl StoreObs {
             .iter()
             .map(|p| registry.counter("geostore_memo_total", &[("path", p)]))
             .collect();
+        let memo_fallback = MAINTAINED
+            .iter()
+            .flat_map(|kind| Fallback::ALL.map(|cause| (kind.label(), cause.label())))
+            .map(|(kind, cause)| {
+                let labels = [("kind", kind), ("cause", cause)];
+                registry.counter("geostore_memo_fallback_total", &labels)
+            })
+            .collect();
         let epochs = registry.counter("geostore_write_epochs_total", &[]);
         let pinned_views = registry.gauge("geostore_pinned_views", &[]);
         let queue_depth = registry.gauge("geostore_queue_depth", &[]);
@@ -133,6 +150,7 @@ impl StoreObs {
             requests,
             class_nanos,
             memo,
+            memo_fallback,
             epochs,
             pinned_views,
             queue_depth,
@@ -144,6 +162,14 @@ impl StoreObs {
             index_cow_bytes,
             mirror_divergence,
         }
+    }
+
+    /// The fallback counter of a maintained `kind` and `cause`.
+    pub(crate) fn memo_fallback(&self, kind: DerivedKind, cause: Fallback) -> &Counter {
+        let k = MAINTAINED.iter().position(|&m| m == kind);
+        let k = k.expect("only maintained kinds have an engine to fall back from");
+        let c = Fallback::ALL.iter().position(|&c| c == cause);
+        &self.memo_fallback[k * Fallback::ALL.len() + c.expect("every cause is listed")]
     }
 }
 
@@ -226,5 +252,107 @@ mod tests {
         let (total, per_epoch) = exported(true);
         assert!(total > 0 && total < 4 * 4_000, "{total} B");
         assert_eq!(per_epoch, vec![0, total, 0]);
+    }
+    /// Every `rebuilt` says why it was not an `incremental`: on the
+    /// `derived_memo` span and in `geostore_memo_fallback_total`.
+    #[test]
+    fn memo_fallbacks_are_counted_by_cause_and_label_the_span() {
+        use crate::Request;
+        use pargeo_geometry::Point2;
+        let mut pts = vec![
+            Point2::new([-1.0, -1.0]),
+            Point2::new([2.0, -1.0]),
+            Point2::new([2.0, 2.0]),
+            Point2::new([-1.0, 2.0]),
+        ];
+        pts.extend(
+            uniform_cube::<2>(600, 9)
+                .iter()
+                .map(|p| *p * (1.0 / 600f64.sqrt())),
+        );
+        let both = [Request::Hull, Request::DelaunayGraph];
+        let stream: Vec<Request<2>> = [
+            &[Request::Insert(pts[..500].to_vec())][..],
+            &both, // fresh
+            &[Request::Insert(pts[500..550].to_vec())],
+            &both, // incremental
+            &[Request::Insert(vec![Point2::new([5.0, 0.5])])],
+            &both[1..], // outside the Delaunay engine's bbox
+            &[Request::Delete(pts[10..20].to_vec())],
+            &both, // no engine survives a delete
+            &[Request::Insert(vec![Point2::new([f64::NAN, 0.5])])],
+            &both[1..], // the engine refuses the batch; so does the rebuild
+        ]
+        .concat();
+        let mut store = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
+        let responses = store.execute(&stream);
+        assert_eq!(
+            responses.last().expect("answered"),
+            &Err(pargeo_geometry::GeoError::BadParameter {
+                op: "delaunay",
+                what: "non-finite coordinate"
+            })
+        );
+        // A zero damage budget turns the first advance that replaces
+        // anything into a rebuild (interior points leave the hull alone).
+        let mut brittle = GeoStore::<2>::builder()
+            .damage_threshold(0.0)
+            .observe(ObsLevel::Trace)
+            .build();
+        brittle.execute(&stream[..6]);
+
+        let fallbacks = |store: &GeoStore<2>| -> Vec<(String, u64)> {
+            let all = store.registry().expect("observed").counter_values();
+            let mine = all
+                .into_iter()
+                .filter(|(name, n)| name.starts_with("geostore_memo_fallback_total") && *n > 0);
+            mine.collect()
+        };
+        let series = |kind: &str, cause: &str| {
+            format!("geostore_memo_fallback_total{{cause=\"{cause}\",kind=\"{kind}\"}}")
+        };
+        assert_eq!(
+            fallbacks(&store),
+            vec![
+                (series("delaunay-graph", "delete"), 1),
+                (series("hull", "delete"), 1),
+                (series("delaunay-graph", "outside_bounds"), 1),
+                (series("delaunay-graph", "poisoned"), 1),
+            ]
+        );
+        assert_eq!(
+            fallbacks(&brittle),
+            vec![(series("delaunay-graph", "damage"), 1)]
+        );
+        // Every rebuild is explained.
+        let rebuilt = store.registry().expect("observed");
+        let rebuilt = rebuilt.counter("geostore_memo_total", &[("path", "rebuilt")]);
+        let explained: u64 = fallbacks(&store).iter().map(|(_, n)| n).sum();
+        assert_eq!(explained, rebuilt.get());
+        // The span carries the cause exactly when the path is `rebuilt`.
+        let events = store.registry().expect("observed").trace_events();
+        let label = |e: &pargeo_obs::TraceEvent, k: &str| {
+            let found = e.labels.iter().find(|(key, _)| *key == k);
+            found.map(|(_, v)| v.clone())
+        };
+        let memo: Vec<(Option<String>, Option<String>)> = events
+            .iter()
+            .filter(|e| e.scope == "derived_memo")
+            .map(|e| (label(e, "path"), label(e, "cause")))
+            .collect();
+        let of = |path: &str, cause: Option<&str>| (Some(path.into()), cause.map(String::from));
+        assert_eq!(
+            memo,
+            vec![
+                of("fresh", None),
+                of("fresh", None),
+                of("incremental", None),
+                of("incremental", None),
+                of("rebuilt", Some("outside_bounds")),
+                of("rebuilt", Some("delete")),
+                of("rebuilt", Some("delete")),
+                of("rebuilt", Some("poisoned")),
+            ]
+        );
     }
 }

@@ -1,6 +1,6 @@
 //! The store itself: builder, id mirror, epoch planner, memo cache.
 
-use crate::derived::{self, DerivedVal, Engine};
+use crate::derived::{self, DerivedVal, Engine, Fallback};
 use crate::obs::{self, StoreObs};
 use crate::pipeline::{LiveView, StoreSnapshot};
 use crate::request::{CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
@@ -1030,33 +1030,39 @@ impl<const D: usize> GeoStore<D> {
 
         // Incremental path: a live engine whose consumed prefix is intact
         // (live ids ascend and inserts append, so one id pins the prefix)
-        // absorbs the delta in place.
+        // absorbs the delta in place; otherwise `fallback` says why not.
+        let mut fallback = None;
         if self.incremental {
             if let Some(mut entry) = prior.take() {
                 let anchored = entry.anchor.is_some_and(|(consumed, last_id)| {
                     consumed >= 1 && view.0.len() >= consumed && view.0[consumed - 1] == last_id
                 });
-                let advanced = match (anchored, entry.engine.as_mut()) {
-                    (true, Some(engine)) => {
+                let advanced = match entry.engine.as_mut() {
+                    Some(engine) if anchored => {
                         derived::advance_engine(engine, &view.0, &view.1, self.damage_threshold)
                     }
-                    _ => None,
+                    Some(_) => Err(Fallback::AnchorLost),
+                    None => Err(Fallback::Delete),
                 };
-                if let (Some(val), Some(&last)) = (advanced, view.0.last()) {
-                    self.cache_stats.incremental += 1;
-                    if let Some(o) = &obs {
-                        o.memo[obs::memo_idx(MemoPath::Incremental)].inc();
+                match (advanced, view.0.last()) {
+                    (Ok(val), Some(&last)) => {
+                        self.cache_stats.incremental += 1;
+                        if let Some(o) = &obs {
+                            o.memo[obs::memo_idx(MemoPath::Incremental)].inc();
+                        }
+                        if let Some(s) = span.as_mut() {
+                            s.label("path", MemoPath::Incremental.label());
+                        }
+                        entry.epoch = self.write_epoch;
+                        entry.value = Ok(val);
+                        entry.anchor = Some((view.0.len(), last));
+                        entry.path = MemoPath::Incremental;
+                        entry.rebuild_pending = false;
+                        self.cache.insert(kind, entry);
+                        return;
                     }
-                    if let Some(s) = span.as_mut() {
-                        s.label("path", MemoPath::Incremental.label());
-                    }
-                    entry.epoch = self.write_epoch;
-                    entry.value = Ok(val);
-                    entry.anchor = Some((view.0.len(), last));
-                    entry.path = MemoPath::Incremental;
-                    entry.rebuild_pending = false;
-                    self.cache.insert(kind, entry);
-                    return;
+                    (Err(cause), _) if had_structure => fallback = Some(cause),
+                    _ => {}
                 }
             }
         }
@@ -1078,6 +1084,14 @@ impl<const D: usize> GeoStore<D> {
         }
         if let Some(s) = span.as_mut() {
             s.label("path", path.label());
+        }
+        if let Some(cause) = fallback {
+            if let Some(o) = &obs {
+                o.memo_fallback(kind, cause).inc();
+            }
+            if let Some(s) = span.as_mut() {
+                s.label("cause", cause.label());
+            }
         }
         let anchor = engine
             .as_ref()

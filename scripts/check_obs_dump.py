@@ -16,6 +16,7 @@ import sys
 EXPECTED_COUNTERS = {
     "geostore_requests_total",
     "geostore_memo_total",
+    "geostore_memo_fallback_total",
     "geostore_write_epochs_total",
     "shard_write_ops_total",
     "shard_routed_points_total",
