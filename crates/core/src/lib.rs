@@ -103,9 +103,10 @@
 //!
 //! let pts = pargeo::datagen::uniform_cube::<2>(10_000, 42);
 //!
-//! // Convex hull with the reservation-based parallel algorithm.
-//! let hull = pargeo::hull::hull2d_randinc(&pts);
-//! assert!(hull.len() >= 3);
+//! // Convex hull: the default entry point runs the family's fastest
+//! // member; any other is one `try_hull2d_with` away.
+//! let hull = try_hull2d(&pts).unwrap();
+//! assert_eq!(Ok(hull), pargeo::hull::try_hull2d_with(&pts, hull2d_randinc));
 //!
 //! // k-nearest neighbors through a parallel kd-tree.
 //! let tree = KdTree::build(&pts, SplitRule::ObjectMedian);
@@ -165,17 +166,23 @@
 //! assert_eq!(answers[1], answers[2]);
 //! ```
 //!
-//! **Convex hull** (Module 2) — four parallel 2D methods agree:
+//! **Convex hull** (Module 2) — the 2D methods return the same index
+//! vector (counterclockwise from the lexicographically smallest point),
+//! the 3D methods the same sorted vertex set in general position;
+//! `try_hull2d` / `try_hull3d` run the measured winners (parallel
+//! quickhull behind its interior-box filter; pseudohull culling):
 //!
 //! ```
 //! use pargeo::prelude::*;
 //!
 //! let pts = pargeo::datagen::on_sphere::<2>(2_000, 3);
-//! let h1 = hull2d_randinc(&pts);
-//! let h2 = hull2d_quickhull_parallel(&pts);
-//! let h3 = hull2d_divide_conquer(&pts);
-//! assert_eq!(h1.len(), h2.len());
-//! assert_eq!(h2.len(), h3.len());
+//! let h = try_hull2d(&pts).unwrap();
+//! assert_eq!(h, hull2d_randinc(&pts));
+//! assert_eq!(h, hull2d_divide_conquer(&pts));
+//!
+//! let pts = pargeo::datagen::in_sphere::<3>(2_000, 3);
+//! let h = try_hull3d(&pts).unwrap();
+//! assert_eq!(h.vertices, hull3d_randinc(&pts).vertices);
 //! ```
 //!
 //! **Spatial graphs** (Module 3) — k-NN graph and Delaunay triangulation

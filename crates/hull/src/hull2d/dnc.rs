@@ -6,18 +6,18 @@
 //! chunks in parallel); the union of the sub-hull vertices — a small set —
 //! is then resolved with the reservation-based parallel algorithm.
 
-use super::{degenerate_hull, hull2d_randinc, hull2d_seq};
+use super::{extremes, hull2d_randinc, hull2d_seq};
+use crate::for_each_worker;
 use pargeo_geometry::Point2;
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 /// Chunks per processor (the paper's small constant `c`).
 const CHUNKS_PER_PROC: usize = 4;
 
 /// Divide-and-conquer hull. Returns CCW hull vertex indices.
 pub fn hull2d_divide_conquer(points: &[Point2]) -> Vec<u32> {
-    if let Some(h) = degenerate_hull(points) {
-        return h;
+    if let Err(flat) = extremes(points) {
+        return flat;
     }
     let n = points.len();
     let nchunks = (CHUNKS_PER_PROC * parlay::num_threads()).clamp(1, n.div_ceil(8));
@@ -25,20 +25,23 @@ pub fn hull2d_divide_conquer(points: &[Point2]) -> Vec<u32> {
         return hull2d_seq(points);
     }
     let chunk = n.div_ceil(nchunks);
-    // Sub-hulls in parallel, each sequential.
-    let candidate_ids: Vec<u32> = (0..nchunks)
-        .into_par_iter()
-        .flat_map_iter(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            let local = hull2d_seq(&points[lo..hi]);
-            local.into_iter().map(move |v| v + lo as u32)
-        })
-        .collect();
-    // Conquer over the (few) candidates with the reservation algorithm.
+    // Sub-hulls in parallel, each sequential. Every corner of the full
+    // hull is a corner of its chunk's hull, under the same (smallest)
+    // index.
+    let mut sub_hulls: Vec<Vec<u32>> = vec![Vec::new(); nchunks];
+    for_each_worker(&mut sub_hulls, |c, hull| {
+        let lo = c * chunk;
+        let hi = ((c + 1) * chunk).min(n);
+        *hull = hull2d_seq(&points[lo..hi]);
+        hull.iter_mut().for_each(|v| *v += lo as u32);
+        hull.sort_unstable();
+    });
+    // Conquer over the (few) candidates, in index order so that the
+    // smallest index of a corner stays the smallest, with the reservation
+    // algorithm.
+    let candidate_ids = sub_hulls.concat();
     let cand_points: Vec<Point2> = candidate_ids.iter().map(|&i| points[i as usize]).collect();
-    let final_local = hull2d_randinc(&cand_points);
-    final_local
+    hull2d_randinc(&cand_points)
         .into_iter()
         .map(|i| candidate_ids[i as usize])
         .collect()
@@ -53,20 +56,9 @@ mod tests {
     #[test]
     fn matches_sequential() {
         let pts = uniform_cube::<2>(30_000, 31);
-        let mut got = hull2d_divide_conquer(&pts);
+        let got = hull2d_divide_conquer(&pts);
         check_hull2d(&pts, &got).unwrap();
-        let mut want = hull2d_seq(&pts);
-        let rg = got
-            .iter()
-            .position(|v| v == got.iter().min().unwrap())
-            .unwrap();
-        got.rotate_left(rg);
-        let rw = want
-            .iter()
-            .position(|v| v == want.iter().min().unwrap())
-            .unwrap();
-        want.rotate_left(rw);
-        assert_eq!(got, want);
+        assert_eq!(got, hull2d_seq(&pts));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 //! tear down before the caller is told to rebuild from scratch instead
 //! (`destroyed edges / (cycle edges at batch start + batch size)`).
 
-use super::{sees, strip_collinear, try_hull2d};
+use super::{rotate_to_lex_min, sees, strip_collinear, try_hull2d};
 use pargeo_geometry::{GeoError, GeoResult, Point2};
 
 /// What a batch insert did to the maintained hull.
@@ -164,17 +164,7 @@ impl Hull2dIncremental {
             });
         }
         let mut out = strip_collinear(points, self.cycle.clone());
-        let lex = |v: u32| {
-            let p = points[v as usize];
-            (p[0], p[1])
-        };
-        let rot = out
-            .iter()
-            .enumerate()
-            .min_by(|(_, &a), (_, &b)| lex(a).partial_cmp(&lex(b)).expect("finite coords"))
-            .map(|(i, _)| i)
-            .unwrap_or(0);
-        out.rotate_left(rot);
+        rotate_to_lex_min(points, &mut out);
         Ok(out)
     }
 }

@@ -1,10 +1,18 @@
 //! 2-dimensional convex hull.
 //!
-//! All algorithms return the hull vertices as indices into the input, in
+//! All four algorithms return the *same* index vector: the hull vertices in
 //! counterclockwise order starting from the lexicographically smallest
-//! point. Collinear boundary points are *not* reported (strict hull), and
+//! point, each corner under the smallest index holding its coordinates.
+//! Collinear boundary points are *not* reported (strict hull), and
 //! degenerate inputs (≤ 2 distinct points, or all collinear) return the
 //! extreme points only.
+//!
+//! [`try_hull2d`] runs the parallel quickhull: with one fused pass per
+//! level and the interior box of the extreme-point scan in front of its
+//! first level it is the sequential quickhull chunked, and the fastest of
+//! the four on every distribution of Figure 8 at one thread (EXPERIMENTS.md
+//! `fig8`); divide-and-conquer and the reservation algorithm stay
+//! selectable through [`try_hull2d_with`].
 
 mod dnc;
 mod inc;
@@ -16,7 +24,6 @@ pub mod validate;
 
 pub use dnc::hull2d_divide_conquer;
 pub use inc::{Hull2dIncremental, HullBatchOutcome};
-pub use prefilter::try_hull2d_prefiltered;
 pub use quickhull::hull2d_quickhull_parallel;
 pub use randinc::hull2d_randinc;
 pub use seq::hull2d_seq;
@@ -28,6 +35,22 @@ use pargeo_geometry::{orient2d, GeoError, GeoResult, Orientation, Point2};
 /// — with a typed [`GeoError`] instead of silently returning the extreme
 /// points, then runs `algo` (any of this crate's `hull2d_*` entry points).
 pub fn try_hull2d_with(points: &[Point2], algo: fn(&[Point2]) -> Vec<u32>) -> GeoResult<Vec<u32>> {
+    full_dimensional(points)?;
+    Ok(algo(points))
+}
+
+/// The default 2D hull: [`try_hull2d_with`]'s checks, then the parallel
+/// quickhull ([`hull2d_quickhull_parallel`]) — the family's fastest member
+/// at one thread on every distribution of Figure 8 — started from the
+/// extremes the check already found.
+pub fn try_hull2d(points: &[Point2]) -> GeoResult<Vec<u32>> {
+    let ext = full_dimensional(points)?;
+    Ok(quickhull::quickhull_from(points, &ext))
+}
+
+/// The [`Extremes`] of an input that has a 2D hull, or the typed
+/// [`GeoError`] naming why it has none.
+fn full_dimensional(points: &[Point2]) -> GeoResult<Extremes> {
     if points.is_empty() {
         return Err(GeoError::EmptyInput { op: "hull2d" });
     }
@@ -38,22 +61,14 @@ pub fn try_hull2d_with(points: &[Point2], algo: fn(&[Point2]) -> Vec<u32>) -> Ge
             got: points.len(),
         });
     }
-    match degenerate_hull(points) {
-        Some(v) if v.len() <= 1 => Err(GeoError::Degenerate {
-            op: "hull2d",
-            what: "coincident",
-        }),
-        Some(_) => Err(GeoError::Degenerate {
-            op: "hull2d",
-            what: "collinear",
-        }),
-        None => Ok(algo(points)),
-    }
-}
-
-/// [`try_hull2d_with`] using the parallel quickhull.
-pub fn try_hull2d(points: &[Point2]) -> GeoResult<Vec<u32>> {
-    try_hull2d_with(points, hull2d_quickhull_parallel)
+    extremes(points).map_err(|flat| GeoError::Degenerate {
+        op: "hull2d",
+        what: if flat.len() <= 1 {
+            "coincident"
+        } else {
+            "collinear"
+        },
+    })
 }
 
 /// True iff `q` lies strictly to the right of the directed line `a → b`
@@ -65,16 +80,6 @@ pub(crate) fn sees(points: &[Point2], a: u32, b: u32, q: u32) -> bool {
         &points[b as usize],
         &points[q as usize],
     ) == Orientation::Negative
-}
-
-/// Index of the lexicographically smallest point (min x, then min y).
-pub(crate) fn lex_min(points: &[Point2]) -> usize {
-    pargeo_parlay::max_index_by(points, |p| (-p[0], -p[1])).expect("non-empty")
-}
-
-/// Index of the lexicographically largest point.
-pub(crate) fn lex_max(points: &[Point2]) -> usize {
-    pargeo_parlay::max_index_by(points, |p| (p[0], p[1])).expect("non-empty")
 }
 
 /// Squared "distance" proxy of `q` from line `a → b` (twice the signed
@@ -145,30 +150,48 @@ pub(crate) fn strip_collinear(points: &[Point2], hull: Vec<u32>) -> Vec<u32> {
     out
 }
 
-/// Handles the degenerate cases shared by all algorithms. Returns `Some`
-/// when the input has no 2D hull (empty, single point, or all collinear);
-/// the result is the extreme point(s).
-pub(crate) fn degenerate_hull(points: &[Point2]) -> Option<Vec<u32>> {
+/// Rotates a vertex cycle to start at its lexicographically smallest
+/// point (the canonical start every algorithm reports).
+pub(crate) fn rotate_to_lex_min(points: &[Point2], cycle: &mut [u32]) {
+    let lex = |v: &u32| points[*v as usize].coords;
+    let start = (0..cycle.len()).min_by(|&i, &j| {
+        lex(&cycle[i])
+            .partial_cmp(&lex(&cycle[j]))
+            .expect("finite coords")
+    });
+    cycle.rotate_left(start.unwrap_or(0));
+}
+
+/// What every quickhull starts from, on a full-dimensional input.
+pub(crate) struct Extremes {
+    /// The lexicographically smallest and largest points — the first
+    /// chord — each the minimal index holding its coordinates.
+    pub lo: u32,
+    pub hi: u32,
+    /// Points strictly inside are interior to the hull.
+    pub inner: prefilter::InnerBox,
+}
+
+/// One scan for the [`Extremes`]. `Err` carries the whole answer for an
+/// input with no 2D hull (empty, single point, or all collinear): its
+/// extreme point(s).
+pub(crate) fn extremes(points: &[Point2]) -> Result<Extremes, Vec<u32>> {
     if points.is_empty() {
-        return Some(Vec::new());
+        return Err(Vec::new());
     }
-    let lo = lex_min(points) as u32;
-    let hi = lex_max(points) as u32;
-    if lo == hi || points[lo as usize] == points[hi as usize] {
-        return Some(vec![lo.min(hi)]);
+    let (lo, hi, inner) = prefilter::scan(points);
+    let (a, b) = (&points[lo as usize], &points[hi as usize]);
+    if a == b {
+        return Err(vec![lo.min(hi)]);
     }
     // Any point off the line lo–hi proves full dimensionality.
-    let off = (0..points.len() as u32).find(|&q| {
-        orient2d(
-            &points[lo as usize],
-            &points[hi as usize],
-            &points[q as usize],
-        ) != Orientation::Zero
-    });
-    if off.is_none() {
-        return Some(vec![lo, hi]);
+    if points
+        .iter()
+        .all(|q| orient2d(a, b, q) == Orientation::Zero)
+    {
+        return Err(vec![lo, hi]);
     }
-    None
+    Ok(Extremes { lo, hi, inner })
 }
 
 #[cfg(test)]
@@ -188,35 +211,25 @@ mod tests {
         ]
     }
 
-    /// Hull as coordinate sequence rotated to start at its lexicographic
-    /// minimum — identical across algorithms even when duplicate input
-    /// points make the index choice ambiguous.
-    fn canonical(points: &[Point2], hull: &[u32]) -> Vec<[f64; 2]> {
-        let mut coords: Vec<[f64; 2]> = hull.iter().map(|&i| points[i as usize].coords).collect();
-        if coords.is_empty() {
-            return coords;
-        }
-        let rot = coords
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.partial_cmp(b).unwrap())
-            .map(|(i, _)| i)
-            .unwrap();
-        coords.rotate_left(rot);
-        coords
-    }
-
+    /// Every algorithm must return the same index vector: counterclockwise
+    /// from the lexicographically smallest point, each corner under the
+    /// smallest index holding its coordinates.
     fn check_all(points: &[Point2]) {
-        let reference = canonical(points, &hull2d_seq(points));
+        let reference = hull2d_seq(points);
         for (name, f) in algos() {
             let h = f(points);
             check_hull2d(points, &h).unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(
-                canonical(points, &h),
-                reference,
-                "{name} disagrees with seq"
-            );
+            assert_eq!(h, reference, "{name} disagrees with seq");
         }
+        for (i, &v) in reference.iter().enumerate() {
+            let first = points.iter().position(|p| *p == points[v as usize]);
+            assert_eq!(first, Some(v as usize), "corner {i} is not its first copy");
+        }
+        let lex = |v: &u32| points[*v as usize].coords;
+        let start = reference
+            .iter()
+            .min_by(|a, b| lex(a).partial_cmp(&lex(b)).unwrap());
+        assert_eq!(start, reference.first(), "cycle must start at the lex-min");
     }
 
     #[test]
@@ -313,6 +326,20 @@ mod tests {
         let dups: Vec<Point2> = pts.iter().step_by(3).copied().collect();
         pts.extend(dups);
         check_all(&pts);
+    }
+
+    #[test]
+    fn duplicate_heavy_lattice() {
+        // Every lattice point three times over, copies far apart in index
+        // order: corners, collinear boundary runs and interior alike.
+        let lattice: Vec<Point2> = (0..15 * 15)
+            .map(|i| Point2::new([(i % 15) as f64, (i / 15) as f64]))
+            .collect();
+        let mut pts: Vec<Point2> = lattice.iter().rev().copied().collect();
+        pts.extend(&lattice);
+        pts.extend(lattice.iter().skip(7).chain(lattice.iter().take(7)));
+        check_all(&pts);
+        assert_eq!(hull2d_seq(&pts).len(), 4);
     }
 
     #[test]

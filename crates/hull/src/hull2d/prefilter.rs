@@ -1,137 +1,125 @@
-//! Octagon prefilter: discard points that provably cannot be hull
-//! vertices before running the full 2D hull.
+//! The extreme-point scan every quickhull starts with, and the interior
+//! box it yields for free: a "throw-away" prefilter (Akl & Toussaint,
+//! 1978) that costs no predicate.
 //!
-//! The filter computes the extreme point of the input in eight fixed
-//! directions (the axes and diagonals), forms the convex octagon those ≤8
-//! points span, and discards every point *strictly inside* it — a classic
-//! "throw-away" preprocessing step (Akl & Toussaint, 1978). On blob-like
-//! distributions it removes the vast majority of points for 8 exact
-//! orientation tests each; on adversarial inputs (everything on the hull)
-//! it keeps everything and costs one linear pass.
+//! One pass finds the lexicographic extremes (the first chord) and the
+//! extreme points of the four diagonal directions. Any four input points
+//! `NE, NW, SW, SE` span an axis-aligned box
+//! `[max(NW.x, SW.x), min(NE.x, SE.x)] × [max(SW.y, SE.y), min(NW.y, NE.y)]`
+//! that lies inside their convex hull: seen from a point of the box the
+//! four sit one per closed quadrant, so the segments `NW–NE` and `SW–SE`
+//! cross the vertical line through it above and below it. A point
+//! *strictly* inside the box is therefore interior to the hull of the
+//! input — not a corner, not on an edge, not a copy of a corner — and the
+//! first quickhull pass skips it for four floating-point comparisons,
+//! which are exact. The diagonal extremes merely make the box large: it
+//! covers nearly all of a uniform square and 2/π of a disc, and is empty
+//! (nothing is skipped) for points on a circle.
 //!
-//! **Bit-identity argument.** The octagon is the convex hull of eight
-//! *input* points, so it is contained in `hull(P)`; its interior is
-//! therefore contained in the interior of `hull(P)` and is disjoint from
-//! the hull boundary. Every point on the hull boundary — every vertex,
-//! every collinear boundary point, every duplicate of one — survives the
-//! filter, and the survivors keep their relative index order, so the
-//! downstream algorithm sees the same candidates in the same order and
-//! ties resolve to the same original indices. The strictness test uses
-//! the exact [`orient2d`] predicate, so "strictly inside" has no rounding
-//! slack: a point is only discarded when it is exactly interior. Hence
-//! `try_hull2d_prefiltered(P).0 == try_hull2d(P)` bit-for-bit, enforced
-//! by the parity tests below and the store-level differential suites.
+//! Candidates keep their index order, so downstream ties resolve to the
+//! same indices with or without the filter; the octagon test this module
+//! used to run on top (eight exact orientation tests per interior point)
+//! measured no faster than quickhull's own first levels and is gone.
 
-use super::{sees, try_hull2d};
-use pargeo_geometry::{GeoResult, Point2};
+use pargeo_geometry::Point2;
+use pargeo_parlay::GRANULARITY;
 use rayon::prelude::*;
 
-/// Below this size the filter's pass costs more than it saves; run the
-/// plain hull.
-const MIN_PREFILTER: usize = 64;
+/// The open box of points provably interior to the hull.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InnerBox {
+    lo: [f64; 2],
+    hi: [f64; 2],
+}
 
-/// The eight filter directions, counter-clockwise from +x. Extreme points
-/// taken in this order trace the octagon counter-clockwise.
-const DIRS: [[f64; 2]; 8] = [
-    [1.0, 0.0],
-    [1.0, 1.0],
-    [0.0, 1.0],
-    [-1.0, 1.0],
-    [-1.0, 0.0],
-    [-1.0, -1.0],
-    [0.0, -1.0],
-    [1.0, -1.0],
-];
-
-/// [`try_hull2d`] behind the octagon prefilter. Returns the hull (indices
-/// into `points`, identical to the unfiltered result) and the number of
-/// points the filter discarded.
-pub fn try_hull2d_prefiltered(points: &[Point2]) -> GeoResult<(Vec<u32>, usize)> {
-    if points.len() < MIN_PREFILTER {
-        return Ok((try_hull2d(points)?, 0));
+impl InnerBox {
+    /// True iff `p` is strictly inside the box.
+    #[inline]
+    pub fn contains(&self, p: &Point2) -> bool {
+        self.lo[0] < p[0] && p[0] < self.hi[0] && self.lo[1] < p[1] && p[1] < self.hi[1]
     }
+}
 
-    // Extreme point per direction, first index on ties (any tie choice is
-    // correct — the octagon only needs to be spanned by input points —
-    // but first-index keeps the filter deterministic).
-    let mut extreme = [0usize; 8];
-    for (d, slot) in DIRS.iter().zip(extreme.iter_mut()) {
-        let mut best = 0usize;
-        let mut best_dot = points[0][0] * d[0] + points[0][1] * d[1];
-        for (i, p) in points.iter().enumerate().skip(1) {
-            let dot = p[0] * d[0] + p[1] * d[1];
-            if dot > best_dot {
-                best = i;
-                best_dot = dot;
+/// Running maxima of six linear keys — lexicographic min and max, then
+/// the NE, SW, SE, NW diagonals — each with the first index attaining it.
+#[derive(Clone, Copy)]
+struct Scan {
+    key: [(f64, f64); 6],
+    idx: [u32; 6],
+}
+
+impl Scan {
+    const EMPTY: Scan = Scan {
+        key: [(f64::NEG_INFINITY, f64::NEG_INFINITY); 6],
+        idx: [0; 6],
+    };
+
+    fn of(points: &[Point2], first: u32) -> Scan {
+        let mut scan = Scan::EMPTY;
+        for (q, p) in (first..).zip(points) {
+            let (x, y) = (p[0], p[1]);
+            let keys = [
+                (-x, -y),
+                (x, y),
+                (x + y, 0.0),
+                (-x - y, 0.0),
+                (x - y, 0.0),
+                (y - x, 0.0),
+            ];
+            for i in 0..6 {
+                if keys[i] > scan.key[i] {
+                    (scan.key[i], scan.idx[i]) = (keys[i], q);
+                }
             }
         }
-        *slot = best;
+        scan
     }
 
-    // The extreme points in direction order trace the octagon CCW; drop
-    // consecutive duplicates (flat inputs collapse several directions
-    // onto one point). A degenerate octagon (< 3 distinct vertices, or
-    // zero area) has empty interior: nothing can be strictly inside, so
-    // filtering would keep everything — skip straight to the plain hull.
-    let mut octagon: Vec<u32> = Vec::with_capacity(8);
-    for &e in &extreme {
-        let e = e as u32;
-        if octagon.last() != Some(&e) && octagon.first() != Some(&e) {
-            octagon.push(e);
+    /// `later` covers higher indices: it wins only where strictly better.
+    fn merge(mut self, later: Scan) -> Scan {
+        for i in 0..6 {
+            if later.key[i] > self.key[i] {
+                (self.key[i], self.idx[i]) = (later.key[i], later.idx[i]);
+            }
         }
+        self
     }
-    if octagon.len() < 3 {
-        return Ok((try_hull2d(points)?, 0));
-    }
+}
 
-    // Keep a point unless it is strictly left of every CCW octagon edge
-    // (exactly interior). `sees(a, b, q)` is true when q is strictly
-    // *right* of a→b, so "on or outside some edge" is `sees` with the
-    // edge reversed... simpler: q is strictly inside iff it is strictly
-    // left of every edge, i.e. the edge "sees" q from the right never
-    // happens and no edge is collinear with q. Using `sees(b, a, q)`
-    // (reversed edge) gives exactly "strictly left of a→b".
-    let keep: Vec<bool> = points
-        .par_iter()
+/// The lexicographically smallest and largest points of a non-empty input
+/// (each the first index holding its coordinates) and the interior box.
+pub(crate) fn scan(points: &[Point2]) -> (u32, u32, InnerBox) {
+    let scan = points
+        .par_chunks(GRANULARITY)
         .enumerate()
-        .map(|(i, _)| {
-            let q = i as u32;
-            let inside = octagon.iter().zip(octagon.iter().cycle().skip(1)).all(
-                |(&a, &b)| sees(points, b, a, q), // strictly left of a→b
-            );
-            !inside
-        })
-        .collect();
-
-    let kept: Vec<u32> = (0..points.len() as u32)
-        .filter(|&i| keep[i as usize])
-        .collect();
-    let discarded = points.len() - kept.len();
-    if discarded == 0 {
-        return Ok((try_hull2d(points)?, 0));
-    }
-
-    let compact: Vec<Point2> = kept.iter().map(|&i| points[i as usize]).collect();
-    let hull = try_hull2d(&compact)?;
-    Ok((
-        hull.into_iter().map(|h| kept[h as usize]).collect(),
-        discarded,
-    ))
+        .map(|(c, chunk)| Scan::of(chunk, (c * GRANULARITY) as u32))
+        .reduce(|| Scan::EMPTY, Scan::merge);
+    let [lo, hi, ne, sw, se, nw] = scan.idx;
+    let at = |q: u32| points[q as usize];
+    let inner = InnerBox {
+        lo: [at(nw)[0].max(at(sw)[0]), at(sw)[1].max(at(se)[1])],
+        hi: [at(ne)[0].min(at(se)[0]), at(nw)[1].min(at(ne)[1])],
+    };
+    (lo, hi, inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hull2d::{hull2d_randinc, try_hull2d, try_hull2d_with};
     use pargeo_datagen::{in_sphere, on_sphere, uniform_cube};
 
+    /// The default hull (which filters) against the randomized
+    /// incremental one (which does not).
     fn parity(points: &[Point2]) {
-        let plain = try_hull2d(points);
-        let filtered = try_hull2d_prefiltered(points);
-        match (plain, filtered) {
-            (Ok(h), Ok((hf, _))) => assert_eq!(h, hf, "prefilter changed the hull"),
-            (Err(e), Err(ef)) => assert_eq!(format!("{e:?}"), format!("{ef:?}")),
-            (p, f) => panic!("outcome diverged: plain={p:?} filtered={f:?}"),
-        }
+        let filtered = try_hull2d(points);
+        let plain = try_hull2d_with(points, hull2d_randinc);
+        assert_eq!(filtered, plain, "prefilter changed the hull");
+    }
+
+    fn discarded(points: &[Point2]) -> usize {
+        let (_, _, inner) = scan(points);
+        points.iter().filter(|p| inner.contains(p)).count()
     }
 
     #[test]
@@ -147,38 +135,34 @@ mod tests {
 
     #[test]
     fn exact_ring_discards_nothing() {
-        // Points exactly on a circle are never strictly inside the
-        // octagon its own extreme points span (chords cut inward).
+        // Points exactly on a circle are never strictly inside a box
+        // inscribed in the hull of four of them.
         let ring: Vec<Point2> = (0..512)
             .map(|i| {
                 let t = 2.0 * std::f64::consts::PI * i as f64 / 512.0;
                 Point2::new([100.0 * t.cos(), 100.0 * t.sin()])
             })
             .collect();
-        let (_, discarded) = try_hull2d_prefiltered(&ring).unwrap();
-        assert_eq!(discarded, 0, "circle points are never interior");
+        assert_eq!(discarded(&ring), 0, "circle points are never interior");
         parity(&ring);
     }
 
     #[test]
     fn discards_interior_bulk_on_blobs() {
-        let pts = in_sphere::<2>(10_000, 3);
-        let (_, discarded) = try_hull2d_prefiltered(&pts).unwrap();
-        // The octagon of a disk-ish blob covers most of it.
-        assert!(
-            discarded > pts.len() / 2,
-            "expected a majority discarded, got {discarded}/{}",
-            pts.len()
-        );
+        // The box spanned by a disc's diagonal extremes covers 2/π of it,
+        // a square's nearly all of it.
+        let disc = in_sphere::<2>(10_000, 3);
+        assert!(discarded(&disc) > disc.len() / 2);
+        let square = uniform_cube::<2>(10_000, 4);
+        assert!(discarded(&square) > square.len() * 9 / 10);
     }
 
     #[test]
     fn octagon_is_not_a_slab_intersection() {
         // {(0,0),(10,1),(1,10),(9.0,0.6)}: the last point is inside every
-        // axis/diagonal *slab* but outside the octagon (it is a hull
-        // vertex). A slab-based filter would wrongly discard it; padding
-        // with interior points pushes past MIN_PREFILTER so the filter
-        // actually runs.
+        // axis/diagonal *slab* of the other three but is a hull vertex. A
+        // slab-based filter would wrongly discard it; the box is built
+        // from input points' own coordinates and cannot.
         let mut pts: Vec<Point2> = vec![
             Point2::new([0.0, 0.0]),
             Point2::new([10.0, 1.0]),
@@ -189,7 +173,7 @@ mod tests {
             let t = i as f64 / 200.0;
             pts.push(Point2::new([2.0 + 3.0 * t, 2.0 + 2.0 * t]));
         }
-        let (hull, _) = try_hull2d_prefiltered(&pts).unwrap();
+        let hull = try_hull2d(&pts).unwrap();
         assert!(hull.contains(&3), "the near-edge vertex must survive");
         parity(&pts);
     }
@@ -208,10 +192,13 @@ mod tests {
             pts.push(Point2::new([2.0, 0.0]));
             pts.push(Point2::new([4.0, 2.0]));
         }
+        let (_, _, inner) = scan(&pts);
+        assert!(!pts.iter().any(|p| inner.contains(p)));
         for i in 0..100 {
             let t = 0.5 + (i as f64) / 50.0;
             pts.push(Point2::new([t.min(3.5), 1.0 + (i % 7) as f64 / 3.0]));
         }
+        assert_eq!(discarded(&pts), 100);
         parity(&pts);
     }
 
@@ -221,9 +208,11 @@ mod tests {
         parity(&[Point2::new([1.0, 2.0])]);
         let coincident: Vec<Point2> = vec![Point2::new([3.0, 3.0]); 100];
         parity(&coincident);
+        assert_eq!(discarded(&coincident), 0);
         let collinear: Vec<Point2> = (0..100)
             .map(|i| Point2::new([i as f64, 2.0 * i as f64]))
             .collect();
         parity(&collinear);
+        assert_eq!(discarded(&collinear), 0);
     }
 }

@@ -1,29 +1,41 @@
 //! Parallel recursive quickhull for R² — the paper's `QuickHull` entry for
 //! 2D (Blelloch's vector-model algorithm \[19\] as implemented in PBBS):
-//! the furthest point splits the chord, the two candidate subsets are
-//! produced with parallel filters, and the halves recurse in parallel.
+//! the furthest point splits the chord and the halves recurse in parallel.
+//! A level is the sequential quickhull's one fused pass ([`split_around`])
+//! run over chunks of the candidates and stitched in order, so the
+//! predicate count is the sequential algorithm's at any thread count.
 
-use super::{degenerate_hull, lex_max, lex_min, line_dist, proj_along, sees};
+use super::seq::{qh_rec, split_around, split_chord, Side};
+use super::{extremes, Extremes};
 use pargeo_geometry::Point2;
 use pargeo_parlay as parlay;
+use rayon::prelude::*;
 
-const SEQ_CUTOFF: usize = 2048;
+const SEQ_CUTOFF: usize = parlay::GRANULARITY;
 
 /// Parallel quickhull. Returns CCW hull vertex indices.
 pub fn hull2d_quickhull_parallel(points: &[Point2]) -> Vec<u32> {
-    if let Some(h) = degenerate_hull(points) {
-        return h;
+    match extremes(points) {
+        Ok(ext) => quickhull_from(points, &ext),
+        Err(flat) => flat,
     }
-    let a = lex_min(points) as u32;
-    let b = lex_max(points) as u32;
-    let ids: Vec<u32> = (0..points.len() as u32).collect();
-    let (below, above) = parlay::par_do(
-        || parlay::filter(&ids, |&q| q != a && q != b && sees(points, a, b, q)),
-        || parlay::filter(&ids, |&q| q != a && q != b && sees(points, b, a, q)),
-    );
+}
+
+/// [`hull2d_quickhull_parallel`] from the extremes the caller already
+/// found.
+pub(super) fn quickhull_from(points: &[Point2], ext: &Extremes) -> Vec<u32> {
+    let (a, b) = (ext.lo, ext.hi);
+    let (below, above) = points
+        .par_chunks(SEQ_CUTOFF)
+        .enumerate()
+        .map(|(c, chunk)| {
+            let lo = (c * SEQ_CUTOFF) as u32;
+            split_chord(points, ext, lo..lo + chunk.len() as u32)
+        })
+        .reduce(Default::default, stitch);
     let (mut lower, mut upper) = parlay::par_do(
-        || qh_rec(points, a, b, below),
-        || qh_rec(points, b, a, above),
+        || par_rec(points, a, b, below),
+        || par_rec(points, b, a, above),
     );
     let mut out = Vec::with_capacity(lower.len() + upper.len() + 2);
     out.push(a);
@@ -33,72 +45,36 @@ pub fn hull2d_quickhull_parallel(points: &[Point2]) -> Vec<u32> {
     out
 }
 
+/// Joins the splits of two consecutive runs of candidates.
+fn stitch(mut all: (Side, Side), (left, right): (Side, Side)) -> (Side, Side) {
+    all.0.append(left);
+    all.1.append(right);
+    all
+}
+
 /// Returns the hull vertices strictly between `a` and `b`, in walk order.
-fn qh_rec(points: &[Point2], a: u32, b: u32, cand: Vec<u32>) -> Vec<u32> {
-    if cand.is_empty() {
-        return Vec::new();
-    }
-    if cand.len() < SEQ_CUTOFF {
+fn par_rec(points: &[Point2], a: u32, b: u32, side: Side) -> Vec<u32> {
+    if side.ids.len() < SEQ_CUTOFF {
         let mut out = Vec::new();
-        let mut c = cand;
-        seq_rec(points, a, b, &mut c, &mut out);
+        qh_rec(points, a, b, side, &mut out);
         return out;
     }
-    // (distance, chord-projection) key: the projection tie-break keeps
-    // collinear mid-chain points from being emitted as vertices.
-    let f = cand[parlay::max_index_by(&cand, |&q| {
-        (line_dist(points, a, b, q), proj_along(points, a, b, q))
-    })
-    .unwrap()];
-    let (left, right) = parlay::par_do(
-        || parlay::filter(&cand, |&q| q != f && sees(points, a, f, q)),
-        || parlay::filter(&cand, |&q| q != f && sees(points, f, b, q)),
-    );
-    drop(cand);
+    let f = side.far;
+    let (left, right) = side
+        .ids
+        .par_chunks(SEQ_CUTOFF)
+        .map(|cand| split_around(points, a, f, b, cand))
+        .reduce(Default::default, stitch);
+    drop(side);
     let (mut lo, mut hi) = parlay::par_do(
-        || qh_rec(points, a, f, left),
-        || qh_rec(points, f, b, right),
+        || par_rec(points, a, f, left),
+        || par_rec(points, f, b, right),
     );
     let mut out = Vec::with_capacity(lo.len() + hi.len() + 1);
     out.append(&mut lo);
     out.push(f);
     out.append(&mut hi);
     out
-}
-
-fn seq_rec(points: &[Point2], a: u32, b: u32, cand: &mut Vec<u32>, out: &mut Vec<u32>) {
-    if cand.is_empty() {
-        return;
-    }
-    let mut best = cand[0];
-    let mut best_key = (
-        line_dist(points, a, b, best),
-        proj_along(points, a, b, best),
-    );
-    for &q in cand.iter().skip(1) {
-        let key = (line_dist(points, a, b, q), proj_along(points, a, b, q));
-        if key > best_key {
-            best = q;
-            best_key = key;
-        }
-    }
-    let f = best;
-    let mut left: Vec<u32> = Vec::new();
-    let mut right: Vec<u32> = Vec::new();
-    for &q in cand.iter() {
-        if q == f {
-            continue;
-        }
-        if sees(points, a, f, q) {
-            left.push(q);
-        } else if sees(points, f, b, q) {
-            right.push(q);
-        }
-    }
-    cand.clear();
-    seq_rec(points, a, f, &mut left, out);
-    out.push(f);
-    seq_rec(points, f, b, &mut right, out);
 }
 
 #[cfg(test)]

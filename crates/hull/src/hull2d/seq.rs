@@ -1,85 +1,121 @@
 //! Optimized sequential quickhull — the stand-in for the CGAL / Qhull
 //! baselines of Figure 8 (see DESIGN.md §5).
 //!
-//! Classic two-sided quickhull with in-place index partitioning: one scratch
-//! vector of candidate ids per recursion side, no per-level allocation
-//! beyond the initial split. Orientation tests are exact; furthest-point
-//! selection uses plain doubles (selection only affects recursion order).
+//! Classic two-sided quickhull, one pass per level: the pass that splits a
+//! chord's candidates around its furthest point also finds each side's own
+//! furthest point, so a candidate costs at most two exact orientation
+//! tests and one key per level. Orientation tests are exact;
+//! furthest-point selection uses plain doubles (selection only affects
+//! recursion order). The parallel quickhull runs the same passes in
+//! chunks.
 
-use super::{degenerate_hull, lex_max, lex_min, line_dist, proj_along, sees};
-use pargeo_geometry::Point2;
+use super::{extremes, line_dist, proj_along, sees, Extremes};
+use pargeo_geometry::{orient2d, Orientation, Point2};
 
 /// Sequential quickhull. Returns CCW hull vertex indices.
 pub fn hull2d_seq(points: &[Point2]) -> Vec<u32> {
-    if let Some(h) = degenerate_hull(points) {
-        return h;
-    }
-    let a = lex_min(points) as u32;
-    let b = lex_max(points) as u32;
-    // Split candidates by side of the chord a–b.
-    let mut below: Vec<u32> = Vec::new();
-    let mut above: Vec<u32> = Vec::new();
-    for q in 0..points.len() as u32 {
-        if q == a || q == b {
-            continue;
-        }
-        if sees(points, a, b, q) {
-            below.push(q); // right of a→b: lower hull candidates
-        } else if sees(points, b, a, q) {
-            above.push(q); // right of b→a: upper hull candidates
-        }
-    }
-    let mut out = Vec::new();
-    out.push(a);
-    qh_rec(points, a, b, &mut below, &mut out);
+    let ext = match extremes(points) {
+        Ok(ext) => ext,
+        Err(flat) => return flat,
+    };
+    let (a, b) = (ext.lo, ext.hi);
+    let (below, above) = split_chord(points, &ext, 0..points.len() as u32);
+    let mut out = vec![a];
+    qh_rec(points, a, b, below, &mut out);
     out.push(b);
-    qh_rec(points, b, a, &mut above, &mut out);
+    qh_rec(points, b, a, above, &mut out);
     out
 }
 
-/// Emits the hull vertices strictly between `a` and `b` (walking the hull
-/// from `a` to `b` with all of `cand` on the right of `a→b`), in order.
-fn qh_rec(points: &[Point2], a: u32, b: u32, cand: &mut Vec<u32>, out: &mut Vec<u32>) {
-    if cand.is_empty() {
-        return;
-    }
-    // Furthest candidate from the chord becomes a hull vertex. Ties break
-    // toward the largest projection along the chord: of a set of collinear
-    // tied points, only the chain *endpoints* are true hull vertices, and
-    // the projection tie-break always selects one (see the quickhull module
-    // notes for the argument).
-    let mut best = cand[0];
-    let mut best_key = (
-        line_dist(points, a, b, best),
-        proj_along(points, a, b, best),
-    );
-    for &q in cand.iter().skip(1) {
+/// The candidates strictly right of a chord, in index order, and the one
+/// furthest from it. Ties break toward the largest projection along the
+/// chord — of a set of collinear tied points only the chain *endpoints*
+/// are true hull vertices, and the projection tie-break always selects one
+/// — and then toward the first candidate, i.e. the smallest index of a
+/// duplicated corner.
+#[derive(Default)]
+pub(super) struct Side {
+    pub ids: Vec<u32>,
+    pub far: u32,
+    key: (f64, f64),
+}
+
+impl Side {
+    fn push(&mut self, points: &[Point2], a: u32, b: u32, q: u32) {
         let key = (line_dist(points, a, b, q), proj_along(points, a, b, q));
-        if key > best_key {
-            best = q;
-            best_key = key;
+        if self.ids.is_empty() || key > self.key {
+            (self.far, self.key) = (q, key);
         }
+        self.ids.push(q);
     }
-    let f = best;
-    // Partition the survivors: right of a→f, right of f→b; the rest are
-    // inside the triangle (a, f, b) and are discarded.
-    let mut left_side: Vec<u32> = Vec::with_capacity(cand.len() / 2);
-    let mut right_side: Vec<u32> = Vec::with_capacity(cand.len() / 2);
-    for &q in cand.iter() {
-        if q == f {
+
+    /// Appends a side built from later candidates of the same chord.
+    pub fn append(&mut self, mut later: Side) {
+        if self.ids.is_empty() || (!later.ids.is_empty() && later.key > self.key) {
+            (self.far, self.key) = (later.far, later.key);
+        }
+        self.ids.append(&mut later.ids);
+    }
+}
+
+/// First level: candidates `ids` outside the interior box split by side
+/// of the chord `lo → hi` (one orientation test each) into those right of
+/// `lo → hi` and right of `hi → lo`.
+pub(super) fn split_chord(
+    points: &[Point2],
+    ext: &Extremes,
+    ids: std::ops::Range<u32>,
+) -> (Side, Side) {
+    let (a, b) = (ext.lo, ext.hi);
+    let (pa, pb) = (&points[a as usize], &points[b as usize]);
+    let (mut below, mut above) = (Side::default(), Side::default());
+    for q in ids {
+        let pq = &points[q as usize];
+        if ext.inner.contains(pq) {
             continue;
         }
-        if sees(points, a, f, q) {
-            left_side.push(q);
-        } else if sees(points, f, b, q) {
-            right_side.push(q);
+        match orient2d(pa, pb, pq) {
+            Orientation::Negative => below.push(points, a, b, q),
+            Orientation::Positive => above.push(points, b, a, q),
+            Orientation::Zero => {}
         }
     }
-    cand.clear();
-    cand.shrink_to_fit();
-    qh_rec(points, a, f, &mut left_side, out);
+    (below, above)
+}
+
+/// Splits the candidates of chord `a → b` around its hull vertex `f`:
+/// right of `a → f`, right of `f → b`; the rest are inside the triangle
+/// `(a, f, b)` and are discarded.
+pub(super) fn split_around(
+    points: &[Point2],
+    a: u32,
+    f: u32,
+    b: u32,
+    cand: &[u32],
+) -> (Side, Side) {
+    let (mut left, mut right) = (Side::default(), Side::default());
+    for &q in cand.iter().filter(|&&q| q != f) {
+        if sees(points, a, f, q) {
+            left.push(points, a, f, q);
+        } else if sees(points, f, b, q) {
+            right.push(points, f, b, q);
+        }
+    }
+    (left, right)
+}
+
+/// Emits the hull vertices strictly between `a` and `b` (walking the hull
+/// from `a` to `b` with all of `side` on the right of `a → b`), in order.
+pub(super) fn qh_rec(points: &[Point2], a: u32, b: u32, side: Side, out: &mut Vec<u32>) {
+    if side.ids.is_empty() {
+        return;
+    }
+    let f = side.far;
+    let (left, right) = split_around(points, a, f, b, &side.ids);
+    drop(side);
+    qh_rec(points, a, f, left, out);
     out.push(f);
-    qh_rec(points, f, b, &mut right_side, out);
+    qh_rec(points, f, b, right, out);
 }
 
 #[cfg(test)]
@@ -120,7 +156,7 @@ mod tests {
         let pts = pargeo_datagen::uniform_cube::<2>(1_000, 9);
         let h = hull2d_seq(&pts);
         check_hull2d(&pts, &h).unwrap();
-        let lo = super::lex_min(&pts) as u32;
+        let lo = super::extremes(&pts).ok().unwrap().lo;
         assert_eq!(h[0], lo);
     }
 }

@@ -7,9 +7,9 @@
 use super::mesh::Hull3d;
 use super::reservation::hull3d_quickhull_parallel;
 use super::seq::hull3d_seq;
+use crate::for_each_worker;
 use pargeo_geometry::Point3;
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 const CHUNKS_PER_PROC: usize = 4;
 
@@ -21,35 +21,16 @@ pub fn hull3d_divide_conquer(points: &[Point3]) -> Hull3d {
     }
     let nchunks = (CHUNKS_PER_PROC * parlay::num_threads()).clamp(1, n / 16);
     let chunk = n.div_ceil(nchunks);
-    let candidate_ids: Vec<u32> = (0..nchunks)
-        .into_par_iter()
-        .flat_map_iter(|c| {
-            let lo = c * chunk;
-            let hi = ((c + 1) * chunk).min(n);
-            let local = hull3d_seq(&points[lo..hi]);
-            local.vertices.into_iter().map(move |v| v + lo as u32)
-        })
-        .collect();
+    let mut sub_hulls: Vec<Vec<u32>> = vec![Vec::new(); nchunks];
+    for_each_worker(&mut sub_hulls, |c, vertices| {
+        let lo = c * chunk;
+        let hi = ((c + 1) * chunk).min(n);
+        *vertices = hull3d_seq(&points[lo..hi]).vertices;
+        vertices.iter_mut().for_each(|v| *v += lo as u32);
+    });
+    let candidate_ids = sub_hulls.concat();
     let cand_points: Vec<Point3> = candidate_ids.iter().map(|&i| points[i as usize]).collect();
-    let local = hull3d_quickhull_parallel(&cand_points);
-    let facets = local
-        .facets
-        .into_iter()
-        .map(|f| {
-            [
-                candidate_ids[f[0] as usize],
-                candidate_ids[f[1] as usize],
-                candidate_ids[f[2] as usize],
-            ]
-        })
-        .collect();
-    let mut vertices: Vec<u32> = local
-        .vertices
-        .into_iter()
-        .map(|v| candidate_ids[v as usize])
-        .collect();
-    vertices.sort_unstable();
-    Hull3d { facets, vertices }
+    hull3d_quickhull_parallel(&cand_points).remap(&candidate_ids)
 }
 
 #[cfg(test)]

@@ -1,12 +1,17 @@
 //! The facet mesh: triangles with ridge adjacency and conflict lists.
 //!
-//! This is the "simple and fast data structure" of §3: each facet stores its
-//! three vertices (outward-oriented), its three ridge neighbors, and the
-//! conflict list of visible points assigned to it; each visible point keeps
-//! a reference to *one* arbitrary visible facet, from which a local BFS
-//! recovers the full visible region on demand.
+//! This is the "simple and fast data structure" of §3, kept flat: one slab
+//! of facet slots (vertex ids, ridge neighbors, conflict list) in which a
+//! dying cavity's slots — and the storage of their conflict lists — are
+//! handed straight to the fan that replaces it, so the slab tracks the
+//! live mesh. Every algorithm in this module inserts a point through the
+//! same three steps ([`Mesh::find_cavity`], [`Mesh::replace_cavity`] +
+//! [`Mesh::distribute`], [`Mesh::install`]); the sequential quickhull runs
+//! them back to back, the reservation driver runs the first and third for
+//! many points at once.
 
 use pargeo_geometry::{orient3d, Orientation, Point3};
+use pargeo_parlay as parlay;
 
 /// A 3D convex hull: outward-oriented triangles over the input points.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -28,6 +33,18 @@ impl Hull3d {
     pub fn num_facets(&self) -> usize {
         self.facets.len()
     }
+
+    /// Translates a hull over the sub-sequence `points[ids[0]], points[ids[1]], …`
+    /// (`ids` ascending) back to indices into `points`.
+    pub(crate) fn remap(mut self, ids: &[u32]) -> Hull3d {
+        for v in self.facets.iter_mut().flatten() {
+            *v = ids[*v as usize];
+        }
+        for v in self.vertices.iter_mut() {
+            *v = ids[*v as usize];
+        }
+        self
+    }
 }
 
 /// Work counters behind Figure 12 and Appendix B.
@@ -43,262 +60,291 @@ pub struct HullStats {
     pub rounds: u64,
 }
 
-#[derive(Debug)]
-pub(crate) struct Facet {
-    /// Vertex ids, outward-oriented.
-    pub v: [u32; 3],
-    /// `nbr[i]` = facet across the ridge `(v[i], v[(i+1)%3])`.
-    pub nbr: [u32; 3],
-    /// Conflict list: visible points assigned to this facet.
-    pub pts: Vec<u32>,
-    /// Visibility-BFS marker (owner point id); facets are marked only by
-    /// the point whose cavity exclusively owns them.
-    pub mark: u32,
-    pub alive: bool,
+/// "No facet" / "no point" / free-slot marker.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// Strict visibility: `q` sees the outward-oriented triangle `f` iff it is
+/// strictly outside its plane.
+#[inline]
+pub(crate) fn sees(points: &[Point3], f: &[u32; 3], q: u32) -> bool {
+    orient3d(
+        &points[f[0] as usize],
+        &points[f[1] as usize],
+        &points[f[2] as usize],
+        &points[q as usize],
+    ) == Orientation::Negative
+}
+
+/// The four faces of the tetrahedron `t`, each oriented outward (its
+/// opposite vertex on the `Positive` side); face `k` omits `t[3 - k]`.
+pub(crate) fn tetra_faces(points: &[Point3], t: [u32; 4]) -> [[u32; 3]; 4] {
+    let outward = |mut f: [u32; 3], opposite: u32| {
+        if sees(points, &f, opposite) {
+            f.swap(1, 2);
+        }
+        f
+    };
+    [
+        outward([t[0], t[1], t[2]], t[3]),
+        outward([t[0], t[1], t[3]], t[2]),
+        outward([t[0], t[2], t[3]], t[1]),
+        outward([t[1], t[2], t[3]], t[0]),
+    ]
+}
+
+/// A horizon ridge `a → b` (directed as in the dying facet it bounds) and
+/// the surviving facet across it.
+struct Ridge {
+    a: u32,
+    b: u32,
+    outer: u32,
+    outer_slot: u8,
+}
+
+/// One point's insertion in flight; every buffer is reused across
+/// insertions.
+#[derive(Default)]
+pub(crate) struct Cavity {
+    /// The point being inserted.
+    pub q: u32,
+    /// Facets strictly visible to `q`, in tour order.
+    pub visible: Vec<u32>,
+    /// The boundary ring: surviving facets across the horizon, each once.
+    pub ring: Vec<u32>,
+    /// The horizon in cycle order (`horizon[i].b == horizon[i + 1].a`).
+    horizon: Vec<Ridge>,
+    /// Slots of the new fan; `fan[i]` stands on `horizon[i]`.
+    pub fan: Vec<u32>,
+    /// Conflict points of the dead facets, awaiting redistribution.
+    orphans: Vec<u32>,
+    /// The fan's conflict lists while they are being filled.
+    lists: Vec<Vec<u32>>,
+}
+
+/// Per-worker state of the cavity search: a stamp per facet slot instead
+/// of a visited set.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// `(facet, next ridge, ridges left)` continuations of the tour.
+    stack: Vec<(u32, u8, u8)>,
+}
+
+impl Scratch {
+    /// Starts a search over `slots` facets; returns the "visible" stamp
+    /// (the "tested, not visible" stamp is one above it).
+    fn begin(&mut self, slots: usize) -> u32 {
+        if self.stamp.len() < slots {
+            self.stamp.resize(slots, 0);
+        }
+        if self.epoch >= u32::MAX - 3 {
+            self.stamp.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 2;
+        self.epoch
+    }
 }
 
 pub(crate) struct Mesh<'a> {
     pub points: &'a [Point3],
-    pub facets: Vec<Facet>,
-    /// A point strictly inside the hull (centroid of the initial tetra).
-    pub interior: Point3,
-    pub alive_count: usize,
+    /// Vertex ids per slot, outward-oriented; `[NONE; 3]` in a free slot.
+    v: Vec<[u32; 3]>,
+    /// `nbr[f][i]` = facet across the ridge `(v[f][i], v[f][(i+1)%3])`.
+    nbr: Vec<[u32; 3]>,
+    /// Conflict lists: visible points assigned to each facet (empty in a
+    /// free slot). A list's storage stays with its slot across reuse.
+    pub pts: Vec<Vec<u32>>,
+    free: Vec<u32>,
 }
-
-pub(crate) const NO_MARK: u32 = u32::MAX;
 
 impl<'a> Mesh<'a> {
     /// Builds the initial tetrahedron mesh over vertex ids `t`.
     pub fn new_tetrahedron(points: &'a [Point3], t: [u32; 4]) -> Self {
-        let centroid = (points[t[0] as usize]
-            + points[t[1] as usize]
-            + points[t[2] as usize]
-            + points[t[3] as usize])
-            * 0.25;
-        let mut mesh = Mesh {
-            points,
-            facets: Vec::with_capacity(4),
-            interior: centroid,
-            alive_count: 4,
-        };
-        let tris = [
-            [t[0], t[1], t[2]],
-            [t[0], t[1], t[3]],
-            [t[0], t[2], t[3]],
-            [t[1], t[2], t[3]],
-        ];
-        for tri in tris {
-            let mut v = tri;
-            if orient3d(
-                &points[v[0] as usize],
-                &points[v[1] as usize],
-                &points[v[2] as usize],
-                &centroid,
-            ) != Orientation::Positive
-            {
-                v.swap(1, 2);
-            }
-            debug_assert_eq!(
-                orient3d(
-                    &points[v[0] as usize],
-                    &points[v[1] as usize],
-                    &points[v[2] as usize],
-                    &centroid,
-                ),
-                Orientation::Positive
-            );
-            mesh.facets.push(Facet {
-                v,
-                nbr: [u32::MAX; 3],
-                pts: Vec::new(),
-                mark: NO_MARK,
-                alive: true,
-            });
-        }
-        // Ridge matching for the 4 initial facets.
-        let mut ridge_map: std::collections::HashMap<(u32, u32), (u32, usize)> =
-            std::collections::HashMap::new();
-        for f in 0..4u32 {
-            for i in 0..3usize {
-                let a = mesh.facets[f as usize].v[i];
-                let b = mesh.facets[f as usize].v[(i + 1) % 3];
-                let key = (a.min(b), a.max(b));
-                if let Some((g, j)) = ridge_map.insert(key, (f, i)) {
-                    mesh.facets[f as usize].nbr[i] = g;
-                    mesh.facets[g as usize].nbr[j] = f;
-                }
-            }
-        }
-        debug_assert!(mesh
-            .facets
+        let v = tetra_faces(points, t).to_vec();
+        // The facet across ridge i of face f holds the ridge's two vertices
+        // plus the one f omits, i.e. it is the face omitting f's third.
+        let nbr = v
             .iter()
-            .all(|f| f.nbr.iter().all(|&n| n != u32::MAX)));
-        mesh
+            .map(|f| {
+                [2, 0, 1].map(|third| {
+                    let omitted = t.iter().position(|&x| x == f[third]);
+                    3 - omitted.expect("face vertex is a tetrahedron vertex") as u32
+                })
+            })
+            .collect();
+        Mesh {
+            points,
+            v,
+            nbr,
+            pts: vec![Vec::new(); 4],
+            free: Vec::new(),
+        }
     }
 
-    /// Strict visibility: `q` sees facet `f` iff it is strictly outside its
-    /// plane.
+    /// Number of facet slots (live and free).
+    pub fn slots(&self) -> usize {
+        self.v.len()
+    }
+
+    /// Number of live facets.
+    pub fn live(&self) -> usize {
+        self.v.len() - self.free.len()
+    }
+
+    /// Strict visibility of facet `f` from point `q`.
     #[inline]
     pub fn sees(&self, f: u32, q: u32) -> bool {
-        let fv = &self.facets[f as usize].v;
-        orient3d(
-            &self.points[fv[0] as usize],
-            &self.points[fv[1] as usize],
-            &self.points[fv[2] as usize],
-            &self.points[q as usize],
-        ) == Orientation::Negative
+        sees(self.points, &self.v[f as usize], q)
     }
 
-    /// Signed distance proxy of `q` above facet `f`'s plane (doubles;
-    /// selection only).
-    #[inline]
-    pub fn height(&self, f: u32, q: u32) -> f64 {
-        let fv = &self.facets[f as usize].v;
-        let a = self.points[fv[0] as usize];
-        let b = self.points[fv[1] as usize];
-        let c = self.points[fv[2] as usize];
+    /// The first of the four initial facets that sees `q` (`NONE`: `q` is
+    /// inside the tetrahedron). One call per input point is the whole
+    /// initial conflict assignment.
+    pub fn seed_facet(&self, q: u32) -> u32 {
+        (0..4).find(|&f| self.sees(f, q)).unwrap_or(NONE)
+    }
+
+    /// The conflict point of `f` furthest above its plane (doubles;
+    /// selection only). `f`'s list must be non-empty.
+    pub fn furthest(&self, f: u32) -> u32 {
+        let [a, b, c] = self.v[f as usize].map(|i| self.points[i as usize]);
         let n = (b - a).cross(&(c - a));
-        (self.points[q as usize] - a).dot(&n)
+        let pts = &self.pts[f as usize];
+        let best = parlay::max_index_by(pts, |&t| (self.points[t as usize] - a).dot(&n));
+        pts[best.expect("facet has conflicts")]
     }
 
-    /// BFS over the visible region of `q` starting from a visible facet
-    /// `f0`. Returns the visible facet ids; does not mark.
-    pub fn visible_region(&self, f0: u32, q: u32) -> Vec<u32> {
-        debug_assert!(self.facets[f0 as usize].alive);
+    /// The slot of the directed ridge `a → b` in facet `g`.
+    fn slot_of(&self, g: u32, a: u32, b: u32) -> u8 {
+        let gv = &self.v[g as usize];
+        (0..3)
+            .find(|&j| gv[j] == a && gv[(j + 1) % 3] == b)
+            .expect("ridge must exist in the facet across it") as u8
+    }
+
+    /// Fills `cav` with the cavity of `q` around the visible facet `f0`:
+    /// one counterclockwise tour of the visible region yields its facets,
+    /// the boundary ring, and the horizon already in cycle order. (The
+    /// region is a disc; ridges between two facets the tour has both
+    /// reached are cuts hanging off its boundary, so skipping them leaves
+    /// the order of the boundary ridges intact.) Read-only on the mesh.
+    pub fn find_cavity(&self, s: &mut Scratch, f0: u32, q: u32, cav: &mut Cavity) {
         debug_assert!(self.sees(f0, q));
-        let mut visible = vec![f0];
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(f0);
-        let mut stack = vec![f0];
-        while let Some(f) = stack.pop() {
-            for &g in &self.facets[f as usize].nbr {
-                if seen.insert(g) && self.sees(g, q) {
-                    visible.push(g);
-                    stack.push(g);
-                }
+        cav.q = q;
+        cav.visible.clear();
+        cav.ring.clear();
+        cav.horizon.clear();
+        let vis = s.begin(self.v.len());
+        let hid = vis + 1;
+        s.stamp[f0 as usize] = vis;
+        cav.visible.push(f0);
+        s.stack.push((f0, 0, 3));
+        while let Some((f, i, left)) = s.stack.pop() {
+            if left > 1 {
+                s.stack.push((f, (i + 1) % 3, left - 1));
             }
-        }
-        visible
-    }
-
-    /// The boundary ring: alive facets adjacent to the visible region but
-    /// not in it.
-    pub fn boundary_of(&self, visible: &[u32], q: u32) -> Vec<u32> {
-        let mut boundary = Vec::new();
-        let mut seen: std::collections::HashSet<u32> = visible.iter().copied().collect();
-        for &f in visible {
-            for &g in &self.facets[f as usize].nbr {
-                if seen.insert(g) && !self.sees(g, q) {
-                    boundary.push(g);
-                }
+            let fv = self.v[f as usize];
+            let (a, b) = (fv[i as usize], fv[(i as usize + 1) % 3]);
+            let g = self.nbr[f as usize][i as usize];
+            let stamp = s.stamp[g as usize];
+            if stamp == vis {
+                continue;
             }
-        }
-        boundary
-    }
-
-    /// Replaces the cavity `visible` (all facets strictly visible to `q`)
-    /// with the fan of new facets around `q`. Returns the new facet ids.
-    ///
-    /// The caller guarantees exclusive ownership of `visible`, its points,
-    /// and the boundary facets' neighbor slots (sequentially trivial; in
-    /// the parallel algorithms guaranteed by the reservation).
-    pub fn insert_point(&mut self, q: u32, visible: &[u32]) -> Vec<u32> {
-        // Mark the cavity.
-        for &f in visible {
-            self.facets[f as usize].mark = q;
-        }
-        // Horizon: directed ridges (a -> b) from visible facet to
-        // non-visible neighbor, keyed by start vertex to form the cycle.
-        struct HorizonRidge {
-            a: u32,
-            b: u32,
-            outer: u32,
-            outer_slot: usize,
-        }
-        let mut ridges: Vec<HorizonRidge> = Vec::new();
-        for &f in visible {
-            let facet = &self.facets[f as usize];
-            for i in 0..3 {
-                let g = facet.nbr[i];
-                if self.facets[g as usize].mark != q {
-                    let a = facet.v[i];
-                    let b = facet.v[(i + 1) % 3];
-                    // Locate the ridge slot in the outer facet (directed
-                    // b -> a there).
-                    let gv = &self.facets[g as usize].v;
-                    let outer_slot = (0..3)
-                        .find(|&j| gv[j] == b && gv[(j + 1) % 3] == a)
-                        .expect("ridge must exist in outer facet");
-                    ridges.push(HorizonRidge {
-                        a,
-                        b,
-                        outer: g,
-                        outer_slot,
-                    });
+            if stamp != hid {
+                if self.sees(g, q) {
+                    s.stamp[g as usize] = vis;
+                    cav.visible.push(g);
+                    s.stack.push((g, (self.slot_of(g, b, a) + 1) % 3, 2));
+                    continue;
                 }
+                s.stamp[g as usize] = hid;
+                cav.ring.push(g);
             }
-        }
-        debug_assert!(ridges.len() >= 3, "horizon must be a cycle");
-        // Order ridges into the horizon cycle.
-        let by_start: std::collections::HashMap<u32, usize> =
-            ridges.iter().enumerate().map(|(i, r)| (r.a, i)).collect();
-        debug_assert_eq!(by_start.len(), ridges.len(), "horizon must be simple");
-        let mut order = Vec::with_capacity(ridges.len());
-        let mut cur = 0usize;
-        for _ in 0..ridges.len() {
-            order.push(cur);
-            cur = by_start[&ridges[cur].b];
-        }
-        debug_assert_eq!(cur, 0, "horizon must close");
-        // Create the new fan.
-        let base = self.facets.len() as u32;
-        let k = order.len() as u32;
-        for (pos, &ri) in order.iter().enumerate() {
-            let r = &ridges[ri];
-            let id = base + pos as u32;
-            let next = base + ((pos as u32 + 1) % k);
-            let prev = base + ((pos as u32 + k - 1) % k);
-            debug_assert_ne!(
-                orient3d(
-                    &self.points[r.a as usize],
-                    &self.points[r.b as usize],
-                    &self.points[q as usize],
-                    &self.interior,
-                ),
-                Orientation::Negative,
-                "new facet must face outward"
-            );
-            self.facets.push(Facet {
-                v: [r.a, r.b, q],
-                // slot 0: ridge (a,b) -> outer; slot 1: (b,q) -> next new
-                // facet (whose ridge (a',b') has a' = b); slot 2: (q,a) ->
-                // previous new facet.
-                nbr: [r.outer, next, prev],
-                pts: Vec::new(),
-                mark: NO_MARK,
-                alive: true,
+            cav.horizon.push(Ridge {
+                a,
+                b,
+                outer: g,
+                outer_slot: self.slot_of(g, b, a),
             });
-            self.facets[r.outer as usize].nbr[r.outer_slot] = id;
         }
-        // Kill the cavity.
-        for &f in visible {
-            self.facets[f as usize].alive = false;
-        }
-        self.alive_count += order.len();
-        self.alive_count -= visible.len();
-        (base..base + k).collect()
+        debug_assert!(cav.horizon.len() >= 3, "horizon must be a cycle");
     }
 
-    /// Extracts the hull from the alive facets.
-    pub fn extract(&self) -> Hull3d {
-        let mut facets = Vec::with_capacity(self.alive_count);
-        let mut vertices = Vec::new();
-        for f in &self.facets {
-            if f.alive {
-                facets.push(f.v);
-                vertices.extend_from_slice(&f.v);
+    /// Replaces the cavity with the fan of new facets around `cav.q`, in
+    /// the cavity's own slots (plus fresh ones, or minus freed ones), and
+    /// moves the dead facets' conflict points into `cav` for
+    /// [`Mesh::distribute`].
+    ///
+    /// The caller guarantees exclusive ownership of the cavity, its
+    /// points, and the ring facets' neighbor slots (sequentially trivial;
+    /// in the parallel algorithms guaranteed by the reservation).
+    pub fn replace_cavity(&mut self, cav: &mut Cavity) {
+        let k = cav.horizon.len();
+        cav.orphans.clear();
+        for &f in &cav.visible {
+            cav.orphans.append(&mut self.pts[f as usize]);
+        }
+        cav.fan.clear();
+        cav.fan.extend(cav.visible.iter().take(k));
+        for &f in cav.visible.iter().skip(k) {
+            self.v[f as usize] = [NONE; 3];
+            self.free.push(f);
+        }
+        while cav.fan.len() < k {
+            let slot = self.free.pop().unwrap_or_else(|| {
+                self.v.push([NONE; 3]);
+                self.nbr.push([NONE; 3]);
+                self.pts.push(Vec::new());
+                self.v.len() as u32 - 1
+            });
+            cav.fan.push(slot);
+        }
+        debug_assert!(cav.lists.is_empty());
+        for (pos, r) in cav.horizon.iter().enumerate() {
+            debug_assert_eq!(r.b, cav.horizon[(pos + 1) % k].a, "horizon must chain");
+            let id = cav.fan[pos];
+            // Ridge 0 `(a, b)` keeps the outer facet; ridge 1 `(b, q)` meets
+            // the next fan facet (whose `a` is this `b`); ridge 2 `(q, a)`
+            // the previous one.
+            self.v[id as usize] = [r.a, r.b, cav.q];
+            self.nbr[id as usize] = [r.outer, cav.fan[(pos + 1) % k], cav.fan[(pos + k - 1) % k]];
+            self.nbr[r.outer as usize][r.outer_slot as usize] = id;
+            cav.lists.push(std::mem::take(&mut self.pts[id as usize]));
+        }
+    }
+
+    /// Assigns each orphaned conflict point to the first fan facet that
+    /// sees it and reports `placed(point, facet)` — `NONE` for a point the
+    /// new hull swallowed. Read-only on the mesh, so the winners of one
+    /// round run it side by side.
+    pub fn distribute(&self, cav: &mut Cavity, placed: impl Fn(u32, u32)) {
+        for &t in &cav.orphans {
+            if t == cav.q {
+                continue;
+            }
+            match cav.fan.iter().position(|&f| self.sees(f, t)) {
+                Some(i) => {
+                    cav.lists[i].push(t);
+                    placed(t, cav.fan[i]);
+                }
+                None => placed(t, NONE),
             }
         }
+    }
+
+    /// Moves the filled conflict lists into the fan's slots.
+    pub fn install(&mut self, cav: &mut Cavity) {
+        for (&f, list) in cav.fan.iter().zip(cav.lists.drain(..)) {
+            self.pts[f as usize] = list;
+        }
+    }
+
+    /// Extracts the hull from the live facets.
+    pub fn extract(&self) -> Hull3d {
+        let facets: Vec<[u32; 3]> = self.v.iter().filter(|f| f[0] != NONE).copied().collect();
+        let mut vertices: Vec<u32> = facets.iter().flatten().copied().collect();
         vertices.sort_unstable();
         vertices.dedup();
         Hull3d { facets, vertices }
@@ -322,52 +368,52 @@ mod tests {
         pts
     }
 
-    #[test]
-    fn tetra_mesh_is_consistent() {
-        let pts = cube_points();
-        let t = initial_tetrahedron(&pts).unwrap();
-        let mesh = Mesh::new_tetrahedron(&pts, t);
-        assert_eq!(mesh.alive_count, 4);
-        // Mutual neighbor consistency.
-        for (fi, f) in mesh.facets.iter().enumerate() {
-            for (i, &g) in f.nbr.iter().enumerate() {
-                let a = f.v[i];
-                let b = f.v[(i + 1) % 3];
-                let gf = &mesh.facets[g as usize];
-                let slot = (0..3)
-                    .find(|&j| gf.v[j] == b && gf.v[(j + 1) % 3] == a)
-                    .expect("reverse ridge");
-                assert_eq!(gf.nbr[slot] as usize, fi);
+    /// Every ridge is matched by its reverse in the facet across it.
+    fn assert_consistent(mesh: &Mesh) {
+        for (fi, f) in mesh.v.iter().enumerate().filter(|(_, f)| f[0] != NONE) {
+            for (i, &g) in mesh.nbr[fi].iter().enumerate() {
+                let slot = mesh.slot_of(g, f[(i + 1) % 3], f[i]);
+                assert_eq!(mesh.nbr[g as usize][slot as usize] as usize, fi);
             }
         }
     }
 
     #[test]
+    fn tetra_mesh_is_consistent() {
+        let pts = cube_points();
+        let t = initial_tetrahedron(&pts).unwrap();
+        let mesh = Mesh::new_tetrahedron(&pts, t);
+        assert_eq!(mesh.live(), 4);
+        assert_consistent(&mesh);
+        for f in 0..4u32 {
+            let opposite = t.iter().find(|x| !mesh.v[f as usize].contains(x)).unwrap();
+            assert!(!mesh.sees(f, *opposite), "facet {f} must face outward");
+        }
+    }
+
+    /// Inserting all eight cube corners through the kernel keeps the mesh
+    /// a closed surface, reuses dead slots, and leaves no free slot behind
+    /// a cavity smaller than its fan.
+    #[test]
     fn insert_point_grows_hull() {
-        let pts = vec![
-            Point3::new([0.0, 0.0, 0.0]),
-            Point3::new([1.0, 0.0, 0.0]),
-            Point3::new([0.0, 1.0, 0.0]),
-            Point3::new([0.0, 0.0, 1.0]),
-            Point3::new([2.0, 2.0, 2.0]),
-        ];
+        let pts = cube_points();
         let t = initial_tetrahedron(&pts).unwrap();
         let mut mesh = Mesh::new_tetrahedron(&pts, t);
-        // Find the point not in the tetra and its visible facets.
-        let q = (0..5u32).find(|i| !t.contains(i)).unwrap();
-        let f0 = (0..4u32).find(|&f| mesh.sees(f, q));
-        if let Some(f0) = f0 {
-            let visible = mesh.visible_region(f0, q);
-            let new = mesh.insert_point(q, &visible);
-            assert!(new.len() >= 3);
-            let hull = mesh.extract();
-            assert!(hull.vertices.contains(&q));
-            // Still a closed triangulated surface.
-            assert_eq!(
-                hull.vertices.len() as i64 - 3 * hull.facets.len() as i64 / 2
-                    + hull.facets.len() as i64,
-                2
-            );
+        let (mut scratch, mut cav) = (Scratch::default(), Cavity::default());
+        for q in (0..8u32).filter(|q| !t.contains(q)) {
+            let f0 = (0..mesh.slots() as u32)
+                .find(|&f| mesh.v[f as usize][0] != NONE && mesh.sees(f, q))
+                .expect("cube corners are in convex position");
+            mesh.find_cavity(&mut scratch, f0, q, &mut cav);
+            mesh.replace_cavity(&mut cav);
+            mesh.distribute(&mut cav, |_, _| {});
+            mesh.install(&mut cav);
+            assert_consistent(&mesh);
         }
+        let hull = mesh.extract();
+        assert_eq!(hull.vertices, (0..8).collect::<Vec<u32>>());
+        assert_eq!(hull.facets.len(), 12);
+        assert_eq!(mesh.slots(), mesh.live() + mesh.free.len());
+        assert!(mesh.slots() <= 14, "slab must track the live mesh");
     }
 }

@@ -5,6 +5,22 @@
 //! rule (a point exactly on a facet's plane is *not* visible), so points
 //! interior to faces/edges are never hull vertices.
 //!
+//! In general position the hull's vertex set is a property of the input
+//! and every algorithm reports the same sorted `vertices` (facet *order*
+//! is each algorithm's own). On coplanar-rich input — several points
+//! exactly on one hull face, as on a lattice or a cube's sides — the
+//! family agrees on the hull's *geometry* only: how a flat face is
+//! triangulated, and therefore which of its on-face points appear as
+//! triangle corners, depends on insertion order. [`try_hull3d`]'s
+//! `vertices` are canonical only in general position.
+//!
+//! Every algorithm inserts points through one kernel (`mesh`): the
+//! sequential quickhull directly, the reservation driver (Figure 5) many
+//! at a time, and the pseudohull and divide-and-conquer variants by
+//! culling the input first and finishing on the reservation quickhull.
+//! [`try_hull3d`] runs the pseudohull variant, the fastest on every
+//! distribution of Figure 9 (EXPERIMENTS.md `fig9`).
+//!
 //! Degenerate inputs (all points collinear or coplanar) have no 3D hull;
 //! they are handled by projecting onto the dominant plane and returning the
 //! 2D hull vertices with an empty facet list.
@@ -27,11 +43,10 @@ pub use seq::{hull3d_seq, hull3d_seq_with_stats};
 
 use pargeo_geometry::{orient3d, GeoError, GeoResult, Orientation, Point3};
 
-/// Non-panicking 3D hull that *rejects* inputs with no full-dimensional
-/// hull — empty, fewer than four points, or all collinear/coplanar — with
-/// a typed [`GeoError`] instead of degrading to the projected 2D hull,
-/// then runs `algo` (any of this crate's `hull3d_*` entry points).
-pub fn try_hull3d_with(points: &[Point3], algo: fn(&[Point3]) -> Hull3d) -> GeoResult<Hull3d> {
+/// The seed tetrahedron of a full-dimensional input, or the typed
+/// [`GeoError`] naming why there is none (empty, fewer than four points,
+/// all collinear/coplanar).
+fn seed_tetrahedron(points: &[Point3]) -> GeoResult<[u32; 4]> {
     if points.is_empty() {
         return Err(GeoError::EmptyInput { op: "hull3d" });
     }
@@ -42,18 +57,32 @@ pub fn try_hull3d_with(points: &[Point3], algo: fn(&[Point3]) -> Hull3d) -> GeoR
             got: points.len(),
         });
     }
-    if initial_tetrahedron(points).is_none() {
-        return Err(GeoError::Degenerate {
-            op: "hull3d",
-            what: "coplanar",
-        });
-    }
+    initial_tetrahedron(points).ok_or(GeoError::Degenerate {
+        op: "hull3d",
+        what: "coplanar",
+    })
+}
+
+/// Non-panicking 3D hull that *rejects* inputs with no full-dimensional
+/// hull — empty, fewer than four points, or all collinear/coplanar — with
+/// a typed [`GeoError`] instead of degrading to the projected 2D hull,
+/// then runs `algo` (any of this crate's `hull3d_*` entry points).
+pub fn try_hull3d_with(points: &[Point3], algo: fn(&[Point3]) -> Hull3d) -> GeoResult<Hull3d> {
+    seed_tetrahedron(points)?;
     Ok(algo(points))
 }
 
-/// [`try_hull3d_with`] using the parallel quickhull.
+/// The default 3D hull: [`try_hull3d_with`]'s checks, then the pseudohull
+/// cull + reservation quickhull ([`hull3d_pseudo`]) — the family's fastest
+/// member on every distribution of Figure 9 — started from the seed
+/// tetrahedron the check already found.
 pub fn try_hull3d(points: &[Point3]) -> GeoResult<Hull3d> {
-    try_hull3d_with(points, hull3d_quickhull_parallel)
+    let tetra = seed_tetrahedron(points)?;
+    Ok(pseudo::pseudo_from(
+        points,
+        tetra,
+        pseudo::DEFAULT_CULL_THRESHOLD,
+    ))
 }
 
 /// Picks four affinely independent points (used as the initial

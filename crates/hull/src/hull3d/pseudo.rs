@@ -12,10 +12,10 @@
 //! fraction of the input) are handed to the reservation-based parallel
 //! quickhull for the exact final hull.
 
-use super::mesh::Hull3d;
-use super::reservation::hull3d_quickhull_parallel;
+use super::mesh::{sees, tetra_faces, Hull3d};
+use super::reservation::quickhull_from;
 use super::{degenerate_hull3d, initial_tetrahedron};
-use pargeo_geometry::{orient3d, Orientation, Point3};
+use pargeo_geometry::Point3;
 
 /// Default facet-size threshold below which the pseudohull stops growing.
 pub const DEFAULT_CULL_THRESHOLD: usize = 32;
@@ -29,161 +29,91 @@ pub fn hull3d_pseudo(points: &[Point3]) -> Hull3d {
 
 /// Pseudohull culling with an explicit stop threshold.
 pub fn hull3d_pseudo_with_threshold(points: &[Point3], threshold: usize) -> Hull3d {
-    let Some(tetra) = initial_tetrahedron(points) else {
-        return degenerate_hull3d(points);
-    };
+    match initial_tetrahedron(points) {
+        Some(tetra) => pseudo_from(points, tetra, threshold),
+        None => degenerate_hull3d(points),
+    }
+}
+
+/// [`hull3d_pseudo_with_threshold`] from a seed tetrahedron the caller
+/// already found.
+pub(crate) fn pseudo_from(points: &[Point3], tetra: [u32; 4], threshold: usize) -> Hull3d {
     let threshold = threshold.max(1);
-    // Orient the four tetra faces outward and assign each exterior point to
-    // its first visible face.
-    let centroid = (points[tetra[0] as usize]
-        + points[tetra[1] as usize]
-        + points[tetra[2] as usize]
-        + points[tetra[3] as usize])
-        * 0.25;
-    let faces: Vec<[u32; 3]> = [
-        [tetra[0], tetra[1], tetra[2]],
-        [tetra[0], tetra[1], tetra[3]],
-        [tetra[0], tetra[2], tetra[3]],
-        [tetra[1], tetra[2], tetra[3]],
-    ]
-    .into_iter()
-    .map(|f| orient_outward(points, f, &centroid))
-    .collect();
-    let mut face_pts: Vec<Vec<u32>> = vec![Vec::new(); 4];
+    // Assign each exterior point to the first tetrahedron face it sees.
+    let faces = tetra_faces(points, tetra);
+    let mut face_pts: [Vec<u32>; 4] = Default::default();
     for q in 0..points.len() as u32 {
-        if tetra.contains(&q) {
-            continue;
-        }
-        if let Some(i) = (0..4).find(|&i| sees(points, &faces[i], q)) {
+        if let Some(i) = faces.iter().position(|f| sees(points, f, q)) {
             face_pts[i].push(q);
         }
     }
     // Grow the four pseudohull cones in parallel.
-    let mut survivor_lists: Vec<Vec<u32>> = Vec::with_capacity(4);
-    let results: Vec<Vec<u32>> = {
-        use rayon::prelude::*;
-        faces
-            .par_iter()
-            .zip(face_pts.into_par_iter())
-            .map(|(f, pts)| expand(points, *f, pts, threshold))
-            .collect()
+    let [p0, p1, p2, p3] = face_pts;
+    let grow = |i: usize, pts| {
+        let mut cone = Vec::new();
+        expand(points, faces[i], pts, threshold, &mut cone);
+        cone
     };
-    survivor_lists.extend(results);
-    let mut candidates: Vec<u32> = tetra.to_vec();
-    for list in survivor_lists {
-        candidates.extend(list);
-    }
+    let ((s0, s1), (s2, s3)) = rayon::join(
+        || rayon::join(|| grow(0, p0), || grow(1, p1)),
+        || rayon::join(|| grow(2, p2), || grow(3, p3)),
+    );
+    let mut candidates: Vec<u32> = [&tetra[..], &s0, &s1, &s2, &s3].concat();
     candidates.sort_unstable();
     candidates.dedup();
-    // Exact hull on the survivors.
+    // Exact hull on the survivors, seeded with the same tetrahedron.
     let cand_points: Vec<Point3> = candidates.iter().map(|&i| points[i as usize]).collect();
-    let local = hull3d_quickhull_parallel(&cand_points);
-    remap(local, &candidates)
+    let local_tetra = tetra.map(|t| candidates.binary_search(&t).expect("seed survives") as u32);
+    quickhull_from(&cand_points, local_tetra).remap(&candidates)
 }
 
-/// Grows facet `(a, b, c)` toward its furthest conflict point; returns the
+/// Grows facet `(a, b, c)` toward its furthest conflict point; appends the
 /// surviving candidates of this cone (including every pseudohull vertex
-/// used along the way).
-fn expand(points: &[Point3], f: [u32; 3], pts: Vec<u32>, threshold: usize) -> Vec<u32> {
+/// used along the way) to `out`.
+fn expand(points: &[Point3], f: [u32; 3], pts: Vec<u32>, threshold: usize, out: &mut Vec<u32>) {
     if pts.len() <= threshold {
-        return pts;
+        out.extend(pts);
+        return;
     }
     // Furthest point from the facet plane (selection only: doubles).
     let a = points[f[0] as usize];
-    let b = points[f[1] as usize];
-    let c = points[f[2] as usize];
-    let n = (b - a).cross(&(c - a));
+    let n = (points[f[1] as usize] - a).cross(&(points[f[2] as usize] - a));
+    let height = |t: u32| (points[t as usize] - a).dot(&n);
     let q = *pts
         .iter()
-        .max_by(|&&x, &&y| {
-            let hx = (points[x as usize] - a).dot(&n).abs();
-            let hy = (points[y as usize] - a).dot(&n).abs();
-            hx.partial_cmp(&hy).unwrap()
-        })
+        .max_by(|&&x, &&y| height(x).partial_cmp(&height(y)).unwrap())
         .unwrap();
-    // Local tetrahedron (a, b, c, q); its centroid orients the children.
-    let g = (a + b + c + points[q as usize]) * 0.25;
-    let children = [
-        orient_outward(points, [f[0], f[1], q], &g),
-        orient_outward(points, [f[1], f[2], q], &g),
-        orient_outward(points, [f[2], f[0], q], &g),
-    ];
-    let mut child_pts: [Vec<u32>; 3] = [Vec::new(), Vec::new(), Vec::new()];
-    for &t in &pts {
-        if t == q {
-            continue;
-        }
+    out.push(q);
+    // The other three faces of the local tetrahedron (a, b, c, q): `q` is
+    // above the outward-oriented `f`, so these are outward as written.
+    let children = [[f[0], f[1], q], [f[1], f[2], q], [f[2], f[0], q]];
+    let mut child_pts: [Vec<u32>; 3] = Default::default();
+    for &t in pts.iter().filter(|&&t| t != q) {
         // Points visible to no child are inside (a, b, c, q): provably
         // interior to the final hull, discard.
-        if let Some(i) = (0..3).find(|&i| sees(points, &children[i], t)) {
+        if let Some(i) = children.iter().position(|c| sees(points, c, t)) {
             child_pts[i].push(t);
         }
     }
     drop(pts);
     let [p0, p1, p2] = child_pts;
-    let (mut s0, (mut s1, mut s2)) = if p0.len() + p1.len() + p2.len() >= SEQ_CUTOFF {
-        rayon::join(
-            || expand(points, children[0], p0, threshold),
-            || {
-                rayon::join(
-                    || expand(points, children[1], p1, threshold),
-                    || expand(points, children[2], p2, threshold),
-                )
-            },
-        )
+    if p0.len() + p1.len() + p2.len() >= SEQ_CUTOFF {
+        let grow = |i: usize, pts| {
+            let mut cone = Vec::new();
+            expand(points, children[i], pts, threshold, &mut cone);
+            cone
+        };
+        let (_, (s1, s2)) = rayon::join(
+            || expand(points, children[0], p0, threshold, out),
+            || rayon::join(|| grow(1, p1), || grow(2, p2)),
+        );
+        out.extend(s1);
+        out.extend(s2);
     } else {
-        (
-            expand(points, children[0], p0, threshold),
-            (
-                expand(points, children[1], p1, threshold),
-                expand(points, children[2], p2, threshold),
-            ),
-        )
-    };
-    let mut out = Vec::with_capacity(1 + s0.len() + s1.len() + s2.len());
-    out.push(q);
-    out.append(&mut s0);
-    out.append(&mut s1);
-    out.append(&mut s2);
-    out
-}
-
-fn orient_outward(points: &[Point3], mut f: [u32; 3], interior: &Point3) -> [u32; 3] {
-    if orient3d(
-        &points[f[0] as usize],
-        &points[f[1] as usize],
-        &points[f[2] as usize],
-        interior,
-    ) != Orientation::Positive
-    {
-        f.swap(1, 2);
+        for (child, pts) in children.into_iter().zip([p0, p1, p2]) {
+            expand(points, child, pts, threshold, out);
+        }
     }
-    f
-}
-
-#[inline]
-fn sees(points: &[Point3], f: &[u32; 3], q: u32) -> bool {
-    orient3d(
-        &points[f[0] as usize],
-        &points[f[1] as usize],
-        &points[f[2] as usize],
-        &points[q as usize],
-    ) == Orientation::Negative
-}
-
-fn remap(local: Hull3d, ids: &[u32]) -> Hull3d {
-    let facets = local
-        .facets
-        .into_iter()
-        .map(|f| [ids[f[0] as usize], ids[f[1] as usize], ids[f[2] as usize]])
-        .collect();
-    let mut vertices: Vec<u32> = local
-        .vertices
-        .into_iter()
-        .map(|v| ids[v as usize])
-        .collect();
-    vertices.sort_unstable();
-    Hull3d { facets, vertices }
 }
 
 #[cfg(test)]

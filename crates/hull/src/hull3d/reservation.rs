@@ -5,30 +5,43 @@
 //! * **RandInc** — the input is randomly permuted and each round attempts a
 //!   *prefix* of the remaining visible points.
 //! * **QuickHull** — each round attempts the furthest visible point of each
-//!   of (up to) `c · numProc` facets with non-empty conflict lists.
+//!   of (up to) `c · numProc` facets with non-empty conflict lists, drawn
+//!   far apart in the work list so the attempts rarely collide.
 //!
-//! A round runs four phases: (A) every batch point BFSes its visible region
-//! and priority-writes its rank onto the region plus its boundary ring;
-//! (A') points that hold *all* their reservations succeed; (B) winners'
-//! cavities are replaced by new facet fans (cheap structural surgery,
-//! `O(Σ cavity)`); (C) conflict lists of deleted facets are redistributed
-//! onto each winner's new facets in parallel (winners own disjoint facet
-//! and point sets — the invariant the reservation buys); (D) reservations
-//! reset and the visible-point set is packed (Figure 5, line 17). Rank 0
-//! always wins every slot it touches, so progress is guaranteed.
+//! A round attempts `c · numProc` points (Figure 5) — never a share of the
+//! mesh: every attempt claims its cavity plus the ring around it, so a
+//! batch that grows with the mesh oversubscribes it and most attempts are
+//! thrown away. The phases: (A) every worker finds the cavities of its
+//! `c` points ([`Mesh::find_cavity`], read-only) and priority-writes their
+//! ranks onto cavity and ring; (B) in rank order, a point that holds *all*
+//! its reservations wins and has its cavity replaced by the new fan
+//! (`O(Σ cavity)` surgery, the dead facets' conflict lists moved out);
+//! (C) the winners redistribute those lists onto their fans side by side
+//! ([`Mesh::distribute`], read-only — each winner owns its points and
+//! lists, the invariant the reservation buys); (D) the lists are moved
+//! into place and the work list updated. Rank 0 always wins every slot it
+//! touches, so progress is guaranteed.
 
-use super::mesh::{Facet, Hull3d, HullStats, Mesh};
+use super::mesh::{Cavity, Hull3d, HullStats, Mesh, Scratch, NONE};
 use super::{degenerate_hull3d, initial_tetrahedron};
+use crate::for_each_worker;
 use pargeo_geometry::Point3;
 use pargeo_parlay as parlay;
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
-const EMPTY: usize = usize::MAX;
+/// Attempts per processor per round: the `c` of the paper's `c · numProc`.
+const ATTEMPTS_PER_PROC: usize = 8;
+
+/// Tiny-hull guard (Appendix B's contention note): an attempt claims a
+/// dozen-odd facets, so a round never makes more than one per this many
+/// live facets — one point per round while the hull is a few facets.
+const FACETS_PER_ATTEMPT: usize = 64;
 
 /// Batch scheduling strategy (the two §3 instantiations).
 enum Strategy {
-    RandInc,
+    /// With the permutation seed.
+    RandInc(u64),
     Quickhull,
 }
 
@@ -39,218 +52,230 @@ pub fn hull3d_randinc(points: &[Point3]) -> Hull3d {
 
 /// Parallel randomized incremental hull with an explicit seed.
 pub fn hull3d_randinc_seeded(points: &[Point3], seed: u64) -> Hull3d {
-    drive(points, Strategy::RandInc, seed).0
+    drive(points, Strategy::RandInc(seed)).0
 }
 
 /// Parallel randomized incremental hull with Figure 12 counters.
 pub fn hull3d_randinc_with_stats(points: &[Point3]) -> (Hull3d, HullStats) {
-    drive(points, Strategy::RandInc, 42)
+    drive(points, Strategy::RandInc(42))
 }
 
 /// Reservation-based parallel quickhull.
 pub fn hull3d_quickhull_parallel(points: &[Point3]) -> Hull3d {
-    drive(points, Strategy::Quickhull, 42).0
+    drive(points, Strategy::Quickhull).0
 }
 
 /// Reservation-based parallel quickhull with Figure 12 counters.
 pub fn hull3d_quickhull_parallel_with_stats(points: &[Point3]) -> (Hull3d, HullStats) {
-    drive(points, Strategy::Quickhull, 42)
+    drive(points, Strategy::Quickhull)
 }
 
-struct Plan {
-    q: u32,
-    visible: Vec<u32>,
-    boundary: Vec<u32>,
+/// [`hull3d_quickhull_parallel`] from a seed tetrahedron the caller
+/// already found.
+pub(crate) fn quickhull_from(points: &[Point3], tetra: [u32; 4]) -> Hull3d {
+    run(points, tetra, Strategy::Quickhull).0
 }
 
-fn drive(points: &[Point3], strategy: Strategy, seed: u64) -> (Hull3d, HullStats) {
+fn drive(points: &[Point3], strategy: Strategy) -> (Hull3d, HullStats) {
+    match initial_tetrahedron(points) {
+        Some(tetra) => run(points, tetra, strategy),
+        None => (degenerate_hull3d(points), HullStats::default()),
+    }
+}
+
+/// What is left to insert.
+enum Pending {
+    /// `order[head..]`: the visible points in permutation order, among
+    /// points inserted or swallowed since (`facet_of` = `NONE`, skipped
+    /// when met). `facet_of[q]` is one facet visible to `q`.
+    RandInc {
+        order: Vec<u32>,
+        head: usize,
+        facet_of: Vec<AtomicU32>,
+    },
+    /// Facet slots that may hold conflicts, each listed at most once.
+    Quickhull { active: Vec<u32>, queued: Vec<bool> },
+}
+
+/// One processor's share of a round.
+struct Worker {
+    scratch: Scratch,
+    cavs: Vec<Cavity>,
+}
+
+fn run(points: &[Point3], tetra: [u32; 4], strategy: Strategy) -> (Hull3d, HullStats) {
     let mut stats = HullStats::default();
-    let Some(tetra) = initial_tetrahedron(points) else {
-        return (degenerate_hull3d(points), stats);
-    };
-    let mut mesh = Mesh::new_tetrahedron(points, tetra);
-    let mut reservations: Vec<AtomicUsize> = (0..4).map(|_| AtomicUsize::new(EMPTY)).collect();
     let n = points.len();
-    let mut facet_of: Vec<u32> = vec![u32::MAX; n];
-    let mut visible: Vec<bool> = vec![false; n];
+    let mut mesh = Mesh::new_tetrahedron(points, tetra);
 
-    // Initial conflict assignment (in permutation order for RandInc).
-    let order: Vec<u32> = match strategy {
-        Strategy::RandInc => parlay::random_permutation(n, seed),
-        Strategy::Quickhull => (0..n as u32).collect(),
+    // Initial conflict assignment: one predicate pass, then a scatter in
+    // insertion-priority order.
+    let facet_of: Vec<AtomicU32> = (0..n)
+        .into_par_iter()
+        .map(|q| AtomicU32::new(mesh.seed_facet(q as u32)))
+        .collect();
+    let mut assign = |q: u32| {
+        let f = facet_of[q as usize].load(Relaxed);
+        if f != NONE {
+            mesh.pts[f as usize].push(q);
+        }
+        f != NONE
     };
-    let assignments: Vec<(u32, u32)> = order
-        .par_iter()
-        .filter_map(|&q| {
-            if tetra.contains(&q) {
-                return None;
+    let mut pending = match strategy {
+        Strategy::RandInc(seed) => {
+            let mut order = parlay::random_permutation(n, seed);
+            order.retain(|&q| assign(q));
+            Pending::RandInc {
+                order,
+                head: 0,
+                facet_of,
             }
-            (0..4u32).find(|&f| mesh.sees(f, q)).map(|f| (q, f))
+        }
+        Strategy::Quickhull => {
+            (0..n as u32).for_each(|q| {
+                assign(q);
+            });
+            Pending::Quickhull {
+                active: (0..4).collect(),
+                queued: vec![true; 4],
+            }
+        }
+    };
+
+    let mut workers: Vec<Worker> = (0..parlay::num_threads())
+        .map(|_| Worker {
+            scratch: Scratch::default(),
+            cavs: (0..ATTEMPTS_PER_PROC).map(|_| Cavity::default()).collect(),
         })
         .collect();
-    for f in 0..4u32 {
-        mesh.facets[f as usize].pts = parlay::filter(&assignments, |&(_, g)| g == f)
-            .into_iter()
-            .map(|(q, _)| q)
-            .collect();
-    }
-    for &(q, f) in &assignments {
-        facet_of[q as usize] = f;
-        visible[q as usize] = true;
-    }
-    // RandInc: visible points in permutation order. Quickhull: facet queue.
-    let mut p: Vec<u32> = assignments.iter().map(|&(q, _)| q).collect();
-    let mut active: Vec<u32> = (0..4u32)
-        .filter(|&f| !mesh.facets[f as usize].pts.is_empty())
-        .collect();
+    let mut reserved: Vec<AtomicU32> = (0..4).map(|_| AtomicU32::new(NONE)).collect();
+    // The round's attempts by rank: (point — `NONE` for "the furthest of
+    // the facet" —, a facet it sees), and who won.
+    let mut batch: Vec<(u32, u32)> = Vec::new();
+    let mut won: Vec<bool> = Vec::new();
 
     loop {
-        // ---- batch selection ----
-        let r = round_size(mesh.alive_count, parlay::num_threads(), p.len());
-        let batch: Vec<u32> = match strategy {
-            Strategy::RandInc => {
-                if p.is_empty() {
-                    break;
-                }
-                p[..r.min(p.len())].to_vec()
-            }
-            Strategy::Quickhull => {
-                let mut facets_chosen: Vec<u32> = Vec::with_capacity(r);
-                while facets_chosen.len() < r {
-                    let Some(f) = active.pop() else { break };
-                    if mesh.facets[f as usize].alive && !mesh.facets[f as usize].pts.is_empty() {
-                        facets_chosen.push(f);
+        let size = (ATTEMPTS_PER_PROC * workers.len())
+            .min(mesh.live() / FACETS_PER_ATTEMPT)
+            .max(1);
+        batch.clear();
+        match &mut pending {
+            Pending::RandInc {
+                order,
+                head,
+                facet_of,
+            } => {
+                while batch.len() < size && *head < order.len() {
+                    let q = order[*head];
+                    *head += 1;
+                    let f = facet_of[q as usize].load(Relaxed);
+                    if f != NONE {
+                        batch.push((q, f));
                     }
                 }
-                if facets_chosen.is_empty() {
-                    break;
-                }
-                // Furthest conflict point of each chosen facet.
-                let cands: Vec<u32> = facets_chosen
-                    .par_iter()
-                    .map(|&f| {
-                        *mesh.facets[f as usize]
-                            .pts
-                            .iter()
-                            .max_by(|&&x, &&y| {
-                                mesh.height(f, x).partial_cmp(&mesh.height(f, y)).unwrap()
-                            })
-                            .unwrap()
-                    })
-                    .collect();
-                // Losers' facets must be retried later.
-                active.extend(&facets_chosen);
-                cands
             }
-        };
-
-        // ---- Phase A: visible regions + reservations ----
-        let plans: Vec<Plan> = batch
-            .par_iter()
-            .enumerate()
-            .map(|(rank, &q)| {
-                let f0 = facet_of[q as usize];
-                let vis = mesh.visible_region(f0, q);
-                let boundary = mesh.boundary_of(&vis, q);
-                for &f in vis.iter().chain(&boundary) {
-                    let slot = &reservations[f as usize];
-                    if slot.load(Ordering::Relaxed) > rank {
-                        slot.fetch_min(rank, Ordering::Relaxed);
+            Pending::Quickhull { active, queued } => {
+                // Evenly spaced draws: neighbours in `active` are the
+                // mutually adjacent facets of one fan.
+                let step = (active.len() / size).max(1);
+                let mut at = 0;
+                while batch.len() < size && !active.is_empty() {
+                    let f = active.swap_remove(at.min(active.len() - 1));
+                    queued[f as usize] = false;
+                    if !mesh.pts[f as usize].is_empty() {
+                        batch.push((NONE, f));
+                        at += step;
                     }
                 }
-                Plan {
-                    q,
-                    visible: vis,
-                    boundary,
-                }
-            })
-            .collect();
-        stats.rounds += 1;
-        stats.points_touched += plans.len() as u64;
-        stats.facets_touched += plans
-            .iter()
-            .map(|pl| (pl.visible.len() + pl.boundary.len()) as u64)
-            .sum::<u64>();
-
-        // ---- Phase A': check reservations ----
-        let success: Vec<bool> = plans
-            .par_iter()
-            .enumerate()
-            .map(|(rank, pl)| {
-                pl.visible
-                    .iter()
-                    .chain(&pl.boundary)
-                    .all(|&f| reservations[f as usize].load(Ordering::Relaxed) == rank)
-            })
-            .collect();
-
-        // ---- Phase B: winners' structural surgery (sequential, cheap) ----
-        let mut winners: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (rank, pl) in plans.iter().enumerate() {
-            if !success[rank] {
-                continue;
             }
-            let new_facets = mesh.insert_point(pl.q, &pl.visible);
-            while reservations.len() < mesh.facets.len() {
-                reservations.push(AtomicUsize::new(EMPTY));
-            }
-            visible[pl.q as usize] = false;
-            winners.push((rank, new_facets));
         }
+        if batch.is_empty() {
+            break;
+        }
+        // Worker w attempts ranks w·per .. (w+1)·per.
+        let per = batch.len().div_ceil(workers.len());
+        let busy = batch.len().div_ceil(per);
 
-        // ---- Phase C: parallel conflict redistribution ----
-        {
-            let facets_ptr = SendPtr(mesh.facets.as_mut_ptr());
-            let facet_of_ptr = SendPtr(facet_of.as_mut_ptr());
-            let visible_ptr = SendPtr(visible.as_mut_ptr());
-            let plans_ref = &plans;
-            winners.par_iter().for_each(|(rank, new_facets)| {
-                let (facets_ptr, facet_of_ptr, visible_ptr) =
-                    (facets_ptr, facet_of_ptr, visible_ptr);
-                let pl = &plans_ref[*rank];
-                // SAFETY: this winner exclusively owns its cavity facets,
-                // its new facets, and every point in the cavity's conflict
-                // lists (disjointness guaranteed by the reservation).
-                unsafe {
-                    for &dead in &pl.visible {
-                        let pts = std::mem::take(&mut (*facets_ptr.0.add(dead as usize)).pts);
-                        for t in pts {
-                            if t == pl.q {
-                                continue;
-                            }
-                            let mut placed = false;
-                            for &nf in new_facets {
-                                if sees_raw(points, facets_ptr.0, nf, t) {
-                                    *facet_of_ptr.0.add(t as usize) = nf;
-                                    (*facets_ptr.0.add(nf as usize)).pts.push(t);
-                                    placed = true;
-                                    break;
-                                }
-                            }
-                            if !placed {
-                                *visible_ptr.0.add(t as usize) = false;
-                            }
-                        }
+        // ---- Phase A: cavities + reservations ----
+        for_each_worker(&mut workers[..busy], |w, worker| {
+            let ranks = batch.iter().enumerate().skip(w * per).take(per);
+            for (cav, (rank, &(q, f0))) in worker.cavs.iter_mut().zip(ranks) {
+                let q = if q == NONE { mesh.furthest(f0) } else { q };
+                mesh.find_cavity(&mut worker.scratch, f0, q, cav);
+                for &f in cav.visible.iter().chain(&cav.ring) {
+                    let slot = &reserved[f as usize];
+                    if slot.load(Relaxed) > rank as u32 {
+                        slot.fetch_min(rank as u32, Relaxed);
                     }
                 }
-            });
-        }
-
-        // ---- Phase D: reset reservations; maintain work lists ----
-        plans.par_iter().for_each(|pl| {
-            for &f in pl.visible.iter().chain(&pl.boundary) {
-                reservations[f as usize].store(EMPTY, Ordering::Relaxed);
             }
         });
-        match strategy {
-            Strategy::RandInc => {
-                p = parlay::filter(&p, |&t| visible[t as usize]);
+
+        // ---- Phase B: check reservations, winners' structural surgery ----
+        // In rank order, so clearing a rank's reservations as soon as it is
+        // judged cannot turn a later loser (it lost to a lower rank) into
+        // a winner.
+        won.clear();
+        for rank in 0..batch.len() {
+            let cav = &mut workers[rank / per].cavs[rank % per];
+            let claimed = || cav.visible.iter().chain(&cav.ring);
+            won.push(claimed().all(|&f| reserved[f as usize].load(Relaxed) == rank as u32));
+            claimed().for_each(|&f| reserved[f as usize].store(NONE, Relaxed));
+            stats.facets_touched += claimed().count() as u64;
+            if won[rank] {
+                mesh.replace_cavity(cav);
             }
-            Strategy::Quickhull => {
-                for (_, new_facets) in &winners {
-                    for &nf in new_facets {
-                        if !mesh.facets[nf as usize].pts.is_empty() {
-                            active.push(nf);
+        }
+        stats.rounds += 1;
+        stats.points_touched += batch.len() as u64;
+        reserved.resize_with(mesh.slots(), || AtomicU32::new(NONE));
+
+        // ---- Phase C: winners redistribute their conflict points ----
+        for_each_worker(&mut workers[..busy], |w, worker| {
+            let won = won.iter().skip(w * per).take(per);
+            for (cav, _) in worker.cavs.iter_mut().zip(won).filter(|(_, &won)| won) {
+                mesh.distribute(cav, |t, f| {
+                    if let Pending::RandInc { facet_of, .. } = &pending {
+                        facet_of[t as usize].store(f, Relaxed);
+                    }
+                });
+            }
+        });
+
+        // ---- Phase D: install the lists; maintain the work list ----
+        for rank in (0..batch.len()).filter(|&rank| won[rank]) {
+            mesh.install(&mut workers[rank / per].cavs[rank % per]);
+        }
+        match &mut pending {
+            // Winners leave; losers go back in front of the unscanned
+            // points, in order.
+            Pending::RandInc {
+                order,
+                head,
+                facet_of,
+            } => {
+                for (rank, &(q, _)) in batch.iter().enumerate().rev() {
+                    if won[rank] {
+                        facet_of[q as usize].store(NONE, Relaxed);
+                    } else {
+                        *head -= 1;
+                        order[*head] = q;
+                    }
+                }
+            }
+            // Losers' facets are retried; winners' fans join the list.
+            Pending::Quickhull { active, queued } => {
+                queued.resize(mesh.slots(), false);
+                for (rank, (_, f0)) in batch.iter().enumerate() {
+                    let fresh = match won[rank] {
+                        true => &workers[rank / per].cavs[rank % per].fan[..],
+                        false => std::slice::from_ref(f0),
+                    };
+                    for &f in fresh {
+                        if !mesh.pts[f as usize].is_empty()
+                            && !std::mem::replace(&mut queued[f as usize], true)
+                        {
+                            active.push(f);
                         }
                     }
                 }
@@ -259,41 +284,6 @@ fn drive(points: &[Point3], strategy: Strategy, seed: u64) -> (Hull3d, HullStats
     }
     (mesh.extract(), stats)
 }
-
-/// Batch size: at least `c · numProc` (the paper's floor), growing with the
-/// remaining-point count so the per-round `ParallelPack` of `P` keeps the
-/// total packing work `O(n log n)` instead of `Θ(n · rounds)`. Degraded to
-/// one point per round while the hull exposes few facets (Appendix B's
-/// contention guard).
-fn round_size(alive_facets: usize, threads: usize, remaining: usize) -> usize {
-    if alive_facets < 32 {
-        return 1;
-    }
-    let floor = (8 * threads).max(1);
-    let adaptive = (remaining / 8).min(alive_facets / 8);
-    floor.max(adaptive).max(1)
-}
-
-#[inline]
-unsafe fn sees_raw(points: &[Point3], facets: *const Facet, f: u32, q: u32) -> bool {
-    let fv = unsafe { &(*facets.add(f as usize)).v };
-    pargeo_geometry::orient3d(
-        &points[fv[0] as usize],
-        &points[fv[1] as usize],
-        &points[fv[2] as usize],
-        &points[q as usize],
-    ) == pargeo_geometry::Orientation::Negative
-}
-
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {
@@ -338,16 +328,27 @@ mod tests {
 
     #[test]
     fn stats_overhead_is_modest_vs_seq() {
-        // Appendix B: the reservation algorithm touches a comparable number
-        // of points/facets to the sequential one (within a small factor).
-        let pts = uniform_cube::<3>(3_000, 65);
-        let (_, seq) = crate::hull3d::hull3d_seq_with_stats(&pts);
-        let (_, par) = hull3d_randinc_with_stats(&pts);
-        assert!(par.points_touched >= seq.points_touched);
-        assert!(
-            par.facets_touched < 20 * seq.facets_touched.max(1),
-            "par={par:?} seq={seq:?}"
-        );
-        assert!(par.rounds <= par.points_touched);
+        // Appendix B: most reservations succeed, so at one thread either
+        // instantiation attempts at most twice the points the sequential
+        // quickhull inserts and touches at most four times its facets
+        // (the parallel count includes the reserved ring, the sequential
+        // one has none).
+        type Counted = fn(&[Point3]) -> (Hull3d, HullStats);
+        let drivers: [(&str, Counted); 2] = [
+            ("randinc", hull3d_randinc_with_stats),
+            ("quickhull", hull3d_quickhull_parallel_with_stats),
+        ];
+        for pts in [uniform_cube::<3>(3_000, 65), on_sphere::<3>(3_000, 66)] {
+            let (_, seq) = crate::hull3d::hull3d_seq_with_stats(&pts);
+            for (name, driver) in drivers {
+                let (_, par) = parlay::with_threads(1, || driver(&pts));
+                assert!(
+                    par.points_touched <= 2 * seq.points_touched
+                        && par.facets_touched <= 4 * seq.facets_touched,
+                    "{name}: par={par:?} seq={seq:?}"
+                );
+                assert!(par.rounds <= par.points_touched);
+            }
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! Optimized sequential 3D quickhull — the CGAL / Qhull baseline stand-in
 //! of Figure 9, and the "no-reservation" side of Figure 12.
 
-use super::mesh::{Hull3d, HullStats, Mesh};
+use super::mesh::{Cavity, Hull3d, HullStats, Mesh, Scratch, NONE};
 use super::{degenerate_hull3d, initial_tetrahedron};
 use pargeo_geometry::Point3;
 
@@ -17,53 +17,34 @@ pub fn hull3d_seq_with_stats(points: &[Point3]) -> (Hull3d, HullStats) {
         return (degenerate_hull3d(points), stats);
     };
     let mut mesh = Mesh::new_tetrahedron(points, tetra);
-    // Initial conflict assignment: each exterior point goes to its first
-    // visible facet.
     for q in 0..points.len() as u32 {
-        if tetra.contains(&q) {
-            continue;
-        }
-        if let Some(f) = (0..4u32).find(|&f| mesh.sees(f, q)) {
-            mesh.facets[f as usize].pts.push(q);
+        let f = mesh.seed_facet(q);
+        if f != NONE {
+            mesh.pts[f as usize].push(q);
         }
     }
-    // Facet work queue (quickhull order: any facet with conflicts; the
-    // furthest point of that facet is inserted next).
-    let mut active: Vec<u32> = (0..4u32)
-        .filter(|&f| !mesh.facets[f as usize].pts.is_empty())
-        .collect();
+    // Facet work stack (quickhull order: any facet with conflicts; its
+    // furthest point is inserted next). A slot that died or was reused
+    // since it was pushed is simply judged by what it holds now.
+    let mut active: Vec<u32> = (0..4).collect();
+    let (mut scratch, mut cav) = (Scratch::default(), Cavity::default());
     while let Some(f) = active.pop() {
-        if !mesh.facets[f as usize].alive || mesh.facets[f as usize].pts.is_empty() {
+        if mesh.pts[f as usize].is_empty() {
             continue;
         }
-        // Furthest conflict point of f.
-        let q = *mesh.facets[f as usize]
-            .pts
-            .iter()
-            .max_by(|&&x, &&y| mesh.height(f, x).partial_cmp(&mesh.height(f, y)).unwrap())
-            .unwrap();
-        let visible = mesh.visible_region(f, q);
+        let q = mesh.furthest(f);
+        mesh.find_cavity(&mut scratch, f, q, &mut cav);
         stats.points_touched += 1;
-        stats.facets_touched += visible.len() as u64;
+        stats.facets_touched += cav.visible.len() as u64;
         stats.rounds += 1;
-        let new_facets = mesh.insert_point(q, &visible);
-        // Redistribute the dead facets' conflicts onto the new fan.
-        for &dead in &visible {
-            let pts = std::mem::take(&mut mesh.facets[dead as usize].pts);
-            for t in pts {
-                if t == q {
-                    continue;
-                }
-                if let Some(&nf) = new_facets.iter().find(|&&nf| mesh.sees(nf, t)) {
-                    mesh.facets[nf as usize].pts.push(t);
-                }
-            }
-        }
-        for &nf in &new_facets {
-            if !mesh.facets[nf as usize].pts.is_empty() {
-                active.push(nf);
-            }
-        }
+        mesh.replace_cavity(&mut cav);
+        mesh.distribute(&mut cav, |_, _| {});
+        mesh.install(&mut cav);
+        active.extend(
+            cav.fan
+                .iter()
+                .filter(|&&f| !mesh.pts[f as usize].is_empty()),
+        );
     }
     (mesh.extract(), stats)
 }

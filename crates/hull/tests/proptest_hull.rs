@@ -36,26 +36,32 @@ proptest! {
     fn hull2d_all_valid_and_agree_on_grids(pts in grid_points2(12)) {
         let seq = hull2d_seq(&pts);
         check_hull2d(&pts, &seq).unwrap();
+        // Every corner under the first index holding its coordinates.
+        for &v in &seq {
+            prop_assert_eq!(pts.iter().position(|p| *p == pts[v as usize]), Some(v as usize));
+        }
         for f in [hull2d_quickhull_parallel, hull2d_randinc, hull2d_divide_conquer] {
-            let h = f(&pts);
-            check_hull2d(&pts, &h).unwrap();
-            // Vertex *positions* agree (duplicate indices may differ).
-            let want: std::collections::BTreeSet<[u64; 2]> = seq
-                .iter()
-                .map(|&i| pts[i as usize].coords.map(f64::to_bits))
-                .collect();
-            let got: std::collections::BTreeSet<[u64; 2]> = h
-                .iter()
-                .map(|&i| pts[i as usize].coords.map(f64::to_bits))
-                .collect();
-            prop_assert_eq!(got, want);
+            prop_assert_eq!(&f(&pts), &seq);
+        }
+    }
+
+    /// The same index vector from all four on duplicate-heavy input: a
+    /// few distinct positions, each held by many indices.
+    #[test]
+    fn hull2d_all_agree_on_duplicate_heavy_input(pts in grid_points2(4)) {
+        let seq = hull2d_seq(&pts);
+        check_hull2d(&pts, &seq).unwrap();
+        for f in [hull2d_quickhull_parallel, hull2d_randinc, hull2d_divide_conquer] {
+            prop_assert_eq!(&f(&pts), &seq);
         }
     }
 
     #[test]
     fn hull2d_valid_on_smooth_points(pts in smooth_points2()) {
-        for f in [hull2d_seq, hull2d_quickhull_parallel, hull2d_randinc, hull2d_divide_conquer] {
-            check_hull2d(&pts, &f(&pts)).unwrap();
+        let seq = hull2d_seq(&pts);
+        check_hull2d(&pts, &seq).unwrap();
+        for f in [hull2d_quickhull_parallel, hull2d_randinc, hull2d_divide_conquer] {
+            prop_assert_eq!(&f(&pts), &seq);
         }
     }
 

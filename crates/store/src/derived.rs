@@ -151,64 +151,46 @@ pub(crate) enum Engine {
 
 /// Computes `kind` like [`compute`], additionally returning a delta
 /// engine for the maintainable kinds when `want_engine` is set (and the
-/// value is `Ok`), plus the number of points the octagon prefilter
-/// discarded (only ever non-zero for 2D hull with `prefilter` set). The
-/// engine-extracted value IS the canonical value: both paths run the same
-/// algorithm on the same input. The engine path takes precedence over the
-/// prefilter — a delta engine must consume the full live prefix so later
-/// batches can advance it, and filtered points would break that anchor.
+/// value is `Ok`). The engine-extracted value IS the canonical value: both
+/// paths run the same algorithm on the same input.
 pub(crate) fn compute_full<const D: usize>(
     kind: DerivedKind,
     ids: &[u32],
     pts: &[Point<D>],
     want_engine: bool,
-    prefilter: bool,
-) -> (GeoResult<DerivedVal<D>>, Option<Engine>, usize) {
+) -> (GeoResult<DerivedVal<D>>, Option<Engine>) {
     match kind {
         DerivedKind::Hull if want_engine => {
             let Some(p2) = cast_slice::<D, 2>(pts) else {
-                return (compute(kind, ids, pts), None, 0);
+                return (compute(kind, ids, pts), None);
             };
             match Hull2dIncremental::try_build(p2) {
                 Ok(eng) => match eng.hull(p2) {
                     Ok(h) => (
                         Ok(DerivedVal::Hull(remap_ids(&h, ids))),
                         Some(Engine::Hull2(eng)),
-                        0,
                     ),
-                    Err(e) => (Err(e), None, 0),
+                    Err(e) => (Err(e), None),
                 },
-                Err(e) => (Err(e), None, 0),
-            }
-        }
-        DerivedKind::Hull if prefilter => {
-            let Some(p2) = cast_slice::<D, 2>(pts) else {
-                return (compute(kind, ids, pts), None, 0);
-            };
-            match pargeo_hull::try_hull2d_prefiltered(p2) {
-                Ok((hull, discarded)) => {
-                    (Ok(DerivedVal::Hull(remap_ids(&hull, ids))), None, discarded)
-                }
-                Err(e) => (Err(e), None, 0),
+                Err(e) => (Err(e), None),
             }
         }
         DerivedKind::DelaunayGraph if want_engine => {
             let Some(p2) = cast_slice::<D, 2>(pts) else {
-                return (compute(kind, ids, pts), None, 0);
+                return (compute(kind, ids, pts), None);
             };
             match DelaunayIncremental::try_build(p2) {
                 Ok(eng) => match eng.edges() {
                     Ok(es) => (
                         Ok(DerivedVal::Graph(remap_edges(&es, ids))),
                         Some(Engine::Delaunay2(Box::new(eng))),
-                        0,
                     ),
-                    Err(e) => (Err(e), None, 0),
+                    Err(e) => (Err(e), None),
                 },
-                Err(e) => (Err(e), None, 0),
+                Err(e) => (Err(e), None),
             }
         }
-        _ => (compute(kind, ids, pts), None, 0),
+        _ => (compute(kind, ids, pts), None),
     }
 }
 

@@ -85,10 +85,6 @@ pub(crate) struct StoreObs {
     /// overlapped a following write epoch's apply. The ratio to
     /// `pipeline_runs` is the executor's overlap ratio.
     pub pipeline_overlapped: Arc<Counter>,
-    /// `geostore_prefilter_discarded_total` — points the octagon
-    /// prefilter removed ahead of wholesale 2D hull recomputes (only
-    /// moves when the store was built with `.prefilter(true)`).
-    pub prefilter_discarded: Arc<Counter>,
     /// `index_arena_bytes{backend=..}` — heap bytes held by the backing
     /// index's flat arenas (node slabs, coordinate columns, id/liveness
     /// slabs, insert buffers), refreshed from the index [`Snapshot`]
@@ -139,7 +135,6 @@ impl StoreObs {
         let queue_depth = registry.gauge("geostore_queue_depth", &[]);
         let pipeline_runs = registry.counter("geostore_pipeline_runs_total", &[]);
         let pipeline_overlapped = registry.counter("geostore_pipeline_overlapped_total", &[]);
-        let prefilter_discarded = registry.counter("geostore_prefilter_discarded_total", &[]);
         let index_arena_bytes = registry.gauge("index_arena_bytes", &[("backend", backend)]);
         let index_nodes = registry.gauge("index_nodes_total", &[("backend", backend)]);
         let index_cow_bytes = registry.counter("geostore_index_cow_bytes_total", &[]);
@@ -156,7 +151,6 @@ impl StoreObs {
             queue_depth,
             pipeline_runs,
             pipeline_overlapped,
-            prefilter_discarded,
             index_arena_bytes,
             index_nodes,
             index_cow_bytes,

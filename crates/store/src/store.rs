@@ -55,7 +55,6 @@ pub struct GeoStoreBuilder<const D: usize> {
     observe: ObsLevel,
     slow_op_nanos: Option<u64>,
     pipeline: bool,
-    prefilter: bool,
     write_window: Option<usize>,
     window_duration: Option<Duration>,
 }
@@ -77,7 +76,6 @@ impl<const D: usize> Default for GeoStoreBuilder<D> {
             observe: ObsLevel::Off,
             slow_op_nanos: None,
             pipeline: false,
-            prefilter: false,
             write_window: None,
             window_duration: None,
         }
@@ -162,25 +160,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
     /// every response is bit-identical to the serial executor's.
     pub fn pipeline(mut self, on: bool) -> Self {
         self.pipeline = on;
-        self
-    }
-
-    /// Runs the octagon prefilter in front of wholesale 2D hull
-    /// recomputes (default: off).
-    ///
-    /// The filter discards points that are strictly inside the convex
-    /// octagon of the input's eight directional extreme points before
-    /// handing the rest to the hull algorithm — a large constant-factor
-    /// win on blob-like data, a no-op cost on adversarial data. The hull
-    /// answer is bit-identical either way (the discarded points are
-    /// provably interior, by exact predicates); the discarded count is
-    /// exposed as `geostore_prefilter_discarded_total` under
-    /// `.observe(..)`. Delta-maintained hulls (`.incremental(true)`
-    /// advancing an engine) take precedence — the engine consumes the
-    /// full live prefix, so the filter applies only on the
-    /// fresh/rebuilt compute paths.
-    pub fn prefilter(mut self, on: bool) -> Self {
-        self.prefilter = on;
         self
     }
 
@@ -279,7 +258,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
             incremental: self.incremental,
             damage_threshold: self.damage_threshold,
             pipeline: self.pipeline,
-            prefilter: self.prefilter,
             write_window: self.write_window,
             window_duration: self.window_duration,
             queue: Vec::new(),
@@ -377,8 +355,6 @@ pub struct GeoStore<const D: usize> {
     damage_threshold: f64,
     /// Serve read runs through the pipelined (snapshot-pinning) executor.
     pipeline: bool,
-    /// Octagon-prefilter wholesale 2D hull recomputes.
-    prefilter: bool,
     /// Admission-queue size window: seal once this many write requests
     /// are queued.
     write_window: Option<usize>,
@@ -1068,8 +1044,7 @@ impl<const D: usize> GeoStore<D> {
         }
 
         // Full (re)compute — the rebuild path when a structure existed.
-        let (value, engine, prefilter_discarded) =
-            derived::compute_full(kind, &view.0, &view.1, self.incremental, self.prefilter);
+        let (value, engine) = derived::compute_full(kind, &view.0, &view.1, self.incremental);
         let path = if had_structure {
             self.cache_stats.rebuilds += 1;
             MemoPath::Rebuilt
@@ -1078,9 +1053,6 @@ impl<const D: usize> GeoStore<D> {
         };
         if let Some(o) = &obs {
             o.memo[obs::memo_idx(path)].inc();
-            if prefilter_discarded > 0 {
-                o.prefilter_discarded.add(prefilter_discarded as u64);
-            }
         }
         if let Some(s) = span.as_mut() {
             s.label("path", path.label());

@@ -1,8 +1,7 @@
 //! Scheduler integration (DESIGN.md §2.8): the store's parallelism —
 //! including the pipelined executor's read/write overlap — runs on the
-//! shared `pargeo-sched` pool, the pool is digest-invisible at every
-//! worker count, and the octagon hull prefilter changes counters but
-//! never answers.
+//! shared `pargeo-sched` pool, and the pool is digest-invisible at every
+//! worker count.
 
 use pargeo::prelude::*;
 use pargeo::sched;
@@ -86,52 +85,6 @@ fn store_digests_are_worker_count_invariant() {
             assert_eq!(got.cache, want.cache);
         }
     }
-}
-
-/// Satellite 2: the octagon prefilter is answer-invisible but visible in
-/// obs — identical digests with it on or off, and the discarded-points
-/// counter moves only when it is on. `incremental(false)` forces the
-/// wholesale recompute path the filter guards.
-#[test]
-fn hull_prefilter_is_answer_invisible_and_metered() {
-    let w = workload();
-    // The unfiltered reference is the oracle store, so the filtered
-    // default store is checked against an independent index as well.
-    let mut plain = GeoStore::<2>::builder()
-        .backend(Backend::Oracle)
-        .incremental(false)
-        .observe(ObsLevel::Metrics)
-        .build();
-    let want = run_store_workload(&mut plain, &w);
-    let plain_counters = plain.registry().unwrap().counter_values();
-    assert_eq!(
-        sum_of(&plain_counters, "geostore_prefilter_discarded_total"),
-        0,
-        "counter must not move with the filter off"
-    );
-
-    let mut filtered = GeoStore::<2>::builder()
-        .incremental(false)
-        .prefilter(true)
-        .observe(ObsLevel::Metrics)
-        .build();
-    let got = run_store_workload(&mut filtered, &w);
-    assert_eq!(got.digest, want.digest, "prefilter perturbed the digest");
-    assert_eq!(got.errors, want.errors);
-    let counters = filtered.registry().unwrap().counter_values();
-    assert!(
-        sum_of(&counters, "geostore_prefilter_discarded_total") > 0,
-        "the preset's hull recomputes see interior points to discard"
-    );
-
-    // With incremental maintenance on, the engine path takes precedence;
-    // prefilter must still be a no-op on answers.
-    let mut inc = GeoStore::<2>::builder().prefilter(true).build();
-    let mut plain_inc = GeoStore::<2>::builder().build();
-    let got = run_store_workload(&mut inc, &w);
-    let want = run_store_workload(&mut plain_inc, &w);
-    assert_eq!(got.digest, want.digest);
-    assert_eq!(got.cache, want.cache);
 }
 
 /// The facade exposes the scheduler: a dedicated pool reports steals on
