@@ -1,7 +1,7 @@
 //! The BDL-tree (paper §5, Appendix C.2–C.4).
 
 use pargeo_geometry::{Bbox, Point};
-use pargeo_kdtree::knn::{KnnBuffer, Neighbor};
+use pargeo_kdtree::knn::{KnnBuffer, KnnProbe, KnnWork, Neighbor};
 use pargeo_kdtree::tree::{BuildParams, SplitRule};
 use pargeo_kdtree::veb::VebTree;
 use rayon::prelude::*;
@@ -255,22 +255,36 @@ impl<const D: usize> BdlTree<D> {
     }
 
     /// k nearest live neighbors of `q` (ids are insertion-order ids),
-    /// ascending by distance. One shared buffer accumulates across the
-    /// buffer and every occupied static tree (Appendix C.4).
+    /// ascending by distance. One shared buffer accumulates across every
+    /// occupied static tree and the insert buffer (Appendix C.4), largest
+    /// tree first: the tree most likely to hold the true neighbors sets the
+    /// bound, smaller trees are then pruned by it or skipped whole, and the
+    /// insert buffer — a flat scan nothing can prune — is mostly rejected.
     pub fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor> {
-        let mut buf = KnnBuffer::new(k);
+        self.knn_with(q, KnnBuffer::new(k)).finish()
+    }
+
+    /// [`knn`](Self::knn) plus the work the same traversal did.
+    pub fn knn_work(&self, q: &Point<D>, k: usize) -> (Vec<Neighbor>, KnnWork) {
+        self.knn_with(q, KnnBuffer::with_probe(k, KnnWork::default()))
+            .finish_with_probe()
+    }
+
+    fn knn_with<W: KnnProbe>(&self, q: &Point<D>, mut buf: KnnBuffer<W>) -> KnnBuffer<W> {
+        for t in self.trees.iter().rev().flatten() {
+            t.knn_into(q, &mut buf);
+        }
+        buf.probe().points_tested(self.buffer.len());
         for (p, id) in &self.buffer {
             buf.insert(q.dist_sq(p), *id);
         }
-        for t in self.trees.iter().flatten() {
-            t.knn_into(q, &mut buf);
-        }
-        buf.finish()
+        buf
     }
 
-    /// Data-parallel batch k-NN (parallel over the queries `S`).
+    /// Data-parallel batch k-NN (parallel over the queries `S`, evaluated
+    /// in Z-order of the queries, rows in input order).
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        pargeo_parlay::map_batch(queries, 64, |q| self.knn(q, k))
+        pargeo_morton::map_batch_z_order(queries, |q| self.knn(q, k))
     }
 
     /// Insertion-order ids of all live points inside `query` (boundary
@@ -322,11 +336,15 @@ impl<const D: usize> BdlTree<D> {
     }
 
     /// Bounding box of the live points — the cascade's current effective
-    /// region (shrinks when deletes remove extreme points).
+    /// region (shrinks when deletes remove extreme points). Folded in place
+    /// from the insert buffer and each tree's columns; nothing is copied.
     pub fn live_bbox(&self) -> Bbox<D> {
         let mut b = Bbox::empty();
-        for (p, _) in self.collect_live() {
-            b.extend(&p);
+        for (p, _) in &self.buffer {
+            b.extend(p);
+        }
+        for t in self.trees.iter().flatten() {
+            b = b.union(&t.live_bbox());
         }
         b
     }
@@ -487,6 +505,10 @@ mod tests {
             .collect();
         assert_eq!(t.len(), expected.len());
         check_knn(&t, &expected, 3);
+        // The live box is exact under tombstones: it shrank with the
+        // deleted extreme points.
+        assert_eq!(t.live_bbox(), Bbox::from_points(&expected));
+        assert_ne!(t.live_bbox(), Bbox::from_points(&pts));
     }
 
     #[test]
@@ -640,5 +662,66 @@ mod tests {
         assert_eq!(t.delete(&pts[125..250]), 125);
         assert_eq!(t.cow_bytes(), copied);
         assert_eq!(pin.cow_bytes(), 0);
+    }
+
+    /// Sums the probe over `queries`, checking each probed row against
+    /// the unprobed traversal on the way.
+    fn work_of<const D: usize>(t: &BdlTree<D>, queries: &[Point<D>], k: usize) -> KnnWork {
+        let mut total = KnnWork::default();
+        for q in queries {
+            let (row, w) = t.knn_work(q, k);
+            assert_eq!(row, t.knn(q, k), "the probe must not change the answer");
+            total.nodes += w.nodes;
+            total.leaves += w.leaves;
+            total.points_tested += w.points_tested;
+            total.trees_skipped += w.trees_skipped;
+        }
+        total
+    }
+
+    /// The machine-independent regression guard of the k-NN read path: a
+    /// seeded 50k-point 5-D tree in `index-batch`'s insert shape (half,
+    /// then ten batches of 5%: trees of 32 768 and 16 384 points and 848 in
+    /// the insert buffer), 400 uniform queries, k = 5. Recorded with the
+    /// exact-bound buffer searching the largest tree first: 103.1 nodes and
+    /// 1 227.9 distances (848 of them the buffer's) per query. Smallest
+    /// tree first costs 110.1 / 1 259.0; with the 2k-slot buffer's lagging
+    /// bound on top (the code before this guard) it was 119 / 1 308, and
+    /// the gap widens with n (207 vs 150 nodes at 200k points).
+    #[test]
+    fn knn_work_stays_under_the_recorded_ceiling() {
+        let n = 50_000;
+        let pts = uniform_cube::<5>(n, 42);
+        let mut t = BdlTree::<5>::new();
+        t.insert(&pts[..n / 2]);
+        for batch in pts[n / 2..].chunks(n / 20) {
+            t.insert(batch);
+        }
+        assert_eq!(t.tree_sizes()[4..], [16_384, 32_768]);
+        let queries = &uniform_cube::<5>(n, 43)[..400];
+        let w = work_of(&t, queries, 5);
+        assert!(w.nodes <= 105 * 400, "{w:?}");
+        assert!(w.points_tested <= 1_238 * 400, "{w:?}");
+        assert_eq!(w.leaves * 16 + 848 * 400, w.points_tested, "{w:?}");
+    }
+
+    #[test]
+    fn a_tree_beyond_the_bound_is_skipped_whole() {
+        let x = 64;
+        let near = uniform_cube::<2>(4 * x, 24);
+        let far: Vec<Point<2>> = uniform_cube::<2>(x, 25)
+            .iter()
+            .map(|p| Point::new([p[0] + 1e6, p[1] + 1e6]))
+            .collect();
+        let mut t = BdlTree::<2>::with_buffer_size(x);
+        t.insert(&near);
+        t.insert(&far);
+        assert_eq!(t.tree_sizes(), [x, 0, 4 * x]);
+        let w = work_of(&t, &near[..50], 3);
+        assert_eq!(w.trees_skipped, 50, "{w:?}");
+        // A query between the clusters still sees both.
+        let mid = Point::new([5e5, 5e5]);
+        let (row, w) = t.knn_work(&mid, 4 * x + 1);
+        assert_eq!((row.len(), w.trees_skipped), (4 * x + 1, 0));
     }
 }

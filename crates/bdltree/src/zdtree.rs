@@ -290,7 +290,7 @@ impl<const D: usize> ZdTree<D> {
 
     /// Data-parallel batch k-NN.
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        parlay::map_batch(queries, 64, |q| self.knn(q, k))
+        pargeo_morton::map_batch_z_order(queries, |q| self.knn(q, k))
     }
 
     fn knn_rec(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer) {

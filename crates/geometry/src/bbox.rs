@@ -87,18 +87,15 @@ impl<const D: usize> Bbox<D> {
     }
 
     /// Squared distance from `p` to the nearest point of the box
-    /// (0 if inside). The k-NN pruning bound.
+    /// (0 if inside). The k-NN pruning bound, evaluated hundreds of times
+    /// per query on unpredictable data — so branch-free: per axis at most
+    /// one of `min − p` and `p − max` is positive, and `f64::max` drops a
+    /// NaN operand, which makes a NaN coordinate count as inside.
     #[inline]
     pub fn dist_sq_to_point(&self, p: &Point<D>) -> f64 {
         let mut s = 0.0;
         for i in 0..D {
-            let d = if p[i] < self.min[i] {
-                self.min[i] - p[i]
-            } else if p[i] > self.max[i] {
-                p[i] - self.max[i]
-            } else {
-                0.0
-            };
+            let d = (self.min[i] - p[i]).max(p[i] - self.max[i]).max(0.0);
             s += d * d;
         }
         s
@@ -226,6 +223,72 @@ mod tests {
         assert_eq!(b.dist_sq_to_point(&Point2::new([2.0, 0.5])), 1.0);
         assert_eq!(b.dist_sq_to_point(&Point2::new([2.0, 2.0])), 2.0);
         assert_eq!(b.max_dist_sq_to_point(&Point2::new([0.0, 0.0])), 2.0);
+    }
+
+    /// The three-way definition `dist_sq_to_point` replaced: the branch-free
+    /// form must return the same bits on every input the library can meet.
+    fn dist_sq_three_way<const D: usize>(b: &Bbox<D>, p: &Point<D>) -> f64 {
+        let mut s = 0.0;
+        for i in 0..D {
+            let d = if p[i] < b.min[i] {
+                b.min[i] - p[i]
+            } else if p[i] > b.max[i] {
+                p[i] - b.max[i]
+            } else {
+                0.0
+            };
+            s += d * d;
+        }
+        s
+    }
+
+    #[test]
+    fn branch_free_point_distance_matches_the_three_way_definition() {
+        const INF: f64 = f64::INFINITY;
+        let boxes = [
+            // ordinary, degenerate (a point, a segment), empty, infinite,
+            // half-infinite, signed zeros on the boundary
+            ([0.25, -1.5, 3.0], [2.0, 0.5, 7.0]),
+            ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
+            ([0.0, 2.0, -3.0], [0.0, 2.0, 4.0]),
+            ([INF, INF, INF], [-INF, -INF, -INF]),
+            ([-INF, -INF, -INF], [INF, INF, INF]),
+            ([-INF, 0.0, 1.0], [0.0, INF, 1.0]),
+            ([-0.0, -0.0, 0.0], [0.0, -0.0, 0.0]),
+        ]
+        .map(|(min, max)| Bbox {
+            min: Point3::new(min),
+            max: Point3::new(max),
+        });
+        let axis = [
+            -INF,
+            -1e300,
+            -2.5,
+            -0.0,
+            0.0,
+            0.25,
+            1.0,
+            2.0,
+            3.5,
+            7.0,
+            1e300,
+            INF,
+            f64::NAN,
+        ];
+        for b in &boxes {
+            for &x in &axis {
+                for &y in &axis {
+                    for &z in &axis {
+                        let p = Point3::new([x, y, z]);
+                        assert_eq!(
+                            b.dist_sq_to_point(&p).to_bits(),
+                            dist_sq_three_way(b, &p).to_bits(),
+                            "{b:?} {p:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

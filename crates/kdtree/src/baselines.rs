@@ -10,7 +10,7 @@
 use crate::knn::{KnnBuffer, Neighbor};
 use crate::tree::{KdTree, SplitRule};
 use pargeo_geometry::{Bbox, Point};
-use rayon::prelude::*;
+use pargeo_morton::map_batch_z_order;
 
 /// Baseline B1: rebuild on every update.
 #[derive(Debug, Clone)]
@@ -97,11 +97,7 @@ impl<const D: usize> B1Tree<D> {
 
     /// Data-parallel batch k-NN.
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        if queries.len() < 64 {
-            queries.iter().map(|q| self.knn(q, k)).collect()
-        } else {
-            queries.par_iter().map(|q| self.knn(q, k)).collect()
-        }
+        map_batch_z_order(queries, |q| self.knn(q, k))
     }
 }
 
@@ -208,11 +204,7 @@ impl<const D: usize> B2Tree<D> {
 
     /// Data-parallel batch k-NN.
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        if queries.len() < 64 {
-            queries.iter().map(|q| self.knn(q, k)).collect()
-        } else {
-            queries.par_iter().map(|q| self.knn(q, k)).collect()
-        }
+        map_batch_z_order(queries, |q| self.knn(q, k))
     }
 
     /// Maximum leaf occupancy — the skew diagnostic used in Appendix D.

@@ -1,11 +1,22 @@
-//! Exact k-nearest-neighbor search with the paper's k-NN buffer
-//! (Appendix C.1.3).
+//! Exact k-nearest-neighbor search through one shared k-NN buffer.
 //!
-//! The buffer holds up to `2k` candidates; when full it partitions around
-//! the k-th smallest distance with a serial selection and discards the far
-//! half — amortized O(1) per insertion. Batch queries parallelize over the
-//! query points ("data-parallel k-NN"), each query descending the tree
-//! serially with near-side-first ordering and bound pruning.
+//! [`KnnBuffer`] is a bounded max-heap on `(distance², id)`: from the
+//! moment `k` candidates have been seen its [`bound`](KnnBuffer::bound) is
+//! the exact current k-th distance², so every subtree, tree or insert
+//! buffer searched later is pruned by everything found earlier. The paper's
+//! buffer (Appendix C.1.3) holds `2k` slots and learns its bound only when
+//! it fills and selects — amortized O(1) per insert, but the bound lags by
+//! up to `k` accepted candidates, and every node visited under a stale
+//! bound is a cache miss. The heap pays O(log k) per *accepted* candidate
+//! (a rejection stays one comparison) and visits what a sequential search
+//! with perfect knowledge of its own past would (EXPERIMENTS.md §PR 17:
+//! 207 → 150 nodes per 5-D query together with the BDL tree order).
+//!
+//! Batch queries parallelize over the query points ("data-parallel k-NN"),
+//! each query descending the tree serially with near-side-first ordering
+//! and bound pruning; batches run in Morton order of the queries
+//! ([`pargeo_morton::map_batch_z_order`]) so consecutive queries reuse the
+//! same root-to-leaf paths.
 //!
 //! Output is **deterministic**: neighbors come back ordered by
 //! `(distance², id)`, so equal-distance ties resolve by ascending id — the
@@ -13,8 +24,8 @@
 //! identical across thread counts and repeat runs.
 
 use crate::tree::{KdTree, Node};
-use pargeo_geometry::Point;
-use rayon::prelude::*;
+use pargeo_geometry::{Point, SoaPoints};
+use pargeo_morton::map_batch_z_order;
 
 /// A `(distance², original point id)` result pair.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -35,76 +46,221 @@ pub fn canonical_order(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
         .then(a.id.cmp(&b.id))
 }
 
-/// The k-NN buffer: maintains the k nearest candidates seen so far with
-/// amortized O(1) inserts using a 2k-slot scratch area.
+/// [`canonical_order`]`(a, b) == Less` for the heap's hot comparisons.
+#[inline]
+fn precedes(a: &Neighbor, b: &Neighbor) -> bool {
+    a.dist_sq < b.dist_sq || (a.dist_sq == b.dist_sq && a.id < b.id)
+}
+
+/// What a k-NN traversal reports about its own work. Every method defaults
+/// to nothing, so the `()` probe every query runs with compiles away and
+/// the counting [`KnnWork`] probe measures the *same* traversal.
+pub trait KnnProbe {
+    /// A tree node (internal or leaf) was visited.
+    fn node(&mut self) {}
+    /// A leaf was scanned.
+    fn leaf(&mut self) {}
+    /// `n` point distances were computed.
+    fn points_tested(&mut self, _n: usize) {}
+    /// A whole tree was skipped because its root box lay beyond the bound.
+    fn tree_skipped(&mut self) {}
+}
+
+impl KnnProbe for () {}
+
+/// Machine-independent work of the queries a counting buffer served.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KnnWork {
+    /// Tree nodes visited (internal and leaf).
+    pub nodes: u64,
+    /// Leaves scanned.
+    pub leaves: u64,
+    /// Point distances computed (leaf scans and insert-buffer scans).
+    pub points_tested: u64,
+    /// Trees skipped whole by their root box.
+    pub trees_skipped: u64,
+}
+
+impl KnnProbe for KnnWork {
+    fn node(&mut self) {
+        self.nodes += 1;
+    }
+    fn leaf(&mut self) {
+        self.leaves += 1;
+    }
+    fn points_tested(&mut self, n: usize) {
+        self.points_tested += n as u64;
+    }
+    fn tree_skipped(&mut self) {
+        self.trees_skipped += 1;
+    }
+}
+
+/// Rows per column-wise distance block: two default leaves. A leaf of
+/// coincident points can hold any number of rows, so scans go block by
+/// block.
+const SCAN_BLOCK: usize = 32;
+
+/// The k-NN buffer: the `k` nearest candidates offered so far, as a max-heap
+/// on [`canonical_order`] whose root is the current k-th neighbor.
 #[derive(Debug, Clone)]
-pub struct KnnBuffer {
+pub struct KnnBuffer<W = ()> {
     k: usize,
-    items: Vec<Neighbor>,
-    /// Upper bound on the k-th nearest distance² (∞ until k items seen).
+    /// Max-heap: `heap[0]` is the worst candidate kept.
+    heap: Vec<Neighbor>,
+    /// The k-th nearest distance² once `k` candidates are held, else ∞
+    /// (−∞ for `k = 0`, which accepts nothing and prunes everything).
     bound: f64,
+    probe: W,
 }
 
 impl KnnBuffer {
-    /// Creates a buffer for `k ≥ 1` neighbors.
+    /// Creates a buffer for `k` neighbors (`k = 0` keeps nothing).
     pub fn new(k: usize) -> Self {
-        assert!(k >= 1);
+        Self::with_probe(k, ())
+    }
+}
+
+impl<W: KnnProbe> KnnBuffer<W> {
+    /// A buffer whose traversals report their work to `probe`.
+    pub fn with_probe(k: usize, probe: W) -> Self {
         Self {
             k,
-            items: Vec::with_capacity(2 * k),
-            bound: f64::INFINITY,
+            // `k` is the caller's; rows longer than this grow as they fill.
+            heap: Vec::with_capacity(k.min(64)),
+            bound: if k == 0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            },
+            probe,
         }
     }
 
-    /// Current pruning bound: the k-th nearest distance² if known, else ∞.
+    /// Current pruning bound: the exact k-th nearest distance² among the
+    /// candidates offered so far, ∞ while fewer than `k` were offered.
     #[inline]
     pub fn bound(&self) -> f64 {
         self.bound
     }
 
-    /// Offers a candidate. Candidates strictly beyond the bound are
-    /// rejected; ones *at* the bound are kept so that equal-distance ties
-    /// can still resolve toward the smaller id.
+    /// The probe, for traversals to report node and tree visits to.
+    #[inline]
+    pub fn probe(&mut self) -> &mut W {
+        &mut self.probe
+    }
+
+    /// Offers a candidate. Candidates strictly beyond the bound (and NaN
+    /// distances, which no order places) are rejected; ones *at* the bound
+    /// are kept iff their id is smaller than the current k-th's, so
+    /// equal-distance ties resolve toward the smaller id.
     #[inline]
     pub fn insert(&mut self, dist_sq: f64, id: u32) {
-        if dist_sq > self.bound {
-            return;
-        }
-        self.items.push(Neighbor { dist_sq, id });
-        if self.items.len() == 2 * self.k {
-            self.compact();
+        if dist_sq <= self.bound {
+            self.accept(Neighbor { dist_sq, id });
         }
     }
 
-    /// Partitions around the k-th smallest `(distance², id)` pair and
-    /// discards the rest. The id tie-break makes the retained set — not
-    /// just its distances — deterministic.
-    fn compact(&mut self) {
-        let k = self.k;
-        self.items.select_nth_unstable_by(k - 1, canonical_order);
-        self.items.truncate(k);
-        self.bound = self.items[k - 1].dist_sq;
+    fn accept(&mut self, c: Neighbor) {
+        if self.heap.len() < self.k {
+            self.heap.push(c);
+            self.sift_up(self.heap.len() - 1);
+            if self.heap.len() == self.k {
+                self.bound = self.heap[0].dist_sq;
+            }
+        } else if self.heap.first().is_some_and(|worst| precedes(&c, worst)) {
+            self.heap[0] = c;
+            self.sift_down();
+            self.bound = self.heap[0].dist_sq;
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        while i > 0 {
+            let parent = (i - 1) / 2;
+            if !precedes(&self.heap[parent], &self.heap[i]) {
+                break;
+            }
+            self.heap.swap(parent, i);
+            i = parent;
+        }
+    }
+
+    fn sift_down(&mut self) {
+        let n = self.heap.len();
+        let mut i = 0;
+        loop {
+            let mut child = 2 * i + 1;
+            if child >= n {
+                break;
+            }
+            if child + 1 < n && precedes(&self.heap[child], &self.heap[child + 1]) {
+                child += 1;
+            }
+            if !precedes(&self.heap[i], &self.heap[child]) {
+                break;
+            }
+            self.heap.swap(i, child);
+            i = child;
+        }
+    }
+
+    /// Offers one leaf: rows `rows` of `pts` for which `live(row)` holds.
+    /// Distances are computed a block at a time, one coordinate column
+    /// after the other (per row the same summation order as
+    /// [`SoaPoints::dist_sq`], so the same `f64`); liveness and the bound
+    /// are consulted only for rows that get offered.
+    #[inline]
+    pub fn scan<const D: usize>(
+        &mut self,
+        pts: &SoaPoints<D>,
+        rows: std::ops::Range<usize>,
+        q: &Point<D>,
+        live: impl Fn(usize) -> bool,
+    ) {
+        self.probe.leaf();
+        self.probe.points_tested(rows.len());
+        let mut start = rows.start;
+        while start < rows.end {
+            let end = rows.end.min(start + SCAN_BLOCK);
+            let mut dist = [0.0f64; SCAN_BLOCK];
+            let dist = &mut dist[..end - start];
+            for axis in 0..D {
+                let qa = q.coords[axis];
+                for (d, &c) in dist.iter_mut().zip(&pts.axis(axis)[start..end]) {
+                    let diff = c - qa;
+                    *d += diff * diff;
+                }
+            }
+            for ((&d, &id), row) in dist.iter().zip(&pts.ids()[start..end]).zip(start..) {
+                if d <= self.bound && live(row) {
+                    self.accept(Neighbor { dist_sq: d, id });
+                }
+            }
+            start = end;
+        }
     }
 
     /// Consumes the buffer, returning the k nearest ascending by
-    /// `(distance², id)` (fewer if the data set had fewer points).
-    pub fn finish(mut self) -> Vec<Neighbor> {
-        if self.items.len() > self.k {
-            self.compact();
-        }
-        self.items.sort_unstable_by(canonical_order);
-        self.items.truncate(self.k);
-        self.items
+    /// `(distance², id)` (fewer if fewer were offered).
+    pub fn finish(self) -> Vec<Neighbor> {
+        self.finish_with_probe().0
     }
 
-    /// Number of candidates currently held (before truncation).
+    /// [`finish`](Self::finish) plus the probe and what it recorded.
+    pub fn finish_with_probe(mut self) -> (Vec<Neighbor>, W) {
+        self.heap.sort_unstable_by(canonical_order);
+        (self.heap, self.probe)
+    }
+
+    /// Number of candidates currently held (at most `k`).
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.heap.len()
     }
 
-    /// True if no candidate has been offered yet.
+    /// True if no candidate is held.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.heap.is_empty()
     }
 }
 
@@ -117,23 +273,19 @@ impl<const D: usize> KdTree<D> {
         buf.finish()
     }
 
-    /// Runs a k-NN search accumulating into an existing buffer — the hook
-    /// the BDL-tree uses to share one buffer across its log-structured set
-    /// of trees (§5 "Data-Parallel k-NN").
-    pub fn knn_into(&self, q: &Point<D>, buf: &mut KnnBuffer) {
+    /// Runs a k-NN search accumulating into an existing buffer.
+    pub fn knn_into<W: KnnProbe>(&self, q: &Point<D>, buf: &mut KnnBuffer<W>) {
         if let Some(root) = self.root() {
             self.knn_rec(root, q, buf);
         }
     }
 
-    fn knn_rec(&self, node: &Node<D>, q: &Point<D>, buf: &mut KnnBuffer) {
+    fn knn_rec<W: KnnProbe>(&self, node: &Node<D>, q: &Point<D>, buf: &mut KnnBuffer<W>) {
+        buf.probe().node();
         if node.is_leaf() {
-            // Columnar scan: distances accumulate axis-by-axis over dense
-            // coordinate columns; ids join in only at insert time.
-            for i in node.start as usize..node.end as usize {
-                let d = self.pts.dist_sq(i, q);
-                buf.insert(d, self.pts.id(i));
-            }
+            buf.scan(&self.pts, node.start as usize..node.end as usize, q, |_| {
+                true
+            });
             return;
         }
         let (near, far) = if q[node.dim as usize] <= node.val {
@@ -157,15 +309,10 @@ impl<const D: usize> KdTree<D> {
         self.knn(q, 1).into_iter().next()
     }
 
-    /// Data-parallel batch k-NN: the k nearest neighbors of every query, as
-    /// a flat row-major matrix (`queries.len() × k`, padded rows only if the
-    /// tree holds fewer than k points).
+    /// Data-parallel batch k-NN: one row per query, in query order, each
+    /// the query's k nearest (fewer only if the tree holds fewer points).
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        if queries.len() < 64 {
-            queries.iter().map(|q| self.knn(q, k)).collect()
-        } else {
-            queries.par_iter().map(|q| self.knn(q, k)).collect()
-        }
+        map_batch_z_order(queries, |q| self.knn(q, k))
     }
 }
 
@@ -270,7 +417,7 @@ mod tests {
     }
 
     #[test]
-    fn buffer_amortized_compaction() {
+    fn buffer_keeps_the_k_smallest_of_a_descending_stream() {
         let mut buf = KnnBuffer::new(2);
         for i in (0..100u32).rev() {
             buf.insert(i as f64, i);
@@ -286,10 +433,36 @@ mod tests {
         let mut buf = KnnBuffer::new(1);
         assert_eq!(buf.bound(), f64::INFINITY);
         buf.insert(5.0, 0);
-        buf.insert(1.0, 1); // triggers compaction at 2k = 2
-        assert!(buf.bound() <= 1.0);
-        // Candidates at/beyond the bound are rejected without growth.
+        assert_eq!(buf.bound(), 5.0);
+        buf.insert(1.0, 1);
+        assert_eq!(buf.bound(), 1.0);
+        // Candidates beyond the bound are rejected without growth.
         buf.insert(3.0, 2);
+        assert_eq!(buf.len(), 1);
         assert_eq!(buf.finish()[0].id, 1);
+    }
+
+    #[test]
+    fn k_zero_returns_empty_rows_without_panicking() {
+        let pts = uniform_cube::<2>(300, 6);
+        let t = KdTree::build(&pts, SplitRule::ObjectMedian);
+        assert!(t.knn(&pts[0], 0).is_empty());
+        let rows = t.knn_batch(&pts[..100], 0);
+        assert_eq!(rows.len(), 100);
+        assert!(rows.iter().all(Vec::is_empty));
+        // Nothing is accepted, and the −∞ bound prunes every subtree.
+        let mut buf = KnnBuffer::with_probe(0, KnnWork::default());
+        t.knn_into(&pts[0], &mut buf);
+        let (row, work) = buf.finish_with_probe();
+        assert!(row.is_empty());
+        assert_eq!(work.nodes, 1);
+    }
+
+    #[test]
+    fn a_nan_query_gets_an_empty_row() {
+        let pts = uniform_cube::<2>(300, 7);
+        let t = KdTree::build(&pts, SplitRule::ObjectMedian);
+        let q = pargeo_geometry::Point2::new([f64::NAN, 1.0]);
+        assert!(t.knn(&q, 3).is_empty());
     }
 }

@@ -6,8 +6,10 @@
 //!   **spatial median** (parallel partition), the two heuristics compared
 //!   throughout the paper's §6.3.
 //! * [`knn`] — exact k-nearest-neighbor search. Each query carries a
-//!   *k-NN buffer* (Appendix C.1.3): a `2k`-slot array with amortized O(1)
-//!   insertion via periodic selection. Batch queries are data-parallel.
+//!   *k-NN buffer*: a `k`-slot max-heap whose bound is always the exact
+//!   k-th distance (Appendix C.1.3's `2k`-slot select-when-full buffer
+//!   trades a stale bound for O(1) inserts). Batch queries are
+//!   data-parallel and evaluated in Z-order of the queries.
 //! * [`range`] — orthogonal (box) and spherical range search.
 //! * [`veb`] — the van Emde Boas layout static tree of Appendix C.1
 //!   (Algorithm 1: parallel construction; Algorithm 2: parallel bulk
@@ -25,6 +27,6 @@ pub mod tree;
 pub mod veb;
 
 pub use baselines::{B1Tree, B2Tree};
-pub use knn::{canonical_order, knn_brute_force, KnnBuffer, Neighbor};
+pub use knn::{canonical_order, knn_brute_force, KnnBuffer, KnnProbe, KnnWork, Neighbor};
 pub use tree::{KdTree, SplitRule};
 pub use veb::VebTree;

@@ -31,7 +31,7 @@
 //! and the first `erase` that actually removes a point from a shared tree
 //! copies that small overlay, never a coordinate, id or bounding box.
 
-use crate::knn::KnnBuffer;
+use crate::knn::{KnnBuffer, KnnProbe};
 use crate::tree::{scatter_soa, SplitRule};
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
@@ -236,6 +236,24 @@ impl<const D: usize> VebTree<D> {
         }
     }
 
+    /// Exact bounding box of the live points, folded from the coordinate
+    /// columns under the liveness mask — no allocation.
+    pub fn live_bbox(&self) -> Bbox<D> {
+        let mut b = Bbox::empty();
+        for axis in 0..D {
+            let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+            for (&c, &alive) in self.core.pts.axis(axis).iter().zip(&self.overlay.alive) {
+                if alive {
+                    lo = lo.min(c);
+                    hi = hi.max(c);
+                }
+            }
+            b.min.coords[axis] = lo;
+            b.max.coords[axis] = hi;
+        }
+        b
+    }
+
     /// All live `(point, id)` pairs.
     pub fn collect_live(&self) -> Vec<(Point<D>, u32)> {
         let pts = &self.core.pts;
@@ -320,10 +338,16 @@ impl<const D: usize> VebTree<D> {
 
     // ---------- k-NN ----------
 
-    /// Accumulates the k nearest live points to `q` into `buf`.
-    pub fn knn_into(&self, q: &Point<D>, buf: &mut KnnBuffer) {
-        if self.root != u32::MAX {
+    /// Accumulates the k nearest live points to `q` into `buf`. A tree
+    /// whose root box lies beyond the buffer's bound is skipped whole.
+    pub fn knn_into<W: KnnProbe>(&self, q: &Point<D>, buf: &mut KnnBuffer<W>) {
+        if self.root == u32::MAX {
+            return;
+        }
+        if self.bbox().dist_sq_to_point(q) <= buf.bound() {
             self.walk().knn_rec(self.root, q, buf);
+        } else {
+            buf.probe().tree_skipped();
         }
     }
 
@@ -483,15 +507,15 @@ impl<const D: usize> Walk<'_, D> {
         all_dead
     }
 
-    fn knn_rec(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer) {
+    fn knn_rec<W: KnnProbe>(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer<W>) {
+        buf.probe().node();
         let node = &self.nodes[idx as usize];
         if node.is_leaf() {
             let leaf = &self.leaves[node.leaf as usize];
-            for i in leaf.start as usize..leaf.end as usize {
-                if self.alive[i] {
-                    buf.insert(self.pts.dist_sq(i, q), self.pts.id(i));
-                }
-            }
+            let alive = self.alive;
+            buf.scan(self.pts, leaf.start as usize..leaf.end as usize, q, |i| {
+                alive[i]
+            });
             return;
         }
         let (left, right) = (self.live_child(node.left), self.live_child(node.right));

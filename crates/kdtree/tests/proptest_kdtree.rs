@@ -4,7 +4,9 @@
 
 use pargeo_geometry::{Bbox, Point, Point2};
 use pargeo_kdtree::knn::knn_brute_force;
-use pargeo_kdtree::{B1Tree, B2Tree, KdTree, SplitRule, VebTree};
+use pargeo_kdtree::{
+    canonical_order, B1Tree, B2Tree, KdTree, KnnBuffer, Neighbor, SplitRule, VebTree,
+};
 use proptest::prelude::*;
 
 fn lattice_points() -> impl Strategy<Value = Vec<Point2>> {
@@ -123,5 +125,36 @@ proptest! {
         for (g, w) in got.iter().zip(&want) {
             prop_assert!((g.dist_sq - w.dist_sq).abs() < 1e-9);
         }
+    }
+
+    /// The k-NN buffer against its specification: after every offer the
+    /// bound is the k-th smallest `(dist², id)` offered so far (∞ before k
+    /// were offered), and the result is sort-and-truncate — under heavy
+    /// distance ties, for k = 0, small and large k, and k beyond the stream.
+    #[test]
+    fn knn_buffer_is_sort_and_truncate_with_an_exact_bound(
+        dists in prop::collection::vec(0u32..6, 0..200),
+        k_sel in 0usize..5,
+        id_seed in 0u32..1009,
+    ) {
+        let k = [0, 1, 5, 11, 64][k_sel];
+        let mut buf = KnnBuffer::new(k);
+        let mut offered: Vec<Neighbor> = Vec::new();
+        for (i, &d) in dists.iter().enumerate() {
+            // Distinct ids in scrambled order: 856 generates Z/1009.
+            let id = (i as u32 * 856 + id_seed) % 1009;
+            buf.insert(d as f64, id);
+            offered.push(Neighbor { dist_sq: d as f64, id });
+            offered.sort_by(canonical_order);
+            let want = match k {
+                0 => f64::NEG_INFINITY,
+                _ if offered.len() < k => f64::INFINITY,
+                _ => offered[k - 1].dist_sq,
+            };
+            prop_assert_eq!(buf.bound(), want);
+            prop_assert_eq!(buf.len(), offered.len().min(k));
+        }
+        offered.truncate(k);
+        prop_assert_eq!(buf.finish(), offered);
     }
 }

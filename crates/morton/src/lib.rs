@@ -44,7 +44,12 @@ pub const fn morton_shard_of<const D: usize>(code: u64, shard_bits: u32) -> u64 
 /// Morton code of `p` within `bbox` (coordinates outside the box clamp to
 /// its boundary).
 pub fn morton_code<const D: usize>(p: &Point<D>, bbox: &Bbox<D>) -> u64 {
-    let bits = bits_per_dim(D);
+    morton_code_bits(p, bbox, bits_per_dim(D))
+}
+
+/// [`morton_code`] on a coarser grid of `bits ≤ bits_per_dim(D)` bits per
+/// dimension (NaN coordinates land in cell 0).
+fn morton_code_bits<const D: usize>(p: &Point<D>, bbox: &Bbox<D>, bits: u32) -> u64 {
     let scale = (1u64 << bits) as f64;
     let mut cells = [0u64; D];
     for i in 0..D {
@@ -110,6 +115,59 @@ pub fn morton_sort<const D: usize>(points: &mut [Point<D>]) -> Vec<u32> {
         }
     }
     ids
+}
+
+/// Batches below this size are answered in input order, sequentially: the
+/// one grain of every tree's `knn_batch`.
+const POINT_BATCH_GRAIN: usize = 64;
+
+/// Maps `f` over a batch of query points and returns the results in input
+/// order — [`parlay::map_batch`] for point queries against a spatial tree.
+/// Batches of at least 64 queries are *evaluated* in Z-order of the
+/// queries, so consecutive queries (and each worker's contiguous chunk)
+/// walk the same root-to-leaf paths and scan the same leaves while they are
+/// still in cache. `f` must not depend on evaluation order.
+///
+/// Scratch is one `u64` per query: a 32-bit Morton code over the finite
+/// queries' bounding box above the query's index. Non-finite queries clamp
+/// to an end of the curve; one finite far-away query stretches the box and
+/// costs the batch its locality. Nothing about a query can make the
+/// ordering fail or move its row.
+pub fn map_batch_z_order<const D: usize, R: Send>(
+    queries: &[Point<D>],
+    f: impl Fn(&Point<D>) -> R + Send + Sync,
+) -> Vec<R> {
+    if queries.len() < POINT_BATCH_GRAIN {
+        return queries.iter().map(f).collect();
+    }
+    assert!(
+        queries.len() <= u32::MAX as usize,
+        "batch exceeds u32 indices"
+    );
+    let bbox = queries
+        .iter()
+        .filter(|q| q.coords.iter().all(|c| c.is_finite()))
+        .fold(Bbox::empty(), |mut b, q| {
+            b.extend(q);
+            b
+        });
+    let bits = bits_per_dim(D).min(32 / D as u32);
+    let key = |(i, q): (usize, &Point<D>)| morton_code_bits(q, &bbox, bits) << 32 | i as u64;
+    let mut order: Vec<u64> = if queries.len() >= 4096 {
+        queries.par_iter().enumerate().map(key).collect()
+    } else {
+        queries.iter().enumerate().map(key).collect()
+    };
+    parlay::radix_sort_u64_by_key(&mut order, |&key| key);
+    let index = |key: u64| key as u32 as usize;
+    let rows = parlay::map_batch(&order, POINT_BATCH_GRAIN, |&key| f(&queries[index(key)]));
+    let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(rows.len()).collect();
+    for (row, key) in rows.into_iter().zip(order) {
+        out[index(key)] = Some(row);
+    }
+    out.into_iter()
+        .map(|row| row.expect("the order is a permutation"))
+        .collect()
 }
 
 /// Computes Morton codes for a point set over a given box, in parallel.
@@ -257,5 +315,46 @@ mod tests {
         let bbox = parallel_bbox(&pts[..256]);
         let codes = morton_codes(&pts[..256], &bbox);
         assert!(codes.windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn z_order_batches_evaluate_along_the_curve_and_answer_in_input_order() {
+        let mut pts = pargeo_datagen::uniform_cube::<3>(5_000, 7);
+        // Duplicate and non-finite queries ride along.
+        pts[10] = pts[11];
+        pts[30] = Point::new([f64::INFINITY, 1.0, 1.0]);
+        pts[40] = Point::new([1.0, f64::NEG_INFINITY, 1.0]);
+        pts[50] = Point::new([f64::NAN, f64::NAN, f64::NAN]);
+        for n in [0, 1, POINT_BATCH_GRAIN - 1, POINT_BATCH_GRAIN, 5_000] {
+            let visited = std::sync::Mutex::new(Vec::new());
+            let out = parlay::with_threads(1, || {
+                map_batch_z_order(&pts[..n], |p| {
+                    visited.lock().unwrap().push(p.bits_key());
+                    p.bits_key()
+                })
+            });
+            let want: Vec<_> = pts[..n].iter().map(Point::bits_key).collect();
+            assert_eq!(out, want, "n={n}: rows in input order");
+            let mut visited = visited.into_inner().unwrap();
+            if n < POINT_BATCH_GRAIN {
+                assert_eq!(visited, want, "n={n}: small batches run in input order");
+                continue;
+            }
+            // Finite queries are visited in ascending cell order.
+            let finite: Vec<Point<3>> = pts[..n]
+                .iter()
+                .filter(|p| p.coords.iter().all(|c| c.is_finite()))
+                .copied()
+                .collect();
+            let bbox = Bbox::from_points(&finite);
+            let keys: std::collections::HashSet<_> = finite.iter().map(Point::bits_key).collect();
+            visited.retain(|key| keys.contains(key));
+            let codes: Vec<u64> = visited
+                .iter()
+                .map(|key| morton_code_bits(&Point::new(key.map(f64::from_bits)), &bbox, 10))
+                .collect();
+            assert_eq!(codes.len(), finite.len());
+            assert!(codes.windows(2).all(|w| w[0] <= w[1]), "n={n}");
+        }
     }
 }

@@ -79,8 +79,10 @@ pub fn par_do<RA: Send, RB: Send>(
 
 /// Maps `f` over a query batch, in order: sequentially below `grain`,
 /// data-parallel above it. The one batch-dispatch idiom every batched
-/// query surface (`knn_batch`, `range_box_batch`, `answer_batch`, the
-/// oracle) shares, so per-backend copies cannot drift.
+/// query surface (`range_box_batch`, `answer_batch`, the oracle, the shard
+/// fan-out) shares, so per-backend copies cannot drift; the trees'
+/// `knn_batch` reach it through `pargeo_morton::map_batch_z_order`, which
+/// adds the locality order point queries profit from.
 pub fn map_batch<T: Sync, R: Send>(
     items: &[T],
     grain: usize,

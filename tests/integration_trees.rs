@@ -127,3 +127,81 @@ fn seven_dimensional_trees() {
         }
     }
 }
+
+/// `knn_batch` evaluates a batch in Z-order of its queries and scatters the
+/// rows back: every row must equal the per-query `knn` and the brute-force
+/// oracle bit for bit, whatever the tree holds (tombstones, drained levels,
+/// a part-full insert buffer, lattice ties, one oversize leaf of coincident
+/// points) and whatever the batch holds (duplicate, far-away, infinite and
+/// NaN queries — none may panic the ordering or move a row).
+fn knn_batch_matches_knn_and_the_oracle<const D: usize>(seed: u64) {
+    use pargeo::parlay::mix64;
+    let lattice: Vec<Point<D>> = (0..1_500u64)
+        .map(|i| {
+            Point::new(std::array::from_fn(|a| {
+                (mix64(seed + i, a as u64) % 8) as f64
+            }))
+        })
+        .collect();
+    let uniform = uniform_cube::<D>(1_500, seed);
+    let copies = vec![Point::new([3.0; D]); 1_100];
+
+    let mut bdl = BdlTree::<D>::with_buffer_size(64);
+    let mut oracle = VecIndex::<D>::new();
+    let mut both = |insert: bool, batch: &[Point<D>]| {
+        if insert {
+            bdl.insert(batch);
+            SpatialIndex::insert(&mut oracle, batch);
+        } else {
+            assert_eq!(bdl.delete(batch), SpatialIndex::delete(&mut oracle, batch));
+        }
+    };
+    both(true, &lattice);
+    both(true, &uniform);
+    both(true, &copies);
+    both(false, &uniform[..150]); // tombstones, no level falls below half
+    both(false, &uniform[150..1_300]); // drains
+    both(false, &lattice[..40]); // by value: kills every copy on those cells
+    both(true, &uniform[..37]); // leaves the insert buffer part full
+    let in_trees: usize = bdl.tree_sizes().iter().sum();
+    assert!(in_trees < bdl.len(), "the insert buffer holds points");
+    assert!(bdl.rebuilds() > 3, "levels were drained and rebuilt");
+
+    let mut queries: Vec<Point<D>> = lattice.iter().step_by(13).copied().collect();
+    queries.extend(uniform.iter().step_by(29));
+    queries.extend([copies[0]; 4]);
+    queries.push(Point::new([1e12; D]));
+    queries.push(Point::new([-1e12; D]));
+    for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let mut q = lattice[0];
+        q.coords[D - 1] = bad;
+        queries.push(q);
+    }
+    assert!(queries.len() >= 64, "large enough to be reordered");
+
+    let live: Vec<Point<D>> = oracle.items().iter().map(|&(p, _)| p).collect();
+    let kd = KdTree::build(&live, SplitRule::ObjectMedian);
+    for k in [1, 5, 40] {
+        let rows = bdl.knn_batch(&queries, k);
+        let one_by_one: Vec<_> = queries.iter().map(|q| bdl.knn(q, k)).collect();
+        assert_eq!(rows, one_by_one, "D={D} k={k}: batch vs per-query");
+        assert_eq!(
+            rows,
+            SpatialIndex::knn_batch(&oracle, &queries, k),
+            "D={D} k={k}: batch vs oracle"
+        );
+        let kd_one_by_one: Vec<_> = queries.iter().map(|q| kd.knn(q, k)).collect();
+        assert_eq!(kd.knn_batch(&queries, k), kd_one_by_one, "D={D} k={k}: kd");
+    }
+    assert!(bdl.knn_batch(&queries, 0).iter().all(Vec::is_empty));
+}
+
+#[test]
+fn knn_batch_is_order_blind_2d() {
+    knn_batch_matches_knn_and_the_oracle::<2>(31);
+}
+
+#[test]
+fn knn_batch_is_order_blind_5d() {
+    knn_batch_matches_knn_and_the_oracle::<5>(32);
+}
