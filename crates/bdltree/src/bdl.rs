@@ -4,7 +4,7 @@ use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::knn::{KnnBuffer, KnnProbe, KnnWork, Neighbor};
 use pargeo_kdtree::tree::{BuildParams, SplitRule};
 use pargeo_kdtree::veb::VebTree;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Default buffer-tree size `X` (tunable; the paper treats it as a
 /// performance constant).
@@ -192,10 +192,10 @@ impl<const D: usize> BdlTree<D> {
         create_bits.clear();
         let rule = self.rule;
         let leaf_size = self.leaf_size;
-        let built: Vec<(usize, VebTree<D>)> = jobs
-            .into_par_iter()
-            .map(|(i, pts)| (i, VebTree::build_with(&pts, leaf_size, rule)))
-            .collect();
+        // Grain 1: an item is a whole tree build.
+        let built: Vec<(usize, VebTree<D>)> = pargeo_parlay::map(&jobs, 1, |(i, pts)| {
+            (*i, VebTree::build_with(pts, leaf_size, rule))
+        });
         self.rebuilds += built.len() as u64;
         for (i, t) in built {
             debug_assert!(self.trees[i].is_none());
@@ -218,22 +218,20 @@ impl<const D: usize> BdlTree<D> {
         self.buffer
             .retain(|(p, _)| !victims.contains(&p.bits_key()));
         let mut deleted = before_buf - self.buffer.len();
-        // Parallel bulk erase across all occupied trees.
-        let counts: Vec<(usize, u64)> = self
-            .trees
-            .par_iter_mut()
-            .map(|slot| match slot {
-                Some(t) => {
-                    let copied = t.cow_bytes();
-                    (t.erase(batch), t.cow_bytes() - copied)
-                }
-                None => (0, 0),
-            })
-            .collect();
-        for (erased, copied) in counts {
-            deleted += erased;
-            self.cow_bytes += copied;
-        }
+        // Parallel bulk erase across all occupied trees (grain 1: an item
+        // is a whole tree's erase); the two tallies are integer sums, so
+        // the order the trees report in cannot show.
+        let erased = AtomicUsize::new(0);
+        let copied = AtomicU64::new(0);
+        pargeo_parlay::for_each_mut(&mut self.trees, 1, |_, slot| {
+            if let Some(t) = slot {
+                let before = t.cow_bytes();
+                erased.fetch_add(t.erase(batch), Ordering::Relaxed);
+                copied.fetch_add(t.cow_bytes() - before, Ordering::Relaxed);
+            }
+        });
+        deleted += erased.into_inner();
+        self.cow_bytes += copied.into_inner();
         self.live -= deleted;
         // Drain trees below half capacity and reinsert their survivors.
         let mut reinsert: Vec<(Point<D>, u32)> = Vec::new();
@@ -323,7 +321,7 @@ impl<const D: usize> BdlTree<D> {
 
     /// Data-parallel batch box reporting (parallel over the queries).
     pub fn range_box_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        pargeo_parlay::map_batch(queries, 16, |q| self.range_box(q))
+        pargeo_parlay::map(queries, 16, |q| self.range_box(q))
     }
 
     /// All live `(point, id)` pairs (diagnostics / tests).

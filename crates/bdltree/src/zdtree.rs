@@ -15,7 +15,6 @@ use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_kdtree::knn::{KnnBuffer, Neighbor};
 use pargeo_morton::{morton_code, morton_shard_of, parallel_bbox, total_bits};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 const SEQ_CUTOFF: usize = 4096;
 
@@ -24,26 +23,12 @@ const SEQ_CUTOFF: usize = 4096;
 /// same order (parallel per-column fill for large runs).
 fn split_columns<const D: usize>(merged: Vec<(u64, Point<D>, u32)>) -> (Vec<u64>, SoaPoints<D>) {
     let n = merged.len();
-    let codes: Vec<u64>;
     let mut pts = SoaPoints::with_len(n);
-    if n >= SEQ_CUTOFF {
-        codes = merged.par_iter().map(|&(c, _, _)| c).collect();
-        for d in 0..D {
-            pts.axis_mut(d)
-                .par_iter_mut()
-                .enumerate()
-                .for_each(|(i, v)| *v = merged[i].1[d]);
-        }
-        pts.ids_mut()
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, v)| *v = merged[i].2);
-    } else {
-        codes = merged.iter().map(|&(c, _, _)| c).collect();
-        for (i, &(_, p, id)) in merged.iter().enumerate() {
-            pts.set(i, p, id);
-        }
+    let codes = parlay::map(&merged, SEQ_CUTOFF, |&(c, _, _)| c);
+    for d in 0..D {
+        parlay::for_each_mut(pts.axis_mut(d), SEQ_CUTOFF, |i, v| *v = merged[i].1[d]);
     }
+    parlay::for_each_mut(pts.ids_mut(), SEQ_CUTOFF, |i, v| *v = merged[i].2);
     (codes, pts)
 }
 
@@ -191,17 +176,9 @@ impl<const D: usize> ZdTree<D> {
     /// transient AoS form the merge/filter update paths operate on before
     /// scattering back into columns.
     fn rows(&self) -> Vec<(u64, Point<D>, u32)> {
-        let n = self.codes.len();
-        if n >= SEQ_CUTOFF {
-            (0..n)
-                .into_par_iter()
-                .map(|i| (self.codes[i], self.pts.get(i), self.pts.id(i)))
-                .collect()
-        } else {
-            (0..n)
-                .map(|i| (self.codes[i], self.pts.get(i), self.pts.id(i)))
-                .collect()
-        }
+        parlay::tabulate(self.codes.len(), SEQ_CUTOFF, |i| {
+            (self.codes[i], self.pts.get(i), self.pts.id(i))
+        })
     }
 
     /// Batch insert: Morton-sort the batch, merge into the sorted array,
@@ -215,19 +192,10 @@ impl<const D: usize> ZdTree<D> {
             self.universe = derive_universe(batch);
             self.universe_fixed = true;
         }
-        let mut add: Vec<(u64, Point<D>, u32)> = if batch.len() >= SEQ_CUTOFF {
-            batch
-                .par_iter()
-                .enumerate()
-                .map(|(i, &p)| (self.code_of(&p), p, self.next_id + i as u32))
-                .collect()
-        } else {
-            batch
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (self.code_of(&p), p, self.next_id + i as u32))
-                .collect()
-        };
+        let mut add: Vec<(u64, Point<D>, u32)> = parlay::tabulate(batch.len(), SEQ_CUTOFF, |i| {
+            let p = batch[i];
+            (self.code_of(&p), p, self.next_id + i as u32)
+        });
         self.next_id += batch.len() as u32;
         parlay::radix_sort_u64_by_key(&mut add, |t| t.0);
         // Merge two sorted runs, then scatter back into columns.
@@ -375,7 +343,7 @@ impl<const D: usize> ZdTree<D> {
 
     /// Data-parallel batch box reporting (parallel over the queries).
     pub fn range_box_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        parlay::map_batch(queries, 16, |q| self.range_box(q))
+        parlay::map(queries, 16, |q| self.range_box(q))
     }
 
     /// Rebuilds the implicit radix-tree structure over the sorted codes.
@@ -481,7 +449,7 @@ fn build_rec<const D: usize>(
         return build_rec(codes, pts, start, end, bit - 1, leaf_size);
     }
     let (l, r) = if n >= SEQ_CUTOFF {
-        rayon::join(
+        parlay::par_do(
             || build_rec(codes, pts, start, mid, bit - 1, leaf_size),
             || build_rec(codes, pts, mid, end, bit - 1, leaf_size),
         )

@@ -3,26 +3,23 @@
 //! each on a dedicated pool so [`SchedStats`](pargeo::sched::SchedStats)
 //! reads as a per-run delta.
 //!
-//! 1. **Fork-join microbench** — a balanced `rayon::join` tree-sum over
+//! 1. **Fork-join microbench** — a balanced `parlay::par_do` tree-sum over
 //!    `PARGEO_N` leaves with a deliberately non-commutative combine: the
 //!    digest is order-sensitive, so a scheduler that perturbed the merge
 //!    structure would be caught, not averaged away.
 //! 2. **Skewed-shard workload** — per-shard cost grows quadratically with
-//!    the shard index, driven through the lazy-splitting parallel
-//!    iterator. A static split would strand the heavy tail on one worker;
-//!    stealing is the whole point, and the steal counter is asserted
-//!    non-zero at ≥2 workers.
+//!    the shard index, driven through `parlay::reduce` at grain 1 (a task
+//!    per shard). A static split would strand the heavy tail on one
+//!    worker; stealing is the whole point, and the steal counter is
+//!    asserted non-zero at ≥2 workers.
 //!
 //! Both workloads reduce to a digest asserted identical across all worker
 //! counts *before* anything is timed — every timed run is also a
-//! correctness run. The iterator grain is pinned (`PARGEO_GRAIN`,
-//! default 8) so recorded baselines don't depend on calibration noise.
-//! On a single-core container wall times don't improve with workers;
+//! correctness run. On a single-core container wall times don't improve with workers;
 //! the counters and digest anchors are the reproduction target.
 
-use pargeo::sched;
+use pargeo::{parlay, sched};
 use pargeo_bench::{env_n, header, time_best};
-use rayon::prelude::*;
 
 const WORKERS: [usize; 3] = [1, 2, 4];
 /// Leaves folded sequentially at the bottom of the fork-join tree.
@@ -43,7 +40,7 @@ fn combine(a: u64, b: u64) -> u64 {
     mix(a.rotate_left(17) ^ b).wrapping_add(b)
 }
 
-/// Balanced fork-join tree-sum over leaves `[lo, hi)` via `rayon::join`.
+/// Balanced fork-join tree-sum over leaves `[lo, hi)` via `par_do`.
 /// Each leaf element spins the mixer a few rounds so the tree carries
 /// real work, not just task overhead.
 fn tree_digest(lo: u64, hi: u64) -> u64 {
@@ -57,13 +54,13 @@ fn tree_digest(lo: u64, hi: u64) -> u64 {
         });
     }
     let mid = lo + (hi - lo) / 2;
-    let (a, b) = rayon::join(|| tree_digest(lo, mid), || tree_digest(mid, hi));
+    let (a, b) = parlay::par_do(|| tree_digest(lo, mid), || tree_digest(mid, hi));
     combine(a, b)
 }
 
 /// One shard's work: spin the mixer for a number of rounds that grows
-/// quadratically with the shard index — the imbalance the lazy splitter
-/// has to absorb.
+/// quadratically with the shard index — the imbalance stealing has to
+/// absorb.
 fn shard_work(i: usize, shards: usize) -> u64 {
     let rounds = 64 + (i * i * 100_000) / (shards * shards);
     let mut h = i as u64;
@@ -73,42 +70,34 @@ fn shard_work(i: usize, shards: usize) -> u64 {
     h
 }
 
-/// Skewed-shard digest through the parallel-iterator layer. The combine
-/// is associative (wrapping add), so any split depth the lazy splitter
-/// picks yields the same value; the per-shard hashes make it
-/// position-sensitive anyway.
+/// Skewed-shard digest through the loop family, a task per shard. The
+/// combine is associative (wrapping add); the per-shard hashes make the
+/// digest position-sensitive anyway.
 fn skewed_digest(shards: usize) -> u64 {
-    (0..shards)
-        .into_par_iter()
-        .map(|i| shard_work(i, shards).wrapping_add((i as u64) << 32))
-        .reduce(|| 0u64, u64::wrapping_add)
-}
-
-fn pool(workers: usize, grain: usize) -> sched::Pool {
-    sched::PoolBuilder::new()
-        .num_threads(workers)
-        .grain(grain)
-        .build()
-        .expect("dedicated bench pool")
+    parlay::reduce(
+        shards,
+        1,
+        |r| {
+            r.map(|i| shard_work(i, shards).wrapping_add((i as u64) << 32))
+                .fold(0u64, u64::wrapping_add)
+        },
+        u64::wrapping_add,
+    )
 }
 
 fn main() {
     let n = env_n(200_000) as u64;
     let shards = ((n / 64) as usize).clamp(64, 4096);
-    let grain = std::env::var("PARGEO_GRAIN")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(8usize);
     println!(
-        "# Work-stealing scheduler sweep — fork-join over {n} leaves + {shards} skewed shards, grain = {grain}\n"
+        "# Work-stealing scheduler sweep — fork-join over {n} leaves + {shards} skewed shards\n"
     );
 
     // Digest anchors, outside the timed region: both workloads must be
     // bit-identical at every worker count.
-    let want_tree = pool(1, grain).install(|| tree_digest(0, n));
-    let want_skew = pool(1, grain).install(|| skewed_digest(shards));
+    let want_tree = sched::Pool::new(1).install(|| tree_digest(0, n));
+    let want_skew = sched::Pool::new(1).install(|| skewed_digest(shards));
     for w in WORKERS {
-        let p = pool(w, grain);
+        let p = sched::Pool::new(w);
         assert_eq!(
             p.install(|| tree_digest(0, n)),
             want_tree,
@@ -133,7 +122,7 @@ fn main() {
         for w in WORKERS {
             // Fresh pool per cell: SchedStats is a lifetime counter, so
             // on a dedicated pool it reads as this cell's delta.
-            let p = pool(w, grain);
+            let p = sched::Pool::new(w);
             let digest = p.install(run); // warmup + per-cell anchor
             assert_eq!(
                 digest,

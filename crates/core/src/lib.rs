@@ -222,9 +222,11 @@
 //!
 //! ## Parallelism
 //!
-//! Every algorithm parallelizes through [`parlay`] on the ambient rayon
-//! pool. To measure scaling (the paper's `T1` / `T36h` sweeps), run any
-//! closure under a fixed-size pool:
+//! Every algorithm parallelizes through [`parlay`] — fork-join and a
+//! small loop family whose grain is the caller's argument — on the
+//! work-stealing [`sched`] pool of the calling thread. To measure scaling
+//! (the paper's `T1` / `T36h` sweeps), run any closure under a fixed-size
+//! pool:
 //!
 //! ```
 //! let t1 = pargeo::parlay::with_threads(1, || {

@@ -40,7 +40,6 @@ use pargeo_geometry::{Bbox, Point};
 use pargeo_parlay::shuffle::splitmix64;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 
 /// Per-point deterministic RNG state derived from `(seed, index)`.
 struct Counter {
@@ -71,13 +70,13 @@ impl Counter {
     }
 }
 
-/// Counter-mode generation harness: `f(i)` produces object `i`, in
-/// parallel above the sequential cutoff (works for points, segment pairs,
-/// boxes — anything `Send`).
+/// Counter-mode generation harness: `f(i)` produces object `i`, 4096
+/// objects to a task (works for points, segment pairs, boxes — anything
+/// `Send`).
 fn gen_parallel<T, F>(n: usize, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Send + Sync,
+    F: Fn(usize) -> T + Sync,
 {
     gen_parallel_range(0..n, f)
 }
@@ -90,13 +89,9 @@ where
 fn gen_parallel_range<T, F>(range: std::ops::Range<usize>, f: F) -> Vec<T>
 where
     T: Send,
-    F: Fn(usize) -> T + Send + Sync,
+    F: Fn(usize) -> T + Sync,
 {
-    if range.len() < 4096 {
-        range.map(f).collect()
-    } else {
-        range.into_par_iter().map(f).collect()
-    }
+    pargeo_parlay::tabulate(range.len(), 4096, |i| f(range.start + i))
 }
 
 /// Side length of the paper's hypercube: `√n`.

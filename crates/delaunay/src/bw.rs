@@ -4,7 +4,6 @@
 use crate::tri::{Cavity, TriMesh};
 use pargeo_geometry::{GeoError, GeoResult, Point2};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 const EMPTY: usize = usize::MAX;
@@ -128,36 +127,29 @@ pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
         let r = round_size(mesh.v.len(), parlay::num_threads(), p.len());
         let batch = &p[..r];
         // Phase A: conflict cavities + reservations (`None` = duplicate).
-        let plans: Vec<Option<Cavity>> = batch
-            .par_iter()
-            .enumerate()
-            .map(|(rank, &q)| {
-                let t0 = tri_of[q as usize].load(Ordering::Relaxed);
-                if mesh.is_vertex_of(t0, q) {
-                    return None;
+        let plans: Vec<Option<Cavity>> = parlay::tabulate(r, CAVITY_GRAIN, |rank| {
+            let q = batch[rank];
+            let t0 = tri_of[q as usize].load(Ordering::Relaxed);
+            if mesh.is_vertex_of(t0, q) {
+                return None;
+            }
+            let mut cav = Cavity::default();
+            mesh.cavity(t0, q, &mut cav);
+            for t in cav.touched() {
+                let slot = &reservations[t as usize];
+                if slot.load(Ordering::Relaxed) > rank {
+                    slot.fetch_min(rank, Ordering::Relaxed);
                 }
-                let mut cav = Cavity::default();
-                mesh.cavity(t0, q, &mut cav);
-                for t in cav.touched() {
-                    let slot = &reservations[t as usize];
-                    if slot.load(Ordering::Relaxed) > rank {
-                        slot.fetch_min(rank, Ordering::Relaxed);
-                    }
-                }
-                Some(cav)
-            })
-            .collect();
+            }
+            Some(cav)
+        });
         // Phase A': winners.
-        let success: Vec<bool> = plans
-            .par_iter()
-            .enumerate()
-            .map(|(rank, pl)| {
-                pl.as_ref().is_some_and(|cav| {
-                    cav.touched()
-                        .all(|t| reservations[t as usize].load(Ordering::Relaxed) == rank)
-                })
+        let success: Vec<bool> = parlay::tabulate(r, SLOT_GRAIN, |rank| {
+            plans[rank].as_ref().is_some_and(|cav| {
+                cav.touched()
+                    .all(|t| reservations[t as usize].load(Ordering::Relaxed) == rank)
             })
-            .collect();
+        });
         // Phase B: sequential surgery per winner, remembering the slots of
         // its new triangles (the cavity's own plus two fresh ones).
         let mut winners: Vec<(u32, &Cavity, Vec<u32>)> = Vec::new();
@@ -177,9 +169,13 @@ pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
         // Phase C: parallel redistribution by containment. Each winner
         // reads the lists of its cavity and builds those of its new
         // triangles, which then replace them slot by slot.
-        let moved: Vec<Vec<Vec<u32>>> = winners
-            .par_iter()
-            .map(|(q, cav, slots)| {
+        // A winner's work is its cavity's share of the pending points:
+        // early rounds have a few winners moving thousands each, late ones
+        // many winners moving none.
+        let pending_per_tri = p.len() / mesh.v.len();
+        let winners_per_task = (CAVITY_GRAIN / (1 + pending_per_tri)).max(1);
+        let moved: Vec<Vec<Vec<u32>>> =
+            parlay::map(&winners, winners_per_task, |(q, cav, slots)| {
                 let mut lists = vec![Vec::new(); slots.len()];
                 let pending = cav.region.iter().flat_map(|&dead| &conf[dead as usize]);
                 for &t in pending.filter(|&t| t != q) {
@@ -195,16 +191,15 @@ pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
                     }
                 }
                 lists
-            })
-            .collect();
+            });
         for ((_, _, slots), lists) in winners.iter().zip(moved) {
             for (&slot, list) in slots.iter().zip(lists) {
                 conf[slot as usize] = list;
             }
         }
         // Phase D: reset + pack.
-        plans.par_iter().for_each(|pl| {
-            for t in pl.iter().flat_map(Cavity::touched) {
+        parlay::parallel_for(r, SLOT_GRAIN, |rank| {
+            for t in plans[rank].iter().flat_map(Cavity::touched) {
                 reservations[t as usize].store(EMPTY, Ordering::Relaxed);
             }
         });
@@ -216,6 +211,13 @@ pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
         triangles: mesh.extract(),
     }
 }
+
+/// Cavities per task in a round's Phase A (a cavity is a point location
+/// and a tour of some six triangles — about a microsecond).
+const CAVITY_GRAIN: usize = 32;
+/// Items per task in the phases that only visit a cavity's dozen
+/// reservation slots.
+const SLOT_GRAIN: usize = 256;
 
 /// Batch size: grows with both the mesh (conflict cavities must be sparse
 /// enough for reservations to succeed) and the remaining points (each

@@ -91,11 +91,11 @@ impl<const D: usize> SpatialIndex<D> for VecIndex<D> {
     }
 
     fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        pargeo_parlay::map_batch(queries, 64, |q| self.knn(q, k))
+        pargeo_parlay::map(queries, 64, |q| self.knn(q, k))
     }
 
     fn range_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        pargeo_parlay::map_batch(queries, 16, |q| self.range_box(q))
+        pargeo_parlay::map(queries, 16, |q| self.range_box(q))
     }
 
     fn len(&self) -> usize {

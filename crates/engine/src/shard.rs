@@ -51,11 +51,11 @@ use pargeo_kdtree::{canonical_order, Neighbor};
 use pargeo_morton::{morton_code, morton_shard_of, parallel_bbox};
 use pargeo_obs::{Counter, Registry};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Routing below this batch size stays sequential.
-const SEQ_CUTOFF: usize = 4096;
+/// Points routed per task (a Morton code per point).
+const ROUTE_GRAIN: usize = 4096;
 
 /// One shard: an independent backend plus the glue that makes its local
 /// answers globally meaningful.
@@ -403,11 +403,7 @@ impl<const D: usize> ShardedIndex<D> {
     /// shard preserving batch order inside each bucket — so local
     /// insertion order equals global insertion order.
     fn bucket(&self, batch: &[Point<D>]) -> (Vec<usize>, Vec<Vec<Point<D>>>) {
-        let routes: Vec<usize> = if batch.len() >= SEQ_CUTOFF {
-            batch.par_iter().map(|p| self.shard_of(p)).collect()
-        } else {
-            batch.iter().map(|p| self.shard_of(p)).collect()
-        };
+        let routes: Vec<usize> = parlay::map(batch, ROUTE_GRAIN, |p| self.shard_of(p));
         let mut buckets: Vec<Vec<Point<D>>> = (0..self.shards.len()).map(|_| Vec::new()).collect();
         for (&s, &p) in routes.iter().zip(batch) {
             buckets[s].push(p);
@@ -461,15 +457,12 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
             }
         }
         // The write epoch's parallel half: every shard applies its
-        // sub-batch concurrently.
-        self.shards
-            .par_iter_mut()
-            .zip(buckets.par_iter())
-            .for_each(|(shard, bucket)| {
-                if !bucket.is_empty() {
-                    shard.index.insert(bucket);
-                }
-            });
+        // sub-batch concurrently (grain 1: an item is a whole shard).
+        parlay::for_each_mut(&mut self.shards, 1, |s, shard| {
+            if !buckets[s].is_empty() {
+                shard.index.insert(&buckets[s]);
+            }
+        });
     }
 
     fn delete(&mut self, batch: &[Point<D>]) -> usize {
@@ -487,38 +480,32 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
                 }
             }
         }
-        let removed: Vec<usize> = self
-            .shards
-            .par_iter_mut()
-            .zip(buckets.par_iter())
-            .map(|(shard, bucket)| {
-                if bucket.is_empty() || shard.index.is_empty() {
-                    0
-                } else {
-                    let n = shard.index.delete(bucket);
-                    if n > 0 {
-                        // The effective region must shrink with its
-                        // points: a cumulative box kept after deleting
-                        // extreme points would keep pulling k-NN
-                        // expansion and range fan-out into a shard that
-                        // can no longer answer there.
-                        shard.bbox = shard.index.live_bbox();
-                    }
-                    n
-                }
-            })
-            .collect();
-        removed.iter().sum()
+        let removed = AtomicUsize::new(0);
+        parlay::for_each_mut(&mut self.shards, 1, |s, shard| {
+            if buckets[s].is_empty() || shard.index.is_empty() {
+                return;
+            }
+            let n = shard.index.delete(&buckets[s]);
+            if n > 0 {
+                // The effective region must shrink with its points: a
+                // cumulative box kept after deleting extreme points would
+                // keep pulling k-NN expansion and range fan-out into a
+                // shard that can no longer answer there.
+                shard.bbox = shard.index.live_bbox();
+            }
+            removed.fetch_add(n, Ordering::Relaxed);
+        });
+        removed.into_inner()
     }
 
     fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        parlay::map_batch(queries, 64, |q| {
+        parlay::map(queries, 64, |q| {
             knn_one(&self.shards, self.obs.as_deref(), q, k)
         })
     }
 
     fn range_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        parlay::map_batch(queries, 16, |q| {
+        parlay::map(queries, 16, |q| {
             range_one(&self.shards, self.obs.as_deref(), q)
         })
     }
@@ -653,13 +640,13 @@ impl<const D: usize> SnapshotView<D> for ShardedView<D> {
     }
 
     fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        parlay::map_batch(queries, 64, |q| {
+        parlay::map(queries, 64, |q| {
             knn_one(&self.shards, self.obs.as_deref(), q, k)
         })
     }
 
     fn range_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        parlay::map_batch(queries, 16, |q| {
+        parlay::map(queries, 16, |q| {
             range_one(&self.shards, self.obs.as_deref(), q)
         })
     }

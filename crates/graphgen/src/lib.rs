@@ -20,7 +20,7 @@
 use pargeo_delaunay::{delaunay, delaunay_edges};
 use pargeo_geometry::{Point, Point2};
 use pargeo_kdtree::{KdTree, SplitRule};
-use rayon::prelude::*;
+use pargeo_parlay as parlay;
 
 pub use pargeo_delaunay::gabriel_graph;
 pub use pargeo_wspd::emst::emst;
@@ -36,15 +36,13 @@ pub fn knn_graph<const D: usize>(points: &[Point<D>], k: usize) -> Vec<(u32, u32
     let tree = KdTree::build(points, SplitRule::ObjectMedian);
     // Ask for k+1 and drop the self hit.
     let rows = tree.knn_batch(points, k + 1);
-    rows.into_par_iter()
-        .enumerate()
-        .flat_map_iter(|(i, row)| {
-            row.into_iter()
-                .filter(move |n| n.id as usize != i)
-                .take(k)
-                .map(move |n| (i as u32, n.id))
-        })
-        .collect()
+    parlay::flatten(rows.len(), parlay::GRANULARITY, |i| {
+        rows[i]
+            .iter()
+            .filter(move |n| n.id as usize != i)
+            .take(k)
+            .map(move |n| (i as u32, n.id))
+    })
 }
 
 /// The Delaunay graph (undirected, deduplicated edges).
@@ -66,35 +64,36 @@ pub fn beta_skeleton(points: &[Point2], beta: f64) -> Vec<(u32, u32)> {
         return Vec::new();
     }
     let tree = KdTree::build(points, SplitRule::ObjectMedian);
-    candidates
-        .into_par_iter()
-        .filter(|&(u, v)| {
-            let pu = points[u as usize];
-            let pv = points[v as usize];
-            let len = pu.dist(&pv);
-            if len == 0.0 {
-                return true; // duplicate positions: empty lune
+    let lune_is_empty = |(u, v): (u32, u32)| {
+        let pu = points[u as usize];
+        let pv = points[v as usize];
+        let len = pu.dist(&pv);
+        if len == 0.0 {
+            return true; // duplicate positions: empty lune
+        }
+        let r = beta * len / 2.0;
+        let c1 = pu + (pv - pu) * (beta / 2.0);
+        let c2 = pv + (pu - pv) * (beta / 2.0);
+        // Range search the smaller disk, then test lune membership
+        // (order-insensitive, so skip the sorted-output contract).
+        let hits = tree.range_ball_unsorted(&c1, r);
+        let r_sq = r * r;
+        hits.into_iter().all(|w| {
+            if w == u || w == v {
+                return true;
             }
-            let r = beta * len / 2.0;
-            let c1 = pu + (pv - pu) * (beta / 2.0);
-            let c2 = pv + (pu - pv) * (beta / 2.0);
-            // Range search the smaller disk, then test lune membership
-            // (order-insensitive, so skip the sorted-output contract).
-            let hits = tree.range_ball_unsorted(&c1, r);
-            let r_sq = r * r;
-            hits.into_iter().all(|w| {
-                if w == u || w == v {
-                    return true;
-                }
-                let pw = points[w as usize];
-                let same_as_endpoint = pw == pu || pw == pv;
-                // Strictly inside both disks ⇒ inside the open lune.
-                let inside = pw.dist_sq(&c1) < r_sq * (1.0 - 1e-12)
-                    && pw.dist_sq(&c2) < r_sq * (1.0 - 1e-12);
-                same_as_endpoint || !inside
-            })
+            let pw = points[w as usize];
+            let same_as_endpoint = pw == pu || pw == pv;
+            // Strictly inside both disks ⇒ inside the open lune.
+            let inside =
+                pw.dist_sq(&c1) < r_sq * (1.0 - 1e-12) && pw.dist_sq(&c2) < r_sq * (1.0 - 1e-12);
+            same_as_endpoint || !inside
         })
-        .collect()
+    };
+    // 64 edges to a task: an edge is a range search of its lune.
+    parlay::flatten(candidates.len(), 64, |i| {
+        lune_is_empty(candidates[i]).then_some(candidates[i])
+    })
 }
 
 #[cfg(test)]

@@ -7,7 +7,6 @@
 //! is then resolved with the reservation-based parallel algorithm.
 
 use super::{extremes, hull2d_randinc, hull2d_seq};
-use crate::for_each_worker;
 use pargeo_geometry::Point2;
 use pargeo_parlay as parlay;
 
@@ -25,16 +24,16 @@ pub fn hull2d_divide_conquer(points: &[Point2]) -> Vec<u32> {
         return hull2d_seq(points);
     }
     let chunk = n.div_ceil(nchunks);
-    // Sub-hulls in parallel, each sequential. Every corner of the full
-    // hull is a corner of its chunk's hull, under the same (smallest)
-    // index.
-    let mut sub_hulls: Vec<Vec<u32>> = vec![Vec::new(); nchunks];
-    for_each_worker(&mut sub_hulls, |c, hull| {
+    // Sub-hulls in parallel (grain 1: an item is a whole sub-hull), each
+    // sequential. Every corner of the full hull is a corner of its
+    // chunk's hull, under the same (smallest) index.
+    let sub_hulls: Vec<Vec<u32>> = parlay::tabulate(nchunks, 1, |c| {
         let lo = c * chunk;
         let hi = ((c + 1) * chunk).min(n);
-        *hull = hull2d_seq(&points[lo..hi]);
+        let mut hull = hull2d_seq(&points[lo..hi]);
         hull.iter_mut().for_each(|v| *v += lo as u32);
         hull.sort_unstable();
+        hull
     });
     // Conquer over the (few) candidates, in index order so that the
     // smallest index of a corner stays the smallest, with the reservation

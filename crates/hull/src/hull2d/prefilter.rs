@@ -22,8 +22,7 @@
 //! measured no faster than quickhull's own first levels and is gone.
 
 use pargeo_geometry::Point2;
-use pargeo_parlay::GRANULARITY;
-use rayon::prelude::*;
+use pargeo_parlay::{reduce, GRANULARITY};
 
 /// The open box of points provably interior to the hull.
 #[derive(Debug, Clone, Copy)]
@@ -89,11 +88,12 @@ impl Scan {
 /// The lexicographically smallest and largest points of a non-empty input
 /// (each the first index holding its coordinates) and the interior box.
 pub(crate) fn scan(points: &[Point2]) -> (u32, u32, InnerBox) {
-    let scan = points
-        .par_chunks(GRANULARITY)
-        .enumerate()
-        .map(|(c, chunk)| Scan::of(chunk, (c * GRANULARITY) as u32))
-        .reduce(|| Scan::EMPTY, Scan::merge);
+    let scan = reduce(
+        points.len(),
+        GRANULARITY,
+        |r| Scan::of(&points[r.clone()], r.start as u32),
+        Scan::merge,
+    );
     let [lo, hi, ne, sw, se, nw] = scan.idx;
     let at = |q: u32| points[q as usize];
     let inner = InnerBox {

@@ -9,7 +9,6 @@ use super::seq::{qh_rec, split_around, split_chord, Side};
 use super::{extremes, Extremes};
 use pargeo_geometry::Point2;
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 const SEQ_CUTOFF: usize = parlay::GRANULARITY;
 
@@ -25,14 +24,12 @@ pub fn hull2d_quickhull_parallel(points: &[Point2]) -> Vec<u32> {
 /// found.
 pub(super) fn quickhull_from(points: &[Point2], ext: &Extremes) -> Vec<u32> {
     let (a, b) = (ext.lo, ext.hi);
-    let (below, above) = points
-        .par_chunks(SEQ_CUTOFF)
-        .enumerate()
-        .map(|(c, chunk)| {
-            let lo = (c * SEQ_CUTOFF) as u32;
-            split_chord(points, ext, lo..lo + chunk.len() as u32)
-        })
-        .reduce(Default::default, stitch);
+    let (below, above) = parlay::reduce(
+        points.len(),
+        SEQ_CUTOFF,
+        |r| split_chord(points, ext, r.start as u32..r.end as u32),
+        stitch,
+    );
     let (mut lower, mut upper) = parlay::par_do(
         || par_rec(points, a, b, below),
         || par_rec(points, b, a, above),
@@ -60,11 +57,12 @@ fn par_rec(points: &[Point2], a: u32, b: u32, side: Side) -> Vec<u32> {
         return out;
     }
     let f = side.far;
-    let (left, right) = side
-        .ids
-        .par_chunks(SEQ_CUTOFF)
-        .map(|cand| split_around(points, a, f, b, cand))
-        .reduce(Default::default, stitch);
+    let (left, right) = parlay::reduce(
+        side.ids.len(),
+        SEQ_CUTOFF,
+        |r| split_around(points, a, f, b, &side.ids[r]),
+        stitch,
+    );
     drop(side);
     let (mut lo, mut hi) = parlay::par_do(
         || par_rec(points, a, f, left),

@@ -19,10 +19,8 @@
 //! through its redistribution, which keeps the smallest.
 
 use super::{extremes, rotate_to_lex_min, sees, strip_collinear};
-use crate::for_each_worker;
 use pargeo_geometry::{orient2d, Orientation, Point2};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 const NONE: u32 = u32::MAX;
@@ -128,13 +126,10 @@ fn randinc(points: &[Point2], seed: u64) -> (Vec<u32>, Rounds) {
 
     // Initial conflict assignment: one predicate pass, then a scatter in
     // permutation order. `edge_of[q]` is one edge visible to `q`.
-    let edge_of: Vec<AtomicU32> = (0..n)
-        .into_par_iter()
-        .map(|q| {
-            let seen = edges.iter().position(|e| sees(points, e.a, e.b, q as u32));
-            AtomicU32::new(seen.map_or(NONE, |e| e as u32))
-        })
-        .collect();
+    let edge_of: Vec<AtomicU32> = parlay::tabulate(n, parlay::GRANULARITY, |q| {
+        let seen = edges.iter().position(|e| sees(points, e.a, e.b, q as u32));
+        AtomicU32::new(seen.map_or(NONE, |e| e as u32))
+    });
     order.retain(|&q| match edge_of[q as usize].load(Relaxed) {
         NONE => {
             for corner in tri.iter_mut().filter(|c| q < **c) {
@@ -189,7 +184,7 @@ fn randinc(points: &[Point2], seed: u64) -> (Vec<u32>, Rounds) {
         let busy = batch.len().div_ceil(per);
 
         // Phase A: find visible chains and reserve them (+ boundary).
-        for_each_worker(&mut workers[..busy], |w, attempts| {
+        parlay::for_each_mut(&mut workers[..busy], 1, |w, attempts| {
             let ranks = batch.iter().enumerate().skip(w * per).take(per);
             for (attempt, (rank, &q)) in attempts.iter_mut().zip(ranks) {
                 find_chain(
@@ -232,7 +227,7 @@ fn randinc(points: &[Point2], seed: u64) -> (Vec<u32>, Rounds) {
         // Phase C: winners redistribute the conflict points of their
         // deleted edges onto their two new edges (each winner owns its
         // points and lists — the invariant the reservation buys).
-        for_each_worker(&mut workers[..busy], |w, attempts| {
+        parlay::for_each_mut(&mut workers[..busy], 1, |w, attempts| {
             let won = won.iter().skip(w * per).take(per);
             for (attempt, _) in attempts.iter_mut().zip(won).filter(|(_, &won)| won) {
                 distribute(points, &edges, &edge_of, attempt);

@@ -7,7 +7,6 @@
 use super::mesh::Hull3d;
 use super::reservation::hull3d_quickhull_parallel;
 use super::seq::hull3d_seq;
-use crate::for_each_worker;
 use pargeo_geometry::Point3;
 use pargeo_parlay as parlay;
 
@@ -21,12 +20,13 @@ pub fn hull3d_divide_conquer(points: &[Point3]) -> Hull3d {
     }
     let nchunks = (CHUNKS_PER_PROC * parlay::num_threads()).clamp(1, n / 16);
     let chunk = n.div_ceil(nchunks);
-    let mut sub_hulls: Vec<Vec<u32>> = vec![Vec::new(); nchunks];
-    for_each_worker(&mut sub_hulls, |c, vertices| {
+    // Grain 1: an item is a whole sub-hull.
+    let sub_hulls: Vec<Vec<u32>> = parlay::tabulate(nchunks, 1, |c| {
         let lo = c * chunk;
         let hi = ((c + 1) * chunk).min(n);
-        *vertices = hull3d_seq(&points[lo..hi]).vertices;
+        let mut vertices = hull3d_seq(&points[lo..hi]).vertices;
         vertices.iter_mut().for_each(|v| *v += lo as u32);
+        vertices
     });
     let candidate_ids = sub_hulls.concat();
     let cand_points: Vec<Point3> = candidate_ids.iter().map(|&i| points[i as usize]).collect();

@@ -16,6 +16,7 @@ use super::mesh::{sees, tetra_faces, Hull3d};
 use super::reservation::quickhull_from;
 use super::{degenerate_hull3d, initial_tetrahedron};
 use pargeo_geometry::Point3;
+use pargeo_parlay::par_do;
 
 /// Default facet-size threshold below which the pseudohull stops growing.
 pub const DEFAULT_CULL_THRESHOLD: usize = 32;
@@ -54,9 +55,9 @@ pub(crate) fn pseudo_from(points: &[Point3], tetra: [u32; 4], threshold: usize) 
         expand(points, faces[i], pts, threshold, &mut cone);
         cone
     };
-    let ((s0, s1), (s2, s3)) = rayon::join(
-        || rayon::join(|| grow(0, p0), || grow(1, p1)),
-        || rayon::join(|| grow(2, p2), || grow(3, p3)),
+    let ((s0, s1), (s2, s3)) = par_do(
+        || par_do(|| grow(0, p0), || grow(1, p1)),
+        || par_do(|| grow(2, p2), || grow(3, p3)),
     );
     let mut candidates: Vec<u32> = [&tetra[..], &s0, &s1, &s2, &s3].concat();
     candidates.sort_unstable();
@@ -103,9 +104,9 @@ fn expand(points: &[Point3], f: [u32; 3], pts: Vec<u32>, threshold: usize, out: 
             expand(points, children[i], pts, threshold, &mut cone);
             cone
         };
-        let (_, (s1, s2)) = rayon::join(
+        let (_, (s1, s2)) = par_do(
             || expand(points, children[0], p0, threshold, out),
-            || rayon::join(|| grow(1, p1), || grow(2, p2)),
+            || par_do(|| grow(1, p1), || grow(2, p2)),
         );
         out.extend(s1);
         out.extend(s2);

@@ -24,10 +24,8 @@
 
 use super::mesh::{Cavity, Hull3d, HullStats, Mesh, Scratch, NONE};
 use super::{degenerate_hull3d, initial_tetrahedron};
-use crate::for_each_worker;
 use pargeo_geometry::Point3;
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 
 /// Attempts per processor per round: the `c` of the paper's `c · numProc`.
@@ -110,10 +108,9 @@ fn run(points: &[Point3], tetra: [u32; 4], strategy: Strategy) -> (Hull3d, HullS
 
     // Initial conflict assignment: one predicate pass, then a scatter in
     // insertion-priority order.
-    let facet_of: Vec<AtomicU32> = (0..n)
-        .into_par_iter()
-        .map(|q| AtomicU32::new(mesh.seed_facet(q as u32)))
-        .collect();
+    let facet_of: Vec<AtomicU32> = parlay::tabulate(n, parlay::GRANULARITY, |q| {
+        AtomicU32::new(mesh.seed_facet(q as u32))
+    });
     let mut assign = |q: u32| {
         let f = facet_of[q as usize].load(Relaxed);
         if f != NONE {
@@ -197,7 +194,7 @@ fn run(points: &[Point3], tetra: [u32; 4], strategy: Strategy) -> (Hull3d, HullS
         let busy = batch.len().div_ceil(per);
 
         // ---- Phase A: cavities + reservations ----
-        for_each_worker(&mut workers[..busy], |w, worker| {
+        parlay::for_each_mut(&mut workers[..busy], 1, |w, worker| {
             let ranks = batch.iter().enumerate().skip(w * per).take(per);
             for (cav, (rank, &(q, f0))) in worker.cavs.iter_mut().zip(ranks) {
                 let q = if q == NONE { mesh.furthest(f0) } else { q };
@@ -231,7 +228,7 @@ fn run(points: &[Point3], tetra: [u32; 4], strategy: Strategy) -> (Hull3d, HullS
         reserved.resize_with(mesh.slots(), || AtomicU32::new(NONE));
 
         // ---- Phase C: winners redistribute their conflict points ----
-        for_each_worker(&mut workers[..busy], |w, worker| {
+        parlay::for_each_mut(&mut workers[..busy], 1, |w, worker| {
             let won = won.iter().skip(w * per).take(per);
             for (cav, _) in worker.cavs.iter_mut().zip(won).filter(|(_, &won)| won) {
                 mesh.distribute(cav, |t, f| {

@@ -35,24 +35,6 @@
 pub mod hull2d;
 pub mod hull3d;
 
-/// Runs `f(w, &mut workers[w])` for every worker, each as a task of its
-/// own. A reservation round is a few heavy items per processor — far below
-/// the item count at which the iterator layer starts to split.
-pub(crate) fn for_each_worker<W: Send>(workers: &mut [W], f: impl Fn(usize, &mut W) + Sync) {
-    fn fork<W: Send>(workers: &mut [W], first: usize, f: &(impl Fn(usize, &mut W) + Sync)) {
-        match workers {
-            [] => {}
-            [worker] => f(first, worker),
-            _ => {
-                let (lo, hi) = workers.split_at_mut(workers.len() / 2);
-                let mid = first + lo.len();
-                pargeo_parlay::par_do(|| fork(lo, first, f), || fork(hi, mid, f));
-            }
-        }
-    }
-    fork(workers, 0, &f)
-}
-
 pub use hull2d::{
     hull2d_divide_conquer, hull2d_quickhull_parallel, hull2d_randinc, hull2d_seq, try_hull2d,
     try_hull2d_with, Hull2dIncremental, HullBatchOutcome,

@@ -11,6 +11,7 @@ use crate::knn::{KnnBuffer, Neighbor};
 use crate::tree::{KdTree, SplitRule};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_morton::map_batch_z_order;
+use pargeo_parlay as parlay;
 
 /// Baseline B1: rebuild on every update.
 #[derive(Debug, Clone)]
@@ -273,7 +274,7 @@ fn build_b2<const D: usize>(
     };
     let (lo, hi) = items.split_at_mut(mid);
     let (l, r) = if n >= B2_SEQ_CUTOFF {
-        rayon::join(
+        parlay::par_do(
             || build_b2(lo, rule, leaf_size),
             || build_b2(hi, rule, leaf_size),
         )
@@ -322,7 +323,7 @@ fn insert_rec<const D: usize>(node: &mut B2Node<D>, mut items: Vec<(Point<D>, u3
             let (l_items, r_items): (Vec<_>, Vec<_>) =
                 items.into_iter().partition(|(p, _)| p[dim] < val);
             if l_items.len() + r_items.len() >= B2_SEQ_CUTOFF {
-                rayon::join(|| insert_rec(left, l_items), || insert_rec(right, r_items));
+                parlay::par_do(|| insert_rec(left, l_items), || insert_rec(right, r_items));
             } else {
                 insert_rec(left, l_items);
                 insert_rec(right, r_items);
@@ -377,7 +378,7 @@ fn delete_rec<const D: usize>(node: &mut B2Node<D>, queries: Vec<Point<D>>) -> u
                 }
             }
             if ql.len() + qr.len() >= B2_SEQ_CUTOFF {
-                let (a, b) = rayon::join(|| delete_rec(left, ql), || delete_rec(right, qr));
+                let (a, b) = parlay::par_do(|| delete_rec(left, ql), || delete_rec(right, qr));
                 a + b
             } else {
                 delete_rec(left, ql) + delete_rec(right, qr)

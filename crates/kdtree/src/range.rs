@@ -11,7 +11,10 @@
 
 use crate::tree::{KdTree, Node};
 use pargeo_geometry::{Bbox, Point};
-use rayon::prelude::*;
+use pargeo_parlay as parlay;
+
+/// Range queries per task in the batch variants (a query is a tree walk).
+const RANGE_BATCH_GRAIN: usize = 16;
 
 impl<const D: usize> KdTree<D> {
     /// Original ids of all points inside `query` (boundary inclusive),
@@ -111,17 +114,7 @@ impl<const D: usize> KdTree<D> {
 
     /// Data-parallel batch ball counting.
     pub fn count_ball_batch(&self, queries: &[(Point<D>, f64)]) -> Vec<usize> {
-        if queries.len() < 16 {
-            queries
-                .iter()
-                .map(|(c, r)| self.count_ball(c, *r))
-                .collect()
-        } else {
-            queries
-                .par_iter()
-                .map(|(c, r)| self.count_ball(c, *r))
-                .collect()
-        }
+        parlay::map(queries, RANGE_BATCH_GRAIN, |(c, r)| self.count_ball(c, *r))
     }
 
     /// Number of points inside `query` without materializing them.
@@ -148,26 +141,12 @@ impl<const D: usize> KdTree<D> {
 
     /// Data-parallel batch box search.
     pub fn range_box_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        if queries.len() < 16 {
-            queries.iter().map(|q| self.range_box(q)).collect()
-        } else {
-            queries.par_iter().map(|q| self.range_box(q)).collect()
-        }
+        parlay::map(queries, RANGE_BATCH_GRAIN, |q| self.range_box(q))
     }
 
     /// Data-parallel batch ball search.
     pub fn range_ball_batch(&self, queries: &[(Point<D>, f64)]) -> Vec<Vec<u32>> {
-        if queries.len() < 16 {
-            queries
-                .iter()
-                .map(|(c, r)| self.range_ball(c, *r))
-                .collect()
-        } else {
-            queries
-                .par_iter()
-                .map(|(c, r)| self.range_ball(c, *r))
-                .collect()
-        }
+        parlay::map(queries, RANGE_BATCH_GRAIN, |(c, r)| self.range_ball(c, *r))
     }
 }
 

@@ -13,7 +13,6 @@
 
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 /// How internal nodes choose their splitting hyperplane (paper §5/§6.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -155,19 +154,8 @@ impl<const D: usize> KdTree<D> {
         let leaf_size = params.leaf_size.max(1);
         let cutoff = params.seq_cutoff.max(2);
         let n = points.len();
-        let mut items: Vec<(Point<D>, u32)> = if n >= cutoff {
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(i, &p)| (p, i as u32))
-                .collect()
-        } else {
-            points
-                .iter()
-                .enumerate()
-                .map(|(i, &p)| (p, i as u32))
-                .collect()
-        };
+        let mut items: Vec<(Point<D>, u32)> =
+            parlay::tabulate(n, cutoff, |i| (points[i], i as u32));
         let mut tree = KdTree {
             pts: SoaPoints::new(),
             nodes: Vec::new(),
@@ -208,11 +196,10 @@ impl<const D: usize> KdTree<D> {
                 node.val = val;
                 Some(mid as u32)
             };
-            let mids: Vec<Option<u32>> = if frontier.len() == 1 {
-                frontier.iter().map(split_one).collect()
-            } else {
-                frontier.par_iter().map(split_one).collect()
-            };
+            // A level's nodes share its `n` points about evenly: one task
+            // per run of nodes holding some `cutoff` points between them.
+            let nodes_per_task = (cutoff * frontier.len()).div_ceil(n);
+            let mids: Vec<Option<u32>> = parlay::map(&frontier, nodes_per_task, split_one);
             // Phase 2 — serial bulk append: two arena slots per split
             // node, wired up and pushed onto the next frontier.
             let mut next = Vec::with_capacity(2 * frontier.len());
@@ -419,25 +406,20 @@ fn split_segment<const D: usize>(
     (dim, val, mid)
 }
 
-fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)], cutoff: usize) -> Bbox<D> {
-    if items.len() >= cutoff {
-        items
-            .par_chunks(cutoff)
-            .map(|chunk| {
-                let mut b = Bbox::empty();
-                for (p, _) in chunk {
-                    b.extend(p);
-                }
-                b
-            })
-            .reduce(Bbox::empty, |a, b| a.union(&b))
-    } else {
-        let mut b = Bbox::empty();
-        for (p, _) in items {
-            b.extend(p);
-        }
-        b
-    }
+/// Bounding box of a run of work-buffer items, `cutoff` items to a task.
+pub(crate) fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)], cutoff: usize) -> Bbox<D> {
+    parlay::reduce(
+        items.len(),
+        cutoff,
+        |r| {
+            let mut b = Bbox::empty();
+            for (p, _) in &items[r] {
+                b.extend(p);
+            }
+            b
+        },
+        |a, b| a.union(&b),
+    )
 }
 
 /// Unstable in-place partition; returns the number of elements satisfying
@@ -475,19 +457,13 @@ pub(crate) fn scatter_soa<const D: usize>(
     cutoff: usize,
 ) -> SoaPoints<D> {
     let n = items.len();
+    let cutoff = cutoff.max(1);
     let mut pts = SoaPoints::with_len(n);
-    if n < cutoff.max(2) {
-        for (i, &(p, id)) in items.iter().enumerate() {
-            pts.set(i, p, id);
-        }
-        return pts;
-    }
     let cols: Vec<SharedMut<f64>> = (0..D)
         .map(|d| SharedMut(pts.axis_mut(d).as_mut_ptr()))
         .collect();
     let ids = SharedMut(pts.ids_mut().as_mut_ptr());
-    let chunks = n.div_ceil(cutoff);
-    (0..chunks).into_par_iter().for_each(|c| {
+    parlay::parallel_for(n.div_ceil(cutoff), 1, |c| {
         let lo = c * cutoff;
         let hi = ((c + 1) * cutoff).min(n);
         for d in 0..D {

@@ -32,10 +32,9 @@
 //! copies that small overlay, never a coordinate, id or bounding box.
 
 use crate::knn::{KnnBuffer, KnnProbe};
-use crate::tree::{scatter_soa, SplitRule};
+use crate::tree::{compute_bbox, scatter_soa, SplitRule};
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 use std::sync::Arc;
 
 const SEQ_CUTOFF: usize = 4096;
@@ -488,7 +487,7 @@ impl<const D: usize> Walk<'_, D> {
             };
             if ql.len() + qr.len() >= SEQ_CUTOFF {
                 let (mut r_hits, mut r_died) = (Vec::new(), Vec::new());
-                let (l, r) = rayon::join(
+                let (l, r) = parlay::par_do(
                     || scan(node.left, &ql, hits, died),
                     || scan(node.right, &qr, &mut r_hits, &mut r_died),
                 );
@@ -589,26 +588,7 @@ fn build_boxed<const D: usize>(
     rule: SplitRule,
 ) -> Boxed<D> {
     let n = items.len();
-    let bbox = {
-        if n >= SEQ_CUTOFF {
-            items
-                .par_chunks(SEQ_CUTOFF)
-                .map(|c| {
-                    let mut b = Bbox::empty();
-                    for (p, _) in c {
-                        b.extend(p);
-                    }
-                    b
-                })
-                .reduce(Bbox::empty, |a, b| a.union(&b))
-        } else {
-            let mut b = Bbox::empty();
-            for (p, _) in items.iter() {
-                b.extend(p);
-            }
-            b
-        }
-    };
+    let bbox = compute_bbox(items, SEQ_CUTOFF);
     if n <= leaf_size || bbox.diag_sq() == 0.0 {
         return Boxed::Leaf(bbox, offset, offset + n);
     }
@@ -649,7 +629,7 @@ fn build_boxed<const D: usize>(
     };
     let (lo, hi) = items.split_at_mut(mid);
     let (l, r) = if n >= SEQ_CUTOFF {
-        rayon::join(
+        parlay::par_do(
             || build_boxed(lo, offset, leaf_size, rule),
             || build_boxed(hi, offset + mid, leaf_size, rule),
         )

@@ -14,7 +14,6 @@
 
 use pargeo_geometry::{Bbox, Point};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 /// Bits of grid resolution per dimension for `D`-dimensional codes.
 pub const fn bits_per_dim(d: usize) -> u32 {
@@ -89,40 +88,24 @@ pub fn deinterleave<const D: usize>(code: u64, bits: u32) -> [u64; D] {
 /// Returns the permutation's original indices alongside.
 pub fn morton_sort<const D: usize>(points: &mut [Point<D>]) -> Vec<u32> {
     let bbox = parallel_bbox(points);
-    let mut tagged: Vec<(Point<D>, u32)> = if points.len() >= 4096 {
-        points
-            .par_iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as u32))
-            .collect()
-    } else {
-        points
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, i as u32))
-            .collect()
-    };
+    let mut tagged: Vec<(Point<D>, u32)> =
+        parlay::tabulate(points.len(), GRAIN, |i| (points[i], i as u32));
     parlay::radix_sort_u64_by_key(&mut tagged, |(p, _)| morton_code(p, &bbox));
     let ids: Vec<u32> = tagged.iter().map(|&(_, id)| id).collect();
-    if points.len() >= 4096 {
-        points
-            .par_iter_mut()
-            .enumerate()
-            .for_each(|(i, dst)| *dst = tagged[i].0);
-    } else {
-        for (dst, &(p, _)) in points.iter_mut().zip(&tagged) {
-            *dst = p;
-        }
-    }
+    parlay::for_each_mut(points, GRAIN, |i, dst| *dst = tagged[i].0);
     ids
 }
+
+/// The grain of this crate's per-point loops (a Morton code or a box
+/// extension per item).
+const GRAIN: usize = 4096;
 
 /// Batches below this size are answered in input order, sequentially: the
 /// one grain of every tree's `knn_batch`.
 const POINT_BATCH_GRAIN: usize = 64;
 
 /// Maps `f` over a batch of query points and returns the results in input
-/// order — [`parlay::map_batch`] for point queries against a spatial tree.
+/// order — [`parlay::map`] for point queries against a spatial tree.
 /// Batches of at least 64 queries are *evaluated* in Z-order of the
 /// queries, so consecutive queries (and each worker's contiguous chunk)
 /// walk the same root-to-leaf paths and scan the same leaves while they are
@@ -135,7 +118,7 @@ const POINT_BATCH_GRAIN: usize = 64;
 /// ordering fail or move its row.
 pub fn map_batch_z_order<const D: usize, R: Send>(
     queries: &[Point<D>],
-    f: impl Fn(&Point<D>) -> R + Send + Sync,
+    f: impl Fn(&Point<D>) -> R + Sync,
 ) -> Vec<R> {
     if queries.len() < POINT_BATCH_GRAIN {
         return queries.iter().map(f).collect();
@@ -152,15 +135,12 @@ pub fn map_batch_z_order<const D: usize, R: Send>(
             b
         });
     let bits = bits_per_dim(D).min(32 / D as u32);
-    let key = |(i, q): (usize, &Point<D>)| morton_code_bits(q, &bbox, bits) << 32 | i as u64;
-    let mut order: Vec<u64> = if queries.len() >= 4096 {
-        queries.par_iter().enumerate().map(key).collect()
-    } else {
-        queries.iter().enumerate().map(key).collect()
-    };
+    let mut order: Vec<u64> = parlay::tabulate(queries.len(), GRAIN, |i| {
+        morton_code_bits(&queries[i], &bbox, bits) << 32 | i as u64
+    });
     parlay::radix_sort_u64_by_key(&mut order, |&key| key);
     let index = |key: u64| key as u32 as usize;
-    let rows = parlay::map_batch(&order, POINT_BATCH_GRAIN, |&key| f(&queries[index(key)]));
+    let rows = parlay::map(&order, POINT_BATCH_GRAIN, |&key| f(&queries[index(key)]));
     let mut out: Vec<Option<R>> = std::iter::repeat_with(|| None).take(rows.len()).collect();
     for (row, key) in rows.into_iter().zip(order) {
         out[index(key)] = Some(row);
@@ -172,29 +152,17 @@ pub fn map_batch_z_order<const D: usize, R: Send>(
 
 /// Computes Morton codes for a point set over a given box, in parallel.
 pub fn morton_codes<const D: usize>(points: &[Point<D>], bbox: &Bbox<D>) -> Vec<u64> {
-    if points.len() >= 4096 {
-        points.par_iter().map(|p| morton_code(p, bbox)).collect()
-    } else {
-        points.iter().map(|p| morton_code(p, bbox)).collect()
-    }
+    parlay::map(points, GRAIN, |p| morton_code(p, bbox))
 }
 
 /// Parallel bounding box of a point set.
 pub fn parallel_bbox<const D: usize>(points: &[Point<D>]) -> Bbox<D> {
-    if points.len() >= 4096 {
-        points
-            .par_chunks(4096)
-            .map(|chunk| {
-                let mut b = Bbox::empty();
-                for p in chunk {
-                    b.extend(p);
-                }
-                b
-            })
-            .reduce(Bbox::empty, |a, b| a.union(&b))
-    } else {
-        Bbox::from_points(points)
-    }
+    parlay::reduce(
+        points.len(),
+        GRAIN,
+        |r| Bbox::from_points(&points[r]),
+        |a, b| a.union(&b),
+    )
 }
 
 #[cfg(test)]

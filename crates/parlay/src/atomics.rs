@@ -88,7 +88,7 @@ impl Default for AtomicMinIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
+    use crate::{parallel_for, GRANULARITY};
 
     #[test]
     fn write_min_sequential() {
@@ -110,7 +110,7 @@ mod tests {
     #[test]
     fn concurrent_write_min_takes_global_min() {
         let a = AtomicUsize::new(usize::MAX);
-        (0..100_000usize).into_par_iter().for_each(|i| {
+        parallel_for(100_000, GRANULARITY, |i| {
             write_min_usize(&a, (i * 2_654_435_761) % 1_000_003);
         });
         let want = (0..100_000usize)
@@ -124,7 +124,7 @@ mod tests {
     fn reservation_exactly_one_winner() {
         let slot = AtomicMinIndex::new();
         let ids: Vec<usize> = (0..10_000).map(|i| (i * 97) % 10_000).collect();
-        ids.par_iter().for_each(|&id| slot.reserve(id));
+        parallel_for(ids.len(), GRANULARITY, |i| slot.reserve(ids[i]));
         let winners: usize = ids.iter().filter(|&&id| slot.check(id)).count();
         assert_eq!(winners, 1);
         assert_eq!(slot.holder(), 0);

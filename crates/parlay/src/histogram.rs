@@ -1,35 +1,26 @@
 //! Parallel histogram and group-by-key utilities.
 
-use crate::scan::scan_inplace_exclusive;
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{counting, reduce, GRANULARITY};
 
 /// Counts occurrences of each key in `0..num_keys`.
 pub fn histogram(keys: &[usize], num_keys: usize) -> Vec<usize> {
-    if keys.len() <= GRANULARITY {
-        let mut h = vec![0usize; num_keys];
-        for &k in keys {
-            h[k] += 1;
-        }
-        return h;
-    }
-    keys.par_chunks(GRANULARITY)
-        .map(|chunk| {
+    reduce(
+        keys.len(),
+        GRANULARITY,
+        |r| {
             let mut h = vec![0usize; num_keys];
-            for &k in chunk {
+            for &k in &keys[r] {
                 h[k] += 1;
             }
             h
-        })
-        .reduce(
-            || vec![0usize; num_keys],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
+        },
+        |mut a, b| {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x += y;
+            }
+            a
+        },
+    )
 }
 
 /// Stable group-by: returns `(grouped_items, group_offsets)` where group
@@ -40,89 +31,15 @@ pub fn group_by_key<T: Copy + Send + Sync>(
     num_keys: usize,
     key: impl Fn(&T) -> usize + Sync,
 ) -> (Vec<T>, Vec<usize>) {
-    let n = items.len();
-    if n <= GRANULARITY {
-        let mut counts = vec![0usize; num_keys + 1];
-        for x in items {
-            counts[key(x) + 1] += 1;
-        }
-        for k in 0..num_keys {
-            counts[k + 1] += counts[k];
-        }
-        let offsets = counts.clone();
-        let mut out: Vec<T> = Vec::with_capacity(n);
-        #[allow(clippy::uninit_vec)]
-        unsafe {
-            out.set_len(n);
-        }
-        let mut cursor = offsets.clone();
-        for x in items {
-            let k = key(x);
-            out[cursor[k]] = *x;
-            cursor[k] += 1;
-        }
-        return (out, offsets);
+    if num_keys == 0 {
+        assert!(items.is_empty(), "group_by_key: an item but no key");
+        return (Vec::new(), vec![0]);
     }
-    let nblocks = n.div_ceil(GRANULARITY);
-    let hists: Vec<usize> = items
-        .par_chunks(GRANULARITY)
-        .flat_map_iter(|chunk| {
-            let mut h = vec![0usize; num_keys];
-            for x in chunk {
-                h[key(x)] += 1;
-            }
-            h
-        })
-        .collect();
-    let mut offsets_blocks = vec![0usize; nblocks * num_keys];
-    let mut group_offsets = vec![0usize; num_keys + 1];
-    {
-        let mut col: Vec<usize> = Vec::with_capacity(nblocks * num_keys);
-        for k in 0..num_keys {
-            for blk in 0..nblocks {
-                col.push(hists[blk * num_keys + k]);
-            }
-        }
-        scan_inplace_exclusive(&mut col);
-        for k in 0..num_keys {
-            group_offsets[k] = col[k * nblocks];
-            for blk in 0..nblocks {
-                offsets_blocks[blk * num_keys + k] = col[k * nblocks + blk];
-            }
-        }
-        group_offsets[num_keys] = n;
-    }
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(n);
-    }
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    items
-        .par_chunks(GRANULARITY)
-        .enumerate()
-        .for_each(|(blk, chunk)| {
-            let p = out_ptr;
-            let mut cur = offsets_blocks[blk * num_keys..(blk + 1) * num_keys].to_vec();
-            for &x in chunk {
-                let k = key(&x);
-                // SAFETY: disjoint (block, key) destination ranges.
-                unsafe { p.0.add(cur[k]).write(x) };
-                cur[k] += 1;
-            }
-        });
-    (out, group_offsets)
+    let tallies = counting::count(items, GRANULARITY, num_keys, &key);
+    let mut out = Vec::new();
+    let offsets = counting::scatter(items, &mut out, GRANULARITY, num_keys, tallies, &key);
+    (out, offsets)
 }
-
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

@@ -1,4 +1,4 @@
-//! Parallel packing and filtering.
+//! Parallel packing, filtering and flattening.
 //!
 //! `ParallelPack` (paper Figure 5, line 17) keeps the elements whose flag is
 //! set, preserving relative order, in `O(n)` work. The implementation counts
@@ -6,8 +6,47 @@
 //! scatters each block independently.
 
 use crate::scan::scan_inplace_exclusive;
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{block, for_each_mut, map, parallel_for, tabulate, SharedMut, Sink, GRANULARITY};
+use std::ops::Range;
+
+/// The `i`-th value for every index `i` with `keys[i] == want`, in index
+/// order, where `values(r)` iterates the values of the indices `r`: count
+/// the matches per block, scan the counts for destination offsets, scatter
+/// each block independently.
+fn pack_where<K: PartialEq + Sync, T: Copy + Send, I: Iterator<Item = T>>(
+    keys: &[K],
+    want: K,
+    values: impl Fn(Range<usize>) -> I + Sync,
+) -> Vec<T> {
+    let n = keys.len();
+    let nblocks = n.div_ceil(GRANULARITY);
+    let mut offsets = tabulate(nblocks, 1, |b| {
+        let block = &keys[block(b, GRANULARITY, n)];
+        block.iter().filter(|&k| *k == want).count()
+    });
+    let total = scan_inplace_exclusive(&mut offsets);
+    let mut out: Vec<T> = Vec::with_capacity(total);
+    let slots = SharedMut(out.as_mut_ptr());
+    parallel_for(nblocks, 1, |b| {
+        let end = offsets.get(b + 1).copied().unwrap_or(total);
+        // SAFETY: the exclusive scan makes the runs `offsets[b]..offsets[b+1]`
+        // tile `0..total = capacity`, one per block.
+        let mut sink = unsafe { Sink::new(slots, offsets[b]..end) };
+        let range = block(b, GRANULARITY, n);
+        for (v, k) in values(range.clone()).zip(&keys[range]) {
+            if *k == want {
+                // SAFETY: the run is as long as the count of matches in
+                // this block of the (immutable) keys, taken above.
+                unsafe { sink.push(v) };
+            }
+        }
+        sink.finish();
+    });
+    // SAFETY: every block's sink finished full, and the runs tile
+    // `0..total`. (`T: Copy`: had a task panicked, nothing needed a drop.)
+    unsafe { out.set_len(total) };
+    out
+}
 
 /// Packs `items[i]` for every `i` with `flags[i] == true`, preserving order.
 ///
@@ -16,123 +55,36 @@ use rayon::prelude::*;
 /// assert_eq!(kept, vec![10, 30]);
 /// ```
 pub fn pack<T: Copy + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
-    assert_eq!(items.len(), flags.len(), "pack: length mismatch");
-    let n = items.len();
-    if n <= GRANULARITY {
-        return items
-            .iter()
-            .zip(flags)
-            .filter(|(_, &f)| f)
-            .map(|(&x, _)| x)
-            .collect();
-    }
-    let mut counts: Vec<usize> = flags
-        .par_chunks(GRANULARITY)
-        .map(|c| c.iter().filter(|&&f| f).count())
-        .collect();
-    let total = scan_inplace_exclusive(&mut counts);
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(total);
-    }
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    items
-        .par_chunks(GRANULARITY)
-        .zip(flags.par_chunks(GRANULARITY))
-        .zip(counts.par_iter())
-        .for_each(|((ichunk, fchunk), &offset)| {
-            let p = out_ptr;
-            let mut k = offset;
-            for (&x, &f) in ichunk.iter().zip(fchunk.iter()) {
-                if f {
-                    // SAFETY: each block writes the disjoint range
-                    // [offset, offset + count_of_block), established by the
-                    // exclusive scan over per-block survivor counts.
-                    unsafe { p.0.add(k).write(x) };
-                    k += 1;
-                }
-            }
-        });
-    out
+    pack_eq(items, flags, true)
+}
+
+/// Packs `items[i]` for every `i` with `keys[i] == want`, preserving order
+/// — [`pack`] over any small key, so a three-way split needs one
+/// classification pass, not three flag vectors.
+pub fn pack_eq<T: Copy + Send + Sync, K: PartialEq + Sync>(
+    items: &[T],
+    keys: &[K],
+    want: K,
+) -> Vec<T> {
+    assert_eq!(items.len(), keys.len(), "pack: length mismatch");
+    pack_where(keys, want, |r| items[r].iter().copied())
 }
 
 /// Returns the indices `i` with `flags[i] == true`, in increasing order.
 pub fn pack_index(flags: &[bool]) -> Vec<usize> {
-    let n = flags.len();
-    if n <= GRANULARITY {
-        return flags
-            .iter()
-            .enumerate()
-            .filter(|(_, &f)| f)
-            .map(|(i, _)| i)
-            .collect();
-    }
-    let mut counts: Vec<usize> = flags
-        .par_chunks(GRANULARITY)
-        .map(|c| c.iter().filter(|&&f| f).count())
-        .collect();
-    let total = scan_inplace_exclusive(&mut counts);
-    let mut out: Vec<usize> = Vec::with_capacity(total);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(total);
-    }
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    flags
-        .par_chunks(GRANULARITY)
-        .enumerate()
-        .zip(counts.par_iter())
-        .for_each(|((b, fchunk), &offset)| {
-            let p = out_ptr;
-            let mut k = offset;
-            for (j, &f) in fchunk.iter().enumerate() {
-                if f {
-                    // SAFETY: disjoint destination ranges per block (see pack).
-                    unsafe { p.0.add(k).write(b * GRANULARITY + j) };
-                    k += 1;
-                }
-            }
-        });
-    out
+    pack_where(flags, true, |r| r)
 }
 
-/// Keeps the elements satisfying `pred`, preserving order, in parallel.
+/// Keeps the elements satisfying `pred`, preserving order, in parallel
+/// (`pred` runs once per element).
 pub fn filter<T, F>(items: &[T], pred: F) -> Vec<T>
 where
     T: Copy + Send + Sync,
     F: Fn(&T) -> bool + Sync,
 {
-    let n = items.len();
-    if n <= GRANULARITY {
-        return items.iter().copied().filter(|x| pred(x)).collect();
-    }
-    let mut counts: Vec<usize> = items
-        .par_chunks(GRANULARITY)
-        .map(|c| c.iter().filter(|x| pred(x)).count())
-        .collect();
-    let total = scan_inplace_exclusive(&mut counts);
-    let mut out: Vec<T> = Vec::with_capacity(total);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(total);
-    }
-    let out_ptr = SendPtr(out.as_mut_ptr());
-    items
-        .par_chunks(GRANULARITY)
-        .zip(counts.par_iter())
-        .for_each(|(chunk, &offset)| {
-            let p = out_ptr;
-            let mut k = offset;
-            for &x in chunk {
-                if pred(&x) {
-                    // SAFETY: disjoint destination ranges per block (see pack).
-                    unsafe { p.0.add(k).write(x) };
-                    k += 1;
-                }
-            }
-        });
-    out
+    flatten(items.len(), GRANULARITY, |i| {
+        pred(&items[i]).then_some(items[i])
+    })
 }
 
 /// Stable two-way split: `(matching, non_matching)` in one parallel pass each.
@@ -141,27 +93,44 @@ where
     T: Copy + Send + Sync,
     F: Fn(&T) -> bool + Sync,
 {
-    let flags: Vec<bool> = if items.len() <= GRANULARITY {
-        items.iter().map(&pred).collect()
-    } else {
-        items.par_iter().map(&pred).collect()
-    };
-    let yes = pack(items, &flags);
-    let inv: Vec<bool> = if flags.len() <= GRANULARITY {
-        flags.iter().map(|&f| !f).collect()
-    } else {
-        flags.par_iter().map(|&f| !f).collect()
-    };
-    let no = pack(items, &inv);
-    (yes, no)
+    let flags: Vec<bool> = map(items, GRANULARITY, &pred);
+    (pack_eq(items, &flags, true), pack_eq(items, &flags, false))
 }
 
-/// A raw pointer wrapper asserting cross-thread transfer is safe because all
-/// writers target disjoint index ranges.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
+/// The concatenation of `f(0), f(1), …, f(n-1)` in index order: one task
+/// per `grain` indices gathers its block's items, then every block moves
+/// them to its place in the pre-sized output. `f` may yield any number of
+/// items — an `Option` makes this a `filter_map`.
+pub fn flatten<R: Send, I: IntoIterator<Item = R>>(
+    n: usize,
+    grain: usize,
+    f: impl Fn(usize) -> I + Sync,
+) -> Vec<R> {
+    let grain = grain.max(1);
+    let mut parts: Vec<Vec<R>> = tabulate(n.div_ceil(grain), 1, |b| {
+        block(b, grain, n).flat_map(&f).collect()
+    });
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
+    let mut offsets: Vec<usize> = parts.iter().map(Vec::len).collect();
+    let total = scan_inplace_exclusive(&mut offsets);
+    let mut out: Vec<R> = Vec::with_capacity(total);
+    let slots = SharedMut(out.as_mut_ptr());
+    for_each_mut(&mut parts, 1, |b, part| {
+        for (k, x) in part.drain(..).enumerate() {
+            // SAFETY: part `b` owns `offsets[b]..offsets[b] + part.len()`,
+            // and the scan over the part lengths makes those runs tile
+            // `0..total ≤ capacity`.
+            unsafe { slots.write(offsets[b] + k, x) };
+        }
+    });
+    // SAFETY: every part was drained into its run, so all `total` slots
+    // hold a value (a panic cannot happen in between: moving is all the
+    // loop above does).
+    unsafe { out.set_len(total) };
+    out
+}
 
 #[cfg(test)]
 mod tests {
@@ -210,6 +179,21 @@ mod tests {
         // Stability.
         assert!(yes.windows(2).all(|w| w[0] < w[1]));
         assert!(no.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn flatten_concatenates_in_index_order() {
+        for (n, grain) in [(0usize, 1usize), (1, 1), (10, 3), (5_000, 64), (5_000, 0)] {
+            let got = flatten(n, grain, |i| (0..i % 4).map(move |j| (i, j)));
+            let want: Vec<_> = (0..n)
+                .flat_map(|i| (0..i % 4).map(move |j| (i, j)))
+                .collect();
+            assert_eq!(got, want, "n={n} grain={grain}");
+        }
+        // An `Option` per index is a filter_map.
+        let odd_squares = flatten(1_000, 16, |i| (i % 2 == 1).then_some(i * i));
+        assert_eq!(odd_squares.len(), 500);
+        assert_eq!(odd_squares[..3], [1, 9, 25]);
     }
 
     #[test]

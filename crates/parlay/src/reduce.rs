@@ -1,39 +1,30 @@
-//! Parallel reductions, including argmax/argmin ("parallel maximum-finding
+//! Blocked reductions, including argmax/argmin ("parallel maximum-finding
 //! routine" used by quickhull's furthest-point step and Welzl's pivot
 //! heuristic).
 
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{block, fork_blocks, GRANULARITY};
+use std::ops::Range;
 
-/// Parallel reduction of `a` under the associative operator `op` with
-/// identity `id`.
-pub fn reduce<T, F>(a: &[T], id: T, op: F) -> T
-where
-    T: Copy + Send + Sync,
-    F: Fn(T, T) -> T + Sync,
-{
-    if a.len() <= GRANULARITY {
-        return a.iter().fold(id, |acc, &x| op(acc, x));
-    }
-    a.par_chunks(GRANULARITY)
-        .map(|c| c.iter().fold(id, |acc, &x| op(acc, x)))
-        .reduce(|| id, &op)
-}
-
-/// Maps every element through `f` and reduces the results.
-pub fn reduce_map<T, U, M, F>(a: &[T], id: U, map: M, op: F) -> U
-where
-    T: Sync,
-    U: Copy + Send + Sync,
-    M: Fn(&T) -> U + Sync,
-    F: Fn(U, U) -> U + Sync,
-{
-    if a.len() <= GRANULARITY {
-        return a.iter().fold(id, |acc, x| op(acc, map(x)));
-    }
-    a.par_chunks(GRANULARITY)
-        .map(|c| c.iter().fold(id, |acc, x| op(acc, map(x))))
-        .reduce(|| id, &op)
+/// Blocked reduction over the index space `0..n`: `leaf` folds one block of
+/// at most `grain` consecutive indices (it sees `0..0` when `n == 0`), and
+/// `op` merges the results of adjacent runs of blocks, the lower indices'
+/// result on the left. The merge tree depends on `n` and `grain` alone, so
+/// an `op` that is associative only up to rounding still reduces to the
+/// same bits at every worker count; it need not be commutative.
+///
+/// ```
+/// let a: Vec<u64> = (0..10_000).collect();
+/// let sum = pargeo_parlay::reduce(a.len(), 1024, |r| a[r].iter().sum::<u64>(), |x, y| x + y);
+/// assert_eq!(sum, 49_995_000);
+/// ```
+pub fn reduce<R: Send>(
+    n: usize,
+    grain: usize,
+    leaf: impl Fn(Range<usize>) -> R + Sync,
+    op: impl Fn(R, R) -> R + Sync,
+) -> R {
+    let grain = grain.max(1);
+    fork_blocks(0, n.div_ceil(grain), &|b| leaf(block(b, grain, n)), &op)
 }
 
 /// Index of the element maximizing `key`, breaking ties toward the smaller
@@ -42,47 +33,36 @@ where
 pub fn max_index_by<T, K, F>(a: &[T], key: F) -> Option<usize>
 where
     T: Sync,
-    K: PartialOrd + Copy + Send + Sync,
+    K: PartialOrd + Copy + Send,
     F: Fn(&T) -> K + Sync,
 {
-    if a.is_empty() {
-        return None;
-    }
-    let seq = |lo: usize, chunk: &[T]| -> (usize, K) {
-        let mut best = (lo, key(&chunk[0]));
-        for (j, x) in chunk.iter().enumerate().skip(1) {
-            let k = key(x);
-            if k > best.1 {
-                best = (lo + j, k);
+    let best = reduce(
+        a.len(),
+        GRANULARITY,
+        |r| {
+            let mut best: Option<(usize, K)> = None;
+            for i in r {
+                let k = key(&a[i]);
+                if best.is_none_or(|(_, b)| k > b) {
+                    best = Some((i, k));
+                }
             }
-        }
-        best
-    };
-    let combine = |x: (usize, K), y: (usize, K)| -> (usize, K) {
-        // Ties break to the smaller index for determinism.
-        if y.1 > x.1 || (y.1 == x.1 && y.0 < x.0) {
-            y
-        } else {
-            x
-        }
-    };
-    if a.len() <= GRANULARITY {
-        return Some(seq(0, a).0);
-    }
-    let best = a
-        .par_chunks(GRANULARITY)
-        .enumerate()
-        .map(|(b, c)| seq(b * GRANULARITY, c))
-        .reduce_with(combine)
-        .expect("non-empty");
-    Some(best.0)
+            best
+        },
+        // The left run holds the smaller indices, so it keeps ties.
+        |x, y| match (x, y) {
+            (Some(x), Some(y)) => Some(if y.1 > x.1 { y } else { x }),
+            (x, y) => x.or(y),
+        },
+    );
+    best.map(|(i, _)| i)
 }
 
 /// Index of the element minimizing `key`; ties toward the smaller index.
 pub fn min_index_by<T, K, F>(a: &[T], key: F) -> Option<usize>
 where
     T: Sync,
-    K: PartialOrd + std::ops::Neg<Output = K> + Copy + Send + Sync,
+    K: PartialOrd + std::ops::Neg<Output = K> + Copy + Send,
     F: Fn(&T) -> K + Sync,
 {
     max_index_by(a, |x| -key(x))
@@ -95,13 +75,24 @@ mod tests {
     #[test]
     fn reduce_sum_matches() {
         let a: Vec<u64> = (0..100_000).collect();
-        assert_eq!(reduce(&a, 0, |x, y| x + y), a.iter().sum::<u64>());
+        let sum = reduce(
+            a.len(),
+            GRANULARITY,
+            |r| a[r].iter().sum::<u64>(),
+            |x, y| x + y,
+        );
+        assert_eq!(sum, a.iter().sum::<u64>());
     }
 
     #[test]
     fn reduce_map_counts() {
         let a: Vec<u32> = (0..50_000).collect();
-        let evens = reduce_map(&a, 0usize, |&x| (x % 2 == 0) as usize, |x, y| x + y);
+        let evens = reduce(
+            a.len(),
+            GRANULARITY,
+            |r| a[r].iter().filter(|&&x| x % 2 == 0).count(),
+            |x, y| x + y,
+        );
         assert_eq!(evens, 25_000);
     }
 

@@ -1,14 +1,12 @@
 //! Parallel sample sort — ParlayLib's workhorse comparison sort.
 //!
 //! Oversampled splitter selection, parallel bucket classification via a
-//! per-block count/scan/scatter (the same machinery as the radix passes),
-//! then parallel recursion per bucket. Compared with the merge sort in
+//! per-block count/scan/scatter (the `counting` step the radix passes
+//! use), then parallel recursion per bucket. Compared with the merge sort in
 //! [`crate::sort`], sample sort trades the merge's perfect balance for
 //! bucket-local cache behavior; the `sort_ablation` bench compares them.
 
-use crate::scan::scan_inplace_exclusive;
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{counting, for_each_mut, GRANULARITY};
 use std::cmp::Ordering;
 
 /// Number of buckets per level.
@@ -43,84 +41,21 @@ where
     // Classify each element (branchless-ish binary search over splitters).
     let bucket_of =
         |x: &T| -> usize { splitters.partition_point(|sp| cmp(sp, x) != Ordering::Greater) };
-    let nblocks = n.div_ceil(GRANULARITY);
-    let hists: Vec<usize> = a
-        .par_chunks(GRANULARITY)
-        .flat_map_iter(|chunk| {
-            let mut h = vec![0usize; BUCKETS];
-            for x in chunk {
-                h[bucket_of(x)] += 1;
-            }
-            h
-        })
-        .collect();
-    // Bucket-major scan for scatter offsets.
-    let mut offsets = vec![0usize; nblocks * BUCKETS];
-    let mut bucket_starts = vec![0usize; BUCKETS + 1];
-    {
-        let mut col: Vec<usize> = Vec::with_capacity(nblocks * BUCKETS);
-        for b in 0..BUCKETS {
-            for blk in 0..nblocks {
-                col.push(hists[blk * BUCKETS + b]);
-            }
-        }
-        scan_inplace_exclusive(&mut col);
-        for b in 0..BUCKETS {
-            bucket_starts[b] = col[b * nblocks];
-            for blk in 0..nblocks {
-                offsets[blk * BUCKETS + b] = col[b * nblocks + blk];
-            }
-        }
-        bucket_starts[BUCKETS] = n;
-    }
-    // Scatter into a buffer.
-    let mut buf: Vec<T> = Vec::with_capacity(n);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        buf.set_len(n);
-    }
-    {
-        let buf_ptr = SendPtr(buf.as_mut_ptr());
-        a.par_chunks(GRANULARITY)
-            .enumerate()
-            .for_each(|(blk, chunk)| {
-                let p = buf_ptr;
-                let mut off = offsets[blk * BUCKETS..(blk + 1) * BUCKETS].to_vec();
-                for &x in chunk {
-                    let b = bucket_of(&x);
-                    // SAFETY: (block, bucket) offset ranges partition 0..n.
-                    unsafe { p.0.add(off[b]).write(x) };
-                    off[b] += 1;
-                }
-            });
-    }
+    let tallies = counting::count(a, GRANULARITY, BUCKETS, &bucket_of);
+    let mut buf: Vec<T> = Vec::new();
+    let bucket_starts = counting::scatter(a, &mut buf, GRANULARITY, BUCKETS, tallies, &bucket_of);
     a.copy_from_slice(&buf);
     drop(buf);
     // Recurse per bucket in parallel over disjoint subslices.
     let mut rest: &mut [T] = a;
-    let mut consumed = 0usize;
     let mut slices: Vec<&mut [T]> = Vec::with_capacity(BUCKETS);
     for b in 0..BUCKETS {
-        let end = bucket_starts[b + 1];
-        let (head, tail) = rest.split_at_mut(end - consumed);
+        let (head, tail) = rest.split_at_mut(bucket_starts[b + 1] - bucket_starts[b]);
         slices.push(head);
         rest = tail;
-        consumed = end;
     }
-    slices
-        .into_par_iter()
-        .for_each(|s| sort_rec(s, cmp, depth + 1));
+    for_each_mut(&mut slices, 1, |_, s| sort_rec(s, cmp, depth + 1));
 }
-
-struct SendPtr<T>(*mut T);
-impl<T> Clone for SendPtr<T> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<T> Copy for SendPtr<T> {}
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

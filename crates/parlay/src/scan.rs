@@ -6,8 +6,17 @@
 //! every block computes its local prefix in parallel seeded with its block
 //! offset. Work is `O(n)` and depth is `O(GRANULARITY + n / GRANULARITY)`.
 
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{block, fill_blocks, for_each_block_mut, for_each_mut, tabulate, GRANULARITY};
+
+/// Sequential in-place exclusive scan (of a short input, or of the few
+/// block sums of a long one); returns the total.
+fn scan_seq<T: Copy>(a: &mut [T], id: T, op: impl Fn(T, T) -> T) -> T {
+    let mut acc = id;
+    for x in a {
+        acc = op(acc, std::mem::replace(x, acc));
+    }
+    acc
+}
 
 /// Exclusive scan: `out[i] = id ⊕ a[0] ⊕ … ⊕ a[i-1]`.
 ///
@@ -26,54 +35,29 @@ where
     F: Fn(T, T) -> T + Sync,
 {
     let n = a.len();
-    if n == 0 {
-        return (Vec::new(), id);
-    }
     if n <= GRANULARITY {
-        let mut out = Vec::with_capacity(n);
-        let mut acc = id;
-        for &x in a {
-            out.push(acc);
-            acc = op(acc, x);
-        }
-        return (out, acc);
+        let mut out = a.to_vec();
+        let total = scan_seq(&mut out, id, &op);
+        return (out, total);
     }
     let nblocks = n.div_ceil(GRANULARITY);
-    // Pass 1: per-block reductions.
-    let mut block_sums: Vec<T> = a
-        .par_chunks(GRANULARITY)
-        .map(|chunk| {
-            let mut acc = id;
-            for &x in chunk {
-                acc = op(acc, x);
-            }
-            acc
-        })
-        .collect();
-    // Sequential scan over the (few) block sums.
-    let mut acc = id;
-    for b in block_sums.iter_mut().take(nblocks) {
-        let s = *b;
-        *b = acc;
-        acc = op(acc, s);
-    }
-    let total = acc;
+    // Pass 1: per-block reductions, then a sequential scan over the (few)
+    // block sums.
+    let mut offsets = tabulate(nblocks, 1, |b| {
+        a[block(b, GRANULARITY, n)]
+            .iter()
+            .fold(id, |acc, &x| op(acc, x))
+    });
+    let total = scan_seq(&mut offsets, id, &op);
     // Pass 2: per-block local scans seeded with block offsets.
-    let mut out: Vec<T> = Vec::with_capacity(n);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        out.set_len(n);
-    }
-    out.par_chunks_mut(GRANULARITY)
-        .zip(a.par_chunks(GRANULARITY))
-        .zip(block_sums.par_iter())
-        .for_each(|((ochunk, ichunk), &offset)| {
-            let mut acc = offset;
-            for (o, &x) in ochunk.iter_mut().zip(ichunk.iter()) {
-                *o = acc;
-                acc = op(acc, x);
-            }
-        });
+    let out = fill_blocks(n, GRANULARITY, |r, sink| {
+        let mut acc = offsets[r.start / GRANULARITY];
+        for &x in &a[r] {
+            // SAFETY: one push per element of `a[r]`, the sink's run.
+            unsafe { sink.push(acc) };
+            acc = op(acc, x);
+        }
+    });
     (out, total)
 }
 
@@ -84,10 +68,7 @@ where
     F: Fn(T, T) -> T + Sync,
 {
     let (mut out, _) = scan_exclusive(a, id, &op);
-    crate::parallel_for(a.len(), |_| {});
-    out.par_iter_mut()
-        .zip(a.par_iter())
-        .for_each(|(o, &x)| *o = op(*o, x));
+    for_each_mut(&mut out, GRANULARITY, |i, o| *o = op(*o, a[i]));
     out
 }
 
@@ -97,39 +78,19 @@ where
 /// vector for the prefix array would double memory traffic.
 pub fn scan_inplace_exclusive(a: &mut [usize]) -> usize {
     let n = a.len();
-    if n == 0 {
-        return 0;
-    }
     if n <= GRANULARITY {
-        let mut acc = 0usize;
-        for x in a.iter_mut() {
-            let s = *x;
-            *x = acc;
-            acc += s;
+        return scan_seq(a, 0, |acc, x| acc + x);
+    }
+    let mut offsets = tabulate(n.div_ceil(GRANULARITY), 1, |b| {
+        a[block(b, GRANULARITY, n)].iter().sum::<usize>()
+    });
+    let total = scan_seq(&mut offsets, 0, |acc, x| acc + x);
+    for_each_block_mut(a, GRANULARITY, |b, chunk| {
+        let mut acc = offsets[b];
+        for x in chunk.iter_mut() {
+            acc += std::mem::replace(x, acc);
         }
-        return acc;
-    }
-    let mut block_sums: Vec<usize> = a
-        .par_chunks(GRANULARITY)
-        .map(|c| c.iter().sum::<usize>())
-        .collect();
-    let mut acc = 0usize;
-    for b in block_sums.iter_mut() {
-        let s = *b;
-        *b = acc;
-        acc += s;
-    }
-    let total = acc;
-    a.par_chunks_mut(GRANULARITY)
-        .zip(block_sums.par_iter())
-        .for_each(|(chunk, &offset)| {
-            let mut acc = offset;
-            for x in chunk.iter_mut() {
-                let s = *x;
-                *x = acc;
-                acc += s;
-            }
-        });
+    });
     total
 }
 

@@ -5,9 +5,7 @@
 //! recurse into the single group containing the target rank. Expected work
 //! `O(n)`, depth `O(log^2 n)`.
 
-use crate::pack::pack;
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{map, pack_eq, GRANULARITY};
 use std::cmp::Ordering;
 
 /// Reorders `a` so that `a[nth]` holds the element of rank `nth` and every
@@ -33,22 +31,10 @@ where
         return;
     }
     let pivot = sample_pivot(a, cmp);
-    let flags_lt: Vec<bool> = a
-        .par_iter()
-        .map(|x| cmp(x, &pivot) == Ordering::Less)
-        .collect();
-    let flags_eq: Vec<bool> = a
-        .par_iter()
-        .map(|x| cmp(x, &pivot) == Ordering::Equal)
-        .collect();
-    let less = pack(a, &flags_lt);
-    let equal = pack(a, &flags_eq);
-    let flags_gt: Vec<bool> = flags_lt
-        .par_iter()
-        .zip(flags_eq.par_iter())
-        .map(|(&l, &e)| !l && !e)
-        .collect();
-    let greater = pack(a, &flags_gt);
+    let side = map(a, GRANULARITY, |x| cmp(x, &pivot));
+    let less = pack_eq(a, &side, Ordering::Less);
+    let equal = pack_eq(a, &side, Ordering::Equal);
+    let greater = pack_eq(a, &side, Ordering::Greater);
     let (nl, ne) = (less.len(), equal.len());
     // Write the three groups back contiguously.
     a[..nl].copy_from_slice(&less);

@@ -8,8 +8,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::sort::radix_sort_u64_by_key;
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{for_each_mut, tabulate, GRANULARITY};
 
 /// Returns a uniformly random permutation of `0..n`, deterministic in `seed`.
 pub fn random_permutation(n: usize, seed: u64) -> Vec<u32> {
@@ -34,21 +33,14 @@ pub fn shuffle_seeded<T: Copy + Send + Sync>(items: &mut [T], seed: u64) {
     // Tag each element with a pseudorandom 64-bit key and sort by it.
     // Collisions are broken by index (stable sort), which biases the result
     // negligibly for 64-bit keys.
-    let mut tagged: Vec<(u64, T)> = items
-        .par_iter()
-        .enumerate()
-        .map(|(i, &x)| {
-            (
-                splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
-                x,
-            )
-        })
-        .collect();
+    let mut tagged: Vec<(u64, T)> = tabulate(n, GRANULARITY, |i| {
+        (
+            splitmix64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
+            items[i],
+        )
+    });
     radix_sort_u64_by_key(&mut tagged, |t| t.0);
-    items
-        .par_iter_mut()
-        .zip(tagged.par_iter())
-        .for_each(|(o, &(_, v))| *o = v);
+    for_each_mut(items, GRANULARITY, |i, o| *o = tagged[i].1);
 }
 
 /// Shuffles `items` in place with a fixed default seed. Convenience for

@@ -1,9 +1,7 @@
 //! Parallel sorting: comparison-based merge sort and an LSD radix sort for
 //! 64-bit keys (the substrate under Morton sort and the Zd-tree).
 
-use crate::scan::scan_inplace_exclusive;
-use crate::GRANULARITY;
-use rayon::prelude::*;
+use crate::{counting, for_each_mut, map, par_do, GRANULARITY};
 use std::cmp::Ordering;
 
 /// Stable parallel merge sort.
@@ -40,7 +38,7 @@ where
     let mid = n / 2;
     let (a1, a2) = a.split_at_mut(mid);
     let (b1, b2) = buf.split_at_mut(mid);
-    rayon::join(|| sort_into(a1, b1, cmp), || sort_into(a2, b2, cmp));
+    par_do(|| sort_into(a1, b1, cmp), || sort_into(a2, b2, cmp));
     par_merge(b1, b2, a, cmp);
 }
 
@@ -59,7 +57,7 @@ where
     let mid = n / 2;
     let (a1, a2) = a.split_at_mut(mid);
     let (b1, b2) = b.split_at_mut(mid);
-    rayon::join(|| sort_in_place(a1, b1, cmp), || sort_in_place(a2, b2, cmp));
+    par_do(|| sort_in_place(a1, b1, cmp), || sort_in_place(a2, b2, cmp));
     par_merge(a1, a2, b, cmp);
 }
 
@@ -82,7 +80,7 @@ where
         let xm = x.len() / 2;
         let ym = y.partition_point(|e| cmp(e, &x[xm]) == Ordering::Less);
         let (o1, o2) = out.split_at_mut(xm + ym);
-        rayon::join(
+        par_do(
             || par_merge(&x[..xm], &y[..ym], o1, cmp),
             || par_merge(&x[xm..], &y[ym..], o2, cmp),
         );
@@ -90,7 +88,7 @@ where
         let ym = y.len() / 2;
         let xm = x.partition_point(|e| cmp(e, &y[ym]) != Ordering::Greater);
         let (o1, o2) = out.split_at_mut(xm + ym);
-        rayon::join(
+        par_do(
             || par_merge(&x[..xm], &y[..ym], o1, cmp),
             || par_merge(&x[xm..], &y[ym..], o2, cmp),
         );
@@ -123,10 +121,8 @@ const RADIX_BLOCK: usize = 1 << 16;
 
 /// Stable parallel LSD radix sort of `items` by a `u64` key.
 ///
-/// Eight passes of 8-bit digits; each pass computes per-block histograms in
-/// parallel, derives scatter offsets with one scan over the (block × bucket)
-/// matrix in bucket-major order, and scatters blocks independently. Passes
-/// whose digit is constant across all keys are skipped.
+/// Eight passes of 8-bit digits, each one count/scan/scatter step of
+/// `counting`. Passes whose digit is constant across all keys are skipped.
 pub fn radix_sort_u64_by_key<T, F>(items: &mut [T], key: F)
 where
     T: Copy + Send + Sync,
@@ -137,69 +133,23 @@ where
         items.sort_by_key(|x| key(x));
         return;
     }
-    let mut src: Vec<(u64, T)> = items.par_iter().map(|x| (key(x), *x)).collect();
-    let mut dst: Vec<(u64, T)> = Vec::with_capacity(n);
-    #[allow(clippy::uninit_vec)]
-    unsafe {
-        dst.set_len(n);
-    }
-    let nblocks = n.div_ceil(RADIX_BLOCK);
+    let mut src: Vec<(u64, T)> = map(items, GRANULARITY, |x| (key(x), *x));
+    let mut dst: Vec<(u64, T)> = Vec::new();
     for pass in 0..(64 / RADIX_BITS) {
         let shift = pass * RADIX_BITS;
-        // Per-block histograms, laid out block-major.
-        let hists: Vec<usize> = src
-            .par_chunks(RADIX_BLOCK)
-            .flat_map_iter(|chunk| {
-                let mut h = vec![0usize; BUCKETS];
-                for (k, _) in chunk {
-                    h[((k >> shift) as usize) & (BUCKETS - 1)] += 1;
-                }
-                h
-            })
-            .collect();
+        let digit = |&(k, _): &(u64, T)| ((k >> shift) as usize) & (BUCKETS - 1);
+        let tallies = counting::count(&src, RADIX_BLOCK, BUCKETS, &digit);
         // Skip passes where every key shares the same digit.
         let nonzero_buckets = (0..BUCKETS)
-            .filter(|&b| (0..nblocks).any(|blk| hists[blk * BUCKETS + b] != 0))
+            .filter(|&b| tallies.iter().skip(b).step_by(BUCKETS).any(|&c| c != 0))
             .count();
         if nonzero_buckets <= 1 {
             continue;
         }
-        // Transpose to bucket-major, scan for global offsets, transpose back.
-        let mut offsets = vec![0usize; nblocks * BUCKETS];
-        {
-            let mut col: Vec<usize> = Vec::with_capacity(nblocks * BUCKETS);
-            for b in 0..BUCKETS {
-                for blk in 0..nblocks {
-                    col.push(hists[blk * BUCKETS + b]);
-                }
-            }
-            scan_inplace_exclusive(&mut col);
-            for b in 0..BUCKETS {
-                for blk in 0..nblocks {
-                    offsets[blk * BUCKETS + b] = col[b * nblocks + blk];
-                }
-            }
-        }
-        let dst_ptr = SendPtr(dst.as_mut_ptr());
-        src.par_chunks(RADIX_BLOCK)
-            .enumerate()
-            .for_each(|(blk, chunk)| {
-                let p = dst_ptr;
-                let mut off = offsets[blk * BUCKETS..(blk + 1) * BUCKETS].to_vec();
-                for &(k, v) in chunk {
-                    let b = ((k >> shift) as usize) & (BUCKETS - 1);
-                    // SAFETY: offsets partition 0..n disjointly across
-                    // (block, bucket) pairs by construction of the scan.
-                    unsafe { p.0.add(off[b]).write((k, v)) };
-                    off[b] += 1;
-                }
-            });
+        counting::scatter(&src, &mut dst, RADIX_BLOCK, BUCKETS, tallies, &digit);
         std::mem::swap(&mut src, &mut dst);
     }
-    items
-        .par_iter_mut()
-        .zip(src.par_iter())
-        .for_each(|(o, &(_, v))| *o = v);
+    for_each_mut(items, GRANULARITY, |i, o| *o = src[i].1);
 }
 
 /// Sorts `items` in ascending order of an `f64` key (must be finite for all
@@ -223,11 +173,6 @@ pub fn f64_to_ordered_u64(x: f64) -> u64 {
         !bits
     }
 }
-
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-unsafe impl<T: Send> Send for SendPtr<T> {}
-unsafe impl<T: Send> Sync for SendPtr<T> {}
 
 #[cfg(test)]
 mod tests {

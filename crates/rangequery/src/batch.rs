@@ -27,9 +27,9 @@
 
 use pargeo_geometry::Bbox;
 use pargeo_kdtree::KdTree;
-use rayon::prelude::*;
 
-/// Number of queries below which `answer_batch` stays sequential.
+/// Queries per task in `answer_batch` (a batch of at most this many runs
+/// on the calling thread).
 pub const BATCH_GRAIN: usize = 16;
 
 /// Query wrapper: answer with the number of matches.
@@ -43,7 +43,7 @@ pub struct Report<Q>(pub Q);
 /// A static spatial index answering one query type, batched data-parallel.
 ///
 /// Implementors only provide [`BatchQuery::answer`]; the batch form is
-/// derived, parallelizing over queries on the ambient rayon pool (the
+/// derived, parallelizing over queries on the ambient pool (the
 /// inter-query parallelism of Sun & Blelloch's evaluation). Answers are
 /// positionally aligned with the input and independent of thread count.
 pub trait BatchQuery<Q: Sync>: Sync {
@@ -55,11 +55,7 @@ pub trait BatchQuery<Q: Sync>: Sync {
 
     /// Answers every query, in order, data-parallel over the batch.
     fn answer_batch(&self, queries: &[Q]) -> Vec<Self::Answer> {
-        if queries.len() < BATCH_GRAIN {
-            queries.iter().map(|q| self.answer(q)).collect()
-        } else {
-            queries.par_iter().map(|q| self.answer(q)).collect()
-        }
+        pargeo_parlay::map(queries, BATCH_GRAIN, |q| self.answer(q))
     }
 }
 

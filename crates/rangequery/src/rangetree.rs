@@ -20,8 +20,7 @@
 
 use crate::batch::{BatchQuery, Count, Report};
 use pargeo_geometry::{Bbox, Point};
-use pargeo_parlay::sample_sort_by;
-use rayon::prelude::*;
+use pargeo_parlay::{for_each_block_mut, sample_sort_by, tabulate, GRANULARITY};
 
 /// A static 2D range tree over points, answering orthogonal range count and
 /// report queries. Build once with [`RangeTree2d::build`], query many.
@@ -50,19 +49,10 @@ impl RangeTree2d {
     /// pairwise merges of the `y`-sorted node arrays.
     pub fn build(points: &[Point<2>]) -> Self {
         let n = points.len();
-        let mut items: Vec<(f64, f64, u32)> = if n >= pargeo_parlay::GRANULARITY {
-            points
-                .par_iter()
-                .enumerate()
-                .map(|(i, p)| (p[0], p[1], i as u32))
-                .collect()
-        } else {
-            points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| (p[0], p[1], i as u32))
-                .collect()
-        };
+        let mut items: Vec<(f64, f64, u32)> = tabulate(n, GRANULARITY, |i| {
+            let p = &points[i];
+            (p[0], p[1], i as u32)
+        });
         sample_sort_by(&mut items, |a, b| {
             a.0.total_cmp(&b.0)
                 .then(a.1.total_cmp(&b.1))
@@ -175,10 +165,12 @@ fn merge_level(prev: &[(f64, u32)], width: usize) -> Vec<(f64, u32)> {
     let n = prev.len();
     let out_width = 2 * width;
     let mut next = vec![(0.0f64, 0u32); n];
-    next.par_chunks_mut(out_width)
-        .enumerate()
-        .for_each(|(node, chunk)| {
-            let start = node * out_width;
+    // One task per run of whole output nodes holding some GRANULARITY
+    // entries between them.
+    let nodes_per_task = GRANULARITY.div_ceil(out_width);
+    for_each_block_mut(&mut next, nodes_per_task * out_width, |t, nodes| {
+        for (k, chunk) in nodes.chunks_mut(out_width).enumerate() {
+            let start = (t * nodes_per_task + k) * out_width;
             let mid = (start + width).min(n);
             let end = (start + chunk.len()).min(n);
             let (left, right) = (&prev[start..mid], &prev[mid..end]);
@@ -192,7 +184,8 @@ fn merge_level(prev: &[(f64, u32)], width: usize) -> Vec<(f64, u32)> {
                     right[j - 1]
                 };
             }
-        });
+        }
+    });
     next
 }
 

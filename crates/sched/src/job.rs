@@ -1,13 +1,11 @@
 //! Type-erased schedulable jobs.
 //!
-//! A [`JobRef`] is a `(data, exec)` pair pointing at either a
-//! [`StackJob`] (borrowed from the stack of a blocked `join`/`install`
-//! caller, completion signalled through a latch) or a [`HeapJob`]
-//! (owned allocation for detached `spawn` and scope tasks). Both wrap
-//! user code in `catch_unwind`, so a panicking task never unwinds into
-//! the worker loop — the pool is never poisoned; payloads are parked in
-//! the job's result slot (or the scope's panic slot) and rethrown on the
-//! thread that waits for them.
+//! A [`JobRef`] is a `(data, exec)` pair pointing at a [`StackJob`]:
+//! a closure borrowed from the stack of a blocked `join`/`install`
+//! caller, completion signalled through a latch. It wraps user code in
+//! `catch_unwind`, so a panicking task never unwinds into the worker
+//! loop — the pool is never poisoned; the payload is parked in the job's
+//! result slot and rethrown on the thread that waits for it.
 
 use crate::latch::Latch;
 use std::any::Any;
@@ -24,10 +22,12 @@ pub struct JobRef {
     exec: unsafe fn(*const ()),
 }
 
-// SAFETY: a JobRef crosses threads by design; the underlying job types
-// require their closures and results to be Send, and each job is executed
-// exactly once.
+// SAFETY: a JobRef crosses threads by design; `StackJob` requires its
+// closure and result to be Send, and each job is executed exactly once.
 unsafe impl Send for JobRef {}
+// SAFETY: a shared JobRef only exposes its two plain-data fields; running
+// it takes the value (`execute(self)`), which the deque hands to exactly
+// one thread.
 unsafe impl Sync for JobRef {}
 
 impl PartialEq for JobRef {
@@ -41,17 +41,15 @@ impl PartialEq for JobRef {
 impl Eq for JobRef {}
 
 impl JobRef {
-    pub(crate) unsafe fn new(data: *const (), exec: unsafe fn(*const ())) -> JobRef {
-        JobRef { data, exec }
-    }
-
     /// Runs the job. Called exactly once, by a pool worker.
     ///
     /// # Safety
-    /// `data` must still be alive (stack jobs: the owner is blocked on the
-    /// latch; heap jobs: ownership transfers to the callee).
+    /// `data` must still be alive: the owner of the stack job is blocked
+    /// on its latch.
     pub(crate) unsafe fn execute(self) {
-        (self.exec)(self.data)
+        // SAFETY: `exec` is the `StackJob::<L, F, R>::execute` that
+        // `as_job_ref` paired with this `data`; liveness is the caller's.
+        unsafe { (self.exec)(self.data) }
     }
 
     /// An inert job carrying `tag` as its payload pointer — never executed;
@@ -81,18 +79,10 @@ pub(crate) enum JobResult<R> {
 }
 
 /// A job borrowed from the stack of a thread blocked on its completion.
-///
-/// The closure receives `migrated: true` when it executes on a different
-/// worker than (or via injection from outside of) the one that spawned it
-/// — the signal the iterator layer's splitter uses to re-split after a
-/// steal.
 pub(crate) struct StackJob<L: Latch, F, R> {
     pub(crate) latch: L,
     func: UnsafeCell<Option<F>>,
     result: UnsafeCell<JobResult<R>>,
-    /// `(pool address, worker index)` of the spawning worker; `None` when
-    /// injected from outside any pool (always a migration).
-    spawner: Option<(usize, usize)>,
 }
 
 // SAFETY: accessed from the spawning thread and exactly one executing
@@ -103,15 +93,14 @@ unsafe impl<L: Latch + Sync, F: Send, R: Send> Sync for StackJob<L, F, R> {}
 impl<L, F, R> StackJob<L, F, R>
 where
     L: Latch + Sync,
-    F: FnOnce(bool) -> R + Send,
+    F: FnOnce() -> R + Send,
     R: Send,
 {
-    pub(crate) fn new(latch: L, func: F, spawner: Option<(usize, usize)>) -> Self {
+    pub(crate) fn new(latch: L, func: F) -> Self {
         StackJob {
             latch,
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(JobResult::None),
-            spawner,
         }
     }
 
@@ -119,18 +108,29 @@ where
     /// The caller must keep `self` alive (blocked on the latch) until the
     /// returned job has executed.
     pub(crate) unsafe fn as_job_ref(&self) -> JobRef {
-        JobRef::new((self as *const Self).cast(), Self::execute)
+        JobRef {
+            data: (self as *const Self).cast(),
+            exec: Self::execute,
+        }
     }
 
+    /// # Safety
+    /// `data` came from [`as_job_ref`](Self::as_job_ref) on a job that is
+    /// still alive, and this is the only execution of it.
     unsafe fn execute(data: *const ()) {
-        let this = &*data.cast::<Self>();
-        let func = (*this.func.get()).take().expect("stack job executed twice");
-        let migrated = crate::pool::current_worker_id() != this.spawner;
-        let result = match panic::catch_unwind(AssertUnwindSafe(|| func(migrated))) {
+        // SAFETY: `data` is the `&Self` erased by `as_job_ref`, alive per
+        // this function's contract.
+        let this = unsafe { &*data.cast::<Self>() };
+        // SAFETY: until the latch is set the executing worker is the only
+        // thread touching `func` and `result` (the spawner waits on the
+        // latch before reading either).
+        let func = unsafe { (*this.func.get()).take() }.expect("stack job executed twice");
+        let result = match panic::catch_unwind(AssertUnwindSafe(func)) {
             Ok(r) => JobResult::Ok(r),
             Err(payload) => JobResult::Panicked(payload),
         };
-        *this.result.get() = result;
+        // SAFETY: as above — still before the latch is set.
+        unsafe { *this.result.get() = result };
         // Release-store: the waiter's acquire-probe of the latch makes the
         // result write visible before take_result runs.
         this.latch.set();
@@ -139,28 +139,8 @@ where
     /// # Safety
     /// Only after the latch was observed set.
     pub(crate) unsafe fn take_result(&self) -> JobResult<R> {
-        std::mem::replace(&mut *self.result.get(), JobResult::None)
-    }
-}
-
-/// An owned, fire-and-forget job (detached `spawn`, scope tasks).
-pub(crate) struct HeapJob {
-    func: Box<dyn FnOnce() + Send>,
-}
-
-impl HeapJob {
-    /// Boxes `func` and erases it into a [`JobRef`], transferring ownership
-    /// to whichever worker executes it.
-    pub(crate) fn into_job_ref(func: Box<dyn FnOnce() + Send>) -> JobRef {
-        let boxed = Box::new(HeapJob { func });
-        unsafe { JobRef::new(Box::into_raw(boxed).cast_const().cast(), Self::execute) }
-    }
-
-    unsafe fn execute(data: *const ()) {
-        let this = Box::from_raw(data.cast_mut().cast::<Self>());
-        // Detached jobs have no waiter to rethrow into; scope tasks record
-        // their payload in the scope before this catch ever sees it. Either
-        // way the worker survives.
-        let _ = panic::catch_unwind(AssertUnwindSafe(this.func));
+        // SAFETY: the latch is set, so the executing worker made its last
+        // access to this job; the caller is the only thread left.
+        unsafe { std::mem::replace(&mut *self.result.get(), JobResult::None) }
     }
 }

@@ -1,24 +1,28 @@
 //! `pargeo-sched`: a persistent work-stealing scheduler.
 //!
-//! This is the runtime under the workspace's rayon shim (and therefore
-//! under parlay, the engines, and the store executor): per-worker
+//! This is the runtime `pargeo-parlay` is written on (and therefore the
+//! one under the engines and the store executor): per-worker
 //! [Chase–Lev deques](deque) with owner-LIFO push/pop and thief-FIFO
 //! steal, a global injector for external submission, exponential-backoff
-//! parking for idle workers, and panic-safe [`join`]/[`scope`]/[`spawn`]
-//! primitives that propagate payloads to the waiting caller without ever
-//! poisoning the pool. See DESIGN.md §2.8 for the architecture and the
-//! digest-invisibility argument.
+//! parking for idle workers, and a panic-safe [`join`] that propagates
+//! payloads to the waiting caller without ever poisoning the pool. See
+//! DESIGN.md §2.8 for the architecture and the digest-invisibility
+//! argument.
+//!
+//! The crate has no opinion on granularity: it runs the forks it is
+//! given. How finely a loop forks is the caller's statement, made once,
+//! as the `grain` argument of the `pargeo-parlay` loop primitives.
 //!
 //! # Execution model
 //!
 //! Work enters a pool through [`Pool::install`] (or the global-pool
-//! fallbacks of the free functions): the closure migrates onto a worker
-//! thread, and from there every [`join`] is two deque operations — push
-//! the second closure, run the first, pop the second back (or, if a
-//! thief took it, help with other work until its latch trips). `join`
-//! running on `b` before `a` never happens; `b` stolen and run
-//! concurrently is the *only* source of parallelism, which is what makes
-//! the scheduling schedule-invisible to deterministic reductions.
+//! fallback of [`join`]): the closure migrates onto a worker thread, and
+//! from there every [`join`] is two deque operations — push the second
+//! closure, run the first, pop the second back (or, if a thief took it,
+//! help with other work until its latch trips). `join` running `b`
+//! before `a` never happens; `b` stolen and run concurrently is the
+//! *only* source of parallelism, which is what makes the scheduling
+//! schedule-invisible to deterministic reductions.
 //!
 //! # Determinism
 //!
@@ -37,42 +41,17 @@ mod metrics;
 mod pool;
 
 pub use metrics::SchedStats;
-pub use pool::{configure_global, global, BuildError, Pool, PoolBuilder};
+pub use pool::{global, BuildError, Pool, PoolBuilder};
 
-use job::{HeapJob, JobResult, StackJob};
+use job::{JobResult, StackJob};
 use latch::SpinLatch;
 use pool::{with_worker, Worker};
-use std::any::Any;
-use std::marker::PhantomData;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 /// Number of workers in the calling thread's pool (the global pool's
 /// size when called from outside any pool).
 pub fn current_num_threads() -> usize {
     with_worker(|w| w.map(Worker::pool_size)).unwrap_or_else(|| global().num_threads())
-}
-
-/// The iterator-layer sequential threshold (items per leaf) of the
-/// calling thread's pool; calibrates on first use.
-pub fn current_grain() -> usize {
-    with_worker(|w| w.map(Worker::grain)).unwrap_or_else(|| global().grain())
-}
-
-/// Context passed to [`join_context`] closures.
-#[derive(Debug, Clone, Copy)]
-pub struct JoinContext {
-    migrated: bool,
-}
-
-impl JoinContext {
-    /// `true` iff this closure was stolen — it runs on a different worker
-    /// than the one that spawned it (or was injected from outside a
-    /// pool). The signal lazy splitters use to re-split.
-    pub fn migrated(&self) -> bool {
-        self.migrated
-    }
 }
 
 /// Runs `a` and `b`, potentially in parallel (if an idle worker steals
@@ -86,42 +65,26 @@ where
     RA: Send,
     RB: Send,
 {
-    join_context(|_| a(), |_| b())
-}
-
-/// [`join`] whose closures receive a [`JoinContext`] telling them whether
-/// they were stolen.
-pub fn join_context<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce(JoinContext) -> RA + Send,
-    B: FnOnce(JoinContext) -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
     with_worker(|w| match w {
         Some(worker) => join_on(worker, a, b),
         // External thread: migrate the whole join onto the global pool.
-        None => global().install(|| join_context(a, b)),
+        None => global().install(|| join(a, b)),
     })
 }
 
 fn join_on<A, B, RA, RB>(worker: &Worker, a: A, b: B) -> (RA, RB)
 where
-    A: FnOnce(JoinContext) -> RA + Send,
-    B: FnOnce(JoinContext) -> RB + Send,
+    A: FnOnce() -> RA + Send,
+    B: FnOnce() -> RB + Send,
     RA: Send,
     RB: Send,
 {
-    let b_job = StackJob::new(
-        SpinLatch::new(),
-        move |migrated| b(JoinContext { migrated }),
-        Some(worker.id()),
-    );
+    let b_job = StackJob::new(SpinLatch::new(), b);
     // SAFETY: this frame outlives the job — it blocks below until the
     // latch is set.
     let b_ref = unsafe { b_job.as_job_ref() };
     worker.push(b_ref);
-    let ra = panic::catch_unwind(AssertUnwindSafe(|| a(JoinContext { migrated: false })));
+    let ra = panic::catch_unwind(AssertUnwindSafe(a));
     // Wait for b even if a panicked: b borrows this frame. Prefer popping
     // b back (it is on top unless stolen); a popped job that isn't b
     // belongs to an outer join frame — execute it here, its owner will
@@ -145,6 +108,8 @@ where
             }
         }
     }
+    // SAFETY: every way out of the loop above observed the latch set —
+    // probed directly, or b ran to completion on this thread.
     let rb = unsafe { b_job.take_result() };
     let ra = match ra {
         Ok(ra) => ra,
@@ -155,116 +120,6 @@ where
         JobResult::Panicked(payload) => panic::resume_unwind(payload),
         JobResult::None => unreachable!("join: b signalled completion without a result"),
     }
-}
-
-/// Shared bookkeeping of one [`scope`] invocation.
-struct ScopeState {
-    pool: Arc<pool::PoolState>,
-    /// Outstanding tasks + 1 for the scope body itself.
-    pending: AtomicUsize,
-    /// First panic payload from a spawned task (later ones are dropped,
-    /// matching rayon).
-    panic: Mutex<Option<Box<dyn Any + Send>>>,
-}
-
-/// A fork-join scope: closures spawned on it may borrow from the
-/// enclosing frame (`'scope`), and [`scope`] blocks until all of them
-/// completed.
-pub struct Scope<'scope> {
-    state: Arc<ScopeState>,
-    // Invariant over 'scope, like rayon's.
-    _marker: PhantomData<fn(&'scope ()) -> &'scope ()>,
-}
-
-impl<'scope> Scope<'scope> {
-    /// Spawns `task` into the scope's pool. The task may borrow anything
-    /// that outlives the scope and may itself spawn further tasks.
-    pub fn spawn<F>(&self, task: F)
-    where
-        F: FnOnce(&Scope<'scope>) + Send + 'scope,
-    {
-        self.state.pending.fetch_add(1, Ordering::Relaxed);
-        let state = self.state.clone();
-        let scope = Scope {
-            state: self.state.clone(),
-            _marker: PhantomData,
-        };
-        let wrapped: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| task(&scope))) {
-                let mut slot = state.panic.lock().unwrap_or_else(|e| e.into_inner());
-                slot.get_or_insert(payload);
-            }
-            // Release: pairs with the owner's acquire load of pending, so
-            // task writes into 'scope data happen-before scope() returns.
-            state.pending.fetch_sub(1, Ordering::Release);
-        });
-        // SAFETY: scope_on blocks until pending == 0, so every 'scope
-        // borrow in the closure outlives its execution; after the
-        // decrement above the closure holds only Arcs.
-        let wrapped: Box<dyn FnOnce() + Send + 'static> = unsafe { std::mem::transmute(wrapped) };
-        let job = HeapJob::into_job_ref(wrapped);
-        with_worker(|w| match w {
-            Some(w) if w.in_pool(&self.state.pool) => w.push(job),
-            _ => self.state.pool.inject(job),
-        });
-    }
-}
-
-/// Creates a scope on the calling thread's pool (migrating onto the
-/// global pool from external threads), runs `op`, and blocks until every
-/// task spawned on the scope has completed — executing other pool work
-/// while it waits. The first panic (from `op` or any task; `op`'s wins)
-/// resumes on the caller after everything finished.
-pub fn scope<'scope, OP, R>(op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    with_worker(|w| match w {
-        Some(worker) => scope_on(worker, op),
-        None => global()
-            .install(|| with_worker(|w| scope_on(w.expect("install runs on a pool worker"), op))),
-    })
-}
-
-fn scope_on<'scope, OP, R>(worker: &Worker, op: OP) -> R
-where
-    OP: FnOnce(&Scope<'scope>) -> R + Send,
-    R: Send,
-{
-    let state = Arc::new(ScopeState {
-        pool: worker.state_arc(),
-        pending: AtomicUsize::new(1),
-        panic: Mutex::new(None),
-    });
-    let scope = Scope {
-        state: state.clone(),
-        _marker: PhantomData,
-    };
-    let result = panic::catch_unwind(AssertUnwindSafe(|| op(&scope)));
-    state.pending.fetch_sub(1, Ordering::Release);
-    worker.wait_until(&|| state.pending.load(Ordering::Acquire) == 0);
-    let task_panic = state.panic.lock().unwrap_or_else(|e| e.into_inner()).take();
-    match (result, task_panic) {
-        (Err(payload), _) => panic::resume_unwind(payload),
-        (Ok(_), Some(payload)) => panic::resume_unwind(payload),
-        (Ok(r), None) => r,
-    }
-}
-
-/// Fire-and-forget task on the calling thread's pool (the global pool
-/// from external threads). There is no waiter, so a panic payload is
-/// dropped after unwinding is contained (use [`scope`] to observe task
-/// panics).
-pub fn spawn<F>(task: F)
-where
-    F: FnOnce() + Send + 'static,
-{
-    let job = HeapJob::into_job_ref(Box::new(task));
-    with_worker(|w| match w {
-        Some(w) => w.push(job),
-        None => global().state().inject(job),
-    });
 }
 
 #[cfg(test)]
@@ -291,31 +146,6 @@ mod tests {
         assert_eq!(msg, "from a");
         // Pool still serves work afterwards.
         assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
-    }
-
-    #[test]
-    fn scope_waits_for_all_tasks_and_collects_panics() {
-        let pool = Pool::new(2);
-        let hits = AtomicUsize::new(0);
-        pool.install(|| {
-            scope(|s| {
-                for _ in 0..32 {
-                    s.spawn(|_| {
-                        hits.fetch_add(1, Ordering::SeqCst);
-                    });
-                }
-            })
-        });
-        assert_eq!(hits.load(Ordering::SeqCst), 32);
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            pool.install(|| {
-                scope(|s| {
-                    s.spawn(|_| panic!("task boom"));
-                })
-            })
-        }));
-        assert!(caught.is_err());
-        assert_eq!(pool.install(|| join(|| 3, || 4)), (3, 4));
     }
 
     #[test]
@@ -357,17 +187,19 @@ mod tests {
     }
 
     #[test]
-    fn grain_env_and_builder_overrides() {
-        let pool = PoolBuilder::new()
-            .num_threads(1)
-            .grain(777)
-            .build()
-            .unwrap();
-        assert_eq!(pool.grain(), 777);
-        let pool2 = Pool::new(1);
-        let g = pool2.grain();
-        assert!((1..=1 << 20).contains(&g), "calibrated grain: {g}");
-        // Cached after first computation.
-        assert_eq!(pool2.grain(), g);
+    fn install_reuses_persistent_workers() {
+        let pool = Pool::new(2);
+        let first = pool.install(|| std::thread::current().id());
+        let before = pool.stats().tasks_total;
+        for _ in 0..10 {
+            pool.install(|| ());
+        }
+        let after = pool.stats().tasks_total;
+        assert!(after >= before + 10, "installs must run as pool tasks");
+        // Same worker set serves every install (no thread churn): the ids
+        // seen later all come from the pool's two persistent workers.
+        let second = pool.install(|| std::thread::current().id());
+        let third = pool.install(|| std::thread::current().id());
+        assert!([second, third].contains(&first) || second == third);
     }
 }

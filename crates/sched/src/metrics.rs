@@ -10,8 +10,7 @@ use std::sync::Arc;
 
 /// Registry-backed metric handles for one pool.
 pub(crate) struct SchedObs {
-    /// `sched_tasks_total` — jobs executed (join halves, scope tasks,
-    /// spawns, installs).
+    /// `sched_tasks_total` — jobs executed (join halves, installs).
     pub(crate) tasks: Arc<Counter>,
     /// `sched_steals_total` — successful steals from another worker's
     /// deque.

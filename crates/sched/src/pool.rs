@@ -1,4 +1,4 @@
-//! The pool: persistent workers, the injector, parking, and calibration.
+//! The pool: persistent workers, the injector and parking.
 //!
 //! Each [`Pool`] owns `n` OS threads. A worker looks for work in a fixed
 //! order — own deque (LIFO), global injector (FIFO), steal from a random
@@ -12,9 +12,9 @@
 //! notifies, or the sleeper's post-registration re-check sees the work.
 //!
 //! External submission ([`Pool::install`]) migrates the closure *onto* a
-//! worker via a stack job in the injector — the rayon model — so
-//! everything below the entry point (joins, scopes, iterator splits)
-//! runs on pool threads with cheap deque pushes, never OS spawns.
+//! worker via a stack job in the injector, so everything below the entry
+//! point (every `join` of every loop) runs on pool threads with cheap
+//! deque pushes, never OS spawns.
 
 use crate::job::{JobRef, JobResult, StackJob};
 use crate::latch::LockLatch;
@@ -27,23 +27,17 @@ use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::Duration;
 
-/// Error building a [`Pool`] or configuring the global one.
+/// Error building a [`Pool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BuildError {
     /// Spawning a worker OS thread failed.
     Spawn,
-    /// [`configure_global`](crate::configure_global) ran after the global
-    /// pool was already initialized (explicitly or by parallel work).
-    GlobalAlreadyInitialized,
 }
 
 impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::Spawn => f.write_str("failed to spawn scheduler worker thread"),
-            BuildError::GlobalAlreadyInitialized => {
-                f.write_str("global scheduler pool already initialized")
-            }
         }
     }
 }
@@ -90,9 +84,6 @@ pub(crate) struct PoolState {
     injector_len: AtomicUsize,
     sleep: Sleep,
     terminate: AtomicBool,
-    /// Sequential-threshold (items per leaf) for the iterator layer;
-    /// lazily calibrated, or preset via `PARGEO_GRAIN` / the builder.
-    grain: OnceLock<usize>,
     /// Registry-backed metric handles, if a registry was attached.
     obs: OnceLock<SchedObs>,
     counters: Vec<PerWorker>,
@@ -186,11 +177,6 @@ pub(crate) fn with_worker<R>(f: impl FnOnce(Option<&Worker>) -> R) -> R {
     f(unsafe { ptr.as_ref() })
 }
 
-/// `(pool address, worker index)` of the calling thread, if a worker.
-pub(crate) fn current_worker_id() -> Option<(usize, usize)> {
-    with_worker(|w| w.map(Worker::id))
-}
-
 /// Per-thread worker context, owned by the worker's main-loop stack.
 pub(crate) struct Worker {
     state: Arc<PoolState>,
@@ -199,29 +185,12 @@ pub(crate) struct Worker {
 }
 
 impl Worker {
-    pub(crate) fn id(&self) -> (usize, usize) {
-        (Arc::as_ptr(&self.state) as usize, self.index)
-    }
-
     pub(crate) fn pool_size(&self) -> usize {
         self.state.n
     }
 
-    pub(crate) fn state_arc(&self) -> Arc<PoolState> {
-        self.state.clone()
-    }
-
     pub(crate) fn in_pool(&self, state: &Arc<PoolState>) -> bool {
         Arc::ptr_eq(&self.state, state)
-    }
-
-    /// The iterator-layer grain for this worker's pool (calibrating on
-    /// first use).
-    pub(crate) fn grain(&self) -> usize {
-        *self
-            .state
-            .grain
-            .get_or_init(|| grain_from_env().unwrap_or_else(calibrate_grain))
     }
 
     /// Pushes onto the own deque (LIFO end) and wakes a thief if parked.
@@ -293,15 +262,14 @@ impl Worker {
             o.tasks.inc();
             o.per_worker[self.index].inc();
         }
-        // SAFETY: every queued JobRef is alive until executed (stack jobs
-        // are pinned by their blocked spawner, heap jobs are owned).
+        // SAFETY: every queued JobRef is alive until executed — its stack
+        // job is pinned by the spawner blocked on its latch.
         unsafe { job.execute() };
         self.state.notify_sleepers();
     }
 
     /// Works (executing anything available) until `done()`, parking with
-    /// backoff when idle. The latch-wait primitive under `join` and
-    /// `scope`.
+    /// backoff when idle. The latch-wait primitive under `join`.
     pub(crate) fn wait_until(&self, done: &dyn Fn() -> bool) {
         let mut backoff = Backoff::new();
         loop {
@@ -383,11 +351,10 @@ fn worker_main(state: Arc<PoolState>, index: usize) {
 #[derive(Default)]
 pub struct PoolBuilder {
     num_threads: Option<usize>,
-    grain: Option<usize>,
 }
 
 impl PoolBuilder {
-    /// An empty builder (machine-default worker count, calibrated grain).
+    /// An empty builder (machine-default worker count).
     pub fn new() -> Self {
         Self::default()
     }
@@ -395,13 +362,6 @@ impl PoolBuilder {
     /// Sets the worker count (`0` means the machine default).
     pub fn num_threads(mut self, n: usize) -> Self {
         self.num_threads = (n != 0).then_some(n);
-        self
-    }
-
-    /// Pins the iterator-layer grain, skipping calibration (testing knob;
-    /// `PARGEO_GRAIN` still wins for un-pinned pools).
-    pub fn grain(mut self, items: usize) -> Self {
-        self.grain = (items != 0).then_some(items);
         self
     }
 
@@ -419,13 +379,9 @@ impl PoolBuilder {
                 sleepers: AtomicUsize::new(0),
             },
             terminate: AtomicBool::new(false),
-            grain: OnceLock::new(),
             obs: OnceLock::new(),
             counters: (0..n).map(|_| PerWorker::new()).collect(),
         });
-        if let Some(g) = self.grain {
-            let _ = state.grain.set(g);
-        }
         let mut handles = Vec::with_capacity(n);
         for i in 0..n {
             let st = state.clone();
@@ -479,8 +435,8 @@ impl Pool {
     /// Runs `op` on a pool worker, blocking until it completes. Panics in
     /// `op` resurface here (on the caller), never poisoning the pool.
     ///
-    /// Called from a worker of this same pool, `op` runs inline (the
-    /// rayon re-entrancy contract). Called from anywhere else — an
+    /// Called from a worker of this same pool, `op` runs inline. Called
+    /// from anywhere else — an
     /// external thread or another pool's worker — `op` migrates through
     /// the injector, so *everything* beneath it executes on this pool.
     pub fn install<OP, R>(&self, op: OP) -> R
@@ -492,26 +448,17 @@ impl Pool {
         if inline {
             return op();
         }
-        let job = StackJob::new(LockLatch::new(), |_migrated| op(), None);
+        let job = StackJob::new(LockLatch::new(), op);
         // SAFETY: this frame blocks on the latch until the job ran.
         let job_ref = unsafe { job.as_job_ref() };
         self.state.inject(job_ref);
         job.latch.wait();
+        // SAFETY: `wait` returned, so the latch was observed set.
         match unsafe { job.take_result() } {
             JobResult::Ok(r) => r,
             JobResult::Panicked(payload) => panic::resume_unwind(payload),
             JobResult::None => unreachable!("install job signalled without a result"),
         }
-    }
-
-    /// The iterator-layer grain (items per sequential leaf) for this
-    /// pool: `PARGEO_GRAIN` if set, a builder override, or a one-time
-    /// calibration of task-spawn overhead against per-item work.
-    pub fn grain(&self) -> usize {
-        *self
-            .state
-            .grain
-            .get_or_init(|| grain_from_env().unwrap_or_else(|| self.install(calibrate_grain)))
     }
 
     /// Registers this pool's metrics against `registry` (first attach
@@ -551,10 +498,6 @@ impl Pool {
             injector_depth: self.state.injector_len.load(Ordering::Relaxed),
         }
     }
-
-    pub(crate) fn state(&self) -> &Arc<PoolState> {
-        &self.state
-    }
 }
 
 impl Drop for Pool {
@@ -579,57 +522,7 @@ pub(crate) fn default_threads() -> usize {
 static GLOBAL: OnceLock<Pool> = OnceLock::new();
 
 /// The process-wide pool, created on first use at the machine default
-/// size (or the size passed to [`configure_global`](crate::configure_global)).
+/// size.
 pub fn global() -> &'static Pool {
     GLOBAL.get_or_init(|| Pool::new(default_threads()))
-}
-
-/// Sizes the global pool explicitly. Fails if it was already initialized
-/// (explicitly, or implicitly by parallel work that already ran).
-pub fn configure_global(num_threads: usize) -> Result<(), BuildError> {
-    let n = if num_threads == 0 {
-        default_threads()
-    } else {
-        num_threads
-    };
-    GLOBAL
-        .set(Pool::new(n))
-        .map_err(|_| BuildError::GlobalAlreadyInitialized)
-}
-
-fn grain_from_env() -> Option<usize> {
-    let raw = std::env::var("PARGEO_GRAIN").ok()?;
-    match raw.trim().parse::<usize>() {
-        Ok(v) if v > 0 => Some(v.min(1 << 20)),
-        _ => None,
-    }
-}
-
-/// Measures task-spawn overhead against per-item loop cost and sizes the
-/// sequential leaf so one spawn amortizes to roughly an eighth of the
-/// leaf's work. Runs on a pool worker (the caller arranges that), so the
-/// spawn measurement exercises the real deque path.
-fn calibrate_grain() -> usize {
-    use std::hint::black_box;
-    use std::time::Instant;
-    for _ in 0..64 {
-        crate::join(|| (), || ());
-    }
-    let spawns = 512u32;
-    let t0 = Instant::now();
-    for _ in 0..spawns {
-        crate::join(|| black_box(0u64), || black_box(0u64));
-    }
-    let spawn_ns = t0.elapsed().as_nanos() as f64 / f64::from(spawns);
-    let iters = 1u64 << 16;
-    let t1 = Instant::now();
-    let mut acc = 0u64;
-    for i in 0..iters {
-        acc = acc
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(black_box(i));
-    }
-    black_box(acc);
-    let item_ns = (t1.elapsed().as_nanos() as f64 / iters as f64).max(0.05);
-    ((8.0 * spawn_ns / item_ns) as usize).clamp(256, 16_384)
 }

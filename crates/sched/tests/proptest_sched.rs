@@ -2,8 +2,8 @@
 //! satellite 3).
 //!
 //! Three families:
-//! 1. Panic-safety properties: join/scope panics propagate to the caller
-//!    with the right priority and never poison the pool.
+//! 1. Panic-safety properties: join panics propagate to the caller with
+//!    the right priority and never poison the pool.
 //! 2. Determinism properties: seed-shaped random fork-join DAGs reduce to
 //!    bit-identical digests at worker counts {1, 2, 4} — the
 //!    digest-invisibility argument of DESIGN.md §2.8 as an executable
@@ -15,25 +15,15 @@
 //!    delivery of every tag.
 
 use pargeo_sched::deque::{Deque, JobRef, Steal};
-use pargeo_sched::{join, scope, Pool, PoolBuilder};
+use pargeo_sched::{join, Pool};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Worker counts every determinism property runs at. 1 is the sequential
 /// anchor; 2 and 4 oversubscribe the container so steals actually happen.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-
-fn pool(n: usize) -> Pool {
-    PoolBuilder::new()
-        .num_threads(n)
-        // Tiny fixed grain so small proptest inputs still split and the
-        // schedule actually varies; determinism must hold regardless.
-        .grain(4)
-        .build()
-        .expect("pool")
-}
 
 // ---------------------------------------------------------------------------
 // 1. Panic safety
@@ -51,7 +41,7 @@ proptest! {
         panic_a in (0u8..2).prop_map(|b| b == 1),
         panic_b in (0u8..2).prop_map(|b| b == 1),
     ) {
-        let p = pool(workers);
+        let p = Pool::new(workers);
         let r = catch_unwind(AssertUnwindSafe(|| {
             p.install(|| {
                 join(
@@ -80,41 +70,6 @@ proptest! {
         prop_assert_eq!(sum.0 + sum.1, 42);
     }
 
-    /// A scope waits for every spawned task even when one of them (or the
-    /// scope body itself) panics, and the panic propagates. Tasks that
-    /// don't panic all run exactly once.
-    #[test]
-    fn scope_panic_still_waits_for_all_tasks(
-        workers in (0usize..3).prop_map(|i| WORKER_COUNTS[i]),
-        tasks in 1usize..24,
-        panicking in 0usize..24,
-    ) {
-        let p = pool(workers);
-        let ran = Arc::new(AtomicUsize::new(0));
-        let ran2 = ran.clone();
-        let bad = panicking % tasks;
-        let r = catch_unwind(AssertUnwindSafe(|| {
-            p.install(|| {
-                scope(|s| {
-                    for i in 0..tasks {
-                        let ran = ran2.clone();
-                        s.spawn(move |_| {
-                            if i == bad {
-                                panic!("task panic");
-                            }
-                            ran.fetch_add(1, Ordering::SeqCst);
-                        });
-                    }
-                });
-            })
-        }));
-        prop_assert!(r.is_err(), "one task always panics");
-        // The scope blocked until every sibling finished.
-        prop_assert_eq!(ran.load(Ordering::SeqCst), tasks - 1);
-        // Pool unharmed.
-        prop_assert_eq!(p.install(|| 7u8), 7);
-    }
-
     /// Pools nest: installing into an inner pool from an outer pool's
     /// worker migrates correctly in both directions, at any size combo.
     #[test]
@@ -123,8 +78,8 @@ proptest! {
         inner in (0usize..3).prop_map(|i| WORKER_COUNTS[i]),
         n in 1usize..256,
     ) {
-        let po = pool(outer);
-        let pi = pool(inner);
+        let po = Pool::new(outer);
+        let pi = Pool::new(inner);
         let data: Vec<u64> = (0..n as u64).collect();
         let expect: u64 = data.iter().sum();
         let got = po.install(|| {
@@ -175,24 +130,6 @@ fn dag_reduce(data: &[u64], mut seed: u64, depth: u32) -> u64 {
     }
 }
 
-/// Same idea through `scope`: tasks write into disjoint slots, the digest
-/// folds the slot vector in index order afterwards.
-fn scope_digest(data: &[u64], chunk: usize) -> u64 {
-    let chunks: Vec<&[u64]> = data.chunks(chunk.max(1)).collect();
-    let mut out = vec![0u64; chunks.len()];
-    scope(|s| {
-        for (slot, c) in out.iter_mut().zip(chunks) {
-            s.spawn(move |_| {
-                *slot = c.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &x| {
-                    (h ^ x).wrapping_mul(0x100_0000_01b3)
-                });
-            });
-        }
-    });
-    out.iter()
-        .fold(0u64, |h, &x| h.rotate_left(11).wrapping_add(x))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -206,24 +143,8 @@ proptest! {
     ) {
         let mut digests = Vec::new();
         for &w in &WORKER_COUNTS {
-            let p = pool(w);
+            let p = Pool::new(w);
             digests.push(p.install(|| dag_reduce(&data, seed, depth)));
-        }
-        prop_assert_eq!(digests[0], digests[1]);
-        prop_assert_eq!(digests[0], digests[2]);
-    }
-
-    /// Scope-spawned fan-out is digest-invisible too: disjoint-slot
-    /// writes folded in index order match at every worker count.
-    #[test]
-    fn scope_fanout_is_bit_identical_across_worker_counts(
-        data in prop::collection::vec(0u64..u64::MAX, 1..512),
-        chunk in 1usize..64,
-    ) {
-        let mut digests = Vec::new();
-        for &w in &WORKER_COUNTS {
-            let p = pool(w);
-            digests.push(p.install(|| scope_digest(&data, chunk)));
         }
         prop_assert_eq!(digests[0], digests[1]);
         prop_assert_eq!(digests[0], digests[2]);

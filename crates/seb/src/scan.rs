@@ -3,7 +3,6 @@
 
 use crate::welzl::welzl_support;
 use pargeo_geometry::{Ball, Point};
-use rayon::prelude::*;
 
 /// Safety valve: rounds before falling back to exact Welzl (never reached
 /// on real data; guards pathological floating-point stalls).
@@ -50,14 +49,7 @@ pub fn orthant_scan_pass<const D: usize>(
         }
         table
     };
-    let table = if points.len() < 8192 {
-        scan_block(points)
-    } else {
-        points
-            .par_chunks(8192)
-            .map(scan_block)
-            .reduce(|| vec![None; orthants], merge)
-    };
+    let table = pargeo_parlay::reduce(points.len(), 8192, |r| scan_block(&points[r]), merge);
     let extremes: Vec<Point<D>> = table.into_iter().flatten().map(|(_, p)| p).collect();
     (!extremes.is_empty(), extremes)
 }

@@ -3,7 +3,6 @@
 
 use pargeo_geometry::{ball_through, Ball, Point};
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 
 /// Prefix size below which the parallel algorithm runs sequentially
 /// (the paper uses 500 000 on a 36-core machine; scaled for laptops).
@@ -172,19 +171,13 @@ fn par_md<const D: usize>(
 
 /// Index of the first point outside `ball` (parallel reduce).
 fn first_violator<const D: usize>(pts: &[Point<D>], ball: &Ball<D>) -> Option<usize> {
-    const BLOCK: usize = 8192;
-    if pts.len() <= BLOCK {
-        return pts.iter().position(|p| !ball.contains(p));
-    }
-    pts.par_chunks(BLOCK)
-        .enumerate()
-        .filter_map(|(b, chunk)| {
-            chunk
-                .iter()
-                .position(|p| !ball.contains(p))
-                .map(|i| b * BLOCK + i)
-        })
-        .min()
+    parlay::reduce(
+        pts.len(),
+        8192,
+        |mut r| r.find(|&i| !ball.contains(&pts[i])),
+        // The left run holds the smaller indices.
+        |l, r| l.or(r),
+    )
 }
 
 #[cfg(test)]

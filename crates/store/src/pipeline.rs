@@ -122,7 +122,8 @@ impl<const D: usize> StoreSnapshot<D> {
     /// (`Insert`/`Delete`) come back as typed errors: a snapshot is
     /// immutable by construction.
     pub fn execute(&self, requests: &[Request<D>]) -> Vec<GeoResult<Response<D>>> {
-        parlay::map_batch(requests, 2, |req| self.answer(req))
+        // Grain 1: an item is a whole request (often a query batch).
+        parlay::map(requests, 1, |req| self.answer(req))
     }
 
     /// Answers one request against the pinned epoch (see

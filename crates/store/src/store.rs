@@ -10,6 +10,7 @@ use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
 use pargeo_obs::{ObsLevel, Registry};
 use pargeo_parlay as parlay;
+use pargeo_sched::{Pool, PoolBuilder};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -97,8 +98,10 @@ impl<const D: usize> GeoStoreBuilder<D> {
         self
     }
 
-    /// Pins every `execute` call to a dedicated pool of exactly this many
-    /// worker threads (default: the ambient rayon pool).
+    /// Pins every `execute` call to a dedicated [`pargeo_sched::Pool`] of
+    /// exactly this many worker threads (`0`: the machine default).
+    /// Without it, calls run on the pool of the calling thread — the one a
+    /// surrounding `parlay::with_threads` installed, else the global pool.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = Some(threads);
         self
@@ -195,32 +198,29 @@ impl<const D: usize> GeoStoreBuilder<D> {
     pub fn try_build(self) -> GeoResult<GeoStore<D>> {
         let pool = match self.threads {
             None => None,
-            Some(t) => Some(
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(t)
-                    .build()
-                    .map_err(|_| GeoError::BadParameter {
-                        op: "geostore_build",
-                        what: "dedicated thread pool construction failed",
-                    })?,
-            ),
+            Some(t) => Some(PoolBuilder::new().num_threads(t).build().map_err(|_| {
+                GeoError::BadParameter {
+                    op: "geostore_build",
+                    what: "dedicated thread pool construction failed",
+                }
+            })?),
         };
         Ok(self.finish(pool))
     }
 
     /// Creates the (empty) store. If the dedicated thread pool cannot be
-    /// constructed, the store falls back to the ambient rayon pool rather
+    /// constructed, the store falls back to the ambient pool rather
     /// than panicking (use [`try_build`](Self::try_build) to observe the
     /// failure as a typed error instead).
     pub fn build(self) -> GeoStore<D> {
         let pool = self
             .threads
-            .and_then(|t| rayon::ThreadPoolBuilder::new().num_threads(t).build().ok());
+            .and_then(|t| PoolBuilder::new().num_threads(t).build().ok());
         self.finish(pool)
     }
 
     /// Assembles the store around an already-constructed pool (infallible).
-    fn finish(self, pool: Option<rayon::ThreadPool>) -> GeoStore<D> {
+    fn finish(self, pool: Option<Pool>) -> GeoStore<D> {
         let registry = self.observe.build_registry();
         if let (Some(r), Some(nanos)) = (&registry, self.slow_op_nanos) {
             r.set_slow_op_threshold_nanos(nanos);
@@ -229,7 +229,7 @@ impl<const D: usize> GeoStoreBuilder<D> {
             // Scheduler counters (sched_tasks_total, sched_steals_total, …)
             // land in the same registry as the store's own metrics, so an
             // observed store exposes its pool's behavior too.
-            p.sched().attach_registry(r);
+            p.attach_registry(r);
         }
         let make = || -> Box<dyn SpatialIndex<D> + Send + Sync> {
             match self.backend {
@@ -348,7 +348,7 @@ pub struct GeoStore<const D: usize> {
     /// Morton-prefix shards of the index (1 = unsharded).
     shard_count: usize,
     /// Dedicated pool when built with `.threads(..)`, constructed once.
-    pool: Option<rayon::ThreadPool>,
+    pool: Option<Pool>,
     /// Delta-maintain memoized hull/Delaunay across insert-only epochs.
     incremental: bool,
     /// Damage fraction past which a delta engine falls back to rebuild.
@@ -645,7 +645,7 @@ impl<const D: usize> GeoStore<D> {
                         if let Some(o) = &obs {
                             o.pipeline_overlapped.inc();
                         }
-                        let (mut wout, reads) = rayon::join(
+                        let (mut wout, reads) = parlay::par_do(
                             || {
                                 let mut wout = Vec::new();
                                 match wkind {
@@ -973,7 +973,8 @@ impl<const D: usize> GeoStore<D> {
             g.label("requests", run.len());
             g
         });
-        let responses = parlay::map_batch(run, 2, |req| self.answer_one(req));
+        // Grain 1: an item is a whole request (often a query batch).
+        let responses = parlay::map(run, 1, |req| self.answer_one(req));
         out.extend(responses);
     }
 

@@ -15,7 +15,6 @@ use crate::wspd::wspd;
 use pargeo_geometry::Point;
 use pargeo_kdtree::tree::NodeId;
 use pargeo_parlay as parlay;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -42,14 +41,11 @@ pub fn emst<const D: usize>(points: &[Point<D>]) -> Vec<EmstEdge> {
     }
     let (tree, pairs) = wspd(points, 2.0);
     // Lower bounds, sorted ascending (parallel sort by f64 key).
-    let mut order: Vec<(f64, u32)> = pairs
-        .par_iter()
-        .enumerate()
-        .map(|(i, &(a, b))| {
-            let d = tree.node_bbox(a).dist_sq_to_box(&tree.node_bbox(b));
-            (d, i as u32)
-        })
-        .collect();
+    let mut order: Vec<(f64, u32)> = parlay::tabulate(pairs.len(), parlay::GRANULARITY, |i| {
+        let (a, b) = pairs[i];
+        let d = tree.node_bbox(a).dist_sq_to_box(&tree.node_bbox(b));
+        (d, i as u32)
+    });
     parlay::sort_by_key_f64(&mut order, |&(d, _)| d);
 
     let mut uf = UnionFind::new(n);
@@ -87,11 +83,10 @@ pub fn emst<const D: usize>(points: &[Point<D>]) -> Vec<EmstEdge> {
                 let (u, v, d) = bccp_nodes(&tree, a, b);
                 Some((d * d, u, v))
             };
-            let realized: Vec<(f64, u32, u32)> = if end - next >= 4096 {
-                order[next..end].par_iter().filter_map(realize).collect()
-            } else {
-                order[next..end].iter().filter_map(realize).collect()
-            };
+            // 256 pairs to a task: a pair is two union-find lookups and,
+            // when they differ, a BCCP descent.
+            let realized: Vec<(f64, u32, u32)> =
+                parlay::flatten(end - next, 256, |i| realize(&order[next + i]));
             for (d2, u, v) in realized {
                 heap.push(Reverse((OrdF64(d2), u, v)));
             }

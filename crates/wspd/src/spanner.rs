@@ -6,7 +6,6 @@
 
 use crate::wspd::wspd;
 use pargeo_geometry::Point;
-use rayon::prelude::*;
 
 /// A spanner edge between original point indices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,18 +29,15 @@ pub fn spanner<const D: usize>(points: &[Point<D>], t: f64) -> Vec<SpannerEdge> 
 /// `t = (s+4)/(s-4)` for `s > 4`).
 pub fn spanner_with_separation<const D: usize>(points: &[Point<D>], s: f64) -> Vec<SpannerEdge> {
     let (tree, pairs) = wspd(points, s);
-    pairs
-        .par_iter()
-        .map(|&(a, b)| {
-            let u = tree.node_point_ids(a)[0];
-            let v = tree.node_point_ids(b)[0];
-            SpannerEdge {
-                u,
-                v,
-                weight: points[u as usize].dist(&points[v as usize]),
-            }
-        })
-        .collect()
+    pargeo_parlay::map(&pairs, pargeo_parlay::GRANULARITY, |&(a, b)| {
+        let u = tree.node_point_ids(a)[0];
+        let v = tree.node_point_ids(b)[0];
+        SpannerEdge {
+            u,
+            v,
+            weight: points[u as usize].dist(&points[v as usize]),
+        }
+    })
 }
 
 #[cfg(test)]

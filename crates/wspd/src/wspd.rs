@@ -9,6 +9,7 @@
 
 use pargeo_geometry::Point;
 use pargeo_kdtree::tree::{KdTree, NodeId, SplitRule};
+use pargeo_parlay::par_do;
 
 const SEQ_CUTOFF: usize = 2048;
 
@@ -49,9 +50,9 @@ fn split_node<const D: usize>(
         return; // single leaf: no pairs within
     };
     if tree.node_size(u) >= SEQ_CUTOFF {
-        let ((mut a, mut b), mut c) = rayon::join(
+        let ((mut a, mut b), mut c) = par_do(
             || {
-                rayon::join(
+                par_do(
                     || {
                         let mut v = Vec::new();
                         split_node(tree, l, s, &mut v);
@@ -113,7 +114,7 @@ fn find_pairs<const D: usize>(
     if split_a {
         let (l, r) = tree.node_children(a).unwrap();
         if big >= SEQ_CUTOFF {
-            let (mut x, mut y) = rayon::join(
+            let (mut x, mut y) = par_do(
                 || {
                     let mut v = Vec::new();
                     find_pairs(tree, l, b, s, &mut v);
@@ -134,7 +135,7 @@ fn find_pairs<const D: usize>(
     } else {
         let (l, r) = tree.node_children(b).unwrap();
         if big >= SEQ_CUTOFF {
-            let (mut x, mut y) = rayon::join(
+            let (mut x, mut y) = par_do(
                 || {
                     let mut v = Vec::new();
                     find_pairs(tree, a, l, s, &mut v);

@@ -1,0 +1,32 @@
+#!/usr/bin/env bash
+# One parallel vocabulary: algorithms fork through `pargeo-parlay` (par_do
+# and the loop family), which alone sits on `pargeo_sched::join`. Fails if a
+# rayon dependency or path, a parallel-iterator call, the retired
+# PARGEO_GRAIN knob, or a direct scheduler join reappears outside
+# crates/parlay and crates/sched. Plain grep, no dependency.
+set -u
+cd "$(dirname "$0")/.."
+
+status=0
+check() { # check <what> <regex> [grep options / paths...]
+    local what=$1 pattern=$2
+    shift 2
+    local hits
+    hits=$(grep -rnE "$pattern" "$@" 2>/dev/null)
+    if [ -n "$hits" ]; then
+        echo "parallel vocabulary: $what" >&2
+        echo "$hits" >&2
+        status=1
+    fi
+}
+
+trees=(crates tests examples)
+check "rayon dependency or path" '^rayon\b|rayon::|use rayon|shims/rayon' \
+    --include='*.rs' --include='Cargo.toml' "${trees[@]}" Cargo.toml
+check "parallel-iterator call" 'par_iter|par_chunks' --include='*.rs' "${trees[@]}"
+check "retired PARGEO_GRAIN knob" 'PARGEO_GRAIN' "${trees[@]}" .github
+check "direct scheduler join outside parlay" 'sched::join' --include='*.rs' \
+    --exclude-dir=parlay --exclude-dir=sched "${trees[@]}"
+
+[ "$status" -eq 0 ] && echo "parallel vocabulary: ok"
+exit "$status"

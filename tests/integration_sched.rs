@@ -4,7 +4,7 @@
 //! worker count.
 
 use pargeo::prelude::*;
-use pargeo::sched;
+use pargeo::{parlay, sched};
 
 fn workload() -> Workload<2> {
     let specs = WorkloadSpec::store_presets(600);
@@ -92,18 +92,14 @@ fn store_digests_are_worker_count_invariant() {
 /// bench records), and stats stay coherent.
 #[test]
 fn sched_stats_observable_through_facade() {
-    let pool = sched::PoolBuilder::new()
-        .num_threads(2)
-        .grain(1)
-        .build()
-        .expect("pool");
+    let pool = sched::Pool::new(2);
     // Skewed fork-join: the left arm is always heavy, the right arm
     // trivial — lots of steal opportunities.
     fn skewed(depth: u32) -> u64 {
         if depth == 0 {
             return 1;
         }
-        let (a, b) = sched::join(|| skewed(depth - 1), || 1u64);
+        let (a, b) = parlay::par_do(|| skewed(depth - 1), || 1u64);
         a + b
     }
     let total = pool.install(|| skewed(10));
