@@ -4,7 +4,7 @@ use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::knn::{KnnBuffer, KnnProbe, KnnWork, Neighbor};
 use pargeo_kdtree::tree::{BuildParams, SplitRule};
 use pargeo_kdtree::veb::VebTree;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Default buffer-tree size `X` (tunable; the paper treats it as a
 /// performance constant).
@@ -208,31 +208,39 @@ impl<const D: usize> BdlTree<D> {
     /// Batch delete by point value (Algorithm 4). All live copies of each
     /// query point are removed. Returns the number of deleted points.
     pub fn delete(&mut self, batch: &[Point<D>]) -> usize {
+        self.remove(batch).len()
+    }
+
+    /// [`delete`](Self::delete), returning the `(point, id)` pairs it
+    /// removed (in no particular order).
+    pub fn remove(&mut self, batch: &[Point<D>]) -> Vec<(Point<D>, u32)> {
         self.epoch += 1;
         if batch.is_empty() || self.live == 0 {
-            return 0;
+            return Vec::new();
         }
         // Buffer deletion.
         let victims: std::collections::HashSet<_> = batch.iter().map(Point::bits_key).collect();
-        let before_buf = self.buffer.len();
-        self.buffer
-            .retain(|(p, _)| !victims.contains(&p.bits_key()));
-        let mut deleted = before_buf - self.buffer.len();
+        let mut removed: Vec<(Point<D>, u32)> = self
+            .buffer
+            .extract_if(.., |(p, _)| victims.contains(&p.bits_key()))
+            .collect();
         // Parallel bulk erase across all occupied trees (grain 1: an item
-        // is a whole tree's erase); the two tallies are integer sums, so
-        // the order the trees report in cannot show.
-        let erased = AtomicUsize::new(0);
+        // is a whole tree's erase), each tree reporting into its own slot;
+        // the copy-on-write tally is an integer sum, so the order the
+        // trees finish in cannot show.
         let copied = AtomicU64::new(0);
-        pargeo_parlay::for_each_mut(&mut self.trees, 1, |_, slot| {
+        let mut erased: Vec<Vec<(Point<D>, u32)>> = vec![Vec::new(); self.trees.len()];
+        let mut jobs: Vec<_> = self.trees.iter_mut().zip(&mut erased).collect();
+        pargeo_parlay::for_each_mut(&mut jobs, 1, |_, (slot, out)| {
             if let Some(t) = slot {
                 let before = t.cow_bytes();
-                erased.fetch_add(t.erase(batch), Ordering::Relaxed);
+                **out = t.erase(batch);
                 copied.fetch_add(t.cow_bytes() - before, Ordering::Relaxed);
             }
         });
-        deleted += erased.into_inner();
+        removed.extend(erased.into_iter().flatten());
         self.cow_bytes += copied.into_inner();
-        self.live -= deleted;
+        self.live -= removed.len();
         // Drain trees below half capacity and reinsert their survivors.
         let mut reinsert: Vec<(Point<D>, u32)> = Vec::new();
         for (i, slot) in self.trees.iter_mut().enumerate() {
@@ -249,7 +257,7 @@ impl<const D: usize> BdlTree<D> {
             self.live -= reinsert.len();
             self.insert_items(reinsert);
         }
-        deleted
+        removed
     }
 
     /// k nearest live neighbors of `q` (ids are insertion-order ids),

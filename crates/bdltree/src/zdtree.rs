@@ -209,34 +209,37 @@ impl<const D: usize> ZdTree<D> {
     /// Batch delete by point value (all matching copies). Returns the
     /// number deleted.
     pub fn delete(&mut self, batch: &[Point<D>]) -> usize {
+        self.remove(batch).len()
+    }
+
+    /// [`delete`](Self::delete), returning the `(point, id)` pairs it
+    /// removed (in Morton order).
+    pub fn remove(&mut self, batch: &[Point<D>]) -> Vec<(Point<D>, u32)> {
         self.epoch += 1;
         if batch.is_empty() || self.codes.is_empty() {
-            return 0;
+            return Vec::new();
         }
         let mut victims: Vec<(u64, Point<D>)> =
             batch.iter().map(|&p| (self.code_of(&p), p)).collect();
         parlay::radix_sort_u64_by_key(&mut victims, |t| t.0);
-        let before = self.codes.len();
         // Merge-subtract over the two code-sorted runs; codes collide, so
         // matches compare full coordinates within the code-equal window.
-        let mut out = Vec::with_capacity(before);
+        let mut out = Vec::with_capacity(self.codes.len());
+        let mut removed = Vec::new();
         let mut j = 0usize;
         for it in self.rows() {
             while j < victims.len() && victims[j].0 < it.0 {
                 j += 1;
             }
-            let mut dead = false;
-            let mut k = j;
-            while k < victims.len() && victims[k].0 == it.0 {
-                // Bitwise identity — the library-wide delete-by-value
-                // semantic (`Point::bits_key`), not float `==`.
-                if victims[k].1.bits_key() == it.1.bits_key() {
-                    dead = true;
-                    break;
-                }
-                k += 1;
-            }
-            if !dead {
+            // Bitwise identity — the library-wide delete-by-value
+            // semantic (`Point::bits_key`), not float `==`.
+            let dead = victims[j..]
+                .iter()
+                .take_while(|v| v.0 == it.0)
+                .any(|v| v.1.bits_key() == it.1.bits_key());
+            if dead {
+                removed.push((it.1, it.2));
+            } else {
                 out.push(it);
             }
         }
@@ -244,7 +247,7 @@ impl<const D: usize> ZdTree<D> {
         self.codes = codes;
         self.pts = pts;
         self.rebuild_nodes();
-        before - self.codes.len()
+        removed
     }
 
     /// k nearest neighbors of `q`, ascending by distance.

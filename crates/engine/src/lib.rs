@@ -6,7 +6,7 @@
 //! single workload can be served by, and cross-validated across, either
 //! tree and the oracle:
 //!
-//! * [`SpatialIndex`] — batched `insert` / `delete` / `knn_batch` /
+//! * [`SpatialIndex`] — batched `insert` / `remove` / `knn_batch` /
 //!   `range_batch` plus [`Snapshot`]-style epoch stats, implemented by both
 //!   trees and by the brute-force [`VecIndex`] oracle.
 //! * [`SnapshotView`] — the epoch-pinned immutable read half:
@@ -145,9 +145,18 @@ pub trait SpatialIndex<const D: usize> {
     /// ids.
     fn insert(&mut self, batch: &[Point<D>]);
 
-    /// Deletes every live point whose coordinates match a batch point.
-    /// Returns the number of points removed.
-    fn delete(&mut self, batch: &[Point<D>]) -> usize;
+    /// Deletes every live point whose coordinates match a batch point
+    /// (bitwise, all live copies) and reports what went: the live
+    /// `(point, id)` pairs removed, in no particular order. The one delete
+    /// path of every backend — a serving layer reads ids, counts and the
+    /// surviving set off this report instead of mirroring the index.
+    fn remove(&mut self, batch: &[Point<D>]) -> Vec<(Point<D>, u32)>;
+
+    /// [`remove`](Self::remove) for callers that only want the number of
+    /// points removed.
+    fn delete(&mut self, batch: &[Point<D>]) -> usize {
+        self.remove(batch).len()
+    }
 
     /// The k nearest live neighbors of every query, data-parallel over the
     /// queries; each row ascends by `(distance², id)`.
@@ -292,7 +301,7 @@ impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Froze
 }
 
 /// Forwards [`SpatialIndex`] to a tree backend's inherent methods. Both
-/// tree backends expose the same surface (`insert`/`delete`/
+/// tree backends expose the same surface (`insert`/`remove`/
 /// `knn_batch`/`range_box_batch`/`len`/`collect_live` plus the `epoch`/
 /// `total_inserted`/`rebuilds`/`cow_bytes` counters), so one definition
 /// serves both — a new trait method or `Snapshot` field is added
@@ -308,8 +317,8 @@ macro_rules! impl_spatial_index {
                 $backend::insert(self, batch)
             }
 
-            fn delete(&mut self, batch: &[Point<D>]) -> usize {
-                $backend::delete(self, batch)
+            fn remove(&mut self, batch: &[Point<D>]) -> Vec<(Point<D>, u32)> {
+                $backend::remove(self, batch)
             }
 
             fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
@@ -391,6 +400,65 @@ mod tests {
             }
             assert_eq!(b.len(), 1_500);
             assert!(!b.is_empty());
+        }
+    }
+
+    /// `(id, point)` rows of the live set, ascending by id.
+    fn rows(b: &dyn SpatialIndex<2>) -> Vec<(u32, Point<2>)> {
+        let (ids, pts) = b.live_points();
+        ids.into_iter().zip(pts).collect()
+    }
+
+    #[test]
+    fn remove_reports_exactly_what_left_the_live_set() {
+        let pts = uniform_cube::<2>(3_000, 5);
+        let nowhere = Point::new([-5.0, -5.0]);
+        let sharded = |s: usize| -> Box<dyn SpatialIndex<2>> {
+            Box::new(ShardedIndex::<2>::new(s, |_| {
+                Box::new(BdlTree::<2>::with_buffer_size(128))
+            }))
+        };
+        let mut all = backends::<2>();
+        all.extend([sharded(1), sharded(4)]);
+        for mut b in all {
+            let name = b.backend_name();
+            b.insert(&pts[..2_000]);
+            b.insert(&[pts[7], pts[7]]); // ids 2000, 2001: three live copies of one value
+            b.insert(&pts[2_000..]);
+            let before = rows(&*b);
+            // Names one value twice and one that was never inserted.
+            let mut batch = pts[..700].to_vec();
+            batch.extend([pts[3], nowhere]);
+            let mut report: Vec<(u32, Point<2>)> = b
+                .remove(&batch)
+                .into_iter()
+                .map(|(p, id)| (id, p))
+                .collect();
+            report.sort_unstable_by_key(|row| row.0);
+            let after = rows(&*b);
+            let gone: Vec<(u32, Point<2>)> = before
+                .iter()
+                .filter(|row| after.binary_search_by_key(&row.0, |a| a.0).is_err())
+                .copied()
+                .collect();
+            assert_eq!(report, gone, "{name}");
+            assert_eq!(report.len(), 702, "{name}: every copy of a value goes");
+            assert_eq!(b.len(), before.len() - 702, "{name}");
+            for id in [7, 2_000, 2_001] {
+                assert!(report.binary_search_by_key(&id, |r| r.0).is_ok(), "{name}");
+            }
+            // A batch that matches nothing reports nothing and — pinned or
+            // not — copies nothing.
+            let pin = b.pin();
+            let copied = b.snapshot().cow_bytes;
+            assert_eq!(b.remove(&[nowhere, pts[3]]), [], "{name}");
+            assert_eq!(b.delete(&batch), 0, "{name}");
+            assert_eq!(b.snapshot().cow_bytes, copied, "{name}");
+            assert_eq!(
+                (rows(&*b), pin.len()),
+                (after.clone(), after.len()),
+                "{name}"
+            );
         }
     }
 

@@ -81,13 +81,13 @@ impl<const D: usize> SpatialIndex<D> for VecIndex<D> {
         self.next_id += batch.len() as u32;
     }
 
-    fn delete(&mut self, batch: &[Point<D>]) -> usize {
+    fn remove(&mut self, batch: &[Point<D>]) -> Vec<(Point<D>, u32)> {
         self.epoch += 1;
         let victims: std::collections::HashSet<[u64; D]> =
             batch.iter().map(Point::bits_key).collect();
-        let before = self.items.len();
-        self.items.retain(|(p, _)| !victims.contains(&p.bits_key()));
-        before - self.items.len()
+        self.items
+            .extract_if(.., |(p, _)| victims.contains(&p.bits_key()))
+            .collect()
     }
 
     fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {

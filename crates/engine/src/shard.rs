@@ -51,7 +51,6 @@ use pargeo_kdtree::{canonical_order, Neighbor};
 use pargeo_morton::{morton_code, morton_shard_of, parallel_bbox};
 use pargeo_obs::{Counter, Registry};
 use pargeo_parlay as parlay;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Points routed per task (a Morton code per point).
@@ -465,10 +464,10 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
         });
     }
 
-    fn delete(&mut self, batch: &[Point<D>]) -> usize {
+    fn remove(&mut self, batch: &[Point<D>]) -> Vec<(Point<D>, u32)> {
         self.epoch += 1;
         if batch.is_empty() || self.next_id == 0 {
-            return 0;
+            return Vec::new();
         }
         // Value routing is deterministic (the universe never moves after
         // fixing), so every victim lands on the shard that holds it.
@@ -480,22 +479,26 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
                 }
             }
         }
-        let removed = AtomicUsize::new(0);
-        parlay::for_each_mut(&mut self.shards, 1, |s, shard| {
+        // Each shard reports into its own slot, under global ids.
+        let mut removed: Vec<Vec<(Point<D>, u32)>> = vec![Vec::new(); self.shards.len()];
+        let mut jobs: Vec<_> = self.shards.iter_mut().zip(&mut removed).collect();
+        parlay::for_each_mut(&mut jobs, 1, |s, (shard, out)| {
             if buckets[s].is_empty() || shard.index.is_empty() {
                 return;
             }
-            let n = shard.index.delete(&buckets[s]);
-            if n > 0 {
+            **out = shard.index.remove(&buckets[s]);
+            if !out.is_empty() {
                 // The effective region must shrink with its points: a
                 // cumulative box kept after deleting extreme points would
                 // keep pulling k-NN expansion and range fan-out into a
                 // shard that can no longer answer there.
                 shard.bbox = shard.index.live_bbox();
             }
-            removed.fetch_add(n, Ordering::Relaxed);
+            for (_, id) in out.iter_mut() {
+                *id = shard.global_ids[*id as usize];
+            }
         });
-        removed.into_inner()
+        removed.concat()
     }
 
     fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {

@@ -293,13 +293,13 @@ impl<const D: usize> VebTree<D> {
     /// Deletes every live point whose coordinates match a query point
     /// (all duplicates of a matched value are removed). Fully-dead subtrees
     /// are flagged and skipped by every later traversal. Returns the
-    /// number of points deleted.
+    /// `(point, id)` pairs deleted, in no particular order.
     ///
     /// The search is read-only; only when it found a victim is the overlay
     /// written — and copied first if a clone still shares it.
-    pub fn erase(&mut self, queries: &[Point<D>]) -> usize {
+    pub fn erase(&mut self, queries: &[Point<D>]) -> Vec<(Point<D>, u32)> {
         if self.root == u32::MAX || queries.is_empty() {
-            return 0;
+            return Vec::new();
         }
         let mut hits: Vec<u32> = Vec::new();
         let mut died: Vec<u32> = Vec::new();
@@ -307,7 +307,7 @@ impl<const D: usize> VebTree<D> {
             .walk()
             .erase_scan(self.root, queries, &mut hits, &mut died);
         if hits.is_empty() {
-            return 0;
+            return Vec::new();
         }
         // `make_mut` clones the overlay only when a clone still shares
         // it; that copy is the work `cow_bytes` counts.
@@ -332,7 +332,10 @@ impl<const D: usize> VebTree<D> {
         } else {
             self.walk().live_child(self.root)
         };
-        hits.len()
+        let pts = &self.core.pts;
+        hits.iter()
+            .map(|&i| (pts.get(i as usize), pts.id(i as usize)))
+            .collect()
     }
 
     // ---------- k-NN ----------
@@ -840,7 +843,7 @@ mod tests {
         let pts = uniform_cube::<2>(2_000, 4);
         let mut t = VebTree::build(&items(&pts));
         let victims: Vec<_> = pts.iter().copied().take(500).collect();
-        let deleted = t.erase(&victims);
+        let deleted = t.erase(&victims).len();
         assert_eq!(deleted, 500);
         assert_eq!(t.len(), 1_500);
         let survivors: Vec<_> = pts[500..].to_vec();
@@ -860,7 +863,7 @@ mod tests {
     fn erase_everything_collapses_tree() {
         let pts = uniform_cube::<2>(1_000, 5);
         let mut t = VebTree::build(&items(&pts));
-        let deleted = t.erase(&pts);
+        let deleted = t.erase(&pts).len();
         assert_eq!(deleted, 1_000);
         assert!(t.is_empty());
         assert_eq!(t.root, u32::MAX);
@@ -911,7 +914,7 @@ mod tests {
         let mid = pts.iter().map(|p| p[0]).sum::<f64>() / pts.len() as f64;
         let mut t = VebTree::build(&all);
         let west: Vec<_> = pts.iter().copied().filter(|p| p[0] < mid).collect();
-        assert_eq!(t.erase(&west), west.len());
+        assert_eq!(t.erase(&west).len(), west.len());
         assert!(
             t.overlay.dead.iter().any(|&d| d),
             "half the plane gone must leave dead subtrees"
@@ -924,7 +927,7 @@ mod tests {
         assert!(pin.shares_core_with(&t));
         let south: Vec<_> = pts.iter().copied().filter(|p| p[1] < mid).collect();
         let north_east: Vec<_> = east.iter().copied().filter(|(p, _)| p[1] >= mid).collect();
-        assert_eq!(t.erase(&south), east.len() - north_east.len());
+        assert_eq!(t.erase(&south).len(), east.len() - north_east.len());
         assert_eq!(t.cow_bytes() as usize, pin.overlay.bytes());
         check_against(&t, &north_east);
         check_against(&pin, &east);
@@ -935,10 +938,10 @@ mod tests {
     fn a_leaf_dies_only_with_its_last_point() {
         let pts: Vec<Point<1>> = (0..8).map(|i| Point::new([i as f64])).collect();
         let mut t = VebTree::build_with_leaf_size(&items(&pts), 4);
-        assert_eq!(t.erase(&pts[..3]), 3);
+        assert_eq!(t.erase(&pts[..3]).len(), 3);
         assert!(t.overlay.dead.is_empty(), "point 3 keeps its leaf alive");
         assert_eq!(t.knn(&pts[0], 1)[0].id, 3);
-        assert_eq!(t.erase(&pts[3..4]), 1);
+        assert_eq!(t.erase(&pts[3..4]).len(), 1);
         assert!(t.overlay.dead.iter().any(|&d| d));
         assert_eq!(t.knn(&pts[0], 1)[0].id, 4);
         assert_eq!(t.count_box(&Bbox::from_points(&pts)), 4);
@@ -949,7 +952,7 @@ mod tests {
         let pts = uniform_cube::<2>(500, 6);
         let mut t = VebTree::build(&items(&pts));
         let outside = vec![Point::new([-1000.0, -1000.0]); 10];
-        assert_eq!(t.erase(&outside), 0);
+        assert_eq!(t.erase(&outside), []);
         assert_eq!(t.len(), 500);
     }
 
@@ -959,7 +962,9 @@ mod tests {
         let q = Point::new([3.0, 4.0]);
         let items: Vec<_> = vec![(p, 0), (p, 1), (q, 2)];
         let mut t = VebTree::build(&items);
-        assert_eq!(t.erase(&[p]), 2);
+        let mut erased = t.erase(&[p]);
+        erased.sort_by_key(|&(_, id)| id);
+        assert_eq!(erased, [(p, 0), (p, 1)]);
         assert_eq!(t.len(), 1);
     }
 

@@ -16,7 +16,7 @@
 //! index-order Bowyer–Watson build for the Delaunay graph (fixed
 //! insertion schedule pins the triangle set even on cocircular inputs).
 
-use crate::request::DerivedKind;
+use crate::request::{DerivedKind, Response};
 use pargeo_closestpair::{try_closest_pair, ClosestPair};
 use pargeo_delaunay::{DelaunayBatchOutcome, DelaunayIncremental};
 use pargeo_geometry::{Ball, GeoError, GeoResult, Point};
@@ -36,6 +36,23 @@ pub(crate) enum DerivedVal<const D: usize> {
     Emst(Vec<EmstEdge>),
     /// Graph edges over store ids (k-NN or Delaunay).
     Graph(Vec<(u32, u32)>),
+}
+
+impl<const D: usize> DerivedVal<D> {
+    /// The response that carries this value to a request for `kind` (which
+    /// tells the two graph kinds apart).
+    pub(crate) fn into_response(self, kind: DerivedKind) -> Response<D> {
+        match self {
+            DerivedVal::Hull(h) => Response::Hull(h),
+            DerivedVal::Seb(b) => Response::Seb(b),
+            DerivedVal::ClosestPair(cp) => Response::ClosestPair(cp),
+            DerivedVal::Emst(e) => Response::Emst(e),
+            DerivedVal::Graph(g) => match kind {
+                DerivedKind::KnnGraph(_) => Response::KnnGraph(g),
+                _ => Response::DelaunayGraph(g),
+            },
+        }
+    }
 }
 
 /// Reinterprets a point slice as a different compile-time dimension.

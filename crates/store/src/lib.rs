@@ -2,10 +2,11 @@
 //!
 //! ParGeo's design claim is one library surface spanning trees,
 //! computational-geometry kernels, and spatial-graph generators. This
-//! crate turns that surface into a *service*: a [`GeoStore`] owns the
-//! point set plus a batch-dynamic index — the BDL-tree — and serves batched
-//! **mixed** traffic — index updates, spatial queries, and whole-dataset
-//! derived structures — through one typed [`Request`]/[`Response`] pair.
+//! crate turns that surface into a *service*: a [`GeoStore`] owns a
+//! batch-dynamic index — the BDL-tree, its one copy of the points — and
+//! serves batched **mixed** traffic — index updates, spatial queries, and
+//! whole-dataset derived structures — through one typed
+//! [`Request`]/[`Response`] pair.
 //!
 //! * [`GeoStore`] — built via
 //!   [`GeoStore::builder()`](GeoStore::builder)`.shards(..).threads(..)`;

@@ -99,10 +99,10 @@ pub(crate) struct StoreObs {
     /// write epoch by the index [`Snapshot`](pargeo_engine::Snapshot)'s
     /// `cow_bytes` delta: what pinning costs, independent of the machine.
     pub index_cow_bytes: Arc<Counter>,
-    /// `geostore_mirror_divergence_total` — delete runs in which the
-    /// index removed a different number of points than the id mirror
-    /// retired (answered with a typed error). Non-zero means a bug.
-    pub mirror_divergence: Arc<Counter>,
+    /// `geostore_index_divergence_total` — delete runs in which the
+    /// index's live count fell by a different number than its report named
+    /// (answered with a typed error). Non-zero means a bug.
+    pub index_divergence: Arc<Counter>,
 }
 
 impl StoreObs {
@@ -138,7 +138,7 @@ impl StoreObs {
         let index_arena_bytes = registry.gauge("index_arena_bytes", &[("backend", backend)]);
         let index_nodes = registry.gauge("index_nodes_total", &[("backend", backend)]);
         let index_cow_bytes = registry.counter("geostore_index_cow_bytes_total", &[]);
-        let mirror_divergence = registry.counter("geostore_mirror_divergence_total", &[]);
+        let index_divergence = registry.counter("geostore_index_divergence_total", &[]);
         Self {
             registry,
             level,
@@ -154,7 +154,7 @@ impl StoreObs {
             index_arena_bytes,
             index_nodes,
             index_cow_bytes,
-            mirror_divergence,
+            index_divergence,
         }
     }
 

@@ -2,17 +2,16 @@
 //!
 //! [`StoreSnapshot`] is what [`GeoStore::pin`](crate::GeoStore::pin)
 //! returns: a fully owned, immutable capture of the store at one write
-//! epoch. It holds the index's pinned [`SnapshotView`] (O(1) for the
-//! copy-on-write kd-tree, O(X + log n) for the structure-sharing
-//! BDL-tree, per-shard for the sharded executor; only the Zd-tree and
-//! the oracle still copy themselves whole), the epoch's memoized derived
-//! values, and the store statistics as of the pin — everything needed to
-//! answer every read request class *bit-identically to a frozen copy of
-//! the store* while later write epochs apply on the live side. Pinning
-//! does no work proportional to the live set: the compacted live view is
-//! borrowed from the store if the epoch already built one and is
-//! otherwise derived from the pinned view (`live_points()`) the first
-//! time a derived structure not memoized at pin time is asked for.
+//! epoch. It holds the index's pinned [`SnapshotView`] (O(X + log n) for
+//! the structure-sharing BDL-tree, per-shard for the sharded executor; the
+//! oracle copies itself whole), the epoch's memoized derived values, and
+//! the store statistics as of the pin — everything needed to answer every
+//! read request class *bit-identically to a frozen copy of the store*
+//! while later write epochs apply on the live side. Pinning does no work
+//! proportional to the live set and shares nothing the live side writes:
+//! a snapshot derives its own compacted live view from the pinned view
+//! (`live_points()`) the first time a derived structure not memoized at
+//! pin time is asked of it.
 //!
 //! Lifecycle: **pin → overlap → retire.** The pipelined executor pins one
 //! snapshot per read run (after the run's derived-memo ensure pass, so
@@ -27,7 +26,7 @@
 
 use crate::derived::{self, DerivedVal};
 use crate::obs::{self, StoreObs};
-use crate::request::{DerivedKind, Request, Response, StoreStats};
+use crate::request::{check_k, DerivedKind, Request, Response, StoreStats};
 use pargeo_engine::{Snapshot, SnapshotView};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
@@ -36,8 +35,8 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Compacted live view shared with the store: `pts[i]` is the live point
-/// with store id `ids[i]`, ids strictly ascending — the index's own
+/// Compacted live view: `pts[i]` is the live point with store id `ids[i]`,
+/// ids strictly ascending — the index's own
 /// [`LivePoints`](pargeo_engine::LivePoints), since index ids are store ids.
 pub(crate) type LiveView<const D: usize> = pargeo_engine::LivePoints<D>;
 
@@ -56,9 +55,8 @@ pub(crate) type LiveView<const D: usize> = pargeo_engine::LivePoints<D>;
 /// report the *pinned* epoch, never the live one.
 pub struct StoreSnapshot<const D: usize> {
     view: Box<dyn SnapshotView<D>>,
-    /// The store's compacted live view when the pinned epoch had already
-    /// built one; otherwise derived from `view` on first need.
-    live_view: OnceLock<Arc<LiveView<D>>>,
+    /// Derived from `view` on first need.
+    live_view: OnceLock<LiveView<D>>,
     stats: StoreStats,
     /// Derived values at the pinned epoch: seeded from the store's memo
     /// cache, extended lazily for kinds first requested through the
@@ -73,7 +71,6 @@ impl<const D: usize> StoreSnapshot<D> {
     /// into the `geostore_pinned_views` gauge.
     pub(crate) fn new(
         view: Box<dyn SnapshotView<D>>,
-        live_view: Option<Arc<LiveView<D>>>,
         stats: StoreStats,
         derived: HashMap<DerivedKind, GeoResult<DerivedVal<D>>>,
         obs: Option<Arc<StoreObs>>,
@@ -83,7 +80,7 @@ impl<const D: usize> StoreSnapshot<D> {
         }
         Self {
             view,
-            live_view: live_view.map(OnceLock::from).unwrap_or_default(),
+            live_view: OnceLock::new(),
             stats,
             derived: Mutex::new(derived),
             obs,
@@ -152,19 +149,7 @@ impl<const D: usize> StoreSnapshot<D> {
                 what: "write request against a pinned snapshot",
             }),
             Request::Knn { queries, k } => {
-                if *k == 0 {
-                    return Err(GeoError::BadParameter {
-                        op: "knn",
-                        what: "k must be positive",
-                    });
-                }
-                if *k > self.len() {
-                    return Err(GeoError::KTooLarge {
-                        op: "knn",
-                        k: *k,
-                        n: self.len(),
-                    });
-                }
+                check_k(*k, self.len())?;
                 Ok(Response::Knn(self.view.knn_batch(queries, *k)))
             }
             Request::Range(boxes) => Ok(Response::Range(self.view.range_batch(boxes))),
@@ -176,16 +161,7 @@ impl<const D: usize> StoreSnapshot<D> {
                         what: "unroutable request against a pinned snapshot",
                     });
                 };
-                self.derived_value(kind).map(|v| match v {
-                    DerivedVal::Hull(h) => Response::Hull(h),
-                    DerivedVal::Seb(b) => Response::Seb(b),
-                    DerivedVal::ClosestPair(cp) => Response::ClosestPair(cp),
-                    DerivedVal::Emst(e) => Response::Emst(e),
-                    DerivedVal::Graph(g) => match kind {
-                        DerivedKind::KnnGraph(_) => Response::KnnGraph(g),
-                        _ => Response::DelaunayGraph(g),
-                    },
-                })
+                self.derived_value(kind).map(|v| v.into_response(kind))
             }
         }
     }
@@ -202,9 +178,7 @@ impl<const D: usize> StoreSnapshot<D> {
         let t = self.obs.as_ref().map(|_| Instant::now());
         // Index ids are store ids (both count inserted points in order),
         // so the pinned view's own live points are the store's live view.
-        let (ids, pts) = &**self
-            .live_view
-            .get_or_init(|| Arc::new(self.view.live_points()));
+        let (ids, pts) = self.live_view.get_or_init(|| self.view.live_points());
         let value = derived::compute(kind, ids, pts);
         if let (Some(o), Some(t)) = (&self.obs, t) {
             o.class_nanos[4].record_duration(t.elapsed());

@@ -3,13 +3,13 @@
 //! Every capability of the library — batched index updates, batched
 //! spatial queries, and whole-dataset derived structures — is one variant
 //! of [`Request`]; the store answers each with the matching [`Response`]
-//! variant or a typed [`GeoError`](pargeo_geometry::GeoError). Keeping the
-//! surface a plain enum (rather than one method per algorithm) is what
-//! lets a *mixed* batch travel through the epoch planner as data.
+//! variant or a typed [`GeoError`]. Keeping the surface a plain enum
+//! (rather than one method per algorithm) is what lets a *mixed* batch
+//! travel through the epoch planner as data.
 
 use pargeo_closestpair::ClosestPair;
 use pargeo_engine::Snapshot;
-use pargeo_geometry::{Ball, Bbox, Point};
+use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
 use pargeo_parlay::mix64 as mix;
 use pargeo_wspd::EmstEdge;
@@ -104,6 +104,25 @@ impl<const D: usize> Request<D> {
             _ => None,
         }
     }
+}
+
+/// The k-NN argument check of the store and of its pinned snapshots: `k`
+/// must be positive and must not exceed the `live` point count.
+pub(crate) fn check_k(k: usize, live: usize) -> GeoResult<()> {
+    if k == 0 {
+        return Err(GeoError::BadParameter {
+            op: "knn",
+            what: "k must be positive",
+        });
+    }
+    if k > live {
+        return Err(GeoError::KTooLarge {
+            op: "knn",
+            k,
+            n: live,
+        });
+    }
+    Ok(())
 }
 
 /// Cache effectiveness counters (monotone over the store's lifetime).

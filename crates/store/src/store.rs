@@ -1,9 +1,10 @@
-//! The store itself: builder, id mirror, epoch planner, memo cache.
+//! The store itself: builder, epoch planner, memo cache — the index is
+//! the point set, and the compacted live view its one store-side shadow.
 
 use crate::derived::{self, DerivedVal, Engine, Fallback};
 use crate::obs::{self, StoreObs};
 use crate::pipeline::{LiveView, StoreSnapshot};
-use crate::request::{CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
+use crate::request::{check_k, CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
 use pargeo_bdltree::{bdl::DEFAULT_BUFFER_SIZE, BdlTree};
 use pargeo_engine::{ShardedIndex, Snapshot, SpatialIndex, VecIndex};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
@@ -11,6 +12,7 @@ use pargeo_kdtree::Neighbor;
 use pargeo_obs::{ObsLevel, Registry};
 use pargeo_parlay as parlay;
 use pargeo_sched::{Pool, PoolBuilder};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -265,9 +267,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
             queue_opened: None,
             completed: Vec::new(),
             submitted: 0,
-            points: Vec::new(),
-            live_ids: Vec::new(),
-            by_key: HashMap::new(),
             write_epoch: 0,
             live_view: None,
             cache: HashMap::new(),
@@ -289,6 +288,91 @@ fn first_store_id(stored: usize, incoming: usize) -> GeoResult<u32> {
             op: "insert",
             what: "store id space exhausted",
         })
+}
+
+/// What a maximal run of the request stream does: adjacent writes of one
+/// kind coalesce into one index batch (one write epoch), and everything
+/// between two writes is one read run.
+#[derive(Clone, Copy, PartialEq)]
+enum RunKind {
+    Insert,
+    Delete,
+    Read,
+}
+
+impl RunKind {
+    fn of<const D: usize>(req: &Request<D>) -> Self {
+        match req {
+            Request::Insert(_) => RunKind::Insert,
+            Request::Delete(_) => RunKind::Delete,
+            _ => RunKind::Read,
+        }
+    }
+}
+
+/// The run partition of a request stream — the one both executors consume,
+/// so they cannot disagree about where an epoch begins.
+fn runs<const D: usize>(requests: &[Request<D>]) -> Vec<(RunKind, &[Request<D>])> {
+    requests
+        .chunk_by(|a, b| RunKind::of(a) == RunKind::of(b))
+        .map(|run| (RunKind::of(&run[0]), run))
+        .collect()
+}
+
+/// The point batches of a write run, in request order.
+fn batches<const D: usize>(run: &[Request<D>]) -> impl Iterator<Item = &[Point<D>]> {
+    run.iter().map(|req| match req {
+        Request::Insert(batch) | Request::Delete(batch) => batch.as_slice(),
+        _ => unreachable!("write run"),
+    })
+}
+
+/// A write run as the one batch the index applies: a single request's
+/// points as they are, the concatenation for a longer run.
+fn coalesce<const D: usize>(run: &[Request<D>]) -> Cow<'_, [Point<D>]> {
+    match run {
+        [Request::Insert(only) | Request::Delete(only)] => Cow::Borrowed(only),
+        _ => Cow::Owned(batches(run).collect::<Vec<_>>().concat()),
+    }
+}
+
+/// Per-request `Deleted` counts of a coalesced delete run, read off the
+/// index's report: a victim is counted for the first request naming its
+/// value — a later request naming it again found nothing left to remove.
+fn claimed_counts<const D: usize>(run: &[Request<D>], removed: &[(Point<D>, u32)]) -> Vec<usize> {
+    let mut claims: Vec<([u64; D], usize)> = batches(run)
+        .enumerate()
+        .flat_map(|(r, batch)| batch.iter().map(move |p| (p.bits_key(), r)))
+        .collect();
+    claims.sort_unstable();
+    claims.dedup_by_key(|claim| claim.0); // sorted by (value, request): the first request stays
+    let mut counts = vec![0; run.len()];
+    for (p, _) in removed {
+        if let Ok(i) = claims.binary_search_by_key(&p.bits_key(), |claim| claim.0) {
+            counts[claims[i].1] += 1;
+        }
+    }
+    counts
+}
+
+/// Drops the rows of `removed` from the compacted live view in place. Both
+/// id lists ascend once the removed ids are sorted, so it is one merge
+/// pass: a compare per live row, no probe.
+fn retire<const D: usize>((ids, pts): &mut LiveView<D>, removed: &[(Point<D>, u32)]) {
+    let mut dying: Vec<u32> = removed.iter().map(|&(_, id)| id).collect();
+    dying.sort_unstable();
+    let mut dying = dying.into_iter().peekable();
+    let mut kept = 0;
+    for row in 0..ids.len() {
+        if dying.next_if_eq(&ids[row]).is_none() {
+            ids[kept] = ids[row];
+            pts[kept] = pts[row];
+            kept += 1;
+        }
+    }
+    debug_assert!(dying.peek().is_none(), "a removed id was not live");
+    ids.truncate(kept);
+    pts.truncate(kept);
 }
 
 /// Hard cap on the admission queue: a queue this deep seals regardless of
@@ -325,8 +409,9 @@ struct MemoEntry<const D: usize> {
 
 /// One service-grade façade over every ParGeo module.
 ///
-/// A `GeoStore` owns the point set and a chosen batch-dynamic
-/// [`SpatialIndex`] backend and serves *mixed* request batches through one
+/// A `GeoStore` owns a chosen batch-dynamic [`SpatialIndex`] backend — the
+/// index *is* the point set: ids, the live count and what a delete removed
+/// are all read off it — and serves *mixed* request batches through one
 /// typed surface: updates and spatial queries go to the index, and
 /// whole-dataset derived structures (hull, smallest enclosing ball,
 /// closest pair, EMST, k-NN graph, Delaunay graph) run over the live set
@@ -373,20 +458,14 @@ pub struct GeoStore<const D: usize> {
     completed: Vec<GeoResult<Response<D>>>,
     /// Tickets issued by `submit` so far.
     submitted: u64,
-    /// Every point ever inserted, indexed by store id. Append-only: store
-    /// ids stay stable and `point(id)` remains answerable after deletion,
-    /// at the cost of `O(total inserted)` memory (compaction with an id
-    /// relocation map is future work).
-    points: Vec<Point<D>>,
-    /// Live store ids, sorted ascending — maintained incrementally so the
-    /// per-epoch live view costs `O(live)`, not `O(ever inserted)`.
-    live_ids: Vec<u32>,
-    /// Live ids per coordinate value (bitwise key) — the mirror of the
-    /// backends' delete-by-value semantics.
-    by_key: HashMap<[u64; D], Vec<u32>>,
     /// Coalesced write batches applied so far.
     write_epoch: u64,
-    live_view: Option<Arc<LiveView<D>>>,
+    /// The compacted live set derived structures are computed over — the
+    /// only per-point state outside the index. `None` until a derived kind
+    /// is first asked for (then `index.live_points()`), from then on kept
+    /// current in place by every write: appended to on insert, merged
+    /// against the index's report on delete. Never shared with a pin.
+    live_view: Option<LiveView<D>>,
     /// Per-kind memo state machine. Entries at the current epoch serve
     /// reads; stale entries only carry delta engines (insert-only bumps)
     /// or rebuild markers (delete bumps) into the next compute.
@@ -440,18 +519,12 @@ impl<const D: usize> GeoStore<D> {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.live_ids.len()
+        self.index.len()
     }
 
     /// True iff no live points are stored.
     pub fn is_empty(&self) -> bool {
-        self.live_ids.is_empty()
-    }
-
-    /// The point with this store id (live or deleted); `None` if the id
-    /// was never assigned.
-    pub fn point(&self, id: u32) -> Option<Point<D>> {
-        self.points.get(id as usize).copied()
+        self.index.is_empty()
     }
 
     /// Current statistics (index snapshot, write epoch, cache counters).
@@ -483,15 +556,37 @@ impl<const D: usize> GeoStore<D> {
         }
     }
 
-    /// Routes a batch to the executor the store was built with: the
-    /// epoch-serial planner, or the snapshot-pinning pipelined executor
-    /// when built with [`pipeline(true)`](GeoStoreBuilder::pipeline).
+    /// Partitions a batch into runs and routes them through the executor
+    /// the store was built with: the epoch-serial planner, which serves
+    /// run after run, or the snapshot-pinning pipelined executor when built
+    /// with [`pipeline(true)`](GeoStoreBuilder::pipeline).
     fn execute_dispatch(&mut self, requests: &[Request<D>]) -> Vec<GeoResult<Response<D>>> {
+        // Clone the handle so span guards borrow the local, not `self`
+        // (declared before the guard: guards drop first, recording their
+        // wall-time on the way out).
+        let obs = self.obs.clone();
+        let _plan = obs.as_ref().map(|o| {
+            for req in requests {
+                o.requests[obs::class_of(req)].inc();
+            }
+            let mut g = o.registry.span("plan_coalesce", Vec::new());
+            g.label("epoch", self.write_epoch);
+            g.label("requests", requests.len());
+            if self.pipeline {
+                g.label("executor", "pipelined");
+            }
+            g
+        });
+        let runs = runs(requests);
+        let mut out = Vec::with_capacity(requests.len());
         if self.pipeline {
-            self.execute_pipelined(requests)
+            self.execute_pipelined(&runs, &mut out);
         } else {
-            self.execute_inner(requests)
+            for &(kind, run) in &runs {
+                self.serve_run(kind, run, &mut out);
+            }
         }
+        out
     }
 
     /// Executes a single request (sugar over [`execute`](Self::execute)).
@@ -504,183 +599,86 @@ impl<const D: usize> GeoStore<D> {
             }))
     }
 
-    fn execute_inner(&mut self, requests: &[Request<D>]) -> Vec<GeoResult<Response<D>>> {
-        // Clone the handle so span guards borrow the local, not `self`
-        // (declared before the guard: guards drop first, recording their
-        // wall-time on the way out).
-        let obs = self.obs.clone();
-        let _plan = obs.as_ref().map(|o| {
-            for req in requests {
-                o.requests[obs::class_of(req)].inc();
-            }
-            let mut g = o.registry.span("plan_coalesce", Vec::new());
-            g.label("epoch", self.write_epoch);
-            g.label("requests", requests.len());
-            g
-        });
-        let mut out: Vec<GeoResult<Response<D>>> = Vec::with_capacity(requests.len());
-        let mut i = 0;
-        while i < requests.len() {
-            if requests[i].is_write() {
-                // Write run: coalesce adjacent same-kind writes.
-                let inserting = matches!(requests[i], Request::Insert(_));
-                let mut j = i;
-                while j < requests.len() {
-                    match (&requests[j], inserting) {
-                        (Request::Insert(_), true) | (Request::Delete(_), false) => j += 1,
-                        _ => break,
-                    }
-                }
-                if inserting {
-                    self.apply_inserts(&requests[i..j], &mut out);
-                } else {
-                    self.apply_deletes(&requests[i..j], &mut out);
-                }
-                i = j;
-            } else {
-                // Read run: everything until the next write.
-                let mut j = i;
-                while j < requests.len() && !requests[j].is_write() {
-                    j += 1;
-                }
-                self.answer_reads(&requests[i..j], &mut out);
-                i = j;
-            }
+    /// Serves one run on the live store: a write run as one coalesced
+    /// index batch, a read run data-parallel against the state the
+    /// preceding writes left.
+    fn serve_run(
+        &mut self,
+        kind: RunKind,
+        run: &[Request<D>],
+        out: &mut Vec<GeoResult<Response<D>>>,
+    ) {
+        match kind {
+            RunKind::Insert => self.apply_inserts(run, out),
+            RunKind::Delete => self.apply_deletes(run, out),
+            RunKind::Read => self.answer_reads(run, out),
         }
-        out
     }
 
-    /// The pipelined executor: identical run partition to
-    /// [`execute_inner`](Self::execute_inner), but each read run is served
-    /// from a [`StoreSnapshot`] pinned at its epoch, and when a write run
+    /// The pipelined executor: each read run is served from a
+    /// [`StoreSnapshot`] pinned at its epoch, and when a write run
     /// follows, the read fan-out overlaps the write epoch's apply on the
     /// parlay pool — reads never wait on writes, responses stay in request
     /// order and bit-identical to the serial planner's.
-    fn execute_pipelined(&mut self, requests: &[Request<D>]) -> Vec<GeoResult<Response<D>>> {
+    fn execute_pipelined(
+        &mut self,
+        runs: &[(RunKind, &[Request<D>])],
+        out: &mut Vec<GeoResult<Response<D>>>,
+    ) {
         let obs = self.obs.clone();
-        let _plan = obs.as_ref().map(|o| {
-            for req in requests {
-                o.requests[obs::class_of(req)].inc();
+        let mut runs = runs.iter().copied();
+        while let Some((kind, run)) = runs.next() {
+            if kind != RunKind::Read {
+                self.serve_run(kind, run, out);
+                continue;
             }
-            let mut g = o.registry.span("plan_coalesce", Vec::new());
-            g.label("epoch", self.write_epoch);
-            g.label("requests", requests.len());
-            g.label("executor", "pipelined");
-            g
-        });
-        // Partition into maximal runs with exactly the serial planner's
-        // boundaries: adjacent same-kind writes form one run (one coalesced
-        // epoch), maximal read spans form read runs.
-        #[derive(Clone, Copy, PartialEq)]
-        enum RunKind {
-            Insert,
-            Delete,
-            Read,
-        }
-        let kind_of = |req: &Request<D>| match req {
-            Request::Insert(_) => RunKind::Insert,
-            Request::Delete(_) => RunKind::Delete,
-            _ => RunKind::Read,
-        };
-        let mut runs: Vec<(RunKind, std::ops::Range<usize>)> = Vec::new();
-        let mut i = 0;
-        while i < requests.len() {
-            let kind = kind_of(&requests[i]);
-            let mut j = i + 1;
-            while j < requests.len() && kind_of(&requests[j]) == kind {
-                j += 1;
+            // The ensure pass runs on the live store first, exactly like
+            // the serial planner's `answer_reads`, so memo state (and
+            // CacheStats, and therefore any Stats response) is identical;
+            // the snapshot then captures its result.
+            self.ensure_run(run);
+            let snap = self.pin();
+            let _span = obs.as_ref().map(|o| {
+                let mut g = o.registry.span("read_fanout", Vec::new());
+                g.label("epoch", self.write_epoch);
+                g.label("requests", run.len());
+                g.label("executor", "pipelined");
+                g
+            });
+            if let Some(o) = &obs {
+                o.pipeline_runs.inc();
             }
-            runs.push((kind, i..j));
-            i = j;
-        }
-
-        let mut out: Vec<GeoResult<Response<D>>> = Vec::with_capacity(requests.len());
-        let mut r = 0;
-        while r < runs.len() {
-            let (kind, range) = runs[r].clone();
-            match kind {
-                RunKind::Insert => {
-                    self.apply_inserts(&requests[range], &mut out);
-                    r += 1;
-                }
-                RunKind::Delete => {
-                    self.apply_deletes(&requests[range], &mut out);
-                    r += 1;
-                }
-                RunKind::Read => {
-                    // The ensure pass runs on the live store first, exactly
-                    // like the serial planner's `answer_reads`, so memo
-                    // state (and CacheStats, and therefore any Stats
-                    // response) is identical; the snapshot then captures
-                    // its result.
-                    for req in &requests[range.clone()] {
-                        if let Some(kind) = req.derived_kind() {
-                            let t = obs.as_ref().map(|_| Instant::now());
-                            self.ensure_derived(kind);
-                            if let (Some(o), Some(t)) = (&obs, t) {
-                                o.class_nanos[4].record_duration(t.elapsed());
-                            }
-                        }
-                    }
-                    let snap = self.pin();
-                    let read_run = &requests[range];
-                    let _span = obs.as_ref().map(|o| {
-                        let mut g = o.registry.span("read_fanout", Vec::new());
-                        g.label("epoch", self.write_epoch);
-                        g.label("requests", read_run.len());
-                        g.label("executor", "pipelined");
-                        g
-                    });
-                    if let Some(o) = &obs {
-                        o.pipeline_runs.inc();
-                    }
-                    // Overlap: epoch E's read fan-out (against the pinned
-                    // snapshot) runs concurrently with epoch E+1's write
-                    // apply (against the live index).
-                    let next_write = runs
-                        .get(r + 1)
-                        .filter(|(k, _)| *k != RunKind::Read)
-                        .cloned();
-                    if let Some((wkind, wrange)) = next_write {
-                        if let Some(o) = &obs {
-                            o.pipeline_overlapped.inc();
-                        }
-                        let (mut wout, reads) = parlay::par_do(
-                            || {
-                                let mut wout = Vec::new();
-                                match wkind {
-                                    RunKind::Insert => {
-                                        self.apply_inserts(&requests[wrange], &mut wout)
-                                    }
-                                    RunKind::Delete => {
-                                        self.apply_deletes(&requests[wrange], &mut wout)
-                                    }
-                                    RunKind::Read => unreachable!("filtered to writes"),
-                                }
-                                wout
-                            },
-                            || snap.execute(read_run),
-                        );
-                        out.extend(reads);
-                        out.append(&mut wout);
-                        r += 2;
-                    } else {
-                        out.extend(snap.execute(read_run));
-                        r += 1;
-                    }
-                }
+            // Overlap: epoch E's read fan-out (against the pinned
+            // snapshot) runs concurrently with epoch E+1's write apply
+            // (against the live index). Runs are maximal, so whatever
+            // follows a read run is a write run.
+            let Some((wkind, wrun)) = runs.next() else {
+                out.extend(snap.execute(run));
+                break;
+            };
+            if let Some(o) = &obs {
+                o.pipeline_overlapped.inc();
             }
+            let (mut wout, reads) = parlay::par_do(
+                || {
+                    let mut wout = Vec::new();
+                    self.serve_run(wkind, wrun, &mut wout);
+                    wout
+                },
+                || snap.execute(run),
+            );
+            out.extend(reads);
+            out.append(&mut wout);
         }
-        out
     }
 
     /// Pins an immutable [`StoreSnapshot`] of the current write epoch: the
     /// index's epoch-pinned view (see [`SpatialIndex::pin`] for what each
     /// backend pays), the epoch's memoized derived values, and the
     /// statistics as of now — nothing proportional to the live set. The
-    /// compacted live view is shared only if this epoch already built one;
-    /// otherwise the snapshot derives it from its pinned view the first
-    /// time a derived structure is asked of it. The snapshot answers every
+    /// store's compacted live view is never shared: a snapshot derives its
+    /// own from its pinned view the first time a derived structure not
+    /// memoized here is asked of it. The snapshot answers every
     /// read request class bit-identically to a frozen copy of this store
     /// taken at this instant, regardless of how many write epochs follow;
     /// it may outlive rebuilds and be dropped in any order relative to
@@ -692,13 +690,7 @@ impl<const D: usize> GeoStore<D> {
             .filter(|(_, e)| e.epoch == self.write_epoch)
             .map(|(k, e)| (*k, e.value.clone()))
             .collect();
-        StoreSnapshot::new(
-            self.index.pin(),
-            self.live_view.clone(),
-            self.stats(),
-            derived,
-            self.obs.clone(),
-        )
+        StoreSnapshot::new(self.index.pin(), self.stats(), derived, self.obs.clone())
     }
 
     // ---- continuous admission ------------------------------------------
@@ -780,51 +772,42 @@ impl<const D: usize> GeoStore<D> {
         });
         let t = Instant::now();
         let mut cow_bytes = 0u64;
-        let batches = run.iter().map(|req| match req {
-            Request::Insert(batch) => batch,
-            _ => unreachable!("insert run"),
-        });
-        // The whole run is one index batch, so it is admitted or refused
-        // whole, before the mirror is touched.
-        let incoming = batches.clone().map(Vec::len).sum();
-        let mut next_id = match first_store_id(self.points.len(), incoming) {
+        let points = coalesce(run);
+        // Store ids are the index's own insertion counter. The whole run is
+        // one index batch, so it is admitted or refused whole.
+        let inserted = self.index.snapshot().inserted;
+        let first = match first_store_id(inserted as usize, points.len()) {
             Ok(id) => id,
             Err(e) => {
                 out.extend(run.iter().map(|_| Err(e)));
                 return;
             }
         };
-        let mut coalesced: Vec<Point<D>> = Vec::new();
-        for batch in batches {
-            let first_id = (!batch.is_empty()).then_some(next_id);
-            for &p in batch {
-                self.points.push(p);
-                self.live_ids.push(next_id); // fresh ids ascend: order preserved
-                self.by_key.entry(p.bits_key()).or_default().push(next_id);
-                next_id += 1; // stays within `first_store_id`'s checked total
-            }
-            coalesced.extend_from_slice(batch);
+        let mut next_id = first;
+        for batch in batches(run) {
             out.push(Ok(Response::Inserted {
                 count: batch.len(),
-                first_id,
+                first_id: (!batch.is_empty()).then_some(next_id),
             }));
+            next_id += batch.len() as u32; // within `first_store_id`'s checked total
         }
-        if coalesced.is_empty() {
+        if points.is_empty() {
             // Nothing entered the live set: the memoized derived
             // structures are still exact, so the epoch (and with it the
             // memo cache) is spared.
-            self.cache_stats.spared += 1;
-            if let Some(o) = &obs {
-                o.memo[obs::MEMO_SPARED].inc();
-            }
+            self.spare_epoch();
         } else {
-            self.index.insert(&coalesced);
+            self.index.insert(&points);
+            if let Some((ids, pts)) = &mut self.live_view {
+                ids.extend(first..next_id); // fresh ids ascend: order preserved
+                pts.extend_from_slice(&points);
+            }
             cow_bytes = self.bump_epoch(false);
         }
         if let Some(o) = &obs {
             o.class_nanos[0].record_duration(t.elapsed());
             if let Some(s) = span.as_mut() {
-                s.label("points", coalesced.len());
+                s.label("points", points.len());
                 s.label("cow_bytes", cow_bytes);
             }
         }
@@ -841,78 +824,68 @@ impl<const D: usize> GeoStore<D> {
         });
         let t = Instant::now();
         let mut cow_bytes = 0u64;
-        let first_response = out.len();
-        let mut coalesced: Vec<Point<D>> = Vec::new();
-        // Unique by construction: a key leaves `by_key` with the first
-        // request that names it, so no id is claimed twice.
-        let mut dying: Vec<u32> = Vec::new();
-        for req in run {
-            let Request::Delete(batch) = req else {
-                unreachable!("delete run")
-            };
-            // Mirror the backends' semantics: every live point whose value
-            // matches a batch point dies; requests earlier in the run
-            // claim the victims, later duplicates remove nothing.
-            let mut count = 0usize;
-            for p in batch {
-                if let Some(ids) = self.by_key.remove(&p.bits_key()) {
-                    count += ids.len();
-                    dying.extend(ids);
-                }
-            }
-            coalesced.extend_from_slice(batch);
-            out.push(Ok(Response::Deleted { count }));
-        }
-        if dying.is_empty() {
-            // A delete run that matched no live point (or was empty) is a
-            // no-op: the id mirror says the index would remove nothing, so
-            // the batch is not applied, the epoch does not advance, and
-            // the memoized derived structures stay valid.
-            self.cache_stats.spared += 1;
+        let len_before = self.index.len();
+        let removed = self.index.remove(&coalesce(run));
+        if len_before != self.index.len() + removed.len() {
+            // The index's report and its live count disagree about what
+            // was removed. No per-request count read off such a report can
+            // be vouched for: the run's requests get a typed error instead
+            // of a possibly wrong `Deleted`, and the view is re-derived
+            // from the index on the next need.
             if let Some(o) = &obs {
-                o.memo[obs::MEMO_SPARED].inc();
+                o.index_divergence.inc();
             }
+            out.extend(run.iter().map(|_| {
+                Err(GeoError::BadParameter {
+                    op: "delete",
+                    what: "index delete report diverged from its live count",
+                })
+            }));
+            self.live_view = None;
+            cow_bytes = self.bump_epoch(true);
+        } else if removed.is_empty() {
+            // A delete run that matched no live point (or was empty) is a
+            // no-op: the index reports it removed nothing, so the epoch
+            // does not advance and the memoized derived structures stay
+            // valid.
+            out.extend(run.iter().map(|_| Ok(Response::Deleted { count: 0 })));
+            self.spare_epoch();
         } else {
-            // Both lists ascend, so one merge pass retires the ids: work
-            // per live id is a compare, not a hash probe.
-            dying.sort_unstable();
-            let mut next = dying.iter().copied().peekable();
-            self.live_ids.retain(|&id| {
-                while next.peek().is_some_and(|&d| d < id) {
-                    next.next();
-                }
-                next.peek() != Some(&id)
-            });
-            let removed = self.index.delete(&coalesced);
-            if removed != dying.len() {
-                // The id mirror and the index disagree about what was
-                // live. The counts already pushed came from the mirror and
-                // can no longer be vouched for: the run's requests get a
-                // typed error instead of a possibly wrong `Deleted`.
-                if let Some(o) = &obs {
-                    o.mirror_divergence.inc();
-                }
-                for resp in &mut out[first_response..] {
-                    *resp = Err(GeoError::BadParameter {
-                        op: "delete",
-                        what: "id mirror diverged from the index",
-                    });
-                }
+            match run {
+                [_] => out.push(Ok(Response::Deleted {
+                    count: removed.len(),
+                })),
+                _ => out.extend(
+                    claimed_counts(run, &removed)
+                        .into_iter()
+                        .map(|count| Ok(Response::Deleted { count })),
+                ),
+            }
+            if let Some(view) = &mut self.live_view {
+                retire(view, &removed);
             }
             cow_bytes = self.bump_epoch(true);
         }
         if let Some(o) = &obs {
             o.class_nanos[1].record_duration(t.elapsed());
             if let Some(s) = span.as_mut() {
-                s.label("points", dying.len());
+                s.label("points", removed.len());
                 s.label("cow_bytes", cow_bytes);
             }
         }
     }
 
-    /// Advances the write epoch. Values derived from the previous live
-    /// set — memoized structures and the compacted view — expire
-    /// immediately, so stale values are never served. What *survives* the
+    /// Counts a write run that changed nothing in the live set.
+    fn spare_epoch(&mut self) {
+        self.cache_stats.spared += 1;
+        if let Some(o) = &self.obs {
+            o.memo[obs::MEMO_SPARED].inc();
+        }
+    }
+
+    /// Advances the write epoch. Structures memoized over the previous live
+    /// set expire immediately, so stale values are never served (the
+    /// compacted view was already brought up to date). What *survives* the
     /// bump is maintenance state: across an insert-only epoch, entries
     /// with a live delta engine (the engine absorbs the batch on the next
     /// request); across a delete epoch, a rebuild marker per maintainable
@@ -932,7 +905,6 @@ impl<const D: usize> GeoStore<D> {
             cow_bytes = s.cow_bytes.saturating_sub(o.index_cow_bytes.get());
             o.index_cow_bytes.add(cow_bytes);
         }
-        self.live_view = None;
         if !self.incremental {
             self.cache.clear();
         } else if deleting {
@@ -954,19 +926,8 @@ impl<const D: usize> GeoStore<D> {
     /// first (in request order, so cache hit/miss counters reflect the
     /// stream), then all responses are produced data-parallel.
     fn answer_reads(&mut self, run: &[Request<D>], out: &mut Vec<GeoResult<Response<D>>>) {
+        self.ensure_run(run);
         let obs = self.obs.clone();
-        for req in run {
-            if let Some(kind) = req.derived_kind() {
-                // The derived class's latency sample is taken here, around
-                // the memo ensure, so it captures compute/advance cost —
-                // the parallel fetch below is a cache read.
-                let t = obs.as_ref().map(|_| Instant::now());
-                self.ensure_derived(kind);
-                if let (Some(o), Some(t)) = (&obs, t) {
-                    o.class_nanos[4].record_duration(t.elapsed());
-                }
-            }
-        }
         let _span = obs.as_ref().map(|o| {
             let mut g = o.registry.span("read_fanout", Vec::new());
             g.label("epoch", self.write_epoch);
@@ -976,6 +937,20 @@ impl<const D: usize> GeoStore<D> {
         // Grain 1: an item is a whole request (often a query batch).
         let responses = parlay::map(run, 1, |req| self.answer_one(req));
         out.extend(responses);
+    }
+
+    /// Memoizes every derived structure a read run asks for, in request
+    /// order. The derived class's latency sample is taken here, around the
+    /// memo ensure, so it captures compute/advance cost — the fan-out that
+    /// follows is a cache read.
+    fn ensure_run(&mut self, run: &[Request<D>]) {
+        for kind in run.iter().filter_map(Request::derived_kind) {
+            let t = self.obs.as_ref().map(|_| Instant::now());
+            self.ensure_derived(kind);
+            if let (Some(o), Some(t)) = (&self.obs, t) {
+                o.class_nanos[4].record_duration(t.elapsed());
+            }
+        }
     }
 
     /// Brings the memo entry for `kind` to the current epoch: a hit when
@@ -999,7 +974,11 @@ impl<const D: usize> GeoStore<D> {
             g.label("kind", kind.label());
             g
         });
-        let view = self.live_view();
+        // The first derived request derives the view from the index; from
+        // then on the write path keeps it current.
+        let (ids, pts) = &*self
+            .live_view
+            .get_or_insert_with(|| self.index.live_points());
         let mut prior = self.cache.remove(&kind);
         let had_structure = prior
             .as_ref()
@@ -1012,16 +991,16 @@ impl<const D: usize> GeoStore<D> {
         if self.incremental {
             if let Some(mut entry) = prior.take() {
                 let anchored = entry.anchor.is_some_and(|(consumed, last_id)| {
-                    consumed >= 1 && view.0.len() >= consumed && view.0[consumed - 1] == last_id
+                    consumed >= 1 && ids.len() >= consumed && ids[consumed - 1] == last_id
                 });
                 let advanced = match entry.engine.as_mut() {
                     Some(engine) if anchored => {
-                        derived::advance_engine(engine, &view.0, &view.1, self.damage_threshold)
+                        derived::advance_engine(engine, ids, pts, self.damage_threshold)
                     }
                     Some(_) => Err(Fallback::AnchorLost),
                     None => Err(Fallback::Delete),
                 };
-                match (advanced, view.0.last()) {
+                match (advanced, ids.last()) {
                     (Ok(val), Some(&last)) => {
                         self.cache_stats.incremental += 1;
                         if let Some(o) = &obs {
@@ -1032,7 +1011,7 @@ impl<const D: usize> GeoStore<D> {
                         }
                         entry.epoch = self.write_epoch;
                         entry.value = Ok(val);
-                        entry.anchor = Some((view.0.len(), last));
+                        entry.anchor = Some((ids.len(), last));
                         entry.path = MemoPath::Incremental;
                         entry.rebuild_pending = false;
                         self.cache.insert(kind, entry);
@@ -1045,7 +1024,7 @@ impl<const D: usize> GeoStore<D> {
         }
 
         // Full (re)compute — the rebuild path when a structure existed.
-        let (value, engine) = derived::compute_full(kind, &view.0, &view.1, self.incremental);
+        let (value, engine) = derived::compute_full(kind, ids, pts, self.incremental);
         let path = if had_structure {
             self.cache_stats.rebuilds += 1;
             MemoPath::Rebuilt
@@ -1068,7 +1047,7 @@ impl<const D: usize> GeoStore<D> {
         }
         let anchor = engine
             .as_ref()
-            .and_then(|_| view.0.last().map(|&last| (view.0.len(), last)));
+            .and_then(|_| ids.last().map(|&last| (ids.len(), last)));
         self.cache.insert(
             kind,
             MemoEntry {
@@ -1114,19 +1093,7 @@ impl<const D: usize> GeoStore<D> {
     fn answer_one_inner(&self, req: &Request<D>) -> GeoResult<Response<D>> {
         match req {
             Request::Knn { queries, k } => {
-                if *k == 0 {
-                    return Err(GeoError::BadParameter {
-                        op: "knn",
-                        what: "k must be positive",
-                    });
-                }
-                if *k > self.live_ids.len() {
-                    return Err(GeoError::KTooLarge {
-                        op: "knn",
-                        k: *k,
-                        n: self.live_ids.len(),
-                    });
-                }
+                check_k(*k, self.index.len())?;
                 Ok(Response::Knn(self.index.knn_batch(queries, *k)))
             }
             Request::Range(boxes) => Ok(Response::Range(self.index.range_batch(boxes))),
@@ -1150,31 +1117,9 @@ impl<const D: usize> GeoStore<D> {
                         op: "geostore",
                         what: "derived value missing from the memo cache",
                     })?;
-                entry.value.clone().map(|v| match v {
-                    DerivedVal::Hull(h) => Response::Hull(h),
-                    DerivedVal::Seb(b) => Response::Seb(b),
-                    DerivedVal::ClosestPair(cp) => Response::ClosestPair(cp),
-                    DerivedVal::Emst(e) => Response::Emst(e),
-                    DerivedVal::Graph(g) => match kind {
-                        DerivedKind::KnnGraph(_) => Response::KnnGraph(g),
-                        _ => Response::DelaunayGraph(g),
-                    },
-                })
+                entry.value.clone().map(|v| v.into_response(kind))
             }
         }
-    }
-
-    /// The compacted live view for the current epoch (memoized; rebuilt
-    /// in `O(live)` from the incrementally maintained live-id list).
-    fn live_view(&mut self) -> Arc<LiveView<D>> {
-        if let Some(view) = &self.live_view {
-            return Arc::clone(view);
-        }
-        let ids = self.live_ids.clone();
-        let pts = ids.iter().map(|&id| self.points[id as usize]).collect();
-        let view = Arc::new((ids, pts));
-        self.live_view = Some(Arc::clone(&view));
-        view
     }
 
     // ---- typed sugar over `run` ----------------------------------------
@@ -1195,8 +1140,8 @@ impl<const D: usize> GeoStore<D> {
     /// Deletes by value; returns the number of points removed.
     ///
     /// # Panics
-    /// If the id mirror and the index disagree about what was removed —
-    /// a bug in the backend, which [`execute`](Self::execute) reports as a
+    /// If the index's report and its live count disagree about what was
+    /// removed — a bug in the backend, which [`execute`](Self::execute) reports as a
     /// typed error instead.
     pub fn delete(&mut self, batch: &[Point<D>]) -> usize {
         match self.run(Request::Delete(batch.to_vec())) {
@@ -1279,8 +1224,8 @@ mod tests {
     use super::*;
     use pargeo_engine::{LivePoints, SnapshotView};
 
-    /// An index whose `delete` removes what it is told to and reports one
-    /// fewer — the mirror ≡ index invariant broken from the index side.
+    /// An index whose `remove` removes what it is told to and reports one
+    /// point fewer — a report its own live count contradicts.
     struct UnderReporting(VecIndex<2>);
 
     impl SpatialIndex<2> for UnderReporting {
@@ -1290,8 +1235,10 @@ mod tests {
         fn insert(&mut self, batch: &[Point<2>]) {
             self.0.insert(batch)
         }
-        fn delete(&mut self, batch: &[Point<2>]) -> usize {
-            self.0.delete(batch).saturating_sub(1)
+        fn remove(&mut self, batch: &[Point<2>]) -> Vec<(Point<2>, u32)> {
+            let mut removed = self.0.remove(batch);
+            removed.pop();
+            removed
         }
         fn knn_batch(&self, queries: &[Point<2>], k: usize) -> Vec<Vec<Neighbor>> {
             self.0.knn_batch(queries, k)
@@ -1334,6 +1281,38 @@ mod tests {
     }
 
     #[test]
+    fn live_view_is_derived_once_then_tracks_the_index_in_place() {
+        let pts: Vec<Point<2>> = (0..300)
+            .map(|i| Point::new([(i % 20) as f64, (i / 20) as f64 + 0.5 * (i % 3) as f64]))
+            .collect();
+        for shards in [1, 4] {
+            let mut store = GeoStore::<2>::builder()
+                .buffer_size(16)
+                .shards(shards)
+                .build();
+            store.insert(&pts[..200]);
+            store.delete(&pts[..20]);
+            assert!(store.live_view.is_none(), "no derived kind asked yet");
+            store.seb().expect("180 live points");
+            assert_eq!(store.live_view, Some(store.index.live_points()));
+            // From here on no request re-derives the view: an insert run, a
+            // coalesced delete run naming one value twice, a no-op delete
+            // and a re-insert of deleted values each leave it current.
+            store.execute(&[
+                Request::Insert(pts[200..].to_vec()),
+                Request::Insert(pts[..10].to_vec()),
+                Request::Delete(pts[50..90].to_vec()),
+                Request::Delete(pts[80..120].to_vec()),
+                Request::Delete(vec![Point::new([-1.0, -1.0])]),
+                Request::Hull,
+                Request::Delete(pts[..10].to_vec()),
+            ]);
+            assert_eq!(store.len(), 300 - 20 - 70);
+            assert_eq!(store.live_view, Some(store.index.live_points()));
+        }
+    }
+
+    #[test]
     fn zero_buffer_size_is_clamped_at_the_builder() {
         let pts: Vec<Point<2>> = (0..40).map(|i| Point::new([i as f64, 1.0])).collect();
         let builder = GeoStore::<2>::builder().buffer_size(0);
@@ -1358,11 +1337,11 @@ mod tests {
         store.insert(&pts);
         let diverged = Err(GeoError::BadParameter {
             op: "delete",
-            what: "id mirror diverged from the index",
+            what: "index delete report diverged from its live count",
         });
         // Every request of the coalesced run is answered with the error —
-        // none of their mirror-derived counts can be vouched for — and
-        // requests outside the run are untouched.
+        // no count read off that report can be vouched for — and requests
+        // outside the run are untouched.
         let got = store.execute(&[
             Request::Stats,
             Request::Delete(pts[..2].to_vec()),
@@ -1374,16 +1353,16 @@ mod tests {
         assert_eq!(got[1], diverged);
         assert_eq!(got[2], diverged);
         assert_eq!(got[3], Ok(Response::Range(vec![(3..10).collect()])));
-        // A run the mirror says removes nothing never reaches the index.
+        // A run the index reports removed nothing is spared, not checked.
         assert_eq!(got[4], Ok(Response::Deleted { count: 0 }));
         let divergences = store
             .registry()
             .expect("metrics level")
-            .counter("geostore_mirror_divergence_total", &[])
+            .counter("geostore_index_divergence_total", &[])
             .get();
         assert_eq!(divergences, 1, "one diverged run");
-        // The epoch still advanced and the mirror retired its ids: the
-        // store stays serviceable, it does not pretend nothing happened.
+        // The epoch still advanced and the live count is the index's own:
+        // the store stays serviceable, it does not pretend nothing happened.
         assert_eq!(store.len(), 7);
         assert_eq!(store.stats().write_epoch, 2);
     }

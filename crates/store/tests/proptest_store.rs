@@ -410,6 +410,61 @@ fn scripted_case_exercises_the_property_paths() {
     assert_eq!(stats.write_epoch, 2);
 }
 
+/// A coalesced delete run reads its per-request counts off one index
+/// report; applying the same requests one at a time to the mirror must give
+/// the same counts — a value repeated inside a request and again by a later
+/// request of the run is counted once, for the first request naming it.
+#[test]
+fn coalesced_delete_counts_match_the_mirror_on_both_backends() {
+    let p = |x: i32, y: i32| Point2::new([x as f64, y as f64]);
+    let initial = vec![
+        p(0, 0),
+        p(1, 1),
+        p(0, 0),
+        p(2, 2),
+        p(1, 1),
+        p(0, 0),
+        p(3, 3),
+    ];
+    let run = [
+        vec![p(0, 0), p(9, 9), p(0, 0)], // three copies, named twice
+        vec![],
+        vec![p(1, 1), p(0, 0)], // (0, 0) is already claimed
+        vec![p(2, 2), p(1, 1), p(2, 2)],
+    ];
+    let mut mirror = Mirror {
+        live: Vec::new(),
+        next_id: 0,
+    };
+    mirror.insert(&initial);
+    let want: Vec<_> = run
+        .iter()
+        .map(|batch| {
+            Ok(Response::Deleted {
+                count: mirror.delete(batch),
+            })
+        })
+        .collect();
+    assert_eq!(mirror.ids(), [6]);
+
+    let mut reqs = vec![Request::Insert(initial)];
+    reqs.extend(run.iter().cloned().map(Request::Delete));
+    reqs.push(Request::Range(vec![Bbox {
+        min: p(0, 0),
+        max: p(9, 9),
+    }]));
+    let builder = GeoStore::<2>::builder();
+    for (name, builder) in [
+        ("bdl", builder.clone()),
+        ("bdl-x4", builder.clone().buffer_size(4)),
+        ("oracle", builder.backend(Backend::Oracle)),
+    ] {
+        let got = builder.build().execute(&reqs);
+        assert_eq!(got[1..=run.len()], want[..], "{name}");
+        assert_eq!(got[run.len() + 1], Ok(Response::Range(vec![mirror.ids()])));
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -307,12 +307,13 @@ fn snapshots_survive_rebuilds_compaction_and_out_of_order_drops() {
 
 #[test]
 fn derived_kinds_first_asked_of_a_snapshot_use_its_pinned_live_set() {
-    // A pin copies no live view. A derived kind that was not memoised at
-    // pin time, first asked of the snapshot after the live store has moved
-    // on through insert and delete epochs, must be computed over the
-    // *pinned* live set — derived from the pinned index view, or shared
-    // from the store when the pinned epoch had already built one — and so
-    // equal what an oracle store replayed to the pin's prefix answers.
+    // A pin copies no live view and shares none. A derived kind that was
+    // not memoised at pin time, first asked of the snapshot after the live
+    // store has moved on through insert and delete epochs, must be computed
+    // over the *pinned* live set — derived from the pinned index view,
+    // whether or not the store already holds a view of its own that it has
+    // since edited in place — and so equal what an oracle store replayed to
+    // the pin's prefix answers.
     let pts = pargeo::datagen::uniform_cube::<2>(1_400, 48);
     for (name, builder) in configs() {
         for shards in [1usize, 4] {
@@ -321,8 +322,8 @@ fn derived_kinds_first_asked_of_a_snapshot_use_its_pinned_live_set() {
                     store.insert(&pts[..800]);
                     store.delete(&pts[100..250]);
                     if view_built_before_pin {
-                        // Builds the epoch's live view and memoises Seb —
-                        // and nothing else.
+                        // Derives the store's live view and memoises Seb
+                        // — and nothing else.
                         store.seb().unwrap();
                     }
                 };

@@ -74,7 +74,7 @@ fn all_backends_serve_identical_digests() {
         );
         // Spatial answers follow the deterministic (distance², id) and
         // sorted-ids contracts and derived structures are computed from
-        // the store mirror, so every response must be *exactly* equal.
+        // the store's live view, so every response must be *exactly* equal.
         for (i, (a, b)) in want.iter().zip(&got).enumerate() {
             match (a, b) {
                 (Ok(Response::Stats(a)), Ok(Response::Stats(b))) => {
@@ -742,11 +742,12 @@ fn workload_replay_digests_agree_across_backends() {
 
 #[test]
 fn duplicate_victims_within_and_across_delete_runs_count_once() {
-    // The id mirror retires ids by one sorted merge against the live-id
-    // list, which relies on every dying id being claimed exactly once: a
-    // value named twice in one request, again by a later request of the
-    // same coalesced run, and again by a later run must be counted by the
-    // first claimant only — on the oracle and the BDL-tree, sharded or not.
+    // A coalesced delete run reads its per-request counts off the index's
+    // one report, which relies on every removed point being claimed exactly
+    // once: a value named twice in one request, again by a later request of
+    // the same coalesced run, and again by a later run must be counted by
+    // the first claimant only — on the oracle and the BDL-tree, sharded or
+    // not.
     let pts = points(600, 37);
     let (a, b, c) = (pts[0], pts[1], pts[2]);
     let mut initial = pts.clone();
