@@ -22,7 +22,12 @@ pub struct ClosestPair {
     pub dist: f64,
 }
 
+/// Below this many points the halves are solved one after the other: a
+/// 1024-point subproblem is ~50 µs of work, hundreds of forks' worth.
 const SEQ_CUTOFF: usize = 1024;
+/// At or below this many points the recursion stops and compares all pairs:
+/// 32 measured best of 16/32/64 (at 1024 a leaf pays 512 tests per point).
+const BRUTE_BASE: usize = 32;
 /// Window width for the strip scan; 7 suffices in 2D, higher dimensions
 /// use a packing-bound-scaled window.
 fn window(d: usize) -> usize {
@@ -54,7 +59,7 @@ pub fn try_closest_pair<const D: usize>(points: &[Point<D>]) -> GeoResult<Closes
         .map(|(i, &p)| (p, i as u32))
         .collect();
     let dim = widest_dim(&items);
-    parlay::sort_by_key_f64(&mut items, move |&(p, _)| p[dim]);
+    items.sort_unstable_by(|x, y| x.0[dim].total_cmp(&y.0[dim]));
     let (a, b, d2) = solve(&items, dim);
     Ok(ClosestPair {
         a: a.min(b),
@@ -74,13 +79,17 @@ fn widest_dim<const D: usize>(items: &[(Point<D>, u32)]) -> usize {
 /// Returns `(id_a, id_b, dist²)` for `items` sorted along `dim`.
 fn solve<const D: usize>(items: &[(Point<D>, u32)], dim: usize) -> (u32, u32, f64) {
     let n = items.len();
-    if n <= SEQ_CUTOFF {
+    if n <= BRUTE_BASE {
         return brute(items);
     }
     let mid = n / 2;
     let split = items[mid].0[dim];
     let (l, r) = items.split_at(mid);
-    let ((la, lb, ld), (ra, rb, rd)) = parlay::par_do(|| solve(l, dim), || solve(r, dim));
+    let ((la, lb, ld), (ra, rb, rd)) = if n > SEQ_CUTOFF {
+        parlay::par_do(|| solve(l, dim), || solve(r, dim))
+    } else {
+        (solve(l, dim), solve(r, dim))
+    };
     let (mut ba, mut bb, mut bd) = if ld <= rd { (la, lb, ld) } else { (ra, rb, rd) };
     // Strip: points within sqrt(bd) of the splitting plane, sorted along a
     // second dimension, each checked against a constant window.
@@ -191,6 +200,50 @@ mod tests {
         pts.push(pts[77]);
         let got = closest_pair(&pts);
         assert_eq!(got.dist, 0.0);
+    }
+
+    /// Sizes on either side of the brute-force base and the fork cutoff,
+    /// with and without a coincident pair.
+    #[test]
+    fn matches_brute_around_the_base_and_the_fork_cutoff() {
+        fn both<const D: usize>(n: usize, seed: u64) {
+            let mut pts = uniform_cube::<D>(n, seed);
+            check(&pts);
+            pts[n / 3] = pts[n - 1];
+            check(&pts);
+            assert_eq!(closest_pair(&pts).dist, 0.0);
+        }
+        for base in [BRUTE_BASE, SEQ_CUTOFF] {
+            for n in [base - 1, base, base + 1, 2 * base + 1] {
+                both::<2>(n, n as u64);
+                both::<3>(n, n as u64);
+                both::<5>(n, n as u64);
+            }
+        }
+    }
+
+    /// Past 65 536 points (where the presort used to change algorithm) a
+    /// quadratic reference is too slow, so the answer is planted: two
+    /// points a hundred times closer than uniform points ever get.
+    #[test]
+    fn finds_a_planted_pair_at_scale() {
+        fn planted<const D: usize>(n: usize) {
+            let mut pts = uniform_cube::<D>(n, n as u64);
+            let (i, j) = (n / 5, n - 7);
+            let mut q = pts[i];
+            q[D - 1] += 1e-7;
+            pts[j] = q;
+            let got = closest_pair(&pts);
+            assert_eq!((got.a as usize, got.b as usize), (i, j));
+            assert_eq!(got.dist, pts[i].dist(&pts[j]));
+            pts[j] = pts[i];
+            assert_eq!(closest_pair(&pts).dist, 0.0);
+        }
+        for n in [65_535, 65_536, 65_537] {
+            planted::<2>(n);
+            planted::<3>(n);
+            planted::<5>(n);
+        }
     }
 
     #[test]

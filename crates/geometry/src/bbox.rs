@@ -113,18 +113,17 @@ impl<const D: usize> Bbox<D> {
     }
 
     /// Squared distance between the closest points of two boxes (0 if they
-    /// intersect).
+    /// intersect). The WSPD's lower bound and the BCCP descent's pruning
+    /// test, on node pairs in no predictable order — so branch-free like
+    /// [`dist_sq_to_point`](Self::dist_sq_to_point): per axis at most one of
+    /// the two gaps is positive.
     #[inline]
     pub fn dist_sq_to_box(&self, other: &Self) -> f64 {
         let mut s = 0.0;
         for i in 0..D {
-            let d = if other.max[i] < self.min[i] {
-                self.min[i] - other.max[i]
-            } else if self.max[i] < other.min[i] {
-                other.min[i] - self.max[i]
-            } else {
-                0.0
-            };
+            let d = (self.min[i] - other.max[i])
+                .max(other.min[i] - self.max[i])
+                .max(0.0);
             s += d * d;
         }
         s
@@ -242,12 +241,11 @@ mod tests {
         s
     }
 
-    #[test]
-    fn branch_free_point_distance_matches_the_three_way_definition() {
+    /// Ordinary, degenerate (a point, a segment), empty, infinite,
+    /// half-infinite, signed zeros on the boundary.
+    fn boxes_the_library_can_meet() -> [Bbox<3>; 7] {
         const INF: f64 = f64::INFINITY;
-        let boxes = [
-            // ordinary, degenerate (a point, a segment), empty, infinite,
-            // half-infinite, signed zeros on the boundary
+        [
             ([0.25, -1.5, 3.0], [2.0, 0.5, 7.0]),
             ([1.0, 1.0, 1.0], [1.0, 1.0, 1.0]),
             ([0.0, 2.0, -3.0], [0.0, 2.0, 4.0]),
@@ -259,7 +257,13 @@ mod tests {
         .map(|(min, max)| Bbox {
             min: Point3::new(min),
             max: Point3::new(max),
-        });
+        })
+    }
+
+    #[test]
+    fn branch_free_point_distance_matches_the_three_way_definition() {
+        const INF: f64 = f64::INFINITY;
+        let boxes = boxes_the_library_can_meet();
         let axis = [
             -INF,
             -1e300,
@@ -287,6 +291,42 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    /// Likewise for `dist_sq_to_box`, against the three-way form it had.
+    #[test]
+    fn branch_free_box_distance_matches_the_three_way_definition() {
+        let three_way = |a: &Bbox<3>, b: &Bbox<3>| {
+            let mut s = 0.0;
+            for i in 0..3 {
+                let d = if b.max[i] < a.min[i] {
+                    a.min[i] - b.max[i]
+                } else if a.max[i] < b.min[i] {
+                    b.min[i] - a.max[i]
+                } else {
+                    0.0
+                };
+                s += d * d;
+            }
+            s
+        };
+        let mut boxes = boxes_the_library_can_meet().to_vec();
+        let shifted = |b: &Bbox<3>, by: f64| Bbox {
+            min: b.min + Point3::new([by, -by, 0.0]),
+            max: b.max + Point3::new([by, -by, 0.0]),
+        };
+        for by in [-9.5, 0.75, 1e300] {
+            boxes.extend(boxes_the_library_can_meet().iter().map(|b| shifted(b, by)));
+        }
+        for a in &boxes {
+            for b in &boxes {
+                assert_eq!(
+                    a.dist_sq_to_box(b).to_bits(),
+                    three_way(a, b).to_bits(),
+                    "{a:?} {b:?}"
+                );
             }
         }
     }

@@ -350,19 +350,41 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
     }
+    /// The store refuses a non-finite coordinate at the boundary, so no
+    /// request can bring one here; the kernel's own check stays for direct
+    /// callers, as a typed error from the wholesale build and as the
+    /// `poisoned` fallback from a delta engine.
     #[test]
     fn non_finite_points_fail_the_delaunay_request_with_a_typed_error() {
         use crate::{GeoStore, Request};
         let mut pts = uniform_cube::<2>(200, 4);
         pts[77] = Point::new([pts[77][0], f64::INFINITY]);
         let mut store = GeoStore::<2>::builder().build();
-        let responses = store.execute(&[Request::Insert(pts), Request::DelaunayGraph]);
+        let responses = store.execute(&[Request::Insert(pts.clone()), Request::DelaunayGraph]);
         assert_eq!(
-            responses[1],
+            responses[0],
+            Err(GeoError::BadParameter {
+                op: "insert",
+                what: "non-finite coordinate"
+            })
+        );
+        assert!(store.is_empty());
+
+        let ids: Vec<u32> = (0..200).collect();
+        assert_eq!(
+            compute(DerivedKind::DelaunayGraph, &ids, &pts).map(|_| ()),
             Err(GeoError::BadParameter {
                 op: "delaunay",
                 what: "non-finite coordinate"
             })
+        );
+        let (built, engine) =
+            compute_full(DerivedKind::DelaunayGraph, &ids[..77], &pts[..77], true);
+        assert!(built.is_ok());
+        let mut engine = engine.expect("a 2D Delaunay build leaves its engine");
+        assert_eq!(
+            advance_engine(&mut engine, &ids, &pts, f64::INFINITY).map(|_| ()),
+            Err(Fallback::Poisoned)
         );
     }
 }

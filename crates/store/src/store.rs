@@ -772,9 +772,27 @@ impl<const D: usize> GeoStore<D> {
         });
         let t = Instant::now();
         let mut cow_bytes = 0u64;
-        let points = coalesce(run);
-        // Store ids are the index's own insertion counter. The whole run is
-        // one index batch, so it is admitted or refused whole.
+        // A NaN or ±∞ coordinate is refused here, at the boundary, before
+        // it can reach a median comparison or a Morton code: the request
+        // that carries one answers a typed error and the rest of the run is
+        // applied as if it were absent.
+        let refused: Vec<bool> = batches(run)
+            .map(|batch| !batch.iter().all(Point::is_finite))
+            .collect();
+        let points = if refused.contains(&true) {
+            let admitted = batches(run).zip(&refused).filter(|(_, &r)| !r);
+            Cow::Owned(
+                admitted
+                    .map(|(batch, _)| batch)
+                    .collect::<Vec<_>>()
+                    .concat(),
+            )
+        } else {
+            coalesce(run)
+        };
+        // Store ids are the index's own insertion counter. The admitted
+        // part of the run is one index batch, so it is admitted or refused
+        // whole.
         let inserted = self.index.snapshot().inserted;
         let first = match first_store_id(inserted as usize, points.len()) {
             Ok(id) => id,
@@ -784,7 +802,14 @@ impl<const D: usize> GeoStore<D> {
             }
         };
         let mut next_id = first;
-        for batch in batches(run) {
+        for (batch, &refused) in batches(run).zip(&refused) {
+            if refused {
+                out.push(Err(GeoError::BadParameter {
+                    op: "insert",
+                    what: "non-finite coordinate",
+                }));
+                continue;
+            }
             out.push(Ok(Response::Inserted {
                 count: batch.len(),
                 first_id: (!batch.is_empty()).then_some(next_id),
@@ -1127,8 +1152,9 @@ impl<const D: usize> GeoStore<D> {
     /// Inserts a batch; returns the first assigned id (`None` when empty).
     ///
     /// # Panics
-    /// If the batch does not fit the `u32` store id space, which
-    /// [`execute`](Self::execute) reports as a typed error instead.
+    /// If the batch does not fit the `u32` store id space or carries a
+    /// non-finite coordinate, which [`execute`](Self::execute) reports as
+    /// typed errors instead.
     pub fn insert(&mut self, batch: &[Point<D>]) -> Option<u32> {
         match self.run(Request::Insert(batch.to_vec())) {
             Ok(Response::Inserted { first_id, .. }) => first_id,
@@ -1365,5 +1391,77 @@ mod tests {
         // the store stays serviceable, it does not pretend nothing happened.
         assert_eq!(store.len(), 7);
         assert_eq!(store.stats().write_epoch, 2);
+    }
+
+    /// A non-finite coordinate stops at the boundary, on both backends and
+    /// both executors: its request is refused with a typed error, takes no
+    /// ids and no epoch, and the rest of its run — and every derived kind
+    /// after it — is served as if it had never been sent.
+    #[test]
+    fn non_finite_inserts_are_refused_at_the_boundary() {
+        let pts: Vec<Point<2>> = (0..300)
+            .map(|i| Point::new([(i % 17) as f64 + 0.01 * i as f64, (i / 17) as f64]))
+            .collect();
+        let with = |at: usize, c: f64| {
+            let mut bad = pts[100..200].to_vec();
+            bad[at] = Point::new([c, 1.0]);
+            Request::Insert(bad)
+        };
+        let reads = [
+            Request::Emst,
+            Request::KnnGraph { k: 3 },
+            Request::Hull,
+            Request::Seb,
+            Request::ClosestPair,
+            Request::DelaunayGraph,
+        ];
+        let refused = Err(GeoError::BadParameter {
+            op: "insert",
+            what: "non-finite coordinate",
+        });
+        for backend in [Backend::Bdl, Backend::Oracle] {
+            for pipeline in [false, true] {
+                let build = || {
+                    let b = GeoStore::<2>::builder().backend(backend);
+                    b.pipeline(pipeline).buffer_size(16).build()
+                };
+                let mut clean = build();
+                let want = clean.execute(
+                    &[
+                        &[Request::Insert(pts[..200].to_vec())][..],
+                        &[Request::Insert(pts[200..].to_vec())],
+                        &reads,
+                    ]
+                    .concat(),
+                );
+                let mut store = build();
+                let got = store.execute(
+                    &[
+                        &[Request::Insert(pts[..200].to_vec())][..],
+                        &[with(0, f64::NAN), with(99, f64::INFINITY)],
+                        &[Request::Insert(pts[200..].to_vec())],
+                        &[with(50, f64::NEG_INFINITY)],
+                        &reads,
+                    ]
+                    .concat(),
+                );
+                assert_eq!(got[1..3], [refused.clone(), refused.clone()]);
+                assert_eq!(got[4], refused);
+                assert_eq!(got[0], want[0]);
+                assert_eq!(got[3], want[1], "the refused batches took no ids");
+                assert_eq!(got[5..], want[2..], "{backend:?} pipeline={pipeline}");
+                assert!(got[5..].iter().all(Result::is_ok));
+                assert_eq!(store.len(), 300);
+                assert_eq!(store.stats().write_epoch, clean.stats().write_epoch);
+                // A run refused whole is no epoch at all: the memo survives.
+                let hits = store.stats().cache.hits;
+                assert_eq!(
+                    store.execute(&[with(7, f64::NAN), Request::Emst])[0],
+                    refused
+                );
+                assert_eq!(store.stats().write_epoch, clean.stats().write_epoch);
+                assert_eq!(store.stats().cache.hits, hits + 1);
+            }
+        }
     }
 }

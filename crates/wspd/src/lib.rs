@@ -3,14 +3,16 @@
 //! Paper Modules (2)/(3): the WSPD \[26\] computed from the parallel
 //! kd-tree, and the algorithms built on it:
 //!
-//! * [`mod@wspd`] — Callahan–Kosaraju well-separated pair decomposition with
-//!   parallel tree traversal.
+//! * [`mod@wspd`] — Callahan–Kosaraju well-separated pair decomposition: the
+//!   top of the recursion listed as tasks, the tasks solved in parallel.
 //! * [`bccp`] — bichromatic closest pair via pruned dual-tree traversal.
 //! * [`mod@emst`] — Euclidean minimum spanning tree: WSPD pairs are candidate
 //!   MST edges (for separation `s ≥ 2` the MST is a subset of the pairs'
-//!   BCCPs); a lazy batched Kruskal realizes BCCPs only when the pair's
-//!   box-distance lower bound surfaces, in the spirit of
-//!   GeoFilterKruskal \[56\].
+//!   BCCPs). A windowed filter-Kruskal (GeoFilterKruskal \[56\]): doubling
+//!   windows of the smallest-bound pairs found by selection, pairs inside
+//!   one component dropped before their BCCP is computed, one parallel
+//!   BCCP pass per window, and a sort-and-Kruskal over the edges no
+//!   unvisited pair can undercut.
 //! * [`mod@spanner`] — the WSPD t-spanner \[26\]: one representative edge per
 //!   well-separated pair with `s = 4(t+1)/(t-1)`.
 //! * [`unionfind`] — the union-find substrate under Kruskal.
