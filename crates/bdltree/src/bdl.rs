@@ -2,7 +2,7 @@
 
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::knn::{KnnBuffer, KnnProbe, KnnWork, Neighbor};
-use pargeo_kdtree::tree::{BuildParams, SplitRule};
+use pargeo_kdtree::tree::{SplitRule, LEAF_SIZE};
 use pargeo_kdtree::veb::VebTree;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -28,9 +28,6 @@ pub struct BdlTree<const D: usize> {
     trees: Vec<Option<VebTree<D>>>,
     x: usize,
     rule: SplitRule,
-    /// Points per vEB leaf (defaults from [`BuildParams`], so the
-    /// `PARGEO_LEAF` override applies to the whole cascade).
-    leaf_size: usize,
     live: usize,
     next_id: u32,
     epoch: u64,
@@ -59,7 +56,6 @@ impl<const D: usize> BdlTree<D> {
             trees: Vec::new(),
             x,
             rule,
-            leaf_size: BuildParams::default().leaf_size,
             live: 0,
             next_id: 0,
             epoch: 0,
@@ -191,10 +187,9 @@ impl<const D: usize> BdlTree<D> {
         }
         create_bits.clear();
         let rule = self.rule;
-        let leaf_size = self.leaf_size;
         // Grain 1: an item is a whole tree build.
         let built: Vec<(usize, VebTree<D>)> = pargeo_parlay::map(&jobs, 1, |(i, pts)| {
-            (*i, VebTree::build_with(pts, leaf_size, rule))
+            (*i, VebTree::build_with(pts, LEAF_SIZE, rule))
         });
         self.rebuilds += built.len() as u64;
         for (i, t) in built {

@@ -15,15 +15,12 @@
 //! * **Data-parallel k-NN** (Appendix C.4) — one shared k-NN buffer per
 //!   query accumulates results across the buffer and every occupied tree.
 //!
-//! [`zdtree`] hosts the Morton-based comparator of §6.3, and [`batchq`]
-//! plugs both trees into `pargeo-rangequery`'s `BatchQuery` machinery so
-//! the read path stays swappable with the static query structures.
+//! [`zdtree`] hosts the Morton-based comparator of §6.3.
 //!
 //! [`VebTree`]: pargeo_kdtree::VebTree
 
 #![warn(missing_docs)]
 
-pub mod batchq;
 pub mod bdl;
 pub mod zdtree;
 

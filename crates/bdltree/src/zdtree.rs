@@ -58,7 +58,6 @@ pub struct ZdTree<const D: usize> {
     /// Coordinate columns + ids in code order (row `i` ↔ `codes[i]`).
     pts: SoaPoints<D>,
     nodes: Vec<ZNode<D>>,
-    leaf_size: usize,
     next_id: u32,
     epoch: u64,
     rebuilds: u64,
@@ -76,7 +75,16 @@ impl<const D: usize> ZdTree<D> {
     /// stay exact, so out-of-universe points cost code locality, never
     /// correctness.
     pub fn new() -> Self {
-        Self::empty(pargeo_kdtree::tree::BuildParams::default().leaf_size)
+        Self {
+            universe: derive_universe::<D>(&[]),
+            codes: Vec::new(),
+            pts: SoaPoints::new(),
+            nodes: Vec::new(),
+            next_id: 0,
+            epoch: 0,
+            rebuilds: 0,
+            universe_fixed: false,
+        }
     }
 
     /// Builds over an initial point set; the bounding box of this set
@@ -84,34 +92,11 @@ impl<const D: usize> ZdTree<D> {
     /// later clamp onto the universe grid for code purposes (their true
     /// coordinates are kept and all queries remain exact).
     pub fn from_points(points: &[Point<D>]) -> Self {
-        Self::with_leaf_size(
-            points,
-            pargeo_kdtree::tree::BuildParams::default().leaf_size,
-        )
-    }
-
-    /// Builds with an explicit leaf size.
-    pub fn with_leaf_size(points: &[Point<D>], leaf_size: usize) -> Self {
-        let mut t = Self::empty(leaf_size);
+        let mut t = Self::new();
         // The initial load counts as epoch 1 (even when empty), matching
         // every other backend's `from_points`; `new()` stays at epoch 0.
         t.insert(points);
         t
-    }
-
-    /// An empty tree at epoch 0 with an unadopted universe.
-    fn empty(leaf_size: usize) -> Self {
-        Self {
-            universe: derive_universe::<D>(&[]),
-            codes: Vec::new(),
-            pts: SoaPoints::new(),
-            nodes: Vec::new(),
-            leaf_size,
-            next_id: 0,
-            epoch: 0,
-            rebuilds: 0,
-            universe_fixed: false,
-        }
     }
 
     /// Number of stored points.
@@ -363,7 +348,7 @@ impl<const D: usize> ZdTree<D> {
             0,
             n,
             total_bits(D) as i32 - 1,
-            self.leaf_size,
+            pargeo_kdtree::tree::LEAF_SIZE,
         );
         flatten(&boxed, &mut self.nodes);
     }

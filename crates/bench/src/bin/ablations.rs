@@ -4,9 +4,7 @@
 //!    quality),
 //! 2. SEB sampling segment size `c` (Figure 6's constant),
 //! 3. BDL buffer size `X`,
-//! 4. comparison-sort engine (our merge sort vs sample sort vs std parallel
-//!    fallback) under the hull's typical key type,
-//! 5. reservation boundary ring on/off is structural (cannot be toggled
+//! 4. reservation boundary ring on/off is structural (cannot be toggled
 //!    without forfeiting disjointness), so its cost shows in
 //!    `fig12_reservation` instead.
 
@@ -57,39 +55,4 @@ fn main() {
         let knn = time_best(1, || tree.knn_batch(&pts5[..n / 10], 5));
         println!("| {x} | {} | {} |", ms(ins), ms(knn));
     }
-
-    // 4. Sort engine shootout on Morton keys.
-    println!("\n## Comparison sorts on Morton-key pairs\n");
-    let pts2 = datagen::uniform_cube::<2>(n, 4);
-    let bbox = pargeo::morton::parallel_bbox(&pts2);
-    let keyed: Vec<(u64, u32)> = pts2
-        .iter()
-        .enumerate()
-        .map(|(i, p)| (pargeo::morton::morton_code(p, &bbox), i as u32))
-        .collect();
-    header(&["engine", "time (ms)"]);
-    let t = time_best(3, || {
-        let mut v = keyed.clone();
-        pargeo::parlay::merge_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
-        v
-    });
-    println!("| parallel merge sort | {} |", ms(t));
-    let t = time_best(3, || {
-        let mut v = keyed.clone();
-        pargeo::parlay::sample_sort_by(&mut v, |a, b| a.0.cmp(&b.0));
-        v
-    });
-    println!("| parallel sample sort | {} |", ms(t));
-    let t = time_best(3, || {
-        let mut v = keyed.clone();
-        pargeo::parlay::radix_sort_u64_by_key(&mut v, |x| x.0);
-        v
-    });
-    println!("| parallel radix sort | {} |", ms(t));
-    let t = time_best(3, || {
-        let mut v = keyed.clone();
-        v.sort_unstable_by_key(|x| x.0);
-        v
-    });
-    println!("| std sequential sort | {} |", ms(t));
 }

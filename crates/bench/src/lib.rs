@@ -1,6 +1,8 @@
 //! # pargeo-bench — the paper-reproduction harness
 //!
-//! One binary per table/figure of the paper's evaluation (§6):
+//! One binary per table/figure of the paper's evaluation (§6), plus the
+//! large-n harness; the recorded benchmark is `bench/` (the ledger), not
+//! this crate:
 //!
 //! | binary | reproduces |
 //! |---|---|
@@ -12,12 +14,7 @@
 //! | `fig12_reservation` | Figure 12 — reservation overhead counters (Appendix B) |
 //! | `fig14_knn_k` | Figure 14 — k-NN throughput vs k after incremental builds |
 //! | `zdtree_compare` | §6.3 — BDL-tree vs Zd-tree |
-//! | `rangequery` | range/segment/rectangle query engine (Sun & Blelloch family): build + batch-query T1/Tp, kd-tree backend, brute-force baseline |
-//! | `dyn_engine` | unified batch-dynamic engine: `SpatialIndex` backends × mixed-workload presets × T1/Tp, oracle-anchored |
-//! | `geostore` | GeoStore service façade: the default store × store presets (mixed serving + analytics) × T1/Tp, oracle-anchored |
-//! | `shard_sweep` | morton-routed sharded execution: the default store × shard counts {1, 4, 16} × store presets × T1/Tp, cross-shard digest anchors |
-//! | `incr_derived` | delta maintenance of memoized hull/Delaunay: insert-batch sweep across the incremental-vs-rebuild crossover + delete-churn fallback, digest-anchored across maintenance modes |
-//! | `sched_sweep` | the work-stealing pool itself: fork-join microbench + skewed-shard workload at 1/2/4 workers, task/steal/park counters, digest-anchored across worker counts |
+//! | `ablations` | §5 design claims — pseudohull stop threshold, SEB sampling segment size, BDL buffer size |
 //! | `scale_sweep` | large-n trajectory of the flat-arena/SoA layouts: build/query throughput + peak RSS per backend at n ∈ {10⁵, 10⁶, 10⁷} (`PARGEO_SCALE=full`), digest-anchored against the pre-arena layouts |
 //!
 //! Sizes scale with `PARGEO_N` (default laptop-scale; the paper used

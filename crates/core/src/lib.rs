@@ -13,7 +13,6 @@
 //! | (0) service façade: one typed `Request`/`Response` surface over everything | [`store`] |
 //! | (1) static & batch-dynamic kd-trees, k-NN, range search | [`kdtree`], [`bdltree`] |
 //! | (1a) unified batch-dynamic engine (`SpatialIndex` over the BDL-tree, its Zd-tree comparator and the oracle) | [`engine`] |
-//! | (1b) range / segment / rectangle query engine (Sun & Blelloch) | [`rangequery`] |
 //! | (2) computational geometry: hull, SEB, closest pair, BCCP, WSPD, Morton sort | [`hull`], [`seb`], [`closestpair`], [`wspd`], [`morton`] |
 //! | (3) spatial graph generators: k-NN graph, β-skeleton, Gabriel, Delaunay, EMST, spanner | [`graphgen`], [`delaunay`], [`wspd`] |
 //! | (4) point data generators | [`datagen`] |
@@ -117,15 +116,10 @@
 //! let ball = pargeo::seb::seb_sampling(&pts);
 //! assert!(pts.iter().all(|p| ball.contains(p)));
 //!
-//! // Batched orthogonal range counting through the range tree — the
-//! // kd-tree answers the same `BatchQuery` queries interchangeably.
-//! let rt = RangeTree2d::build(&pts);
-//! let queries: Vec<_> = pargeo::datagen::uniform_rects::<2>(100, 7, 0.2)
-//!     .into_iter()
-//!     .map(Count)
-//!     .collect();
-//! let counts = rt.answer_batch(&queries);
-//! assert_eq!(counts, tree.answer_batch(&queries));
+//! // Batched orthogonal range search, data-parallel over the queries.
+//! let boxes = pargeo::datagen::uniform_rects::<2>(100, 7, 0.2);
+//! let hits = tree.range_box_batch(&boxes);
+//! assert_eq!(hits[0].len(), tree.count_box(&boxes[0]));
 //! ```
 //!
 //! ## Module quickstarts
@@ -248,7 +242,6 @@ pub use pargeo_kdtree as kdtree;
 pub use pargeo_morton as morton;
 pub use pargeo_obs as obs;
 pub use pargeo_parlay as parlay;
-pub use pargeo_rangequery as rangequery;
 pub use pargeo_sched as sched;
 pub use pargeo_seb as seb;
 pub use pargeo_store as store;
@@ -276,9 +269,6 @@ pub mod prelude {
     };
     pub use pargeo_kdtree::{B1Tree, B2Tree, KdTree, SplitRule, VebTree};
     pub use pargeo_obs::{HistSummary, ObsLevel, Registry};
-    pub use pargeo_rangequery::{
-        BatchQuery, Count, IntervalTree, RangeTree2d, RectangleSet, Report,
-    };
     pub use pargeo_seb::{
         seb_orthant_scan, seb_sampling, seb_welzl_parallel, seb_welzl_parallel_mtf_pivot,
         seb_welzl_seq, try_seb,
@@ -307,9 +297,6 @@ mod tests {
         assert_eq!(tree.knn(&pts[0], 3).len(), 3);
         let mst = emst(&pts);
         assert_eq!(mst.len(), pts.len() - 1);
-        let rt = RangeTree2d::build(&pts);
-        let q = Count(Bbox::from_points(&pts));
-        assert_eq!(rt.answer(&q), pts.len());
-        assert_eq!(tree.answer(&q), pts.len());
+        assert_eq!(tree.count_box(&Bbox::from_points(&pts)), pts.len());
     }
 }

@@ -13,7 +13,6 @@ const EXAMPLES: &[&str] = &[
     "convex_hull_3d",
     "spatial_graphs",
     "dynamic_points",
-    "range_queries",
     "geostore",
 ];
 
@@ -76,11 +75,6 @@ fn dynamic_points_runs() {
 }
 
 #[test]
-fn range_queries_runs() {
-    run_example("range_queries");
-}
-
-#[test]
 fn geostore_runs() {
     run_example("geostore");
 }
@@ -89,5 +83,5 @@ fn geostore_runs() {
 fn smoke_covers_every_example() {
     // Keep EXAMPLES and the per-example tests in sync with the manifest.
     let listed: std::collections::BTreeSet<_> = EXAMPLES.iter().copied().collect();
-    assert_eq!(listed.len(), 6);
+    assert_eq!(listed.len(), 5);
 }

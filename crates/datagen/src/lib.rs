@@ -14,9 +14,8 @@
 //! * [`statue_surface`] — stand-in for the Stanford *Thai Statue* / *Dragon*
 //!   scans: a dense sample of a closed, bumpy 2-manifold in `R³` (see
 //!   DESIGN.md §5 for the substitution rationale).
-//! * [`uniform_segments`] / [`uniform_rects`] / [`uniform_intervals`] —
-//!   object families for the `rangequery` subsystem (segment, rectangle,
-//!   and interval query workloads à la Sun & Blelloch).
+//! * [`uniform_rects`] — random axis-aligned query boxes for the range
+//!   search suites.
 //!
 //! All generators except the (inherently sequential) seed spreader produce
 //! point `i` from a counter-mode hash of `(seed, i)`, so generation is
@@ -293,31 +292,6 @@ pub fn statue_surface_range(n: usize, seed: u64, range: std::ops::Range<usize>) 
     })
 }
 
-/// `n` random segments in the standard `[0, √n]^D` domain: first endpoint
-/// uniform, direction uniform on the sphere, length uniform in
-/// `(0, max_len_frac × √n]`. Seeded and counter-mode parallel like the
-/// point generators. The second endpoint may stick out of the domain by up
-/// to the segment length — query workloads don't care, and clamping would
-/// bias directions near the boundary.
-pub fn uniform_segments<const D: usize>(
-    n: usize,
-    seed: u64,
-    max_len_frac: f64,
-) -> Vec<(Point<D>, Point<D>)> {
-    let side = cube_side(n);
-    gen_parallel(n, |i| {
-        let mut rng = Counter::new(seed, i);
-        let mut c = [0.0; D];
-        for x in c.iter_mut() {
-            *x = rng.next_f64() * side;
-        }
-        let a = Point::new(c);
-        let dir = unit_sphere_point::<D>(&mut rng);
-        let len = rng.next_f64() * max_len_frac * side;
-        (a, a + dir * len)
-    })
-}
-
 /// `n` random axis-aligned boxes in the `[0, √n]^D` domain: center uniform,
 /// each side length uniform in `(0, max_side_frac × √n]`. Seeded and
 /// counter-mode parallel.
@@ -338,16 +312,6 @@ pub fn uniform_rects<const D: usize>(n: usize, seed: u64, max_side_frac: f64) ->
             max: Point::new(hi),
         }
     })
-}
-
-/// `n` random closed intervals `(lo, hi)` with `lo ≤ hi` in `[0, √n]` —
-/// the 1D specialization of [`uniform_segments`], pre-normalized for
-/// interval-tree workloads.
-pub fn uniform_intervals(n: usize, seed: u64, max_len_frac: f64) -> Vec<(f64, f64)> {
-    uniform_segments::<1>(n, seed, max_len_frac)
-        .into_iter()
-        .map(|(a, b)| (a[0].min(b[0]), a[0].max(b[0])))
-        .collect()
 }
 
 /// Uniform direction on the unit sphere (Gaussian normalization).
@@ -474,22 +438,6 @@ mod tests {
     }
 
     #[test]
-    fn segments_are_bounded_and_deterministic() {
-        let n = 5_000;
-        let segs = uniform_segments::<2>(n, 1, 0.1);
-        assert_eq!(segs.len(), n);
-        assert_eq!(segs, uniform_segments::<2>(n, 1, 0.1));
-        assert_ne!(segs, uniform_segments::<2>(n, 2, 0.1));
-        let side = cube_side(n);
-        for (a, b) in &segs {
-            for d in 0..2 {
-                assert!(a[d] >= 0.0 && a[d] < side);
-            }
-            assert!(a.dist(b) <= 0.1 * side * (1.0 + 1e-9));
-        }
-    }
-
-    #[test]
     fn rects_are_well_formed_and_bounded() {
         let n = 5_000;
         let rects = uniform_rects::<3>(n, 4, 0.2);
@@ -502,21 +450,6 @@ mod tests {
                 assert!(r.max[d] - r.min[d] <= 0.2 * side * (1.0 + 1e-9));
                 assert!(r.min[d] > -0.5 * side && r.max[d] < 1.5 * side);
             }
-        }
-    }
-
-    #[test]
-    fn intervals_are_normalized() {
-        let iv = uniform_intervals(3_000, 7, 0.05);
-        assert_eq!(iv.len(), 3_000);
-        for &(lo, hi) in &iv {
-            assert!(lo <= hi);
-        }
-        // Matches the 1D segment generator it is built on.
-        let segs = uniform_segments::<1>(3_000, 7, 0.05);
-        for ((lo, hi), (a, b)) in iv.iter().zip(&segs) {
-            assert_eq!(*lo, a[0].min(b[0]));
-            assert_eq!(*hi, a[0].max(b[0]));
         }
     }
 

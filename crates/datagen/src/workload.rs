@@ -14,7 +14,7 @@
 //! deterministic [`Workload`] (same seed ⇒ same ops, regardless of thread
 //! count), which `pargeo-engine`'s driver replays against any
 //! `SpatialIndex` backend. [`WorkloadSpec::presets`] names the standard
-//! scenario set the `dyn_engine` bench sweeps.
+//! scenario set the engine's differential suites replay.
 
 use crate::SeedSpreaderParams;
 use crate::{cube_side, in_sphere, on_cube, on_sphere, seed_spreader, uniform_cube};
@@ -175,7 +175,7 @@ impl WorkloadSpec {
         }
     }
 
-    /// The named scenario set the `dyn_engine` bench sweeps, scaled so the
+    /// The named scenario set the engine suites replay, scaled so the
     /// initial load is `n/2` points and the op stream touches about `n`
     /// more.
     pub fn presets(n: usize) -> Vec<WorkloadSpec> {
@@ -224,7 +224,7 @@ impl WorkloadSpec {
         vec![uniform, insert_heavy, window, hotspot, spreader]
     }
 
-    /// The named scenario set the `geostore` bench sweeps: the engine's
+    /// The named scenario set the store suites replay: the engine's
     /// serving axes plus a derived-structure (analytics) share, so the
     /// store's planner and memo cache see realistic mixed traffic.
     pub fn store_presets(n: usize) -> Vec<WorkloadSpec> {

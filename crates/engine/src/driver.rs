@@ -1,18 +1,15 @@
 //! The mixed-workload driver.
 //!
 //! [`run_workload`] replays a generated [`Workload`] against any
-//! [`SpatialIndex`] backend, timing each operation class separately and
-//! folding every answer into order-sensitive checksums. Because all
-//! backends follow the same determinism contract (sorted range ids,
-//! `(distance², id)`-ordered k-NN), two backends that served the same
-//! workload correctly produce **identical** checksums — the equality the
-//! integration suites and the `dyn_engine` bench anchor assert.
+//! [`SpatialIndex`] backend, folding every answer into order-sensitive
+//! checksums. Because all backends follow the same determinism contract
+//! (sorted range ids, `(distance², id)`-ordered k-NN), two backends that
+//! served the same workload correctly produce **identical** checksums —
+//! the equality the differential suites assert.
 
 use crate::{Snapshot, SpatialIndex};
 use pargeo_datagen::{Workload, WorkloadOp};
-use pargeo_obs::{HistSummary, Histogram};
 use pargeo_parlay::mix64 as mix;
-use std::time::Instant;
 
 /// What happened when a workload was replayed against one backend.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -25,14 +22,6 @@ pub struct WorkloadReport {
     pub inserted: usize,
     /// Points actually deleted.
     pub deleted: usize,
-    /// Wall-clock seconds spent in inserts (including the initial load).
-    pub insert_secs: f64,
-    /// Wall-clock seconds spent in deletes.
-    pub delete_secs: f64,
-    /// Wall-clock seconds spent answering k-NN batches.
-    pub knn_secs: f64,
-    /// Wall-clock seconds spent answering range batches.
-    pub range_secs: f64,
     /// Total neighbors reported across all k-NN batches.
     pub knn_results: u64,
     /// Order-sensitive digest of every reported neighbor id.
@@ -45,23 +34,9 @@ pub struct WorkloadReport {
     pub final_live: usize,
     /// The backend's closing epoch statistics.
     pub snapshot: Snapshot,
-    /// Per-batch insert latency distribution (nanoseconds; one
-    /// observation per batch, the initial load included).
-    pub insert_lat: HistSummary,
-    /// Per-batch delete latency distribution (nanoseconds).
-    pub delete_lat: HistSummary,
-    /// Per-batch k-NN latency distribution (nanoseconds).
-    pub knn_lat: HistSummary,
-    /// Per-batch range latency distribution (nanoseconds).
-    pub range_lat: HistSummary,
 }
 
 impl WorkloadReport {
-    /// Total wall-clock seconds across all operation classes.
-    pub fn total_secs(&self) -> f64 {
-        self.insert_secs + self.delete_secs + self.knn_secs + self.range_secs
-    }
-
     /// The answer digest: equal digests across backends ⇔ identical
     /// answers to every query batch of the workload.
     pub fn digest(&self) -> (u64, u64) {
@@ -69,7 +44,7 @@ impl WorkloadReport {
     }
 }
 
-/// Replays `workload` against `index`, returning timings and answer
+/// Replays `workload` against `index`, returning counts and answer
 /// digests. The index is mutated in place (callers pass a fresh one per
 /// run).
 pub fn run_workload<const D: usize, I: SpatialIndex<D> + ?Sized>(
@@ -80,43 +55,22 @@ pub fn run_workload<const D: usize, I: SpatialIndex<D> + ?Sized>(
         backend: index.backend_name(),
         ..WorkloadReport::default()
     };
-    let insert_h = Histogram::new();
-    let delete_h = Histogram::new();
-    let knn_h = Histogram::new();
-    let range_h = Histogram::new();
-    let t = Instant::now();
     index.insert(&workload.initial);
-    let dt = t.elapsed();
-    insert_h.record_duration(dt);
-    r.insert_secs += dt.as_secs_f64();
     r.inserted += workload.initial.len();
 
     for op in &workload.ops {
         match op {
             WorkloadOp::Insert(batch) => {
-                let t = Instant::now();
                 index.insert(batch);
-                let dt = t.elapsed();
-                insert_h.record_duration(dt);
-                r.insert_secs += dt.as_secs_f64();
                 r.inserted += batch.len();
                 r.ops.0 += 1;
             }
             WorkloadOp::Delete(batch) => {
-                let t = Instant::now();
                 r.deleted += index.delete(batch);
-                let dt = t.elapsed();
-                delete_h.record_duration(dt);
-                r.delete_secs += dt.as_secs_f64();
                 r.ops.1 += 1;
             }
             WorkloadOp::Knn(queries, k) => {
-                let t = Instant::now();
-                let rows = index.knn_batch(queries, *k);
-                let dt = t.elapsed();
-                knn_h.record_duration(dt);
-                r.knn_secs += dt.as_secs_f64();
-                for row in &rows {
+                for row in &index.knn_batch(queries, *k) {
                     r.knn_results += row.len() as u64;
                     for n in row {
                         r.knn_checksum = mix(r.knn_checksum, n.id as u64);
@@ -125,12 +79,7 @@ pub fn run_workload<const D: usize, I: SpatialIndex<D> + ?Sized>(
                 r.ops.2 += 1;
             }
             WorkloadOp::Range(boxes) => {
-                let t = Instant::now();
-                let rows = index.range_batch(boxes);
-                let dt = t.elapsed();
-                range_h.record_duration(dt);
-                r.range_secs += dt.as_secs_f64();
-                for row in &rows {
+                for row in &index.range_batch(boxes) {
                     r.range_results += row.len() as u64;
                     for id in row {
                         r.range_checksum = mix(r.range_checksum, *id as u64);
@@ -146,10 +95,6 @@ pub fn run_workload<const D: usize, I: SpatialIndex<D> + ?Sized>(
     }
     r.final_live = index.len();
     r.snapshot = index.snapshot();
-    r.insert_lat = insert_h.summary();
-    r.delete_lat = delete_h.summary();
-    r.knn_lat = knn_h.summary();
-    r.range_lat = range_h.summary();
     r
 }
 

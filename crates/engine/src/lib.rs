@@ -30,11 +30,6 @@
 //!   order-sensitive answer checksums — equal checksums across backends
 //!   prove they served identical answers.
 //!
-//! Read paths stay swappable with the static query structures: the same
-//! backends also implement `pargeo-rangequery`'s `BatchQuery` for box
-//! count/report, so a `RangeTree2d` can serve the read-only half of a
-//! workload interchangeably.
-//!
 //! ```
 //! use pargeo_engine::{SpatialIndex, VecIndex};
 //! use pargeo_bdltree::BdlTree;

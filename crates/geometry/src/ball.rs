@@ -44,16 +44,6 @@ impl<const D: usize> Ball<D> {
         self.radius < 0.0
     }
 
-    /// Squared radius (negative radius squares to a *negative* sentinel to
-    /// keep the empty ball containing nothing).
-    pub fn radius_sq(&self) -> f64 {
-        if self.radius < 0.0 {
-            -1.0
-        } else {
-            self.radius * self.radius
-        }
-    }
-
     /// Containment with a relative slack — a point on the boundary is
     /// inside. This is the test used by all SEB algorithms to decide whether
     /// a point is a *visible point* (outside the current ball).
@@ -64,12 +54,6 @@ impl<const D: usize> Ball<D> {
         }
         let r2 = self.radius * self.radius;
         p.dist_sq(&self.center) <= r2 * (1.0 + REL_TOL) + REL_TOL
-    }
-
-    /// Strict containment with no slack (used by tests).
-    #[inline]
-    pub fn contains_strict(&self, p: &Point<D>) -> bool {
-        self.radius >= 0.0 && p.dist_sq(&self.center) <= self.radius * self.radius
     }
 }
 

@@ -96,19 +96,6 @@ impl Expansion {
         Expansion(v)
     }
 
-    /// The exact product `a * b` as a two-component expansion.
-    pub fn from_product(a: f64, b: f64) -> Self {
-        let (x, y) = two_product(a, b);
-        let mut v = Vec::with_capacity(2);
-        if y != 0.0 {
-            v.push(y);
-        }
-        if x != 0.0 {
-            v.push(x);
-        }
-        Expansion(v)
-    }
-
     /// Exact sum of two expansions (fast expansion sum with zero
     /// elimination).
     pub fn add(&self, other: &Self) -> Self {

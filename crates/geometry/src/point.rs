@@ -26,9 +26,6 @@ pub type Point5 = Point<5>;
 pub type Point7 = Point<7>;
 
 impl<const D: usize> Point<D> {
-    /// The number of dimensions.
-    pub const DIM: usize = D;
-
     /// Creates a point from its coordinate array.
     #[inline]
     pub const fn new(coords: [f64; D]) -> Self {

@@ -5,9 +5,8 @@
 //! recurse. Batch variants are data-parallel over queries.
 //!
 //! Reporting output is **deterministic**: ids come back sorted ascending
-//! regardless of tree shape, split rule, or thread count — the contract the
-//! `pargeo-rangequery` `BatchQuery` backends rely on so kd-tree and
-//! range-tree answers are comparable verbatim.
+//! regardless of tree shape, split rule, or thread count, so answers from
+//! different trees over the same points are comparable verbatim.
 
 use crate::tree::{KdTree, Node};
 use pargeo_geometry::{Bbox, Point};

@@ -24,58 +24,15 @@ pub enum SplitRule {
     SpatialMedian,
 }
 
-/// Default number of points per leaf (overridable per build via
-/// [`BuildParams`], or process-wide via `PARGEO_LEAF`).
+/// Points per leaf of a default build ([`KdTree::build`], and the vEB, BDL
+/// and Zd trees' defaults); [`KdTree::build_with_leaf_size`] takes another.
+/// The leaf size never affects *answers* — only tree shape and build/query
+/// constants.
 pub const LEAF_SIZE: usize = 16;
 
-/// Default sequential cutoff for construction: below this size a node's
+/// Sequential cutoff for construction: below this size a node's
 /// bbox/selection/partition run serially.
 pub const SEQ_BUILD_CUTOFF: usize = 4096;
-
-/// Tunable construction knobs, so scale sweeps can explore the
-/// leaf-size/cutoff space without recompiling.
-///
-/// `Default` honors the `PARGEO_LEAF` environment variable (read once) for
-/// the leaf size, falling back to [`LEAF_SIZE`]. Neither knob affects
-/// *answers* — only tree shape and build/query constants.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BuildParams {
-    /// Maximum points per leaf (≥ 1).
-    pub leaf_size: usize,
-    /// Size below which per-node build steps run serially (≥ 2).
-    pub seq_cutoff: usize,
-}
-
-impl Default for BuildParams {
-    fn default() -> Self {
-        Self {
-            leaf_size: env_leaf_size(),
-            seq_cutoff: SEQ_BUILD_CUTOFF,
-        }
-    }
-}
-
-impl BuildParams {
-    /// Params with an explicit leaf size (ignoring `PARGEO_LEAF`).
-    pub fn with_leaf_size(leaf_size: usize) -> Self {
-        Self {
-            leaf_size,
-            seq_cutoff: SEQ_BUILD_CUTOFF,
-        }
-    }
-}
-
-/// `PARGEO_LEAF` if set and valid, else [`LEAF_SIZE`]; read once.
-fn env_leaf_size() -> usize {
-    static LEAF: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-    *LEAF.get_or_init(|| {
-        std::env::var("PARGEO_LEAF")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&v| v >= 1)
-            .unwrap_or(LEAF_SIZE)
-    })
-}
 
 #[derive(Debug, Clone)]
 pub(crate) struct Node<const D: usize> {
@@ -132,27 +89,22 @@ impl<T> SharedMut<T> {
 }
 
 impl<const D: usize> KdTree<D> {
-    /// Builds a kd-tree over `points` with the default (env-overridable)
-    /// parameters.
+    /// Builds a kd-tree over `points` with [`LEAF_SIZE`] points per leaf.
     pub fn build(points: &[Point<D>], rule: SplitRule) -> Self {
-        Self::build_with_params(points, rule, BuildParams::default())
+        Self::build_with_leaf_size(points, rule, LEAF_SIZE)
     }
 
-    /// Builds a kd-tree with an explicit leaf size.
-    pub fn build_with_leaf_size(points: &[Point<D>], rule: SplitRule, leaf_size: usize) -> Self {
-        Self::build_with_params(points, rule, BuildParams::with_leaf_size(leaf_size))
-    }
-
-    /// Builds a kd-tree with explicit [`BuildParams`].
+    /// Builds a kd-tree with an explicit leaf size (at least 1).
     ///
     /// The build proceeds level by level: every frontier node computes its
     /// bbox and split over its disjoint slice of the AoS work buffer (in
-    /// parallel across nodes, and within a node above `seq_cutoff`), then
-    /// the next level's nodes are appended to the arena in bulk. The work
-    /// buffer is scattered into the columnar store once at the end.
-    pub fn build_with_params(points: &[Point<D>], rule: SplitRule, params: BuildParams) -> Self {
-        let leaf_size = params.leaf_size.max(1);
-        let cutoff = params.seq_cutoff.max(2);
+    /// parallel across nodes, and within a node above
+    /// [`SEQ_BUILD_CUTOFF`]), then the next level's nodes are appended to
+    /// the arena in bulk. The work buffer is scattered into the columnar
+    /// store once at the end.
+    pub fn build_with_leaf_size(points: &[Point<D>], rule: SplitRule, leaf_size: usize) -> Self {
+        let leaf_size = leaf_size.max(1);
+        let cutoff = SEQ_BUILD_CUTOFF;
         let n = points.len();
         let mut items: Vec<(Point<D>, u32)> =
             parlay::tabulate(n, cutoff, |i| (points[i], i as u32));
@@ -590,28 +542,16 @@ mod tests {
 
     #[test]
     fn build_params_answers_are_invariant() {
-        // Leaf size and sequential cutoff shift the leaf/split frontier
-        // but never the answers.
+        // The leaf size shifts the leaf/split frontier but never the
+        // answers.
         let pts = uniform_cube::<2>(6_000, 8);
-        let base = KdTree::build_with_params(&pts, SplitRule::ObjectMedian, BuildParams::default());
+        let base = KdTree::build(&pts, SplitRule::ObjectMedian);
+        assert_eq!(base.leaf_size(), LEAF_SIZE);
         let queries: Vec<_> = pts.iter().copied().step_by(251).collect();
-        for params in [
-            BuildParams {
-                leaf_size: 1,
-                seq_cutoff: 64,
-            },
-            BuildParams {
-                leaf_size: 64,
-                seq_cutoff: 100_000,
-            },
-            BuildParams {
-                leaf_size: 7,
-                seq_cutoff: 2,
-            },
-        ] {
-            let t = KdTree::build_with_params(&pts, SplitRule::ObjectMedian, params);
+        for leaf_size in [1, 7, 64] {
+            let t = KdTree::build_with_leaf_size(&pts, SplitRule::ObjectMedian, leaf_size);
             check_structure(&t);
-            assert_eq!(t.leaf_size(), params.leaf_size);
+            assert_eq!(t.leaf_size(), leaf_size);
             for q in &queries {
                 assert_eq!(t.knn(q, 4), base.knn(q, 4));
             }

@@ -39,9 +39,6 @@ use std::sync::Arc;
 
 const SEQ_CUTOFF: usize = 4096;
 
-/// Default points per leaf.
-pub const VEB_LEAF_SIZE: usize = 16;
-
 /// A leaf's range `[start, end)` into the tree-level point arena.
 #[derive(Debug, Clone, Copy)]
 struct VLeaf {
@@ -119,14 +116,9 @@ struct ArenaNode<const D: usize> {
 
 impl<const D: usize> VebTree<D> {
     /// Builds a vEB tree over `(point, original id)` pairs
-    /// (object-median splits, leaf size from [`crate::tree::BuildParams`]
-    /// — so `PARGEO_LEAF` applies here too).
+    /// (object-median splits, [`crate::tree::LEAF_SIZE`] points per leaf).
     pub fn build(items: &[(Point<D>, u32)]) -> Self {
-        Self::build_with(
-            items,
-            crate::tree::BuildParams::default().leaf_size,
-            SplitRule::ObjectMedian,
-        )
+        Self::build_with(items, crate::tree::LEAF_SIZE, SplitRule::ObjectMedian)
     }
 
     /// Builds with an explicit leaf size (object-median splits).

@@ -42,7 +42,7 @@
 //! } // records wall-time on drop
 //! assert_eq!(reg.trace_events().len(), 1);
 //! assert!(reg.render_prometheus().contains("requests_total{class=\"knn\"} 1"));
-//! assert!(ObsLevel::default() == ObsLevel::Off && !ObsLevel::Off.is_on());
+//! assert!(ObsLevel::default() == ObsLevel::Off && !ObsLevel::Off.tracing());
 //! ```
 
 #![warn(missing_docs)]
@@ -75,11 +75,6 @@ pub enum ObsLevel {
 }
 
 impl ObsLevel {
-    /// True iff any observation is on.
-    pub fn is_on(self) -> bool {
-        self != ObsLevel::Off
-    }
-
     /// True iff the trace ring and slow-op log are kept.
     pub fn tracing(self) -> bool {
         self == ObsLevel::Trace

@@ -240,19 +240,9 @@ impl HistSummary {
         self.p50 as f64 / 1e6
     }
 
-    /// 90th percentile in milliseconds.
-    pub fn p90_ms(&self) -> f64 {
-        self.p90 as f64 / 1e6
-    }
-
     /// 99th percentile in milliseconds.
     pub fn p99_ms(&self) -> f64 {
         self.p99 as f64 / 1e6
-    }
-
-    /// Maximum in milliseconds.
-    pub fn max_ms(&self) -> f64 {
-        self.max as f64 / 1e6
     }
 }
 

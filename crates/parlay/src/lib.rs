@@ -14,12 +14,8 @@
 //!   predicates (the `ParallelPack` of the paper's Figure 5, line 17).
 //! * [`mod@reduce`] — blocked reductions, including the parallel
 //!   maximum-finding routine used by quickhull and the Welzl pivot heuristic.
-//! * [`atomics`] — the priority write (`WriteMin`/`WriteMax`) of
-//!   Shun et al. \[49\], the core of the reservation technique.
-//! * [`sort`] — a parallel merge sort and an LSD radix sort for 64-bit keys
-//!   (the Morton-sort substrate); [`samplesort`] — ParlayLib's comparison
-//!   sort.
-//! * [`mod@histogram`] — key counting and the stable group-by.
+//! * [`sort`] — an LSD radix sort for 64-bit keys (the Morton-sort
+//!   substrate); [`samplesort`] — ParlayLib's comparison sort.
 //! * [`mod@shuffle`] — deterministic random permutations, sequential
 //!   (Fisher–Yates) and parallel (sort by random keys).
 //! * [`select`] — parallel quickselect (`nth_element`) used for
@@ -44,9 +40,7 @@
 //!
 //! [ParlayLib]: https://github.com/cmuparlay/parlaylib
 
-pub mod atomics;
 mod counting;
-pub mod histogram;
 pub mod pack;
 pub mod pool;
 pub mod reduce;
@@ -56,16 +50,14 @@ pub mod select;
 pub mod shuffle;
 pub mod sort;
 
-pub use atomics::{write_max_usize, write_min_usize, AtomicMinIndex};
-pub use histogram::{group_by_key, histogram};
-pub use pack::{filter, flatten, pack, pack_eq, pack_index, split_two};
+pub use pack::{filter, flatten, pack, split_two};
 pub use pool::{num_threads, with_threads};
-pub use reduce::{max_index_by, min_index_by, reduce};
+pub use reduce::{max_index_by, reduce};
 pub use samplesort::sample_sort_by;
-pub use scan::{scan_exclusive, scan_inclusive, scan_inplace_exclusive};
+pub use scan::{scan_exclusive, scan_inclusive};
 pub use select::select_nth_unstable_by;
 pub use shuffle::{mix64, random_permutation, shuffle, shuffle_seeded};
-pub use sort::{merge_sort_by, radix_sort_u64_by_key, sort_by_key_f64};
+pub use sort::{radix_sort_u64_by_key, sort_by_key_f64};
 
 use std::any::Any;
 use std::ops::Range;

@@ -7,17 +7,28 @@
 
 use crate::scan::scan_inplace_exclusive;
 use crate::{block, for_each_mut, map, parallel_for, tabulate, SharedMut, Sink, GRANULARITY};
-use std::ops::Range;
 
-/// The `i`-th value for every index `i` with `keys[i] == want`, in index
-/// order, where `values(r)` iterates the values of the indices `r`: count
-/// the matches per block, scan the counts for destination offsets, scatter
-/// each block independently.
-fn pack_where<K: PartialEq + Sync, T: Copy + Send, I: Iterator<Item = T>>(
+/// Packs `items[i]` for every `i` with `flags[i] == true`, preserving order.
+///
+/// ```
+/// let kept = pargeo_parlay::pack(&[10, 20, 30, 40], &[true, false, true, false]);
+/// assert_eq!(kept, vec![10, 30]);
+/// ```
+pub fn pack<T: Copy + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
+    pack_eq(items, flags, true)
+}
+
+/// Packs `items[i]` for every `i` with `keys[i] == want`, preserving order
+/// — [`pack`] over any small key, so a three-way split needs one
+/// classification pass, not three flag vectors: count the matches per
+/// block, scan the counts for destination offsets, scatter each block
+/// independently.
+pub(crate) fn pack_eq<T: Copy + Send + Sync, K: PartialEq + Sync>(
+    items: &[T],
     keys: &[K],
     want: K,
-    values: impl Fn(Range<usize>) -> I + Sync,
 ) -> Vec<T> {
+    assert_eq!(items.len(), keys.len(), "pack: length mismatch");
     let n = keys.len();
     let nblocks = n.div_ceil(GRANULARITY);
     let mut offsets = tabulate(nblocks, 1, |b| {
@@ -33,11 +44,11 @@ fn pack_where<K: PartialEq + Sync, T: Copy + Send, I: Iterator<Item = T>>(
         // tile `0..total = capacity`, one per block.
         let mut sink = unsafe { Sink::new(slots, offsets[b]..end) };
         let range = block(b, GRANULARITY, n);
-        for (v, k) in values(range.clone()).zip(&keys[range]) {
+        for (v, k) in items[range.clone()].iter().zip(&keys[range]) {
             if *k == want {
                 // SAFETY: the run is as long as the count of matches in
                 // this block of the (immutable) keys, taken above.
-                unsafe { sink.push(v) };
+                unsafe { sink.push(*v) };
             }
         }
         sink.finish();
@@ -46,33 +57,6 @@ fn pack_where<K: PartialEq + Sync, T: Copy + Send, I: Iterator<Item = T>>(
     // `0..total`. (`T: Copy`: had a task panicked, nothing needed a drop.)
     unsafe { out.set_len(total) };
     out
-}
-
-/// Packs `items[i]` for every `i` with `flags[i] == true`, preserving order.
-///
-/// ```
-/// let kept = pargeo_parlay::pack(&[10, 20, 30, 40], &[true, false, true, false]);
-/// assert_eq!(kept, vec![10, 30]);
-/// ```
-pub fn pack<T: Copy + Send + Sync>(items: &[T], flags: &[bool]) -> Vec<T> {
-    pack_eq(items, flags, true)
-}
-
-/// Packs `items[i]` for every `i` with `keys[i] == want`, preserving order
-/// — [`pack`] over any small key, so a three-way split needs one
-/// classification pass, not three flag vectors.
-pub fn pack_eq<T: Copy + Send + Sync, K: PartialEq + Sync>(
-    items: &[T],
-    keys: &[K],
-    want: K,
-) -> Vec<T> {
-    assert_eq!(items.len(), keys.len(), "pack: length mismatch");
-    pack_where(keys, want, |r| items[r].iter().copied())
-}
-
-/// Returns the indices `i` with `flags[i] == true`, in increasing order.
-pub fn pack_index(flags: &[bool]) -> Vec<usize> {
-    pack_where(flags, true, |r| r)
 }
 
 /// Keeps the elements satisfying `pred`, preserving order, in parallel
@@ -150,15 +134,6 @@ mod tests {
                 .collect();
             assert_eq!(got, want, "n={n}");
         }
-    }
-
-    #[test]
-    fn pack_index_matches_reference() {
-        let n = 70_000;
-        let flags: Vec<bool> = (0..n).map(|i| (i * i) % 7 == 1).collect();
-        let got = pack_index(&flags);
-        let want: Vec<usize> = (0..n).filter(|&i| flags[i]).collect();
-        assert_eq!(got, want);
     }
 
     #[test]

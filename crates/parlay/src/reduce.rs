@@ -1,4 +1,4 @@
-//! Blocked reductions, including argmax/argmin ("parallel maximum-finding
+//! Blocked reductions, including argmax ("parallel maximum-finding
 //! routine" used by quickhull's furthest-point step and Welzl's pivot
 //! heuristic).
 
@@ -58,16 +58,6 @@ where
     best.map(|(i, _)| i)
 }
 
-/// Index of the element minimizing `key`; ties toward the smaller index.
-pub fn min_index_by<T, K, F>(a: &[T], key: F) -> Option<usize>
-where
-    T: Sync,
-    K: PartialOrd + std::ops::Neg<Output = K> + Copy + Send,
-    F: Fn(&T) -> K + Sync,
-{
-    max_index_by(a, |x| -key(x))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,12 +105,6 @@ mod tests {
     fn max_index_ties_break_low() {
         let a = vec![1.0f64; 10_000];
         assert_eq!(max_index_by(&a, |&x| x), Some(0));
-    }
-
-    #[test]
-    fn min_index_basic() {
-        let a: Vec<f64> = vec![3.0, 1.0, 2.0, 1.0];
-        assert_eq!(min_index_by(&a, |&x| x), Some(1));
     }
 
     #[test]

@@ -76,7 +76,7 @@ where
 ///
 /// This is the workhorse used by [`crate::pack()`] where allocating a second
 /// vector for the prefix array would double memory traffic.
-pub fn scan_inplace_exclusive(a: &mut [usize]) -> usize {
+pub(crate) fn scan_inplace_exclusive(a: &mut [usize]) -> usize {
     let n = a.len();
     if n <= GRANULARITY {
         return scan_seq(a, 0, |acc, x| acc + x);

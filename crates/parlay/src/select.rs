@@ -5,7 +5,8 @@
 //! recurse into the single group containing the target rank. Expected work
 //! `O(n)`, depth `O(log^2 n)`.
 
-use crate::{map, pack_eq, GRANULARITY};
+use crate::pack::pack_eq;
+use crate::{map, GRANULARITY};
 use std::cmp::Ordering;
 
 /// Reorders `a` so that `a[nth]` holds the element of rank `nth` and every

@@ -1,116 +1,7 @@
-//! Parallel sorting: comparison-based merge sort and an LSD radix sort for
-//! 64-bit keys (the substrate under Morton sort and the Zd-tree).
+//! Parallel sorting: an LSD radix sort for 64-bit keys (the substrate under
+//! Morton sort and the Zd-tree).
 
-use crate::{counting, for_each_mut, map, par_do, GRANULARITY};
-use std::cmp::Ordering;
-
-/// Stable parallel merge sort.
-///
-/// Classic alternating-buffer merge sort: both recursive halves sort in
-/// parallel, and the merge itself is parallelized by splitting the larger run
-/// at its midpoint and binary-searching the split point in the smaller run.
-/// Work `O(n log n)`, depth `O(log^3 n)`.
-pub fn merge_sort_by<T, F>(a: &mut [T], cmp: F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = a.len();
-    if n <= GRANULARITY {
-        a.sort_by(&cmp);
-        return;
-    }
-    let mut buf = a.to_vec();
-    sort_in_place(a, &mut buf, &cmp);
-}
-
-/// Sorts `a` using `buf` as scratch; result lands in `a`.
-fn sort_in_place<T, F>(a: &mut [T], buf: &mut [T], cmp: &F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = a.len();
-    if n <= GRANULARITY {
-        a.sort_by(cmp);
-        return;
-    }
-    let mid = n / 2;
-    let (a1, a2) = a.split_at_mut(mid);
-    let (b1, b2) = buf.split_at_mut(mid);
-    par_do(|| sort_into(a1, b1, cmp), || sort_into(a2, b2, cmp));
-    par_merge(b1, b2, a, cmp);
-}
-
-/// Sorts the contents of `a`, writing the sorted run into `b`.
-fn sort_into<T, F>(a: &mut [T], b: &mut [T], cmp: &F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    let n = a.len();
-    if n <= GRANULARITY {
-        a.sort_by(cmp);
-        b.copy_from_slice(a);
-        return;
-    }
-    let mid = n / 2;
-    let (a1, a2) = a.split_at_mut(mid);
-    let (b1, b2) = b.split_at_mut(mid);
-    par_do(|| sort_in_place(a1, b1, cmp), || sort_in_place(a2, b2, cmp));
-    par_merge(a1, a2, b, cmp);
-}
-
-/// Merges sorted runs `x` and `y` into `out` (which must have length
-/// `x.len() + y.len()`), stably and in parallel.
-fn par_merge<T, F>(x: &[T], y: &[T], out: &mut [T], cmp: &F)
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T, &T) -> Ordering + Sync,
-{
-    debug_assert_eq!(x.len() + y.len(), out.len());
-    if x.len() + y.len() <= GRANULARITY {
-        seq_merge(x, y, out, cmp);
-        return;
-    }
-    // Split the longer run at its midpoint; binary-search the matching
-    // position in the shorter run. Taking `Less` from y against x's pivot
-    // keeps the merge stable (x elements win ties).
-    if x.len() >= y.len() {
-        let xm = x.len() / 2;
-        let ym = y.partition_point(|e| cmp(e, &x[xm]) == Ordering::Less);
-        let (o1, o2) = out.split_at_mut(xm + ym);
-        par_do(
-            || par_merge(&x[..xm], &y[..ym], o1, cmp),
-            || par_merge(&x[xm..], &y[ym..], o2, cmp),
-        );
-    } else {
-        let ym = y.len() / 2;
-        let xm = x.partition_point(|e| cmp(e, &y[ym]) != Ordering::Greater);
-        let (o1, o2) = out.split_at_mut(xm + ym);
-        par_do(
-            || par_merge(&x[..xm], &y[..ym], o1, cmp),
-            || par_merge(&x[xm..], &y[ym..], o2, cmp),
-        );
-    }
-}
-
-fn seq_merge<T, F>(x: &[T], y: &[T], out: &mut [T], cmp: &F)
-where
-    T: Copy,
-    F: Fn(&T, &T) -> Ordering,
-{
-    let (mut i, mut j) = (0, 0);
-    for o in out.iter_mut() {
-        if i < x.len() && (j >= y.len() || cmp(&x[i], &y[j]) != Ordering::Greater) {
-            *o = x[i];
-            i += 1;
-        } else {
-            *o = y[j];
-            j += 1;
-        }
-    }
-}
+use crate::{counting, for_each_mut, map, GRANULARITY};
 
 const RADIX_BITS: usize = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
@@ -165,7 +56,7 @@ where
 /// Maps `f64` to `u64` such that the `u64` order matches the `f64` order
 /// (total order over finite values; -0.0 < +0.0).
 #[inline]
-pub fn f64_to_ordered_u64(x: f64) -> u64 {
+pub(crate) fn f64_to_ordered_u64(x: f64) -> u64 {
     let bits = x.to_bits();
     if bits >> 63 == 0 {
         bits | (1 << 63)
@@ -177,30 +68,6 @@ pub fn f64_to_ordered_u64(x: f64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn merge_sort_matches_std() {
-        for n in [0usize, 1, 2, 1000, GRANULARITY + 1, 100_000] {
-            let mut a: Vec<u64> = (0..n as u64)
-                .map(|i| (i * 2_654_435_761) % 10_007)
-                .collect();
-            let mut want = a.clone();
-            want.sort();
-            merge_sort_by(&mut a, |x, y| x.cmp(y));
-            assert_eq!(a, want, "n={n}");
-        }
-    }
-
-    #[test]
-    fn merge_sort_is_stable() {
-        // Sort pairs by first component only; second must keep input order.
-        let n = 50_000;
-        let mut a: Vec<(u32, u32)> = (0..n).map(|i| ((i * 7) % 10, i)).collect();
-        merge_sort_by(&mut a, |x, y| x.0.cmp(&y.0));
-        for w in a.windows(2) {
-            assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
-        }
-    }
 
     #[test]
     fn radix_sort_matches_std() {

@@ -2,18 +2,16 @@
 //!
 //! [`run_store_workload`] replays a generated [`Workload`] — including the
 //! derived-structure (analytics) ops the index-only engine driver skips —
-//! against a [`GeoStore`], timing each traffic class and folding every
-//! answer into one order-sensitive digest. Stores over different backends
-//! that served the workload correctly produce **identical** digests; the
-//! `geostore` bench and the integration suites assert exactly that.
+//! against a [`GeoStore`], folding every answer into one order-sensitive
+//! digest. Stores over different backends that served the workload
+//! correctly produce **identical** digests; the differential suites assert
+//! exactly that.
 
 use crate::request::{Request, Response};
 use crate::store::GeoStore;
 use crate::CacheStats;
 use pargeo_datagen::{DerivedOp, Workload, WorkloadOp};
 use pargeo_geometry::GeoResult;
-use pargeo_obs::{HistSummary, Histogram};
-use std::time::Instant;
 
 /// What happened when a workload was replayed against one store.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -21,17 +19,10 @@ pub struct StoreReport {
     /// Backend label of the store that served the workload.
     pub backend: &'static str,
     /// Morton-prefix shards the index ran over (1 = unsharded; the digest
-    /// is shard-count-invariant, the timings are the point).
+    /// is shard-count-invariant).
     pub shards: usize,
     /// Batches per traffic class: (insert, delete, knn, range, derived).
     pub ops: (usize, usize, usize, usize, usize),
-    /// Wall-clock seconds in writes (including the initial bulk load).
-    pub write_secs: f64,
-    /// Wall-clock seconds answering k-NN and range batches.
-    pub read_secs: f64,
-    /// Wall-clock seconds in derived-structure requests (cache hits
-    /// included — their cost is the point).
-    pub derived_secs: f64,
     /// Order-sensitive digest over every response (ids and counts;
     /// typed errors fold in as a tag, so two stores agree only if they
     /// also failed identically).
@@ -42,32 +33,10 @@ pub struct StoreReport {
     pub final_live: usize,
     /// Memo-cache counters at the end of the run.
     pub cache: CacheStats,
-    /// Per-request write latency distribution (nanoseconds; one
-    /// observation per insert/delete request, the initial load included).
-    pub write_lat: HistSummary,
-    /// Per-request read latency distribution (nanoseconds; k-NN and range
-    /// requests).
-    pub read_lat: HistSummary,
-    /// Per-request derived-structure latency distribution (nanoseconds;
-    /// cache hits included — their cost is the point).
-    pub derived_lat: HistSummary,
     /// Live points per Morton-prefix shard at the end of the run
     /// (single-element when unsharded); sums to `final_live`, and the
     /// spread across entries is the router's balance diagnostic.
     pub shard_live: Vec<usize>,
-    /// Heap bytes held by the index's flat arenas after the final
-    /// operation (the `index_arena_bytes` gauge's closing value).
-    pub arena_bytes: usize,
-    /// Structure nodes allocated across the index's arenas after the
-    /// final operation (the `index_nodes_total` gauge's closing value).
-    pub index_nodes: usize,
-}
-
-impl StoreReport {
-    /// Total wall-clock seconds across all traffic classes.
-    pub fn total_secs(&self) -> f64 {
-        self.write_secs + self.read_secs + self.derived_secs
-    }
 }
 
 fn to_request<const D: usize>(op: &WorkloadOp<D>) -> Request<D> {
@@ -90,8 +59,8 @@ fn to_request<const D: usize>(op: &WorkloadOp<D>) -> Request<D> {
     }
 }
 
-/// Replays `workload` against `store`, returning timings, the answer
-/// digest, and cache counters. The store is mutated in place (callers
+/// Replays `workload` against `store`, returning the answer digest, op
+/// counts and cache counters. The store is mutated in place (callers
 /// pass a fresh one per run).
 pub fn run_store_workload<const D: usize>(
     store: &mut GeoStore<D>,
@@ -102,66 +71,23 @@ pub fn run_store_workload<const D: usize>(
         shards: store.shard_count(),
         ..StoreReport::default()
     };
-    let write_h = Histogram::new();
-    let read_h = Histogram::new();
-    let derived_h = Histogram::new();
-    let t = Instant::now();
     let resp = store.run(Request::Insert(workload.initial.clone()));
-    let dt = t.elapsed();
-    write_h.record_duration(dt);
-    r.write_secs += dt.as_secs_f64();
     r.digest = fold(r.digest, &resp, &mut r.errors);
 
     for op in &workload.ops {
         let req = to_request(op);
-        let class = match &req {
-            Request::Insert(_) => 0,
-            Request::Delete(_) => 1,
-            Request::Knn { .. } => 2,
-            Request::Range(_) => 3,
-            _ => 4,
-        };
-        let t = Instant::now();
-        let resp = store.run(req);
-        let dt = t.elapsed();
-        let secs = dt.as_secs_f64();
-        match class {
-            0 => {
-                write_h.record_duration(dt);
-                r.write_secs += secs;
-                r.ops.0 += 1;
-            }
-            1 => {
-                write_h.record_duration(dt);
-                r.write_secs += secs;
-                r.ops.1 += 1;
-            }
-            2 => {
-                read_h.record_duration(dt);
-                r.read_secs += secs;
-                r.ops.2 += 1;
-            }
-            3 => {
-                read_h.record_duration(dt);
-                r.read_secs += secs;
-                r.ops.3 += 1;
-            }
-            _ => {
-                derived_h.record_duration(dt);
-                r.derived_secs += secs;
-                r.ops.4 += 1;
-            }
+        match &req {
+            Request::Insert(_) => r.ops.0 += 1,
+            Request::Delete(_) => r.ops.1 += 1,
+            Request::Knn { .. } => r.ops.2 += 1,
+            Request::Range(_) => r.ops.3 += 1,
+            _ => r.ops.4 += 1,
         }
+        let resp = store.run(req);
         r.digest = fold(r.digest, &resp, &mut r.errors);
     }
     r.final_live = store.len();
-    let stats = store.stats();
-    r.cache = stats.cache;
-    r.arena_bytes = stats.snapshot.arena_bytes;
-    r.index_nodes = stats.snapshot.nodes;
-    r.write_lat = write_h.summary();
-    r.read_lat = read_h.summary();
-    r.derived_lat = derived_h.summary();
+    r.cache = store.stats().cache;
     r.shard_live = store.shard_snapshots().iter().map(|s| s.live).collect();
     r
 }

@@ -46,7 +46,7 @@
 //! * [`run_store_workload`] — replays a `pargeo-datagen`
 //!   [`Workload`](pargeo_datagen::Workload) (including its
 //!   derived-structure ops) against a store and digests every answer, the
-//!   anchor the `geostore` bench asserts against the oracle.
+//!   anchor the differential suites assert against the oracle store.
 //!
 //! ```
 //! use pargeo_store::{GeoStore, Request, Response};

@@ -76,8 +76,6 @@ pub(crate) struct StoreObs {
     /// at pin, decremented when a [`StoreSnapshot`](crate::StoreSnapshot)
     /// drops).
     pub pinned_views: Arc<Gauge>,
-    /// `geostore_queue_depth` — requests sitting in the admission queue.
-    pub queue_depth: Arc<Gauge>,
     /// `geostore_pipeline_runs_total` — read runs served through the
     /// pipelined executor (pinned-snapshot path).
     pub pipeline_runs: Arc<Counter>,
@@ -132,7 +130,6 @@ impl StoreObs {
             .collect();
         let epochs = registry.counter("geostore_write_epochs_total", &[]);
         let pinned_views = registry.gauge("geostore_pinned_views", &[]);
-        let queue_depth = registry.gauge("geostore_queue_depth", &[]);
         let pipeline_runs = registry.counter("geostore_pipeline_runs_total", &[]);
         let pipeline_overlapped = registry.counter("geostore_pipeline_overlapped_total", &[]);
         let index_arena_bytes = registry.gauge("index_arena_bytes", &[("backend", backend)]);
@@ -148,7 +145,6 @@ impl StoreObs {
             memo_fallback,
             epochs,
             pinned_views,
-            queue_depth,
             pipeline_runs,
             pipeline_overlapped,
             index_arena_bytes,

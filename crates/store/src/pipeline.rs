@@ -26,7 +26,7 @@
 
 use crate::derived::{self, DerivedVal};
 use crate::obs::{self, StoreObs};
-use crate::request::{check_k, DerivedKind, Request, Response, StoreStats};
+use crate::request::{check_knn, DerivedKind, Request, Response, StoreStats};
 use pargeo_engine::{Snapshot, SnapshotView};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
@@ -149,7 +149,7 @@ impl<const D: usize> StoreSnapshot<D> {
                 what: "write request against a pinned snapshot",
             }),
             Request::Knn { queries, k } => {
-                check_k(*k, self.len())?;
+                check_knn(queries, *k, self.len())?;
                 Ok(Response::Knn(self.view.knn_batch(queries, *k)))
             }
             Request::Range(boxes) => Ok(Response::Range(self.view.range_batch(boxes))),

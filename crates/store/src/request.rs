@@ -54,21 +54,25 @@ impl DerivedKind {
 pub enum Request<const D: usize> {
     /// Insert a batch of points; they receive consecutive store ids. A
     /// batch carrying a NaN or ±∞ coordinate is refused whole with
-    /// [`GeoError::BadParameter`](pargeo_geometry::GeoError::BadParameter):
+    /// [`GeoError::BadParameter`]:
     /// nothing of it is inserted, it takes no ids and no epoch, and the
     /// other requests of its run are applied as if it were absent.
     Insert(Vec<Point<D>>),
-    /// Delete every live point whose coordinates match a batch point.
+    /// Delete every live point whose coordinates match a batch point (a
+    /// NaN coordinate matches nothing).
     Delete(Vec<Point<D>>),
     /// The `k` nearest live neighbors of every query point.
     Knn {
-        /// Query points (answered data-parallel over the batch).
+        /// Query points (answered data-parallel over the batch). A NaN or
+        /// ±∞ coordinate anywhere in the batch answers the whole request
+        /// [`GeoError::BadParameter`].
         queries: Vec<Point<D>>,
         /// Neighbors per query; must be positive and must not exceed the
         /// live point count.
         k: usize,
     },
-    /// Ids of the live points inside every query box (boundary inclusive).
+    /// Ids of the live points inside every query box (boundary inclusive;
+    /// a box with a NaN bound contains nothing).
     Range(Vec<Bbox<D>>),
     /// Convex hull of the live set (`D ∈ {2, 3}`).
     Hull,
@@ -91,11 +95,6 @@ pub enum Request<const D: usize> {
 }
 
 impl<const D: usize> Request<D> {
-    /// True iff the request mutates the store (insert or delete).
-    pub fn is_write(&self) -> bool {
-        matches!(self, Request::Insert(_) | Request::Delete(_))
-    }
-
     /// The derived structure this request asks for, if any.
     pub fn derived_kind(&self) -> Option<DerivedKind> {
         match self {
@@ -111,8 +110,15 @@ impl<const D: usize> Request<D> {
 }
 
 /// The k-NN argument check of the store and of its pinned snapshots: `k`
-/// must be positive and must not exceed the `live` point count.
-pub(crate) fn check_k(k: usize, live: usize) -> GeoResult<()> {
+/// must be positive and must not exceed the `live` point count, and every
+/// query coordinate must be finite — a NaN or ±∞ query has no k nearest
+/// neighbours to report, so it is refused here, at the boundary, rather
+/// than answered with a short or arbitrary row.
+pub(crate) fn check_knn<const D: usize>(
+    queries: &[Point<D>],
+    k: usize,
+    live: usize,
+) -> GeoResult<()> {
     if k == 0 {
         return Err(GeoError::BadParameter {
             op: "knn",
@@ -124,6 +130,12 @@ pub(crate) fn check_k(k: usize, live: usize) -> GeoResult<()> {
             op: "knn",
             k,
             n: live,
+        });
+    }
+    if !queries.iter().all(Point::is_finite) {
+        return Err(GeoError::BadParameter {
+            op: "knn",
+            what: "non-finite coordinate",
         });
     }
     Ok(())

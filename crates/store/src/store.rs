@@ -4,7 +4,7 @@
 use crate::derived::{self, DerivedVal, Engine, Fallback};
 use crate::obs::{self, StoreObs};
 use crate::pipeline::{LiveView, StoreSnapshot};
-use crate::request::{check_k, CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
+use crate::request::{check_knn, CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
 use pargeo_bdltree::{bdl::DEFAULT_BUFFER_SIZE, BdlTree};
 use pargeo_engine::{ShardedIndex, Snapshot, SpatialIndex, VecIndex};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
@@ -58,8 +58,6 @@ pub struct GeoStoreBuilder<const D: usize> {
     observe: ObsLevel,
     slow_op_nanos: Option<u64>,
     pipeline: bool,
-    write_window: Option<usize>,
-    window_duration: Option<Duration>,
 }
 
 /// Default fraction of a derived structure one coalesced insert batch may
@@ -79,8 +77,6 @@ impl<const D: usize> Default for GeoStoreBuilder<D> {
             observe: ObsLevel::Off,
             slow_op_nanos: None,
             pipeline: false,
-            write_window: None,
-            window_duration: None,
         }
     }
 }
@@ -168,23 +164,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
         self
     }
 
-    /// Seals the admission queue into a write epoch once this many write
-    /// requests are queued (default: no size window — the queue seals on
-    /// [`flush`](GeoStore::flush), on the time window if one is set, or
-    /// at the hard queue cap). See [`GeoStore::submit`].
-    pub fn write_window(mut self, requests: usize) -> Self {
-        self.write_window = Some(requests.max(1));
-        self
-    }
-
-    /// Seals the admission queue into a write epoch once the oldest
-    /// queued request has waited this long (checked at each
-    /// [`submit`](GeoStore::submit); default: no time window).
-    pub fn window_duration(mut self, window: Duration) -> Self {
-        self.window_duration = Some(window);
-        self
-    }
-
     /// Captures any serve-path span at least this long into the registry's
     /// slow-op log (requires [`observe`](Self::observe) ≠ `Off`; default:
     /// no slow-op capture).
@@ -260,13 +239,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
             incremental: self.incremental,
             damage_threshold: self.damage_threshold,
             pipeline: self.pipeline,
-            write_window: self.write_window,
-            window_duration: self.window_duration,
-            queue: Vec::new(),
-            queued_writes: 0,
-            queue_opened: None,
-            completed: Vec::new(),
-            submitted: 0,
             write_epoch: 0,
             live_view: None,
             cache: HashMap::new(),
@@ -375,11 +347,6 @@ fn retire<const D: usize>((ids, pts): &mut LiveView<D>, removed: &[(Point<D>, u3
     pts.truncate(kept);
 }
 
-/// Hard cap on the admission queue: a queue this deep seals regardless of
-/// the configured size/time windows, bounding worst-case memory and the
-/// staleness of unserved responses.
-const MAX_QUEUE: usize = 4096;
-
 /// One slot of the per-kind memo cache — the `Fresh | Incremental |
 /// Rebuilt` state machine.
 ///
@@ -440,24 +407,6 @@ pub struct GeoStore<const D: usize> {
     damage_threshold: f64,
     /// Serve read runs through the pipelined (snapshot-pinning) executor.
     pipeline: bool,
-    /// Admission-queue size window: seal once this many write requests
-    /// are queued.
-    write_window: Option<usize>,
-    /// Admission-queue time window: seal once the oldest queued request
-    /// has waited this long.
-    window_duration: Option<Duration>,
-    /// The admission queue: requests accepted by `submit` but not yet
-    /// formed into epochs.
-    queue: Vec<Request<D>>,
-    /// Write requests currently queued (the size-window counter).
-    queued_writes: usize,
-    /// When the oldest queued request was admitted.
-    queue_opened: Option<Instant>,
-    /// Responses of already-sealed epochs, in ticket order, awaiting
-    /// `flush`.
-    completed: Vec<GeoResult<Response<D>>>,
-    /// Tickets issued by `submit` so far.
-    submitted: u64,
     /// Coalesced write batches applied so far.
     write_epoch: u64,
     /// The compacted live set derived structures are computed over — the
@@ -691,74 +640,6 @@ impl<const D: usize> GeoStore<D> {
             .map(|(k, e)| (*k, e.value.clone()))
             .collect();
         StoreSnapshot::new(self.index.pin(), self.stats(), derived, self.obs.clone())
-    }
-
-    // ---- continuous admission ------------------------------------------
-
-    /// Admits one request into the admission queue and returns its ticket
-    /// (tickets count all submissions, starting at 0). The queue seals
-    /// into execution — forming write epochs from the queued stream —
-    /// when the configured size window
-    /// ([`write_window`](GeoStoreBuilder::write_window)) or time window
-    /// ([`window_duration`](GeoStoreBuilder::window_duration)) is hit, at
-    /// the hard cap of `MAX_QUEUE` requests, or on
-    /// [`flush`](Self::flush). Responses of sealed requests accumulate in
-    /// ticket order and are retrieved with `flush`.
-    ///
-    /// Windowing changes *when* epochs form, never *what* reads see:
-    /// responses for any submission order equal the serial executor's on
-    /// the same stream, except that [`Stats`](Request::Stats) responses
-    /// observe window-dependent epoch/cache counters.
-    pub fn submit(&mut self, request: Request<D>) -> u64 {
-        let ticket = self.submitted;
-        self.submitted += 1;
-        if self.queue.is_empty() {
-            self.queue_opened = Some(Instant::now());
-        }
-        if request.is_write() {
-            self.queued_writes += 1;
-        }
-        self.queue.push(request);
-        if let Some(o) = &self.obs {
-            o.queue_depth.set(self.queue.len() as i64);
-        }
-        let size_hit = self.write_window.is_some_and(|w| self.queued_writes >= w);
-        let time_hit = self
-            .window_duration
-            .zip(self.queue_opened)
-            .is_some_and(|(d, t)| t.elapsed() >= d);
-        if size_hit || time_hit || self.queue.len() >= MAX_QUEUE {
-            self.seal_queue();
-        }
-        ticket
-    }
-
-    /// Requests currently admitted but not yet sealed into an epoch.
-    pub fn queue_depth(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Seals the admission queue (forming its write epochs and serving
-    /// its reads) and returns every response accumulated since the last
-    /// flush, in ticket order.
-    pub fn flush(&mut self) -> Vec<GeoResult<Response<D>>> {
-        self.seal_queue();
-        std::mem::take(&mut self.completed)
-    }
-
-    /// Drains the admission queue through the configured executor.
-    fn seal_queue(&mut self) {
-        if self.queue.is_empty() {
-            return;
-        }
-        let batch = std::mem::take(&mut self.queue);
-        self.queued_writes = 0;
-        self.queue_opened = None;
-        if let Some(o) = &self.obs {
-            o.queue_depth.set(0);
-        }
-        let responses = self.execute(&batch);
-        self.completed.extend(responses);
     }
 
     /// Applies a run of `Insert` requests as one coalesced index batch.
@@ -1118,7 +999,7 @@ impl<const D: usize> GeoStore<D> {
     fn answer_one_inner(&self, req: &Request<D>) -> GeoResult<Response<D>> {
         match req {
             Request::Knn { queries, k } => {
-                check_k(*k, self.index.len())?;
+                check_knn(queries, *k, self.index.len())?;
                 Ok(Response::Knn(self.index.knn_batch(queries, *k)))
             }
             Request::Range(boxes) => Ok(Response::Range(self.index.range_batch(boxes))),
@@ -1461,6 +1342,72 @@ mod tests {
                 );
                 assert_eq!(store.stats().write_epoch, clean.stats().write_epoch);
                 assert_eq!(store.stats().cache.hits, hits + 1);
+            }
+        }
+    }
+
+    /// Non-finite read arguments are decided at the boundary too, on both
+    /// backends, both executors, sharded or not, live store and pinned
+    /// snapshot alike: a k-NN query with a NaN or ±∞ coordinate has no `k`
+    /// nearest neighbours, so its request answers a typed error (never a
+    /// short row, never ids at distance ∞); a range box with a NaN bound
+    /// contains nothing and a delete of a NaN point matches nothing, which
+    /// are exact answers. The rest of the run is served as if unaffected.
+    #[test]
+    fn non_finite_reads_are_decided_at_the_boundary() {
+        let pts: Vec<Point<2>> = (0..300)
+            .map(|i| Point::new([(i % 17) as f64 + 0.01 * i as f64, (i / 17) as f64]))
+            .collect();
+        let nan = f64::NAN;
+        let knn = |queries: Vec<Point<2>>| Request::Knn { queries, k: 3 };
+        let finite = knn(pts[..20].to_vec());
+        let bad_knn = [
+            knn(vec![
+                Point::new([nan, 1.0]),
+                Point::new([f64::INFINITY, 1.0]),
+                Point::new([nan, nan]),
+            ]),
+            knn([&pts[..5], &[Point::new([1.0, f64::NEG_INFINITY])]].concat()),
+        ];
+        let nan_box = Request::Range(vec![Bbox {
+            min: Point::new([nan, 0.0]),
+            max: Point::new([5.0, 5.0]),
+        }]);
+        let reads = [&bad_knn[..], &[nan_box, finite.clone()]].concat();
+        let refused = Err(GeoError::BadParameter {
+            op: "knn",
+            what: "non-finite coordinate",
+        });
+        for backend in [Backend::Bdl, Backend::Oracle] {
+            for (pipeline, shards) in [(false, 1), (true, 1), (false, 4), (true, 4)] {
+                let ctx = format!("{backend:?} pipeline={pipeline} shards={shards}");
+                let mut store = GeoStore::<2>::builder()
+                    .backend(backend)
+                    .pipeline(pipeline)
+                    .shards(shards)
+                    .buffer_size(16)
+                    .build();
+                let got = store.execute(
+                    &[
+                        &[Request::Insert(pts.clone())][..],
+                        &reads,
+                        &[Request::Delete(vec![Point::new([nan, 1.0])])],
+                        std::slice::from_ref(&finite),
+                    ]
+                    .concat(),
+                );
+                assert_eq!(got[1..3], [refused.clone(), refused.clone()], "{ctx}");
+                assert_eq!(got[3], Ok(Response::Range(vec![vec![]])), "{ctx}");
+                let Ok(Response::Knn(rows)) = &got[4] else {
+                    panic!("{ctx}: the finite k-NN of the same run must answer");
+                };
+                assert!(rows.len() == 20 && rows.iter().all(|r| r.len() == 3));
+                assert_eq!(got[5], Ok(Response::Deleted { count: 0 }), "{ctx}");
+                assert_eq!(got[6], got[4], "{ctx}: nothing was removed");
+                assert_eq!(store.len(), 300, "{ctx}");
+                // The pinned snapshot answers through the same check.
+                let snap = store.pin();
+                assert_eq!(snap.execute(&reads), got[1..5], "{ctx}: snapshot");
             }
         }
     }

@@ -14,7 +14,7 @@
 //! 2. **Filter before the BCCP.** A pair whose two nodes lie wholly inside
 //!    one Kruskal component cannot yield an MST edge and is dropped
 //!    unrealized. A kd-tree node is a range of the tree's leaf order, so one
-//!    labelling pass per window ([`ComponentRuns`]) answers "is this node
+//!    labelling pass per window (`ComponentRuns`) answers "is this node
 //!    inside one component, and which" in O(1). The labels are those of the
 //!    window's start; components only ever merge, so a stale label can
 //!    fail to drop a pair (Kruskal's `union` then rejects its edge) but

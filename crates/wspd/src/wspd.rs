@@ -6,7 +6,7 @@
 //! covers every unordered point pair exactly once. The recursion follows
 //! the standard split-the-larger-node rule. It runs in two steps: the top
 //! of the recursion is walked sequentially down to subproblems under
-//! [`SEQ_CUTOFF`] points, which are listed in recursion order; the list is
+//! `SEQ_CUTOFF` points, which are listed in recursion order; the list is
 //! then solved by one `parlay::flatten`, each subproblem sequentially into
 //! its own vector — so a pair is written once and moved once, however deep
 //! the recursion that found it.

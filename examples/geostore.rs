@@ -3,7 +3,9 @@
 //! (inserts, deletes, k-NN, range, and whole-dataset analytics like hull /
 //! EMST / Delaunay) through one typed Request/Response surface. Shows the
 //! epoch planner coalescing writes, the memo cache absorbing repeated
-//! analytics between writes, and typed errors on degenerate input.
+//! analytics between writes, typed errors on degenerate input, and an
+//! observed (`.observe(..)`) 4-shard store whose metrics registry
+//! `PARGEO_OBS_DUMP=1` prints for `scripts/check_obs_dump.py`.
 //!
 //! ```sh
 //! cargo run --release --example geostore
@@ -90,6 +92,41 @@ fn main() {
             load,
             knn,
         );
+    }
+
+    // Observe the serve path: a mixed-serving preset replayed on a 4-shard
+    // store at `ObsLevel::Trace` leaves a registry of per-class latency
+    // histograms, memo-path and per-shard counters, and a ring of span
+    // events (answers are bit-identical at every level —
+    // `tests/integration_obs.rs`). PARGEO_OBS_DUMP=1 prints the registry
+    // (JSON, then Prometheus text) between the markers CI's exposition
+    // check parses.
+    println!("\n== Observed serve path ==\n");
+    let spec = &WorkloadSpec::store_presets((n / 10).max(500))[0];
+    let mut observed: GeoStore<2> = GeoStore::builder()
+        .shards(4)
+        .observe(ObsLevel::Trace)
+        .build();
+    let report = run_store_workload(&mut observed, &spec.generate());
+    let registry = observed.registry().expect("observed store has a registry");
+    let derived = registry
+        .histogram("geostore_request_nanos", &[("class", "derived")])
+        .summary();
+    println!(
+        "{}: {} live points at the end, {} span events traced, {} derived requests at p50 {:.3} ms / p99 {:.3} ms",
+        spec.name,
+        report.final_live,
+        registry.trace_events().len(),
+        derived.count,
+        derived.p50_ms(),
+        derived.p99_ms(),
+    );
+    if std::env::var("PARGEO_OBS_DUMP").is_ok() {
+        println!("--- obs json ---");
+        println!("{}", registry.render_json());
+        println!("--- obs prometheus ---");
+        println!("{}", registry.render_prometheus());
+        println!("--- obs end ---");
     }
 
     // Degenerate input is a typed error, never a panic.

@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
-"""Validates the observability dump of an instrumented bench run.
+"""Validates the observability dump of an instrumented store run.
 
-The `geostore` binary, run with PARGEO_OBS_DUMP=1, prints its observed
-store's registry rendered as JSON and as Prometheus text between
+The `geostore` example (`cargo run --release --example geostore`), run with
+PARGEO_OBS_DUMP=1, replays a mixed-serving preset on a 4-shard store at
+`observe(Trace)` and prints that store's registry rendered as JSON and as
+Prometheus text between
 `--- obs json ---` / `--- obs prometheus ---` / `--- obs end ---`
 markers. This script asserts both renderings parse and contain the
 expected metric families — the CI gate that exposition stays well-formed —

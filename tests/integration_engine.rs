@@ -3,8 +3,7 @@
 //! One mixed workload (interleaved batch insert / delete / k-NN / range)
 //! replays identically over both `SpatialIndex` trees (BDL and Zd), the
 //! brute-force `Vec` oracle, and two thread counts; answer digests must
-//! match bit-for-bit. The read path additionally cross-checks against the
-//! static `RangeTree2d` through the `BatchQuery` machinery.
+//! match bit-for-bit.
 
 use pargeo::prelude::*;
 
@@ -111,10 +110,9 @@ fn workload_replay_is_thread_count_invariant() {
 }
 
 #[test]
-fn read_path_is_swappable_with_the_static_range_tree() {
-    // Update the dynamic backends, then serve the same Report queries from
-    // a RangeTree2d built over the oracle's live set — all three answers
-    // must coincide (after translating tree positions to insertion ids).
+fn range_reads_after_updates_match_the_oracle() {
+    // Update both trees and the oracle with the same stream, then serve
+    // the same box queries from each: all three answers must coincide.
     let pts = pargeo::datagen::uniform_cube::<2>(3_000, 9);
     let mut oracle = VecIndex::<2>::new();
     let mut bdl = BdlTree::<2>::with_buffer_size(128);
@@ -136,24 +134,15 @@ fn read_path_is_swappable_with_the_static_range_tree() {
             assert_eq!(zd.delete(batch), n);
         }
     }
-    let live_pts: Vec<Point2> = oracle.items().iter().map(|&(p, _)| p).collect();
-    let live_ids: Vec<u32> = oracle.items().iter().map(|&(_, id)| id).collect();
-    let rt = RangeTree2d::build(&live_pts);
-    let queries: Vec<Report<Bbox<2>>> = pargeo::datagen::uniform_rects::<2>(60, 10, 0.25)
-        .into_iter()
-        .map(Report)
-        .collect();
-    let want: Vec<Vec<u32>> = rt
-        .answer_batch(&queries)
-        .into_iter()
-        .map(|row| {
-            let mut ids: Vec<u32> = row.into_iter().map(|pos| live_ids[pos as usize]).collect();
-            ids.sort_unstable();
-            ids
-        })
-        .collect();
-    assert_eq!(bdl.answer_batch(&queries), want, "bdl vs range tree");
-    assert_eq!(zd.answer_batch(&queries), want, "zd vs range tree");
+    let boxes = pargeo::datagen::uniform_rects::<2>(60, 10, 0.25);
+    let want = oracle.range_batch(&boxes);
+    assert!(want.iter().any(|row| !row.is_empty()));
+    assert_eq!(
+        SpatialIndex::range_batch(&bdl, &boxes),
+        want,
+        "bdl vs oracle"
+    );
+    assert_eq!(SpatialIndex::range_batch(&zd, &boxes), want, "zd vs oracle");
 }
 
 #[test]

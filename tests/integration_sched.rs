@@ -87,28 +87,47 @@ fn store_digests_are_worker_count_invariant() {
     }
 }
 
-/// The facade exposes the scheduler: a dedicated pool reports steals on
-/// an imbalanced workload at ≥2 workers (the counters the `sched_sweep`
-/// bench records), and stats stay coherent.
+/// The facade exposes the scheduler, and stealing is what it is for: a
+/// skewed loop — per-item cost growing quadratically with the index, a
+/// task per item through `parlay::reduce` at grain 1, so a static split
+/// would strand the heavy tail on one worker — reduces to the same digest
+/// on dedicated pools of 1, 2 and 4 workers, migrates work off the
+/// overloaded worker at ≥2 (non-zero steal counter), and leaves coherent
+/// stats.
 #[test]
 fn sched_stats_observable_through_facade() {
-    let pool = sched::Pool::new(2);
-    // Skewed fork-join: the left arm is always heavy, the right arm
-    // trivial — lots of steal opportunities.
-    fn skewed(depth: u32) -> u64 {
-        if depth == 0 {
-            return 1;
-        }
-        let (a, b) = parlay::par_do(|| skewed(depth - 1), || 1u64);
-        a + b
+    const ITEMS: usize = 512;
+    fn item_work(i: usize) -> u64 {
+        let rounds = 64 + (i * i * 100_000) / (ITEMS * ITEMS);
+        (0..rounds).fold(i as u64, |h, _| parlay::mix64(h, 0))
     }
-    let total = pool.install(|| skewed(10));
-    assert_eq!(total, 11);
-    let stats = pool.stats();
-    assert_eq!(stats.workers, 2);
-    assert!(stats.tasks_total > 0);
-    assert_eq!(
-        stats.per_worker_tasks.iter().sum::<u64>(),
-        stats.tasks_total
-    );
+    let skewed = || {
+        parlay::reduce(
+            ITEMS,
+            1,
+            |r| {
+                r.map(|i| item_work(i).wrapping_add((i as u64) << 32))
+                    .fold(0u64, u64::wrapping_add)
+            },
+            u64::wrapping_add,
+        )
+    };
+    let want = sched::Pool::new(1).install(skewed);
+    for workers in [1usize, 2, 4] {
+        let pool = sched::Pool::new(workers);
+        assert_eq!(pool.install(skewed), want, "digest at {workers} workers");
+        let stats = pool.stats();
+        assert_eq!(stats.workers, workers);
+        assert!(stats.tasks_total > 0);
+        assert_eq!(
+            stats.per_worker_tasks.iter().sum::<u64>(),
+            stats.tasks_total
+        );
+        if workers >= 2 {
+            assert!(
+                stats.steals_total > 0,
+                "no steals on the skewed loop at {workers} workers"
+            );
+        }
+    }
 }

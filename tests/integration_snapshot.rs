@@ -8,7 +8,6 @@
 
 use pargeo::prelude::*;
 use pargeo::store::digest_responses;
-use std::time::Duration;
 
 fn to_requests(w: &Workload<2>) -> Vec<Request<2>> {
     let mut reqs = vec![Request::Insert(w.initial.clone())];
@@ -170,58 +169,6 @@ fn pipelined_scripted_stream_with_stats_is_exact() {
             assert_streams_equal(&want, &got, &ctx);
         }
     }
-}
-
-#[test]
-fn submit_flush_matches_batch_execute_for_every_window() {
-    // Continuous admission: the same stream submitted one request at a
-    // time — under a size window, a zero time window (every submit
-    // seals), and no window at all (everything seals at flush) — must
-    // produce the serial executor's exact responses in ticket order.
-    // Windowing changes when epochs form, never what reads see.
-    let mut spec = WorkloadSpec::store_presets(1_000)
-        .into_iter()
-        .next()
-        .unwrap();
-    spec.batch_size = spec.batch_size.min(64);
-    let w: Workload<2> = spec.generate();
-    let reqs = to_requests(&w);
-
-    let mut serial = GeoStore::<2>::builder().build();
-    let want = serial.execute(&reqs);
-
-    let windows: Vec<GeoStoreBuilder<2>> = vec![
-        GeoStore::<2>::builder().pipeline(true).write_window(2),
-        GeoStore::<2>::builder().window_duration(Duration::ZERO),
-        GeoStore::<2>::builder().pipeline(true),
-    ];
-    for (wi, builder) in windows.into_iter().enumerate() {
-        let mut store = builder.build();
-        for (i, req) in reqs.iter().enumerate() {
-            let ticket = store.submit(req.clone());
-            assert_eq!(ticket, i as u64, "window {wi}: tickets count submissions");
-        }
-        let got = store.flush();
-        assert_streams_equal(&want, &got, &format!("window {wi}"));
-        assert_eq!(store.queue_depth(), 0, "window {wi}: flush drains");
-        assert!(store.flush().is_empty(), "window {wi}: flush is one-shot");
-    }
-
-    // Without any window, nothing seals until flush; with a zero time
-    // window, every submit seals immediately.
-    let mut unwindowed = GeoStore::<2>::builder().build();
-    unwindowed.submit(Request::Insert(w.initial.clone()));
-    unwindowed.submit(Request::Hull);
-    assert_eq!(unwindowed.queue_depth(), 2);
-    let responses = unwindowed.flush();
-    assert_eq!(responses.len(), 2);
-    assert!(responses[1].is_ok(), "hull over the submitted insert");
-
-    let mut eager = GeoStore::<2>::builder()
-        .window_duration(Duration::ZERO)
-        .build();
-    eager.submit(Request::Insert(w.initial.clone()));
-    assert_eq!(eager.queue_depth(), 0, "zero time window seals per submit");
 }
 
 #[test]

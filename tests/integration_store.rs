@@ -382,6 +382,7 @@ fn sharded_stores_are_digest_identical_for_every_backend_and_preset() {
                 "{name} unsharded vs oracle on {}",
                 spec.name
             );
+            assert_eq!(b.errors, want.errors, "{name} on {}", spec.name);
             for s in [1usize, 2, 8] {
                 let r = run_store_workload(&mut builder.clone().shards(s).build(), &w);
                 assert_eq!(r.shards, s, "1/2/8 are powers of two already");
