@@ -1,7 +1,9 @@
 //! The write paths that fork per shard and per cascade level — the
 //! `ShardedIndex` insert/delete fan-out and the `BdlTree` multi-level
 //! rebuild — leave the same index behind on four workers as on one: same
-//! live set, same k-NN rows.
+//! live set, same k-NN rows — and, inside the tree, the same rows in the
+//! same order: every split is a parallel select whose permutation may not
+//! depend on who ran its blocks.
 
 use pargeo_bdltree::BdlTree;
 use pargeo_datagen::uniform_cube;
@@ -53,5 +55,25 @@ fn shard_fanout_and_bdl_cascade_are_thread_count_invariant() {
         );
         assert_eq!(live4, live1, "{name}: live_points at 4 threads vs 1");
         assert_eq!(rows4, rows1, "{name}: k-NN rows at 4 threads vs 1");
+    }
+}
+
+#[test]
+fn bdl_cascade_leaves_its_rows_in_the_same_order_at_any_worker_count() {
+    let pts = uniform_cube::<2>(20_000, 18);
+    let run = |threads| {
+        with_threads(threads, || {
+            let mut tree = BdlTree::<2>::with_buffer_size(64);
+            churn(&mut tree, &pts);
+            tree.collect_live()
+        })
+    };
+    let one = run(1);
+    assert!(one.len() > 10_000);
+    for threads in [2, 4] {
+        assert!(
+            run(threads) == one,
+            "collect_live order at {threads} threads vs 1"
+        );
     }
 }

@@ -32,12 +32,10 @@
 //! copies that small overlay, never a coordinate, id or bounding box.
 
 use crate::knn::{KnnBuffer, KnnProbe};
-use crate::tree::{compute_bbox, scatter_soa, SplitRule};
+use crate::tree::{compute_bbox, scatter_soa, SplitRule, SEQ_BUILD_CUTOFF};
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
 use std::sync::Arc;
-
-const SEQ_CUTOFF: usize = 4096;
 
 /// A leaf's range `[start, end)` into the tree-level point arena.
 #[derive(Debug, Clone, Copy)]
@@ -99,6 +97,8 @@ pub struct VebTree<const D: usize> {
     live: usize,
     /// Overlay bytes copied by copy-on-write so far.
     cow_bytes: u64,
+    /// `(query-levels, leaf compares)` of every `erase` so far.
+    erase_work: (u64, u64),
 }
 
 // ---------- construction ----------
@@ -118,22 +118,22 @@ impl<const D: usize> VebTree<D> {
     /// Builds a vEB tree over `(point, original id)` pairs
     /// (object-median splits, [`crate::tree::LEAF_SIZE`] points per leaf).
     pub fn build(items: &[(Point<D>, u32)]) -> Self {
-        Self::build_with(items, crate::tree::LEAF_SIZE, SplitRule::ObjectMedian)
+        Self::build_with_leaf_size(items, crate::tree::LEAF_SIZE)
     }
 
     /// Builds with an explicit leaf size (object-median splits).
     pub fn build_with_leaf_size(items: &[(Point<D>, u32)], leaf_size: usize) -> Self {
-        Self::build_with(items, leaf_size, SplitRule::ObjectMedian)
+        Self::build_with(items.to_vec(), leaf_size, SplitRule::ObjectMedian)
     }
 
     /// Builds with an explicit leaf size and split rule (the paper's
-    /// object-median vs spatial-median comparison, §6.3).
-    pub fn build_with(items: &[(Point<D>, u32)], leaf_size: usize, rule: SplitRule) -> Self {
+    /// object-median vs spatial-median comparison, §6.3). The rows are
+    /// partitioned in the buffer they arrive in.
+    pub fn build_with(mut work: Vec<(Point<D>, u32)>, leaf_size: usize, rule: SplitRule) -> Self {
         assert!(leaf_size >= 1);
-        if items.is_empty() {
+        if work.is_empty() {
             return Self::from_parts(Vec::new(), Vec::new(), SoaPoints::new(), u32::MAX);
         }
-        let mut work: Vec<(Point<D>, u32)> = items.to_vec();
         // Phase 1: parallel balanced build into a boxed tree. Leaves record
         // ranges into `work`, whose partition order is final once a segment
         // bottoms out.
@@ -189,7 +189,7 @@ impl<const D: usize> VebTree<D> {
         }
         // Phase 5: columnar scatter of the partitioned points — one arena
         // for the whole tree, leaves address it by range.
-        let pts = scatter_soa(&work, SEQ_CUTOFF);
+        let pts = scatter_soa(&work, SEQ_BUILD_CUTOFF);
         Self::from_parts(nodes, leaves, pts, slot[0] as u32)
     }
 
@@ -204,6 +204,7 @@ impl<const D: usize> VebTree<D> {
             root,
             live,
             cow_bytes: 0,
+            erase_work: (0, 0),
         }
     }
 
@@ -280,6 +281,13 @@ impl<const D: usize> VebTree<D> {
         self.cow_bytes
     }
 
+    /// What every `erase` so far did, as `(query-levels, compares)`: the
+    /// queries routed through a node, summed over the nodes visited, and
+    /// the query-against-row key tests at the leaves.
+    pub fn erase_work(&self) -> (u64, u64) {
+        self.erase_work
+    }
+
     // ---------- deletion (Algorithm 2) ----------
 
     /// Deletes every live point whose coordinates match a query point
@@ -290,14 +298,22 @@ impl<const D: usize> VebTree<D> {
     /// The search is read-only; only when it found a victim is the overlay
     /// written — and copied first if a clone still shares it.
     pub fn erase(&mut self, queries: &[Point<D>]) -> Vec<(Point<D>, u32)> {
-        if self.root == u32::MAX || queries.is_empty() {
+        // The descent reorders its queries in place: one private copy, of
+        // those the root box does not already rule out.
+        let root_box = self.bbox();
+        let mut queries: Vec<Point<D>> = queries
+            .iter()
+            .filter(|q| root_box.contains(q))
+            .copied()
+            .collect();
+        if queries.is_empty() {
             return Vec::new();
         }
-        let mut hits: Vec<u32> = Vec::new();
-        let mut died: Vec<u32> = Vec::new();
-        let all_dead = self
-            .walk()
-            .erase_scan(self.root, queries, &mut hits, &mut died);
+        let mut found = Erased::default();
+        let all_dead = self.walk().erase_scan(self.root, &mut queries, &mut found);
+        let Erased { hits, died, work } = found;
+        self.erase_work.0 += work.0;
+        self.erase_work.1 += work.1;
         if hits.is_empty() {
             return Vec::new();
         }
@@ -427,76 +443,86 @@ impl<const D: usize> Walk<'_, D> {
     }
 
     /// Routes `queries` down from node `idx` (which holds a live point),
-    /// appending the arena slots they kill to `hits` and every node left
-    /// without a live point to `died`. Returns whether `idx` is such a
-    /// node. Writes nothing: sibling subtrees run in parallel on plain
-    /// shared borrows.
-    fn erase_scan(
-        &self,
-        idx: u32,
-        queries: &[Point<D>],
-        hits: &mut Vec<u32>,
-        died: &mut Vec<u32>,
-    ) -> bool {
+    /// recording the arena slots they kill and every node left without a
+    /// live point. Returns whether `idx` is such a node. Writes nothing to
+    /// the tree — sibling subtrees run in parallel on plain shared borrows
+    /// — and leaves `queries` in no particular state.
+    fn erase_scan(&self, idx: u32, queries: &mut [Point<D>], found: &mut Erased) -> bool {
         let node = &self.nodes[idx as usize];
+        found.work.0 += queries.len() as u64;
         let all_dead = if node.is_leaf() {
             let leaf = &self.leaves[node.leaf as usize];
-            let before = hits.len();
+            let before = found.hits.len();
             let mut alive = 0usize;
-            for i in leaf.start..leaf.end {
+            // Bitwise identity (`Point::bits_key`) — the library-wide
+            // delete-by-value semantic shared by every backend — tested on
+            // one column first: the other coordinates of a row are read
+            // only where that one matched.
+            let first = &self.pts.axis(0)[leaf.start as usize..leaf.end as usize];
+            for (i, x) in (leaf.start..leaf.end).zip(first) {
                 if !self.alive[i as usize] {
                     continue;
                 }
                 alive += 1;
-                // Bitwise identity (`Point::bits_key`) — the library-wide
-                // delete-by-value semantic shared by every backend.
-                let key = self.pts.get(i as usize).bits_key();
-                if queries.iter().any(|q| q.bits_key() == key) {
-                    hits.push(i);
+                let at = queries.iter().position(|q| {
+                    q[0].to_bits() == x.to_bits()
+                        && (1..D).all(|d| q[d].to_bits() == self.pts.coord(i as usize, d).to_bits())
+                });
+                found.work.1 += at.map_or(queries.len(), |p| p + 1) as u64;
+                if at.is_some() {
+                    found.hits.push(i);
                 }
             }
-            hits.len() - before == alive
+            found.hits.len() - before == alive
         } else {
-            let dim = node.dim as usize;
-            // Queries equal to the split coordinate may live on either
-            // side, so they go to both children (superset routing keeps
-            // deletion exact).
-            let (mut ql, mut qr) = (Vec::new(), Vec::new());
-            for q in queries {
-                if q[dim] <= node.val {
-                    ql.push(*q);
-                }
-                if q[dim] >= node.val {
-                    qr.push(*q);
-                }
-            }
+            let (dim, val) = (node.dim as usize, node.val);
+            // `queries` becomes `[< val | == val | > val]`. A query equal
+            // to the split coordinate may match a point on either side, so
+            // both children get the middle run (superset routing keeps
+            // deletion exact); a child may scramble what it is handed, so
+            // the run is set aside while the left one has it. It is almost
+            // always empty, and costs a second pass only when it is not.
+            let mut on_split = 0;
+            let upto = partition_in_place(queries, |q| {
+                on_split += (q[dim] == val) as usize;
+                q[dim] <= val
+            });
+            let below = match on_split {
+                0 => upto,
+                _ => partition_in_place(&mut queries[..upto], |q| q[dim] < val),
+            };
             let dead = self.dead;
-            let scan = |c: u32, qs: &[Point<D>], hits: &mut Vec<u32>, died: &mut Vec<u32>| {
+            let scan = |c: u32, qs: &mut [Point<D>], found: &mut Erased| {
                 if !dead.is_empty() && dead[c as usize] {
                     true
                 } else if qs.is_empty() {
                     false
                 } else {
-                    self.erase_scan(c, qs, hits, died)
+                    self.erase_scan(c, qs, found)
                 }
             };
-            if ql.len() + qr.len() >= SEQ_CUTOFF {
-                let (mut r_hits, mut r_died) = (Vec::new(), Vec::new());
+            if queries.len() >= SEQ_BUILD_CUTOFF {
+                let mut right_queries = queries[below..].to_vec();
+                let mut right = Erased::default();
                 let (l, r) = parlay::par_do(
-                    || scan(node.left, &ql, hits, died),
-                    || scan(node.right, &qr, &mut r_hits, &mut r_died),
+                    || scan(node.left, &mut queries[..upto], found),
+                    || scan(node.right, &mut right_queries, &mut right),
                 );
-                hits.append(&mut r_hits);
-                died.append(&mut r_died);
+                found.hits.append(&mut right.hits);
+                found.died.append(&mut right.died);
+                found.work.0 += right.work.0;
+                found.work.1 += right.work.1;
                 l && r
             } else {
-                let l = scan(node.left, &ql, hits, died);
-                let r = scan(node.right, &qr, hits, died);
+                let both = queries[below..upto].to_vec();
+                let l = scan(node.left, &mut queries[..upto], found);
+                queries[below..upto].copy_from_slice(&both);
+                let r = scan(node.right, &mut queries[below..], found);
                 l && r
             }
         };
         if all_dead {
-            died.push(idx);
+            found.died.push(idx);
         }
         all_dead
     }
@@ -562,6 +588,30 @@ impl<const D: usize> Walk<'_, D> {
     }
 }
 
+/// What one `erase_scan` found: the arena slots its queries kill, the
+/// nodes left without a live point, and its `(query-levels, compares)`.
+#[derive(Default)]
+struct Erased {
+    hits: Vec<u32>,
+    died: Vec<u32>,
+    work: (u64, u64),
+}
+
+/// Moves the rows satisfying `pred` to the front, in no particular order,
+/// and returns how many there are. Branch-free: every row is swapped with
+/// the first row of the other group, which then grows or does not.
+fn partition_in_place<T: Copy>(rows: &mut [T], mut pred: impl FnMut(&T) -> bool) -> usize {
+    let mut front = 0;
+    for i in 0..rows.len() {
+        // The test reads the row's copy: reading it back from where the
+        // swap has just put it would wait on that store, every row.
+        let row = rows[i];
+        rows.swap(i, front);
+        front += pred(&row) as usize;
+    }
+    front
+}
+
 impl Overlay {
     fn bytes(&self) -> usize {
         (self.alive.len() + self.dead.len()) * std::mem::size_of::<bool>()
@@ -583,7 +633,7 @@ fn build_boxed<const D: usize>(
     rule: SplitRule,
 ) -> Boxed<D> {
     let n = items.len();
-    let bbox = compute_bbox(items, SEQ_CUTOFF);
+    let bbox = compute_bbox(items, SEQ_BUILD_CUTOFF);
     if n <= leaf_size || bbox.diag_sq() == 0.0 {
         return Boxed::Leaf(bbox, offset, offset + n);
     }
@@ -591,7 +641,7 @@ fn build_boxed<const D: usize>(
     let (mid, val) = match rule {
         SplitRule::ObjectMedian => {
             let mid = n / 2;
-            if n >= SEQ_CUTOFF {
+            if n >= SEQ_BUILD_CUTOFF {
                 parlay::select_nth_unstable_by(items, mid, |a, b| {
                     a.0[dim].partial_cmp(&b.0[dim]).unwrap()
                 });
@@ -623,7 +673,7 @@ fn build_boxed<const D: usize>(
         }
     };
     let (lo, hi) = items.split_at_mut(mid);
-    let (l, r) = if n >= SEQ_CUTOFF {
+    let (l, r) = if n >= SEQ_BUILD_CUTOFF {
         parlay::par_do(
             || build_boxed(lo, offset, leaf_size, rule),
             || build_boxed(hi, offset + mid, leaf_size, rule),
@@ -924,6 +974,31 @@ mod tests {
         check_against(&t, &north_east);
         check_against(&pin, &east);
         assert!(pin.shares_core_with(&t), "erase never copies the structure");
+    }
+
+    /// At `SEQ_BUILD_CUTOFF` queries a node hands its right child a copy
+    /// of its share and forks; the lattice puts a run of queries on every
+    /// split value, which both sides must see.
+    #[test]
+    fn a_batch_above_the_fork_cutoff_erases_the_same_rows_on_any_pool() {
+        let pts: Vec<Point<2>> = (0..30_000u64)
+            .map(|i| Point::new([(i * 7_919 % 97) as f64, (i * 104_729 % 89) as f64]))
+            .collect();
+        let all = items(&pts);
+        let doomed = |p: &Point<2>| (p[0] + p[1]) % 3.0 == 0.0;
+        let victims: Vec<_> = pts.iter().copied().filter(doomed).collect();
+        assert!(victims.len() >= 2 * SEQ_BUILD_CUTOFF);
+        let mut want: Vec<_> = all.iter().copied().filter(|(p, _)| doomed(p)).collect();
+        want.sort_by_key(|&(_, id)| id);
+        let trees = [1, 2, 4].map(|workers| {
+            let mut t = VebTree::build(&all);
+            let mut got = parlay::with_threads(workers, || t.erase(&victims));
+            got.sort_by_key(|&(_, id)| id);
+            assert_eq!(got, want, "{workers} workers");
+            t
+        });
+        let survivors: Vec<_> = all.iter().copied().filter(|(p, _)| !doomed(p)).collect();
+        check_against(&trees[2], &survivors);
     }
 
     #[test]

@@ -157,4 +157,67 @@ proptest! {
         offered.truncate(k);
         prop_assert_eq!(buf.finish(), offered);
     }
+
+    /// `VebTree::erase` against a `Vec`: a lattice makes most queries
+    /// equal a split value and most points duplicates; the batches repeat
+    /// queries, name absent points and points outside the root box; and a
+    /// clone pinned between two batches keeps the epoch it was taken in.
+    #[test]
+    fn erase_matches_a_vec_oracle(
+        pts in lattice_points(),
+        leaf_sel in 0usize..3,
+        picks in prop::collection::vec((0usize..250, -4i32..36, -4i32..36, 0usize..3), 0..120),
+        pin_at in 0usize..3,
+    ) {
+        let items: Vec<(Point2, u32)> =
+            pts.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
+        let mut tree = VebTree::build_with_leaf_size(&items, [1, 3, 16][leaf_sel]);
+        let mut live = items.clone();
+        let mut pinned: Option<(VebTree<2>, Vec<(Point2, u32)>)> = None;
+        // Three batches: a stored point, a lattice point that may be
+        // absent or outside the root box, or both — twice.
+        for round in 0..3 {
+            if round == pin_at {
+                pinned = Some((tree.clone(), live.clone()));
+            }
+            let mut batch = Vec::new();
+            for &(i, x, y, kind) in picks.iter().skip(round).step_by(3) {
+                let stored = pts[i % pts.len()];
+                let free = Point2::new([x as f64, y as f64]);
+                match kind {
+                    0 => batch.push(stored),
+                    1 => batch.push(free),
+                    _ => batch.extend([stored, free, stored, free]),
+                }
+            }
+            let named: std::collections::HashSet<[u64; 2]> =
+                batch.iter().map(Point::bits_key).collect();
+            let (mut want, kept): (Vec<_>, Vec<_>) =
+                live.iter().partition(|(p, _)| named.contains(&p.bits_key()));
+            live = kept;
+            let mut got = tree.erase(&batch);
+            got.sort_by_key(|&(_, id)| id);
+            want.sort_by_key(|&(_, id)| id);
+            prop_assert_eq!(got, want);
+            for (t, rows) in [(&tree, &live)].into_iter().chain(pinned.as_ref().map(|(t, r)| (t, r))) {
+                prop_assert_eq!(t.len(), rows.len());
+                let mut seen = t.collect_live();
+                seen.sort_by_key(|&(_, id)| id);
+                prop_assert_eq!(&seen, rows);
+                // No live point hides under a dead-subtree flag, and the
+                // nearest neighbour is a live one.
+                let everywhere = Bbox::from_points(&pts);
+                let mut reached = Vec::new();
+                t.range_into(&everywhere, &mut reached);
+                reached.sort_unstable();
+                let ids: Vec<u32> = rows.iter().map(|&(_, id)| id).collect();
+                prop_assert_eq!(reached, ids);
+                let survivors: Vec<Point2> = rows.iter().map(|r| r.0).collect();
+                let got: Vec<f64> = t.knn(&pts[0], 3).iter().map(|n| n.dist_sq).collect();
+                let want: Vec<f64> =
+                    knn_brute_force(&survivors, &pts[0], 3).iter().map(|n| n.dist_sq).collect();
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
 }

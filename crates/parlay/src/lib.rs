@@ -18,8 +18,8 @@
 //!   substrate); [`samplesort`] — ParlayLib's comparison sort.
 //! * [`mod@shuffle`] — deterministic random permutations, sequential
 //!   (Fisher–Yates) and parallel (sort by random keys).
-//! * [`select`] — parallel quickselect (`nth_element`) used for
-//!   object-median kd-tree splits.
+//! * [`select`] — parallel Floyd–Rivest selection (`nth_element`), every
+//!   row moved once a round, used for object-median kd-tree splits.
 //! * [`pool`] — helpers to run any closure on a dedicated pool with a fixed
 //!   number of threads (the `T1` / `T36h` sweeps of the paper's evaluation).
 //!
@@ -268,6 +268,19 @@ impl<T> SharedMut<T> {
     pub(crate) unsafe fn write(self, i: usize, v: T) {
         // SAFETY: in bounds and unaliased per this function's contract.
         unsafe { self.0.add(i).write(v) }
+    }
+
+    /// A pointer to slot `i`, for moving a run of rows at once.
+    ///
+    /// # Safety
+    /// `i` is at most the length of the allocation the pointer was taken
+    /// from; what is read or written through the result is bound by
+    /// [`write`](Self::write)'s contract, slot by slot.
+    #[inline]
+    pub(crate) unsafe fn slot(self, i: usize) -> *mut T {
+        // SAFETY: in bounds (or one past the end) per this function's
+        // contract.
+        unsafe { self.0.add(i) }
     }
 
     /// Drops the values in `range`, leaving the slots vacant.
