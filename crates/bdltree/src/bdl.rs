@@ -268,47 +268,36 @@ impl<const D: usize> BdlTree<D> {
         if batch.is_empty() || self.live == 0 {
             return Vec::new();
         }
-        // Buffer deletion: the batch streams past the keys of the `< X`
-        // buffered rows, and only the keys it names leave the buffer.
+        // Buffer deletion; an empty buffer is not worth hashing the batch
+        // for (0.25 ms per 10 000 points).
         let mut removed: Vec<(Point<D>, u32)> = Vec::new();
         if !self.buffer.is_empty() {
-            let buffered: HashSet<_> = self.buffer.iter().map(|(p, _)| p.bits_key()).collect();
-            let named: HashSet<_> = batch
-                .iter()
-                .map(Point::bits_key)
-                .filter(|key| buffered.contains(key))
-                .collect();
-            if !named.is_empty() {
-                removed.extend(
-                    self.buffer
-                        .extract_if(.., |(p, _)| named.contains(&p.bits_key())),
-                );
-            }
+            let victims: HashSet<_> = batch.iter().map(Point::bits_key).collect();
+            removed.extend(
+                self.buffer
+                    .extract_if(.., |(p, _)| victims.contains(&p.bits_key())),
+            );
         }
         // Parallel bulk erase across all occupied trees (grain 1: an item
-        // is a whole tree's erase), each tree reporting into its own slot.
-        // What the erases cost is read off the trees' own running counters
-        // — (overlay bytes copied, query-levels, compares) — before and
-        // after, so the order the trees finish in cannot show.
-        let tally = |trees: &[Option<VebTree<D>>]| {
-            trees.iter().flatten().fold([0; 3], |sum, t| {
-                let (levels, compares) = t.erase_work();
-                [sum[0] + t.cow_bytes(), sum[1] + levels, sum[2] + compares]
-            })
-        };
-        let before = tally(&self.trees);
-        let mut erased: Vec<Vec<(Point<D>, u32)>> = vec![Vec::new(); self.trees.len()];
+        // is a whole tree's erase), each tree reporting into its own slot:
+        // the rows it lost, the overlay bytes it copied, its query-levels
+        // and compares. The tallies are integer sums over the slots, so
+        // the order the trees finish in cannot show.
+        let mut erased = vec![(Vec::new(), [0u64; 3]); self.trees.len()];
         let mut jobs: Vec<_> = self.trees.iter_mut().zip(&mut erased).collect();
         pargeo_parlay::for_each_mut(&mut jobs, 1, |_, (slot, out)| {
             if let Some(t) = slot {
-                **out = t.erase(batch);
+                let before = t.cow_bytes();
+                let (rows, (levels, compares)) = t.erase_work(batch);
+                **out = (rows, [t.cow_bytes() - before, levels, compares]);
             }
         });
-        let after = tally(&self.trees);
-        self.cow_bytes += after[0] - before[0];
-        self.work.erase_query_levels += after[1] - before[1];
-        self.work.erase_compares += after[2] - before[2];
-        removed.extend(erased.into_iter().flatten());
+        for (rows, [copied, levels, compares]) in erased {
+            removed.extend(rows);
+            self.cow_bytes += copied;
+            self.work.erase_query_levels += levels;
+            self.work.erase_compares += compares;
+        }
         self.live -= removed.len();
         // Drain trees below half capacity and reinsert their survivors.
         let mut reinsert: Vec<(Point<D>, u32)> = Vec::new();

@@ -32,13 +32,14 @@ pub const LEAF_SIZE: usize = 16;
 
 /// The one sequential cutoff of both tree builds and of the vEB tree's
 /// bulk erase: a node with fewer points (an erase with fewer queries) runs
-/// its bbox, selection and partition serially and does not fork its
-/// children. Measured on a 394k-point 2-D build at one thread: 77 ms at
-/// 1 024 and 2 048, 68 at 4 096, 67–70 at 8 192 and 16 384 — every level
-/// that goes through the parallel select pays its second pass over the
-/// rows, and below 4 096 there is nothing left to buy with it: a
-/// 4 096-point subtree is ~0.3 ms of work, some three thousand forks'
-/// worth, and a 394k build still has 96 of them to hand out.
+/// its bbox and partition serially and does not fork its children (the
+/// median selection has its own, far higher cutoff inside
+/// `parlay::select_nth_unstable_by`). Measured on a 394k-point 2-D build:
+/// 44–50 ms on one worker and 25–27 on two at every value from 1 024 to
+/// 16 384 — inside this box's noise — so the value is set by what a fork
+/// must carry: a 4 096-point subtree is ~0.3 ms of work, some three
+/// thousand forks' worth, and a 394k build still has 96 of them to hand
+/// out.
 pub const SEQ_BUILD_CUTOFF: usize = 4096;
 
 #[derive(Debug, Clone)]
@@ -335,13 +336,9 @@ fn split_segment<const D: usize>(
     let mid = match rule {
         SplitRule::ObjectMedian => {
             let mid = n / 2;
-            if n >= cutoff {
-                parlay::select_nth_unstable_by(seg, mid, |a, b| {
-                    a.0[dim].partial_cmp(&b.0[dim]).unwrap()
-                });
-            } else {
-                seg.select_nth_unstable_by(mid, |a, b| a.0[dim].partial_cmp(&b.0[dim]).unwrap());
-            }
+            parlay::select_nth_unstable_by(seg, mid, |a, b| {
+                a.0[dim].partial_cmp(&b.0[dim]).unwrap()
+            });
             mid
         }
         SplitRule::SpatialMedian => {

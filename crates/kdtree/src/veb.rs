@@ -97,8 +97,6 @@ pub struct VebTree<const D: usize> {
     live: usize,
     /// Overlay bytes copied by copy-on-write so far.
     cow_bytes: u64,
-    /// `(query-levels, leaf compares)` of every `erase` so far.
-    erase_work: (u64, u64),
 }
 
 // ---------- construction ----------
@@ -204,7 +202,6 @@ impl<const D: usize> VebTree<D> {
             root,
             live,
             cow_bytes: 0,
-            erase_work: (0, 0),
         }
     }
 
@@ -281,13 +278,6 @@ impl<const D: usize> VebTree<D> {
         self.cow_bytes
     }
 
-    /// What every `erase` so far did, as `(query-levels, compares)`: the
-    /// queries routed through a node, summed over the nodes visited, and
-    /// the query-against-row key tests at the leaves.
-    pub fn erase_work(&self) -> (u64, u64) {
-        self.erase_work
-    }
-
     // ---------- deletion (Algorithm 2) ----------
 
     /// Deletes every live point whose coordinates match a query point
@@ -298,6 +288,15 @@ impl<const D: usize> VebTree<D> {
     /// The search is read-only; only when it found a victim is the overlay
     /// written — and copied first if a clone still shares it.
     pub fn erase(&mut self, queries: &[Point<D>]) -> Vec<(Point<D>, u32)> {
+        self.erase_work(queries).0
+    }
+
+    /// [`erase`](Self::erase) plus what the descent did, as
+    /// `(query-levels, compares)`: the queries routed through a node,
+    /// summed over the nodes visited, and the query-against-row key tests
+    /// at the leaves. `BdlTree::write_work`'s plumbing.
+    #[doc(hidden)]
+    pub fn erase_work(&mut self, queries: &[Point<D>]) -> (Vec<(Point<D>, u32)>, (u64, u64)) {
         // The descent reorders its queries in place: one private copy, of
         // those the root box does not already rule out.
         let root_box = self.bbox();
@@ -307,15 +306,13 @@ impl<const D: usize> VebTree<D> {
             .copied()
             .collect();
         if queries.is_empty() {
-            return Vec::new();
+            return (Vec::new(), (0, 0));
         }
         let mut found = Erased::default();
         let all_dead = self.walk().erase_scan(self.root, &mut queries, &mut found);
         let Erased { hits, died, work } = found;
-        self.erase_work.0 += work.0;
-        self.erase_work.1 += work.1;
         if hits.is_empty() {
-            return Vec::new();
+            return (Vec::new(), work);
         }
         // `make_mut` clones the overlay only when a clone still shares
         // it; that copy is the work `cow_bytes` counts.
@@ -341,9 +338,11 @@ impl<const D: usize> VebTree<D> {
             self.walk().live_child(self.root)
         };
         let pts = &self.core.pts;
-        hits.iter()
+        let rows = hits
+            .iter()
             .map(|&i| (pts.get(i as usize), pts.id(i as usize)))
-            .collect()
+            .collect();
+        (rows, work)
     }
 
     // ---------- k-NN ----------
@@ -641,13 +640,9 @@ fn build_boxed<const D: usize>(
     let (mid, val) = match rule {
         SplitRule::ObjectMedian => {
             let mid = n / 2;
-            if n >= SEQ_BUILD_CUTOFF {
-                parlay::select_nth_unstable_by(items, mid, |a, b| {
-                    a.0[dim].partial_cmp(&b.0[dim]).unwrap()
-                });
-            } else {
-                items.select_nth_unstable_by(mid, |a, b| a.0[dim].partial_cmp(&b.0[dim]).unwrap());
-            }
+            parlay::select_nth_unstable_by(items, mid, |a, b| {
+                a.0[dim].partial_cmp(&b.0[dim]).unwrap()
+            });
             (mid, items[mid].0[dim])
         }
         SplitRule::SpatialMedian => {

@@ -10,15 +10,32 @@
 //! round repeats on the side that does. Expected work `O(n)` — about `2n`
 //! comparisons — and depth `O(grain + log n)` a round, plus the
 //! sequential `O(n^⅔ √log n)` band.
+//!
+//! That is twice the slice select's work, which two workers only just win
+//! back: inputs under `SEQ_SELECT_CUTOFF` rows go to the slice's select.
 
 use crate::scan::scan_inplace_exclusive;
 use crate::{block, for_each_block_mut, mix64, parallel_for, SharedMut, GRANULARITY};
 use std::cmp::Ordering;
 use std::hint::select_unpredictable;
 
+/// Fewer rows than this go to the slice's own select, which moves a row
+/// only when it must; a round here compares every row twice and moves it
+/// twice. Measured on the recording box (2 cores; EXPERIMENTS.md has the
+/// table) at the median rank: on one worker the rounds take 1.5–2.4× the
+/// slice's time at every size from 4k to 700k rows; on two they still
+/// take 1.3–1.8× from 65k to 200k rows, and from 262 144 rows on draw
+/// level on 24- to 48-byte rows (0.9–1.2×; 1.2–1.5× on 16-byte rows). A
+/// 394k-point tree build takes the same 25–27 ms on two workers with this
+/// anywhere from 2^16 to 2^20, against 30 with every select of 4 096 rows
+/// or more forking, and 45 against 58 ms on one: by the depth a node
+/// holds fewer rows than this, its siblings keep the other workers busy.
+const SEQ_SELECT_CUTOFF: usize = 1 << 18;
+
 /// Reorders `a` so that `a[nth]` holds the element of rank `nth` and every
 /// element before it compares `<=` (under `cmp`) and every element after
-/// compares `>=`. Same contract as `slice::select_nth_unstable_by`.
+/// compares `>=`. Same contract as `slice::select_nth_unstable_by`, which
+/// it is below 2^18 rows (`SEQ_SELECT_CUTOFF`).
 ///
 /// The permutation left behind is a function of the input and `nth` alone,
 /// never of the worker count. If `cmp` panics, `a` is left holding
@@ -29,7 +46,11 @@ where
     F: Fn(&T, &T) -> Ordering + Sync,
 {
     assert!(nth < a.len(), "select: nth out of bounds");
-    select_at_grain(a, nth, GRANULARITY, &cmp);
+    if a.len() < SEQ_SELECT_CUTOFF {
+        a.select_nth_unstable_by(nth, cmp);
+    } else {
+        select_at_grain(a, nth, GRANULARITY, &cmp);
+    }
 }
 
 /// [`select_nth_unstable_by`] over blocks of `grain` rows: it forks iff
@@ -189,17 +210,23 @@ mod tests {
     use crate::with_threads;
     use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 
+    /// The public entry and, whatever the size, the rounds under it.
     fn check(a: &[u64], nth: usize) {
-        let mut b = a.to_vec();
-        select_nth_unstable_by(&mut b, nth, |x, y| x.cmp(y));
         let mut sorted = a.to_vec();
         sorted.sort();
-        assert_eq!(b[nth], sorted[nth]);
-        assert!(b[..nth].iter().all(|x| x <= &b[nth]));
-        assert!(b[nth + 1..].iter().all(|x| x >= &b[nth]));
-        let mut b2 = b.clone();
-        b2.sort();
-        assert_eq!(b2, sorted, "selection must preserve the multiset");
+        for rounds in [false, true] {
+            let mut b = a.to_vec();
+            if rounds {
+                select_at_grain(&mut b, nth, GRANULARITY, &u64::cmp);
+            } else {
+                select_nth_unstable_by(&mut b, nth, u64::cmp);
+            }
+            assert_eq!(b[nth], sorted[nth]);
+            assert!(b[..nth].iter().all(|x| x <= &b[nth]));
+            assert!(b[nth + 1..].iter().all(|x| x >= &b[nth]));
+            b.sort();
+            assert_eq!(b, sorted, "selection must preserve the multiset");
+        }
     }
 
     #[test]
@@ -327,10 +354,11 @@ mod tests {
             for nth in [0, n / 3, n / 2, n - 1] {
                 let calls = AtomicUsize::new(0);
                 let mut a = input.clone();
-                select_nth_unstable_by(&mut a, nth, |x, y| {
+                let counted = |x: &Row, y: &Row| {
                     calls.fetch_add(1, Relaxed);
                     by_key(x, y)
-                });
+                };
+                select_at_grain(&mut a, nth, GRANULARITY, &counted);
                 check_rows(&input, &a, nth, &format!("n={n} nth={nth}"));
                 let calls = calls.into_inner();
                 assert!(calls <= 4 * n, "n={n} nth={nth}: {calls} comparisons");
@@ -349,6 +377,22 @@ mod tests {
             select_at_grain(&mut a, 5_000, 7, &|_: &Row, _: &Row| answer);
             a.sort();
             assert_eq!(a, input);
+        }
+    }
+
+    /// The public entry hands fewer than `SEQ_SELECT_CUTOFF` rows to the
+    /// slice's select and runs the rounds from there on: the permutations
+    /// say which ran.
+    #[test]
+    fn the_cutoff_routes_between_the_slice_select_and_the_rounds() {
+        for n in [SEQ_SELECT_CUTOFF - 1, SEQ_SELECT_CUTOFF] {
+            let input = rows("random", n);
+            let (mut public, mut slice, mut rounds) = (input.clone(), input.clone(), input);
+            select_nth_unstable_by(&mut public, n / 2, by_key);
+            slice.select_nth_unstable_by(n / 2, by_key);
+            select_at_grain(&mut rounds, n / 2, GRANULARITY, &by_key);
+            assert!(slice != rounds);
+            assert!(public == if n < SEQ_SELECT_CUTOFF { slice } else { rounds });
         }
     }
 

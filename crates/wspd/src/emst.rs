@@ -99,10 +99,10 @@ pub fn emst_work<const D: usize>(points: &[Point<D>]) -> (Vec<EmstEdge>, EmstWor
         let unvisited = &mut pairs[next..];
         let (window, cap) = if width < unvisited.len() {
             // The slice's own in-place quickselect: 1.0–1.3 ms a window on
-            // the 248k–458k rows of a 30k-point run, where `parlay`'s — one
-            // pass out to a scratch and back — takes 1.3–2.5 at one thread
-            // (1.9–2.2×; it was 7–9× when this went sequential), and
-            // O(unvisited) per window either way.
+            // the 248k–458k rows of a 30k-point run, where `parlay`'s
+            // rounds — one pass out to a scratch and back — take 1.3–2.5
+            // at one thread (1.9–2.2×) and, on rows this narrow, 1.2–1.5×
+            // on two; O(unvisited) per window either way.
             unvisited.select_nth_unstable_by(width, |x, y| x.0.total_cmp(&y.0));
             (&unvisited[..width], unvisited[width].0)
         } else {

@@ -53,13 +53,22 @@ fn with_duplicates(n: usize, dups: usize, seed: u64) -> Vec<Point<2>> {
 }
 
 /// Recorded at `d7152c1` (the parent of the rewrite) with
-/// `cargo test --release -p pargeo-wspd --test proptest_emst -- --nocapture`;
-/// the last one — the only input with coincident points — as
-/// [`digest_up_to_coincidence`], which `d7152c1` and `e87b182` (the parent
-/// of the selection that places equal rows differently) both give.
+/// `cargo test --release -p pargeo-wspd --test proptest_emst -- --nocapture`.
+/// The last one — the only input with coincident points — was
+/// `0x61f3_5b66_79e5_485f` there and is re-recorded at the commit that
+/// replaced `parlay`'s select: where rows of equal coordinate land around
+/// a median is the selection's choice, the kd-tree's root (5 200 ≥ 4 096
+/// points) went through the old parallel select and now goes through the
+/// slice's, and with the rows the 200 zero-length edges change which twin
+/// they name, which way they point and where they stand among their
+/// equals. Nothing else may:
+/// [`digest_up_to_coincidence`] of that list is what `d7152c1` and
+/// `e87b182` (the parent of the new select) both give.
 #[test]
 fn edge_lists_equal_the_goldens_of_the_heap_and_refill_emst() {
     let spread = SeedSpreaderParams::default();
+    let twins = with_duplicates(5_000, 200, 42);
+    let twin_edges = emst(&twins);
     let got = [
         (
             "uniform 2D 30k seed 42",
@@ -81,17 +90,19 @@ fn edge_lists_equal_the_goldens_of_the_heap_and_refill_emst() {
             "uniform 5D 5k",
             digest(&emst(&uniform_cube::<5>(5_000, 42))),
         ),
-        ("5k + 200 duplicates", {
-            let pts = with_duplicates(5_000, 200, 42);
-            digest_up_to_coincidence(&pts, &emst(&pts))
-        }),
+        ("5k + 200 duplicates", digest(&twin_edges)),
+        (
+            "5k + 200 duplicates, up to coincidence",
+            digest_up_to_coincidence(&twins, &twin_edges),
+        ),
     ];
-    let want: [u64; 6] = [
+    let want: [u64; 7] = [
         0x7091_bb55_09c2_554f,
         0x7ec3_c594_16f9_605e,
         0x4b2c_4f8c_60ca_d57d,
         0xc193_88d8_a1a6_ceab,
         0x732e_00d4_87fd_64e4,
+        0x0b49_cfec_aee4_f434,
         0xc866_d2da_51f4_50a9,
     ];
     for (name, got) in got {
