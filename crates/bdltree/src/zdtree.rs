@@ -436,17 +436,11 @@ fn build_rec<const D: usize>(
         // Bit constant in this range — skip the level.
         return build_rec(codes, pts, start, end, bit - 1, leaf_size);
     }
-    let (l, r) = if n >= SEQ_CUTOFF {
-        parlay::par_do(
-            || build_rec(codes, pts, start, mid, bit - 1, leaf_size),
-            || build_rec(codes, pts, mid, end, bit - 1, leaf_size),
-        )
-    } else {
-        (
-            build_rec(codes, pts, start, mid, bit - 1, leaf_size),
-            build_rec(codes, pts, mid, end, bit - 1, leaf_size),
-        )
-    };
+    let (l, r) = parlay::par_do_if(
+        n >= SEQ_CUTOFF,
+        || build_rec(codes, pts, start, mid, bit - 1, leaf_size),
+        || build_rec(codes, pts, mid, end, bit - 1, leaf_size),
+    );
     let bb = bnode_bbox(&l).union(&bnode_bbox(&r));
     BNode::Internal(bb, start, end, Box::new(l), Box::new(r))
 }

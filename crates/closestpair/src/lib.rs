@@ -85,11 +85,8 @@ fn solve<const D: usize>(items: &[(Point<D>, u32)], dim: usize) -> (u32, u32, f6
     let mid = n / 2;
     let split = items[mid].0[dim];
     let (l, r) = items.split_at(mid);
-    let ((la, lb, ld), (ra, rb, rd)) = if n > SEQ_CUTOFF {
-        parlay::par_do(|| solve(l, dim), || solve(r, dim))
-    } else {
-        (solve(l, dim), solve(r, dim))
-    };
+    let ((la, lb, ld), (ra, rb, rd)) =
+        parlay::par_do_if(n > SEQ_CUTOFF, || solve(l, dim), || solve(r, dim));
     let (mut ba, mut bb, mut bd) = if ld <= rd { (la, lb, ld) } else { (ra, rb, rd) };
     // Strip: points within sqrt(bd) of the splitting plane, sorted along a
     // second dimension, each checked against a constant window.

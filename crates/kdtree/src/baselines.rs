@@ -207,17 +207,6 @@ impl<const D: usize> B2Tree<D> {
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
         map_batch_z_order(queries, |q| self.knn(q, k))
     }
-
-    /// Maximum leaf occupancy — the skew diagnostic used in Appendix D.
-    pub fn max_leaf_size(&self) -> usize {
-        fn go<const D: usize>(n: &B2Node<D>) -> usize {
-            match n {
-                B2Node::Leaf { points, .. } => points.len(),
-                B2Node::Internal { left, right, .. } => go(left).max(go(right)),
-            }
-        }
-        self.root.as_ref().map(|r| go(r)).unwrap_or(0)
-    }
 }
 
 fn build_b2<const D: usize>(
@@ -273,14 +262,11 @@ fn build_b2<const D: usize>(
         }
     };
     let (lo, hi) = items.split_at_mut(mid);
-    let (l, r) = if n >= B2_SEQ_CUTOFF {
-        parlay::par_do(
-            || build_b2(lo, rule, leaf_size),
-            || build_b2(hi, rule, leaf_size),
-        )
-    } else {
-        (build_b2(lo, rule, leaf_size), build_b2(hi, rule, leaf_size))
-    };
+    let (l, r) = parlay::par_do_if(
+        n >= B2_SEQ_CUTOFF,
+        || build_b2(lo, rule, leaf_size),
+        || build_b2(hi, rule, leaf_size),
+    );
     B2Node::Internal {
         bbox,
         dim: dim as u8,
@@ -322,12 +308,11 @@ fn insert_rec<const D: usize>(node: &mut B2Node<D>, mut items: Vec<(Point<D>, u3
             let val = *val;
             let (l_items, r_items): (Vec<_>, Vec<_>) =
                 items.into_iter().partition(|(p, _)| p[dim] < val);
-            if l_items.len() + r_items.len() >= B2_SEQ_CUTOFF {
-                parlay::par_do(|| insert_rec(left, l_items), || insert_rec(right, r_items));
-            } else {
-                insert_rec(left, l_items);
-                insert_rec(right, r_items);
-            }
+            parlay::par_do_if(
+                l_items.len() + r_items.len() >= B2_SEQ_CUTOFF,
+                || insert_rec(left, l_items),
+                || insert_rec(right, r_items),
+            );
         }
     }
 }
@@ -377,12 +362,12 @@ fn delete_rec<const D: usize>(node: &mut B2Node<D>, queries: Vec<Point<D>>) -> u
                     qr.push(*q);
                 }
             }
-            if ql.len() + qr.len() >= B2_SEQ_CUTOFF {
-                let (a, b) = parlay::par_do(|| delete_rec(left, ql), || delete_rec(right, qr));
-                a + b
-            } else {
-                delete_rec(left, ql) + delete_rec(right, qr)
-            }
+            let (a, b) = parlay::par_do_if(
+                ql.len() + qr.len() >= B2_SEQ_CUTOFF,
+                || delete_rec(left, ql),
+                || delete_rec(right, qr),
+            );
+            a + b
         }
     }
 }
@@ -490,7 +475,17 @@ mod tests {
             .map(|i| Point::new([1e-3 * (i % 17) as f64, 1e-3 * (i % 13) as f64]))
             .collect();
         t.insert(&corner);
-        assert!(t.max_leaf_size() > 4 * crate::tree::LEAF_SIZE);
+        // Maximum leaf occupancy — the skew diagnostic used in Appendix D.
+        fn max_leaf_size<const D: usize>(n: &B2Node<D>) -> usize {
+            match n {
+                B2Node::Leaf { points, .. } => points.len(),
+                B2Node::Internal { left, right, .. } => {
+                    max_leaf_size(left).max(max_leaf_size(right))
+                }
+            }
+        }
+        let root = t.root.as_ref().expect("built over 1 000 points");
+        assert!(max_leaf_size(root) > 4 * crate::tree::LEAF_SIZE);
         // Queries remain exact despite the skew.
         let all: Vec<_> = pts.iter().chain(&corner).copied().collect();
         let queries: Vec<_> = all.iter().copied().step_by(211).collect();

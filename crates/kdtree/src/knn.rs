@@ -23,7 +23,7 @@
 //! same canonical contract the range-reporting paths follow. Results are
 //! identical across thread counts and repeat runs.
 
-use crate::tree::{KdTree, Node};
+use crate::tree::{AllLive, KdTree, Liveness, Walk};
 use pargeo_geometry::{Point, SoaPoints};
 use pargeo_morton::map_batch_z_order;
 
@@ -275,44 +275,40 @@ impl<const D: usize> KdTree<D> {
 
     /// Runs a k-NN search accumulating into an existing buffer.
     pub fn knn_into<W: KnnProbe>(&self, q: &Point<D>, buf: &mut KnnBuffer<W>) {
-        if let Some(root) = self.root() {
-            self.knn_rec(root, q, buf);
+        if !self.is_empty() {
+            self.walk(AllLive).knn_rec(0, q, buf);
         }
-    }
-
-    fn knn_rec<W: KnnProbe>(&self, node: &Node<D>, q: &Point<D>, buf: &mut KnnBuffer<W>) {
-        buf.probe().node();
-        if node.is_leaf() {
-            buf.scan(&self.pts, node.start as usize..node.end as usize, q, |_| {
-                true
-            });
-            return;
-        }
-        let (near, far) = if q[node.dim as usize] <= node.val {
-            (self.node(node.left), self.node(node.right))
-        } else {
-            (self.node(node.right), self.node(node.left))
-        };
-        if near.bbox.dist_sq_to_point(q) <= buf.bound() {
-            self.knn_rec(near, q, buf);
-        }
-        if far.bbox.dist_sq_to_point(q) <= buf.bound() {
-            self.knn_rec(far, q, buf);
-        }
-    }
-
-    /// Nearest neighbor of `q` (`None` for an empty tree).
-    pub fn nearest(&self, q: &Point<D>) -> Option<Neighbor> {
-        if self.is_empty() {
-            return None;
-        }
-        self.knn(q, 1).into_iter().next()
     }
 
     /// Data-parallel batch k-NN: one row per query, in query order, each
     /// the query's k nearest (fewer only if the tree holds fewer points).
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
         map_batch_z_order(queries, |q| self.knn(q, k))
+    }
+}
+
+impl<const D: usize, L: Liveness> Walk<'_, D, L> {
+    /// The crate's one k-NN descent: near side first, each side only while
+    /// its box reaches inside the buffer's bound.
+    pub(crate) fn knn_rec<W: KnnProbe>(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer<W>) {
+        buf.probe().node();
+        let node = &self.nodes[idx as usize];
+        if node.is_leaf() {
+            buf.scan(self.pts, node.rows(), q, |i| self.live.alive(i));
+            return;
+        }
+        let (left, right) = self.children(node);
+        let (near, far) = if q[node.dim as usize] <= node.val {
+            (left, right)
+        } else {
+            (right, left)
+        };
+        if self.nodes[near as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
+            self.knn_rec(near, q, buf);
+        }
+        if self.nodes[far as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
+            self.knn_rec(far, q, buf);
+        }
     }
 }
 
@@ -400,8 +396,8 @@ mod tests {
     fn nearest_on_empty_tree() {
         let t = KdTree::<2>::build(&[], SplitRule::ObjectMedian);
         assert!(t
-            .nearest(&pargeo_geometry::Point2::new([0.0, 0.0]))
-            .is_none());
+            .knn(&pargeo_geometry::Point2::new([0.0, 0.0]), 1)
+            .is_empty());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! regardless of tree shape, split rule, or thread count, so answers from
 //! different trees over the same points are comparable verbatim.
 
-use crate::tree::{KdTree, Node};
+use crate::tree::{AllLive, KdTree, Liveness, Node, Walk};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_parlay as parlay;
 
@@ -20,31 +20,11 @@ impl<const D: usize> KdTree<D> {
     /// sorted ascending.
     pub fn range_box(&self, query: &Bbox<D>) -> Vec<u32> {
         let mut out = Vec::new();
-        if let Some(root) = self.root() {
-            self.range_box_rec(root, query, &mut out);
+        if !self.is_empty() {
+            self.walk(AllLive).range_box(0, query, &mut out);
         }
         out.sort_unstable();
         out
-    }
-
-    fn range_box_rec(&self, node: &Node<D>, query: &Bbox<D>, out: &mut Vec<u32>) {
-        if !node.bbox.intersects(query) {
-            return;
-        }
-        if query.contains_box(&node.bbox) {
-            out.extend_from_slice(&self.pts.ids()[node.start as usize..node.end as usize]);
-            return;
-        }
-        if node.is_leaf() {
-            for i in node.start as usize..node.end as usize {
-                if query.contains_soa(&self.pts, i) {
-                    out.push(self.pts.id(i));
-                }
-            }
-            return;
-        }
-        self.range_box_rec(self.node(node.left), query, out);
-        self.range_box_rec(self.node(node.right), query, out);
     }
 
     /// Original ids of all points within distance `radius` of `center`
@@ -60,55 +40,21 @@ impl<const D: usize> KdTree<D> {
     /// contract and sit in hot loops (e.g. β-skeleton lune tests).
     pub fn range_ball_unsorted(&self, center: &Point<D>, radius: f64) -> Vec<u32> {
         let mut out = Vec::new();
-        let r_sq = radius * radius;
-        if let Some(root) = self.root() {
-            self.range_ball_rec(root, center, r_sq, &mut out);
+        if !self.is_empty() {
+            self.walk(AllLive)
+                .range_ball(0, center, radius * radius, &mut out);
         }
         out
-    }
-
-    fn range_ball_rec(&self, node: &Node<D>, c: &Point<D>, r_sq: f64, out: &mut Vec<u32>) {
-        if node.bbox.dist_sq_to_point(c) > r_sq {
-            return;
-        }
-        if node.bbox.max_dist_sq_to_point(c) <= r_sq {
-            out.extend_from_slice(&self.pts.ids()[node.start as usize..node.end as usize]);
-            return;
-        }
-        if node.is_leaf() {
-            for i in node.start as usize..node.end as usize {
-                if self.pts.dist_sq(i, c) <= r_sq {
-                    out.push(self.pts.id(i));
-                }
-            }
-            return;
-        }
-        self.range_ball_rec(self.node(node.left), c, r_sq, out);
-        self.range_ball_rec(self.node(node.right), c, r_sq, out);
     }
 
     /// Number of points within `radius` of `center` without materializing
     /// them (allocation-free: the data-parallel form used by Table 1's
     /// range-search row).
     pub fn count_ball(&self, center: &Point<D>, radius: f64) -> usize {
-        fn go<const D: usize>(t: &KdTree<D>, node: &Node<D>, c: &Point<D>, r_sq: f64) -> usize {
-            if node.bbox.dist_sq_to_point(c) > r_sq {
-                return 0;
-            }
-            if node.bbox.max_dist_sq_to_point(c) <= r_sq {
-                return (node.end - node.start) as usize;
-            }
-            if node.is_leaf() {
-                return (node.start as usize..node.end as usize)
-                    .filter(|&i| t.pts.dist_sq(i, c) <= r_sq)
-                    .count();
-            }
-            go(t, t.node(node.left), c, r_sq) + go(t, t.node(node.right), c, r_sq)
+        if self.is_empty() {
+            return 0;
         }
-        match self.root() {
-            Some(root) => go(self, root, center, radius * radius),
-            None => 0,
-        }
+        self.walk(AllLive).count_ball(0, center, radius * radius)
     }
 
     /// Data-parallel batch ball counting.
@@ -118,24 +64,10 @@ impl<const D: usize> KdTree<D> {
 
     /// Number of points inside `query` without materializing them.
     pub fn count_box(&self, query: &Bbox<D>) -> usize {
-        fn go<const D: usize>(t: &KdTree<D>, node: &Node<D>, query: &Bbox<D>) -> usize {
-            if !node.bbox.intersects(query) {
-                return 0;
-            }
-            if query.contains_box(&node.bbox) {
-                return (node.end - node.start) as usize;
-            }
-            if node.is_leaf() {
-                return (node.start as usize..node.end as usize)
-                    .filter(|&i| query.contains_soa(&t.pts, i))
-                    .count();
-            }
-            go(t, t.node(node.left), query) + go(t, t.node(node.right), query)
+        if self.is_empty() {
+            return 0;
         }
-        match self.root() {
-            Some(root) => go(self, root, query),
-            None => 0,
-        }
+        self.walk(AllLive).count_box(0, query)
     }
 
     /// Data-parallel batch box search.
@@ -146,6 +78,105 @@ impl<const D: usize> KdTree<D> {
     /// Data-parallel batch ball search.
     pub fn range_ball_batch(&self, queries: &[(Point<D>, f64)]) -> Vec<Vec<u32>> {
         parlay::map(queries, RANGE_BATCH_GRAIN, |(c, r)| self.range_ball(c, *r))
+    }
+}
+
+/// The crate's range and count descents. Node boxes are conservative after
+/// deletions (supersets of the live points), so pruning may over-visit but
+/// never misses. A node that lies `whole` inside the query is not
+/// descended: a tree that never loses a row reports its id slice (counts
+/// its length), any other filters the node's rows by liveness alone.
+impl<const D: usize, L: Liveness> Walk<'_, D, L> {
+    /// The live rows of `node` — of those, unless the node lies `whole`
+    /// inside the query, the ones `inside` accepts.
+    #[inline]
+    fn hits<'s>(
+        &'s self,
+        node: &Node<D>,
+        whole: bool,
+        inside: impl Fn(usize) -> bool + 's,
+    ) -> impl Iterator<Item = usize> + 's {
+        node.rows()
+            .filter(move |&i| self.live.alive(i) && (whole || inside(i)))
+    }
+
+    /// Appends the ids of the live points inside `query` under `idx`.
+    pub(crate) fn range_box(&self, idx: u32, query: &Bbox<D>, out: &mut Vec<u32>) {
+        let node = &self.nodes[idx as usize];
+        if !node.bbox.intersects(query) {
+            return;
+        }
+        let whole = query.contains_box(&node.bbox);
+        if whole && L::NEVER_DEAD {
+            out.extend_from_slice(&self.pts.ids()[node.rows()]);
+        } else if whole || node.is_leaf() {
+            let inside = |i| query.contains_soa(self.pts, i);
+            for i in self.hits(node, whole, inside) {
+                out.push(self.pts.id(i));
+            }
+        } else {
+            let (left, right) = self.children(node);
+            self.range_box(left, query, out);
+            self.range_box(right, query, out);
+        }
+    }
+
+    /// Appends the ids of the live points within `r_sq` (squared) of `c`
+    /// under `idx`.
+    pub(crate) fn range_ball(&self, idx: u32, c: &Point<D>, r_sq: f64, out: &mut Vec<u32>) {
+        let node = &self.nodes[idx as usize];
+        if node.bbox.dist_sq_to_point(c) > r_sq {
+            return;
+        }
+        let whole = node.bbox.max_dist_sq_to_point(c) <= r_sq;
+        if whole && L::NEVER_DEAD {
+            out.extend_from_slice(&self.pts.ids()[node.rows()]);
+        } else if whole || node.is_leaf() {
+            let inside = |i| self.pts.dist_sq(i, c) <= r_sq;
+            for i in self.hits(node, whole, inside) {
+                out.push(self.pts.id(i));
+            }
+        } else {
+            let (left, right) = self.children(node);
+            self.range_ball(left, c, r_sq, out);
+            self.range_ball(right, c, r_sq, out);
+        }
+    }
+
+    /// Number of live points inside `query` under `idx`.
+    pub(crate) fn count_box(&self, idx: u32, query: &Bbox<D>) -> usize {
+        let node = &self.nodes[idx as usize];
+        if !node.bbox.intersects(query) {
+            return 0;
+        }
+        let whole = query.contains_box(&node.bbox);
+        if whole && L::NEVER_DEAD {
+            node.rows().len()
+        } else if whole || node.is_leaf() {
+            let inside = |i| query.contains_soa(self.pts, i);
+            self.hits(node, whole, inside).count()
+        } else {
+            let (left, right) = self.children(node);
+            self.count_box(left, query) + self.count_box(right, query)
+        }
+    }
+
+    /// Number of live points within `r_sq` (squared) of `c` under `idx`.
+    pub(crate) fn count_ball(&self, idx: u32, c: &Point<D>, r_sq: f64) -> usize {
+        let node = &self.nodes[idx as usize];
+        if node.bbox.dist_sq_to_point(c) > r_sq {
+            return 0;
+        }
+        let whole = node.bbox.max_dist_sq_to_point(c) <= r_sq;
+        if whole && L::NEVER_DEAD {
+            node.rows().len()
+        } else if whole || node.is_leaf() {
+            let inside = |i| self.pts.dist_sq(i, c) <= r_sq;
+            self.hits(node, whole, inside).count()
+        } else {
+            let (left, right) = self.children(node);
+            self.count_ball(left, c, r_sq) + self.count_ball(right, c, r_sq)
+        }
     }
 }
 

@@ -1,15 +1,23 @@
-//! The static kd-tree with parallel construction.
+//! The static kd-tree with parallel construction — the one tree of the
+//! crate: [`crate::veb::VebTree`] is this tree with its nodes permuted
+//! into van Emde Boas order and a deletion overlay on top.
 //!
 //! The tree is a flat node arena (children by `u32` index); points live in
-//! a columnar [`SoaPoints`] permutation of the input so that every leaf
+//! a columnar [`SoaPoints`] permutation of the input so that every node
 //! owns a range `start..end` whose axis scans are dense sequential reads.
-//! Construction is a per-*level* frontier sweep: each round splits every
-//! frontier node in parallel over an AoS work buffer (parallel selection
-//! for object-median, parallel partition for spatial-median — the "split
-//! in parallel" optimization of §2 of the paper), then bulk-appends the
-//! next level's nodes to the arena in one go. Nothing allocates per node:
-//! the arena grows by whole levels and the work buffer is scattered into
-//! columns once, at the end.
+//! Construction is one depth-first recursion over an AoS work buffer: a
+//! node takes its bounding box, splits its segment in place (parallel
+//! selection for object-median, parallel partition for spatial-median —
+//! the "split in parallel" optimization of §2 of the paper), appends
+//! itself to the arena and descends, so a subtree is finished while its
+//! rows are still in cache. Nothing allocates per node: a task appends to
+//! one vector in preorder, a subtree forked off above
+//! [`SEQ_BUILD_CUTOFF`] starts a vector of its own, the vectors are laid
+//! end to end once, and the work buffer is scattered into columns once.
+//!
+//! Traversals run on a borrowed `Walk`, generic over `Liveness`: the
+//! static tree passes `AllLive`, for which every liveness test folds
+//! away, and the vEB tree passes its overlay.
 
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
@@ -30,8 +38,8 @@ pub enum SplitRule {
 /// constants.
 pub const LEAF_SIZE: usize = 16;
 
-/// The one sequential cutoff of both tree builds and of the vEB tree's
-/// bulk erase: a node with fewer points (an erase with fewer queries) runs
+/// The one sequential cutoff of the tree build and of the vEB tree's bulk
+/// erase: a node with fewer points (an erase with fewer queries) runs
 /// its bbox and partition serially and does not fork its children (the
 /// median selection has its own, far higher cutoff inside
 /// `parlay::select_nth_unstable_by`). Measured on a 394k-point 2-D build:
@@ -42,13 +50,14 @@ pub const LEAF_SIZE: usize = 16;
 /// out.
 pub const SEQ_BUILD_CUTOFF: usize = 4096;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Node<const D: usize> {
     /// Bounding box of all points below this node.
     pub bbox: Bbox<D>,
     /// Splitting dimension (unused for leaves).
     pub dim: u8,
-    /// Splitting coordinate (unused for leaves).
+    /// Splitting coordinate (unused for leaves): rows `<=` it went left,
+    /// rows `>=` it right.
     pub val: f64,
     /// Index of the left child, `u32::MAX` for leaves.
     pub left: u32,
@@ -65,35 +74,22 @@ impl<const D: usize> Node<D> {
     pub fn is_leaf(&self) -> bool {
         self.left == u32::MAX
     }
+
+    /// This node's range in the reordered point array.
+    #[inline]
+    pub fn rows(&self) -> std::ops::Range<usize> {
+        self.start as usize..self.end as usize
+    }
 }
 
 /// A static kd-tree over `D`-dimensional points.
 #[derive(Debug, Clone)]
 pub struct KdTree<const D: usize> {
     pub(crate) pts: SoaPoints<D>,
+    /// Root first (when there is one); otherwise in whatever order the
+    /// links say — preorder as built, vEB order under a `VebTree`.
     pub(crate) nodes: Vec<Node<D>>,
     leaf_size: usize,
-}
-
-/// Raw-pointer window for the per-level parallel phases: frontier nodes
-/// own pairwise-disjoint item ranges and distinct arena slots, so handing
-/// each task mutable access to its own range/slot is sound.
-struct SharedMut<T>(*mut T);
-unsafe impl<T: Send> Send for SharedMut<T> {}
-unsafe impl<T: Send> Sync for SharedMut<T> {}
-
-impl<T> SharedMut<T> {
-    /// Safety: callers must hand out non-overlapping ranges.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, start: usize, end: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(start), end - start)
-    }
-
-    /// Safety: callers must not alias `i` across tasks.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn at(&self, i: usize) -> &mut T {
-        &mut *self.0.add(i)
-    }
 }
 
 impl<const D: usize> KdTree<D> {
@@ -102,94 +98,40 @@ impl<const D: usize> KdTree<D> {
         Self::build_with_leaf_size(points, rule, LEAF_SIZE)
     }
 
-    /// Builds a kd-tree with an explicit leaf size (at least 1).
-    ///
-    /// The build proceeds level by level: every frontier node computes its
-    /// bbox and split over its disjoint slice of the AoS work buffer (in
-    /// parallel across nodes, and within a node above
-    /// [`SEQ_BUILD_CUTOFF`]), then the next level's nodes are appended to
-    /// the arena in bulk. The work buffer is scattered into the columnar
-    /// store once at the end.
+    /// Builds a kd-tree with an explicit leaf size (at least 1); point `i`
+    /// of the input keeps `i` as its id.
     pub fn build_with_leaf_size(points: &[Point<D>], rule: SplitRule, leaf_size: usize) -> Self {
-        let leaf_size = leaf_size.max(1);
-        let cutoff = SEQ_BUILD_CUTOFF;
-        let n = points.len();
-        let mut items: Vec<(Point<D>, u32)> =
-            parlay::tabulate(n, cutoff, |i| (points[i], i as u32));
-        let mut tree = KdTree {
-            pts: SoaPoints::new(),
-            nodes: Vec::new(),
-            leaf_size,
-        };
-        if n == 0 {
-            return tree;
+        let rows = parlay::tabulate(points.len(), SEQ_BUILD_CUTOFF, |i| (points[i], i as u32));
+        Self::from_rows(rows, rule, leaf_size.max(1))
+    }
+
+    /// The tree over `(point, id)` rows, partitioned in the buffer they
+    /// arrive in, nodes in preorder.
+    pub(crate) fn from_rows(
+        mut rows: Vec<(Point<D>, u32)>,
+        rule: SplitRule,
+        leaf_size: usize,
+    ) -> Self {
+        let mut runs = Vec::new();
+        if !rows.is_empty() {
+            build_rec(&mut rows, 0, rule, leaf_size, &mut runs);
         }
-        tree.nodes.reserve(4 * n / leaf_size.max(1) + 2);
-        tree.nodes.push(Node {
-            bbox: Bbox::empty(),
-            dim: 0,
-            val: 0.0,
-            left: u32::MAX,
-            right: u32::MAX,
-            start: 0,
-            end: n as u32,
-        });
-        let mut frontier: Vec<u32> = vec![0];
-        while !frontier.is_empty() {
-            // Phase 1 — parallel over the frontier: each node fills its
-            // bbox and, if it splits, partitions its item range in place
-            // and records the split point. Ranges are disjoint by
-            // construction, arena slots distinct.
-            let items_ptr = SharedMut(items.as_mut_ptr());
-            let nodes_ptr = SharedMut(tree.nodes.as_mut_ptr());
-            let split_one = |&ni: &u32| -> Option<u32> {
-                let node = unsafe { nodes_ptr.at(ni as usize) };
-                let seg = unsafe { items_ptr.slice(node.start as usize, node.end as usize) };
-                node.bbox = compute_bbox(seg, cutoff);
-                if seg.len() <= leaf_size || node.bbox.diag_sq() == 0.0 {
-                    // All-identical point sets cannot be split spatially;
-                    // stop.
-                    return None;
-                }
-                let (dim, val, mid) = split_segment(seg, &node.bbox, rule, cutoff);
-                node.dim = dim as u8;
-                node.val = val;
-                Some(mid as u32)
-            };
-            // A level's nodes share its `n` points about evenly: one task
-            // per run of nodes holding some `cutoff` points between them.
-            let nodes_per_task = (cutoff * frontier.len()).div_ceil(n);
-            let mids: Vec<Option<u32>> = parlay::map(&frontier, nodes_per_task, split_one);
-            // Phase 2 — serial bulk append: two arena slots per split
-            // node, wired up and pushed onto the next frontier.
-            let mut next = Vec::with_capacity(2 * frontier.len());
-            for (&ni, &mid) in frontier.iter().zip(&mids) {
-                let Some(mid) = mid else { continue };
-                let base = tree.nodes.len() as u32;
-                let (start, end) = {
-                    let node = &mut tree.nodes[ni as usize];
-                    node.left = base;
-                    node.right = base + 1;
-                    (node.start, node.end)
-                };
-                for (s, e) in [(start, start + mid), (start + mid, end)] {
-                    tree.nodes.push(Node {
-                        bbox: Bbox::empty(),
-                        dim: 0,
-                        val: 0.0,
-                        left: u32::MAX,
-                        right: u32::MAX,
-                        start: s,
-                        end: e,
-                    });
-                }
-                next.push(base);
-                next.push(base + 1);
+        // The rows go before the node array comes: it fits where they were.
+        let pts = scatter_soa(&rows);
+        drop(rows);
+        // The build left every link as an offset from its own node.
+        let mut nodes = runs.concat();
+        for (i, node) in nodes.iter_mut().enumerate() {
+            if !node.is_leaf() {
+                node.left += i as u32;
+                node.right += i as u32;
             }
-            frontier = next;
         }
-        tree.pts = scatter_soa(&items, cutoff);
-        tree
+        KdTree {
+            pts,
+            nodes,
+            leaf_size,
+        }
     }
 
     /// Number of points.
@@ -204,11 +146,7 @@ impl<const D: usize> KdTree<D> {
 
     /// Bounding box of the whole point set.
     pub fn bbox(&self) -> Bbox<D> {
-        if self.nodes.is_empty() {
-            Bbox::empty()
-        } else {
-            self.nodes[0].bbox
-        }
+        self.nodes.first().map_or(Bbox::empty(), |root| root.bbox)
     }
 
     /// Leaf size this tree was built with.
@@ -239,34 +177,22 @@ impl<const D: usize> KdTree<D> {
 
     // --- internal accessors used by the sibling modules and by WSPD ---
 
-    pub(crate) fn root(&self) -> Option<&Node<D>> {
-        self.nodes.first()
-    }
-
     pub(crate) fn node(&self, i: u32) -> &Node<D> {
         &self.nodes[i as usize]
+    }
+
+    /// The tree's slabs borrowed for one traversal under `live`.
+    pub(crate) fn walk<L: Liveness>(&self, live: L) -> Walk<'_, D, L> {
+        Walk {
+            nodes: &self.nodes,
+            pts: &self.pts,
+            live,
+        }
     }
 
     /// Number of tree nodes (for tests and diagnostics).
     pub fn node_count(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Depth of the tree (for tests and diagnostics).
-    pub fn depth(&self) -> usize {
-        fn go<const D: usize>(t: &KdTree<D>, i: u32) -> usize {
-            let n = t.node(i);
-            if n.is_leaf() {
-                1
-            } else {
-                1 + go(t, n.left).max(go(t, n.right))
-            }
-        }
-        if self.nodes.is_empty() {
-            0
-        } else {
-            go(self, 0)
-        }
     }
 }
 
@@ -302,71 +228,184 @@ impl<const D: usize> KdTree<D> {
 
     /// Number of points under a node.
     pub fn node_size(&self, id: NodeId) -> usize {
-        let n = self.node(id.0);
-        (n.end - n.start) as usize
+        self.node(id.0).rows().len()
     }
 
     /// The reordered point range owned by a node — index it through
     /// [`KdTree::point_at`] / [`KdTree::original_id`] (or the columns of
     /// [`KdTree::points`]).
     pub fn node_range(&self, id: NodeId) -> std::ops::Range<usize> {
-        let n = self.node(id.0);
-        n.start as usize..n.end as usize
+        self.node(id.0).rows()
     }
 
     /// Original ids of the points owned by a node.
     pub fn node_point_ids(&self, id: NodeId) -> &[u32] {
-        let n = self.node(id.0);
-        &self.pts.ids()[n.start as usize..n.end as usize]
+        &self.pts.ids()[self.node(id.0).rows()]
     }
 }
 
+/// What a traversal may assume about deleted rows.
+pub(crate) trait Liveness: Copy {
+    /// No row is ever dead, so a subtree that lies inside a query is
+    /// reported as one slice of ids and counted by its length.
+    const NEVER_DEAD: bool;
+
+    /// Whether reordered row `row` still holds a point.
+    fn alive(self, row: usize) -> bool;
+
+    /// From slot `c` (which holds a live point), the slot a tree with its
+    /// dead subtrees spliced out would point to.
+    fn live_child<const D: usize>(self, nodes: &[Node<D>], c: u32) -> u32;
+}
+
+/// The liveness of a tree nothing is deleted from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct AllLive;
+
+impl Liveness for AllLive {
+    const NEVER_DEAD: bool = true;
+
+    #[inline]
+    fn alive(self, _row: usize) -> bool {
+        true
+    }
+
+    #[inline]
+    fn live_child<const D: usize>(self, _nodes: &[Node<D>], c: u32) -> u32 {
+        c
+    }
+}
+
+/// One tree's slabs borrowed for a traversal — the only k-NN, range and
+/// count descents of the crate are its methods (in [`crate::knn`] and
+/// [`crate::range`]). Every method takes the slot of a node that holds a
+/// live point.
+pub(crate) struct Walk<'a, const D: usize, L> {
+    pub nodes: &'a [Node<D>],
+    pub pts: &'a SoaPoints<D>,
+    pub live: L,
+}
+
+impl<const D: usize, L: Liveness> Walk<'_, D, L> {
+    /// The two children of internal node `node`, dead subtrees stepped
+    /// over.
+    #[inline]
+    pub fn children(&self, node: &Node<D>) -> (u32, u32) {
+        (
+            self.live.live_child(self.nodes, node.left),
+            self.live.live_child(self.nodes, node.right),
+        )
+    }
+}
+
+/// Runs `a` then `b` on `acc`; when `fork` is set, `b` instead runs beside
+/// `a` on an accumulator of its own, which `join` then folds into `acc`.
+/// Whether to fork must not depend on the pool, so that `acc` ends up the
+/// same on any number of workers.
+pub(crate) fn fork_onto<T: Default + Send, A: Send, B: Send>(
+    fork: bool,
+    acc: &mut T,
+    a: impl FnOnce(&mut T) -> A + Send,
+    b: impl FnOnce(&mut T) -> B + Send,
+    join: impl FnOnce(&mut T, T),
+) -> (A, B) {
+    if !fork {
+        return (a(acc), b(acc));
+    }
+    let mut apart = T::default();
+    let out = parlay::par_do(|| a(acc), || b(&mut apart));
+    join(acc, apart);
+    out
+}
+
+/// Appends the subtree over `seg` — rows `start..` of the work buffer — to
+/// `runs` in preorder and returns how many nodes that is. `runs` is the
+/// node array in pieces: each run is the stretch of preorder one task
+/// wrote, a subtree forked off above [`SEQ_BUILD_CUTOFF`] starts a run of
+/// its own, and where subtrees join so do their lists — no node moves
+/// until the whole array is put together. Links are left as offsets from
+/// their own node, which mean the same wherever its run ends up.
+fn build_rec<const D: usize>(
+    seg: &mut [(Point<D>, u32)],
+    start: u32,
+    rule: SplitRule,
+    leaf_size: usize,
+    runs: &mut Vec<Vec<Node<D>>>,
+) -> u32 {
+    let n = seg.len();
+    if runs.is_empty() {
+        // This task's own run: a few forking nodes, then the one subtree
+        // under the cutoff that its leftmost path reaches — sized for what
+        // an object-median tree over distinct points comes to.
+        let rows = n.min(SEQ_BUILD_CUTOFF);
+        runs.push(Vec::with_capacity(
+            2 * rows.div_ceil(leaf_size).next_power_of_two(),
+        ));
+    }
+    let bbox = compute_bbox(seg);
+    let run = runs.len() - 1;
+    let me = runs[run].len();
+    runs[run].push(Node {
+        bbox,
+        dim: 0,
+        val: 0.0,
+        left: u32::MAX,
+        right: u32::MAX,
+        start,
+        end: start + n as u32,
+    });
+    // All-identical point sets cannot be split spatially; stop.
+    if n <= leaf_size || bbox.diag_sq() == 0.0 {
+        return 1;
+    }
+    let (dim, val, mid) = split_segment(seg, &bbox, rule);
+    let (lo, hi) = seg.split_at_mut(mid);
+    let (l, r) = fork_onto(
+        n >= SEQ_BUILD_CUTOFF,
+        runs,
+        |runs| build_rec(lo, start, rule, leaf_size, runs),
+        |runs| build_rec(hi, start + mid as u32, rule, leaf_size, runs),
+        |runs, apart| runs.extend(apart),
+    );
+    let node = &mut runs[run][me];
+    (node.dim, node.val) = (dim as u8, val);
+    (node.left, node.right) = (1, 1 + l);
+    1 + l + r
+}
+
 /// One node's split decision: `(dim, val, mid)` with the segment
-/// partitioned in place around `mid`. Depends only on the segment's
-/// multiset and bbox — never on thread count — so tree shape is
-/// reproducible.
+/// partitioned in place around `mid`, rows `<= val` before it and rows
+/// `>= val` from it on. Depends only on the segment's rows, their order
+/// and the bbox — never on thread count — so tree shape is reproducible.
 fn split_segment<const D: usize>(
     seg: &mut [(Point<D>, u32)],
     bbox: &Bbox<D>,
     rule: SplitRule,
-    cutoff: usize,
 ) -> (usize, f64, usize) {
     let n = seg.len();
     let dim = bbox.widest_dim();
-    let mid = match rule {
-        SplitRule::ObjectMedian => {
-            let mid = n / 2;
-            parlay::select_nth_unstable_by(seg, mid, |a, b| {
-                a.0[dim].partial_cmp(&b.0[dim]).unwrap()
-            });
-            mid
+    if rule == SplitRule::SpatialMedian {
+        let val = 0.5 * (bbox.min[dim] + bbox.max[dim]);
+        let mid = partition_by(seg, |p| p[dim] < val);
+        if mid != 0 && mid != n {
+            return (dim, val, mid);
         }
-        SplitRule::SpatialMedian => {
-            let splitval = 0.5 * (bbox.min[dim] + bbox.max[dim]);
-            let mid = partition_by(seg, cutoff, |p| p[dim] < splitval);
-            if mid == 0 || mid == n {
-                // Degenerate spatial split (points concentrated at the
-                // boundary) — fall back to the object median.
-                let mid = n / 2;
-                seg.select_nth_unstable_by(mid, |a, b| a.0[dim].partial_cmp(&b.0[dim]).unwrap());
-                mid
-            } else {
-                mid
-            }
-        }
-    };
-    let val = match rule {
-        SplitRule::ObjectMedian => seg[mid].0[dim],
-        SplitRule::SpatialMedian => 0.5 * (bbox.min[dim] + bbox.max[dim]),
-    };
-    (dim, val, mid)
+        // Degenerate spatial split (the box's midpoint rounds onto its
+        // edge) — fall back to the object median.
+    }
+    let mid = n / 2;
+    parlay::select_nth_unstable_by(seg, mid, |a, b| {
+        a.0[dim].partial_cmp(&b.0[dim]).expect("NaN coordinate")
+    });
+    (dim, seg[mid].0[dim], mid)
 }
 
-/// Bounding box of a run of work-buffer items, `cutoff` items to a task.
-pub(crate) fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)], cutoff: usize) -> Bbox<D> {
+/// Bounding box of a run of work-buffer items, [`SEQ_BUILD_CUTOFF`] items
+/// to a task.
+fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)]) -> Bbox<D> {
     parlay::reduce(
         items.len(),
-        cutoff,
+        SEQ_BUILD_CUTOFF,
         |r| {
             // Four boxes taking rows in turn: one running min/max is a
             // dependency chain a row long, and the scan waits on it.
@@ -388,14 +427,14 @@ pub(crate) fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)], cutoff: us
 }
 
 /// Unstable in-place partition; returns the number of elements satisfying
-/// `pred`. Parallel for large slices (out-of-place pack + copy back).
+/// `pred`. Parallel from [`SEQ_BUILD_CUTOFF`] rows up (out-of-place pack +
+/// copy back).
 fn partition_by<const D: usize>(
     items: &mut [(Point<D>, u32)],
-    cutoff: usize,
     pred: impl Fn(&Point<D>) -> bool + Sync,
 ) -> usize {
     let n = items.len();
-    if n < cutoff {
+    if n < SEQ_BUILD_CUTOFF {
         let mut i = 0usize;
         let mut j = n;
         while i < j {
@@ -415,30 +454,56 @@ fn partition_by<const D: usize>(
     mid
 }
 
+/// One column's base pointer, for the tasks of [`scatter_soa`] to write
+/// their own row ranges of it side by side.
+struct ColumnPtr<T>(*mut T);
+// SAFETY: the pointer is only ever used through `rows`, whose callers
+// hand each task a row range no other task touches, so sending or
+// sharing the wrapper shares no element; `T: Send` because the tasks
+// write `T`s from other threads.
+unsafe impl<T: Send> Send for ColumnPtr<T> {}
+// SAFETY: as above — `&ColumnPtr` gives access to disjoint rows only.
+unsafe impl<T: Send> Sync for ColumnPtr<T> {}
+
+impl<T> ColumnPtr<T> {
+    /// Rows `lo..hi` of the column.
+    ///
+    /// # Safety
+    /// `lo <= hi <=` the column's length, the column outlives the slice,
+    /// and no other reference to any row of `lo..hi` exists while it
+    /// lives.
+    #[allow(clippy::mut_from_ref)]
+    unsafe fn rows(&self, lo: usize, hi: usize) -> &mut [T] {
+        std::slice::from_raw_parts_mut(self.0.add(lo), hi - lo)
+    }
+}
+
 /// Scatters the AoS work buffer into columns, in parallel chunks of
-/// `cutoff` rows.
-pub(crate) fn scatter_soa<const D: usize>(
-    items: &[(Point<D>, u32)],
-    cutoff: usize,
-) -> SoaPoints<D> {
+/// [`SEQ_BUILD_CUTOFF`] rows.
+fn scatter_soa<const D: usize>(items: &[(Point<D>, u32)]) -> SoaPoints<D> {
     let n = items.len();
-    let cutoff = cutoff.max(1);
     let mut pts = SoaPoints::with_len(n);
-    let cols: Vec<SharedMut<f64>> = (0..D)
-        .map(|d| SharedMut(pts.axis_mut(d).as_mut_ptr()))
+    let cols: Vec<ColumnPtr<f64>> = (0..D)
+        .map(|d| ColumnPtr(pts.axis_mut(d).as_mut_ptr()))
         .collect();
-    let ids = SharedMut(pts.ids_mut().as_mut_ptr());
-    parlay::parallel_for(n.div_ceil(cutoff), 1, |c| {
-        let lo = c * cutoff;
-        let hi = ((c + 1) * cutoff).min(n);
+    let ids = ColumnPtr(pts.ids_mut().as_mut_ptr());
+    parlay::parallel_for(n.div_ceil(SEQ_BUILD_CUTOFF), 1, |c| {
+        let chunk = parlay::block(c, SEQ_BUILD_CUTOFF, n);
+        let (lo, hi) = (chunk.start, chunk.end);
         for d in 0..D {
-            let col = unsafe { cols[d].slice(lo, hi) };
-            for (x, (p, _)) in col.iter_mut().zip(&items[lo..hi]) {
+            // SAFETY: every column of `pts` holds `n` rows and `pts`
+            // outlives the loop; chunk `c` covers rows `lo..hi <= n`,
+            // chunks of different `c` are disjoint, and `pts` is not
+            // otherwise touched until `parallel_for` has joined them.
+            let col = unsafe { cols[d].rows(lo, hi) };
+            for (x, (p, _)) in col.iter_mut().zip(&items[chunk.clone()]) {
                 *x = p.coords[d];
             }
         }
-        let out = unsafe { ids.slice(lo, hi) };
-        for (slot, (_, id)) in out.iter_mut().zip(&items[lo..hi]) {
+        // SAFETY: as for the coordinate columns — the id column has `n`
+        // rows and this task alone holds `lo..hi` of it.
+        let out = unsafe { ids.rows(lo, hi) };
+        for (slot, (_, id)) in out.iter_mut().zip(&items[chunk]) {
             *slot = *id;
         }
     });
@@ -449,6 +514,19 @@ pub(crate) fn scatter_soa<const D: usize>(
 mod tests {
     use super::*;
     use pargeo_datagen::uniform_cube;
+
+    /// Levels of the tree (0 when it is empty).
+    fn depth<const D: usize>(t: &KdTree<D>) -> usize {
+        fn go<const D: usize>(t: &KdTree<D>, i: u32) -> usize {
+            let n = t.node(i);
+            if n.is_leaf() {
+                1
+            } else {
+                1 + go(t, n.left).max(go(t, n.right))
+            }
+        }
+        t.root_id().map_or(0, |root| go(t, root.0))
+    }
 
     fn check_structure<const D: usize>(t: &KdTree<D>) {
         // Every point is inside its leaf bbox; leaf ranges tile 0..n.
@@ -490,7 +568,7 @@ mod tests {
         assert_eq!(t.len(), 5_000);
         check_structure(&t);
         // Object-median trees over distinct points are balanced.
-        assert!(t.depth() <= 2 + (5_000f64 / 16.0).log2().ceil() as usize + 2);
+        assert!(depth(&t) <= 2 + (5_000f64 / 16.0).log2().ceil() as usize + 2);
         assert!(t.arena_bytes() >= 5_000 * (3 * 8 + 4));
     }
 
@@ -539,9 +617,35 @@ mod tests {
         let a = pargeo_parlay::with_threads(1, || KdTree::build(&pts, SplitRule::ObjectMedian));
         let b = pargeo_parlay::with_threads(4, || KdTree::build(&pts, SplitRule::ObjectMedian));
         assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.depth(), b.depth());
+        assert_eq!(depth(&a), depth(&b));
         check_structure(&a);
         check_structure(&b);
+    }
+
+    /// Forks are decided by row counts alone and joined in order: the node
+    /// array and the point columns are the same bytes on any pool, forked
+    /// subtrees, parallel partitions and duplicate-heavy splits included.
+    #[test]
+    fn a_build_is_the_same_arrays_on_any_pool() {
+        let n = 5 * SEQ_BUILD_CUTOFF + 123;
+        let mut pts = uniform_cube::<2>(n, 11);
+        for (i, p) in pts.iter_mut().enumerate().skip(n / 2) {
+            *p = pargeo_geometry::Point2::new([(i % 13) as f64, (i % 7) as f64]);
+        }
+        for rule in [SplitRule::ObjectMedian, SplitRule::SpatialMedian] {
+            for leaf_size in [1, LEAF_SIZE] {
+                let [one, two, four] = [1, 2, 4].map(|workers| {
+                    pargeo_parlay::with_threads(workers, || {
+                        KdTree::build_with_leaf_size(&pts, rule, leaf_size)
+                    })
+                });
+                check_structure(&one);
+                for other in [two, four] {
+                    assert_eq!(other.nodes, one.nodes, "{rule:?}, leaf {leaf_size}");
+                    assert_eq!(other.pts, one.pts, "{rule:?}, leaf {leaf_size}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,30 +1,27 @@
 //! The van Emde Boas layout static kd-tree (paper Appendix C.1).
 //!
-//! This is the building block of the BDL-tree: a balanced object-median
-//! kd-tree whose nodes are stored in the recursive vEB order of Agarwal et
-//! al. \[9\] (top half of the levels first, then the bottom subtrees
-//! left-to-right, recursively), making root-to-leaf traversals
-//! cache-oblivious. It supports
+//! This is the building block of the BDL-tree: the crate's one static
+//! tree ([`KdTree`], balanced object-median by default) with exactly what
+//! Appendix C.1 adds to it —
 //!
-//! * parallel construction (Algorithm 1),
+//! * its nodes stored in the recursive vEB order of Agarwal et al. \[9\]
+//!   (top half of the levels first, then the bottom subtrees
+//!   left-to-right, recursively), making root-to-leaf traversals
+//!   cache-oblivious (Algorithm 1),
 //! * parallel bulk deletion with subtree collapse (Algorithm 2) — deleted
 //!   points are tombstoned and fully dead subtrees are flagged so every
 //!   traversal steps over them exactly as if they had been spliced out,
 //! * k-NN search into a shared [`KnnBuffer`] (the hook the BDL-tree uses to
 //!   combine answers across its log-structured set of trees).
 //!
-//! Construction builds the balanced tree with fork-join parallelism (the
-//! `O(n log n)` part), then computes the vEB slot permutation in two linear
-//! passes — same layout as the paper's one-pass Algorithm 1, expressed as
-//! build-then-permute.
+//! Construction is [`KdTree`]'s own (the `O(n log n)` part), followed by
+//! the vEB slot permutation of its node array in two linear passes — same
+//! layout as the paper's one-pass Algorithm 1, expressed as
+//! build-then-permute. The k-NN, range and count descents are the static
+//! tree's too, run under this tree's liveness overlay.
 //!
-//! Storage is **flat**: the partitioned points land in one tree-level
-//! columnar [`SoaPoints`] arena and one liveness slab, and each leaf holds
-//! only a `[start, end)` range into them — no per-leaf heap allocations,
-//! so a 10M-point tree costs a handful of slabs instead of ~600k vectors.
-//!
-//! Storage is also **shared**: everything `build_with` produces (node
-//! geometry, leaf ranges, coordinate and id columns) is never written
+//! Storage is **shared**: everything `build_with` produces (node
+//! geometry and ranges, coordinate and id columns) is never written
 //! again and sits behind one `Arc`; the only state deletion changes — the
 //! liveness slab and the dead-subtree flags, about 1.2 B/pt — sits behind
 //! a second, copy-on-write `Arc`. `clone()` is two reference-count bumps,
@@ -32,45 +29,9 @@
 //! copies that small overlay, never a coordinate, id or bounding box.
 
 use crate::knn::{KnnBuffer, KnnProbe};
-use crate::tree::{compute_bbox, scatter_soa, SplitRule, SEQ_BUILD_CUTOFF};
-use pargeo_geometry::{Bbox, Point, SoaPoints};
-use pargeo_parlay as parlay;
+use crate::tree::{fork_onto, KdTree, Liveness, Node, SplitRule, Walk, SEQ_BUILD_CUTOFF};
+use pargeo_geometry::{Bbox, Point};
 use std::sync::Arc;
-
-/// A leaf's range `[start, end)` into the tree-level point arena.
-#[derive(Debug, Clone, Copy)]
-struct VLeaf {
-    start: u32,
-    end: u32,
-}
-
-#[derive(Debug, Clone)]
-struct VNode<const D: usize> {
-    bbox: Bbox<D>,
-    dim: u8,
-    val: f64,
-    /// Child slots; `u32::MAX` marks a leaf node.
-    left: u32,
-    right: u32,
-    /// Leaf payload index (valid when `left == u32::MAX`).
-    leaf: u32,
-}
-
-impl<const D: usize> VNode<D> {
-    #[inline]
-    fn is_leaf(&self) -> bool {
-        self.left == u32::MAX
-    }
-}
-
-/// What construction produces and nothing ever writes again.
-#[derive(Debug)]
-struct VebCore<const D: usize> {
-    nodes: Vec<VNode<D>>,
-    leaves: Vec<VLeaf>,
-    /// Columnar point arena in build-partition order; leaves hold ranges.
-    pts: SoaPoints<D>,
-}
 
 /// The state deletion changes, copied on the first write while shared.
 #[derive(Debug, Clone)]
@@ -89,7 +50,8 @@ struct Overlay {
 /// clone and the original then diverge copy-on-write, see the module docs.
 #[derive(Debug, Clone)]
 pub struct VebTree<const D: usize> {
-    core: Arc<VebCore<D>>,
+    /// What construction produces and nothing ever writes again.
+    core: Arc<KdTree<D>>,
     overlay: Arc<Overlay>,
     /// Topmost node with two live children, or the last live leaf
     /// (`u32::MAX` when the whole tree died).
@@ -97,19 +59,6 @@ pub struct VebTree<const D: usize> {
     live: usize,
     /// Overlay bytes copied by copy-on-write so far.
     cow_bytes: u64,
-}
-
-// ---------- construction ----------
-
-/// Arena node used between the parallel build and the vEB permutation.
-struct ArenaNode<const D: usize> {
-    bbox: Bbox<D>,
-    dim: u8,
-    val: f64,
-    left: usize,  // usize::MAX for leaf
-    right: usize, // usize::MAX for leaf
-    leaf: usize,
-    height: usize,
 }
 
 impl<const D: usize> VebTree<D> {
@@ -127,79 +76,19 @@ impl<const D: usize> VebTree<D> {
     /// Builds with an explicit leaf size and split rule (the paper's
     /// object-median vs spatial-median comparison, §6.3). The rows are
     /// partitioned in the buffer they arrive in.
-    pub fn build_with(mut work: Vec<(Point<D>, u32)>, leaf_size: usize, rule: SplitRule) -> Self {
+    pub fn build_with(work: Vec<(Point<D>, u32)>, leaf_size: usize, rule: SplitRule) -> Self {
         assert!(leaf_size >= 1);
-        if work.is_empty() {
-            return Self::from_parts(Vec::new(), Vec::new(), SoaPoints::new(), u32::MAX);
-        }
-        // Phase 1: parallel balanced build into a boxed tree. Leaves record
-        // ranges into `work`, whose partition order is final once a segment
-        // bottoms out.
-        let boxed = build_boxed(&mut work, 0, leaf_size, rule);
-        // Phase 2: flatten to a preorder arena.
-        let mut arena: Vec<ArenaNode<D>> = Vec::new();
-        let mut leaves: Vec<VLeaf> = Vec::new();
-        let root_arena = flatten(boxed, &mut arena, &mut leaves);
-        debug_assert_eq!(root_arena, 0);
-        // Phase 3: compute the vEB slot of every arena node.
-        let m = arena.len();
-        let mut slot = vec![0usize; m];
-        let mut assigner = VebAssign {
-            arena: &arena,
-            slot: &mut slot,
-        };
-        let h = arena[0].height;
-        let assigned = assigner.assign(0, h, 0);
-        debug_assert_eq!(assigned, m);
-        // Phase 4: scatter into the final node array in slot order.
-        let mut nodes: Vec<VNode<D>> = vec![
-            VNode {
-                bbox: Bbox::empty(),
-                dim: 0,
-                val: 0.0,
-                left: u32::MAX,
-                right: u32::MAX,
-                leaf: u32::MAX,
-            };
-            m
-        ];
-        for (i, a) in arena.iter().enumerate() {
-            nodes[slot[i]] = VNode {
-                bbox: a.bbox,
-                dim: a.dim,
-                val: a.val,
-                left: if a.left == usize::MAX {
-                    u32::MAX
-                } else {
-                    slot[a.left] as u32
-                },
-                right: if a.right == usize::MAX {
-                    u32::MAX
-                } else {
-                    slot[a.right] as u32
-                },
-                leaf: if a.leaf == usize::MAX {
-                    u32::MAX
-                } else {
-                    a.leaf as u32
-                },
-            };
-        }
-        // Phase 5: columnar scatter of the partitioned points — one arena
-        // for the whole tree, leaves address it by range.
-        let pts = scatter_soa(&work, SEQ_BUILD_CUTOFF);
-        Self::from_parts(nodes, leaves, pts, slot[0] as u32)
-    }
-
-    fn from_parts(nodes: Vec<VNode<D>>, leaves: Vec<VLeaf>, pts: SoaPoints<D>, root: u32) -> Self {
-        let live = pts.len();
+        let mut core = KdTree::from_rows(work, rule, leaf_size);
+        core.nodes = veb_order(&core.nodes);
+        let live = core.len();
         VebTree {
-            core: Arc::new(VebCore { nodes, leaves, pts }),
+            core: Arc::new(core),
             overlay: Arc::new(Overlay {
                 alive: vec![true; live],
                 dead: Vec::new(),
             }),
-            root,
+            // The vEB order keeps the root in slot 0.
+            root: if live == 0 { u32::MAX } else { 0 },
             live,
             cow_bytes: 0,
         }
@@ -255,18 +144,15 @@ impl<const D: usize> VebTree<D> {
         out
     }
 
-    /// Heap bytes held by the tree's flat arenas (node array, leaf table,
-    /// coordinate columns, liveness slab, dead-subtree flags) — counted
-    /// once per tree however many clones share them.
+    /// Heap bytes held by the tree's flat arenas (node array, coordinate
+    /// columns, liveness slab, dead-subtree flags) — counted once per tree
+    /// however many clones share them.
     pub fn arena_bytes(&self) -> usize {
-        self.core.nodes.len() * std::mem::size_of::<VNode<D>>()
-            + self.core.leaves.len() * std::mem::size_of::<VLeaf>()
-            + self.core.pts.bytes()
-            + self.overlay.bytes()
+        self.core.arena_bytes() + self.overlay.bytes()
     }
 
     /// True iff `other` is a clone of this tree that still shares its
-    /// immutable structure (node geometry, leaf ranges, point columns).
+    /// immutable structure (node geometry and ranges, point columns).
     pub fn shares_core_with(&self, other: &Self) -> bool {
         Arc::ptr_eq(&self.core, &other.core)
     }
@@ -335,7 +221,7 @@ impl<const D: usize> VebTree<D> {
         self.root = if all_dead {
             u32::MAX
         } else {
-            self.walk().live_child(self.root)
+            self.walk().live.live_child(&self.core.nodes, self.root)
         };
         let pts = &self.core.pts;
         let rows = hits
@@ -372,12 +258,9 @@ impl<const D: usize> VebTree<D> {
     /// Appends the ids of all live points inside `query` (boundary
     /// inclusive) to `out`, in unspecified order — the hook the BDL-tree
     /// uses to accumulate one answer across its forest of trees.
-    ///
-    /// Node bounding boxes are conservative after deletions (supersets of
-    /// the live points), so pruning may over-visit but never misses.
     pub fn range_into(&self, query: &Bbox<D>, out: &mut Vec<u32>) {
         if self.root != u32::MAX {
-            self.walk().range_rec(self.root, query, out);
+            self.walk().range_box(self.root, query, out);
         }
     }
 
@@ -386,48 +269,48 @@ impl<const D: usize> VebTree<D> {
         if self.root == u32::MAX {
             0
         } else {
-            self.walk().count_rec(self.root, query)
+            self.walk().count_box(self.root, query)
         }
     }
 
     /// Number of tree nodes (diagnostics).
     pub fn node_count(&self) -> usize {
-        self.core.nodes.len()
+        self.core.node_count()
     }
 
-    /// The tree's slabs borrowed for one traversal.
-    fn walk(&self) -> Walk<'_, D> {
-        Walk {
-            nodes: &self.core.nodes,
-            leaves: &self.core.leaves,
-            pts: &self.core.pts,
+    /// The tree's slabs borrowed for one traversal, so the two `Arc`s are
+    /// resolved once per query and not once per node visited.
+    fn walk(&self) -> Walk<'_, D, Masks<'_>> {
+        self.core.walk(Masks {
             alive: &self.overlay.alive,
             dead: &self.overlay.dead,
-        }
+        })
     }
 }
 
-/// One tree's slabs borrowed for a traversal, so the two `Arc`s are
-/// resolved once per query and not once per node visited. Every method
-/// takes the slot of a node that holds a live point.
-struct Walk<'a, const D: usize> {
-    nodes: &'a [VNode<D>],
-    leaves: &'a [VLeaf],
-    pts: &'a SoaPoints<D>,
+/// The overlay's two slabs, borrowed.
+#[derive(Clone, Copy)]
+struct Masks<'a> {
     alive: &'a [bool],
     dead: &'a [bool],
 }
 
-impl<const D: usize> Walk<'_, D> {
-    /// Steps from slot `c` over every node with a dead child, to where a
-    /// spliced tree would point.
+impl Liveness for Masks<'_> {
+    const NEVER_DEAD: bool = false;
+
     #[inline]
-    fn live_child(&self, mut c: u32) -> u32 {
+    fn alive(self, row: usize) -> bool {
+        self.alive[row]
+    }
+
+    /// Steps from slot `c` over every node with a dead child.
+    #[inline]
+    fn live_child<const D: usize>(self, nodes: &[Node<D>], mut c: u32) -> u32 {
         if self.dead.is_empty() {
             return c;
         }
         loop {
-            let node = &self.nodes[c as usize];
+            let node = &nodes[c as usize];
             if node.is_leaf() {
                 return c;
             }
@@ -440,7 +323,9 @@ impl<const D: usize> Walk<'_, D> {
             }
         }
     }
+}
 
+impl<const D: usize> Walk<'_, D, Masks<'_>> {
     /// Routes `queries` down from node `idx` (which holds a live point),
     /// recording the arena slots they kill and every node left without a
     /// live point. Returns whether `idx` is such a node. Writes nothing to
@@ -450,16 +335,15 @@ impl<const D: usize> Walk<'_, D> {
         let node = &self.nodes[idx as usize];
         found.work.0 += queries.len() as u64;
         let all_dead = if node.is_leaf() {
-            let leaf = &self.leaves[node.leaf as usize];
             let before = found.hits.len();
             let mut alive = 0usize;
             // Bitwise identity (`Point::bits_key`) — the library-wide
             // delete-by-value semantic shared by every backend — tested on
             // one column first: the other coordinates of a row are read
             // only where that one matched.
-            let first = &self.pts.axis(0)[leaf.start as usize..leaf.end as usize];
-            for (i, x) in (leaf.start..leaf.end).zip(first) {
-                if !self.alive[i as usize] {
+            let first = &self.pts.axis(0)[node.rows()];
+            for (i, x) in (node.start..node.end).zip(first) {
+                if !self.live.alive[i as usize] {
                     continue;
                 }
                 alive += 1;
@@ -474,23 +358,28 @@ impl<const D: usize> Walk<'_, D> {
             }
             found.hits.len() - before == alive
         } else {
-            let (dim, val) = (node.dim as usize, node.val);
+            let (dim, val, routed) = (node.dim as usize, node.val, queries.len());
             // `queries` becomes `[< val | == val | > val]`. A query equal
             // to the split coordinate may match a point on either side, so
             // both children get the middle run (superset routing keeps
-            // deletion exact); a child may scramble what it is handed, so
-            // the run is set aside while the left one has it. It is almost
-            // always empty, and costs a second pass only when it is not.
+            // deletion exact). It is almost always empty, and costs a
+            // second pass and the right child a copy of its share — a
+            // child may scramble what it is handed — only when it is not.
             let mut on_split = 0;
             let upto = partition_in_place(queries, |q| {
                 on_split += (q[dim] == val) as usize;
                 q[dim] <= val
             });
-            let below = match on_split {
-                0 => upto,
-                _ => partition_in_place(&mut queries[..upto], |q| q[dim] < val),
+            let mut with_split = Vec::new();
+            let (left_queries, right_queries) = match on_split {
+                0 => queries.split_at_mut(upto),
+                _ => {
+                    let below = partition_in_place(&mut queries[..upto], |q| q[dim] < val);
+                    with_split.extend_from_slice(&queries[below..]);
+                    (&mut queries[..upto], &mut with_split[..])
+                }
             };
-            let dead = self.dead;
+            let dead = self.live.dead;
             let scan = |c: u32, qs: &mut [Point<D>], found: &mut Erased| {
                 if !dead.is_empty() && dead[c as usize] {
                     true
@@ -500,90 +389,19 @@ impl<const D: usize> Walk<'_, D> {
                     self.erase_scan(c, qs, found)
                 }
             };
-            if queries.len() >= SEQ_BUILD_CUTOFF {
-                let mut right_queries = queries[below..].to_vec();
-                let mut right = Erased::default();
-                let (l, r) = parlay::par_do(
-                    || scan(node.left, &mut queries[..upto], found),
-                    || scan(node.right, &mut right_queries, &mut right),
-                );
-                found.hits.append(&mut right.hits);
-                found.died.append(&mut right.died);
-                found.work.0 += right.work.0;
-                found.work.1 += right.work.1;
-                l && r
-            } else {
-                let both = queries[below..upto].to_vec();
-                let l = scan(node.left, &mut queries[..upto], found);
-                queries[below..upto].copy_from_slice(&both);
-                let r = scan(node.right, &mut queries[below..], found);
-                l && r
-            }
+            let (l, r) = fork_onto(
+                routed >= SEQ_BUILD_CUTOFF,
+                found,
+                |found| scan(node.left, left_queries, found),
+                |found| scan(node.right, right_queries, found),
+                Erased::absorb,
+            );
+            l && r
         };
         if all_dead {
             found.died.push(idx);
         }
         all_dead
-    }
-
-    fn knn_rec<W: KnnProbe>(&self, idx: u32, q: &Point<D>, buf: &mut KnnBuffer<W>) {
-        buf.probe().node();
-        let node = &self.nodes[idx as usize];
-        if node.is_leaf() {
-            let leaf = &self.leaves[node.leaf as usize];
-            let alive = self.alive;
-            buf.scan(self.pts, leaf.start as usize..leaf.end as usize, q, |i| {
-                alive[i]
-            });
-            return;
-        }
-        let (left, right) = (self.live_child(node.left), self.live_child(node.right));
-        let (near, far) = if q[node.dim as usize] <= node.val {
-            (left, right)
-        } else {
-            (right, left)
-        };
-        if self.nodes[near as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
-            self.knn_rec(near, q, buf);
-        }
-        if self.nodes[far as usize].bbox.dist_sq_to_point(q) <= buf.bound() {
-            self.knn_rec(far, q, buf);
-        }
-    }
-
-    fn range_rec(&self, idx: u32, query: &Bbox<D>, out: &mut Vec<u32>) {
-        let node = &self.nodes[idx as usize];
-        if !node.bbox.intersects(query) {
-            return;
-        }
-        if node.is_leaf() {
-            let leaf = &self.leaves[node.leaf as usize];
-            let whole = query.contains_box(&node.bbox);
-            for i in leaf.start as usize..leaf.end as usize {
-                if self.alive[i] && (whole || query.contains_soa(self.pts, i)) {
-                    out.push(self.pts.id(i));
-                }
-            }
-            return;
-        }
-        self.range_rec(self.live_child(node.left), query, out);
-        self.range_rec(self.live_child(node.right), query, out);
-    }
-
-    fn count_rec(&self, idx: u32, query: &Bbox<D>) -> usize {
-        let node = &self.nodes[idx as usize];
-        if !node.bbox.intersects(query) {
-            return 0;
-        }
-        if node.is_leaf() {
-            let leaf = &self.leaves[node.leaf as usize];
-            let whole = query.contains_box(&node.bbox);
-            return (leaf.start as usize..leaf.end as usize)
-                .filter(|&i| self.alive[i] && (whole || query.contains_soa(self.pts, i)))
-                .count();
-        }
-        self.count_rec(self.live_child(node.left), query)
-            + self.count_rec(self.live_child(node.right), query)
     }
 }
 
@@ -594,6 +412,16 @@ struct Erased {
     hits: Vec<u32>,
     died: Vec<u32>,
     work: (u64, u64),
+}
+
+impl Erased {
+    /// Adds what a scan run apart from this one found.
+    fn absorb(&mut self, mut other: Erased) {
+        self.hits.append(&mut other.hits);
+        self.died.append(&mut other.died);
+        self.work.0 += other.work.0;
+        self.work.1 += other.work.1;
+    }
 }
 
 /// Moves the rows satisfying `pred` to the front, in no particular order,
@@ -617,177 +445,86 @@ impl Overlay {
     }
 }
 
-// Boxed intermediate tree. Leaves carry `[start, end)` ranges into the
-// build work buffer — the points themselves stay put and scatter into the
-// tree-level columnar arena once at the end.
-enum Boxed<const D: usize> {
-    Leaf(Bbox<D>, usize, usize),
-    Internal(Bbox<D>, u8, f64, Box<Boxed<D>>, Box<Boxed<D>>),
-}
-
-fn build_boxed<const D: usize>(
-    items: &mut [(Point<D>, u32)],
-    offset: usize,
-    leaf_size: usize,
-    rule: SplitRule,
-) -> Boxed<D> {
-    let n = items.len();
-    let bbox = compute_bbox(items, SEQ_BUILD_CUTOFF);
-    if n <= leaf_size || bbox.diag_sq() == 0.0 {
-        return Boxed::Leaf(bbox, offset, offset + n);
+/// `nodes` — preorder, root first, as [`KdTree::from_rows`] leaves them —
+/// in van Emde Boas order, links renumbered.
+fn veb_order<const D: usize>(nodes: &[Node<D>]) -> Vec<Node<D>> {
+    if nodes.is_empty() {
+        return Vec::new();
     }
-    let dim = bbox.widest_dim();
-    let (mid, val) = match rule {
-        SplitRule::ObjectMedian => {
-            let mid = n / 2;
-            parlay::select_nth_unstable_by(items, mid, |a, b| {
-                a.0[dim].partial_cmp(&b.0[dim]).unwrap()
-            });
-            (mid, items[mid].0[dim])
+    // Preorder puts children after their parent: one backward pass has
+    // both heights before it needs them.
+    let mut height = vec![1u32; nodes.len()];
+    for (i, node) in nodes.iter().enumerate().rev() {
+        if !node.is_leaf() {
+            height[i] = 1 + height[node.left as usize].max(height[node.right as usize]);
         }
-        SplitRule::SpatialMedian => {
-            let splitval = 0.5 * (bbox.min[dim] + bbox.max[dim]);
-            let mut i = 0usize;
-            let mut j = n;
-            while i < j {
-                if items[i].0[dim] < splitval {
-                    i += 1;
-                } else {
-                    j -= 1;
-                    items.swap(i, j);
-                }
+    }
+    let mut order = Vec::with_capacity(nodes.len());
+    veb_visit(nodes, &height, 0, height[0], &mut order);
+    debug_assert_eq!(order.len(), nodes.len());
+    let mut slot = vec![0u32; nodes.len()];
+    for (s, &i) in order.iter().enumerate() {
+        slot[i as usize] = s as u32;
+    }
+    order
+        .iter()
+        .map(|&i| {
+            let mut node = nodes[i as usize];
+            if !node.is_leaf() {
+                node.left = slot[node.left as usize];
+                node.right = slot[node.right as usize];
             }
-            if i == 0 || i == n {
-                // Degenerate spatial split: fall back to the object median.
-                let mid = n / 2;
-                items.select_nth_unstable_by(mid, |a, b| a.0[dim].partial_cmp(&b.0[dim]).unwrap());
-                (mid, items[mid].0[dim])
-            } else {
-                (i, splitval)
-            }
-        }
-    };
-    let (lo, hi) = items.split_at_mut(mid);
-    let (l, r) = if n >= SEQ_BUILD_CUTOFF {
-        parlay::par_do(
-            || build_boxed(lo, offset, leaf_size, rule),
-            || build_boxed(hi, offset + mid, leaf_size, rule),
-        )
-    } else {
-        (
-            build_boxed(lo, offset, leaf_size, rule),
-            build_boxed(hi, offset + mid, leaf_size, rule),
-        )
-    };
-    Boxed::Internal(bbox, dim as u8, val, Box::new(l), Box::new(r))
+            node
+        })
+        .collect()
 }
 
-fn flatten<const D: usize>(
-    b: Boxed<D>,
-    arena: &mut Vec<ArenaNode<D>>,
-    leaves: &mut Vec<VLeaf>,
-) -> usize {
-    let my = arena.len();
-    match b {
-        Boxed::Leaf(bbox, start, end) => {
-            leaves.push(VLeaf {
-                start: start as u32,
-                end: end as u32,
-            });
-            arena.push(ArenaNode {
-                bbox,
-                dim: 0,
-                val: 0.0,
-                left: usize::MAX,
-                right: usize::MAX,
-                leaf: leaves.len() - 1,
-                height: 1,
-            });
-        }
-        Boxed::Internal(bbox, dim, val, l, r) => {
-            arena.push(ArenaNode {
-                bbox,
-                dim,
-                val,
-                left: 0,
-                right: 0,
-                leaf: usize::MAX,
-                height: 0,
-            });
-            let li = flatten(*l, arena, leaves);
-            let ri = flatten(*r, arena, leaves);
-            let h = arena[li].height.max(arena[ri].height) + 1;
-            let a = &mut arena[my];
-            a.left = li;
-            a.right = ri;
-            a.height = h;
-        }
-    }
-    my
-}
-
-/// Recursive vEB slot assignment.
-///
-/// `assign(node, cap, base)` assigns contiguous slots starting at `base` to
-/// exactly the nodes of `node`'s subtree at depth `< cap`, in vEB order:
-/// split `cap = lt + lb`, lay out the truncated top (`cap = lt`) first, then
-/// each depth-`lt` boundary subtree (budget `lb`) left to right. Returns the
-/// number of slots consumed.
-struct VebAssign<'a, const D: usize> {
-    arena: &'a [ArenaNode<D>],
-    slot: &'a mut [usize],
-}
-
-impl<const D: usize> VebAssign<'_, D> {
-    fn assign(&mut self, node: usize, cap: usize, base: usize) -> usize {
-        let h = cap.min(self.arena[node].height);
-        debug_assert!(h >= 1);
-        if h == 1 || self.arena[node].left == usize::MAX {
-            self.slot[node] = base;
-            return 1;
-        }
-        if h == 2 {
-            // Root, then left subtree-top, then right subtree-top.
-            self.slot[node] = base;
-            let a = self.assign(self.arena[node].left, 1, base + 1);
-            let b = self.assign(self.arena[node].right, 1, base + 1 + a);
-            return 1 + a + b;
-        }
-        // lb = hyperceiling(floor((h+1)/2)), clamped so both halves advance.
-        let lb = hyperceiling(h.div_ceil(2)).clamp(1, h - 1);
-        let lt = h - lb;
-        let mut used = self.assign(node, lt, base);
-        let mut roots = Vec::new();
-        boundary_roots(self.arena, node, lt, &mut roots);
-        for b in roots {
-            used += self.assign(b, lb, base + used);
-        }
-        used
-    }
-}
-
-/// Collects the depth-`depth` descendants of `node` (left to right), not
-/// descending through leaves that end earlier.
-fn boundary_roots<const D: usize>(
-    arena: &[ArenaNode<D>],
-    node: usize,
-    depth: usize,
-    out: &mut Vec<usize>,
+/// Appends the nodes of `node`'s subtree at depth `< cap` to `order`, in
+/// vEB order: split the levels there are, `h = lt + lb`, lay out the top
+/// `lt` first, then each subtree hanging off it (`lb` levels) left to right.
+fn veb_visit<const D: usize>(
+    nodes: &[Node<D>],
+    height: &[u32],
+    node: u32,
+    cap: u32,
+    order: &mut Vec<u32>,
 ) {
-    if depth == 0 {
-        out.push(node);
+    let h = cap.min(height[node as usize]);
+    if h == 1 {
+        order.push(node);
         return;
     }
-    let a = &arena[node];
-    if a.left == usize::MAX {
-        return; // leaf shallower than the boundary: already assigned in top
+    // lb = hyperceiling(floor((h+1)/2)), clamped so both halves advance.
+    let lb = hyperceiling(h.div_ceil(2)).clamp(1, h - 1);
+    let lt = h - lb;
+    veb_visit(nodes, height, node, lt, order);
+    boundary_roots(nodes, node, lt, &mut |b| {
+        veb_visit(nodes, height, b, lb, order)
+    });
+}
+
+/// Visits the depth-`depth` descendants of `node` (left to right), not
+/// descending through leaves that end earlier.
+fn boundary_roots<const D: usize>(
+    nodes: &[Node<D>],
+    node: u32,
+    depth: u32,
+    visit: &mut impl FnMut(u32),
+) {
+    if depth == 0 {
+        visit(node);
+        return;
     }
-    boundary_roots(arena, a.left, depth - 1, out);
-    boundary_roots(arena, a.right, depth - 1, out);
+    let at = &nodes[node as usize];
+    if at.is_leaf() {
+        return; // leaf shallower than the boundary: already laid out in the top
+    }
+    boundary_roots(nodes, at.left, depth - 1, visit);
+    boundary_roots(nodes, at.right, depth - 1, visit);
 }
 
 /// Smallest power of two `≥ n` (the paper's ⌈⌈n⌉⌉).
-fn hyperceiling(n: usize) -> usize {
+fn hyperceiling(n: u32) -> u32 {
     n.max(1).next_power_of_two()
 }
 
@@ -796,6 +533,7 @@ mod tests {
     use super::*;
     use crate::knn::knn_brute_force;
     use pargeo_datagen::uniform_cube;
+    use pargeo_parlay as parlay;
 
     fn items<const D: usize>(pts: &[Point<D>]) -> Vec<(Point<D>, u32)> {
         pts.iter()
@@ -860,6 +598,55 @@ mod tests {
         let mut bottoms = vec![l.left, l.right, r.left, r.right];
         bottoms.sort();
         assert_eq!(bottoms, vec![3, 6, 9, 12]);
+    }
+
+    /// `(dim, val, start, end)` of every node, in preorder by the links.
+    fn splits<const D: usize>(nodes: &[Node<D>], at: u32, out: &mut Vec<(u8, u64, u32, u32)>) {
+        let n = &nodes[at as usize];
+        out.push((n.dim, n.val.to_bits(), n.start, n.end));
+        if !n.is_leaf() {
+            splits(nodes, n.left, out);
+            splits(nodes, n.right, out);
+        }
+    }
+
+    /// The vEB tree's core is the static tree's node array in another
+    /// order: followed by its links it is the same splits over the same
+    /// point columns — on uniform rows, on a lattice of duplicates and on
+    /// one repeated point, with `n` on both sides of the leaf size and of
+    /// the fork cutoff.
+    #[test]
+    fn the_veb_order_keeps_every_split_of_the_tree_it_permutes() {
+        let cutoff = SEQ_BUILD_CUTOFF;
+        for leaf_size in [1, 3, 16] {
+            for n in [
+                1,
+                leaf_size,
+                leaf_size + 1,
+                150,
+                cutoff - 1,
+                cutoff,
+                2 * cutoff + 37,
+            ] {
+                let uniform = uniform_cube::<2>(n, n as u64);
+                let lattice = (0..n as u64)
+                    .map(|i| Point::new([(i * 7_919 % 23) as f64, (i * 104_729 % 19) as f64]))
+                    .collect();
+                let same = vec![Point::new([2.0, 3.0]); n];
+                for pts in [uniform, lattice, same] {
+                    for rule in [SplitRule::ObjectMedian, SplitRule::SpatialMedian] {
+                        let kd = KdTree::from_rows(items(&pts), rule, leaf_size);
+                        let veb = VebTree::build_with(items(&pts), leaf_size, rule);
+                        let (mut want, mut got) = (Vec::new(), Vec::new());
+                        splits(&kd.nodes, 0, &mut want);
+                        splits(&veb.core.nodes, veb.root, &mut got);
+                        assert_eq!(got, want, "n {n}, leaf {leaf_size}, {rule:?}");
+                        assert_eq!(got.len(), veb.node_count());
+                        assert_eq!(veb.core.pts, kd.pts);
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -220,4 +220,77 @@ proptest! {
             }
         }
     }
+
+    /// One static tree behind two entry points: over the same rows a
+    /// `KdTree` and a `VebTree` give identical k-NN rows, range rows and
+    /// counts — uniform rows, a lattice of duplicates, one repeated point;
+    /// `n` on both sides of the leaf size and of the build's fork cutoff;
+    /// both split rules — and after a batch erase the `VebTree` answers as
+    /// a `KdTree` rebuilt over the survivors does.
+    #[test]
+    fn veb_tree_answers_as_the_kd_tree_over_the_same_rows(
+        shape in 0usize..3,
+        size_sel in 0usize..8,
+        leaf_sel in 0usize..3,
+        spatial in 0usize..2,
+        seed in 0u64..1_000,
+    ) {
+        let cutoff = pargeo_kdtree::tree::SEQ_BUILD_CUTOFF;
+        let leaf_size = [1, 3, 16][leaf_sel];
+        let n = [1, leaf_size, leaf_size + 1, 150, cutoff - 1, cutoff, cutoff + 1, 2 * cutoff + 37]
+            [size_sel];
+        let rule = [SplitRule::ObjectMedian, SplitRule::SpatialMedian][spatial];
+        let pts: Vec<Point2> = match shape {
+            0 => pargeo_datagen::uniform_cube::<2>(n, seed),
+            1 => (0..n as u64)
+                .map(|i| (i + seed) * 2_654_435_761 % 1_000_003)
+                .map(|h| Point2::new([(h % 29) as f64, (h / 29 % 31) as f64]))
+                .collect(),
+            _ => vec![Point2::new([seed as f64, 1.0]); n],
+        };
+        let rows: Vec<(Point2, u32)> = pts.iter().copied().zip(0u32..).collect();
+        let kd = KdTree::build_with_leaf_size(&pts, rule, leaf_size);
+        let mut veb = VebTree::build_with(rows.clone(), leaf_size, rule);
+        prop_assert_eq!(veb.node_count(), kd.node_count());
+        prop_assert_eq!(veb.arena_bytes(), kd.arena_bytes() + n);
+
+        // `ids[i]` is the id the `VebTree` knows row `i` of `kd` by.
+        let agree = |kd: &KdTree<2>, ids: &[u32], veb: &VebTree<2>| -> Result<(), TestCaseError> {
+            let step = (ids.len() / 7).max(1);
+            for (j, i) in (0..ids.len()).step_by(step).enumerate() {
+                let q = kd.point_at(i);
+                let want: Vec<Neighbor> = kd
+                    .knn(&q, 1 + j)
+                    .into_iter()
+                    .map(|nb| Neighbor { id: ids[nb.id as usize], ..nb })
+                    .collect();
+                prop_assert_eq!(veb.knn(&q, 1 + j), want);
+                let query = Bbox::from_points(&[q, kd.point_at(ids.len() - 1 - i)]);
+                let want: Vec<u32> = kd.range_box(&query).iter().map(|&i| ids[i as usize]).collect();
+                let mut got = Vec::new();
+                veb.range_into(&query, &mut got);
+                got.sort_unstable();
+                prop_assert_eq!(&got, &want);
+                prop_assert_eq!(veb.count_box(&query), kd.count_box(&query));
+                prop_assert_eq!(veb.count_box(&query), want.len());
+            }
+            Ok(())
+        };
+        let ids: Vec<u32> = (0..n as u32).collect();
+        agree(&kd, &ids, &veb)?;
+
+        // Erase by value: every third row, and with it each of its copies.
+        let batch: Vec<Point2> = pts.iter().copied().step_by(3).collect();
+        let named: std::collections::HashSet<[u64; 2]> = batch.iter().map(Point::bits_key).collect();
+        let (gone, kept): (Vec<_>, Vec<_>) =
+            rows.iter().partition(|(p, _)| named.contains(&p.bits_key()));
+        let mut erased = veb.erase(&batch);
+        erased.sort_by_key(|&(_, id)| id);
+        prop_assert_eq!(erased, gone);
+        let survivors: Vec<Point2> = kept.iter().map(|r| r.0).collect();
+        let ids: Vec<u32> = kept.iter().map(|r| r.1).collect();
+        let rebuilt = KdTree::build_with_leaf_size(&survivors, rule, leaf_size);
+        prop_assert_eq!(veb.len(), rebuilt.len());
+        agree(&rebuilt, &ids, &veb)?;
+    }
 }

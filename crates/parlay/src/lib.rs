@@ -4,7 +4,8 @@
 //! it is the one parallel vocabulary every geometry module is written
 //! against, implemented directly on [`pargeo_sched::join`].
 //!
-//! * this module — fork-join ([`par_do`]) and the loop family over it:
+//! * this module — fork-join ([`par_do`], and [`par_do_if`] for recursions
+//!   with a sequential cutoff) and the loop family over it:
 //!   [`parallel_for`], [`tabulate`], [`map`], [`for_each_mut`] /
 //!   [`for_each_block_mut`], with the blocked [`reduce()`], [`filter`] and
 //!   [`flatten`] beside them.
@@ -73,6 +74,21 @@ pub fn par_do<RA: Send, RB: Send>(
     b: impl FnOnce() -> RB + Send,
 ) -> (RA, RB) {
     pargeo_sched::join(a, b)
+}
+
+/// [`par_do`] if `parallel`, else `a` then `b` on the calling task
+/// (ParlayLib's `par_do_if`): a recursion with a sequential cutoff states
+/// the cutoff as the condition and writes its two sides once.
+pub fn par_do_if<RA: Send, RB: Send>(
+    parallel: bool,
+    a: impl FnOnce() -> RA + Send,
+    b: impl FnOnce() -> RB + Send,
+) -> (RA, RB) {
+    if parallel {
+        par_do(a, b)
+    } else {
+        (a(), b())
+    }
 }
 
 /// The `b`-th block of `grain` consecutive indices of `0..n` — the unit
@@ -390,6 +406,22 @@ mod tests {
         let (a, b) = par_do(|| 1 + 1, || "x".to_string() + "y");
         assert_eq!(a, 2);
         assert_eq!(b, "xy");
+    }
+
+    #[test]
+    fn par_do_if_runs_in_order_on_the_caller_when_told_not_to_fork() {
+        with_threads(4, || {
+            let caller = std::thread::current().id();
+            let order = std::sync::Mutex::new(Vec::new());
+            let side = |name| {
+                order.lock().unwrap().push(name);
+                std::thread::current().id()
+            };
+            let (a, b) = par_do_if(false, || side('a'), || side('b'));
+            assert_eq!((a, b), (caller, caller));
+            assert_eq!(*order.lock().unwrap(), ['a', 'b']);
+            assert_eq!(par_do_if(true, || 1, || "x"), (1, "x"));
+        });
     }
 
     // The scheduler-semantics tests below came with the rayon-shaped shim
