@@ -275,7 +275,7 @@ pub mod prelude {
     };
     pub use pargeo_store::{
         run_store_workload, Backend, CacheStats, DerivedKind, GeoStore, GeoStoreBuilder, MemoPath,
-        Request, Response, StoreReport, StoreSnapshot, StoreStats, DEFAULT_DAMAGE_THRESHOLD,
+        Request, Response, StoreReport, StoreSnapshot, StoreStats,
     };
     pub use pargeo_wspd::{bccp_points, emst, spanner, wspd, EmstEdge};
 }

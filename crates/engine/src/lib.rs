@@ -185,8 +185,9 @@ pub trait SpatialIndex<const D: usize> {
     /// owns its state (`'static`, [`Send`] + [`Sync`]) and answers every
     /// read bit-identically to a frozen clone of `self` taken now, no
     /// matter how many insert/delete/rebuild epochs apply to `self`
-    /// afterwards — the isolation primitive the pipelined store executor
-    /// overlaps read fan-out with write application on.
+    /// afterwards — the isolation primitive every store read run is
+    /// answered from, and that a pipelined store overlaps with the next
+    /// write on.
     ///
     /// Cost: [`BdlTree`] pins in O(X + log n): the insert buffer is
     /// copied and every static tree shared; inserts and

@@ -7,9 +7,10 @@
 //! const-generic `D` at runtime; unsupported dimensions come back as
 //! [`GeoError::DimensionUnsupported`], never a panic.
 //!
-//! The 2D hull and Delaunay kinds are *maintainable*: a full compute can
-//! additionally hand back a delta [`Engine`] which later epochs advance
-//! in place over insert-only batches ([`advance_engine`]), producing
+//! The 2D hull and Delaunay kinds are *maintainable*: a full compute also
+//! hands back the delta [`Engine`] it read the value off, which later
+//! epochs advance in place over insert-only batches ([`advance_engine`]),
+//! producing
 //! values bit-identical to a fresh compute on the same live view. The
 //! canonical full-recompute paths are chosen to make that equivalence
 //! exact: quickhull for the hull (minimal-index tie-breaks) and the
@@ -39,17 +40,17 @@ pub(crate) enum DerivedVal<const D: usize> {
 }
 
 impl<const D: usize> DerivedVal<D> {
-    /// The response that carries this value to a request for `kind` (which
-    /// tells the two graph kinds apart).
-    pub(crate) fn into_response(self, kind: DerivedKind) -> Response<D> {
+    /// The response that carries a copy of this value to a request for
+    /// `kind` (which tells the two graph kinds apart).
+    pub(crate) fn to_response(&self, kind: DerivedKind) -> Response<D> {
         match self {
-            DerivedVal::Hull(h) => Response::Hull(h),
-            DerivedVal::Seb(b) => Response::Seb(b),
-            DerivedVal::ClosestPair(cp) => Response::ClosestPair(cp),
-            DerivedVal::Emst(e) => Response::Emst(e),
+            DerivedVal::Hull(h) => Response::Hull(h.clone()),
+            DerivedVal::Seb(b) => Response::Seb(*b),
+            DerivedVal::ClosestPair(cp) => Response::ClosestPair(*cp),
+            DerivedVal::Emst(e) => Response::Emst(e.clone()),
             DerivedVal::Graph(g) => match kind {
-                DerivedKind::KnnGraph(_) => Response::KnnGraph(g),
-                _ => Response::DelaunayGraph(g),
+                DerivedKind::KnnGraph(_) => Response::KnnGraph(g.clone()),
+                _ => Response::DelaunayGraph(g.clone()),
             },
         }
     }
@@ -69,33 +70,37 @@ fn cast_slice<const D: usize, const E: usize>(pts: &[Point<D>]) -> Option<&[Poin
 }
 
 /// Computes `kind` over the live view: `pts[i]` is the live point with
-/// store id `ids[i]` (`ids` strictly ascending).
+/// store id `ids[i]` (`ids` strictly ascending). The maintainable kinds
+/// also return the delta engine the value was read off: the
+/// engine-extracted value IS the canonical value, both being the same
+/// algorithm on the same input. A caller with no use for it drops it.
 pub(crate) fn compute<const D: usize>(
     kind: DerivedKind,
     ids: &[u32],
     pts: &[Point<D>],
-) -> GeoResult<DerivedVal<D>> {
-    match kind {
+) -> GeoResult<(DerivedVal<D>, Option<Engine>)> {
+    let value = match kind {
         DerivedKind::Hull => {
             if let Some(p2) = cast_slice::<D, 2>(pts) {
-                let hull = pargeo_hull::try_hull2d(p2)?;
-                Ok(DerivedVal::Hull(remap_ids(&hull, ids)))
+                let eng = Hull2dIncremental::try_build(p2)?;
+                let hull = DerivedVal::Hull(remap_ids(&eng.hull(p2)?, ids));
+                return Ok((hull, Some(Engine::Hull2(eng))));
             } else if let Some(p3) = cast_slice::<D, 3>(pts) {
                 let hull = pargeo_hull::try_hull3d(p3)?;
-                Ok(DerivedVal::Hull(remap_ids(&hull.vertices, ids)))
+                DerivedVal::Hull(remap_ids(&hull.vertices, ids))
             } else {
-                Err(GeoError::DimensionUnsupported { op: "hull", dim: D })
+                return Err(GeoError::DimensionUnsupported { op: "hull", dim: D });
             }
         }
-        DerivedKind::Seb => Ok(DerivedVal::Seb(pargeo_seb::try_seb(pts)?)),
+        DerivedKind::Seb => DerivedVal::Seb(pargeo_seb::try_seb(pts)?),
         DerivedKind::ClosestPair => {
             let cp = try_closest_pair(pts)?;
             let (a, b) = (ids[cp.a as usize], ids[cp.b as usize]);
-            Ok(DerivedVal::ClosestPair(ClosestPair {
+            DerivedVal::ClosestPair(ClosestPair {
                 a: a.min(b),
                 b: a.max(b),
                 dist: cp.dist,
-            }))
+            })
         }
         DerivedKind::Emst => {
             if pts.len() < 2 {
@@ -113,7 +118,7 @@ pub(crate) fn compute<const D: usize>(
                     weight: e.weight,
                 })
                 .collect();
-            Ok(DerivedVal::Emst(edges))
+            DerivedVal::Emst(edges)
         }
         DerivedKind::KnnGraph(k) => {
             if pts.is_empty() {
@@ -136,24 +141,25 @@ pub(crate) fn compute<const D: usize>(
                 });
             }
             let edges = pargeo_graphgen::knn_graph(pts, k);
-            Ok(DerivedVal::Graph(remap_edges(&edges, ids)))
+            DerivedVal::Graph(remap_edges(&edges, ids))
         }
         DerivedKind::DelaunayGraph => {
-            if let Some(p2) = cast_slice::<D, 2>(pts) {
-                // Canonical index-order build (not the randomized parallel
-                // variant): on cocircular inputs the triangulation is not
-                // unique, and only a fixed insertion schedule keeps full
-                // recomputes bit-identical to engine-advanced results.
-                let eng = DelaunayIncremental::try_build(p2)?;
-                Ok(DerivedVal::Graph(remap_edges(&eng.edges()?, ids)))
-            } else {
-                Err(GeoError::DimensionUnsupported {
+            let Some(p2) = cast_slice::<D, 2>(pts) else {
+                return Err(GeoError::DimensionUnsupported {
                     op: "delaunay",
                     dim: D,
-                })
-            }
+                });
+            };
+            // Canonical index-order build (not the randomized parallel
+            // variant): on cocircular inputs the triangulation is not
+            // unique, and only a fixed insertion schedule keeps full
+            // recomputes bit-identical to engine-advanced results.
+            let eng = DelaunayIncremental::try_build(p2)?;
+            let graph = DerivedVal::Graph(remap_edges(&eng.edges()?, ids));
+            return Ok((graph, Some(Engine::Delaunay2(Box::new(eng)))));
         }
-    }
+    };
+    Ok((value, None))
 }
 
 /// A delta-maintenance engine carried inside the memo cache between
@@ -164,51 +170,6 @@ pub(crate) enum Engine {
     Hull2(Hull2dIncremental),
     /// Incremental 2D Delaunay over the compacted live view.
     Delaunay2(Box<DelaunayIncremental>),
-}
-
-/// Computes `kind` like [`compute`], additionally returning a delta
-/// engine for the maintainable kinds when `want_engine` is set (and the
-/// value is `Ok`). The engine-extracted value IS the canonical value: both
-/// paths run the same algorithm on the same input.
-pub(crate) fn compute_full<const D: usize>(
-    kind: DerivedKind,
-    ids: &[u32],
-    pts: &[Point<D>],
-    want_engine: bool,
-) -> (GeoResult<DerivedVal<D>>, Option<Engine>) {
-    match kind {
-        DerivedKind::Hull if want_engine => {
-            let Some(p2) = cast_slice::<D, 2>(pts) else {
-                return (compute(kind, ids, pts), None);
-            };
-            match Hull2dIncremental::try_build(p2) {
-                Ok(eng) => match eng.hull(p2) {
-                    Ok(h) => (
-                        Ok(DerivedVal::Hull(remap_ids(&h, ids))),
-                        Some(Engine::Hull2(eng)),
-                    ),
-                    Err(e) => (Err(e), None),
-                },
-                Err(e) => (Err(e), None),
-            }
-        }
-        DerivedKind::DelaunayGraph if want_engine => {
-            let Some(p2) = cast_slice::<D, 2>(pts) else {
-                return (compute(kind, ids, pts), None);
-            };
-            match DelaunayIncremental::try_build(p2) {
-                Ok(eng) => match eng.edges() {
-                    Ok(es) => (
-                        Ok(DerivedVal::Graph(remap_edges(&es, ids))),
-                        Some(Engine::Delaunay2(Box::new(eng))),
-                    ),
-                    Err(e) => (Err(e), None),
-                },
-                Err(e) => (Err(e), None),
-            }
-        }
-        _ => (compute(kind, ids, pts), None),
-    }
 }
 
 /// Why a maintained structure was rebuilt wholesale instead of advanced —
@@ -319,12 +280,12 @@ mod tests {
         let pts = uniform_cube::<5>(50, 2);
         let ids: Vec<u32> = (0..50).collect();
         assert_eq!(
-            compute(DerivedKind::Hull, &ids, &pts),
-            Err(GeoError::DimensionUnsupported { op: "hull", dim: 5 })
+            compute(DerivedKind::Hull, &ids, &pts).err(),
+            Some(GeoError::DimensionUnsupported { op: "hull", dim: 5 })
         );
         assert_eq!(
-            compute(DerivedKind::DelaunayGraph, &ids, &pts),
-            Err(GeoError::DimensionUnsupported {
+            compute(DerivedKind::DelaunayGraph, &ids, &pts).err(),
+            Some(GeoError::DimensionUnsupported {
                 op: "delaunay",
                 dim: 5
             })
@@ -340,7 +301,7 @@ mod tests {
         let pts = uniform_cube::<2>(40, 3);
         let ids: Vec<u32> = (0..40u32).map(|i| 2 * i + 1).collect();
         let direct = pargeo_hull::try_hull2d(&pts).unwrap();
-        match compute(DerivedKind::Hull, &ids, &pts).unwrap() {
+        match compute(DerivedKind::Hull, &ids, &pts).unwrap().0 {
             DerivedVal::Hull(h) => {
                 assert_eq!(h.len(), direct.len());
                 for (got, want) in h.iter().zip(&direct) {
@@ -378,9 +339,8 @@ mod tests {
                 what: "non-finite coordinate"
             })
         );
-        let (built, engine) =
-            compute_full(DerivedKind::DelaunayGraph, &ids[..77], &pts[..77], true);
-        assert!(built.is_ok());
+        let built = compute(DerivedKind::DelaunayGraph, &ids[..77], &pts[..77]);
+        let (_, engine) = built.expect("the finite prefix builds");
         let mut engine = engine.expect("a 2D Delaunay build leaves its engine");
         assert_eq!(
             advance_engine(&mut engine, &ids, &pts, f64::INFINITY).map(|_| ()),

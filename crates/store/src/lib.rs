@@ -22,7 +22,8 @@
 //! * **Epoch planner** — [`GeoStore::execute`] walks a mixed batch once:
 //!   adjacent same-kind writes coalesce into single index batches (one
 //!   write epoch each) and each maximal run of reads is answered
-//!   data-parallel via `pargeo-parlay`.
+//!   data-parallel via `pargeo-parlay` from a [`StoreSnapshot`] pinned at
+//!   its epoch — the same snapshot [`GeoStore::pin`] hands a caller.
 //! * **Sharded execution** — [`GeoStore::builder()`](GeoStore::builder)`.shards(S)`
 //!   routes the index through `pargeo-engine`'s morton-prefix
 //!   `ShardedIndex`: each coalesced write batch becomes per-shard
@@ -36,10 +37,9 @@
 //!   live) spare the cache instead. The memoized 2D hull and Delaunay
 //!   graph go further: across insert-only epochs a delta engine applies
 //!   the coalesced batch to the existing structure instead of
-//!   recomputing, falling back to a full rebuild on deletes or past a
-//!   configurable damage threshold
-//!   ([`damage_threshold`](GeoStoreBuilder::damage_threshold)) — with
-//!   answers bit-identical to a fresh compute either way.
+//!   recomputing, falling back to a full rebuild on deletes or when a
+//!   batch would tear down more than half the structure — with answers
+//!   bit-identical to a fresh compute either way.
 //!   [`CacheStats`] reports hits, misses, spared epochs, incremental
 //!   applies, and rebuild fallbacks; [`GeoStore::derived_path`] names
 //!   the path ([`MemoPath`]) that produced the current value.
@@ -89,4 +89,4 @@ pub use request::{
     digest_responses, fold_response_digest, CacheStats, DerivedKind, MemoPath, Request, Response,
     StoreStats,
 };
-pub use store::{Backend, GeoStore, GeoStoreBuilder, DEFAULT_DAMAGE_THRESHOLD};
+pub use store::{Backend, GeoStore, GeoStoreBuilder};

@@ -76,8 +76,9 @@ pub(crate) struct StoreObs {
     /// at pin, decremented when a [`StoreSnapshot`](crate::StoreSnapshot)
     /// drops).
     pub pinned_views: Arc<Gauge>,
-    /// `geostore_pipeline_runs_total` — read runs served through the
-    /// pipelined executor (pinned-snapshot path).
+    /// `geostore_pipeline_runs_total` — read runs served by a store built
+    /// with `pipeline(true)` (every read run answers from a pin; these are
+    /// the ones allowed to overlap the next write).
     pub pipeline_runs: Arc<Counter>,
     /// `geostore_pipeline_overlapped_total` — read runs whose fan-out
     /// overlapped a following write epoch's apply. The ratio to
@@ -235,7 +236,8 @@ mod tests {
                 .collect();
             (total, per_epoch)
         };
-        // The serial planner never pins, so nothing is ever shared.
+        // Serial, each read run's pin drops before the next write starts,
+        // so no write finds anything shared.
         assert_eq!(exported(false), (0, vec![0, 0, 0]));
         // Pipelined, the delete overlaps the k-NN run's pin and pays for
         // the overlay of the levels it hits; inserts only replace trees.
@@ -275,13 +277,19 @@ mod tests {
         let mut store = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
         let responses = store.execute(&stream);
         assert!(responses.iter().all(Result::is_ok));
-        // A zero damage budget turns the first advance that replaces
-        // anything into a rebuild (interior points leave the hull alone).
-        let mut brittle = GeoStore::<2>::builder()
-            .damage_threshold(0.0)
-            .observe(ObsLevel::Trace)
-            .build();
-        brittle.execute(&stream[..6]);
+        // A batch four times the mesh it lands on tears down more of it
+        // than the store's budget (half) allows: the Delaunay engine falls
+        // back, the hull's engine advances (interior points leave it alone).
+        let mut brittle = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
+        brittle.execute(
+            &[
+                &[Request::Insert(pts[..100].to_vec())][..],
+                &both,
+                &[Request::Insert(pts[100..500].to_vec())],
+                &both,
+            ]
+            .concat(),
+        );
 
         let fallbacks = |store: &GeoStore<2>| -> Vec<(String, u64)> {
             let all = store.registry().expect("observed").counter_values();

@@ -1,35 +1,36 @@
-//! Epoch-pinned store snapshots — the read side of the pipelined executor.
+//! Epoch-pinned store snapshots — the read side of every read run.
 //!
 //! [`StoreSnapshot`] is what [`GeoStore::pin`](crate::GeoStore::pin)
 //! returns: a fully owned, immutable capture of the store at one write
 //! epoch. It holds the index's pinned [`SnapshotView`] (O(X + log n) for
 //! the structure-sharing BDL-tree, per-shard for the sharded executor; the
-//! oracle copies itself whole), the epoch's memoized derived values, and
-//! the store statistics as of the pin — everything needed to answer every
-//! read request class *bit-identically to a frozen copy of the store*
-//! while later write epochs apply on the live side. Pinning does no work
+//! oracle copies itself whole), the epoch's memoized derived values (each
+//! an `Arc` shared with the store's memo, never copied), and the store
+//! statistics as of the pin — everything needed to answer every read
+//! request class *bit-identically to a frozen copy of the store* while
+//! later write epochs apply on the live side. Pinning does no work
 //! proportional to the live set and shares nothing the live side writes:
 //! a snapshot derives its own compacted live view from the pinned view
 //! (`live_points()`) the first time a derived structure not memoized at
 //! pin time is asked of it.
 //!
-//! Lifecycle: **pin → overlap → retire.** The pipelined executor pins one
-//! snapshot per read run (after the run's derived-memo ensure pass, so
-//! memo state matches the epoch-serial planner exactly), overlaps the
-//! run's read fan-out against the snapshot with the *next* write epoch's
-//! apply on the live store, and retires the snapshot by dropping it —
-//! which releases the pinned `Arc`s (memory cost: one copy-on-write delta
-//! per pinned epoch — counted in `geostore_index_cow_bytes_total` — plus
-//! whatever superseded structures the pin kept alive) and decrements the
-//! `geostore_pinned_views` gauge. Snapshots may outlive rebuilds and may
-//! be dropped in any order.
+//! Lifecycle: **pin → answer → retire.** The store pins one snapshot per
+//! read run, after the run's derived-memo ensure pass on the live store,
+//! answers the run's fan-out against it, and retires it by dropping it —
+//! which releases the pinned `Arc`s and decrements the
+//! `geostore_pinned_views` gauge. Built with `pipeline(false)`, the store
+//! drops the snapshot before the next run, so no write ever copies on its
+//! behalf; with `pipeline(true)` the fan-out overlaps the *next* write
+//! epoch's apply on the live store, which costs one copy-on-write delta
+//! per pinned epoch (counted in `geostore_index_cow_bytes_total`).
+//! Snapshots a caller pins may outlive rebuilds and be dropped in any
+//! order.
 
 use crate::derived::{self, DerivedVal};
 use crate::obs::{self, StoreObs};
 use crate::request::{check_knn, DerivedKind, Request, Response, StoreStats};
 use pargeo_engine::{Snapshot, SnapshotView};
-use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
-use pargeo_kdtree::Neighbor;
+use pargeo_geometry::{GeoError, GeoResult};
 use pargeo_parlay as parlay;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -39,6 +40,10 @@ use std::time::Instant;
 /// ids strictly ascending — the index's own
 /// [`LivePoints`](pargeo_engine::LivePoints), since index ids are store ids.
 pub(crate) type LiveView<const D: usize> = pargeo_engine::LivePoints<D>;
+
+/// A memoized derived value, shared between the store's memo and every
+/// snapshot pinned at its epoch.
+pub(crate) type Memo<const D: usize> = GeoResult<Arc<DerivedVal<D>>>;
 
 /// An immutable capture of a [`GeoStore`](crate::GeoStore) at one write
 /// epoch, created by [`GeoStore::pin`](crate::GeoStore::pin).
@@ -59,10 +64,11 @@ pub struct StoreSnapshot<const D: usize> {
     live_view: OnceLock<LiveView<D>>,
     stats: StoreStats,
     /// Derived values at the pinned epoch: seeded from the store's memo
-    /// cache, extended lazily for kinds first requested through the
-    /// snapshot. A `Mutex`, not `RwLock`: contention is one lock per
-    /// derived request, and the store side never touches it.
-    derived: Mutex<HashMap<DerivedKind, GeoResult<DerivedVal<D>>>>,
+    /// cache (the same `Arc`s), extended lazily for kinds first requested
+    /// through the snapshot. A `Mutex`, not `RwLock`: it is held for a
+    /// lookup or a lazy compute, never for the copy a response makes, and
+    /// the store side never touches it.
+    derived: Mutex<HashMap<DerivedKind, Memo<D>>>,
     obs: Option<Arc<StoreObs>>,
 }
 
@@ -72,7 +78,7 @@ impl<const D: usize> StoreSnapshot<D> {
     pub(crate) fn new(
         view: Box<dyn SnapshotView<D>>,
         stats: StoreStats,
-        derived: HashMap<DerivedKind, GeoResult<DerivedVal<D>>>,
+        derived: HashMap<DerivedKind, Memo<D>>,
         obs: Option<Arc<StoreObs>>,
     ) -> Self {
         if let Some(o) = &obs {
@@ -126,7 +132,7 @@ impl<const D: usize> StoreSnapshot<D> {
     /// Answers one request against the pinned epoch (see
     /// [`execute`](Self::execute)).
     pub fn answer(&self, req: &Request<D>) -> GeoResult<Response<D>> {
-        let Some(o) = self.obs.clone() else {
+        let Some(o) = &self.obs else {
             return self.answer_inner(req);
         };
         let class = obs::class_of(req);
@@ -161,7 +167,7 @@ impl<const D: usize> StoreSnapshot<D> {
                         what: "unroutable request against a pinned snapshot",
                     });
                 };
-                self.derived_value(kind).map(|v| v.into_response(kind))
+                self.derived_value(kind).map(|v| v.to_response(kind))
             }
         }
     }
@@ -170,7 +176,7 @@ impl<const D: usize> StoreSnapshot<D> {
     /// pinned memo when present, computed over the pinned live set (and
     /// memoized in the snapshot) otherwise. Values are bit-identical to
     /// what a frozen copy of the store would compute at the pinned epoch.
-    fn derived_value(&self, kind: DerivedKind) -> GeoResult<DerivedVal<D>> {
+    fn derived_value(&self, kind: DerivedKind) -> Memo<D> {
         let mut memo = self.derived.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(v) = memo.get(&kind) {
             return v.clone();
@@ -179,81 +185,12 @@ impl<const D: usize> StoreSnapshot<D> {
         // Index ids are store ids (both count inserted points in order),
         // so the pinned view's own live points are the store's live view.
         let (ids, pts) = self.live_view.get_or_init(|| self.view.live_points());
-        let value = derived::compute(kind, ids, pts);
+        let value = derived::compute(kind, ids, pts).map(|(v, _)| Arc::new(v));
         if let (Some(o), Some(t)) = (&self.obs, t) {
             o.class_nanos[4].record_duration(t.elapsed());
         }
         memo.insert(kind, value.clone());
         value
-    }
-
-    // ---- typed sugar over `answer` -------------------------------------
-
-    /// The `k` nearest pinned-live neighbors of every query.
-    pub fn knn(&self, queries: &[Point<D>], k: usize) -> GeoResult<Vec<Vec<Neighbor>>> {
-        match self.answer(&Request::Knn {
-            queries: queries.to_vec(),
-            k,
-        })? {
-            Response::Knn(rows) => Ok(rows),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Sorted pinned-live ids inside every query box.
-    pub fn range(&self, boxes: &[Bbox<D>]) -> GeoResult<Vec<Vec<u32>>> {
-        match self.answer(&Request::Range(boxes.to_vec()))? {
-            Response::Range(rows) => Ok(rows),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Convex hull vertex ids of the pinned live set.
-    pub fn hull(&self) -> GeoResult<Vec<u32>> {
-        match self.answer(&Request::Hull)? {
-            Response::Hull(h) => Ok(h),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Smallest enclosing ball of the pinned live set.
-    pub fn seb(&self) -> GeoResult<Ball<D>> {
-        match self.answer(&Request::Seb)? {
-            Response::Seb(b) => Ok(b),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Closest pair of the pinned live set, over store ids.
-    pub fn closest_pair(&self) -> GeoResult<pargeo_closestpair::ClosestPair> {
-        match self.answer(&Request::ClosestPair)? {
-            Response::ClosestPair(cp) => Ok(cp),
-            _ => unreachable!(),
-        }
-    }
-
-    /// EMST edges of the pinned live set, over store ids.
-    pub fn emst(&self) -> GeoResult<Vec<pargeo_wspd::EmstEdge>> {
-        match self.answer(&Request::Emst)? {
-            Response::Emst(e) => Ok(e),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Directed k-NN graph of the pinned live set, over store ids.
-    pub fn knn_graph(&self, k: usize) -> GeoResult<Vec<(u32, u32)>> {
-        match self.answer(&Request::KnnGraph { k })? {
-            Response::KnnGraph(g) => Ok(g),
-            _ => unreachable!(),
-        }
-    }
-
-    /// Delaunay edges of the pinned live set, over store ids (2D only).
-    pub fn delaunay_graph(&self) -> GeoResult<Vec<(u32, u32)>> {
-        match self.answer(&Request::DelaunayGraph)? {
-            Response::DelaunayGraph(g) => Ok(g),
-            _ => unreachable!(),
-        }
     }
 }
 

@@ -1,10 +1,10 @@
 //! The store itself: builder, epoch planner, memo cache — the index is
 //! the point set, and the compacted live view its one store-side shadow.
 
-use crate::derived::{self, DerivedVal, Engine, Fallback};
+use crate::derived::{self, Engine, Fallback};
 use crate::obs::{self, StoreObs};
-use crate::pipeline::{LiveView, StoreSnapshot};
-use crate::request::{check_knn, CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
+use crate::pipeline::{LiveView, Memo, StoreSnapshot};
+use crate::request::{CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
 use pargeo_bdltree::{bdl::DEFAULT_BUFFER_SIZE, BdlTree};
 use pargeo_engine::{ShardedIndex, Snapshot, SpatialIndex, VecIndex};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
@@ -53,17 +53,19 @@ pub struct GeoStoreBuilder<const D: usize> {
     buffer_size: usize,
     threads: Option<usize>,
     shards: Option<usize>,
-    incremental: bool,
-    damage_threshold: f64,
     observe: ObsLevel,
     slow_op_nanos: Option<u64>,
     pipeline: bool,
 }
 
-/// Default fraction of a derived structure one coalesced insert batch may
-/// tear down before the delta engine gives up and the store recomputes
-/// wholesale (see [`GeoStoreBuilder::damage_threshold`]).
-pub const DEFAULT_DAMAGE_THRESHOLD: f64 = 0.5;
+/// Fraction of a maintained structure (hull edges, alive triangles — each
+/// relative to structure size plus batch size) one coalesced insert batch
+/// may tear down before the delta engine gives up and the store recomputes
+/// wholesale. Bowyer–Watson kills ~4.5 triangles per insert even when
+/// nothing is "damaged", so 0.5 refuses batches larger than about a third
+/// of the structure — about where a rebuild is competitive anyway. Answers
+/// are bit-identical on either path; only the cost differs.
+const DAMAGE_THRESHOLD: f64 = 0.5;
 
 impl<const D: usize> Default for GeoStoreBuilder<D> {
     fn default() -> Self {
@@ -72,8 +74,6 @@ impl<const D: usize> Default for GeoStoreBuilder<D> {
             buffer_size: DEFAULT_BUFFER_SIZE,
             threads: None,
             shards: None,
-            incremental: true,
-            damage_threshold: DEFAULT_DAMAGE_THRESHOLD,
             observe: ObsLevel::Off,
             slow_op_nanos: None,
             pipeline: false,
@@ -116,27 +116,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
         self
     }
 
-    /// Keeps memoized 2D hull and Delaunay results alive across
-    /// insert-only write epochs by applying the coalesced insert batch to
-    /// the existing structure instead of recomputing (default: on).
-    /// Answers are bit-identical either way; turning this off forces the
-    /// wholesale-recompute baseline.
-    pub fn incremental(mut self, on: bool) -> Self {
-        self.incremental = on;
-        self
-    }
-
-    /// Fraction of a derived structure (hull edges, alive triangles —
-    /// each relative to structure size plus batch size) one insert batch
-    /// may destroy before the delta engine aborts and the store falls
-    /// back to a wholesale recompute (default:
-    /// [`DEFAULT_DAMAGE_THRESHOLD`]). `0.0` rebuilds on any damage;
-    /// `1.0` effectively never falls back.
-    pub fn damage_threshold(mut self, fraction: f64) -> Self {
-        self.damage_threshold = fraction;
-        self
-    }
-
     /// Observability level (default: [`ObsLevel::Off`]).
     ///
     /// `Metrics` gives the store a [`Registry`] with per-request-class
@@ -150,15 +129,17 @@ impl<const D: usize> GeoStoreBuilder<D> {
         self
     }
 
-    /// Serves read runs through the pipelined executor (default: off —
-    /// the epoch-serial planner).
+    /// Overlaps each read run's fan-out with the write run that follows it
+    /// (default: off — runs are served one after another).
     ///
-    /// The pipelined executor partitions a request stream into exactly
-    /// the same write/read runs as the serial planner, but pins a
-    /// [`StoreSnapshot`] per read run and overlaps the run's read
-    /// fan-out (against the pinned epoch) with the *following* write
-    /// epoch's apply on the live index — reads never wait on writes, and
-    /// every response is bit-identical to the serial executor's.
+    /// Every read run is answered from a [`StoreSnapshot`] pinned at its
+    /// epoch, whichever way this is set. On, the fan-out against the pin
+    /// runs concurrently with the *following* write epoch's apply on the
+    /// live index — reads never wait on writes, at the price of a
+    /// copy-on-write delta for whatever that write touches of the pinned
+    /// levels. Off, the pin is dropped before the next run starts, so no
+    /// write ever copies on its behalf. Responses are bit-identical either
+    /// way.
     pub fn pipeline(mut self, on: bool) -> Self {
         self.pipeline = on;
         self
@@ -202,6 +183,7 @@ impl<const D: usize> GeoStoreBuilder<D> {
 
     /// Assembles the store around an already-constructed pool (infallible).
     fn finish(self, pool: Option<Pool>) -> GeoStore<D> {
+        let pool = pool.map(Arc::new);
         let registry = self.observe.build_registry();
         if let (Some(r), Some(nanos)) = (&registry, self.slow_op_nanos) {
             r.set_slow_op_threshold_nanos(nanos);
@@ -236,8 +218,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
             backend: self.backend,
             shard_count,
             pool,
-            incremental: self.incremental,
-            damage_threshold: self.damage_threshold,
             pipeline: self.pipeline,
             write_epoch: 0,
             live_view: None,
@@ -282,13 +262,12 @@ impl RunKind {
     }
 }
 
-/// The run partition of a request stream — the one both executors consume,
-/// so they cannot disagree about where an epoch begins.
-fn runs<const D: usize>(requests: &[Request<D>]) -> Vec<(RunKind, &[Request<D>])> {
+/// The run partition of a request stream: where one epoch ends and the next
+/// begins.
+fn runs<const D: usize>(requests: &[Request<D>]) -> impl Iterator<Item = (RunKind, &[Request<D>])> {
     requests
         .chunk_by(|a, b| RunKind::of(a) == RunKind::of(b))
         .map(|run| (RunKind::of(&run[0]), run))
-        .collect()
 }
 
 /// The point batches of a write run, in request order.
@@ -359,7 +338,8 @@ fn retire<const D: usize>((ids, pts): &mut LiveView<D>, removed: &[(Point<D>, u3
 struct MemoEntry<const D: usize> {
     /// Write epoch `value` was computed at.
     epoch: u64,
-    value: GeoResult<DerivedVal<D>>,
+    /// Shared with every snapshot pinned at `epoch`.
+    value: Memo<D>,
     /// Delta engine for maintainable kinds (2D hull / Delaunay), present
     /// only while `value` is `Ok` and no delete has intervened.
     engine: Option<Engine>,
@@ -388,7 +368,8 @@ struct MemoEntry<const D: usize> {
 /// [`execute`](GeoStore::execute) is the epoch planner: it splits the
 /// request stream into write runs and read runs, coalesces adjacent
 /// same-kind writes into single index batches (one write epoch each), and
-/// fans the reads of a run out data-parallel. Every request gets a
+/// fans the reads of a run out data-parallel against a [`StoreSnapshot`]
+/// pinned at the run's epoch. Every request gets a
 /// `Result` — malformed or degenerate input yields a typed
 /// [`GeoError`], never a panic and never a poisoned store.
 pub struct GeoStore<const D: usize> {
@@ -399,13 +380,10 @@ pub struct GeoStore<const D: usize> {
     backend: Backend,
     /// Morton-prefix shards of the index (1 = unsharded).
     shard_count: usize,
-    /// Dedicated pool when built with `.threads(..)`, constructed once.
-    pool: Option<Pool>,
-    /// Delta-maintain memoized hull/Delaunay across insert-only epochs.
-    incremental: bool,
-    /// Damage fraction past which a delta engine falls back to rebuild.
-    damage_threshold: f64,
-    /// Serve read runs through the pipelined (snapshot-pinning) executor.
+    /// Dedicated pool when built with `.threads(..)`, constructed once and
+    /// shared with each call, so a panic unwinding out of one cannot lose it.
+    pool: Option<Arc<Pool>>,
+    /// Overlap each read run's fan-out with the following write run.
     pipeline: bool,
     /// Coalesced write batches applied so far.
     write_epoch: u64,
@@ -491,24 +469,22 @@ impl<const D: usize> GeoStore<D> {
     /// The planner walks the stream once: adjacent writes of the same kind
     /// coalesce into one [`SpatialIndex`] batch (one write epoch), and
     /// every maximal run of read requests is answered data-parallel
-    /// against the index state left by the preceding writes. Derived
-    /// structures are computed at most once per (kind, epoch) and served
-    /// from the memo cache afterwards.
+    /// against a [`StoreSnapshot`] of the index state left by the preceding
+    /// writes. Derived structures are computed at most once per (kind,
+    /// epoch) and served from the memo cache afterwards.
     pub fn execute(&mut self, requests: &[Request<D>]) -> Vec<GeoResult<Response<D>>> {
-        match self.pool.take() {
-            Some(pool) => {
-                let out = pool.install(|| self.execute_dispatch(requests));
-                self.pool = Some(pool);
-                out
-            }
+        match self.pool.clone() {
+            Some(pool) => pool.install(|| self.execute_dispatch(requests)),
             None => self.execute_dispatch(requests),
         }
     }
 
-    /// Partitions a batch into runs and routes them through the executor
-    /// the store was built with: the epoch-serial planner, which serves
-    /// run after run, or the snapshot-pinning pipelined executor when built
-    /// with [`pipeline(true)`](GeoStoreBuilder::pipeline).
+    /// Serves a batch run by run. A write run applies as one coalesced
+    /// index batch; a read run memoizes its derived kinds on the live
+    /// store, pins, and fans out against the pin — overlapped with the
+    /// write run that follows when built with
+    /// [`pipeline(true)`](GeoStoreBuilder::pipeline), alone otherwise (the
+    /// pin then drops before the next run starts).
     fn execute_dispatch(&mut self, requests: &[Request<D>]) -> Vec<GeoResult<Response<D>>> {
         // Clone the handle so span guards borrow the local, not `self`
         // (declared before the guard: guards drop first, recording their
@@ -526,14 +502,49 @@ impl<const D: usize> GeoStore<D> {
             }
             g
         });
-        let runs = runs(requests);
         let mut out = Vec::with_capacity(requests.len());
-        if self.pipeline {
-            self.execute_pipelined(&runs, &mut out);
-        } else {
-            for &(kind, run) in &runs {
-                self.serve_run(kind, run, &mut out);
+        let mut runs = runs(requests).peekable();
+        while let Some((kind, run)) = runs.next() {
+            if kind != RunKind::Read {
+                self.apply_writes(kind, run, &mut out);
+                continue;
             }
+            // The ensure pass runs on the live store, so memo state,
+            // CacheStats and any Stats response follow the stream; the
+            // snapshot then captures its result.
+            self.ensure_run(run);
+            let snap = self.pin();
+            let _span = obs.as_ref().map(|o| {
+                let mut g = o.registry.span("read_fanout", Vec::new());
+                g.label("epoch", self.write_epoch);
+                g.label("requests", run.len());
+                if self.pipeline {
+                    o.pipeline_runs.inc();
+                    g.label("executor", "pipelined");
+                }
+                g
+            });
+            // Overlap: epoch E's read fan-out (against the pinned
+            // snapshot) runs concurrently with epoch E+1's write apply
+            // (against the live index). Runs are maximal, so whatever
+            // follows a read run is a write run.
+            let Some((wkind, wrun)) = runs.next_if(|_| self.pipeline) else {
+                out.extend(snap.execute(run));
+                continue;
+            };
+            if let Some(o) = &obs {
+                o.pipeline_overlapped.inc();
+            }
+            let (mut wout, reads) = parlay::par_do(
+                || {
+                    let mut wout = Vec::new();
+                    self.apply_writes(wkind, wrun, &mut wout);
+                    wout
+                },
+                || snap.execute(run),
+            );
+            out.extend(reads);
+            out.append(&mut wout);
         }
         out
     }
@@ -548,10 +559,8 @@ impl<const D: usize> GeoStore<D> {
             }))
     }
 
-    /// Serves one run on the live store: a write run as one coalesced
-    /// index batch, a read run data-parallel against the state the
-    /// preceding writes left.
-    fn serve_run(
+    /// Applies a write run as one coalesced index batch.
+    fn apply_writes(
         &mut self,
         kind: RunKind,
         run: &[Request<D>],
@@ -560,71 +569,15 @@ impl<const D: usize> GeoStore<D> {
         match kind {
             RunKind::Insert => self.apply_inserts(run, out),
             RunKind::Delete => self.apply_deletes(run, out),
-            RunKind::Read => self.answer_reads(run, out),
-        }
-    }
-
-    /// The pipelined executor: each read run is served from a
-    /// [`StoreSnapshot`] pinned at its epoch, and when a write run
-    /// follows, the read fan-out overlaps the write epoch's apply on the
-    /// parlay pool — reads never wait on writes, responses stay in request
-    /// order and bit-identical to the serial planner's.
-    fn execute_pipelined(
-        &mut self,
-        runs: &[(RunKind, &[Request<D>])],
-        out: &mut Vec<GeoResult<Response<D>>>,
-    ) {
-        let obs = self.obs.clone();
-        let mut runs = runs.iter().copied();
-        while let Some((kind, run)) = runs.next() {
-            if kind != RunKind::Read {
-                self.serve_run(kind, run, out);
-                continue;
-            }
-            // The ensure pass runs on the live store first, exactly like
-            // the serial planner's `answer_reads`, so memo state (and
-            // CacheStats, and therefore any Stats response) is identical;
-            // the snapshot then captures its result.
-            self.ensure_run(run);
-            let snap = self.pin();
-            let _span = obs.as_ref().map(|o| {
-                let mut g = o.registry.span("read_fanout", Vec::new());
-                g.label("epoch", self.write_epoch);
-                g.label("requests", run.len());
-                g.label("executor", "pipelined");
-                g
-            });
-            if let Some(o) = &obs {
-                o.pipeline_runs.inc();
-            }
-            // Overlap: epoch E's read fan-out (against the pinned
-            // snapshot) runs concurrently with epoch E+1's write apply
-            // (against the live index). Runs are maximal, so whatever
-            // follows a read run is a write run.
-            let Some((wkind, wrun)) = runs.next() else {
-                out.extend(snap.execute(run));
-                break;
-            };
-            if let Some(o) = &obs {
-                o.pipeline_overlapped.inc();
-            }
-            let (mut wout, reads) = parlay::par_do(
-                || {
-                    let mut wout = Vec::new();
-                    self.serve_run(wkind, wrun, &mut wout);
-                    wout
-                },
-                || snap.execute(run),
-            );
-            out.extend(reads);
-            out.append(&mut wout);
+            RunKind::Read => unreachable!("a read run is answered from a pin"),
         }
     }
 
     /// Pins an immutable [`StoreSnapshot`] of the current write epoch: the
     /// index's epoch-pinned view (see [`SpatialIndex::pin`] for what each
-    /// backend pays), the epoch's memoized derived values, and the
-    /// statistics as of now — nothing proportional to the live set. The
+    /// backend pays), the epoch's memoized derived values (shared, not
+    /// copied: O(kinds)), and the statistics as of now — nothing
+    /// proportional to the live set. The
     /// store's compacted live view is never shared: a snapshot derives its
     /// own from its pinned view the first time a derived structure not
     /// memoized here is asked of it. The snapshot answers every
@@ -633,7 +586,7 @@ impl<const D: usize> GeoStore<D> {
     /// it may outlive rebuilds and be dropped in any order relative to
     /// other snapshots.
     pub fn pin(&self) -> StoreSnapshot<D> {
-        let derived: HashMap<DerivedKind, GeoResult<DerivedVal<D>>> = self
+        let derived: HashMap<DerivedKind, Memo<D>> = self
             .cache
             .iter()
             .filter(|(_, e)| e.epoch == self.write_epoch)
@@ -811,9 +764,7 @@ impl<const D: usize> GeoStore<D> {
             cow_bytes = s.cow_bytes.saturating_sub(o.index_cow_bytes.get());
             o.index_cow_bytes.add(cow_bytes);
         }
-        if !self.incremental {
-            self.cache.clear();
-        } else if deleting {
+        if deleting {
             self.cache.retain(|_, e| {
                 let maintained = e.engine.is_some() || e.rebuild_pending;
                 e.engine = None;
@@ -826,23 +777,6 @@ impl<const D: usize> GeoStore<D> {
                 .retain(|_, e| e.engine.is_some() || e.rebuild_pending);
         }
         cow_bytes
-    }
-
-    /// Answers a run of read requests: derived structures are memoized
-    /// first (in request order, so cache hit/miss counters reflect the
-    /// stream), then all responses are produced data-parallel.
-    fn answer_reads(&mut self, run: &[Request<D>], out: &mut Vec<GeoResult<Response<D>>>) {
-        self.ensure_run(run);
-        let obs = self.obs.clone();
-        let _span = obs.as_ref().map(|o| {
-            let mut g = o.registry.span("read_fanout", Vec::new());
-            g.label("epoch", self.write_epoch);
-            g.label("requests", run.len());
-            g
-        });
-        // Grain 1: an item is a whole request (often a query batch).
-        let responses = parlay::map(run, 1, |req| self.answer_one(req));
-        out.extend(responses);
     }
 
     /// Memoizes every derived structure a read run asks for, in request
@@ -894,43 +828,44 @@ impl<const D: usize> GeoStore<D> {
         // (live ids ascend and inserts append, so one id pins the prefix)
         // absorbs the delta in place; otherwise `fallback` says why not.
         let mut fallback = None;
-        if self.incremental {
-            if let Some(mut entry) = prior.take() {
-                let anchored = entry.anchor.is_some_and(|(consumed, last_id)| {
-                    consumed >= 1 && ids.len() >= consumed && ids[consumed - 1] == last_id
-                });
-                let advanced = match entry.engine.as_mut() {
-                    Some(engine) if anchored => {
-                        derived::advance_engine(engine, ids, pts, self.damage_threshold)
-                    }
-                    Some(_) => Err(Fallback::AnchorLost),
-                    None => Err(Fallback::Delete),
-                };
-                match (advanced, ids.last()) {
-                    (Ok(val), Some(&last)) => {
-                        self.cache_stats.incremental += 1;
-                        if let Some(o) = &obs {
-                            o.memo[obs::memo_idx(MemoPath::Incremental)].inc();
-                        }
-                        if let Some(s) = span.as_mut() {
-                            s.label("path", MemoPath::Incremental.label());
-                        }
-                        entry.epoch = self.write_epoch;
-                        entry.value = Ok(val);
-                        entry.anchor = Some((ids.len(), last));
-                        entry.path = MemoPath::Incremental;
-                        entry.rebuild_pending = false;
-                        self.cache.insert(kind, entry);
-                        return;
-                    }
-                    (Err(cause), _) if had_structure => fallback = Some(cause),
-                    _ => {}
+        if let Some(mut entry) = prior.take() {
+            let anchored = entry.anchor.is_some_and(|(consumed, last_id)| {
+                consumed >= 1 && ids.len() >= consumed && ids[consumed - 1] == last_id
+            });
+            let advanced = match entry.engine.as_mut() {
+                Some(engine) if anchored => {
+                    derived::advance_engine(engine, ids, pts, DAMAGE_THRESHOLD)
                 }
+                Some(_) => Err(Fallback::AnchorLost),
+                None => Err(Fallback::Delete),
+            };
+            match (advanced, ids.last()) {
+                (Ok(val), Some(&last)) => {
+                    self.cache_stats.incremental += 1;
+                    if let Some(o) = &obs {
+                        o.memo[obs::memo_idx(MemoPath::Incremental)].inc();
+                    }
+                    if let Some(s) = span.as_mut() {
+                        s.label("path", MemoPath::Incremental.label());
+                    }
+                    entry.epoch = self.write_epoch;
+                    entry.value = Ok(Arc::new(val));
+                    entry.anchor = Some((ids.len(), last));
+                    entry.path = MemoPath::Incremental;
+                    entry.rebuild_pending = false;
+                    self.cache.insert(kind, entry);
+                    return;
+                }
+                (Err(cause), _) if had_structure => fallback = Some(cause),
+                _ => {}
             }
         }
 
         // Full (re)compute — the rebuild path when a structure existed.
-        let (value, engine) = derived::compute_full(kind, ids, pts, self.incremental);
+        let (value, engine) = match derived::compute(kind, ids, pts) {
+            Ok((value, engine)) => (Ok(Arc::new(value)), engine),
+            Err(e) => (Err(e), None),
+        };
         let path = if had_structure {
             self.cache_stats.rebuilds += 1;
             MemoPath::Rebuilt
@@ -974,58 +909,6 @@ impl<const D: usize> GeoStore<D> {
             .get(&kind)
             .filter(|e| e.epoch == self.write_epoch)
             .map(|e| e.path)
-    }
-
-    /// Answers one read request against the (now read-only) store state,
-    /// recording its latency into the per-class histogram for the classes
-    /// whose cost lives here (k-NN, range, stats — the derived classes
-    /// sample around the memo ensure instead). Runs inside the parallel
-    /// fan-out: recording is atomics only.
-    fn answer_one(&self, req: &Request<D>) -> GeoResult<Response<D>> {
-        let Some(o) = &self.obs else {
-            return self.answer_one_inner(req);
-        };
-        let class = obs::class_of(req);
-        if class == 4 {
-            return self.answer_one_inner(req);
-        }
-        let t = Instant::now();
-        let resp = self.answer_one_inner(req);
-        o.class_nanos[class].record_duration(t.elapsed());
-        resp
-    }
-
-    /// The untimed body of [`answer_one`](Self::answer_one).
-    fn answer_one_inner(&self, req: &Request<D>) -> GeoResult<Response<D>> {
-        match req {
-            Request::Knn { queries, k } => {
-                check_knn(queries, *k, self.index.len())?;
-                Ok(Response::Knn(self.index.knn_batch(queries, *k)))
-            }
-            Request::Range(boxes) => Ok(Response::Range(self.index.range_batch(boxes))),
-            Request::Stats => Ok(Response::Stats(self.stats())),
-            _ => {
-                // Planner invariants ("only reads reach the fan-out" and
-                // "every derived kind was ensured first") are answered
-                // with typed errors, not panics: a violation must never
-                // take the serve path down.
-                let Some(kind) = req.derived_kind() else {
-                    return Err(GeoError::BadParameter {
-                        op: "geostore",
-                        what: "non-read request reached the read fan-out",
-                    });
-                };
-                let entry = self
-                    .cache
-                    .get(&kind)
-                    .filter(|e| e.epoch == self.write_epoch)
-                    .ok_or(GeoError::BadParameter {
-                        op: "geostore",
-                        what: "derived value missing from the memo cache",
-                    })?;
-                entry.value.clone().map(|v| v.into_response(kind))
-            }
-        }
     }
 
     // ---- typed sugar over `run` ----------------------------------------
@@ -1130,43 +1013,60 @@ impl<const D: usize> GeoStore<D> {
 mod tests {
     use super::*;
     use pargeo_engine::{LivePoints, SnapshotView};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    /// An index whose `remove` removes what it is told to and reports one
-    /// point fewer — a report its own live count contradicts.
-    struct UnderReporting(VecIndex<2>);
+    /// The oracle index with injected faults.
+    #[derive(Default)]
+    struct Faulty {
+        inner: VecIndex<2>,
+        /// `remove` removes what it is told to and reports one point fewer
+        /// — a report its own live count contradicts.
+        under_report: bool,
+        /// The next `insert` panics before it touches anything.
+        panic_on_insert: bool,
+        /// Workers of the pool the last completed `insert` ran on.
+        insert_workers: Arc<AtomicUsize>,
+    }
 
-    impl SpatialIndex<2> for UnderReporting {
+    impl SpatialIndex<2> for Faulty {
         fn backend_name(&self) -> &'static str {
-            "under-reporting"
+            "faulty"
         }
         fn insert(&mut self, batch: &[Point<2>]) {
-            self.0.insert(batch)
+            if std::mem::take(&mut self.panic_on_insert) {
+                panic!("injected insert fault");
+            }
+            let workers = parlay::num_threads();
+            self.insert_workers.store(workers, Ordering::Relaxed);
+            self.inner.insert(batch)
         }
         fn remove(&mut self, batch: &[Point<2>]) -> Vec<(Point<2>, u32)> {
-            let mut removed = self.0.remove(batch);
-            removed.pop();
+            let mut removed = self.inner.remove(batch);
+            if self.under_report {
+                removed.pop();
+            }
             removed
         }
         fn knn_batch(&self, queries: &[Point<2>], k: usize) -> Vec<Vec<Neighbor>> {
-            self.0.knn_batch(queries, k)
+            self.inner.knn_batch(queries, k)
         }
         fn range_batch(&self, queries: &[Bbox<2>]) -> Vec<Vec<u32>> {
-            self.0.range_batch(queries)
+            self.inner.range_batch(queries)
         }
         fn len(&self) -> usize {
-            self.0.len()
+            self.inner.len()
         }
         fn snapshot(&self) -> Snapshot {
-            self.0.snapshot()
+            self.inner.snapshot()
         }
         fn pin(&self) -> Box<dyn SnapshotView<2>> {
-            self.0.pin()
+            self.inner.pin()
         }
         fn live_points(&self) -> LivePoints<2> {
-            self.0.live_points()
+            self.inner.live_points()
         }
         fn live_bbox(&self) -> Bbox<2> {
-            self.0.live_bbox()
+            self.inner.live_bbox()
         }
     }
 
@@ -1240,7 +1140,10 @@ mod tests {
             .backend(Backend::Oracle)
             .observe(ObsLevel::Metrics)
             .build();
-        store.index = Box::new(UnderReporting(VecIndex::new()));
+        store.index = Box::new(Faulty {
+            under_report: true,
+            ..Faulty::default()
+        });
         store.insert(&pts);
         let diverged = Err(GeoError::BadParameter {
             op: "delete",
@@ -1272,6 +1175,72 @@ mod tests {
         // the store stays serviceable, it does not pretend nothing happened.
         assert_eq!(store.len(), 7);
         assert_eq!(store.stats().write_epoch, 2);
+    }
+
+    /// A panic out of the index unwinds through `execute` to the caller and
+    /// leaves the store whole: its dedicated pool still runs the next call,
+    /// and the epoch, the index and the live view still agree.
+    #[test]
+    fn a_panicking_write_keeps_the_pool_and_a_consistent_store() {
+        let pts: Vec<Point<2>> = (0..60)
+            .map(|i| Point::new([(i % 8) as f64, (i / 8) as f64 + 0.1 * (i % 3) as f64]))
+            .collect();
+        for pipeline in [false, true] {
+            let mut store = GeoStore::<2>::builder()
+                .threads(3)
+                .pipeline(pipeline)
+                .build();
+            let workers = Arc::new(AtomicUsize::new(0));
+            store.index = Box::new(Faulty {
+                panic_on_insert: true,
+                insert_workers: workers.clone(),
+                ..Faulty::default()
+            });
+            // A read run ahead of the write: pipelined, the fan-out overlaps
+            // the panicking apply.
+            let stream = [Request::Stats, Request::Insert(pts.clone())];
+            let unwound =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.execute(&stream)));
+            assert!(unwound.is_err(), "pipeline={pipeline}: the fault surfaced");
+            assert_eq!((store.len(), store.stats().write_epoch), (0, 0));
+
+            let got = store.execute(&[&stream[..], &[Request::Seb]].concat());
+            assert_eq!(workers.load(Ordering::Relaxed), 3, "pipeline={pipeline}");
+            assert!(got.iter().all(Result::is_ok), "pipeline={pipeline}");
+            assert_eq!((store.len(), store.stats().write_epoch), (60, 1));
+            assert_eq!(store.live_view, Some(store.index.live_points()));
+        }
+    }
+
+    /// `pin` hands the snapshot the memo's values, not copies of them.
+    #[test]
+    fn pin_shares_memoized_values() {
+        let pts: Vec<Point<2>> = (0..200)
+            .map(|i| Point::new([(i % 13) as f64 + 0.01 * i as f64, (i / 13) as f64]))
+            .collect();
+        let mut store = GeoStore::<2>::builder().build();
+        store.insert(&pts);
+        store.execute(&[Request::DelaunayGraph, Request::Emst]);
+        let kinds = [DerivedKind::DelaunayGraph, DerivedKind::Emst];
+        let holders = |store: &GeoStore<2>| -> Vec<usize> {
+            let memo = kinds.iter().map(|kind| &store.cache[kind].value);
+            memo.map(|v| Arc::strong_count(v.as_ref().expect("computed")))
+                .collect()
+        };
+        assert_eq!(holders(&store), [1, 1]);
+        let (a, b) = (store.pin(), store.pin());
+        assert_eq!(
+            holders(&store),
+            [3, 3],
+            "each pin holds the memo's own value"
+        );
+        drop(a);
+        assert_eq!(
+            b.execute(&[Request::DelaunayGraph, Request::Emst]),
+            store.execute(&[Request::DelaunayGraph, Request::Emst])
+        );
+        drop(b);
+        assert_eq!(holders(&store), [1, 1]);
     }
 
     /// A non-finite coordinate stops at the boundary, on both backends and

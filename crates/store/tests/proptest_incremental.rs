@@ -1,10 +1,10 @@
 //! Property tests for delta maintenance under churn: random streams of
 //! interleaved inserts, deletes, and derived-structure requests replayed
-//! on an incremental store (the default) and cross-validated three ways —
-//! against a `.incremental(false)` wholesale-recompute store on the oracle
-//! backend, against an independent per-request full recompute from a
-//! live-set mirror, and across shard count × thread count. Bit-identical
-//! answers everywhere is the tentpole's correctness anchor.
+//! on the delta-maintaining store and cross-validated three ways —
+//! against the oracle-backend store, against an independent per-request
+//! wholesale recompute from a live-set mirror, and across shard count ×
+//! thread count. Bit-identical answers everywhere is the correctness
+//! anchor of delta maintenance.
 
 use pargeo_geometry::{GeoError, Point2};
 use pargeo_store::{digest_responses, Backend, DerivedKind, GeoStore, MemoPath, Request, Response};
@@ -150,11 +150,10 @@ fn check_maintained(
 fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCaseError> {
     let (reqs, snaps) = interpret(pts, ops);
 
-    // The wholesale-recompute baseline: the oracle backend, incremental
-    // maintenance off, unsharded.
+    // The oracle-backend baseline, unsharded; `check_maintained` below is
+    // the wholesale recompute.
     let mut baseline = GeoStore::<2>::builder()
         .backend(Backend::Oracle)
-        .incremental(false)
         .threads(threads)
         .build();
     let want = baseline.execute(&reqs);
@@ -171,7 +170,7 @@ fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCa
         prop_assert_eq!(
             digest_responses(&responses),
             want_digest,
-            "{}: incremental digest != wholesale-recompute digest",
+            "{}: digest != oracle-store digest",
             &name
         );
         for (i, ((req, resp), snap)) in reqs.iter().zip(&responses).zip(&snaps).enumerate() {
@@ -179,7 +178,7 @@ fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCa
             prop_assert_eq!(
                 resp,
                 &want[i],
-                "{} request {}: incremental != wholesale recompute",
+                "{} request {}: store != oracle store",
                 &name,
                 i
             );
@@ -211,14 +210,19 @@ fn scripted_churn_walks_every_memo_path() {
         .map(|i| Point2::new([(1 + i % 7) as f64 * 2.0, (1 + i / 7) as f64 * 2.0]))
         .collect();
 
-    // Threshold 1.0 pins the walk: the structure is small enough here
-    // that the default 0.5 budget can legitimately refuse the Delaunay
-    // batch (cavity kills are ~4.5 per insert even when nothing is
-    // "damaged"), and this test is about path mechanics, not the
-    // crossover policy — the bench and the property cover the default.
-    let mut store: GeoStore<2> = GeoStore::builder().damage_threshold(1.0).build();
-    store.insert(&corners);
-    store.insert(&interior[..32]);
+    // The insert-only epoch adds 4 points to a 36-point mesh: cavity kills
+    // are ~4.5 per insert even when nothing is "damaged", so a batch much
+    // past a third of the structure would exceed the store's damage budget
+    // (half) and rebuild — this test is about path mechanics, not the
+    // crossover policy.
+    let writes = [
+        Request::Insert(corners.to_vec()),
+        Request::Insert(interior[..32].to_vec()),
+        Request::Insert(interior[32..36].to_vec()),
+        Request::Delete(interior[..4].to_vec()),
+    ];
+    let mut store: GeoStore<2> = GeoStore::builder().build();
+    store.execute(&writes[..2]);
 
     // Fresh computes.
     let h1 = store.hull().unwrap();
@@ -234,7 +238,7 @@ fn scripted_churn_walks_every_memo_path() {
     assert_eq!(store.derived_path(DerivedKind::Hull), Some(MemoPath::Fresh));
 
     // Insert-only epoch: both engines absorb the batch in place.
-    store.insert(&interior[32..40]);
+    store.execute(&writes[2..3]);
     let h2 = store.hull().unwrap();
     let d2 = store.delaunay_graph().unwrap();
     assert_eq!(
@@ -247,7 +251,7 @@ fn scripted_churn_walks_every_memo_path() {
     );
 
     // Delete epoch: engines die, the next compute is a rebuild.
-    store.delete(&interior[..4]);
+    store.execute(&writes[3..]);
     let h3 = store.hull().unwrap();
     let d3 = store.delaunay_graph().unwrap();
     assert_eq!(
@@ -267,20 +271,25 @@ fn scripted_churn_walks_every_memo_path() {
     assert_eq!(stats.cache.incremental, 2);
     assert_eq!(stats.cache.rebuilds, 2);
 
-    // Every answer must equal the wholesale-recompute store's on the same
-    // stream — replay and compare the three epochs' worth of results.
-    let mut plain: GeoStore<2> = GeoStore::builder().incremental(false).build();
-    plain.insert(&corners);
-    plain.insert(&interior[..32]);
-    let p1 = (plain.hull().unwrap(), plain.delaunay_graph().unwrap());
-    plain.insert(&interior[32..40]);
-    let p2 = (plain.hull().unwrap(), plain.delaunay_graph().unwrap());
-    plain.delete(&interior[..4]);
-    let p3 = (plain.hull().unwrap(), plain.delaunay_graph().unwrap());
-    assert_eq!((h1, d1), p1, "fresh epoch diverged");
-    assert_eq!((h2, d2), p2, "incremental epoch diverged");
-    assert_eq!((h3, d3), p3, "rebuild epoch diverged");
-    assert_eq!(plain.stats().cache.incremental, 0, "baseline stayed plain");
+    // Every answer must equal a wholesale recompute over the same live set:
+    // a fresh store replayed to each epoch's writes computes both kinds
+    // `Fresh`, under the same ids.
+    let wholesale = |writes: &[Request<2>]| {
+        let mut plain: GeoStore<2> = GeoStore::builder().build();
+        plain.execute(writes);
+        let both = (plain.hull().unwrap(), plain.delaunay_graph().unwrap());
+        for kind in [DerivedKind::Hull, DerivedKind::DelaunayGraph] {
+            assert_eq!(plain.derived_path(kind), Some(MemoPath::Fresh));
+        }
+        both
+    };
+    assert_eq!((h1, d1), wholesale(&writes[..2]), "fresh epoch diverged");
+    assert_eq!(
+        (h2, d2),
+        wholesale(&writes[..3]),
+        "incremental epoch diverged"
+    );
+    assert_eq!((h3, d3), wholesale(&writes), "rebuild epoch diverged");
 }
 
 proptest! {

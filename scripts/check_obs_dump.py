@@ -9,7 +9,10 @@ Prometheus text between
 markers. This script asserts both renderings parse and contain the
 expected metric families — the CI gate that exposition stays well-formed —
 and that the dumped store, which is built with no `.backend(..)` call, is
-the BDL-tree store: its index gauges must carry `backend="bdl"`.
+the BDL-tree store: its index gauges must carry `backend="bdl"`. That store
+is serial (no `.pipeline(true)`): it answers each read run from a snapshot
+it drops before the next write, so no pin may outlive the replay and no
+write may copy on a pin's behalf.
 """
 import json
 import re
@@ -25,6 +28,11 @@ EXPECTED_COUNTERS = {
 }
 EXPECTED_HISTOGRAMS = {"geostore_request_nanos", "span_nanos"}
 DEFAULT_BACKEND_GAUGES = ("index_arena_bytes", "index_nodes_total")
+# (family, JSON section) that a serial store leaves at exactly zero.
+ZERO_AFTER_SERIAL_RUN = (
+    ("geostore_pinned_views", "gauges"),
+    ("geostore_index_cow_bytes_total", "counters"),
+)
 
 PROM_SAMPLE = re.compile(r'^[a-zA-Z_:][a-zA-Z0-9_:]*(\{[^}]*\})? -?\d+(\.\d+)?$')
 
@@ -55,6 +63,9 @@ def main() -> None:
         c["value"] for c in blob["counters"] if c["name"] == "geostore_requests_total"
     )
     assert served > 0, "instrumented run served no requests"
+    for family, kind in ZERO_AFTER_SERIAL_RUN:
+        values = [m["value"] for m in blob[kind] if m["name"] == family]
+        assert values == [0], f"{family}: expected one sample at 0, got {values}"
 
     prom = section(text, "--- obs prometheus ---", "--- obs end ---")
     typed = set(re.findall(r"^# TYPE (\S+) (?:counter|gauge|histogram)$", prom, re.M))

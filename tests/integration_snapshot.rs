@@ -1,10 +1,11 @@
-//! Integration: snapshot-isolated concurrent serving. The pipelined
-//! executor (`pipeline(true)`) — epoch-pinned reads overlapping live
-//! write-apply — must answer every request stream bit-identically to the
-//! epoch-serial planner, per request and not just by digest, across shard
-//! and thread counts, and both must answer like the oracle store; store
-//! snapshots must keep answering their pinned epoch through BDL cascades
-//! and out-of-order drops.
+//! Integration: snapshot-isolated concurrent serving. Every read run is
+//! answered from a snapshot pinned at its epoch; with `pipeline(true)` the
+//! fan-out overlaps the live write-apply that follows it, and must answer
+//! every request stream bit-identically to the same store without overlap,
+//! per request and not just by digest, across shard and thread counts —
+//! and both must answer like the oracle store. Store snapshots must keep
+//! answering their pinned epoch through BDL cascades and out-of-order
+//! drops.
 
 use pargeo::prelude::*;
 use pargeo::store::digest_responses;
@@ -63,9 +64,9 @@ fn assert_answers_equal(
     }
 }
 
-/// Per-request equality, every variant included — `Stats` too: the
-/// pipelined executor pins its snapshot after the read run's memo ensure
-/// pass, so even epoch/cache counters must match the serial planner's.
+/// Per-request equality, every variant included — `Stats` too: a read run
+/// is pinned after its memo ensure pass with or without overlap, so even
+/// epoch/cache counters must match.
 fn assert_streams_equal(
     want: &[GeoResult<Response<2>>],
     got: &[GeoResult<Response<2>>],
@@ -216,20 +217,20 @@ fn snapshots_survive_rebuilds_compaction_and_out_of_order_drops() {
     store.delete(&pts[1_500..]);
     store.insert(&pargeo::datagen::uniform_cube::<2>(500, 44));
 
+    let reads = [
+        Request::Knn {
+            queries: queries.clone(),
+            k: 5,
+        },
+        Request::Range(boxes),
+        Request::Hull,
+        Request::Emst,
+    ];
     let check = |snap: &StoreSnapshot<2>, reference: &mut GeoStore<2>, label: &str| {
         assert_eq!(snap.len(), reference.len(), "{label}: live count");
-        assert_eq!(
-            snap.knn(&queries, 5).unwrap(),
-            reference.knn(&queries, 5).unwrap(),
-            "{label}: knn"
-        );
-        assert_eq!(
-            snap.range(&boxes).unwrap(),
-            reference.range(&boxes).unwrap(),
-            "{label}: range"
-        );
-        assert_eq!(snap.hull(), reference.hull(), "{label}: hull");
-        assert_eq!(snap.emst(), reference.emst(), "{label}: emst");
+        let (got, want) = (snap.execute(&reads), reference.execute(&reads));
+        assert!(got.iter().all(Result::is_ok), "{label}: every read answers");
+        assert_eq!(got, want, "{label}: knn, range, hull, emst");
         assert_eq!(
             snap.stats().write_epoch,
             reference.stats().write_epoch,
@@ -285,10 +286,15 @@ fn derived_kinds_first_asked_of_a_snapshot_use_its_pinned_live_set() {
                 prefix(&mut frozen);
                 let ctx = format!("{name} S={shards} view_built={view_built_before_pin}");
                 assert_eq!(snap.len(), frozen.len(), "{ctx}: live count");
-                assert_eq!(snap.emst(), frozen.emst(), "{ctx}: emst");
-                assert_eq!(snap.hull(), frozen.hull(), "{ctx}: hull");
-                assert_eq!(snap.knn_graph(3), frozen.knn_graph(3), "{ctx}: knn graph");
-                assert_eq!(snap.seb(), frozen.seb(), "{ctx}: seb");
+                for req in [
+                    Request::Emst,
+                    Request::Hull,
+                    Request::KnnGraph { k: 3 },
+                    Request::Seb,
+                ] {
+                    let want = frozen.run(req.clone());
+                    assert_eq!(snap.answer(&req), want, "{ctx}: {req:?}");
+                }
                 assert_ne!(snap.len(), store.len(), "{ctx}: the live store moved on");
             }
         }
@@ -321,7 +327,7 @@ fn pinned_views_gauge_tracks_snapshot_lifetimes() {
     drop(b);
     assert_eq!(gauge.get(), 0);
 
-    // The pipelined executor retires every snapshot it pins.
+    // A pipelined store retires every snapshot it pins.
     let mut piped = GeoStore::<2>::builder()
         .pipeline(true)
         .observe(ObsLevel::Metrics)
@@ -349,6 +355,40 @@ fn pinned_views_gauge_tracks_snapshot_lifetimes() {
     // followed it, the trailing one had nothing to overlap.
     assert_eq!(get("geostore_pipeline_runs_total"), 2);
     assert_eq!(get("geostore_pipeline_overlapped_total"), 1);
+
+    // Without overlap every read run still answers from a pin, and drops it
+    // before the write that follows: nothing stays pinned, nothing counts as
+    // pipelined, and the delete copies nothing on a pin's behalf — where
+    // the same stream overlapped pays for the levels its delete hits.
+    let reads = [
+        Request::Hull,
+        Request::Knn {
+            queries: pts[..5].to_vec(),
+            k: 3,
+        },
+        Request::Range(vec![Bbox::from_points(&pts[..50])]),
+    ];
+    let stream = [&reads[..], &[Request::Delete(pts[..100].to_vec())], &reads].concat();
+    let cow_bytes = |pipeline: bool| {
+        let mut store = GeoStore::<2>::builder()
+            .buffer_size(16)
+            .pipeline(pipeline)
+            .observe(ObsLevel::Metrics)
+            .build();
+        store.insert(&pts);
+        assert!(store.execute(&stream).iter().all(Result::is_ok));
+        let registry = store.registry().expect("metrics level");
+        assert_eq!(registry.gauge("geostore_pinned_views", &[]).get(), 0);
+        let runs = registry.counter("geostore_pipeline_runs_total", &[]).get();
+        assert_eq!(runs, if pipeline { 2 } else { 0 });
+        let cow = registry
+            .counter("geostore_index_cow_bytes_total", &[])
+            .get();
+        assert_eq!(cow, store.stats().snapshot.cow_bytes);
+        cow
+    };
+    assert_eq!(cow_bytes(false), 0);
+    assert!(cow_bytes(true) > 0);
 }
 
 #[test]

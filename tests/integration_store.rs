@@ -467,22 +467,41 @@ fn noop_writes_spare_the_memo_cache() {
 
 #[test]
 fn incremental_maintenance_is_bit_identical_across_backends_and_shards() {
-    // The tentpole's acceptance sweep: the delta-maintaining store (the
-    // default) must answer the scripted mixed stream — fresh computes,
-    // insert-only epochs, delete-forced rebuilds — bit-identically to a
-    // wholesale-recompute oracle store, at every shard count.
+    // The delta-maintaining store must answer the scripted mixed stream —
+    // fresh computes, insert-only epochs, delete-forced rebuilds —
+    // bit-identically to the oracle store at every shard count, and its
+    // maintained kinds as the canonical kernels recompute them wholesale.
     let pts = points(2_000, 39);
     let reqs = script(&pts);
-    let mut plain = GeoStore::<2>::builder()
-        .backend(Backend::Oracle)
-        .incremental(false)
-        .build();
-    let want = plain.execute(&reqs);
-    assert_eq!(
-        plain.stats().cache.incremental,
-        0,
-        "wholesale baseline must never take the delta path"
-    );
+    let want = oracle_store().execute(&reqs);
+    // The wholesale reference: the script's deletes take a prefix of what
+    // was inserted and its inserts append, so the live set is always
+    // `pts[lo..hi]` under ids `lo..hi`.
+    let (mut lo, mut hi) = (0, 0);
+    for (i, (req, resp)) in reqs.iter().zip(&want).enumerate() {
+        let (live, base) = (&pts[lo..hi], lo as u32);
+        let wholesale = match req {
+            Request::Insert(batch) => {
+                hi += batch.len();
+                continue;
+            }
+            Request::Delete(batch) => {
+                lo += batch.len();
+                continue;
+            }
+            Request::Hull => {
+                try_hull2d(live).map(|h| Response::Hull(h.into_iter().map(|p| p + base).collect()))
+            }
+            Request::DelaunayGraph => DelaunayIncremental::try_build(live)
+                .and_then(|d| d.edges())
+                .map(|edges| {
+                    let ids = edges.into_iter().map(|(u, v)| (u + base, v + base));
+                    Response::DelaunayGraph(ids.collect())
+                }),
+            _ => continue,
+        };
+        assert_eq!(resp, &wholesale, "response {i} != wholesale recompute");
+    }
     for (name, builder) in serving() {
         for shards in [1usize, 4] {
             let mut store = builder.clone().shards(shards).build();
@@ -490,12 +509,12 @@ fn incremental_maintenance_is_bit_identical_across_backends_and_shards() {
             assert_eq!(
                 digest_responses(&responses),
                 digest_responses(&want),
-                "{name} S={shards}: incremental digest != wholesale digest"
+                "{name} S={shards}: digest != oracle digest"
             );
             for (i, (a, b)) in want.iter().zip(&responses).enumerate() {
                 match (a, b) {
-                    // Cache counters legitimately differ between the two
-                    // maintenance modes; everything else is bit-for-bit.
+                    // Arena sizes are the index's own; everything else is
+                    // bit-for-bit.
                     (Ok(Response::Stats(_)), Ok(Response::Stats(_))) => {}
                     _ => assert_eq!(a, b, "{name} S={shards} response {i}"),
                 }

@@ -7,7 +7,7 @@
 //! process's, and a second test running beside it would be counted too.
 
 use pargeo::datagen::uniform_cube;
-use pargeo::store::GeoStore;
+use pargeo::store::{GeoStore, Request};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -72,6 +72,7 @@ fn sliding_window_churn_holds_memory_flat() {
     // is still the index's live set: a snapshot derives its own from the
     // pinned index, and every live point is a vertex of the Delaunay graph.
     let pinned = store.pin();
-    assert_eq!(store.delaunay_graph(), pinned.delaunay_graph());
-    assert_eq!(store.knn_graph(1), pinned.knn_graph(1));
+    for req in [Request::DelaunayGraph, Request::KnnGraph { k: 1 }] {
+        assert_eq!(store.run(req.clone()), pinned.answer(&req));
+    }
 }
