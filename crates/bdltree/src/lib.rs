@@ -15,14 +15,13 @@
 //! * **Data-parallel k-NN** (Appendix C.4) — one shared k-NN buffer per
 //!   query accumulates results across the buffer and every occupied tree.
 //!
-//! [`zdtree`] hosts the Morton-based comparator of §6.3.
+//! Its §6.3 comparator, the Morton-order Zd-tree, is one of the kd-tree's
+//! layouts and lives beside `VebTree`, as [`pargeo_kdtree::ZdTree`].
 //!
 //! [`VebTree`]: pargeo_kdtree::VebTree
 
 #![warn(missing_docs)]
 
 pub mod bdl;
-pub mod zdtree;
 
 pub use bdl::BdlTree;
-pub use zdtree::ZdTree;

@@ -102,8 +102,9 @@ pub fn run_workload<const D: usize, I: SpatialIndex<D> + ?Sized>(
 mod tests {
     use super::*;
     use crate::VecIndex;
-    use pargeo_bdltree::{BdlTree, ZdTree};
+    use pargeo_bdltree::BdlTree;
     use pargeo_datagen::{Distribution, WorkloadSpec};
+    use pargeo_kdtree::ZdTree;
 
     #[test]
     fn all_backends_produce_identical_digests() {

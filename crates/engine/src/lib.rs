@@ -62,9 +62,9 @@ pub use driver::{run_workload, WorkloadReport};
 pub use oracle::VecIndex;
 pub use shard::ShardedIndex;
 
-use pargeo_bdltree::{BdlTree, ZdTree};
+use pargeo_bdltree::BdlTree;
 use pargeo_geometry::{Bbox, Point};
-use pargeo_kdtree::Neighbor;
+use pargeo_kdtree::{Neighbor, ZdTree};
 
 /// Compacted live set of an index: `pts[i]` is the live point with id
 /// `ids[i]`, ids strictly ascending.

@@ -283,7 +283,7 @@ impl ShardObs {
 ///
 /// ```
 /// use pargeo_engine::{ShardedIndex, SpatialIndex, VecIndex};
-/// use pargeo_bdltree::ZdTree;
+/// use pargeo_kdtree::ZdTree;
 /// use pargeo_geometry::Point2;
 ///
 /// let pts: Vec<Point2> = (0..1_000)
@@ -690,8 +690,9 @@ impl<const D: usize> SnapshotView<D> for ShardedView<D> {
 mod tests {
     use super::*;
     use crate::VecIndex;
-    use pargeo_bdltree::{BdlTree, ZdTree};
+    use pargeo_bdltree::BdlTree;
     use pargeo_datagen::uniform_cube;
+    use pargeo_kdtree::ZdTree;
 
     fn factories() -> Vec<(
         &'static str,

@@ -10,10 +10,11 @@
 //! and fails here — across every backend, shard count, and thread count,
 //! and through pin/write interleavings.
 
-use pargeo_bdltree::{BdlTree, ZdTree};
+use pargeo_bdltree::BdlTree;
 use pargeo_datagen::{Workload, WorkloadSpec};
 use pargeo_engine::{run_workload, ShardedIndex, SpatialIndex, VecIndex};
 use pargeo_geometry::{Bbox, Point2};
+use pargeo_kdtree::ZdTree;
 use proptest::prelude::*;
 
 /// `(preset name, knn_checksum, range_checksum)` from the boxed-node/AoS

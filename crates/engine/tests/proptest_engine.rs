@@ -4,9 +4,10 @@
 //! sorted range reports, identical k-NN distance profiles — at two thread
 //! counts.
 
-use pargeo_bdltree::{BdlTree, ZdTree};
+use pargeo_bdltree::BdlTree;
 use pargeo_engine::{ShardedIndex, SpatialIndex, VecIndex};
 use pargeo_geometry::{Bbox, Point2};
+use pargeo_kdtree::ZdTree;
 use proptest::prelude::*;
 
 fn lattice_points() -> impl Strategy<Value = Vec<Point2>> {

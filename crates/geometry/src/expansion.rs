@@ -14,7 +14,7 @@
 /// Exact sum: returns `(x, y)` with `x + y == a + b` exactly, `x = fl(a+b)`.
 /// (Knuth's TwoSum; no assumption on magnitudes.)
 #[inline]
-pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_sum(a: f64, b: f64) -> (f64, f64) {
     let x = a + b;
     let bv = x - a;
     let av = x - bv;
@@ -25,7 +25,7 @@ pub fn two_sum(a: f64, b: f64) -> (f64, f64) {
 
 /// Exact sum assuming `|a| >= |b|` (Dekker's FastTwoSum).
 #[inline]
-pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
     let x = a + b;
     let bv = x - a;
     (x, b - bv)
@@ -33,7 +33,7 @@ pub fn fast_two_sum(a: f64, b: f64) -> (f64, f64) {
 
 /// Exact difference: `(x, y)` with `x + y == a - b` exactly.
 #[inline]
-pub fn two_diff(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_diff(a: f64, b: f64) -> (f64, f64) {
     let x = a - b;
     let bv = a - x;
     let av = x + bv;
@@ -53,7 +53,7 @@ fn split(a: f64) -> (f64, f64) {
 
 /// Exact product: `(x, y)` with `x + y == a * b` exactly.
 #[inline]
-pub fn two_product(a: f64, b: f64) -> (f64, f64) {
+pub(crate) fn two_product(a: f64, b: f64) -> (f64, f64) {
     let x = a * b;
     let (ahi, alo) = split(a);
     let (bhi, blo) = split(b);
@@ -66,25 +66,16 @@ pub fn two_product(a: f64, b: f64) -> (f64, f64) {
 /// An exact multi-component value. Components are stored in increasing order
 /// of magnitude with zeros eliminated; the empty expansion is zero.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Expansion(pub Vec<f64>);
+pub(crate) struct Expansion(Vec<f64>);
 
 impl Expansion {
     /// The zero expansion.
-    pub fn zero() -> Self {
+    pub(crate) fn zero() -> Self {
         Expansion(Vec::new())
     }
 
-    /// A single-component expansion (which may be zero).
-    pub fn from_f64(a: f64) -> Self {
-        if a == 0.0 {
-            Self::zero()
-        } else {
-            Expansion(vec![a])
-        }
-    }
-
     /// The exact difference `a - b` as a two-component expansion.
-    pub fn from_diff(a: f64, b: f64) -> Self {
+    pub(crate) fn from_diff(a: f64, b: f64) -> Self {
         let (x, y) = two_diff(a, b);
         let mut v = Vec::with_capacity(2);
         if y != 0.0 {
@@ -98,7 +89,7 @@ impl Expansion {
 
     /// Exact sum of two expansions (fast expansion sum with zero
     /// elimination).
-    pub fn add(&self, other: &Self) -> Self {
+    pub(crate) fn add(&self, other: &Self) -> Self {
         let (e, f) = (&self.0, &other.0);
         if e.is_empty() {
             return other.clone();
@@ -137,17 +128,17 @@ impl Expansion {
     }
 
     /// Exact negation.
-    pub fn neg(&self) -> Self {
+    pub(crate) fn neg(&self) -> Self {
         Expansion(self.0.iter().map(|&x| -x).collect())
     }
 
     /// Exact difference.
-    pub fn sub(&self, other: &Self) -> Self {
+    pub(crate) fn sub(&self, other: &Self) -> Self {
         self.add(&other.neg())
     }
 
     /// Exact product with a scalar (scale-expansion with zero elimination).
-    pub fn scale(&self, b: f64) -> Self {
+    pub(crate) fn scale(&self, b: f64) -> Self {
         if self.0.is_empty() || b == 0.0 {
             return Self::zero();
         }
@@ -176,7 +167,7 @@ impl Expansion {
     }
 
     /// Exact product of two expansions (distribute-and-sum).
-    pub fn mul(&self, other: &Self) -> Self {
+    pub(crate) fn mul(&self, other: &Self) -> Self {
         let mut acc = Self::zero();
         for &b in &other.0 {
             acc = acc.add(&self.scale(b));
@@ -186,7 +177,7 @@ impl Expansion {
 
     /// Sign of the exact value: -1, 0, or +1. The largest-magnitude
     /// component carries the sign after zero elimination.
-    pub fn sign(&self) -> i32 {
+    pub(crate) fn sign(&self) -> i32 {
         match self.0.last() {
             None => 0,
             Some(&x) if x > 0.0 => 1,
@@ -194,16 +185,27 @@ impl Expansion {
             _ => 0,
         }
     }
-
-    /// Closest `f64` approximation (sum of components, largest last).
-    pub fn estimate(&self) -> f64 {
-        self.0.iter().sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Expansion {
+        /// A single-component expansion (which may be zero).
+        fn from_f64(a: f64) -> Self {
+            if a == 0.0 {
+                Self::zero()
+            } else {
+                Expansion(vec![a])
+            }
+        }
+
+        /// Closest `f64` approximation (sum of components, largest last).
+        fn estimate(&self) -> f64 {
+            self.0.iter().sum()
+        }
+    }
 
     #[test]
     fn two_sum_is_exact() {

@@ -6,13 +6,13 @@
 //!   vector arithmetic the algorithms need and nothing more.
 //! * [`bbox`] — axis-aligned bounding boxes with the distance/separation
 //!   queries used by kd-trees, WSPD and dual-tree traversals.
-//! * [`expansion`] — floating-point expansion arithmetic (Dekker/Knuth
-//!   two-sum and two-product ladders, Shewchuk's zero-eliminating sums).
 //! * [`predicates`] — *exact* orientation and in-circle tests with a cheap
 //!   static filter in front: the fast path is a plain double-precision
 //!   determinant accepted only when it clears a forward error bound; the slow
-//!   path evaluates the determinant exactly over expansions. This plays the
-//!   role CGAL's exact predicates play for the original ParGeo.
+//!   path evaluates the determinant exactly over expansions (a private
+//!   module of Dekker/Knuth two-sum and two-product ladders and Shewchuk's
+//!   zero-eliminating sums). This plays the role CGAL's exact predicates
+//!   play for the original ParGeo.
 //! * [`ball`] — spheres through support sets (the Welzl base case), solved
 //!   via a small Gram-system Gaussian elimination.
 //! * [`error`] — [`GeoError`], the shared vocabulary of the library's
@@ -23,7 +23,7 @@
 pub mod ball;
 pub mod bbox;
 pub mod error;
-pub mod expansion;
+mod expansion;
 pub mod point;
 pub mod predicates;
 pub mod soa;
@@ -31,6 +31,6 @@ pub mod soa;
 pub use ball::{ball_through, Ball};
 pub use bbox::Bbox;
 pub use error::{GeoError, GeoResult};
-pub use point::{Point, Point2, Point3, Point4, Point5, Point7};
+pub use point::{Point, Point2, Point3};
 pub use predicates::{incircle, orient2d, orient3d, Orientation};
 pub use soa::SoaPoints;

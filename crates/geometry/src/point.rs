@@ -18,12 +18,6 @@ pub struct Point<const D: usize> {
 pub type Point2 = Point<2>;
 /// 3-dimensional point.
 pub type Point3 = Point<3>;
-/// 4-dimensional point.
-pub type Point4 = Point<4>;
-/// 5-dimensional point.
-pub type Point5 = Point<5>;
-/// 7-dimensional point (the paper's BDL-tree evaluation dimension).
-pub type Point7 = Point<7>;
 
 impl<const D: usize> Point<D> {
     /// Creates a point from its coordinate array.
@@ -259,7 +253,7 @@ mod tests {
 
     #[test]
     fn indexing() {
-        let mut a = Point5::new([1.0, 2.0, 3.0, 4.0, 5.0]);
+        let mut a = Point::<5>::new([1.0, 2.0, 3.0, 4.0, 5.0]);
         assert_eq!(a[3], 4.0);
         a[3] = 9.0;
         assert_eq!(a[3], 9.0);

@@ -5,9 +5,9 @@
 //! the magnitude of the determinant exceeds the bound, its sign is provably
 //! correct and is returned immediately — this is the overwhelmingly common
 //! case. Otherwise the determinant is recomputed *exactly* over
-//! floating-point expansions ([`crate::expansion`]) and the exact sign is
-//! returned. The result is therefore always the sign of the true real-valued
-//! determinant.
+//! floating-point expansions (the crate's private `expansion` module) and
+//! the exact sign is returned. The result is therefore always the sign of
+//! the true real-valued determinant.
 
 use crate::expansion::Expansion;
 use crate::point::{Point2, Point3};

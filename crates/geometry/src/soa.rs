@@ -10,7 +10,8 @@
 //!
 //! The container is deliberately dumb: no parallelism (this crate sits
 //! below the scheduler), no geometry beyond per-row distance. Tree crates
-//! build it with their own parallel gathers via [`SoaPoints::axis_mut`].
+//! build it with their own parallel scatter into
+//! [`SoaPoints::columns_mut`].
 
 use crate::point::Point;
 
@@ -38,26 +39,12 @@ impl<const D: usize> SoaPoints<D> {
     }
 
     /// A zero-filled store of `n` rows, ready for scatter via
-    /// [`axis_mut`](Self::axis_mut) / [`ids_mut`](Self::ids_mut).
+    /// [`columns_mut`](Self::columns_mut).
     pub fn with_len(n: usize) -> Self {
         Self {
             coords: std::array::from_fn(|_| vec![0.0; n]),
             ids: vec![0; n],
         }
-    }
-
-    /// Gathers `items` into columns.
-    pub fn from_items(items: &[(Point<D>, u32)]) -> Self {
-        let mut s = Self::with_len(items.len());
-        for d in 0..D {
-            for (x, (p, _)) in s.coords[d].iter_mut().zip(items) {
-                *x = p.coords[d];
-            }
-        }
-        for (slot, (_, id)) in s.ids.iter_mut().zip(items) {
-            *slot = *id;
-        }
-        s
     }
 
     /// Number of rows.
@@ -102,22 +89,17 @@ impl<const D: usize> SoaPoints<D> {
         &self.coords[axis]
     }
 
-    /// Mutable column of `axis` (scatter target for bulk builds).
-    #[inline]
-    pub fn axis_mut(&mut self, axis: usize) -> &mut [f64] {
-        &mut self.coords[axis]
-    }
-
     /// The id column.
     #[inline]
     pub fn ids(&self) -> &[u32] {
         &self.ids
     }
 
-    /// Mutable id column (scatter target for bulk builds).
-    #[inline]
-    pub fn ids_mut(&mut self) -> &mut [u32] {
-        &mut self.ids
+    /// Every coordinate column and the id column, mutable at once (the
+    /// scatter target of bulk builds: disjoint borrows, so parallel tasks
+    /// can each fill their own windows of all of them).
+    pub fn columns_mut(&mut self) -> ([&mut [f64]; D], &mut [u32]) {
+        (self.coords.each_mut().map(Vec::as_mut_slice), &mut self.ids)
     }
 
     /// Overwrites row `i`.
@@ -171,7 +153,10 @@ mod tests {
         let items: Vec<(Point<3>, u32)> = (0..100)
             .map(|i| (Point::new([i as f64, -(i as f64), 0.5 * i as f64]), i))
             .collect();
-        let s = SoaPoints::from_items(&items);
+        let mut s = SoaPoints::new();
+        for &(p, id) in &items {
+            s.push(p, id);
+        }
         assert_eq!(s.len(), 100);
         assert_eq!(s.bytes(), 100 * (3 * 8 + 4));
         for (i, &(p, id)) in items.iter().enumerate() {
@@ -188,9 +173,10 @@ mod tests {
     #[test]
     fn scatter_via_columns() {
         let mut s = SoaPoints::<2>::with_len(4);
-        s.axis_mut(0).copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
-        s.axis_mut(1).copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
-        s.ids_mut().copy_from_slice(&[10, 11, 12, 13]);
+        let ([xs, ys], ids) = s.columns_mut();
+        xs.copy_from_slice(&[1.0, 2.0, 3.0, 4.0]);
+        ys.copy_from_slice(&[5.0, 6.0, 7.0, 8.0]);
+        ids.copy_from_slice(&[10, 11, 12, 13]);
         assert_eq!(s.get(2), Point::new([3.0, 7.0]));
         assert_eq!(s.id(3), 13);
         s.set(0, Point::new([9.0, 9.0]), 99);

@@ -1,4 +1,8 @@
-//! # pargeo-kdtree — static parallel kd-trees (paper Module 1)
+//! # pargeo-kdtree — parallel kd-trees (paper Module 1)
+//!
+//! One tree in two layouts: the static kd-tree, its vEB layout under a
+//! liveness overlay (the BDL-tree's building block), and its Morton-order
+//! layout under merge updates (the Zd-tree comparator).
 //!
 //! * [`tree`] — the flat-array static kd-tree with fully parallel
 //!   construction: the crate's one node type, one build and one set of
@@ -18,6 +22,10 @@
 //!   a [`KdTree`] whose node array is permuted into vEB order (Algorithm 1)
 //!   under a copy-on-write liveness overlay that the parallel bulk deletion
 //!   (Algorithm 2) writes and every descent reads.
+//! * [`zdtree`] — the Morton-order Zd-tree, the batch-dynamic comparator
+//!   of §6.3: `zdtree` = `tree` + Morton order + merge updates — a
+//!   [`KdTree`] built as the radix tree over code-sorted rows, rebuilt
+//!   after every merge-insert or merge-subtract batch.
 //! * [`baselines`] — the §6.3 comparison baselines: **B1** (rebuild on every
 //!   batch update) and **B2** (in-place leaf insertion + tombstone deletes,
 //!   no rebalancing).
@@ -29,8 +37,10 @@ pub mod knn;
 pub mod range;
 pub mod tree;
 pub mod veb;
+pub mod zdtree;
 
 pub use baselines::{B1Tree, B2Tree};
 pub use knn::{canonical_order, knn_brute_force, KnnBuffer, KnnProbe, KnnWork, Neighbor};
 pub use tree::{KdTree, SplitRule};
 pub use veb::VebTree;
+pub use zdtree::ZdTree;

@@ -1,6 +1,7 @@
 //! The static kd-tree with parallel construction — the one tree of the
-//! crate: [`crate::veb::VebTree`] is this tree with its nodes permuted
-//! into van Emde Boas order and a deletion overlay on top.
+//! crate, in two layouts: [`crate::veb::VebTree`] is this tree with its
+//! nodes permuted into van Emde Boas order and a deletion overlay on top,
+//! and [`crate::zdtree::ZdTree`] is this tree built over Morton-sorted rows.
 //!
 //! The tree is a flat node arena (children by `u32` index); points live in
 //! a columnar [`SoaPoints`] permutation of the input so that every node
@@ -11,7 +12,7 @@
 //! the "split in parallel" optimization of §2 of the paper), appends
 //! itself to the arena and descends, so a subtree is finished while its
 //! rows are still in cache. Nothing allocates per node: a task appends to
-//! one vector in preorder, a subtree forked off above
+//! one vector in preorder (`Runs`), a subtree forked off above
 //! [`SEQ_BUILD_CUTOFF`] starts a vector of its own, the vectors are laid
 //! end to end once, and the work buffer is scattered into columns once.
 //!
@@ -38,7 +39,7 @@ pub enum SplitRule {
 /// constants.
 pub const LEAF_SIZE: usize = 16;
 
-/// The one sequential cutoff of the tree build and of the vEB tree's bulk
+/// The one sequential cutoff of the tree builds and of the vEB tree's bulk
 /// erase: a node with fewer points (an erase with fewer queries) runs
 /// its bbox and partition serially and does not fork its children (the
 /// median selection has its own, far higher cutoff inside
@@ -80,6 +81,14 @@ impl<const D: usize> Node<D> {
     pub fn rows(&self) -> std::ops::Range<usize> {
         self.start as usize..self.end as usize
     }
+
+    /// Makes this leaf of a run the parent of the two subtrees that follow
+    /// it in preorder, the left one `left_nodes` long, split at `val` on
+    /// `dim`.
+    pub fn link(&mut self, dim: usize, val: f64, left_nodes: u32) {
+        (self.dim, self.val) = (dim as u8, val);
+        (self.left, self.right) = (1, 1 + left_nodes);
+    }
 }
 
 /// A static kd-tree over `D`-dimensional points.
@@ -117,9 +126,15 @@ impl<const D: usize> KdTree<D> {
             build_rec(&mut rows, 0, rule, leaf_size, &mut runs);
         }
         // The rows go before the node array comes: it fits where they were.
-        let pts = scatter_soa(&rows);
+        let pts = scatter_soa(&rows, |(p, id)| (p, *id));
         drop(rows);
-        // The build left every link as an offset from its own node.
+        Self::from_runs(pts, runs, leaf_size)
+    }
+
+    /// The tree over the columns `pts` whose nodes a build left in `runs`:
+    /// the runs laid end to end, every link turned from an offset from its
+    /// own node into an index.
+    pub(crate) fn from_runs(pts: SoaPoints<D>, runs: Runs<D>, leaf_size: usize) -> Self {
         let mut nodes = runs.concat();
         for (i, node) in nodes.iter_mut().enumerate() {
             if !node.is_leaf() {
@@ -318,21 +333,23 @@ pub(crate) fn fork_onto<T: Default + Send, A: Send, B: Send>(
     out
 }
 
-/// Appends the subtree over `seg` — rows `start..` of the work buffer — to
-/// `runs` in preorder and returns how many nodes that is. `runs` is the
-/// node array in pieces: each run is the stretch of preorder one task
-/// wrote, a subtree forked off above [`SEQ_BUILD_CUTOFF`] starts a run of
-/// its own, and where subtrees join so do their lists — no node moves
-/// until the whole array is put together. Links are left as offsets from
-/// their own node, which mean the same wherever its run ends up.
-fn build_rec<const D: usize>(
-    seg: &mut [(Point<D>, u32)],
+/// The node array of a build in pieces: each run is the stretch of
+/// preorder one task wrote, a subtree forked off above
+/// [`SEQ_BUILD_CUTOFF`] starts a run of its own, and where subtrees join so
+/// do their lists — no node moves until [`KdTree::from_runs`] puts the
+/// whole array together. Links are left as offsets from their own node,
+/// which mean the same wherever its run ends up.
+pub(crate) type Runs<const D: usize> = Vec<Vec<Node<D>>>;
+
+/// Appends a leaf over rows `start..start + n` to this task's run —
+/// starting the run if the task has none — and returns where it went.
+pub(crate) fn push_node<const D: usize>(
+    runs: &mut Runs<D>,
+    bbox: Bbox<D>,
     start: u32,
-    rule: SplitRule,
+    n: usize,
     leaf_size: usize,
-    runs: &mut Vec<Vec<Node<D>>>,
-) -> u32 {
-    let n = seg.len();
+) -> (usize, usize) {
     if runs.is_empty() {
         // This task's own run: a few forking nodes, then the one subtree
         // under the cutoff that its leftmost path reaches — sized for what
@@ -342,9 +359,7 @@ fn build_rec<const D: usize>(
             2 * rows.div_ceil(leaf_size).next_power_of_two(),
         ));
     }
-    let bbox = compute_bbox(seg);
     let run = runs.len() - 1;
-    let me = runs[run].len();
     runs[run].push(Node {
         bbox,
         dim: 0,
@@ -354,6 +369,21 @@ fn build_rec<const D: usize>(
         start,
         end: start + n as u32,
     });
+    (run, runs[run].len() - 1)
+}
+
+/// Appends the subtree over `seg` — rows `start..` of the work buffer — to
+/// `runs` in preorder and returns how many nodes that is.
+fn build_rec<const D: usize>(
+    seg: &mut [(Point<D>, u32)],
+    start: u32,
+    rule: SplitRule,
+    leaf_size: usize,
+    runs: &mut Runs<D>,
+) -> u32 {
+    let n = seg.len();
+    let bbox = compute_bbox(seg);
+    let (run, me) = push_node(runs, bbox, start, n, leaf_size);
     // All-identical point sets cannot be split spatially; stop.
     if n <= leaf_size || bbox.diag_sq() == 0.0 {
         return 1;
@@ -365,11 +395,9 @@ fn build_rec<const D: usize>(
         runs,
         |runs| build_rec(lo, start, rule, leaf_size, runs),
         |runs| build_rec(hi, start + mid as u32, rule, leaf_size, runs),
-        |runs, apart| runs.extend(apart),
+        Vec::extend,
     );
-    let node = &mut runs[run][me];
-    (node.dim, node.val) = (dim as u8, val);
-    (node.left, node.right) = (1, 1 + l);
+    runs[run][me].link(dim, val, l);
     1 + l + r
 }
 
@@ -454,57 +482,30 @@ fn partition_by<const D: usize>(
     mid
 }
 
-/// One column's base pointer, for the tasks of [`scatter_soa`] to write
-/// their own row ranges of it side by side.
-struct ColumnPtr<T>(*mut T);
-// SAFETY: the pointer is only ever used through `rows`, whose callers
-// hand each task a row range no other task touches, so sending or
-// sharing the wrapper shares no element; `T: Send` because the tasks
-// write `T`s from other threads.
-unsafe impl<T: Send> Send for ColumnPtr<T> {}
-// SAFETY: as above — `&ColumnPtr` gives access to disjoint rows only.
-unsafe impl<T: Send> Sync for ColumnPtr<T> {}
-
-impl<T> ColumnPtr<T> {
-    /// Rows `lo..hi` of the column.
-    ///
-    /// # Safety
-    /// `lo <= hi <=` the column's length, the column outlives the slice,
-    /// and no other reference to any row of `lo..hi` exists while it
-    /// lives.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn rows(&self, lo: usize, hi: usize) -> &mut [T] {
-        std::slice::from_raw_parts_mut(self.0.add(lo), hi - lo)
-    }
-}
-
-/// Scatters the AoS work buffer into columns, in parallel chunks of
-/// [`SEQ_BUILD_CUTOFF`] rows.
-fn scatter_soa<const D: usize>(items: &[(Point<D>, u32)]) -> SoaPoints<D> {
-    let n = items.len();
-    let mut pts = SoaPoints::with_len(n);
-    let cols: Vec<ColumnPtr<f64>> = (0..D)
-        .map(|d| ColumnPtr(pts.axis_mut(d).as_mut_ptr()))
+/// Scatters AoS rows, each read as `(point, id)` through `row`, into
+/// columns: every column is cut into windows of [`SEQ_BUILD_CUTOFF`] rows,
+/// and one task fills the windows of one chunk of rows, all columns in one
+/// pass over the chunk.
+pub(crate) fn scatter_soa<T: Sync, const D: usize>(
+    rows: &[T],
+    row: impl Fn(&T) -> (&Point<D>, u32) + Sync,
+) -> SoaPoints<D> {
+    let mut pts = SoaPoints::with_len(rows.len());
+    let (cols, ids) = pts.columns_mut();
+    let mut cols = cols.map(|col| col.chunks_mut(SEQ_BUILD_CUTOFF));
+    let mut chunks: Vec<_> = ids
+        .chunks_mut(SEQ_BUILD_CUTOFF)
+        .map(|ids| (cols.each_mut().map(|col| col.next().unwrap()), ids))
         .collect();
-    let ids = ColumnPtr(pts.ids_mut().as_mut_ptr());
-    parlay::parallel_for(n.div_ceil(SEQ_BUILD_CUTOFF), 1, |c| {
-        let chunk = parlay::block(c, SEQ_BUILD_CUTOFF, n);
-        let (lo, hi) = (chunk.start, chunk.end);
-        for d in 0..D {
-            // SAFETY: every column of `pts` holds `n` rows and `pts`
-            // outlives the loop; chunk `c` covers rows `lo..hi <= n`,
-            // chunks of different `c` are disjoint, and `pts` is not
-            // otherwise touched until `parallel_for` has joined them.
-            let col = unsafe { cols[d].rows(lo, hi) };
-            for (x, (p, _)) in col.iter_mut().zip(&items[chunk.clone()]) {
-                *x = p.coords[d];
+    parlay::for_each_mut(&mut chunks, 1, |c, (cols, ids)| {
+        let chunk = &rows[c * SEQ_BUILD_CUTOFF..][..ids.len()];
+        for (d, col) in cols.iter_mut().enumerate() {
+            for (x, r) in col.iter_mut().zip(chunk) {
+                *x = row(r).0.coords[d];
             }
         }
-        // SAFETY: as for the coordinate columns — the id column has `n`
-        // rows and this task alone holds `lo..hi` of it.
-        let out = unsafe { ids.rows(lo, hi) };
-        for (slot, (_, id)) in out.iter_mut().zip(&items[chunk]) {
-            *slot = *id;
+        for (slot, r) in ids.iter_mut().zip(chunk) {
+            *slot = row(r).1;
         }
     });
     pts
@@ -624,7 +625,8 @@ mod tests {
 
     /// Forks are decided by row counts alone and joined in order: the node
     /// array and the point columns are the same bytes on any pool, forked
-    /// subtrees, parallel partitions and duplicate-heavy splits included.
+    /// subtrees, parallel partitions and duplicate-heavy splits included —
+    /// for both builds, the kd-tree's and the Zd-tree's radix build.
     #[test]
     fn a_build_is_the_same_arrays_on_any_pool() {
         let n = 5 * SEQ_BUILD_CUTOFF + 123;
@@ -645,6 +647,18 @@ mod tests {
                     assert_eq!(other.pts, one.pts, "{rule:?}, leaf {leaf_size}");
                 }
             }
+        }
+        let [one, two, four] = [1, 2, 4].map(|workers| {
+            pargeo_parlay::with_threads(workers, || {
+                let mut zd = crate::ZdTree::from_points(&pts[..n / 3]);
+                zd.insert(&pts[n / 3..]);
+                zd.delete(&pts[..n / 4]);
+                zd.tree
+            })
+        });
+        for other in [two, four] {
+            assert_eq!(other.nodes, one.nodes, "Zd");
+            assert_eq!(other.pts, one.pts, "Zd");
         }
     }
 

@@ -5,7 +5,7 @@
 use pargeo_geometry::{Bbox, Point, Point2};
 use pargeo_kdtree::knn::knn_brute_force;
 use pargeo_kdtree::{
-    canonical_order, B1Tree, B2Tree, KdTree, KnnBuffer, Neighbor, SplitRule, VebTree,
+    canonical_order, B1Tree, B2Tree, KdTree, KnnBuffer, Neighbor, SplitRule, VebTree, ZdTree,
 };
 use proptest::prelude::*;
 
@@ -292,5 +292,97 @@ proptest! {
         let rebuilt = KdTree::build_with_leaf_size(&survivors, rule, leaf_size);
         prop_assert_eq!(veb.len(), rebuilt.len());
         agree(&rebuilt, &ids, &veb)?;
+    }
+
+    /// The Zd-tree is the kd-tree over Morton-sorted rows: after random
+    /// insert and delete batches — uniform points, a lattice of duplicates,
+    /// or points outside the universe its first batch fixed — its k-NN rows
+    /// and range rows equal those of a `KdTree` built over the same live
+    /// rows and of the brute force; `n` on both sides of the leaf size and
+    /// of the build's fork cutoff.
+    #[test]
+    fn zd_tree_answers_as_the_kd_tree_over_its_live_rows(
+        shape in 0usize..3,
+        size_sel in 0usize..8,
+        ops in prop::collection::vec((0usize..2, 1usize..6), 1..5),
+        seed in 0u64..1_000,
+    ) {
+        let cutoff = pargeo_kdtree::tree::SEQ_BUILD_CUTOFF;
+        let leaf = pargeo_kdtree::tree::LEAF_SIZE;
+        let n = [1, leaf, leaf + 1, 150, cutoff - 1, cutoff, cutoff + 1, 2 * cutoff + 37][size_sel];
+        let points = |m: usize, salt: u64| -> Vec<Point2> {
+            match shape {
+                1 => (0..m as u64)
+                    .map(|i| (i + salt) * 2_654_435_761 % 1_000_003)
+                    .map(|h| Point2::new([(h % 29) as f64, (h / 29 % 31) as f64]))
+                    .collect(),
+                _ => pargeo_datagen::uniform_cube::<2>(m, salt),
+            }
+        };
+        let mut zd = ZdTree::new();
+        // The live rows, ascending by id (ids count inserts from 0).
+        let mut live: Vec<(Point2, u32)> = Vec::new();
+        let first = points(n, seed);
+        zd.insert(&first);
+        live.extend(first.iter().copied().zip(0u32..));
+        let mut next = n as u32;
+        for (round, &(insert, stride)) in ops.iter().enumerate() {
+            if insert == 1 {
+                let mut batch = points(n / stride + 1, seed + 1 + round as u64);
+                if shape == 2 {
+                    // Far outside the universe `first` fixed, on both sides.
+                    for (i, p) in batch.iter_mut().enumerate() {
+                        let s = if i % 2 == 0 { 1e3 } else { -1e3 };
+                        *p = Point2::new([p[0] * s + s, p[1] - s]);
+                    }
+                }
+                zd.insert(&batch);
+                live.extend(batch.iter().copied().zip(next..));
+                next += batch.len() as u32;
+            } else {
+                // Every `stride`-th live row by value (all its copies go),
+                // and a point nothing holds.
+                let mut batch: Vec<Point2> = live.iter().map(|r| r.0).step_by(stride).collect();
+                batch.push(Point2::new([-7.5, 1e9]));
+                let named: std::collections::HashSet<[u64; 2]> =
+                    batch.iter().map(Point::bits_key).collect();
+                let (mut gone, kept): (Vec<_>, Vec<_>) =
+                    live.iter().partition(|(p, _)| named.contains(&p.bits_key()));
+                let mut removed = zd.remove(&batch);
+                removed.sort_by_key(|&(_, id)| id);
+                gone.sort_by_key(|&(_, id)| id);
+                prop_assert_eq!(removed, gone);
+                live = kept;
+            }
+        }
+        prop_assert_eq!(zd.len(), live.len());
+        let mut stored = zd.collect_live();
+        stored.sort_by_key(|&(_, id)| id);
+        prop_assert_eq!(&stored, &live);
+
+        // Row `i` of `kd` and of the brute force is live row `i`; ids ascend
+        // with `i`, so mapping them keeps every row's `(distance², id)` order.
+        let pts: Vec<Point2> = live.iter().map(|r| r.0).collect();
+        let kd = KdTree::build(&pts, SplitRule::ObjectMedian);
+        let ids = |row: Vec<Neighbor>| -> Vec<Neighbor> {
+            row.into_iter().map(|nb| Neighbor { id: live[nb.id as usize].1, ..nb }).collect()
+        };
+        let mut queries: Vec<Point2> = pts.iter().copied().step_by((pts.len() / 64).max(1)).collect();
+        queries.extend([Point2::new([-5e3, 5e3]), Point2::new([0.5, 0.25])]);
+        for k in [1, 7] {
+            let rows = zd.knn_batch(&queries, k);
+            for (q, row) in queries.iter().zip(&rows) {
+                prop_assert_eq!(row, &ids(kd.knn(q, k)));
+                prop_assert_eq!(row, &ids(knn_brute_force(&pts, q, k)));
+            }
+        }
+        let boxes: Vec<Bbox<2>> = queries
+            .windows(2)
+            .map(|w| Bbox::from_points(&[w[0], w[1]]))
+            .collect();
+        for (b, row) in boxes.iter().zip(zd.range_box_batch(&boxes)) {
+            let want: Vec<u32> = kd.range_box(b).iter().map(|&i| live[i as usize].1).collect();
+            prop_assert_eq!(row, want);
+        }
     }
 }

@@ -29,9 +29,8 @@ pub const fn total_bits(d: usize) -> u32 {
 /// The shard a Morton code routes to under `shard_bits` bits of prefix
 /// routing: the top `shard_bits` significant bits of the code, i.e. the
 /// index of the Z-order cell at depth `shard_bits` of the implicit radix
-/// tree. `shard_bits = 0` puts everything in shard 0. Shared by the
-/// engine's `ShardedIndex` router and the Zd-tree's radix splitter, so
-/// both agree on what a prefix means.
+/// tree. `shard_bits = 0` puts everything in shard 0. The engine's
+/// `ShardedIndex` routes by it.
 pub const fn morton_shard_of<const D: usize>(code: u64, shard_bits: u32) -> u64 {
     if shard_bits == 0 {
         0
@@ -70,18 +69,6 @@ pub fn interleave<const D: usize>(cells: &[u64; D], bits: u32) -> u64 {
         }
     }
     code
-}
-
-/// Inverse of [`interleave`]: recovers the grid cell of each dimension.
-pub fn deinterleave<const D: usize>(code: u64, bits: u32) -> [u64; D] {
-    let mut cells = [0u64; D];
-    let total = bits * D as u32;
-    for i in 0..total {
-        let bit = (code >> (total - 1 - i)) & 1;
-        let dim = (i as usize) % D;
-        cells[dim] = (cells[dim] << 1) | bit;
-    }
-    cells
 }
 
 /// Sorts `points` in place along the Z-order curve over their bounding box.
@@ -174,7 +161,9 @@ mod tests {
     fn interleave_roundtrip() {
         let cells = [0b1011u64, 0b0110u64];
         let code = interleave::<2>(&cells, 4);
-        assert_eq!(deinterleave::<2>(code, 4), cells);
+        // Bit `i` from the top belongs to dimension `i % 2`.
+        let cell = |dim: u32| (0..4).fold(0, |c, i| c << 1 | code >> (7 - 2 * i - dim) & 1);
+        assert_eq!([cell(0), cell(1)], cells);
         // Explicit bit check: x=1011, y=0110 -> 10 01 11 10.
         assert_eq!(code, 0b10_01_11_10);
     }
