@@ -257,8 +257,7 @@ pub mod prelude {
         DelaunayIncremental,
     };
     pub use pargeo_engine::{
-        run_workload, Frozen, ShardedIndex, Snapshot, SnapshotView, SpatialIndex, VecIndex,
-        WorkloadReport,
+        run_workload, ShardedIndex, Snapshot, SpatialIndex, VecIndex, WorkloadReport,
     };
     pub use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point, Point2, Point3};
     pub use pargeo_graphgen::{beta_skeleton, knn_graph};

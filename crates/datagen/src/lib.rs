@@ -130,7 +130,7 @@ pub fn in_sphere<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
 }
 
 /// Chunk of the `in_sphere(n, seed)` stream (see [`uniform_cube_range`]).
-pub fn in_sphere_range<const D: usize>(
+fn in_sphere_range<const D: usize>(
     n: usize,
     seed: u64,
     range: std::ops::Range<usize>,
@@ -149,7 +149,7 @@ pub fn on_sphere<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
 }
 
 /// Chunk of the `on_sphere(n, seed)` stream (see [`uniform_cube_range`]).
-pub fn on_sphere_range<const D: usize>(
+fn on_sphere_range<const D: usize>(
     n: usize,
     seed: u64,
     range: std::ops::Range<usize>,
@@ -171,7 +171,7 @@ pub fn on_cube<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
 }
 
 /// Chunk of the `on_cube(n, seed)` stream (see [`uniform_cube_range`]).
-pub fn on_cube_range<const D: usize>(
+fn on_cube_range<const D: usize>(
     n: usize,
     seed: u64,
     range: std::ops::Range<usize>,
@@ -274,7 +274,7 @@ pub fn statue_surface(n: usize, seed: u64) -> Vec<Point<3>> {
 
 /// Chunk of the `statue_surface(n, seed)` stream (see
 /// [`uniform_cube_range`]).
-pub fn statue_surface_range(n: usize, seed: u64, range: std::ops::Range<usize>) -> Vec<Point<3>> {
+fn statue_surface_range(n: usize, seed: u64, range: std::ops::Range<usize>) -> Vec<Point<3>> {
     let radius = cube_side(n) / 2.0;
     gen_parallel_range(range, |i| {
         let mut rng = Counter::new(seed, i);

@@ -9,13 +9,14 @@
 //! * [`SpatialIndex`] — batched `insert` / `remove` / `knn_batch` /
 //!   `range_batch` plus [`Snapshot`]-style epoch stats, implemented by both
 //!   trees and by the brute-force [`VecIndex`] oracle.
-//! * [`SnapshotView`] — the epoch-pinned immutable read half:
-//!   [`SpatialIndex::pin`] freezes the current epoch into an owned view
-//!   that answers bit-identically to a frozen copy while later write
-//!   epochs apply on the live side (O(X + log n) for the
-//!   structure-sharing `BdlTree`, per-shard pinned roots + id-map
-//!   watermarks for [`ShardedIndex`],
-//!   a full copy for `ZdTree` and the oracle).
+//! * [`SpatialIndex::pin`] — a fork of the current epoch: the backend's
+//!   own `clone()`, boxed as another `SpatialIndex`. The pin runs the live
+//!   index's code, so it answers exactly as the index did at the pin, and
+//!   it can be written too: writes on either side never reach the other,
+//!   because whichever side writes shared state first copies it. It costs
+//!   O(X + log n) for the structure-sharing `BdlTree`, one pin per shard
+//!   for [`ShardedIndex`], and a full O(n) copy for `ZdTree` and the
+//!   oracle.
 //! * [`VecIndex`] — the `Vec`-of-points oracle: trivially correct answers
 //!   for cross-validation in tests and benches.
 //! * [`ShardedIndex`] — Morton-prefix sharded execution over any backend:
@@ -98,7 +99,8 @@ pub struct Snapshot {
     /// the `index_nodes_total` gauge.
     pub nodes: usize,
     /// Bytes copied so far by copy-on-write — writes that found state
-    /// shared with a pinned view and copied it before mutating. The
+    /// shared with a pin (or, on a pin, with the index it came from) and
+    /// copied it before mutating. The
     /// machine-independent reading of what pinning costs; 0 for backends
     /// that never share. Not part of equality.
     pub cow_bytes: u64,
@@ -181,23 +183,27 @@ pub trait SpatialIndex<const D: usize> {
         vec![self.snapshot()]
     }
 
-    /// Pins an immutable snapshot of the current epoch. The returned view
-    /// owns its state (`'static`, [`Send`] + [`Sync`]) and answers every
-    /// read bit-identically to a frozen clone of `self` taken now, no
-    /// matter how many insert/delete/rebuild epochs apply to `self`
-    /// afterwards — the isolation primitive every store read run is
-    /// answered from, and that a pipelined store overlaps with the next
-    /// write on.
+    /// Forks the current epoch: `self.clone()`, boxed. The pin owns its
+    /// state (`'static`, [`Send`] + [`Sync`]) and is a full index running
+    /// the same code as `self`, so it answers every read as `self` does
+    /// now, no matter how many insert/delete/rebuild epochs apply to
+    /// `self` afterwards — the isolation primitive every store read run
+    /// is answered from, and that a pipelined store overlaps with the
+    /// next write on. The pin can be written too: writes on either side
+    /// never reach the other, because the two share state only
+    /// copy-on-write, and whichever side writes shared state first copies
+    /// it.
     ///
     /// Cost: [`BdlTree`] pins in O(X + log n): the insert buffer is
-    /// copied and every static tree shared; inserts and
-    /// drains replace trees without touching the pinned ones, and the
-    /// first delete that removes points from a shared tree copies that
-    /// tree's deletion overlay (~1.2 B/pt, never coordinates).
-    /// [`ShardedIndex`] pins in O(S) shard pins. [`ZdTree`] and the
-    /// [`VecIndex`] oracle copy themselves whole (O(n)). Every copy made
-    /// on behalf of a pin is counted in [`Snapshot::cow_bytes`].
-    fn pin(&self) -> Box<dyn SnapshotView<D>>;
+    /// copied and every static tree shared; inserts and drains replace
+    /// trees without touching the other side's, and the first delete that
+    /// removes points from a shared tree copies that tree's deletion
+    /// overlay (~1.2 B/pt, never coordinates). [`ShardedIndex`] pins
+    /// every shard and shares each shard's id map until one side appends
+    /// to it. [`ZdTree`] and the [`VecIndex`] oracle copy themselves whole
+    /// (O(n)). Every overlay copy is counted in the copying side's
+    /// [`Snapshot::cow_bytes`].
+    fn pin(&self) -> Box<dyn SpatialIndex<D> + Send + Sync>;
 
     /// The live points and their ids, ascending by id — what a serving
     /// layer derives whole-dataset structures from without keeping its
@@ -208,92 +214,6 @@ pub trait SpatialIndex<const D: usize> {
     /// region, which *shrinks* when deletes remove extreme points (unlike
     /// a cumulative routed-points box).
     fn live_bbox(&self) -> Bbox<D>;
-}
-
-/// The immutable read half of a [`SpatialIndex`], pinned at one epoch.
-///
-/// Created by [`SpatialIndex::pin`]; fully owned (no borrow of the live
-/// index), so reads against epoch E proceed concurrently with — and are
-/// bit-identical regardless of — write batches applying epoch E+1 on the
-/// live side. Any backend clone can serve as a view through the
-/// [`Frozen`] adapter.
-///
-/// Determinism contract is inherited unchanged: `range_batch` rows sorted
-/// ascending, `knn_batch` rows ordered by `(distance², id)`, all answers
-/// independent of thread count.
-pub trait SnapshotView<const D: usize>: Send + Sync {
-    /// Short backend name for reports and benches.
-    fn backend_name(&self) -> &'static str;
-
-    /// The k nearest pinned-live neighbors of every query, data-parallel
-    /// over the queries; each row ascends by `(distance², id)`.
-    fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>>;
-
-    /// Ids of the pinned-live points inside every query box (boundary
-    /// inclusive), data-parallel over the queries; each row sorted
-    /// ascending.
-    fn range_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>>;
-
-    /// Number of live points at the pinned epoch.
-    fn len(&self) -> usize;
-
-    /// True iff the pinned epoch held no live points.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Epoch statistics as of the pin.
-    fn snapshot(&self) -> Snapshot;
-
-    /// The pinned-live points and their ids, ascending by id (see
-    /// [`SpatialIndex::live_points`]).
-    fn live_points(&self) -> LivePoints<D>;
-
-    /// Per-shard epoch statistics as of the pin (single-element for
-    /// unsharded backends) — reported against the pinned epoch, never the
-    /// live one.
-    fn shard_snapshots(&self) -> Vec<Snapshot> {
-        vec![self.snapshot()]
-    }
-}
-
-/// The one pin adapter: hands a clone of any backend out as a
-/// [`SnapshotView`]. What the pin costs is what the backend's `clone()`
-/// costs — O(X + log n) for [`BdlTree`], whose clones share structure
-/// and copy on write; O(n) for [`ZdTree`] and [`VecIndex`], whose clones
-/// are full copies. A newtype rather than a blanket impl so no backend
-/// implements both traits and read-method calls never turn ambiguous at
-/// call sites.
-pub struct Frozen<T>(pub T);
-
-impl<const D: usize, T: SpatialIndex<D> + Send + Sync> SnapshotView<D> for Frozen<T> {
-    fn backend_name(&self) -> &'static str {
-        self.0.backend_name()
-    }
-
-    fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        self.0.knn_batch(queries, k)
-    }
-
-    fn range_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        self.0.range_batch(queries)
-    }
-
-    fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        self.0.snapshot()
-    }
-
-    fn live_points(&self) -> LivePoints<D> {
-        self.0.live_points()
-    }
-
-    fn shard_snapshots(&self) -> Vec<Snapshot> {
-        self.0.shard_snapshots()
-    }
 }
 
 /// Forwards [`SpatialIndex`] to a tree backend's inherent methods. Both
@@ -342,11 +262,10 @@ macro_rules! impl_spatial_index {
                 }
             }
 
-            fn pin(&self) -> Box<dyn SnapshotView<D>> {
+            fn pin(&self) -> Box<dyn SpatialIndex<D> + Send + Sync> {
                 // A `BdlTree` clone shares structure behind `Arc`s
-                // (O(X + log n)); a `ZdTree` clone is a full copy. Either
-                // way `Frozen` makes the clone the view.
-                Box::new(Frozen(self.clone()))
+                // (O(X + log n)); a `ZdTree` clone is a full copy.
+                Box::new(self.clone())
             }
 
             fn live_points(&self) -> LivePoints<D> {

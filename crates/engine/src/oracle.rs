@@ -6,7 +6,7 @@
 //! exactly what the cross-validation suites and the bench's correctness
 //! anchor need.
 
-use crate::{Frozen, LivePoints, Snapshot, SnapshotView, SpatialIndex};
+use crate::{LivePoints, Snapshot, SpatialIndex};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::Neighbor;
 
@@ -115,11 +115,10 @@ impl<const D: usize> SpatialIndex<D> for VecIndex<D> {
         }
     }
 
-    fn pin(&self) -> Box<dyn SnapshotView<D>> {
+    fn pin(&self) -> Box<dyn SpatialIndex<D> + Send + Sync> {
         // The oracle is the reference implementation of pinning: an O(n)
-        // frozen copy is the semantic every cheaper pin must match
-        // bit-for-bit.
-        Box::new(Frozen(self.clone()))
+        // copy is the semantic every cheaper pin must match bit-for-bit.
+        Box::new(self.clone())
     }
 
     fn live_points(&self) -> LivePoints<D> {

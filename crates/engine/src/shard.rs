@@ -34,18 +34,17 @@
 //!
 //! ## Epoch-pinned snapshots
 //!
-//! [`SpatialIndex::pin`] on a `ShardedIndex` pins every shard's backend
-//! (whatever that backend's pin costs: O(X + log n) BDL, a full copy for
-//! Zd and the oracle) together with its id map — the maps live behind
-//! `Arc`s, appended via `Arc::make_mut` (in place while unpinned, copied
-//! once per pinned epoch otherwise), and
-//! each pinned map carries its *watermark* (length at pin), below which
-//! every local id the pinned backend can return must fall. The resulting
-//! view answers reads bit-identically to a frozen copy of the whole
-//! sharded index while later write epochs apply, and reports
-//! `shard_snapshots()` against the pinned epoch.
+//! [`SpatialIndex::pin`] on a `ShardedIndex` is its `clone()`: another
+//! `ShardedIndex`, over pinned shards. A shard clones by pinning its
+//! backend (whatever that backend's pin costs: O(X + log n) BDL, a full
+//! copy for Zd and the oracle) and sharing its id map, which lives behind
+//! an `Arc` that either side copies (`Arc::make_mut`) before its first
+//! append. The pin answers with the live index's own fan-out and merge
+//! code, reports `shard_snapshots()` against the pinned epoch, and — like
+//! every pin — can be written without either side seeing the other's
+//! writes.
 
-use crate::{LivePoints, Snapshot, SnapshotView, SpatialIndex};
+use crate::{LivePoints, Snapshot, SpatialIndex};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::{canonical_order, Neighbor};
 use pargeo_morton::{morton_code, morton_shard_of, parallel_bbox};
@@ -63,9 +62,9 @@ struct Shard<const D: usize> {
     /// Local insertion-order id → global id. Strictly increasing (points
     /// route to a shard in global insertion order), so per-shard answers
     /// ordered by local id are already ordered by global id. Behind an
-    /// `Arc` so pins share it copy-on-write: appends go through
-    /// `Arc::make_mut` — in place while unpinned, one copy per pinned
-    /// epoch otherwise.
+    /// `Arc` so a pin shares it: appends go through `Arc::make_mut` — in
+    /// place while unshared, one copy by whichever side appends first
+    /// otherwise.
     global_ids: Arc<Vec<u32>>,
     /// Bounding box of the points currently held — the shard's effective
     /// region. Grown on insert (covering clamped out-of-universe points
@@ -74,34 +73,19 @@ struct Shard<const D: usize> {
     bbox: Bbox<D>,
 }
 
-/// The per-shard surface the read fan-out needs. Implemented by live
-/// [`Shard`]s and pinned [`ShardView`]s, so the home-first k-NN expansion
-/// and the region-pruned range fan-out are written exactly once and are
-/// bit-identical on both sides by construction.
-trait ReadShard<const D: usize> {
-    fn is_empty(&self) -> bool;
-    fn bbox(&self) -> &Bbox<D>;
-    /// One query's k nearest neighbors, already translated to global ids
-    /// (the id map is monotone, so canonical order is preserved).
-    fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor>;
-    /// One box query's matches, already translated to global ids (sorted,
-    /// by the same monotonicity).
-    fn range(&self, query: &Bbox<D>) -> Vec<u32>;
-    /// The shard's live points under their global ids (ascending, by the
-    /// same monotonicity).
-    fn live_points(&self) -> LivePoints<D>;
-}
-
-/// Rewrites a shard's local ids to global ids in place.
-fn to_global<const D: usize>(global_ids: &[u32], (mut ids, pts): LivePoints<D>) -> LivePoints<D> {
-    for id in &mut ids {
-        *id = global_ids[*id as usize];
+/// A shard clones by pinning its backend and sharing its id map.
+impl<const D: usize> Clone for Shard<D> {
+    fn clone(&self) -> Self {
+        Self {
+            index: self.index.pin(),
+            global_ids: Arc::clone(&self.global_ids),
+            bbox: self.bbox,
+        }
     }
-    (ids, pts)
 }
 
 /// The live points of every shard, merged ascending by global id.
-fn live_points_all<const D: usize, S: ReadShard<D>>(shards: &[S]) -> LivePoints<D> {
+fn live_points_all<const D: usize>(shards: &[Shard<D>]) -> LivePoints<D> {
     let mut all: Vec<(u32, Point<D>)> = Vec::new();
     for shard in shards {
         let (ids, pts) = shard.live_points();
@@ -111,15 +95,9 @@ fn live_points_all<const D: usize, S: ReadShard<D>>(shards: &[S]) -> LivePoints<
     all.into_iter().unzip()
 }
 
-impl<const D: usize> ReadShard<D> for Shard<D> {
-    fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    fn bbox(&self) -> &Bbox<D> {
-        &self.bbox
-    }
-
+impl<const D: usize> Shard<D> {
+    /// One query's k nearest neighbors, translated to global ids (the id
+    /// map is monotone, so canonical order is preserved).
     fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor> {
         self.index.knn_batch(std::slice::from_ref(q), k)[0]
             .iter()
@@ -130,6 +108,8 @@ impl<const D: usize> ReadShard<D> for Shard<D> {
             .collect()
     }
 
+    /// One box query's matches, translated to global ids (sorted, by the
+    /// same monotonicity).
     fn range(&self, query: &Bbox<D>) -> Vec<u32> {
         self.index
             .range_batch(std::slice::from_ref(query))
@@ -141,16 +121,22 @@ impl<const D: usize> ReadShard<D> for Shard<D> {
             .collect()
     }
 
+    /// The shard's live points under their global ids (ascending, by the
+    /// same monotonicity).
     fn live_points(&self) -> LivePoints<D> {
-        to_global(&self.global_ids, self.index.live_points())
+        let (mut ids, pts) = self.index.live_points();
+        for id in &mut ids {
+            *id = self.global_ids[*id as usize];
+        }
+        (ids, pts)
     }
 }
 
 /// One query's k nearest neighbors across `shards`: home shard first, then
 /// neighbor shards in ascending region distance, stopping at the first
 /// shard strictly beyond the current k-th `(distance², id)` bound.
-fn knn_one<const D: usize, S: ReadShard<D>>(
-    shards: &[S],
+fn knn_one<const D: usize>(
+    shards: &[Shard<D>],
     obs: Option<&ShardObs>,
     q: &Point<D>,
     k: usize,
@@ -158,8 +144,8 @@ fn knn_one<const D: usize, S: ReadShard<D>>(
     let mut order: Vec<(f64, usize)> = shards
         .iter()
         .enumerate()
-        .filter(|(_, s)| !s.is_empty())
-        .map(|(i, s)| (s.bbox().dist_sq_to_point(q), i))
+        .filter(|(_, s)| !s.index.is_empty())
+        .map(|(i, s)| (s.bbox.dist_sq_to_point(q), i))
         .collect();
     order.sort_unstable_by(|a, b| a.0.partial_cmp(&b.0).unwrap().then(a.1.cmp(&b.1)));
     let mut best: Vec<Neighbor> = Vec::with_capacity(k);
@@ -209,17 +195,17 @@ fn knn_one<const D: usize, S: ReadShard<D>>(
 
 /// One box query across `shards`: fan out to intersecting regions only,
 /// merge the (already global, already sorted) per-shard answers.
-fn range_one<const D: usize, S: ReadShard<D>>(
-    shards: &[S],
+fn range_one<const D: usize>(
+    shards: &[Shard<D>],
     obs: Option<&ShardObs>,
     query: &Bbox<D>,
 ) -> Vec<u32> {
     let mut out: Vec<u32> = Vec::new();
     for (s, shard) in shards.iter().enumerate() {
-        if shard.is_empty() {
+        if shard.index.is_empty() {
             continue;
         }
-        if !shard.bbox().intersects(query) {
+        if !shard.bbox.intersects(query) {
             if let Some(o) = obs {
                 o.range_pruned.inc();
             }
@@ -237,9 +223,9 @@ fn range_one<const D: usize, S: ReadShard<D>>(
 
 /// Cached per-shard metric handles (see [`ShardedIndex::attach_obs`]):
 /// recording is pure atomics, so the parallel per-shard write apply and
-/// the read fan-out touch them without locks — and pinned views share the
-/// same handles through the `Arc`, so reads served from a snapshot still
-/// count toward the live index's fan-out/pruning totals.
+/// the read fan-out touch them without locks — and pins share the same
+/// handles through the `Arc`, so reads served from a pin still count
+/// toward the live index's fan-out/pruning totals.
 struct ShardObs {
     /// Write sub-batches (insert or delete) applied per shard.
     write_ops: Vec<Arc<Counter>>,
@@ -299,6 +285,7 @@ impl ShardObs {
 ///     SpatialIndex::knn_batch(&plain, &pts[..8], 5),
 /// );
 /// ```
+#[derive(Clone)]
 pub struct ShardedIndex<const D: usize> {
     shards: Vec<Shard<D>>,
     /// `log2(shard count)` — the Morton-prefix depth of the router.
@@ -309,7 +296,7 @@ pub struct ShardedIndex<const D: usize> {
     epoch: u64,
     name: &'static str,
     /// Per-shard metric handles when observed (see [`attach_obs`]),
-    /// shared with pinned views.
+    /// shared with pins.
     ///
     /// [`attach_obs`]: ShardedIndex::attach_obs
     obs: Option<Arc<ShardObs>>,
@@ -374,22 +361,10 @@ impl<const D: usize> ShardedIndex<D> {
         self.shards.len()
     }
 
-    /// Live points per shard — the router's balance diagnostic.
-    pub fn shard_lens(&self) -> Vec<usize> {
-        self.shards.iter().map(|s| s.index.len()).collect()
-    }
-
     /// The fixed routing universe (meaningful once a batch has been
     /// inserted).
     pub fn universe(&self) -> Bbox<D> {
         self.universe
-    }
-
-    /// Per-shard effective regions (live-point bounding boxes) — the
-    /// boxes the read fan-out prunes against. Empty shards report empty
-    /// boxes.
-    pub fn shard_regions(&self) -> Vec<Bbox<D>> {
-        self.shards.iter().map(|s| s.bbox).collect()
     }
 
     /// The shard a point routes to: the top `shard_bits` bits of its
@@ -437,8 +412,8 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
         // Global ids ascend in batch order; bucketing is a stable
         // partition of it, so appending per shard as we walk the batch
         // keeps every `global_ids` map strictly increasing. `make_mut`
-        // appends in place unless a pin shares the map (then it copies
-        // once and the pinned map keeps its watermark-length prefix).
+        // appends in place unless a pin shares the map; then it copies
+        // once and the other side keeps the map as it was.
         let mut id = self.next_id;
         for (&s, p) in routes.iter().zip(batch) {
             let shard = &mut self.shards[s];
@@ -540,23 +515,8 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
         self.shards.iter().map(|s| s.index.snapshot()).collect()
     }
 
-    fn pin(&self) -> Box<dyn SnapshotView<D>> {
-        Box::new(ShardedView {
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardView {
-                    index: s.index.pin(),
-                    global_ids: Arc::clone(&s.global_ids),
-                    watermark: s.global_ids.len(),
-                    bbox: s.bbox,
-                })
-                .collect(),
-            epoch: self.epoch,
-            next_id: self.next_id,
-            name: self.name,
-            obs: self.obs.clone(),
-        })
+    fn pin(&self) -> Box<dyn SpatialIndex<D> + Send + Sync> {
+        Box::new(self.clone())
     }
 
     fn live_points(&self) -> LivePoints<D> {
@@ -570,122 +530,6 @@ impl<const D: usize> SpatialIndex<D> for ShardedIndex<D> {
     }
 }
 
-/// One pinned shard: the backend's pinned view, the id map as of the pin
-/// (shared `Arc`; the live side copies before appending), its watermark,
-/// and the pinned effective region.
-struct ShardView<const D: usize> {
-    index: Box<dyn SnapshotView<D>>,
-    global_ids: Arc<Vec<u32>>,
-    /// Id-map length at pin time. Every local id the pinned backend can
-    /// return is below it — the live side never mutates this `Arc` (it
-    /// copies on append), so the invariant `global_ids.len() == watermark`
-    /// holds for the view's whole lifetime.
-    watermark: usize,
-    bbox: Bbox<D>,
-}
-
-impl<const D: usize> ReadShard<D> for ShardView<D> {
-    fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    fn bbox(&self) -> &Bbox<D> {
-        &self.bbox
-    }
-
-    fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor> {
-        debug_assert_eq!(self.global_ids.len(), self.watermark);
-        self.index.knn_batch(std::slice::from_ref(q), k)[0]
-            .iter()
-            .map(|n| {
-                debug_assert!((n.id as usize) < self.watermark);
-                Neighbor {
-                    dist_sq: n.dist_sq,
-                    id: self.global_ids[n.id as usize],
-                }
-            })
-            .collect()
-    }
-
-    fn range(&self, query: &Bbox<D>) -> Vec<u32> {
-        self.index
-            .range_batch(std::slice::from_ref(query))
-            .into_iter()
-            .next()
-            .expect("one query, one row")
-            .into_iter()
-            .map(|id| {
-                debug_assert!((id as usize) < self.watermark);
-                self.global_ids[id as usize]
-            })
-            .collect()
-    }
-
-    fn live_points(&self) -> LivePoints<D> {
-        to_global(&self.global_ids, self.index.live_points())
-    }
-}
-
-/// An epoch-pinned view of a whole [`ShardedIndex`]: per-shard pinned
-/// backends + pinned id maps behind the same fan-out/merge logic as the
-/// live reads.
-struct ShardedView<const D: usize> {
-    shards: Vec<ShardView<D>>,
-    epoch: u64,
-    next_id: u32,
-    name: &'static str,
-    obs: Option<Arc<ShardObs>>,
-}
-
-impl<const D: usize> SnapshotView<D> for ShardedView<D> {
-    fn backend_name(&self) -> &'static str {
-        self.name
-    }
-
-    fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
-        parlay::map(queries, 64, |q| {
-            knn_one(&self.shards, self.obs.as_deref(), q, k)
-        })
-    }
-
-    fn range_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        parlay::map(queries, 16, |q| {
-            range_one(&self.shards, self.obs.as_deref(), q)
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.index.len()).sum()
-    }
-
-    fn snapshot(&self) -> Snapshot {
-        let live = self.len();
-        let mut snap = Snapshot {
-            epoch: self.epoch,
-            live,
-            inserted: self.next_id as u64,
-            deleted: self.next_id as u64 - live as u64,
-            ..Snapshot::default()
-        };
-        for s in &self.shards {
-            let sub = s.index.snapshot();
-            snap.rebuilds += sub.rebuilds;
-            snap.arena_bytes += sub.arena_bytes;
-            snap.nodes += sub.nodes;
-            snap.cow_bytes += sub.cow_bytes;
-        }
-        snap
-    }
-
-    fn live_points(&self) -> LivePoints<D> {
-        live_points_all(&self.shards)
-    }
-
-    fn shard_snapshots(&self) -> Vec<Snapshot> {
-        self.shards.iter().map(|s| s.index.snapshot()).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -693,6 +537,20 @@ mod tests {
     use pargeo_bdltree::BdlTree;
     use pargeo_datagen::uniform_cube;
     use pargeo_kdtree::ZdTree;
+
+    impl<const D: usize> ShardedIndex<D> {
+        /// Live points per shard — the router's balance diagnostic.
+        fn shard_lens(&self) -> Vec<usize> {
+            self.shards.iter().map(|s| s.index.len()).collect()
+        }
+
+        /// Per-shard effective regions (live-point bounding boxes) — the
+        /// boxes the read fan-out prunes against. Empty shards report
+        /// empty boxes.
+        fn shard_regions(&self) -> Vec<Bbox<D>> {
+            self.shards.iter().map(|s| s.bbox).collect()
+        }
+    }
 
     fn factories() -> Vec<(
         &'static str,
@@ -862,7 +720,7 @@ mod tests {
                 let mut live = ShardedIndex::<2>::new(s, |_| factory(0));
                 live.insert(&pts[..2_000]);
                 live.delete(&pts[..300]);
-                // Frozen reference: a second index fed the same prefix.
+                // A frozen reference: a second index fed the same prefix.
                 let mut frozen = ShardedIndex::<2>::new(s, |_| factory(0));
                 frozen.insert(&pts[..2_000]);
                 frozen.delete(&pts[..300]);

@@ -81,12 +81,23 @@ type Factory = Box<dyn Fn() -> Box<dyn SpatialIndex<2> + Send + Sync>>;
 
 fn factories() -> Vec<(&'static str, Factory)> {
     vec![
+        // A small buffer, so the pinned prefix already spans several
+        // levels and the write batches cascade and drain.
         (
             "bdl",
-            Box::new(|| Box::new(BdlTree::<2>::with_buffer_size(32))),
+            Box::new(|| Box::new(BdlTree::<2>::with_buffer_size(8))),
         ),
         ("zd", Box::new(|| Box::new(ZdTree::<2>::new()))),
+        ("vec", Box::new(|| Box::new(VecIndex::<2>::new()))),
     ]
+}
+
+/// `factory`'s backend bare (`shards == 0`) or behind a `shards`-way router.
+fn layout(shards: usize, factory: &Factory) -> Box<dyn SpatialIndex<2> + Send + Sync> {
+    match shards {
+        0 => factory(),
+        s => Box::new(ShardedIndex::<2>::new(s, |_| factory())),
+    }
 }
 
 proptest! {
@@ -95,9 +106,14 @@ proptest! {
     /// A view pinned mid-stream answers from the pinned arenas while the
     /// live side keeps inserting and deleting into (possibly rebuilt)
     /// replacement arenas. The pinned answers must equal a brute-force
-    /// oracle frozen at the same cut — for every backend, unsharded and
-    /// S=4, at two thread counts — proving COW pinning swaps whole
-    /// arenas and never lets a later epoch's slabs leak into a view.
+    /// oracle frozen at the same cut — for every backend, bare and behind
+    /// S=1 and S=4 routers, at two thread counts — proving COW pinning
+    /// swaps whole arenas and never lets a later epoch's slabs leak into a
+    /// view. A pin is a fork, so the other direction holds too: a second
+    /// pin taken at the same cut and then written answers like the oracle
+    /// replayed through its own writes, and leaves the live index's
+    /// answers and every `snapshot()` field, `cow_bytes` included, as they
+    /// were.
     #[test]
     fn pinned_views_survive_arena_swaps(
         pts in lattice_points(),
@@ -117,14 +133,44 @@ proptest! {
         SpatialIndex::delete(&mut frozen, &pts[..cut]);
         let want_knn = frozen.knn_batch(&queries, k);
         let want_rng = frozen.range_batch(&boxes);
+        // The fork's own writes: the unpinned half, then a delete reaching
+        // into both the pinned prefix and that half.
+        let fork_deletes: Vec<Point2> = pts[cut..].iter().step_by(3).copied().collect();
+        let mut forked = frozen.clone();
+        SpatialIndex::insert(&mut forked, &pts[half..]);
+        SpatialIndex::delete(&mut forked, &fork_deletes);
+        let fork_knn = forked.knn_batch(&queries, k);
+        let fork_rng = forked.range_batch(&boxes);
         for threads in [1usize, 2] {
             pargeo_parlay::with_threads(threads, || -> Result<(), TestCaseError> {
                 for (name, factory) in factories() {
-                    for shards in [1usize, 4] {
-                        let mut live = ShardedIndex::<2>::new(shards, |_| factory());
+                    for shards in [0usize, 1, 4] {
+                        let mut live = layout(shards, &factory);
                         live.insert(&pts[..half]);
                         live.delete(&pts[..cut]);
                         let view = live.pin();
+                        let mut fork = live.pin();
+                        // Writes to the fork never reach the live index.
+                        let (snap, live_knn, live_rng) = (
+                            live.snapshot(),
+                            live.knn_batch(&queries, k),
+                            live.range_batch(&boxes),
+                        );
+                        fork.insert(&pts[half..]);
+                        fork.delete(&fork_deletes);
+                        let after = live.snapshot();
+                        prop_assert_eq!(
+                            (after, after.cow_bytes), (snap, snap.cow_bytes),
+                            "{} S={} T={} live snapshot after fork writes", name, shards, threads
+                        );
+                        prop_assert_eq!(
+                            &live.knn_batch(&queries, k), &live_knn,
+                            "{} S={} T={} live knn after fork writes", name, shards, threads
+                        );
+                        prop_assert_eq!(
+                            &live.range_batch(&boxes), &live_rng,
+                            "{} S={} T={} live range after fork writes", name, shards, threads
+                        );
                         // Later epochs: enough churn to trip rebuilds and
                         // BDL cascade reshuffles on the live side.
                         live.insert(&pts[half..]);
@@ -148,6 +194,19 @@ proptest! {
                                 );
                             }
                         }
+                        // The fork answers through its own writes alone.
+                        prop_assert_eq!(
+                            &fork.range_batch(&boxes), &fork_rng,
+                            "{} S={} T={} fork range", name, shards, threads
+                        );
+                        prop_assert_eq!(
+                            &fork.knn_batch(&queries, k), &fork_knn,
+                            "{} S={} T={} fork knn", name, shards, threads
+                        );
+                        prop_assert_eq!(
+                            fork.snapshot().live, forked.len(),
+                            "{} S={} T={} fork len", name, shards, threads
+                        );
                     }
                 }
                 Ok(())

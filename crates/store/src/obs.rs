@@ -94,7 +94,7 @@ pub(crate) struct StoreObs {
     /// [`Self::index_arena_bytes`].
     pub index_nodes: Arc<Gauge>,
     /// `geostore_index_cow_bytes_total` — bytes the backing index copied
-    /// on write because a pinned view shared them, advanced at every
+    /// on write because a pin shared them, advanced at every
     /// write epoch by the index [`Snapshot`](pargeo_engine::Snapshot)'s
     /// `cow_bytes` delta: what pinning costs, independent of the machine.
     pub index_cow_bytes: Arc<Counter>,

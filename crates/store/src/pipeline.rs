@@ -2,15 +2,19 @@
 //!
 //! [`StoreSnapshot`] is what [`GeoStore::pin`](crate::GeoStore::pin)
 //! returns: a fully owned, immutable capture of the store at one write
-//! epoch. It holds the index's pinned [`SnapshotView`] (O(X + log n) for
-//! the structure-sharing BDL-tree, per-shard for the sharded executor; the
-//! oracle copies itself whole), the epoch's memoized derived values (each
-//! an `Arc` shared with the store's memo, never copied), and the store
-//! statistics as of the pin — everything needed to answer every read
+//! epoch. It holds the index's pin — the backend's own copy-on-write
+//! clone, boxed ([`SpatialIndex::pin`]: O(X + log n) for the
+//! structure-sharing BDL-tree, one pin per shard for the sharded executor;
+//! the oracle copies itself whole) — the epoch's memoized derived values
+//! (each an `Arc` shared with the store's memo, never copied), and the
+//! store statistics as of the pin: everything needed to answer every read
 //! request class *bit-identically to a frozen copy of the store* while
-//! later write epochs apply on the live side. Pinning does no work
-//! proportional to the live set and shares nothing the live side writes:
-//! a snapshot derives its own compacted live view from the pinned view
+//! later write epochs apply on the live side. The pinned index runs the
+//! live index's own read code. It could be written too, but the snapshot
+//! never hands it out and answers write requests with a typed error, so a
+//! client sees an immutable capture. Pinning does no work proportional to
+//! the live set and shares nothing the live side writes: a snapshot
+//! derives its own compacted live view from the pinned index
 //! (`live_points()`) the first time a derived structure not memoized at
 //! pin time is asked of it.
 //!
@@ -29,7 +33,7 @@
 use crate::derived::{self, DerivedVal};
 use crate::obs::{self, StoreObs};
 use crate::request::{check_knn, DerivedKind, Request, Response, StoreStats};
-use pargeo_engine::{Snapshot, SnapshotView};
+use pargeo_engine::{Snapshot, SpatialIndex};
 use pargeo_geometry::{GeoError, GeoResult};
 use pargeo_parlay as parlay;
 use std::collections::HashMap;
@@ -59,8 +63,9 @@ pub(crate) type Memo<const D: usize> = GeoResult<Arc<DerivedVal<D>>>;
 /// [`Stats`](Request::Stats) and [`shard_snapshots`](Self::shard_snapshots)
 /// report the *pinned* epoch, never the live one.
 pub struct StoreSnapshot<const D: usize> {
-    view: Box<dyn SnapshotView<D>>,
-    /// Derived from `view` on first need.
+    /// The index pinned at this epoch; never handed out, never written.
+    index: Box<dyn SpatialIndex<D> + Send + Sync>,
+    /// Derived from `index` on first need.
     live_view: OnceLock<LiveView<D>>,
     stats: StoreStats,
     /// Derived values at the pinned epoch: seeded from the store's memo
@@ -76,7 +81,7 @@ impl<const D: usize> StoreSnapshot<D> {
     /// Assembles a pinned snapshot (store-side constructor) and counts it
     /// into the `geostore_pinned_views` gauge.
     pub(crate) fn new(
-        view: Box<dyn SnapshotView<D>>,
+        index: Box<dyn SpatialIndex<D> + Send + Sync>,
         stats: StoreStats,
         derived: HashMap<DerivedKind, Memo<D>>,
         obs: Option<Arc<StoreObs>>,
@@ -85,7 +90,7 @@ impl<const D: usize> StoreSnapshot<D> {
             o.pinned_views.add(1);
         }
         Self {
-            view,
+            index,
             live_view: OnceLock::new(),
             stats,
             derived: Mutex::new(derived),
@@ -106,18 +111,18 @@ impl<const D: usize> StoreSnapshot<D> {
 
     /// Number of live points at the pinned epoch.
     pub fn len(&self) -> usize {
-        self.view.len()
+        self.index.len()
     }
 
     /// True iff the pinned epoch held no live points.
     pub fn is_empty(&self) -> bool {
-        self.view.is_empty()
+        self.index.is_empty()
     }
 
     /// Per-shard epoch statistics as of the pin — one [`Snapshot`] per
     /// shard, reported against the pinned epoch rather than the live one.
     pub fn shard_snapshots(&self) -> Vec<Snapshot> {
-        self.view.shard_snapshots()
+        self.index.shard_snapshots()
     }
 
     /// Answers a run of read requests data-parallel against the pinned
@@ -156,9 +161,9 @@ impl<const D: usize> StoreSnapshot<D> {
             }),
             Request::Knn { queries, k } => {
                 check_knn(queries, *k, self.len())?;
-                Ok(Response::Knn(self.view.knn_batch(queries, *k)))
+                Ok(Response::Knn(self.index.knn_batch(queries, *k)))
             }
-            Request::Range(boxes) => Ok(Response::Range(self.view.range_batch(boxes))),
+            Request::Range(boxes) => Ok(Response::Range(self.index.range_batch(boxes))),
             Request::Stats => Ok(Response::Stats(self.stats)),
             _ => {
                 let Some(kind) = req.derived_kind() else {
@@ -183,8 +188,8 @@ impl<const D: usize> StoreSnapshot<D> {
         }
         let t = self.obs.as_ref().map(|_| Instant::now());
         // Index ids are store ids (both count inserted points in order),
-        // so the pinned view's own live points are the store's live view.
-        let (ids, pts) = self.live_view.get_or_init(|| self.view.live_points());
+        // so the pinned index's own live points are the store's live view.
+        let (ids, pts) = self.live_view.get_or_init(|| self.index.live_points());
         let value = derived::compute(kind, ids, pts).map(|(v, _)| Arc::new(v));
         if let (Some(o), Some(t)) = (&self.obs, t) {
             o.class_nanos[4].record_duration(t.elapsed());

@@ -574,12 +574,12 @@ impl<const D: usize> GeoStore<D> {
     }
 
     /// Pins an immutable [`StoreSnapshot`] of the current write epoch: the
-    /// index's epoch-pinned view (see [`SpatialIndex::pin`] for what each
-    /// backend pays), the epoch's memoized derived values (shared, not
-    /// copied: O(kinds)), and the statistics as of now — nothing
-    /// proportional to the live set. The
+    /// index's pin (its copy-on-write clone; see [`SpatialIndex::pin`] for
+    /// what each backend pays), the epoch's memoized derived values
+    /// (shared, not copied: O(kinds)), and the statistics as of now —
+    /// nothing proportional to the live set. The
     /// store's compacted live view is never shared: a snapshot derives its
-    /// own from its pinned view the first time a derived structure not
+    /// own from its pinned index the first time a derived structure not
     /// memoized here is asked of it. The snapshot answers every
     /// read request class bit-identically to a frozen copy of this store
     /// taken at this instant, regardless of how many write epochs follow;
@@ -1012,7 +1012,7 @@ impl<const D: usize> GeoStore<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pargeo_engine::{LivePoints, SnapshotView};
+    use pargeo_engine::LivePoints;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// The oracle index with injected faults.
@@ -1059,7 +1059,7 @@ mod tests {
         fn snapshot(&self) -> Snapshot {
             self.inner.snapshot()
         }
-        fn pin(&self) -> Box<dyn SnapshotView<2>> {
+        fn pin(&self) -> Box<dyn SpatialIndex<2> + Send + Sync> {
             self.inner.pin()
         }
         fn live_points(&self) -> LivePoints<2> {

@@ -191,7 +191,7 @@ fn snapshots_survive_rebuilds_compaction_and_out_of_order_drops() {
     store.hull().unwrap();
     let snap_a = store.pin();
 
-    // Frozen reference at epoch A.
+    // A frozen reference at epoch A.
     let mut ref_a = oracle_store();
     ref_a.insert(&pts[..1_000]);
     ref_a.hull().unwrap();
