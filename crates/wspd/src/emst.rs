@@ -1,42 +1,57 @@
 //! Euclidean minimum spanning tree from the WSPD (paper Module 3, the
-//! `EMST` row of Table 1).
+//! `EMST` row of Table 1): MemoGFK \[56\].
 //!
 //! For separation `s ≥ 2` every MST edge is the bichromatic closest pair of
-//! some well-separated pair \[25\], so the WSPD pairs' BCCPs are a valid
-//! candidate edge set, and a pair's box distance is a lower bound on its
-//! BCCP. [`emst`] is the filter-Kruskal over them (GeoFilterKruskal
-//! \[56\]), in windows:
+//! some well-separated pair \[25\], and a pair's box distance is a lower
+//! bound on its BCCP. MemoGFK never builds the decomposition. It runs
+//! Kruskal in rounds, and each round re-walks the WSPD recursion (one
+//! `plan` of its top, made once) for only the pairs the round can use:
 //!
-//! 1. **Select, don't sort.** The next window is the `w` unvisited pairs
-//!    of smallest bound, found by `select_nth`; `w` starts at `n` and
-//!    doubles. The smallest bound left behind is the window's *cap*: no
-//!    pair still unvisited can yield an edge shorter than it.
-//! 2. **Filter before the BCCP.** A pair whose two nodes lie wholly inside
-//!    one Kruskal component cannot yield an MST edge and is dropped
-//!    unrealized. A kd-tree node is a range of the tree's leaf order, so one
-//!    labelling pass per window (`ComponentRuns`) answers "is this node
-//!    inside one component, and which" in O(1). The labels are those of the
-//!    window's start; components only ever merge, so a stale label can
-//!    fail to drop a pair (Kruskal's `union` then rejects its edge) but
-//!    never drops one wrongly.
-//! 3. **One parallel BCCP pass** realizes the window's surviving pairs.
-//! 4. **Kruskal what can no longer be undercut.** The realized edges at or
-//!    below the cap are sorted by `(d², u, v)` and unioned in order; longer
-//!    ones are held for a later window.
+//! 1. **Label components once.** A kd-tree node is a range of the tree's
+//!    leaf order, so one labelling pass (`ComponentRuns`) answers "is this
+//!    node inside one component, and which" in O(1) for the whole round.
+//! 2. **Find the round's cap** `hi`: the smallest bound among pairs that
+//!    are not yet connected, hold more than `β` points and were not taken
+//!    by an earlier round (bound ≥ `lo`). `β` is 2, 4, 8, …. A min-walk
+//!    cuts at node pairs of ≤ `β` points, at pairs no nearer than the best
+//!    so far, and at pairs inside one component.
+//! 3. **Realize the window.** One walk emits every pair with bound in
+//!    `[lo, hi)` and computes its BCCP on the spot. It cuts a node pair
+//!    with everything beneath it when its box distance is ≥ `hi` (child
+//!    boxes lie inside their parent's, so nothing below is nearer) or both
+//!    sides lie in one component, and skips the pairs within a node that
+//!    lies in one component. Every open pair in the window holds ≤ `β`
+//!    points (a larger one would have set a smaller cap), so its BCCP is
+//!    cheap.
+//! 4. **Kruskal what can no longer be undercut.** Every pair with bound
+//!    below `hi` has now been realized or cut, so the realized edges at or
+//!    below `hi` are sorted by `(d², u, v)` and unioned in order; longer
+//!    ones are held for a later round. Then `lo = hi`.
+//!
+//! Both walks are one `parlay` pass over the plan's tasks: a shared
+//! minimum for the cap, exact in whatever order the tasks run, and a
+//! `flatten` for the window, in recursion order. No union runs during the
+//! walks, so both see the components of the round's start, and the counts
+//! in [`EmstWork`] do not depend on the pool.
 //!
 //! The result is the MST's edges in ascending `(d², u, v)` order, after the
-//! zero-length edges that join coincident points. When no two candidate
-//! lengths tie exactly the MST is unique and so is this list; under exact
-//! ties it is *an* MST whose choice among equal edges depends on where the
-//! window boundaries fall.
+//! zero-length edges that join coincident points, each oriented as
+//! `bccp_nodes` reports it for the pair's recursion order. When no two
+//! candidate lengths tie exactly the MST is unique and so is this list;
+//! under exact ties it is *an* MST whose choice among equal edges depends
+//! on where the round boundaries fall.
 
 use crate::bccp::bccp_nodes;
 use crate::unionfind::UnionFind;
-use crate::wspd::{wspd_map, wspd_tree};
-use pargeo_geometry::Point;
+use crate::wspd::{plan, wspd_tree, Walk};
+use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::tree::NodeId;
 use pargeo_kdtree::KdTree;
 use pargeo_parlay as parlay;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+/// The WSPD separation whose pairs' BCCPs contain the MST.
+const SEPARATION: f64 = 2.0;
 
 /// An MST edge between original point indices, with its length.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -53,17 +68,20 @@ pub struct EmstEdge {
 /// alone (not on the machine or the pool).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EmstWork {
-    /// Well-separated pairs the WSPD produced.
+    /// Well-separated pairs the rounds emitted, summed over rounds.
     pub pairs_generated: u64,
-    /// Pairs that entered a window (the rest were never looked at again).
-    pub pairs_visited: u64,
-    /// Visited pairs that survived the component filter and had their BCCP
-    /// computed.
+    /// Pairs whose BCCP was computed. The component filter runs inside the
+    /// walk, so every emitted pair is realized and this equals
+    /// `pairs_generated`.
     pub bccps: u64,
     /// Realized edges that were sorted for Kruskal.
     pub edges_sorted: u64,
-    /// Windows taken.
-    pub windows: u64,
+    /// Rounds taken.
+    pub rounds: u64,
+    /// The most realized pairs alive at once: one round's window plus the
+    /// edges held over from earlier rounds. The EMST's transient memory is
+    /// this many 16-byte rows.
+    pub max_round_pairs: u64,
 }
 
 /// Computes the EMST; returns `n - 1` edges for `n > 0` distinct-component
@@ -80,11 +98,7 @@ pub fn emst_work<const D: usize>(points: &[Point<D>]) -> (Vec<EmstEdge>, EmstWor
         return (Vec::new(), work);
     }
     let tree = wspd_tree(points);
-    // (box-distance lower bound, pair); `pairs[next..]` is unvisited.
-    let mut pairs: Vec<(f64, NodeId, NodeId)> =
-        wspd_map(&tree, 2.0, &|a, b, ba, bb| (ba.dist_sq_to_box(bb), a, b));
-    work.pairs_generated = pairs.len() as u64;
-    let mut next = 0;
+    let tasks = plan(&tree, SEPARATION);
 
     let mut uf = UnionFind::new(n);
     let mut out: Vec<EmstEdge> = Vec::with_capacity(n - 1);
@@ -94,39 +108,39 @@ pub fn emst_work<const D: usize>(points: &[Point<D>]) -> (Vec<EmstEdge>, EmstWor
 
     // Realized `(d², u, v)` edges longer than every cap so far.
     let mut held: Vec<(f64, u32, u32)> = Vec::new();
-    let mut width = n;
-    while out.len() < n - 1 && (next < pairs.len() || !held.is_empty()) {
-        let unvisited = &mut pairs[next..];
-        let (window, cap) = if width < unvisited.len() {
-            // The slice's own in-place quickselect: 1.0–1.3 ms a window on
-            // the 248k–458k rows of a 30k-point run, where `parlay`'s
-            // rounds — one pass out to a scratch and back — take 1.3–2.5
-            // at one thread (1.9–2.2×) and, on rows this narrow, 1.2–1.5×
-            // on two; O(unvisited) per window either way.
-            unvisited.select_nth_unstable_by(width, |x, y| x.0.total_cmp(&y.0));
-            (&unvisited[..width], unvisited[width].0)
-        } else {
-            (&unvisited[..], f64::INFINITY)
-        };
+    let (mut lo, mut beta) = (0.0, 2);
+    // A round whose cap is ∞ realizes every pair left, so it is the last.
+    while out.len() < n - 1 && lo < f64::INFINITY {
         let runs = ComponentRuns::new(&tree, &uf);
-        // 256 pairs to a task: a pair is two run lookups and, when they
-        // differ, a BCCP descent.
-        let realized: Vec<(f64, u32, u32)> = parlay::flatten(window.len(), 256, |i| {
-            let (_, a, b) = window[i];
-            if runs.same_component(&tree, a, b) {
-                return None;
-            }
-            let (u, v, d) = bccp_nodes(&tree, a, b);
-            Some((d * d, u, v))
+        let cap = AtomicU64::new(f64::INFINITY.to_bits());
+        parlay::parallel_for(tasks.len(), 1, |i| {
+            let mut walk = NextCap {
+                runs: &runs,
+                lo,
+                beta,
+                cap: &cap,
+            };
+            tasks[i].walk(&tree, SEPARATION, &mut walk);
         });
-        work.windows += 1;
-        work.pairs_visited += window.len() as u64;
+        let hi = f64::from_bits(cap.into_inner());
+        let realized = parlay::flatten(tasks.len(), 1, |i| {
+            let mut walk = Realize {
+                runs: &runs,
+                lo,
+                cap: hi,
+                edges: Vec::new(),
+            };
+            tasks[i].walk(&tree, SEPARATION, &mut walk);
+            walk.edges
+        });
+        work.rounds += 1;
+        work.pairs_generated += realized.len() as u64;
         work.bccps += realized.len() as u64;
-        next += window.len();
-        width *= 2;
-
         held.extend(realized);
-        let (mut ready, later) = parlay::split_two(&held, |e| e.0 <= cap);
+        work.max_round_pairs = work.max_round_pairs.max(held.len() as u64);
+        (lo, beta) = (hi, beta * 2);
+
+        let (mut ready, later) = parlay::split_two(&held, |e| e.0 <= hi);
         held = later;
         work.edges_sorted += ready.len() as u64;
         parlay::sample_sort_by(&mut ready, |x, y| {
@@ -148,18 +162,80 @@ pub fn emst_work<const D: usize>(points: &[Point<D>]) -> (Vec<EmstEdge>, EmstWor
     (out, work)
 }
 
+/// The min-walk for the round's cap: the smallest bound `≥ lo` of an open
+/// pair with more than `beta` points (∞ if there is none). Every pair with
+/// a smaller bound than `lo` was emitted by an earlier round. `cap` holds
+/// the bits of the smallest such bound found so far by any task — for
+/// non-negative floats the bit order is the numeric order — so every task
+/// prunes against it, and the minimum is exact in whatever order the tasks
+/// run. `Relaxed`: the bits publish no other data, and the round reads them
+/// after the loop's join.
+struct NextCap<'r, const D: usize> {
+    runs: &'r ComponentRuns<'r, D>,
+    lo: f64,
+    beta: usize,
+    cap: &'r AtomicU64,
+}
+
+impl<const D: usize> Walk<D> for NextCap<'_, D> {
+    fn within(&mut self, u: NodeId) -> bool {
+        self.runs.tree.node_size(u) > self.beta && self.runs.of(u).is_none()
+    }
+
+    fn across(&mut self, a: NodeId, b: NodeId, ba: &Bbox<D>, bb: &Bbox<D>) -> bool {
+        let tree = self.runs.tree;
+        tree.node_size(a) + tree.node_size(b) > self.beta
+            && ba.dist_sq_to_box(bb) < f64::from_bits(self.cap.load(Relaxed))
+            && !self.runs.same_component(a, b)
+    }
+
+    fn pair(&mut self, _: NodeId, _: NodeId, ba: &Bbox<D>, bb: &Bbox<D>) {
+        let bound = ba.dist_sq_to_box(bb);
+        if bound >= self.lo {
+            self.cap.fetch_min(bound.to_bits(), Relaxed);
+        }
+    }
+}
+
+/// The walk that realizes the round's window: every open pair with bound
+/// in `[lo, cap)`, as a `(d², u, v)` edge.
+struct Realize<'r, const D: usize> {
+    runs: &'r ComponentRuns<'r, D>,
+    lo: f64,
+    cap: f64,
+    edges: Vec<(f64, u32, u32)>,
+}
+
+impl<const D: usize> Walk<D> for Realize<'_, D> {
+    fn within(&mut self, u: NodeId) -> bool {
+        self.runs.of(u).is_none()
+    }
+
+    fn across(&mut self, a: NodeId, b: NodeId, ba: &Bbox<D>, bb: &Bbox<D>) -> bool {
+        ba.dist_sq_to_box(bb) < self.cap && !self.runs.same_component(a, b)
+    }
+
+    fn pair(&mut self, a: NodeId, b: NodeId, ba: &Bbox<D>, bb: &Bbox<D>) {
+        if ba.dist_sq_to_box(bb) >= self.lo {
+            let (u, v, d) = bccp_nodes(self.runs.tree, a, b);
+            self.edges.push((d * d, u, v));
+        }
+    }
+}
+
 /// The Kruskal components along the tree's leaf order: `label[i]` is the
 /// component of the point at position `i`, `run_start[i]` the first
 /// position of the maximal run of equal labels around `i`. A node is the
 /// range `lo..hi`, and lies inside one component iff `run_start[hi - 1] ≤
 /// lo`.
-struct ComponentRuns {
+struct ComponentRuns<'t, const D: usize> {
+    tree: &'t KdTree<D>,
     label: Vec<u32>,
     run_start: Vec<u32>,
 }
 
-impl ComponentRuns {
-    fn new<const D: usize>(tree: &KdTree<D>, uf: &UnionFind) -> Self {
+impl<'t, const D: usize> ComponentRuns<'t, D> {
+    fn new(tree: &'t KdTree<D>, uf: &UnionFind) -> Self {
         let ids = tree.points().ids();
         let label = parlay::map(ids, parlay::GRANULARITY, |&id| uf.find_readonly(id));
         let heads = parlay::tabulate(ids.len(), parlay::GRANULARITY, |i| {
@@ -170,20 +246,24 @@ impl ComponentRuns {
             }
         });
         let run_start = parlay::scan_inclusive(&heads, 0, |a, b| a.max(b));
-        Self { label, run_start }
+        Self {
+            tree,
+            label,
+            run_start,
+        }
     }
 
     /// The component holding every point of `node`, if one does.
-    fn of<const D: usize>(&self, tree: &KdTree<D>, node: NodeId) -> Option<u32> {
-        let r = tree.node_range(node);
+    fn of(&self, node: NodeId) -> Option<u32> {
+        let r = self.tree.node_range(node);
         (self.run_start[r.end - 1] as usize <= r.start).then(|| self.label[r.start])
     }
 
     /// True iff all points of both nodes are in one component, so the
     /// pair's BCCP cannot be an MST edge.
-    fn same_component<const D: usize>(&self, tree: &KdTree<D>, a: NodeId, b: NodeId) -> bool {
-        let of_a = self.of(tree, a);
-        of_a.is_some() && of_a == self.of(tree, b)
+    fn same_component(&self, a: NodeId, b: NodeId) -> bool {
+        let of_a = self.of(a);
+        of_a.is_some() && of_a == self.of(b)
     }
 }
 
@@ -322,18 +402,32 @@ mod tests {
         assert_eq!(uf.component_count(), 1);
     }
 
-    /// Uniform 2D, 30k points, seed 42. The heap-and-refill Kruskal this
-    /// loop replaced visited 200 655 of the same 457 607 pairs but computed
-    /// 145 872 BCCPs (its filter only fired on two single points) and popped
-    /// 134 234 edges off its heap. Later changes may only lower these.
+    /// Uniform 2D 30k and 3D 20k points, seed 42. The rounds generate
+    /// only the pairs they realize: 82 826 in 2D and 124 002 in 3D, where
+    /// the windowed filter-Kruskal before them generated all 457 607 and
+    /// 1 274 985 pairs of the WSPD. `max_round_pairs` (67 520 in 2D,
+    /// 112 945 in 3D) bounds the transient rows. BCCPs (70 125 → 82 826),
+    /// sorted edges (69 975 → 81 615) and rounds (3 → 4) rise against the
+    /// windowed loop in 2D: round 1 (`β` = 2) realizes every point-to-point
+    /// pair nearer than the nearest pair of more than two points, each one
+    /// distance, before any union can filter them, where the first window
+    /// stopped at `n` pairs. Later changes may only lower these.
     #[test]
     fn emst_work_stays_under_the_recorded_ceiling() {
         let (edges, w) = emst_work(&uniform_cube::<2>(30_000, 42));
         assert_eq!(edges.len(), 29_999);
-        assert!(w.pairs_generated <= 457_607, "{w:?}");
-        assert!(w.pairs_visited <= 210_000, "{w:?}");
-        assert!(w.bccps <= 70_125, "{w:?}");
-        assert!(w.edges_sorted <= 69_975, "{w:?}");
-        assert!(w.windows <= 3, "{w:?}");
+        assert!(w.pairs_generated <= 100_000, "{w:?}");
+        assert!(w.bccps <= 100_000, "{w:?}");
+        assert!(w.edges_sorted <= 100_000, "{w:?}");
+        assert!(w.rounds <= 4, "{w:?}");
+        assert!(w.max_round_pairs <= 75_000, "{w:?}");
+
+        let (edges, w) = emst_work(&uniform_cube::<3>(20_000, 42));
+        assert_eq!(edges.len(), 19_999);
+        assert!(w.pairs_generated <= 150_000, "{w:?}");
+        assert!(w.bccps <= 150_000, "{w:?}");
+        assert!(w.edges_sorted <= 150_000, "{w:?}");
+        assert!(w.rounds <= 3, "{w:?}");
+        assert!(w.max_round_pairs <= 125_000, "{w:?}");
     }
 }

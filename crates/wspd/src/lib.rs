@@ -4,15 +4,15 @@
 //! kd-tree, and the algorithms built on it:
 //!
 //! * [`mod@wspd`] — Callahan–Kosaraju well-separated pair decomposition: the
-//!   top of the recursion listed as tasks, the tasks solved in parallel.
+//!   top of the recursion listed as tasks, the tasks solved in parallel,
+//!   with a hook that lets a caller cut parts of the recursion.
 //! * [`bccp`] — bichromatic closest pair via pruned dual-tree traversal.
 //! * [`mod@emst`] — Euclidean minimum spanning tree: WSPD pairs are candidate
 //!   MST edges (for separation `s ≥ 2` the MST is a subset of the pairs'
-//!   BCCPs). A windowed filter-Kruskal (GeoFilterKruskal \[56\]): doubling
-//!   windows of the smallest-bound pairs found by selection, pairs inside
-//!   one component dropped before their BCCP is computed, one parallel
-//!   BCCP pass per window, and a sort-and-Kruskal over the edges no
-//!   unvisited pair can undercut.
+//!   BCCPs). MemoGFK \[56\]: Kruskal in rounds, each of which re-walks the
+//!   WSPD recursion for only the pairs whose bound lies in its window,
+//!   cutting node pairs already inside one component, so the full
+//!   decomposition is never built.
 //! * [`mod@spanner`] — the WSPD t-spanner \[26\]: one representative edge per
 //!   well-separated pair with `s = 4(t+1)/(t-1)`.
 //! * [`unionfind`] — the union-find substrate under Kruskal.

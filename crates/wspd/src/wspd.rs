@@ -4,12 +4,19 @@
 //! A pair of tree nodes `(A, B)` is `s`-well-separated when both fit in
 //! balls of radius `r` that are at least `s·r` apart. The decomposition
 //! covers every unordered point pair exactly once. The recursion follows
-//! the standard split-the-larger-node rule. It runs in two steps: the top
-//! of the recursion is walked sequentially down to subproblems under
-//! `SEQ_CUTOFF` points, which are listed in recursion order; the list is
-//! then solved by one `parlay::flatten`, each subproblem sequentially into
-//! its own vector — so a pair is written once and moved once, however deep
-//! the recursion that found it.
+//! the standard split-the-larger-node rule and is written once, here. It
+//! runs in two steps: `plan` walks the top of the recursion sequentially
+//! down to subproblems under `SEQ_CUTOFF` points and lists them in
+//! recursion order; the list is then solved by one `parlay::flatten`, each
+//! subproblem sequentially into its own vector — so a pair is written once
+//! and moved once, however deep the recursion that found it.
+//!
+//! A `Walk` is what the recursion does at each step. Its hooks may cut a
+//! node, or a pair of nodes, together with every pair beneath it; a plain
+//! closure is a walk that never cuts and so receives the whole
+//! decomposition ([`wspd_from_tree`]). The EMST's rounds re-walk one plan
+//! with hooks that cut what a round cannot use, so the full decomposition
+//! is never built there.
 
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::tree::{KdTree, NodeId, SplitRule};
@@ -40,45 +47,76 @@ pub(crate) fn wspd_tree<const D: usize>(points: &[Point<D>]) -> KdTree<D> {
 /// The `s`-WSPD of an existing tree. The tree must have been built with
 /// leaf size 1 (asserted).
 pub fn wspd_from_tree<const D: usize>(tree: &KdTree<D>, s: f64) -> Vec<(NodeId, NodeId)> {
-    wspd_map(tree, s, &|a, b, _, _| (a, b))
-}
-
-/// [`wspd_from_tree`] with every pair turned into a row by `emit(a, b,
-/// box of a, box of b)` where it is found, while both boxes are at hand.
-pub(crate) fn wspd_map<const D: usize, T: Send>(
-    tree: &KdTree<D>,
-    s: f64,
-    emit: &(impl Fn(NodeId, NodeId, &Bbox<D>, &Bbox<D>) -> T + Sync),
-) -> Vec<T> {
-    assert!(s > 0.0, "separation must be positive");
-    assert!(tree.leaf_size() == 1, "WSPD requires a leaf-size-1 kd-tree");
-    let Some(root) = tree.root_id() else {
-        return Vec::new();
-    };
-    let mut tasks = Vec::new();
-    plan(tree, root, s, &mut tasks);
+    let tasks = plan(tree, s);
     parlay::flatten(tasks.len(), 1, |i| {
         let mut out = Vec::new();
-        let mut push = |a, b, ba: &Bbox<D>, bb: &Bbox<D>| out.push(emit(a, b, ba, bb));
-        match tasks[i] {
-            Task::Within(u) => split_node(tree, u, s, &mut push),
-            Task::Across(a, b) => find_pairs(tree, a, b, s, 0, &mut push),
-        }
+        tasks[i].walk(tree, s, &mut |a, b, _: &Bbox<D>, _: &Bbox<D>| {
+            out.push((a, b))
+        });
         out
     })
 }
 
+/// What the pair recursion does at each step. `within` and `across` are
+/// asked before a node, or a pair of disjoint nodes, is looked into;
+/// `false` cuts it with every pair beneath it. `pair` receives each
+/// well-separated pair that is reached, with both boxes.
+pub(crate) trait Walk<const D: usize> {
+    /// Whether to look for pairs within node `u`.
+    fn within(&mut self, u: NodeId) -> bool;
+    /// Whether to look for pairs between `a` and `b` (boxes `ba`, `bb`).
+    fn across(&mut self, a: NodeId, b: NodeId, ba: &Bbox<D>, bb: &Bbox<D>) -> bool;
+    /// One pair of the decomposition.
+    fn pair(&mut self, a: NodeId, b: NodeId, ba: &Bbox<D>, bb: &Bbox<D>);
+}
+
+/// A closure never cuts: it is handed every pair.
+impl<const D: usize, F: FnMut(NodeId, NodeId, &Bbox<D>, &Bbox<D>)> Walk<D> for F {
+    fn within(&mut self, _: NodeId) -> bool {
+        true
+    }
+
+    fn across(&mut self, _: NodeId, _: NodeId, _: &Bbox<D>, _: &Bbox<D>) -> bool {
+        true
+    }
+
+    fn pair(&mut self, a: NodeId, b: NodeId, ba: &Bbox<D>, bb: &Bbox<D>) {
+        self(a, b, ba, bb)
+    }
+}
+
 /// A subproblem small enough to solve sequentially.
-enum Task {
+pub(crate) enum Task {
     /// All pairs within one node.
     Within(NodeId),
     /// All pairs between two disjoint nodes.
     Across(NodeId, NodeId),
 }
 
-/// Lists, in recursion order, the subproblems of `u` that fall under
-/// [`SEQ_CUTOFF`] (and the pairs already well separated above it).
-fn plan<const D: usize>(tree: &KdTree<D>, u: NodeId, s: f64, tasks: &mut Vec<Task>) {
+impl Task {
+    /// Runs `walk` over this subproblem's pairs, in recursion order.
+    pub(crate) fn walk<const D: usize>(&self, tree: &KdTree<D>, s: f64, walk: &mut impl Walk<D>) {
+        match *self {
+            Task::Within(u) => split_node(tree, u, s, walk),
+            Task::Across(a, b) => find_pairs(tree, a, b, s, 0, walk),
+        }
+    }
+}
+
+/// The top of the `s`-WSPD recursion: the subproblems under
+/// [`SEQ_CUTOFF`] points (and the pairs already well separated above it),
+/// in recursion order. The tree must have leaf size 1 (asserted).
+pub(crate) fn plan<const D: usize>(tree: &KdTree<D>, s: f64) -> Vec<Task> {
+    assert!(s > 0.0, "separation must be positive");
+    assert!(tree.leaf_size() == 1, "WSPD requires a leaf-size-1 kd-tree");
+    let mut tasks = Vec::new();
+    if let Some(root) = tree.root_id() {
+        plan_node(tree, root, s, &mut tasks);
+    }
+    tasks
+}
+
+fn plan_node<const D: usize>(tree: &KdTree<D>, u: NodeId, s: f64, tasks: &mut Vec<Task>) {
     let Some((l, r)) = tree.node_children(u) else {
         return; // single leaf: no pairs within
     };
@@ -86,30 +124,33 @@ fn plan<const D: usize>(tree: &KdTree<D>, u: NodeId, s: f64, tasks: &mut Vec<Tas
         tasks.push(Task::Within(u));
         return;
     }
-    plan(tree, l, s, tasks);
-    plan(tree, r, s, tasks);
-    find_pairs(tree, l, r, s, SEQ_CUTOFF, &mut |a, b, _, _| {
-        tasks.push(Task::Across(a, b))
-    });
+    plan_node(tree, l, s, tasks);
+    plan_node(tree, r, s, tasks);
+    find_pairs(
+        tree,
+        l,
+        r,
+        s,
+        SEQ_CUTOFF,
+        &mut |a, b, _: &Bbox<D>, _: &Bbox<D>| tasks.push(Task::Across(a, b)),
+    );
 }
 
 /// Recurse within one node: pairs among the left child, among the right
 /// child, and across.
-fn split_node<const D: usize>(
-    tree: &KdTree<D>,
-    u: NodeId,
-    s: f64,
-    visit: &mut impl FnMut(NodeId, NodeId, &Bbox<D>, &Bbox<D>),
-) {
+fn split_node<const D: usize>(tree: &KdTree<D>, u: NodeId, s: f64, walk: &mut impl Walk<D>) {
     let Some((l, r)) = tree.node_children(u) else {
         return;
     };
-    split_node(tree, l, s, visit);
-    split_node(tree, r, s, visit);
-    find_pairs(tree, l, r, s, 0, visit);
+    if !walk.within(u) {
+        return;
+    }
+    split_node(tree, l, s, walk);
+    split_node(tree, r, s, walk);
+    find_pairs(tree, l, r, s, 0, walk);
 }
 
-/// Walks the pairs covering `A × B` (disjoint nodes) and hands `visit`
+/// Walks the pairs covering `A × B` (disjoint nodes) and hands `walk`
 /// every one that is well separated — or, without looking further, has
 /// fewer than `stop` points on its larger side.
 fn find_pairs<const D: usize>(
@@ -118,12 +159,15 @@ fn find_pairs<const D: usize>(
     b: NodeId,
     s: f64,
     stop: usize,
-    visit: &mut impl FnMut(NodeId, NodeId, &Bbox<D>, &Bbox<D>),
+    walk: &mut impl Walk<D>,
 ) {
     let ba = tree.node_bbox(a);
     let bb = tree.node_bbox(b);
+    if !walk.across(a, b, &ba, &bb) {
+        return;
+    }
     if tree.node_size(a).max(tree.node_size(b)) < stop || ba.well_separated(&bb, s) {
-        visit(a, b, &ba, &bb);
+        walk.pair(a, b, &ba, &bb);
         return;
     }
     // Split the node with the larger diameter.
@@ -134,7 +178,7 @@ fn find_pairs<const D: usize>(
             // disjoint tree nodes with positive separation distance — or a
             // numerical corner; emit them as a pair (distance 0 pairs are
             // exact for duplicates).
-            visit(a, b, &ba, &bb);
+            walk.pair(a, b, &ba, &bb);
             return;
         }
         (Some(kids), None) => (true, kids),
@@ -148,11 +192,11 @@ fn find_pairs<const D: usize>(
         }
     };
     if split_a {
-        find_pairs(tree, l, b, s, stop, visit);
-        find_pairs(tree, r, b, s, stop, visit);
+        find_pairs(tree, l, b, s, stop, walk);
+        find_pairs(tree, r, b, s, stop, walk);
     } else {
-        find_pairs(tree, a, l, s, stop, visit);
-        find_pairs(tree, a, r, s, stop, visit);
+        find_pairs(tree, a, l, s, stop, walk);
+        find_pairs(tree, a, r, s, stop, walk);
     }
 }
 

@@ -1,13 +1,14 @@
 //! The EMST's answer, pinned three ways: golden edge-list digests recorded
 //! from the heap-and-refill `emst` this crate had before the windowed
-//! filter-Kruskal replaced it (the rewrite must return the same edges in
-//! the same order and orientation), a property suite against Prim on the
-//! families that force exact ties, and invariance under the pool size.
+//! filter-Kruskal and then the MemoGFK rounds replaced it (each rewrite
+//! must return the same edges in the same order and orientation), a
+//! property suite against Prim on the families that force exact ties, and
+//! invariance of the answer and the work under the pool size.
 
 use pargeo_datagen::{seed_spreader, uniform_cube, SeedSpreaderParams};
 use pargeo_geometry::Point;
 use pargeo_parlay::{mix64, random_permutation, shuffle::splitmix64, with_threads};
-use pargeo_wspd::emst::emst_prim_brute;
+use pargeo_wspd::emst::{emst_prim_brute, emst_work};
 use pargeo_wspd::{emst, EmstEdge, UnionFind};
 use proptest::prelude::*;
 
@@ -172,11 +173,20 @@ proptest! {
     }
 }
 
+/// The edge list and the work counters. The rounds' caps are exact minima
+/// over the plan's tasks, so a counter that moves with the pool means a
+/// walk depends on the schedule. The seed-spreader input takes the most
+/// rounds (10).
 #[test]
 fn edge_list_does_not_depend_on_the_pool_size() {
     let two = with_duplicates(20_000, 500, 9);
     let three = uniform_cube::<3>(6_000, 9);
-    let at = |t| with_threads(t, || (emst(&two), emst(&three)));
+    let spread = seed_spreader::<2>(30_000, 42, SeedSpreaderParams::default());
+    let at = |t| {
+        with_threads(t, || {
+            (emst_work(&two), emst_work(&three), emst_work(&spread))
+        })
+    };
     let one = at(1);
     assert_eq!(one, at(2));
     assert_eq!(one, at(4));

@@ -808,3 +808,62 @@ fn duplicate_victims_within_and_across_delete_runs_count_once() {
         }
     }
 }
+
+#[test]
+fn emst_requests_on_adversarial_input_are_exact() {
+    // The EMST's tie-heavy inputs at scale through `Request::Emst`: a
+    // million copies of one point, a shuffled collinear run of unit steps
+    // and a shuffled regular polygon. Every length ties with many others,
+    // so each answer is checked against its closed form, and the default
+    // store must return the oracle store's edge list.
+    let n = 200_000;
+    let order = pargeo::parlay::random_permutation(n, 11);
+    let line: Vec<Point2> = order
+        .iter()
+        .map(|&i| Point2::new([i as f64, 0.0]))
+        .collect();
+    let step = std::f64::consts::TAU / n as f64;
+    let polygon: Vec<Point2> = order
+        .iter()
+        .map(|&i| {
+            let (sin, cos) = (i as f64 * step).sin_cos();
+            Point2::new([cos, sin])
+        })
+        .collect();
+    let chord = 2.0 * (step / 2.0).sin();
+    let cases: [(&str, Vec<Point2>, f64, f64); 3] = [
+        (
+            "1e6 copies",
+            vec![Point2::new([0.25, 0.5]); 1_000_000],
+            0.0,
+            0.0,
+        ),
+        ("collinear", line, (n - 1) as f64, 0.0),
+        ("polygon", polygon, (n - 1) as f64 * chord, 1e-9),
+    ];
+    for (name, pts, weight, tol) in cases {
+        let mut want = None;
+        for builder in [
+            GeoStore::<2>::builder(),
+            GeoStore::builder().backend(Backend::Oracle),
+        ] {
+            let mut store = builder.build();
+            let got = store.execute(&[Request::Insert(pts.clone()), Request::Emst]);
+            let Ok(Response::Emst(edges)) = &got[1] else {
+                panic!("{name}: {:?}", got[1]);
+            };
+            assert_eq!(edges.len(), pts.len() - 1, "{name}");
+            let mut uf = pargeo::wspd::UnionFind::new(pts.len());
+            assert!(edges.iter().all(|e| uf.union(e.u, e.v)), "{name}: a cycle");
+            let total: f64 = edges.iter().map(|e| e.weight).sum();
+            assert!(
+                (total - weight).abs() <= tol * weight,
+                "{name}: weighs {total}, want {weight}"
+            );
+            match &want {
+                None => want = Some(edges.clone()),
+                Some(w) => assert_eq!(w, edges, "{name}: the oracle store differs"),
+            }
+        }
+    }
+}
