@@ -82,9 +82,9 @@ where
 
 /// [`gen_parallel`] restricted to a sub-range of the stream. Because every
 /// object is derived from `(seed, i)` alone, generating `[start, end)` is
-/// bit-identical to slicing the monolithic output — the property the
-/// chunked `*_range` generators below rely on to feed 10^7-point streams
-/// without a second full-size temporary allocation.
+/// bit-identical to slicing the monolithic output — the property
+/// [`uniform_cube_range`] relies on to feed 10^7-point streams without a
+/// second full-size temporary allocation.
 fn gen_parallel_range<T, F>(range: std::ops::Range<usize>, f: F) -> Vec<T>
 where
     T: Send,
@@ -126,17 +126,8 @@ pub fn uniform_cube_range<const D: usize>(
 /// **IS**: `n` points uniform inside a hypersphere of radius `√n / 2`
 /// centered at the origin.
 pub fn in_sphere<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
-    in_sphere_range(n, seed, 0..n)
-}
-
-/// Chunk of the `in_sphere(n, seed)` stream (see [`uniform_cube_range`]).
-fn in_sphere_range<const D: usize>(
-    n: usize,
-    seed: u64,
-    range: std::ops::Range<usize>,
-) -> Vec<Point<D>> {
     let radius = cube_side(n) / 2.0;
-    gen_parallel_range(range, |i| {
+    gen_parallel(n, |i| {
         let mut rng = Counter::new(seed, i);
         unit_ball_point::<D>(&mut rng) * radius
     })
@@ -145,18 +136,9 @@ fn in_sphere_range<const D: usize>(
 /// **OS**: `n` points uniform on the hypersphere surface (radius `√n / 2`),
 /// jittered inward within a shell of thickness `0.1 ×` diameter.
 pub fn on_sphere<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
-    on_sphere_range(n, seed, 0..n)
-}
-
-/// Chunk of the `on_sphere(n, seed)` stream (see [`uniform_cube_range`]).
-fn on_sphere_range<const D: usize>(
-    n: usize,
-    seed: u64,
-    range: std::ops::Range<usize>,
-) -> Vec<Point<D>> {
     let radius = cube_side(n) / 2.0;
     let thickness = 0.1 * 2.0 * radius;
-    gen_parallel_range(range, |i| {
+    gen_parallel(n, |i| {
         let mut rng = Counter::new(seed, i);
         let dir = unit_sphere_point::<D>(&mut rng);
         let r = radius - rng.next_f64() * thickness;
@@ -167,18 +149,9 @@ fn on_sphere_range<const D: usize>(
 /// **OC**: `n` points uniform on the hypercube surface (side `√n`),
 /// jittered inward within a slab of thickness `0.1 ×` side.
 pub fn on_cube<const D: usize>(n: usize, seed: u64) -> Vec<Point<D>> {
-    on_cube_range(n, seed, 0..n)
-}
-
-/// Chunk of the `on_cube(n, seed)` stream (see [`uniform_cube_range`]).
-fn on_cube_range<const D: usize>(
-    n: usize,
-    seed: u64,
-    range: std::ops::Range<usize>,
-) -> Vec<Point<D>> {
     let side = cube_side(n);
     let thickness = 0.1 * side;
-    gen_parallel_range(range, |i| {
+    gen_parallel(n, |i| {
         let mut rng = Counter::new(seed, i);
         let mut c = [0.0; D];
         for x in c.iter_mut() {
@@ -228,8 +201,9 @@ impl Default for SeedSpreaderParams {
 /// clusters whose densities vary by orders of magnitude.
 ///
 /// Unlike the counter-mode families this walk is inherently sequential —
-/// point `i` depends on the entire prefix — so it has no chunked `*_range`
-/// variant: re-seeding per chunk would change the stream.
+/// point `i` depends on the entire prefix — so it could have no chunked
+/// variant like [`uniform_cube_range`]: re-seeding per chunk would change
+/// the stream.
 pub fn seed_spreader<const D: usize>(
     n: usize,
     seed: u64,
@@ -269,14 +243,8 @@ pub fn seed_spreader<const D: usize>(
 /// normals vary smoothly, which is what distinguishes Thai/Dragon from the
 /// synthetic U/IS families in Figures 9 and 10.
 pub fn statue_surface(n: usize, seed: u64) -> Vec<Point<3>> {
-    statue_surface_range(n, seed, 0..n)
-}
-
-/// Chunk of the `statue_surface(n, seed)` stream (see
-/// [`uniform_cube_range`]).
-fn statue_surface_range(n: usize, seed: u64, range: std::ops::Range<usize>) -> Vec<Point<3>> {
     let radius = cube_side(n) / 2.0;
-    gen_parallel_range(range, |i| {
+    gen_parallel(n, |i| {
         let mut rng = Counter::new(seed, i);
         let dir = unit_sphere_point::<3>(&mut rng);
         let (x, y, z) = (dir[0], dir[1], dir[2]);
@@ -455,9 +423,9 @@ mod tests {
 
     #[test]
     fn chunked_generation_is_bit_identical_to_monolithic() {
-        // Every counter-mode family: concatenating fixed-size chunks must
-        // reproduce the monolithic stream bit for bit, for chunk sizes
-        // that do and do not divide n (and straddle the parallel cutoff).
+        // Concatenating fixed-size chunks must reproduce the monolithic
+        // stream bit for bit, for chunk sizes that do and do not divide n
+        // (and straddle the parallel cutoff).
         let n = 10_000;
         for chunk in [1_000, 4_096, 7_777] {
             let stitch = |f: &dyn Fn(std::ops::Range<usize>) -> Vec<Point<3>>| {
@@ -473,19 +441,6 @@ mod tests {
             assert_eq!(
                 uniform_cube::<3>(n, 1),
                 stitch(&|r| uniform_cube_range::<3>(n, 1, r))
-            );
-            assert_eq!(
-                in_sphere::<3>(n, 2),
-                stitch(&|r| in_sphere_range::<3>(n, 2, r))
-            );
-            assert_eq!(
-                on_sphere::<3>(n, 3),
-                stitch(&|r| on_sphere_range::<3>(n, 3, r))
-            );
-            assert_eq!(on_cube::<3>(n, 4), stitch(&|r| on_cube_range::<3>(n, 4, r)));
-            assert_eq!(
-                statue_surface(n, 5),
-                stitch(&|r| statue_surface_range(n, 5, r))
             );
         }
         // A chunk is exactly the monolithic slice, at any offset.

@@ -1,12 +1,8 @@
-//! Bowyer–Watson drivers over the [`TriMesh`] kernel: sequential (Morton
-//! order) and the parallel reservation-based batch insertion.
+//! The library's Bowyer–Watson driver: the [`TriMesh`] kernel's insertion
+//! loop over the Morton order of the input.
 
-use crate::tri::{Cavity, TriMesh};
-use pargeo_geometry::{GeoError, GeoResult, Point2};
-use pargeo_parlay as parlay;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
-
-const EMPTY: usize = usize::MAX;
+use crate::tri::TriMesh;
+use pargeo_geometry::{orient2d, GeoError, GeoResult, Orientation, Point2};
 
 /// A Delaunay triangulation of the input point set (duplicates collapse
 /// onto their first occurrence; collinear inputs produce no triangles).
@@ -28,6 +24,13 @@ impl Delaunay {
     }
 }
 
+/// The error for input with no 2-D extent: all points collinear or
+/// coincident.
+pub(crate) const FLAT: GeoError = GeoError::Degenerate {
+    op: "delaunay",
+    what: "collinear",
+};
+
 /// Rejects NaN and infinite coordinates, which no predicate orders.
 pub(crate) fn check_finite(points: &[Point2]) -> GeoResult<()> {
     if points
@@ -42,7 +45,9 @@ pub(crate) fn check_finite(points: &[Point2]) -> GeoResult<()> {
     Ok(())
 }
 
-/// The input checks shared by the fallible entry points.
+/// The input checks shared by the fallible entry points. Flat input is
+/// refused by one early-exit scan — two distinct points, then any third
+/// off their line — before a single point is inserted.
 pub(crate) fn check_input(points: &[Point2]) -> GeoResult<()> {
     if points.is_empty() {
         return Err(GeoError::EmptyInput { op: "delaunay" });
@@ -54,28 +59,27 @@ pub(crate) fn check_input(points: &[Point2]) -> GeoResult<()> {
             got: points.len(),
         });
     }
-    check_finite(points)
+    check_finite(points)?;
+    let a = &points[0];
+    let Some(b) = points.iter().find(|&p| p != a) else {
+        return Err(FLAT);
+    };
+    if points
+        .iter()
+        .all(|q| orient2d(a, b, q) == Orientation::Zero)
+    {
+        return Err(FLAT);
+    }
+    Ok(())
 }
 
-/// Sequential Bowyer–Watson, inserting in Morton order (a BRIO-style
-/// locality order). Inputs [`try_delaunay`] rejects give no triangles.
-pub fn delaunay_seq(points: &[Point2]) -> Delaunay {
-    if check_input(points).is_err() {
-        return Delaunay {
-            triangles: Vec::new(),
-        };
-    }
-    let mut mesh = TriMesh::with_points(points);
-    let order = pargeo_morton::morton_sort(&mut points.to_vec());
-    mesh.insert_all(order, f64::INFINITY);
-    Delaunay {
-        triangles: mesh.extract(),
-    }
-}
-
-/// Parallel reservation-based Delaunay (default seed).
+/// Delaunay triangulation by Bowyer–Watson insertion in Morton order (a
+/// BRIO-style locality order). Inputs [`try_delaunay`] rejects give no
+/// triangles.
 pub fn delaunay(points: &[Point2]) -> Delaunay {
-    delaunay_seeded(points, 42)
+    try_delaunay(points).unwrap_or(Delaunay {
+        triangles: Vec::new(),
+    })
 }
 
 /// Non-panicking Delaunay triangulation: rejects inputs that admit no
@@ -84,158 +88,23 @@ pub fn delaunay(points: &[Point2]) -> Delaunay {
 /// typed [`GeoError`] instead of returning an empty triangle list.
 pub fn try_delaunay(points: &[Point2]) -> GeoResult<Delaunay> {
     check_input(points)?;
-    let d = delaunay(points);
-    if d.is_empty() {
-        return Err(GeoError::Degenerate {
-            op: "delaunay",
-            what: "collinear",
-        });
-    }
-    Ok(d)
-}
-
-/// Parallel reservation-based Delaunay with an explicit permutation seed.
-/// Inputs [`try_delaunay`] rejects give no triangles.
-///
-/// Each round, a prefix of the uninserted points computes its cavities on
-/// the shared mesh and priority-writes its rank onto every slot a re-star
-/// would touch; the points that hold all their reservations own disjoint
-/// slot sets, so their cavities are re-starred in place and their
-/// conflict lists redistributed independently. The conflict lists, the
-/// point → triangle map and the reservations are side tables of this
-/// driver, indexed like the mesh's slab.
-pub fn delaunay_seeded(points: &[Point2], seed: u64) -> Delaunay {
-    let n = points.len();
-    if check_input(points).is_err() {
-        return Delaunay {
-            triangles: Vec::new(),
-        };
-    }
     let mut mesh = TriMesh::with_points(points);
-    let order = parlay::random_permutation(n, seed);
-    let mut reservations: Vec<AtomicUsize> = vec![AtomicUsize::new(EMPTY)];
-    // Uninserted points lying inside each triangle, and the inverse map.
-    // `tri_of` is written by the winners of a round in parallel (each
-    // point by the one winner whose cavity held it) and read in the next
-    // round; the fork-join between phases orders the two, so `Relaxed`.
-    let mut conf: Vec<Vec<u32>> = vec![order.clone()];
-    let tri_of: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut alive_pt: Vec<bool> = vec![true; n];
-    let mut p: Vec<u32> = order;
-
-    while !p.is_empty() {
-        let r = round_size(mesh.v.len(), parlay::num_threads(), p.len());
-        let batch = &p[..r];
-        // Phase A: conflict cavities + reservations (`None` = duplicate).
-        let plans: Vec<Option<Cavity>> = parlay::tabulate(r, CAVITY_GRAIN, |rank| {
-            let q = batch[rank];
-            let t0 = tri_of[q as usize].load(Ordering::Relaxed);
-            if mesh.is_vertex_of(t0, q) {
-                return None;
-            }
-            let mut cav = Cavity::default();
-            mesh.cavity(t0, q, &mut cav);
-            for t in cav.touched() {
-                let slot = &reservations[t as usize];
-                if slot.load(Ordering::Relaxed) > rank {
-                    slot.fetch_min(rank, Ordering::Relaxed);
-                }
-            }
-            Some(cav)
-        });
-        // Phase A': winners.
-        let success: Vec<bool> = parlay::tabulate(r, SLOT_GRAIN, |rank| {
-            plans[rank].as_ref().is_some_and(|cav| {
-                cav.touched()
-                    .all(|t| reservations[t as usize].load(Ordering::Relaxed) == rank)
-            })
-        });
-        // Phase B: sequential surgery per winner, remembering the slots of
-        // its new triangles (the cavity's own plus two fresh ones).
-        let mut winners: Vec<(u32, &Cavity, Vec<u32>)> = Vec::new();
-        for ((&q, pl), &won) in batch.iter().zip(&plans).zip(&success) {
-            match pl {
-                None => alive_pt[q as usize] = false,
-                Some(cav) if won => {
-                    let fresh = mesh.restar(q, cav);
-                    alive_pt[q as usize] = false;
-                    winners.push((q, cav, cav.region.iter().copied().chain(fresh).collect()));
-                }
-                Some(_) => {}
-            }
-        }
-        reservations.resize_with(mesh.v.len(), || AtomicUsize::new(EMPTY));
-        conf.resize_with(mesh.v.len(), Vec::new);
-        // Phase C: parallel redistribution by containment. Each winner
-        // reads the lists of its cavity and builds those of its new
-        // triangles, which then replace them slot by slot.
-        // A winner's work is its cavity's share of the pending points:
-        // early rounds have a few winners moving thousands each, late ones
-        // many winners moving none.
-        let pending_per_tri = p.len() / mesh.v.len();
-        let winners_per_task = (CAVITY_GRAIN / (1 + pending_per_tri)).max(1);
-        let moved: Vec<Vec<Vec<u32>>> =
-            parlay::map(&winners, winners_per_task, |(q, cav, slots)| {
-                let mut lists = vec![Vec::new(); slots.len()];
-                let pending = cav.region.iter().flat_map(|&dead| &conf[dead as usize]);
-                for &t in pending.filter(|&t| t != q) {
-                    let home = slots.iter().position(|&nt| mesh.contains(nt, t));
-                    debug_assert!(home.is_some(), "cavity must cover its points");
-                    match home {
-                        Some(i) => {
-                            tri_of[t as usize].store(slots[i], Ordering::Relaxed);
-                            lists[i].push(t);
-                        }
-                        // Defensive: drop rather than corrupt.
-                        None => tri_of[t as usize].store(u32::MAX, Ordering::Relaxed),
-                    }
-                }
-                lists
-            });
-        for ((_, _, slots), lists) in winners.iter().zip(moved) {
-            for (&slot, list) in slots.iter().zip(lists) {
-                conf[slot as usize] = list;
-            }
-        }
-        // Phase D: reset + pack.
-        parlay::parallel_for(r, SLOT_GRAIN, |rank| {
-            for t in plans[rank].iter().flat_map(Cavity::touched) {
-                reservations[t as usize].store(EMPTY, Ordering::Relaxed);
-            }
-        });
-        p = parlay::filter(&p, |&t| {
-            alive_pt[t as usize] && tri_of[t as usize].load(Ordering::Relaxed) != u32::MAX
-        });
+    let order = pargeo_morton::morton_sort(&mut points.to_vec());
+    mesh.insert_all(order, f64::INFINITY);
+    let triangles = mesh.extract();
+    if triangles.is_empty() {
+        return Err(FLAT);
     }
-    Delaunay {
-        triangles: mesh.extract(),
-    }
-}
-
-/// Cavities per task in a round's Phase A (a cavity is a point location
-/// and a tour of some six triangles — about a microsecond).
-const CAVITY_GRAIN: usize = 32;
-/// Items per task in the phases that only visit a cavity's dozen
-/// reservation slots.
-const SLOT_GRAIN: usize = 256;
-
-/// Batch size: grows with both the mesh (conflict cavities must be sparse
-/// enough for reservations to succeed) and the remaining points (each
-/// round packs `P`, so the round count must stay logarithmic).
-fn round_size(alive_tris: usize, threads: usize, remaining: usize) -> usize {
-    if alive_tris < 32 {
-        return 1;
-    }
-    let floor = (8 * threads).max(1);
-    let adaptive = (remaining / 8).min(alive_tris / 8);
-    floor.max(adaptive).min(remaining)
+    Ok(Delaunay { triangles })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tri::validate_delaunay;
+    use crate::{delaunay_edges, DelaunayIncremental};
     use pargeo_datagen::{seed_spreader, uniform_cube, SeedSpreaderParams};
+    use pargeo_parlay as parlay;
 
     fn canonical(tris: &[[u32; 3]]) -> Vec<[u32; 3]> {
         let mut out: Vec<[u32; 3]> = tris
@@ -253,20 +122,23 @@ mod tests {
     #[test]
     fn seq_is_delaunay_uniform() {
         let pts = uniform_cube::<2>(400, 1);
-        let d = delaunay_seq(&pts);
+        let d = delaunay(&pts);
         validate_delaunay(&pts, &d.triangles).unwrap();
     }
 
+    /// One insertion loop, two orders: in general position the
+    /// triangulation is unique, so Morton order and the store's index
+    /// order build the same edges.
     #[test]
     fn parallel_matches_sequential() {
         for seed in 0..3 {
             let pts = uniform_cube::<2>(500, seed);
-            let s = delaunay_seq(&pts);
-            let p = delaunay(&pts);
-            validate_delaunay(&pts, &p.triangles).unwrap();
+            let morton = delaunay(&pts);
+            validate_delaunay(&pts, &morton.triangles).unwrap();
+            let index = DelaunayIncremental::try_build(&pts).unwrap();
             assert_eq!(
-                canonical(&s.triangles),
-                canonical(&p.triangles),
+                delaunay_edges(&morton),
+                index.edges().unwrap(),
                 "seed={seed}"
             );
         }
@@ -295,13 +167,15 @@ mod tests {
             })
         );
         let line: Vec<Point2> = (0..30).map(|i| Point2::new([i as f64, i as f64])).collect();
-        assert_eq!(
-            try_delaunay(&line),
-            Err(GeoError::Degenerate {
-                op: "delaunay",
-                what: "collinear"
-            })
-        );
+        assert_eq!(try_delaunay(&line), Err(FLAT));
+        // Copies of one line point ahead of the line, and one point alone.
+        let mut late = vec![line[7]; 20];
+        late.extend(&line);
+        assert_eq!(try_delaunay(&late), Err(FLAT));
+        assert_eq!(try_delaunay(&[line[3]; 9]), Err(FLAT));
+        // One point off the line, last, is enough: a fan over the line.
+        late.push(Point2::new([0.0, 1.0]));
+        assert_eq!(try_delaunay(&late).unwrap().len(), 29);
         let pts = uniform_cube::<2>(100, 9);
         assert!(!try_delaunay(&pts).unwrap().is_empty());
     }
@@ -353,7 +227,6 @@ mod tests {
         assert!(delaunay(&two).is_empty());
         let collinear: Vec<Point2> = (0..50).map(|i| Point2::new([i as f64, i as f64])).collect();
         assert!(delaunay(&collinear).is_empty());
-        assert!(delaunay_seq(&collinear).is_empty());
     }
 
     #[test]

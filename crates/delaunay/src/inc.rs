@@ -29,7 +29,7 @@
 //! its own ids, so a 500-point advance costs 500 insertions — appending
 //! points rewrites no triangle and the slab holds no dead slot to skip.
 
-use crate::bw::{check_finite, check_input, Delaunay};
+use crate::bw::{check_finite, check_input, Delaunay, FLAT};
 use crate::tri::TriMesh;
 use pargeo_geometry::{Bbox, GeoError, GeoResult, Point2};
 
@@ -82,10 +82,7 @@ impl DelaunayIncremental {
         eng.mesh.append_points(points);
         eng.mesh.insert_all(0..points.len() as u32, f64::INFINITY);
         if eng.mesh.real_tris().next().is_none() {
-            return Err(GeoError::Degenerate {
-                op: "delaunay",
-                what: "collinear",
-            });
+            return Err(FLAT);
         }
         Ok(eng)
     }
@@ -217,15 +214,15 @@ mod tests {
     }
 
     /// The index-order build is a valid Delaunay triangulation and agrees
-    /// with the randomized builders on the edge set for inputs in general
+    /// with the Morton-order build on the edge set for inputs in general
     /// position (where the triangulation is unique).
     #[test]
     fn index_order_build_matches_randomized_in_general_position() {
         let pts = uniform_cube::<2>(400, 9);
         let eng = DelaunayIncremental::try_build(&pts).unwrap();
         validate_delaunay(&pts, &eng.triangulation().unwrap().triangles).unwrap();
-        let rand = try_delaunay(&pts).unwrap();
-        assert_eq!(eng.edges().unwrap(), crate::delaunay_edges(&rand));
+        let morton = try_delaunay(&pts).unwrap();
+        assert_eq!(eng.edges().unwrap(), crate::delaunay_edges(&morton));
     }
 
     /// Same typed errors as `try_delaunay` on degenerate inputs.
@@ -308,7 +305,6 @@ mod tests {
                 assert_eq!(DelaunayIncremental::try_build(&pts).err(), Some(refused));
                 assert_eq!(try_delaunay(&pts).err(), Some(refused));
                 assert!(crate::delaunay(&pts).is_empty());
-                assert!(crate::delaunay_seq(&pts).is_empty());
             }
             let mut eng = DelaunayIncremental::try_build(&good).unwrap();
             let edges_before = eng.edges().unwrap();

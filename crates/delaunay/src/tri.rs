@@ -32,31 +32,22 @@ pub(crate) const SUPER: u32 = u32::MAX - 3;
 /// A directed cavity-boundary edge `a → b` (as in its cavity triangle)
 /// and the triangle beyond it, whose `nbr[outer_slot]` points back in.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct BEdge {
+struct BEdge {
     a: u32,
     b: u32,
-    pub outer: u32,
+    outer: u32,
     outer_slot: u8,
 }
 
 /// One point's conflict cavity: its triangles and its boundary cycle.
 #[derive(Debug, Default)]
-pub(crate) struct Cavity {
-    pub region: Vec<u32>,
+struct Cavity {
+    region: Vec<u32>,
     /// Boundary edges in counterclockwise cycle order; `ring.len() ==
     /// region.len() + 2`.
-    pub ring: Vec<BEdge>,
+    ring: Vec<BEdge>,
     /// Tour frames `(triangle, next edge, edges left)`.
     stack: Vec<(u32, u8, u8)>,
-}
-
-impl Cavity {
-    /// Every slot a re-star reads or writes: the cavity and the ring of
-    /// triangles around it (a ring triangle can repeat).
-    pub fn touched(&self) -> impl Iterator<Item = u32> + '_ {
-        let outer = self.ring.iter().map(|e| e.outer).filter(|&g| g != NONE);
-        self.region.iter().copied().chain(outer)
-    }
 }
 
 /// Pyramid of square grids over the mesh's bbox, level `l` holding
@@ -232,7 +223,7 @@ impl TriMesh {
 
     /// True iff `q` lies inside triangle `t` (boundary inclusive).
     #[inline]
-    pub fn contains(&self, t: u32, q: u32) -> bool {
+    fn contains(&self, t: u32, q: u32) -> bool {
         let v = self.v[t as usize];
         (0..3).all(|i| {
             orient2d(self.pt(v[i]), self.pt(v[(i + 1) % 3]), self.pt(q)) != Orientation::Negative
@@ -241,7 +232,7 @@ impl TriMesh {
 
     /// True iff `q` coincides with a vertex of `t`.
     #[inline]
-    pub fn is_vertex_of(&self, t: u32, q: u32) -> bool {
+    fn is_vertex_of(&self, t: u32, q: u32) -> bool {
         self.v[t as usize].iter().any(|&v| self.pt(v) == self.pt(q))
     }
 
@@ -255,7 +246,7 @@ impl TriMesh {
     /// Fills `cav` with the conflict cavity of `q` around the containing
     /// triangle `t0` (which always conflicts): a counterclockwise tour of
     /// the cavity's dual tree.
-    pub fn cavity(&self, t0: u32, q: u32, cav: &mut Cavity) {
+    fn cavity(&self, t0: u32, q: u32, cav: &mut Cavity) {
         cav.region.clear();
         cav.ring.clear();
         cav.region.push(t0);
@@ -285,9 +276,9 @@ impl TriMesh {
     }
 
     /// Stars `cav` around the new vertex `q` in place: triangle `pos` of
-    /// the fan takes the cavity's slot `pos`, the last two take the fresh
-    /// slots returned. The caller owns `cav.touched()` exclusively.
-    pub fn restar(&mut self, q: u32, cav: &Cavity) -> std::ops::Range<u32> {
+    /// the fan takes the cavity's slot `pos`, the last two take two fresh
+    /// slots at the end of the slab.
+    fn restar(&mut self, q: u32, cav: &Cavity) {
         let (r, k) = (cav.region.len(), cav.ring.len());
         let base = self.v.len() as u32;
         let slot = |pos: usize| match cav.region.get(pos) {
@@ -314,7 +305,6 @@ impl TriMesh {
             }
         }
         self.vtri[q as usize] = slot(0);
-        base..self.v.len() as u32
     }
 
     /// A triangle containing `q` (boundary inclusive): an orientation walk

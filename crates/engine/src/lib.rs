@@ -27,9 +27,9 @@
 //!   [`Workload`](pargeo_datagen::Workload) (mixed insert/delete/k-NN/range
 //!   batches from `pargeo-datagen`'s
 //!   [`WorkloadSpec`](pargeo_datagen::WorkloadSpec)) to any backend and
-//!   returns a [`WorkloadReport`] with per-phase timings and
-//!   order-sensitive answer checksums — equal checksums across backends
-//!   prove they served identical answers.
+//!   returns a [`WorkloadReport`] with per-class batch and result counts,
+//!   the closing epoch statistics, and order-sensitive answer checksums —
+//!   equal checksums across backends prove they served identical answers.
 //!
 //! ```
 //! use pargeo_engine::{SpatialIndex, VecIndex};
@@ -380,7 +380,6 @@ mod tests {
     #[test]
     fn all_backends_answer_identically() {
         let pts = uniform_cube::<2>(3_000, 2);
-        let side = pargeo_datagen::cube_side(3_000);
         let queries: Vec<Point<2>> = pts.iter().step_by(101).copied().collect();
         let boxes: Vec<Bbox<2>> = pargeo_datagen::uniform_rects::<2>(40, 3, 0.3);
         let mut rows: Vec<(String, Vec<Vec<Neighbor>>, Vec<Vec<u32>>)> = Vec::new();
@@ -394,7 +393,6 @@ mod tests {
                 b.range_batch(&boxes),
             ));
         }
-        let _ = side;
         let (_, knn0, rng0) = &rows[0];
         for (name, knn, rng) in &rows[1..] {
             assert_eq!(rng, rng0, "range mismatch: {name}");

@@ -16,13 +16,11 @@
 //! * **Spans** ([`SpanGuard`], the [`span!`] macro) — wall-time guards
 //!   that record into a per-scope histogram and optionally append to a
 //!   bounded in-memory trace ring ([`TraceEvent`]: epoch id, request
-//!   class, shard id, memo path — whatever labels the caller attaches),
-//!   plus a slow-op log capturing every span at or above a configurable
-//!   threshold.
+//!   class, shard id, memo path — whatever labels the caller attaches).
 //! * **[`ObsLevel`]** — the dial consumers expose (`GeoStore::builder()
 //!   .observe(..)`): `Off` compiles the whole layer down to a skipped
 //!   `Option` branch, `Metrics` records counters and histograms,
-//!   `Trace` adds the ring and slow-op log.
+//!   `Trace` adds the ring.
 //!
 //! Determinism contract: observation never touches answers. An
 //! instrumented run must produce bit-identical response digests to an
@@ -53,9 +51,7 @@ pub mod registry;
 pub use metrics::{
     bucket_index, bucket_lower, bucket_upper, Counter, Gauge, HistSummary, Histogram, NUM_BUCKETS,
 };
-pub use registry::{
-    Labels, Registry, SpanGuard, TraceEvent, DEFAULT_SLOW_CAPACITY, DEFAULT_TRACE_CAPACITY,
-};
+pub use registry::{Labels, Registry, SpanGuard, TraceEvent, DEFAULT_TRACE_CAPACITY};
 
 /// How much the instrumented layers observe. The default is [`Off`]:
 /// observation must be asked for, and the off path is a skipped `Option`
@@ -69,13 +65,12 @@ pub enum ObsLevel {
     Off,
     /// Counters and latency histograms (span wall-times included).
     Metrics,
-    /// [`Metrics`](ObsLevel::Metrics) plus the bounded trace ring and the
-    /// slow-op log.
+    /// [`Metrics`](ObsLevel::Metrics) plus the bounded trace ring.
     Trace,
 }
 
 impl ObsLevel {
-    /// True iff the trace ring and slow-op log are kept.
+    /// True iff the trace ring is kept.
     pub fn tracing(self) -> bool {
         self == ObsLevel::Trace
     }

@@ -1,6 +1,6 @@
 //! The metrics registry: named, labeled metric families behind one
-//! handle, plus structured spans, the bounded trace ring, the slow-op
-//! log, and the Prometheus/JSON exposition surface.
+//! handle, plus structured spans, the bounded trace ring, and the
+//! Prometheus/JSON exposition surface.
 //!
 //! Lock discipline: the registry map takes a read lock on the fast path
 //! (handle lookup) and a write lock only on first registration. Callers
@@ -10,7 +10,6 @@
 
 use crate::metrics::{bucket_upper, Counter, Gauge, Histogram};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
@@ -33,7 +32,7 @@ struct Inner {
     histograms: BTreeMap<Key, Arc<Histogram>>,
 }
 
-/// One completed span or slow op captured with its labels.
+/// One completed span captured with its labels.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Monotone sequence number (gaps mean the ring dropped events).
@@ -92,12 +91,8 @@ impl TraceRing {
 /// Default capacity of the trace ring when tracing is enabled.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1024;
 
-/// Default capacity of the slow-op log.
-pub const DEFAULT_SLOW_CAPACITY: usize = 256;
-
 /// The metrics registry: get-or-create handles to counters, gauges, and
-/// histograms keyed by `(name, labels)`, plus spans, the trace ring, and
-/// the slow-op log.
+/// histograms keyed by `(name, labels)`, plus spans and the trace ring.
 ///
 /// ```
 /// use pargeo_obs::Registry;
@@ -114,9 +109,6 @@ pub const DEFAULT_SLOW_CAPACITY: usize = 256;
 pub struct Registry {
     inner: RwLock<Inner>,
     trace: Option<TraceRing>,
-    slow: TraceRing,
-    /// Slow-op threshold in nanoseconds; 0 disables the slow log.
-    slow_threshold: AtomicU64,
 }
 
 impl Default for Registry {
@@ -131,8 +123,6 @@ impl Registry {
         Self {
             inner: RwLock::new(Inner::default()),
             trace: None,
-            slow: TraceRing::new(DEFAULT_SLOW_CAPACITY),
-            slow_threshold: AtomicU64::new(0),
         }
     }
 
@@ -148,13 +138,6 @@ impl Registry {
     /// True iff this registry keeps a trace ring.
     pub fn tracing(&self) -> bool {
         self.trace.is_some()
-    }
-
-    /// Captures every span at or above `nanos` wall-time into the slow-op
-    /// log (0 disables; the log keeps the most recent
-    /// [`DEFAULT_SLOW_CAPACITY`] entries).
-    pub fn set_slow_op_threshold_nanos(&self, nanos: u64) {
-        self.slow_threshold.store(nanos, Ordering::Relaxed);
     }
 
     /// The counter registered under `(name, labels)`, created at zero on
@@ -210,10 +193,9 @@ impl Registry {
     }
 
     /// Opens a span: on drop, its wall-time lands in the
-    /// `span_nanos{scope=..}` histogram, the trace ring (if tracing), and
-    /// the slow-op log (if at or above the threshold). The labels ride
-    /// along into the ring and log only — histogram cardinality stays
-    /// bounded by the scope set.
+    /// `span_nanos{scope=..}` histogram and, if tracing, the trace ring.
+    /// The labels ride along into the ring only — histogram cardinality
+    /// stays bounded by the scope set.
     pub fn span(&self, scope: &'static str, labels: Labels) -> SpanGuard<'_> {
         SpanGuard {
             registry: self,
@@ -221,20 +203,6 @@ impl Registry {
             scope,
             labels,
             start: Instant::now(),
-        }
-    }
-
-    fn finish_span(&self, scope: &'static str, labels: Labels, nanos: u64) {
-        let threshold = self.slow_threshold.load(Ordering::Relaxed);
-        let slow = threshold != 0 && nanos >= threshold;
-        match (&self.trace, slow) {
-            (Some(ring), true) => {
-                ring.push(scope, labels.clone(), nanos);
-                self.slow.push(scope, labels, nanos);
-            }
-            (Some(ring), false) => ring.push(scope, labels, nanos),
-            (None, true) => self.slow.push(scope, labels, nanos),
-            (None, false) => {}
         }
     }
 
@@ -248,16 +216,6 @@ impl Registry {
                     .ok()
                     .map(|r| r.events.iter().cloned().collect())
             })
-            .unwrap_or_default()
-    }
-
-    /// Spans captured by the slow-op log, oldest first.
-    pub fn slow_ops(&self) -> Vec<TraceEvent> {
-        self.slow
-            .inner
-            .lock()
-            .ok()
-            .map(|r| r.events.iter().cloned().collect())
             .unwrap_or_default()
     }
 
@@ -314,8 +272,8 @@ impl Registry {
         out
     }
 
-    /// Renders the registry — metrics with quantile summaries, the trace
-    /// ring, and the slow-op log — as one JSON object.
+    /// Renders the registry — metrics with quantile summaries and the
+    /// trace ring — as one JSON object.
     pub fn render_json(&self) -> String {
         let i = self.inner.read().unwrap_or_else(|e| e.into_inner());
         let mut out = String::from("{\"counters\":[");
@@ -354,8 +312,6 @@ impl Registry {
         drop(i);
         out.push_str("],\"trace\":[");
         push_joined(&mut out, self.trace_events().iter(), push_event);
-        out.push_str("],\"slow_ops\":[");
-        push_joined(&mut out, self.slow_ops().iter(), push_event);
         out.push_str("]}");
         out
     }
@@ -382,8 +338,9 @@ impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         let nanos = self.start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         self.hist.record(nanos);
-        self.registry
-            .finish_span(self.scope, std::mem::take(&mut self.labels), nanos);
+        if let Some(ring) = &self.registry.trace {
+            ring.push(self.scope, std::mem::take(&mut self.labels), nanos);
+        }
     }
 }
 
@@ -549,9 +506,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_is_bounded_and_slow_log_filters() {
+    fn trace_ring_is_bounded() {
         let reg = Registry::with_trace(4);
-        reg.set_slow_op_threshold_nanos(1);
         for i in 0..10u64 {
             drop(span!(reg, "op", i = i));
         }
@@ -560,11 +516,8 @@ mod tests {
         // Oldest evicted: sequence numbers are the last four.
         assert_eq!(events[0].seq, 6);
         assert_eq!(events[3].seq, 9);
-        // Every span took ≥ 1ns, so all land in the slow log (capped).
-        assert_eq!(reg.slow_ops().len(), 10.min(DEFAULT_SLOW_CAPACITY));
         let off = Registry::new();
         drop(off.span("op", vec![]));
-        assert!(off.slow_ops().is_empty());
         assert!(off.trace_events().is_empty());
         assert!(!off.tracing());
     }

@@ -150,9 +150,9 @@ pub(crate) fn compute<const D: usize>(
                     dim: D,
                 });
             };
-            // Canonical index-order build (not the randomized parallel
-            // variant): on cocircular inputs the triangulation is not
-            // unique, and only a fixed insertion schedule keeps full
+            // Canonical index-order build (not the library's Morton
+            // order): on cocircular inputs the triangulation is not
+            // unique, and only the schedule batches resume keeps full
             // recomputes bit-identical to engine-advanced results.
             let eng = DelaunayIncremental::try_build(p2)?;
             let graph = DerivedVal::Graph(remap_edges(&eng.edges()?, ids));

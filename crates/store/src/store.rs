@@ -15,7 +15,7 @@ use pargeo_sched::{Pool, PoolBuilder};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// The dynamic index backend serving a store's point queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +54,6 @@ pub struct GeoStoreBuilder<const D: usize> {
     threads: Option<usize>,
     shards: Option<usize>,
     observe: ObsLevel,
-    slow_op_nanos: Option<u64>,
     pipeline: bool,
 }
 
@@ -75,7 +74,6 @@ impl<const D: usize> Default for GeoStoreBuilder<D> {
             threads: None,
             shards: None,
             observe: ObsLevel::Off,
-            slow_op_nanos: None,
             pipeline: false,
         }
     }
@@ -145,16 +143,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
         self
     }
 
-    /// Captures any serve-path span at least this long into the registry's
-    /// slow-op log (requires [`observe`](Self::observe) ≠ `Off`; default:
-    /// no slow-op capture).
-    pub fn slow_op_threshold(mut self, threshold: Duration) -> Self {
-        // Zero disables capture in the registry, so an explicit zero
-        // threshold maps to 1ns ("capture everything").
-        self.slow_op_nanos = Some((threshold.as_nanos() as u64).max(1));
-        self
-    }
-
     /// Creates the (empty) store, returning a typed error if the
     /// dedicated thread pool cannot be constructed.
     pub fn try_build(self) -> GeoResult<GeoStore<D>> {
@@ -185,9 +173,6 @@ impl<const D: usize> GeoStoreBuilder<D> {
     fn finish(self, pool: Option<Pool>) -> GeoStore<D> {
         let pool = pool.map(Arc::new);
         let registry = self.observe.build_registry();
-        if let (Some(r), Some(nanos)) = (&registry, self.slow_op_nanos) {
-            r.set_slow_op_threshold_nanos(nanos);
-        }
         if let (Some(r), Some(p)) = (&registry, &pool) {
             // Scheduler counters (sched_tasks_total, sched_steals_total, …)
             // land in the same registry as the store's own metrics, so an

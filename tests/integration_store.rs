@@ -867,3 +867,90 @@ fn emst_requests_on_adversarial_input_are_exact() {
         }
     }
 }
+
+#[test]
+fn delaunay_requests_on_adversarial_input_are_exact() {
+    // Delaunay's adversarial inputs through `try_delaunay`,
+    // `graphgen::delaunay_graph` and `Request::DelaunayGraph` on the
+    // default and the oracle store. Copies of one point and a shuffled
+    // collinear run have no 2-D extent, and every entry point refuses them.
+    let flat = GeoError::Degenerate {
+        op: "delaunay",
+        what: "collinear",
+    };
+    let stores = || {
+        [
+            GeoStore::<2>::builder().build(),
+            GeoStore::builder().backend(Backend::Oracle).build(),
+        ]
+    };
+    let line: Vec<Point2> = pargeo::parlay::random_permutation(200_000, 11)
+        .iter()
+        .map(|&i| Point2::new([i as f64, 0.0]))
+        .collect();
+    for (name, pts) in [
+        ("1e6 copies", vec![Point2::new([0.25, 0.5]); 1_000_000]),
+        ("collinear", line),
+    ] {
+        assert_eq!(try_delaunay(&pts), Err(flat), "{name}");
+        assert!(pargeo::graphgen::delaunay_graph(&pts).is_empty(), "{name}");
+        for mut store in stores() {
+            let got = store.execute(&[Request::Insert(pts.clone()), Request::DelaunayGraph]);
+            assert_eq!(got[1], Err(flat), "{name}");
+        }
+    }
+
+    // A shuffled regular polygon (every point on the hull, every quadruple
+    // all but cocircular), a row-major lattice (cocircular everywhere,
+    // collinear hull sides) and x-sorted uniform points. Each must
+    // triangulate its whole hull: 3n − 3 − h edges for h input points on
+    // the hull boundary, and both stores give one edge list.
+    let cases = |n: usize| {
+        let step = std::f64::consts::TAU / n as f64;
+        let polygon: Vec<Point2> = pargeo::parlay::random_permutation(n, 12)
+            .iter()
+            .map(|&i| {
+                let (sin, cos) = (i as f64 * step).sin_cos();
+                Point2::new([cos, sin])
+            })
+            .collect();
+        let w = (n as f64).sqrt() as usize;
+        let lattice: Vec<Point2> = (0..w * w)
+            .map(|i| Point2::new([(i % w) as f64, (i / w) as f64]))
+            .collect();
+        let mut sorted = points(n, 13);
+        sorted.sort_by(|a, b| a[0].total_cmp(&b[0]));
+        let h = try_hull2d(&sorted).unwrap().len();
+        [
+            ("polygon", polygon, n),
+            ("lattice", lattice, 4 * (w - 1)),
+            ("x-sorted", sorted, h),
+        ]
+    };
+    for (name, pts, h) in cases(10_000) {
+        let want = 3 * pts.len() - 3 - h;
+        let d = try_delaunay(&pts).unwrap();
+        assert_eq!(delaunay_edges(&d).len(), want, "{name}");
+        assert_eq!(
+            pargeo::graphgen::delaunay_graph(&pts),
+            delaunay_edges(&d),
+            "{name}"
+        );
+        let [default, oracle] = stores().map(|mut store| {
+            let got = store.execute(&[Request::Insert(pts.clone()), Request::DelaunayGraph]);
+            match &got[1] {
+                Ok(Response::DelaunayGraph(edges)) => edges.clone(),
+                other => panic!("{name}: {other:?}"),
+            }
+        });
+        assert_eq!(default.len(), want, "{name}");
+        assert_eq!(default, oracle, "{name}: the oracle store differs");
+    }
+    // The empty-circumcircle check is quadratic, and exact on the
+    // polygon's near-cocircular quadruples: a small instance of each.
+    for (name, pts, _) in cases(200) {
+        let d = try_delaunay(&pts).unwrap();
+        pargeo::delaunay::validate_delaunay(&pts, &d.triangles)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+    }
+}
