@@ -37,11 +37,10 @@ pub struct BdlTree<const D: usize> {
     work: BdlWriteWork,
 }
 
-/// One static tree of a cascade: the level it goes to, how many rows it
-/// takes, the buffer they are dealt into, and the tree built in it.
+/// One static tree of a cascade: the level it goes to, the buffer its
+/// rows are dealt into, and the tree built in it.
 struct Rebuild<const D: usize> {
     level: usize,
-    share: usize,
     rows: Vec<(Point<D>, u32)>,
     tree: Option<VebTree<D>>,
 }
@@ -50,8 +49,10 @@ struct Rebuild<const D: usize> {
 /// history alone — never on the clock or the worker count.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BdlWriteWork {
-    /// Row copies between a batch or a destroyed level and a new tree's
-    /// columns (the `< X` buffer rows aside).
+    /// Row copies on the way from a batch or an old level into a new
+    /// tree's columns: one into the row buffer the tree is built in, one
+    /// out of it into the columns, so always `2 · rows_built` (rows routed
+    /// to the `< X` insert buffer aside).
     pub rows_moved: u64,
     /// Points handed to a static-tree build.
     pub rows_built: u64,
@@ -158,33 +159,40 @@ impl<const D: usize> BdlTree<D> {
     /// Batch insert (Algorithm 3).
     pub fn insert(&mut self, batch: &[Point<D>]) {
         self.epoch += 1;
-        let items: Vec<(Point<D>, u32)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, self.next_id + i as u32))
-            .collect();
-        self.next_id += batch.len() as u32;
-        self.insert_items(items);
+        self.cascade(batch, Vec::new());
     }
 
-    /// Internal insert preserving existing ids (used by delete's
-    /// reinsertion step).
-    fn insert_items(&mut self, mut items: Vec<(Point<D>, u32)>) {
-        self.live += items.len();
-        // Route |items| mod X into the buffer; on overflow the buffer
-        // contributes X points back to the batch.
-        let rem = items.len() % self.x;
-        let spill: Vec<(Point<D>, u32)> = items.split_off(items.len() - rem);
-        self.buffer.extend(spill);
-        if self.buffer.len() >= self.x {
-            let take: Vec<(Point<D>, u32)> = self.buffer.drain(..self.x).collect();
-            items.extend(take);
-        }
-        if items.is_empty() {
+    /// The logarithmic carry, the one write both updates end in: the
+    /// incoming rows — `batch` under fresh ids, or the survivors of the
+    /// `drained` levels — then, once the insert buffer overflows, its
+    /// oldest X rows, then the rows of every level the carry destroys,
+    /// smallest first, are dealt in that order to the levels it creates.
+    /// Ascending levels take their exact capacity (binary arithmetic
+    /// guarantees there is enough when no deletions occurred; shortfalls
+    /// from past deletions land in the highest new level). The last
+    /// `|incoming| mod X` incoming rows go to the insert buffer instead.
+    ///
+    /// Each row is read where it lives — the batch, a level's columns —
+    /// and written once, into the row buffer its tree is built in; the
+    /// build moves it once more, into the columns.
+    fn cascade(&mut self, batch: &[Point<D>], drained: Vec<VebTree<D>>) {
+        let first_id = self.next_id;
+        self.next_id += batch.len() as u32;
+        self.live += batch.len();
+        let n = batch.len() + drained.iter().map(VebTree::len).sum::<usize>();
+        let mut incoming = (batch.iter().enumerate())
+            .map(|(i, &p)| (p, first_id + i as u32))
+            .chain(drained.iter().flat_map(VebTree::live_rows));
+        // The tail goes to the buffer first (read from the back, so
+        // reversed in place), and what is left of `incoming` is the prefix.
+        let spill = self.buffer.len();
+        self.buffer.extend(incoming.by_ref().rev().take(n % self.x));
+        self.buffer[spill..].reverse();
+        let take = self.buffer.len() >= self.x;
+        let k = (n / self.x + take as usize) as u64;
+        if k == 0 {
             return;
         }
-        debug_assert_eq!(items.len() % self.x, 0);
-        let k = (items.len() / self.x) as u64;
         let f = self.bitmask();
         let f_new = f + k;
         let to_destroy = f & !f_new;
@@ -198,16 +206,14 @@ impl<const D: usize> BdlTree<D> {
         while self.trees.len() < top_bit {
             self.trees.push(None);
         }
-        // The batch and the destroyed trees' points, in that order, are
-        // dealt to the new trees: ascending bits take their exact capacity
-        // (binary arithmetic guarantees there is enough when no deletions
-        // occurred; shortfalls from past deletions land in the highest new
-        // tree), each row going straight to the buffer its tree is built
-        // in.
-        let cascaded = destroyed.iter().map(VebTree::len).sum::<usize>();
-        let mut left = items.len() + cascaded;
-        // A cascaded row is gathered out of its columns, then dealt.
-        self.work.rows_moved += (items.len() + 2 * cascaded) as u64;
+        let mut left = k as usize * self.x + destroyed.iter().map(VebTree::len).sum::<usize>();
+        let mut rows = incoming
+            .chain(
+                take.then(|| self.buffer.drain(..self.x))
+                    .into_iter()
+                    .flatten(),
+            )
+            .chain(destroyed.iter().flat_map(VebTree::live_rows));
         let create_bits: Vec<usize> = (0..64).filter(|i| to_create >> i & 1 == 1).collect();
         let mut jobs: Vec<Rebuild<D>> = Vec::with_capacity(create_bits.len());
         for (j, &level) in create_bits.iter().enumerate() {
@@ -216,32 +222,22 @@ impl<const D: usize> BdlTree<D> {
                 false => left.min(self.x << level),
             };
             left -= share;
+            let mut dealt = Vec::with_capacity(share);
+            dealt.extend(rows.by_ref().take(share));
             jobs.push(Rebuild {
                 level,
-                share,
-                rows: Vec::with_capacity(share),
+                rows: dealt,
                 tree: None,
             });
-            // The build scatters each row into its columns.
-            self.work.rows_moved += share as u64;
+            // Dealt into the row buffer, then scattered into the columns.
+            self.work.rows_moved += 2 * share as u64;
             self.work.rows_built += share as u64;
             self.work.trees_built += 1;
         }
-        let mut filling = 0;
-        let mut deal = |mut rows: &[(Point<D>, u32)]| {
-            while !rows.is_empty() {
-                let job = &mut jobs[filling];
-                let take = rows.len().min(job.share - job.rows.len());
-                job.rows.extend_from_slice(&rows[..take]);
-                rows = &rows[take..];
-                filling += (job.rows.len() == job.share) as usize;
-            }
-        };
-        deal(&items);
-        drop(items);
-        for t in destroyed {
-            deal(&t.collect_live());
-        }
+        debug_assert!(rows.next().is_none(), "more rows than the levels hold");
+        drop(rows);
+        // The old levels go before the builds allocate their columns.
+        drop((drained, destroyed));
         let rule = self.rule;
         // Grain 1: an item is a whole tree build.
         pargeo_parlay::for_each_mut(&mut jobs, 1, |_, job| {
@@ -299,23 +295,14 @@ impl<const D: usize> BdlTree<D> {
             self.work.erase_compares += compares;
         }
         self.live -= removed.len();
-        // Drain trees below half capacity and reinsert their survivors.
-        let mut reinsert: Vec<(Point<D>, u32)> = Vec::new();
-        for (i, slot) in self.trees.iter_mut().enumerate() {
-            let drain = match slot {
-                Some(t) => t.is_empty() || 2 * t.len() < (self.x << i),
-                None => false,
-            };
-            if drain {
-                let t = slot.take().unwrap();
-                self.work.rows_moved += 2 * t.len() as u64;
-                reinsert.extend(t.collect_live());
-            }
-        }
-        if !reinsert.is_empty() {
-            self.live -= reinsert.len();
-            self.insert_items(reinsert);
-        }
+        // Levels below half capacity are drained: their survivors are the
+        // incoming rows of one more carry.
+        let x = self.x;
+        let drained: Vec<VebTree<D>> = (self.trees.iter_mut().enumerate())
+            .filter(|(i, slot)| slot.as_ref().is_some_and(|t| 2 * t.len() < x << i))
+            .filter_map(|(_, slot)| slot.take())
+            .collect();
+        self.cascade(&[], drained);
         removed
     }
 
@@ -386,16 +373,18 @@ impl<const D: usize> BdlTree<D> {
                 .sum::<usize>()
     }
 
-    /// Data-parallel batch box reporting (parallel over the queries).
+    /// Data-parallel batch box reporting (parallel over the queries,
+    /// evaluated in Z-order of the box centres, rows in input order).
     pub fn range_box_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        pargeo_parlay::map(queries, 16, |q| self.range_box(q))
+        pargeo_morton::map_batch_z_order_by(queries, Bbox::center, |q| self.range_box(q))
     }
 
     /// All live `(point, id)` pairs (diagnostics / tests).
     pub fn collect_live(&self) -> Vec<(Point<D>, u32)> {
-        let mut out: Vec<(Point<D>, u32)> = self.buffer.clone();
+        let mut out = Vec::with_capacity(self.live);
+        out.extend_from_slice(&self.buffer);
         for t in self.trees.iter().flatten() {
-            out.extend(t.collect_live());
+            out.extend(t.live_rows());
         }
         out
     }
@@ -773,13 +762,15 @@ mod tests {
     /// The machine-independent regression guard of the write path:
     /// `store-churn`'s write stream at 1/10 scale on a bare tree — a 40k
     /// prefill in 4k chunks, then 16 windows that insert 1k new points and
-    /// delete the 1k oldest. Recorded on the code this guard came with:
-    /// 347 136 rows moved for 134 144 built into 26 trees (2.6 moves per
-    /// built row: a batch row is dealt to its tree and scattered into
-    /// columns, a cascaded row is gathered first), 535 676 query-levels and
-    /// 773 223 leaf compares. The cascade before it — an AoS pool, a
-    /// `to_vec` per share and another inside the build — moved 560 128 rows
-    /// for the same builds, and its erase, without the root-box test, took
+    /// delete the 1k oldest. 134 144 rows are built into 26 trees, and the
+    /// erases take 535 676 query-levels and 773 223 leaf compares. Each
+    /// built row is moved twice, 268 288 moves: dealt from the batch or an
+    /// old level's columns into its tree's row buffer, then scattered
+    /// into the columns. The cascade before that moved 347 136 rows (a
+    /// level's rows were gathered into a temporary before they were dealt,
+    /// and a drain's survivors were gathered and dealt again); the one
+    /// before it — an AoS pool, a `to_vec` per share and another inside
+    /// the build — 560 128, and its erase, without the root-box test, took
     /// 536 008 query-levels and 774 046 compares.
     #[test]
     fn write_work_stays_under_the_recorded_ceiling() {
@@ -797,9 +788,76 @@ mod tests {
         // write path's: it may not move at all.
         assert_eq!((w.rows_built, w.trees_built), (134_144, 26), "{w:?}");
         assert_eq!(w.trees_built, t.rebuilds());
-        assert!(w.rows_moved <= 347_136, "{w:?}");
+        assert!(w.rows_moved <= 268_288, "{w:?}");
+        assert_eq!(w.rows_moved, 2 * w.rows_built, "{w:?}");
         assert!(w.erase_query_levels <= 535_676, "{w:?}");
         assert!(w.erase_compares <= 773_223, "{w:?}");
+    }
+
+    /// FNV-1a over every live row in slot order (the buffer, then each
+    /// level smallest first) and the level sizes.
+    fn row_order_digest<const D: usize>(t: &BdlTree<D>) -> u64 {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ byte as u64).wrapping_mul(0x0100_0000_01b3);
+            }
+        };
+        for (p, id) in t.collect_live() {
+            p.coords.iter().for_each(|c| eat(c.to_bits()));
+            eat(id as u64);
+        }
+        t.tree_sizes().into_iter().for_each(|s| eat(s as u64));
+        h
+    }
+
+    /// Which tree holds which row in which slot is the deal order's
+    /// business alone: a replay of inserts that spill into and take from
+    /// the buffer, deletes that drain one level or several (the survivors'
+    /// remainder landing in the buffer), and a delete of everything, must
+    /// leave every row where the cascade that recorded these digests left
+    /// it — so answers, `KnnWork` and `tree_sizes` cannot move either.
+    #[test]
+    fn the_cascade_deals_every_row_to_its_recorded_slot() {
+        let x = 32;
+        let pts = uniform_cube::<2>(6_000, 26);
+        let mut t = BdlTree::<2>::with_buffer_size(x);
+        let mut digests = Vec::new();
+        let script: [(bool, std::ops::Range<usize>); 10] = [
+            (true, 0..1_000),
+            (true, 1_000..1_021),
+            (false, 0..30),
+            (true, 1_021..2_500),
+            (false, 100..900),
+            (false, 1_000..1_400),
+            (true, 2_500..2_517),
+            (false, 1_400..2_200),
+            (true, 2_517..6_000),
+            (false, 2_200..5_990),
+        ];
+        for (insert, range) in script {
+            if insert {
+                t.insert(&pts[range]);
+            } else {
+                t.delete(&pts[range]);
+            }
+            digests.push(row_order_digest(&t));
+        }
+        t.delete(&pts);
+        assert!(t.is_empty() && t.collect_live().is_empty());
+        let want: [u64; 10] = [
+            0xb5c59e6e8ee4d62b,
+            0x86e1177343373f2f,
+            0x9fe49da9a2b2dd95,
+            0x3fd85159c9481074,
+            0x11edfb4e487b29ab,
+            0xc091d6dc73c2eb4c,
+            0x5cd34b240340cb29,
+            0x4804bc25f5642b18,
+            0xc5d7f22f6fe05f8a,
+            0x4f6ae03469bc3c54,
+        ];
+        assert_eq!(digests, want, "{digests:#x?}");
     }
 
     #[test]

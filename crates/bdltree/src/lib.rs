@@ -11,7 +11,9 @@
 //!   from the union of their points and the batch.
 //! * **Batch delete** (Algorithm 4) — points are bulk-erased from every
 //!   tree in parallel (Algorithm 2 with subtree collapse); any tree that
-//!   falls below half capacity is drained and its survivors reinserted.
+//!   falls below half capacity is drained, and its survivors are carried
+//!   into the larger trees exactly like an inserted batch, in the same
+//!   one pass.
 //! * **Data-parallel k-NN** (Appendix C.4) — one shared k-NN buffer per
 //!   query accumulates results across the buffer and every occupied tree.
 //!

@@ -2,7 +2,8 @@
 //!
 //! Standard kd-tree range reporting: subtrees entirely inside the query are
 //! reported wholesale, disjoint subtrees are pruned, straddling subtrees
-//! recurse. Batch variants are data-parallel over queries.
+//! recurse. Batch variants are data-parallel over queries, evaluated in
+//! Z-order of the box or ball centres, rows in input order.
 //!
 //! Reporting output is **deterministic**: ids come back sorted ascending
 //! regardless of tree shape, split rule, or thread count, so answers from
@@ -10,10 +11,7 @@
 
 use crate::tree::{AllLive, KdTree, Liveness, Node, Walk};
 use pargeo_geometry::{Bbox, Point};
-use pargeo_parlay as parlay;
-
-/// Range queries per task in the batch variants (a query is a tree walk).
-const RANGE_BATCH_GRAIN: usize = 16;
+use pargeo_morton::map_batch_z_order_by;
 
 impl<const D: usize> KdTree<D> {
     /// Original ids of all points inside `query` (boundary inclusive),
@@ -59,7 +57,7 @@ impl<const D: usize> KdTree<D> {
 
     /// Data-parallel batch ball counting.
     pub fn count_ball_batch(&self, queries: &[(Point<D>, f64)]) -> Vec<usize> {
-        parlay::map(queries, RANGE_BATCH_GRAIN, |(c, r)| self.count_ball(c, *r))
+        map_batch_z_order_by(queries, |q| q.0, |(c, r)| self.count_ball(c, *r))
     }
 
     /// Number of points inside `query` without materializing them.
@@ -72,12 +70,12 @@ impl<const D: usize> KdTree<D> {
 
     /// Data-parallel batch box search.
     pub fn range_box_batch(&self, queries: &[Bbox<D>]) -> Vec<Vec<u32>> {
-        parlay::map(queries, RANGE_BATCH_GRAIN, |q| self.range_box(q))
+        map_batch_z_order_by(queries, Bbox::center, |q| self.range_box(q))
     }
 
     /// Data-parallel batch ball search.
     pub fn range_ball_batch(&self, queries: &[(Point<D>, f64)]) -> Vec<Vec<u32>> {
-        parlay::map(queries, RANGE_BATCH_GRAIN, |(c, r)| self.range_ball(c, *r))
+        map_batch_z_order_by(queries, |q| q.0, |(c, r)| self.range_ball(c, *r))
     }
 }
 

@@ -132,16 +132,13 @@ impl<const D: usize> VebTree<D> {
         b
     }
 
-    /// All live `(point, id)` pairs.
-    pub fn collect_live(&self) -> Vec<(Point<D>, u32)> {
+    /// The live `(point, id)` pairs in slot order, read straight from the
+    /// columns — what a cascade deals from a level it destroys or drains.
+    pub fn live_rows(&self) -> impl DoubleEndedIterator<Item = (Point<D>, u32)> + '_ {
         let pts = &self.core.pts;
-        let mut out = Vec::with_capacity(self.live);
-        for i in 0..pts.len() {
-            if self.overlay.alive[i] {
-                out.push((pts.get(i), pts.id(i)));
-            }
-        }
-        out
+        (self.overlay.alive.iter().enumerate())
+            .filter(|&(_, &alive)| alive)
+            .map(move |(i, _)| (pts.get(i), pts.id(i)))
     }
 
     /// Heap bytes held by the tree's flat arenas (node array, coordinate
@@ -547,7 +544,7 @@ mod tests {
         let pts = uniform_cube::<3>(5_000, 1);
         let t = VebTree::build(&items(&pts));
         assert_eq!(t.len(), 5_000);
-        let mut live = t.collect_live();
+        let mut live: Vec<_> = t.live_rows().collect();
         live.sort_by_key(|&(_, id)| id);
         assert_eq!(live.len(), 5_000);
         for (i, (p, id)) in live.iter().enumerate() {
@@ -691,7 +688,7 @@ mod tests {
         assert_eq!(deleted, 1_000);
         assert!(t.is_empty());
         assert_eq!(t.root, u32::MAX);
-        assert!(t.collect_live().is_empty());
+        assert_eq!(t.live_rows().count(), 0);
         // knn on a dead tree returns nothing.
         assert!(t.knn(&pts[0], 3).is_empty());
     }
@@ -821,7 +818,7 @@ mod tests {
     fn empty_build() {
         let t = VebTree::<2>::build(&[]);
         assert!(t.is_empty());
-        assert!(t.collect_live().is_empty());
+        assert_eq!(t.live_rows().count(), 0);
     }
 
     #[test]

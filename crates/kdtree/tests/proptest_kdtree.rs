@@ -201,7 +201,7 @@ proptest! {
             prop_assert_eq!(got, want);
             for (t, rows) in [(&tree, &live)].into_iter().chain(pinned.as_ref().map(|(t, r)| (t, r))) {
                 prop_assert_eq!(t.len(), rows.len());
-                let mut seen = t.collect_live();
+                let mut seen: Vec<_> = t.live_rows().collect();
                 seen.sort_by_key(|&(_, id)| id);
                 prop_assert_eq!(&seen, rows);
                 // No live point hides under a dead-subtree flag, and the

@@ -92,20 +92,32 @@ const GRAIN: usize = 4096;
 const POINT_BATCH_GRAIN: usize = 64;
 
 /// Maps `f` over a batch of query points and returns the results in input
-/// order — [`parlay::map`] for point queries against a spatial tree.
-/// Batches of at least 64 queries are *evaluated* in Z-order of the
-/// queries, so consecutive queries (and each worker's contiguous chunk)
-/// walk the same root-to-leaf paths and scan the same leaves while they are
-/// still in cache. `f` must not depend on evaluation order.
-///
-/// Scratch is one `u64` per query: a 32-bit Morton code over the finite
-/// queries' bounding box above the query's index. Non-finite queries clamp
-/// to an end of the curve; one finite far-away query stretches the box and
-/// costs the batch its locality. Nothing about a query can make the
-/// ordering fail or move its row.
+/// order, evaluated in Z-order of the points:
+/// [`map_batch_z_order_by`] with each query its own point.
 pub fn map_batch_z_order<const D: usize, R: Send>(
     queries: &[Point<D>],
     f: impl Fn(&Point<D>) -> R + Sync,
+) -> Vec<R> {
+    map_batch_z_order_by(queries, |q| *q, f)
+}
+
+/// Maps `f` over a batch of queries against a spatial tree and returns the
+/// results in input order — [`parlay::map`] for tree walks. Batches of at
+/// least 64 queries are *evaluated* in Z-order of the point `at` gives each
+/// query (the point itself, a box's or a ball's centre), so consecutive
+/// queries (and each worker's contiguous chunk) walk the same root-to-leaf
+/// paths and scan the same leaves while they are still in cache. `f` must
+/// not depend on evaluation order.
+///
+/// Scratch is one `u64` per query: a 32-bit Morton code over the finite
+/// points' bounding box above the query's index. Non-finite points clamp
+/// to an end of the curve; one finite far-away point stretches the box and
+/// costs the batch its locality. Nothing about a query can make the
+/// ordering fail or move its row.
+pub fn map_batch_z_order_by<Q: Sync, const D: usize, R: Send>(
+    queries: &[Q],
+    at: impl Fn(&Q) -> Point<D> + Sync,
+    f: impl Fn(&Q) -> R + Sync,
 ) -> Vec<R> {
     if queries.len() < POINT_BATCH_GRAIN {
         return queries.iter().map(f).collect();
@@ -116,14 +128,15 @@ pub fn map_batch_z_order<const D: usize, R: Send>(
     );
     let bbox = queries
         .iter()
+        .map(&at)
         .filter(|q| q.coords.iter().all(|c| c.is_finite()))
         .fold(Bbox::empty(), |mut b, q| {
-            b.extend(q);
+            b.extend(&q);
             b
         });
     let bits = bits_per_dim(D).min(32 / D as u32);
     let mut order: Vec<u64> = parlay::tabulate(queries.len(), GRAIN, |i| {
-        morton_code_bits(&queries[i], &bbox, bits) << 32 | i as u64
+        morton_code_bits(&at(&queries[i]), &bbox, bits) << 32 | i as u64
     });
     parlay::radix_sort_u64_by_key(&mut order, |&key| key);
     let index = |key: u64| key as u32 as usize;
@@ -274,34 +287,38 @@ mod tests {
         assert!(codes.windows(2).all(|w| w[0] <= w[1]));
     }
 
-    #[test]
-    fn z_order_batches_evaluate_along_the_curve_and_answer_in_input_order() {
-        let mut pts = pargeo_datagen::uniform_cube::<3>(5_000, 7);
-        // Duplicate and non-finite queries ride along.
-        pts[10] = pts[11];
-        pts[30] = Point::new([f64::INFINITY, 1.0, 1.0]);
-        pts[40] = Point::new([1.0, f64::NEG_INFINITY, 1.0]);
-        pts[50] = Point::new([f64::NAN, f64::NAN, f64::NAN]);
-        for n in [0, 1, POINT_BATCH_GRAIN - 1, POINT_BATCH_GRAIN, 5_000] {
+    /// Runs `map_batch_z_order_by` on prefixes of `queries` at one
+    /// thread: rows must come back in input order, small batches must be
+    /// evaluated in input order, and larger ones along the curve of the
+    /// finite points `at` gives them.
+    fn check_z_order<Q: Sync>(queries: &[Q], at: impl Fn(&Q) -> Point<3> + Sync) {
+        let key = |q: &Q| at(q).bits_key();
+        for n in [
+            0,
+            1,
+            POINT_BATCH_GRAIN - 1,
+            POINT_BATCH_GRAIN,
+            queries.len(),
+        ] {
             let visited = std::sync::Mutex::new(Vec::new());
             let out = parlay::with_threads(1, || {
-                map_batch_z_order(&pts[..n], |p| {
-                    visited.lock().unwrap().push(p.bits_key());
-                    p.bits_key()
+                map_batch_z_order_by(&queries[..n], &at, |q| {
+                    visited.lock().unwrap().push(key(q));
+                    key(q)
                 })
             });
-            let want: Vec<_> = pts[..n].iter().map(Point::bits_key).collect();
+            let want: Vec<_> = queries[..n].iter().map(key).collect();
             assert_eq!(out, want, "n={n}: rows in input order");
             let mut visited = visited.into_inner().unwrap();
             if n < POINT_BATCH_GRAIN {
                 assert_eq!(visited, want, "n={n}: small batches run in input order");
                 continue;
             }
-            // Finite queries are visited in ascending cell order.
-            let finite: Vec<Point<3>> = pts[..n]
+            // Finite points are visited in ascending cell order.
+            let finite: Vec<Point<3>> = queries[..n]
                 .iter()
+                .map(&at)
                 .filter(|p| p.coords.iter().all(|c| c.is_finite()))
-                .copied()
                 .collect();
             let bbox = Bbox::from_points(&finite);
             let keys: std::collections::HashSet<_> = finite.iter().map(Point::bits_key).collect();
@@ -313,5 +330,31 @@ mod tests {
             assert_eq!(codes.len(), finite.len());
             assert!(codes.windows(2).all(|w| w[0] <= w[1]), "n={n}");
         }
+    }
+
+    #[test]
+    fn z_order_batches_evaluate_along_the_curve_and_answer_in_input_order() {
+        let mut pts = pargeo_datagen::uniform_cube::<3>(5_000, 7);
+        // Duplicate and non-finite queries ride along.
+        pts[10] = pts[11];
+        pts[30] = Point::new([f64::INFINITY, 1.0, 1.0]);
+        pts[40] = Point::new([1.0, f64::NEG_INFINITY, 1.0]);
+        pts[50] = Point::new([f64::NAN, f64::NAN, f64::NAN]);
+        check_z_order(&pts, |p| *p);
+        // Boxes, ordered by their centres: boxes of every size, an empty
+        // box (a NaN centre) and one with an infinite side.
+        let side = pargeo_datagen::cube_side(5_000);
+        let mut boxes: Vec<Bbox<3>> = (pts.iter().enumerate())
+            .map(|(i, p)| {
+                let w = side * (i % 7) as f64 / 50.0;
+                Bbox {
+                    min: Point::new(p.coords.map(|c| c - w)),
+                    max: Point::new(p.coords.map(|c| c + 2.0 * w)),
+                }
+            })
+            .collect();
+        boxes[60] = Bbox::empty();
+        boxes[70].max = Point::new([f64::INFINITY; 3]);
+        check_z_order(&boxes, Bbox::center);
     }
 }

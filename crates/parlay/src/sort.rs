@@ -14,6 +14,8 @@ const RADIX_BLOCK: usize = 1 << 16;
 ///
 /// Eight passes of 8-bit digits, each one count/scan/scatter step of
 /// `counting`. Passes whose digit is constant across all keys are skipped.
+/// Up to one block, the standard library's stable sort of the keyed rows
+/// does the work. Either way `key` runs exactly once per item.
 pub fn radix_sort_u64_by_key<T, F>(items: &mut [T], key: F)
 where
     T: Copy + Send + Sync,
@@ -21,7 +23,11 @@ where
 {
     let n = items.len();
     if n <= RADIX_BLOCK {
-        items.sort_by_key(|x| key(x));
+        let mut keyed: Vec<(u64, T)> = items.iter().map(|x| (key(x), *x)).collect();
+        keyed.sort_by_key(|&(k, _)| k);
+        for (o, (_, x)) in items.iter_mut().zip(keyed) {
+            *o = x;
+        }
         return;
     }
     let mut src: Vec<(u64, T)> = map(items, GRANULARITY, |x| (key(x), *x));
@@ -89,6 +95,26 @@ mod tests {
         radix_sort_u64_by_key(&mut a, |x| x.0);
         for w in a.windows(2) {
             assert!(w[0].0 < w[1].0 || (w[0].0 == w[1].0 && w[0].1 < w[1].1));
+        }
+    }
+
+    /// On both sides of the block size: the key is computed once per item
+    /// (never per comparison), and equal keys keep their input order.
+    #[test]
+    fn each_key_is_computed_once_and_ties_keep_input_order() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for n in [0, 1, 2, 1_000, RADIX_BLOCK, RADIX_BLOCK + 1] {
+            let calls = AtomicUsize::new(0);
+            let mut a: Vec<(u64, u32)> = (0..n as u32)
+                .map(|i| ((i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) % 97, i))
+                .collect();
+            radix_sort_u64_by_key(&mut a, |x| {
+                calls.fetch_add(1, Ordering::Relaxed);
+                x.0
+            });
+            assert_eq!(calls.into_inner(), n, "n={n}");
+            assert!(a.windows(2).all(|w| w[0] < w[1]), "n={n}");
+            assert_eq!(a.len(), n);
         }
     }
 

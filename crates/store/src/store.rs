@@ -291,6 +291,16 @@ fn claimed_counts<const D: usize>(run: &[Request<D>], removed: &[(Point<D>, u32)
     counts
 }
 
+/// Makes room for `extra` more rows of the live view. Where it must grow,
+/// it grows to `len + max(extra, len / 8)`: still amortised O(1) per row,
+/// and never more than an eighth of the view left unused — doubling, the
+/// `Vec` default, would leave a whole copy of a just-derived view idle.
+fn reserve_an_eighth<T>(rows: &mut Vec<T>, extra: usize) {
+    if rows.capacity() - rows.len() < extra {
+        rows.reserve_exact(extra.max(rows.len() / 8));
+    }
+}
+
 /// Drops the rows of `removed` from the compacted live view in place. Both
 /// id lists ascend once the removed ids are sorted, so it is one merge
 /// pass: a compare per live row, no probe.
@@ -643,6 +653,8 @@ impl<const D: usize> GeoStore<D> {
         } else {
             self.index.insert(&points);
             if let Some((ids, pts)) = &mut self.live_view {
+                reserve_an_eighth(ids, points.len());
+                reserve_an_eighth(pts, points.len());
                 ids.extend(first..next_id); // fresh ids ascend: order preserved
                 pts.extend_from_slice(&points);
             }
@@ -1102,6 +1114,29 @@ mod tests {
             assert_eq!(store.len(), 300 - 20 - 70);
             assert_eq!(store.live_view, Some(store.index.live_points()));
         }
+    }
+
+    /// An insert into a just-derived view grows it by an eighth, not by
+    /// a second copy, and a batch larger than that grows it by the batch.
+    #[test]
+    fn an_insert_grows_the_live_view_by_an_eighth_not_by_doubling() {
+        let pts = pargeo_datagen::uniform_cube::<2>(13_010, 3);
+        let mut store = GeoStore::<2>::default();
+        store.insert(&pts[..8_000]);
+        store.seb().expect("8 000 live points");
+        for (batch, len) in [
+            (8_000..8_010, 8_010),
+            (8_010..11_010, 11_010),
+            (11_010..13_010, 13_010),
+        ] {
+            store.insert(&pts[batch]);
+            let (ids, view) = store.live_view.as_ref().expect("derived");
+            assert_eq!((ids.len(), view.len()), (len, len));
+            for cap in [ids.capacity(), view.capacity()] {
+                assert!(cap <= len + len / 8, "capacity {cap} for {len} rows");
+            }
+        }
+        assert_eq!(store.live_view, Some(store.index.live_points()));
     }
 
     #[test]
