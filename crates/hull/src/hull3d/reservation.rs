@@ -323,6 +323,19 @@ mod tests {
         assert_eq!(a.vertices, b.vertices);
     }
 
+    /// The seed picks the insertion order, never the hull: every seed's
+    /// sorted vertex set is parallel quickhull's.
+    #[test]
+    fn seed_changes_order_not_result() {
+        let pts = uniform_cube::<3>(3_000, 65);
+        let want = hull3d_quickhull_parallel(&pts).vertices;
+        for seed in [1, 2, 42, 0x5EED] {
+            let h = hull3d_randinc_seeded(&pts, seed);
+            check_hull3d(&pts, &h).unwrap();
+            assert_eq!(h.vertices, want, "seed {seed}");
+        }
+    }
+
     #[test]
     fn stats_overhead_is_modest_vs_seq() {
         // Appendix B: most reservations succeed, so at one thread either

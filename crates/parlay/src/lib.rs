@@ -7,8 +7,8 @@
 //! * this module — fork-join ([`par_do`], and [`par_do_if`] for recursions
 //!   with a sequential cutoff) and the loop family over it:
 //!   [`parallel_for`], [`tabulate`], [`map`], [`for_each_mut`] /
-//!   [`for_each_block_mut`], with the blocked [`reduce()`], [`filter`] and
-//!   [`flatten`] beside them.
+//!   [`for_each_block_mut`], with the blocked [`reduce()`] and [`flatten`]
+//!   beside them.
 //! * [`scan`] — parallel prefix sums (exclusive/inclusive) over arbitrary
 //!   associative operators.
 //! * [`mod@pack`] — parallel filtering/packing driven by flag vectors or
@@ -16,7 +16,7 @@
 //! * [`mod@reduce`] — blocked reductions, including the parallel
 //!   maximum-finding routine used by quickhull and the Welzl pivot heuristic.
 //! * [`sort`] — an LSD radix sort for 64-bit keys (the Morton-sort
-//!   substrate); [`samplesort`] — ParlayLib's comparison sort.
+//!   substrate). A comparison sort is the slice's own `sort_unstable_by`.
 //! * [`mod@shuffle`] — deterministic random permutations, sequential
 //!   (Fisher–Yates) and parallel (sort by random keys).
 //! * [`select`] — parallel Floyd–Rivest selection (`nth_element`), every
@@ -41,23 +41,20 @@
 //!
 //! [ParlayLib]: https://github.com/cmuparlay/parlaylib
 
-mod counting;
 pub mod pack;
 pub mod pool;
 pub mod reduce;
-pub mod samplesort;
 pub mod scan;
 pub mod select;
 pub mod shuffle;
 pub mod sort;
 
-pub use pack::{filter, flatten, pack, split_two};
+pub use pack::{flatten, pack, split_two};
 pub use pool::{num_threads, with_threads};
 pub use reduce::{max_index_by, reduce};
-pub use samplesort::sample_sort_by;
 pub use scan::{scan_exclusive, scan_inclusive};
 pub use select::select_nth_unstable_by;
-pub use shuffle::{mix64, random_permutation, shuffle, shuffle_seeded};
+pub use shuffle::{mix64, random_permutation, shuffle_seeded};
 pub use sort::{radix_sort_u64_by_key, sort_by_key_f64};
 
 use std::any::Any;

@@ -59,18 +59,6 @@ pub(crate) fn pack_eq<T: Copy + Send + Sync, K: PartialEq + Sync>(
     out
 }
 
-/// Keeps the elements satisfying `pred`, preserving order, in parallel
-/// (`pred` runs once per element).
-pub fn filter<T, F>(items: &[T], pred: F) -> Vec<T>
-where
-    T: Copy + Send + Sync,
-    F: Fn(&T) -> bool + Sync,
-{
-    flatten(items.len(), GRANULARITY, |i| {
-        pred(&items[i]).then_some(items[i])
-    })
-}
-
 /// Stable two-way split: `(matching, non_matching)` in one parallel pass each.
 pub fn split_two<T, F>(items: &[T], pred: F) -> (Vec<T>, Vec<T>)
 where
@@ -136,10 +124,13 @@ mod tests {
         }
     }
 
+    /// Filtering is [`flatten`] with an `Option` per index.
     #[test]
     fn filter_matches_reference() {
         let items: Vec<i64> = (0..60_000).map(|i| (i * 31) % 997 - 500).collect();
-        let got = filter(&items, |&x| x > 0);
+        let got = flatten(items.len(), GRANULARITY, |i| {
+            (items[i] > 0).then_some(items[i])
+        });
         let want: Vec<i64> = items.iter().copied().filter(|&x| x > 0).collect();
         assert_eq!(got, want);
     }

@@ -1,7 +1,14 @@
 //! Parallel sorting: an LSD radix sort for 64-bit keys (the substrate under
 //! Morton sort and the Zd-tree).
+//!
+//! Each pass is one stable counting-sort step over blocks of rows: `count`
+//! tallies, per block, how many rows carry each digit; `scatter` turns the
+//! tallies into destinations with one digit-major scan (all of digit 0 in
+//! block order, then digit 1, …) and moves every block independently. Both
+//! walk the same blocks, so a row's destination depends on the input alone.
 
-use crate::{counting, for_each_mut, map, GRANULARITY};
+use crate::scan::scan_inplace_exclusive;
+use crate::{block, for_each_block_mut, for_each_mut, map, SharedMut, GRANULARITY};
 
 const RADIX_BITS: usize = 8;
 const BUCKETS: usize = 1 << RADIX_BITS;
@@ -12,10 +19,10 @@ const RADIX_BLOCK: usize = 1 << 16;
 
 /// Stable parallel LSD radix sort of `items` by a `u64` key.
 ///
-/// Eight passes of 8-bit digits, each one count/scan/scatter step of
-/// `counting`. Passes whose digit is constant across all keys are skipped.
-/// Up to one block, the standard library's stable sort of the keyed rows
-/// does the work. Either way `key` runs exactly once per item.
+/// Eight passes of 8-bit digits, each one count/scan/scatter step. Passes
+/// whose digit is constant across all keys are skipped. Up to one block,
+/// the standard library's stable sort of the keyed rows does the work.
+/// Either way `key` runs exactly once per item.
 pub fn radix_sort_u64_by_key<T, F>(items: &mut [T], key: F)
 where
     T: Copy + Send + Sync,
@@ -35,7 +42,7 @@ where
     for pass in 0..(64 / RADIX_BITS) {
         let shift = pass * RADIX_BITS;
         let digit = |&(k, _): &(u64, T)| ((k >> shift) as usize) & (BUCKETS - 1);
-        let tallies = counting::count(&src, RADIX_BLOCK, BUCKETS, &digit);
+        let tallies = count(&src, &digit);
         // Skip passes where every key shares the same digit.
         let nonzero_buckets = (0..BUCKETS)
             .filter(|&b| tallies.iter().skip(b).step_by(BUCKETS).any(|&c| c != 0))
@@ -43,10 +50,68 @@ where
         if nonzero_buckets <= 1 {
             continue;
         }
-        counting::scatter(&src, &mut dst, RADIX_BLOCK, BUCKETS, tallies, &digit);
+        scatter(&src, &mut dst, tallies, &digit);
         std::mem::swap(&mut src, &mut dst);
     }
     for_each_mut(items, GRANULARITY, |i, o| *o = src[i].1);
+}
+
+/// Per-block digit tallies of `src`, block-major: entry `b * BUCKETS + k`
+/// counts the rows of block `b` whose `digit` is `k`.
+fn count<T: Sync>(src: &[T], digit: &(impl Fn(&T) -> usize + Sync)) -> Vec<usize> {
+    let n = src.len();
+    let mut tallies = vec![0usize; n.div_ceil(RADIX_BLOCK) * BUCKETS];
+    for_each_block_mut(&mut tallies, BUCKETS, |b, row| {
+        for x in &src[block(b, RADIX_BLOCK, n)] {
+            row[digit(x)] += 1;
+        }
+    });
+    tallies
+}
+
+/// Stably moves `src` into `dst` (overwritten, its allocation reused)
+/// grouped by digit, given the `tallies` that [`count`] returned for the
+/// same `src` and `digit`.
+fn scatter<T: Copy + Send + Sync>(
+    src: &[T],
+    dst: &mut Vec<T>,
+    mut tallies: Vec<usize>,
+    digit: &(impl Fn(&T) -> usize + Sync),
+) {
+    let n = src.len();
+    let nblocks = n.div_ceil(RADIX_BLOCK);
+    // Digit-major exclusive scan: each (block, digit) cell becomes the
+    // first destination of that block's rows with that digit.
+    let mut col: Vec<usize> = Vec::with_capacity(tallies.len());
+    for k in 0..BUCKETS {
+        for b in 0..nblocks {
+            col.push(tallies[b * BUCKETS + k]);
+        }
+    }
+    let total = scan_inplace_exclusive(&mut col);
+    assert_eq!(total, n, "scatter: tallies do not describe src");
+    for k in 0..BUCKETS {
+        for b in 0..nblocks {
+            tallies[b * BUCKETS + k] = col[k * nblocks + b];
+        }
+    }
+    dst.clear();
+    dst.reserve(n);
+    let out = SharedMut(dst.as_mut_ptr());
+    for_each_block_mut(&mut tallies, BUCKETS, |b, cursor| {
+        for x in &src[block(b, RADIX_BLOCK, n)] {
+            let k = digit(x);
+            // SAFETY: the scan gave every (block, digit) cell its own run
+            // of `0..n`, exactly as long as that cell's tally (checked to
+            // sum to `n ≤ capacity` above); this task owns row `b` and
+            // advances a cell's cursor once per row it tallied, so no slot
+            // is written twice or by two tasks.
+            unsafe { out.write(cursor[k], *x) };
+            cursor[k] += 1;
+        }
+    });
+    // SAFETY: the runs tile `0..n` and every one was filled above.
+    unsafe { dst.set_len(n) };
 }
 
 /// Sorts `items` in ascending order of an `f64` key (must be finite for all

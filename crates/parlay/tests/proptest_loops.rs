@@ -1,11 +1,12 @@
 //! The loop family against its sequential counterparts: `parallel_for`,
 //! `tabulate`, `map`, `for_each_mut` / `for_each_block_mut` and the blocked
-//! `reduce` / `filter` / `flatten`, on every boundary of the block structure (`n` around one
-//! grain, one block more than a few, and 10^5), at grains 1, 7 and
-//! `GRANULARITY`, on 1, 2 and 4 workers — plus what a panicking item does.
+//! `reduce` / `flatten` (and `flatten` of an `Option`, the filter), on every
+//! boundary of the block structure (`n` around one grain, one block more
+//! than a few, and 10^5), at grains 1, 7 and `GRANULARITY`, on 1, 2 and 4
+//! workers — plus what a panicking item does.
 
 use pargeo_parlay::{
-    filter, flatten, for_each_block_mut, for_each_mut, map, mix64, parallel_for, reduce, tabulate,
+    flatten, for_each_block_mut, for_each_mut, map, mix64, parallel_for, reduce, tabulate,
     with_threads, GRANULARITY,
 };
 use proptest::prelude::*;
@@ -65,7 +66,8 @@ fn check_cell(n: usize, g: usize, workers: usize, seed: u64) {
         assert_eq!(got, want, "reduce {cell}");
 
         let want: Vec<u64> = a.iter().copied().filter(|x| x % 3 == 0).collect();
-        assert_eq!(filter(&a, |x| x % 3 == 0), want, "filter {cell}");
+        let kept = flatten(n, g, |i| Some(a[i]).filter(|x| x % 3 == 0));
+        assert_eq!(kept, want, "flatten as filter {cell}");
 
         let few = |i: usize| (0..a[i] % 3).map(move |j| (i, j));
         let want: Vec<(usize, u64)> = (0..n).flat_map(few).collect();

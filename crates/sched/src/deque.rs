@@ -46,16 +46,28 @@ impl Buf {
 
     /// # Safety
     /// `ptr` must come from [`Buf::alloc`] and not be freed twice.
+    // SAFETY: `alloc` leaked exactly this box and a `Vec` of length and
+    // capacity `cap` at `slots`; the contract makes this their one free.
     unsafe fn dealloc(ptr: *mut Buf) {
         let buf = Box::from_raw(ptr);
         drop(Vec::from_raw_parts(buf.slots, buf.cap, buf.cap));
     }
 
+    /// # Safety
+    /// `self` is not yet freed: the live buffer, or a retired one (kept
+    /// until the deque drops). A read racing an owner write may tear, so
+    /// the caller uses the value only once it knows the slot was not
+    /// reused (a thief: its CAS on `top` succeeded).
+    // SAFETY: the mask keeps the slot inside the `cap` slots of `alloc`.
     #[inline]
     unsafe fn get(&self, i: isize) -> JobRef {
         std::ptr::read_volatile(self.slots.add(i as usize & (self.cap - 1)))
     }
 
+    /// # Safety
+    /// Owner only, on the live buffer, so each slot has one writer; a
+    /// thief reading the slot at once discards what it read ([`Buf::get`]).
+    // SAFETY: the mask keeps the slot inside the `cap` slots of `alloc`.
     #[inline]
     unsafe fn put(&self, i: isize, job: JobRef) {
         std::ptr::write_volatile(self.slots.add(i as usize & (self.cap - 1)), job);
@@ -72,9 +84,13 @@ pub struct Deque {
     retired: Mutex<Vec<*mut Buf>>,
 }
 
-// SAFETY: all shared-slot access goes through the atomics + volatile
-// protocol above; JobRef is itself Send.
+// SAFETY: the deque owns its buffers (raw pointers only because thieves
+// share them) and the jobs in them, and `JobRef` is itself Send.
 unsafe impl Send for Deque {}
+// SAFETY: shared access follows the Chase–Lev protocol: slots are touched
+// only by volatile reads and writes ordered by the atomics on `top` and
+// `bottom`, a value read in a lost race is discarded, retired buffers live
+// until drop, and `retired` is behind a `Mutex`.
 unsafe impl Sync for Deque {}
 
 impl Default for Deque {
@@ -111,6 +127,9 @@ impl Deque {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
         let mut buf = self.buf.load(Ordering::Relaxed);
+        // SAFETY: owner only, so `buf` is the live buffer (only the owner
+        // replaces it) and `t..b` bounds its live slots; slot `b` is not
+        // live, so no thief uses it until the Release store below.
         unsafe {
             if b - t >= (*buf).cap as isize {
                 buf = self.grow(b, t, buf);
@@ -132,6 +151,9 @@ impl Deque {
             self.bottom.store(b + 1, Ordering::Relaxed);
             return None;
         }
+        // SAFETY: owner only, so `buf` is the live buffer; slot `b` holds a
+        // pushed job. Only when `t == b` can a thief take it first, and then
+        // the CAS below fails and this copy is dropped unused.
         let job = unsafe { (*buf).get(b) };
         if t == b {
             // Last element: race thieves for it via CAS on top.
@@ -154,6 +176,9 @@ impl Deque {
             return Steal::Empty;
         }
         let buf = self.buf.load(Ordering::Acquire);
+        // SAFETY: `buf` may be stale (the owner grew it since), but retired
+        // buffers live until the deque drops; a torn or stale value is
+        // returned only if the CAS on `top` below succeeds.
         let job = unsafe { (*buf).get(t) };
         if self
             .top
@@ -166,7 +191,12 @@ impl Deque {
         }
     }
 
-    /// Doubles the buffer, copying live slots `t..b`. Owner only.
+    /// Doubles the buffer, copying live slots `t..b`.
+    ///
+    /// # Safety
+    /// Owner only: `old` is the live buffer and `t..b` its live range.
+    // SAFETY: thieves still reading `old` stay safe because it is retired,
+    // not freed, and the new buffer is published with Release.
     unsafe fn grow(&self, b: isize, t: isize, old: *mut Buf) -> *mut Buf {
         let new = Buf::alloc((*old).cap * 2);
         for i in t..b {
@@ -183,7 +213,9 @@ impl Deque {
 
 impl Drop for Deque {
     fn drop(&mut self) {
-        // No concurrent access at drop; free the live and retired buffers.
+        // SAFETY: `&mut self`, so no thread can touch the deque; the live
+        // buffer and every retired one came from `Buf::alloc` and are freed
+        // here once each.
         unsafe {
             Buf::dealloc(self.buf.load(Ordering::Relaxed));
             for old in self

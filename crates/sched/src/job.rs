@@ -19,6 +19,7 @@ use std::panic::{self, AssertUnwindSafe};
 #[derive(Clone, Copy, Debug)]
 pub struct JobRef {
     data: *const (),
+    // SAFETY: called only by `execute`, on `data`, under its contract.
     exec: unsafe fn(*const ()),
 }
 
@@ -46,6 +47,7 @@ impl JobRef {
     /// # Safety
     /// `data` must still be alive: the owner of the stack job is blocked
     /// on its latch.
+    // SAFETY: `exec` dereferences `data`, whose liveness no type tracks.
     pub(crate) unsafe fn execute(self) {
         // SAFETY: `exec` is the `StackJob::<L, F, R>::execute` that
         // `as_job_ref` paired with this `data`; liveness is the caller's.
@@ -55,6 +57,8 @@ impl JobRef {
     /// An inert job carrying `tag` as its payload pointer — never executed;
     /// exists so the deque stress tests can queue distinguishable values.
     pub fn sentinel(tag: usize) -> JobRef {
+        // SAFETY: does nothing, so it needs nothing; it is declared so
+        // only to fit `exec`'s type.
         unsafe fn never(_: *const ()) {}
         JobRef {
             data: tag as *const (),
@@ -107,6 +111,7 @@ where
     /// # Safety
     /// The caller must keep `self` alive (blocked on the latch) until the
     /// returned job has executed.
+    // SAFETY: the `JobRef` erases `self`'s lifetime, so the caller keeps it.
     pub(crate) unsafe fn as_job_ref(&self) -> JobRef {
         JobRef {
             data: (self as *const Self).cast(),
@@ -117,6 +122,8 @@ where
     /// # Safety
     /// `data` came from [`as_job_ref`](Self::as_job_ref) on a job that is
     /// still alive, and this is the only execution of it.
+    // SAFETY: `data` is an erased `&Self`, so its type and liveness are the
+    // caller's word; the blocks below rely on it.
     unsafe fn execute(data: *const ()) {
         // SAFETY: `data` is the `&Self` erased by `as_job_ref`, alive per
         // this function's contract.
@@ -138,6 +145,8 @@ where
 
     /// # Safety
     /// Only after the latch was observed set.
+    // SAFETY: reads `result` through the `UnsafeCell`, which is sound only
+    // once the executing worker is done with it (the latch).
     pub(crate) unsafe fn take_result(&self) -> JobResult<R> {
         // SAFETY: the latch is set, so the executing worker made its last
         // access to this job; the caller is the only thread left.

@@ -143,9 +143,9 @@ pub fn emst_work<const D: usize>(points: &[Point<D>]) -> (Vec<EmstEdge>, EmstWor
         let (mut ready, later) = parlay::split_two(&held, |e| e.0 <= hi);
         held = later;
         work.edges_sorted += ready.len() as u64;
-        parlay::sample_sort_by(&mut ready, |x, y| {
-            x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2))
-        });
+        // A total order, so the unstable sort is deterministic; sequential,
+        // as the union loop over the same rows is.
+        ready.sort_unstable_by(|x, y| x.0.total_cmp(&y.0).then(x.1.cmp(&y.1)).then(x.2.cmp(&y.2)));
         for (_, u, v) in ready {
             if uf.union(u, v) {
                 out.push(EmstEdge {

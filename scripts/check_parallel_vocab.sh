@@ -2,11 +2,12 @@
 # One parallel vocabulary: algorithms fork through `pargeo-parlay` (par_do,
 # par_do_if and the loop family), which alone sits on `pargeo_sched::join`.
 # Fails if a rayon dependency or path, a parallel-iterator call, the retired
-# PARGEO_GRAIN knob, or a direct scheduler join reappears outside
-# crates/parlay and crates/sched, or if a recursion spells its sequential
-# cutoff as `if n >= CUTOFF { par_do(a, b) } else { (a(), b()) }` — two
-# copies of both sides — where `par_do_if(n >= CUTOFF, a, b)` writes them
-# once. Plain grep, no dependency.
+# PARGEO_GRAIN knob or the retired sample sort reappears anywhere, a direct
+# scheduler join outside crates/parlay and crates/sched, or if a recursion
+# spells its sequential cutoff as
+# `if n >= CUTOFF { par_do(a, b) } else { (a(), b()) }` — two copies of
+# both sides — where `par_do_if(n >= CUTOFF, a, b)` writes them once. Plain
+# grep, no dependency.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,8 @@ check "rayon dependency or path" '^rayon\b|rayon::|use rayon|shims/rayon' \
     --include='*.rs' --include='Cargo.toml' "${trees[@]}" Cargo.toml
 check "parallel-iterator call" 'par_iter|par_chunks' --include='*.rs' "${trees[@]}"
 check "retired PARGEO_GRAIN knob" 'PARGEO_GRAIN' "${trees[@]}" .github
+# One comparison sort: the slice's own `sort_unstable_by`.
+check "retired sample sort" 'sample_?sort' "${trees[@]}"
 check "direct scheduler join outside parlay" 'sched::join' --include='*.rs' \
     --exclude-dir=parlay --exclude-dir=sched "${trees[@]}"
 # A `par_do(` on the line after an `if … {` is the hand-written conditional
