@@ -15,14 +15,15 @@
 //!   parallelized over input blocks.
 //! * [`seb_sampling`] — the paper's new sampling-based two-phase algorithm
 //!   (Figure 6): cheap orthant scans over random samples build a
-//!   near-optimal ball before the full scans start.
+//!   near-optimal ball before the final phase, which reads the input once
+//!   and then rescans only a certified shell of near-boundary points.
 
 #![warn(missing_docs)]
 
 mod scan;
 mod welzl;
 
-pub use scan::{orthant_scan_pass, seb_orthant_scan, seb_sampling, seb_sampling_with_batch};
+pub use scan::{seb_orthant_scan, seb_sampling, seb_sampling_with_batch};
 pub use welzl::{
     seb_welzl_parallel, seb_welzl_parallel_mtf, seb_welzl_parallel_mtf_pivot, seb_welzl_seq,
     welzl_support,
@@ -31,8 +32,9 @@ pub use welzl::{
 use pargeo_geometry::{Ball, GeoError, GeoResult, Point};
 
 /// Non-panicking smallest enclosing ball: rejects an empty input with
-/// [`GeoError::EmptyInput`] instead of panicking, then runs `algo` (any of
-/// this crate's `seb_*` entry points).
+/// [`GeoError::EmptyInput`] and a NaN or infinite coordinate with
+/// [`GeoError::BadParameter`] (one read of the input) instead of
+/// panicking, then runs `algo` (any of this crate's `seb_*` entry points).
 ///
 /// ```
 /// use pargeo_seb::{try_seb_with, seb_sampling};
@@ -48,11 +50,16 @@ pub fn try_seb_with<const D: usize>(
     if points.is_empty() {
         return Err(GeoError::EmptyInput { op: "seb" });
     }
+    if !points.iter().all(Point::is_finite) {
+        return Err(scan::NON_FINITE);
+    }
     Ok(algo(points))
 }
 
-/// Non-panicking [`seb_sampling`] (the paper's fastest method), via
-/// [`try_seb_with`].
+/// Non-panicking [`seb_sampling`] (the paper's fastest method): refuses
+/// what [`try_seb_with`] refuses. A non-finite coordinate is found by the
+/// passes the method makes anyway — the initial pair, each sample, each
+/// shell of the final phase — so the refusal costs no read of the input.
 ///
 /// **Tolerance.** The ball always contains every input point and is never
 /// smaller than the optimum, but it is the optimum only up to a relative
@@ -65,7 +72,10 @@ pub fn try_seb_with<const D: usize>(
 /// thousand points, the result is Welzl's to rounding. For the optimum
 /// itself use `try_seb_with(points, seb_welzl_parallel_mtf_pivot)`.
 pub fn try_seb<const D: usize>(points: &[Point<D>]) -> GeoResult<Ball<D>> {
-    try_seb_with(points, seb_sampling)
+    if points.is_empty() {
+        return Err(GeoError::EmptyInput { op: "seb" });
+    }
+    Ok(scan::sampling(points, scan::SAMPLE)?.0)
 }
 
 /// Brute-force smallest enclosing ball for testing (exponential in `D`,
@@ -253,6 +263,36 @@ mod tests {
         assert_eq!(try_seb::<3>(&[]), Err(GeoError::EmptyInput { op: "seb" }));
         let one = [Point::new([3.0, 4.0])];
         assert_eq!(try_seb(&one).unwrap().radius, 0.0);
+    }
+
+    /// A NaN or infinite coordinate first, in the middle or last, below and
+    /// above the sample size, is refused by `try_seb` and `try_seb_with`.
+    fn refuses_non_finite<const D: usize>() {
+        let refused = Err(GeoError::BadParameter {
+            op: "seb",
+            what: "non-finite coordinate",
+        });
+        for n in [1, 2, 1_000, 30_000] {
+            let pts = uniform_cube::<D>(n, 105);
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for i in [0, n / 2, n - 1] {
+                    for axis in [0, D - 1] {
+                        let mut p = pts.clone();
+                        p[i][axis] = bad;
+                        let at = format!("{D}-D n {n}: {bad} at {i}, axis {axis}");
+                        assert_eq!(try_seb(&p), refused, "{at}");
+                        assert_eq!(try_seb_with(&p, seb_orthant_scan), refused, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn try_rejects_non_finite_coordinates() {
+        refuses_non_finite::<2>();
+        refuses_non_finite::<3>();
+        refuses_non_finite::<5>();
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! Property-based tests for the smallest enclosing ball: all six methods
 //! enclose everything and agree on the radius, over arbitrary inputs
-//! including duplicate-heavy lattices.
+//! including duplicate-heavy lattices. Above the 10k-point sample size the
+//! scan-based methods finish on a shell of near-boundary points, which the
+//! near-co-spherical and duplicate-heavy families fill.
 
-use pargeo_geometry::{Ball, Point2};
+use pargeo_geometry::{Ball, Point, Point2, Point3};
 use pargeo_seb::*;
 use proptest::prelude::*;
 
@@ -18,6 +20,55 @@ fn smooth_points() -> impl Strategy<Value = Vec<Point2>> {
         (-1e5f64..1e5, -1e5f64..1e5).prop_map(|(x, y)| Point2::new([x, y])),
         1..200,
     )
+}
+
+/// 10k–20k points within `10^-k` of the radius of a circle of radius
+/// 1 000, for `k` in 1..10: nearly every point touches the optimum.
+fn near_cospherical_2d() -> impl Strategy<Value = Vec<Point2>> {
+    (
+        1i32..10,
+        prop::collection::vec((0f64..std::f64::consts::TAU, 0f64..1.0), 10_001..20_000),
+    )
+        .prop_map(|(k, polar)| {
+            let depth = 1e3 * 10f64.powi(-k);
+            polar
+                .into_iter()
+                .map(|(t, u)| {
+                    let r = 1e3 - depth * u;
+                    Point2::new([r * t.cos(), r * t.sin()])
+                })
+                .collect()
+        })
+}
+
+/// 10k–20k points on the 6³ grid: every grid point many times over.
+fn duplicate_heavy_3d() -> impl Strategy<Value = Vec<Point3>> {
+    prop::collection::vec(
+        (0i32..6, 0i32..6, 0i32..6)
+            .prop_map(|(x, y, z)| Point3::new([x as f64, y as f64, z as f64])),
+        10_001..20_000,
+    )
+}
+
+/// The sampling and scan methods enclose every point, and their radius is
+/// Welzl's within the tolerance `try_seb` documents.
+fn check_large<const D: usize>(pts: &[Point<D>]) -> Result<(), TestCaseError> {
+    let optimum = seb_welzl_seq(pts).radius;
+    let balls = [
+        ("try_seb", try_seb(pts).unwrap()),
+        ("scan", seb_orthant_scan(pts)),
+    ];
+    for (name, b) in balls {
+        prop_assert!(pts.iter().all(|p| b.contains(p)), "{} lost a point", name);
+        prop_assert!(
+            b.radius >= optimum * (1.0 - 1e-9) && b.radius <= optimum * (1.0 + 1e-4),
+            "{}: {} vs {}",
+            name,
+            b.radius,
+            optimum
+        );
+    }
+    Ok(())
 }
 
 fn check_all(pts: &[Point2]) -> Result<(), TestCaseError> {
@@ -59,6 +110,16 @@ proptest! {
     #[test]
     fn all_methods_agree_on_smooth_points(pts in smooth_points()) {
         check_all(&pts)?;
+    }
+
+    #[test]
+    fn scan_methods_hold_on_near_cospherical_input(pts in near_cospherical_2d()) {
+        check_large(&pts)?;
+    }
+
+    #[test]
+    fn scan_methods_hold_on_duplicate_heavy_input(pts in duplicate_heavy_3d()) {
+        check_large(&pts)?;
     }
 
     /// The SEB radius is at least half the diameter and at most the
