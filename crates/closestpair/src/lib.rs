@@ -37,14 +37,15 @@ fn window(d: usize) -> usize {
 /// Finds the closest pair of distinct indices (`n ≥ 2`). Duplicate points
 /// yield distance 0.
 ///
-/// Panics on fewer than two points; [`try_closest_pair`] is the
-/// non-panicking equivalent.
+/// Panics on fewer than two points or a NaN or infinite coordinate;
+/// [`try_closest_pair`] is the non-panicking equivalent.
 pub fn closest_pair<const D: usize>(points: &[Point<D>]) -> ClosestPair {
-    try_closest_pair(points).expect("closest pair needs two points")
+    try_closest_pair(points).expect("closest pair needs two finite points")
 }
 
 /// Non-panicking [`closest_pair`]: rejects inputs with fewer than two
-/// points with [`GeoError::TooFewPoints`] instead of panicking.
+/// points with [`GeoError::TooFewPoints`], and a NaN or infinite
+/// coordinate with [`GeoError::BadParameter`], instead of panicking.
 pub fn try_closest_pair<const D: usize>(points: &[Point<D>]) -> GeoResult<ClosestPair> {
     if points.len() < 2 {
         return Err(GeoError::TooFewPoints {
@@ -58,7 +59,10 @@ pub fn try_closest_pair<const D: usize>(points: &[Point<D>]) -> GeoResult<Closes
         .enumerate()
         .map(|(i, &p)| (p, i as u32))
         .collect();
-    let dim = widest_dim(&items);
+    let dim = widest_dim(&items).ok_or(GeoError::BadParameter {
+        op: "closest_pair",
+        what: "non-finite coordinate",
+    })?;
     items.sort_unstable_by(|x, y| x.0[dim].total_cmp(&y.0[dim]));
     let (a, b, d2) = solve(&items, dim);
     Ok(ClosestPair {
@@ -68,12 +72,16 @@ pub fn try_closest_pair<const D: usize>(points: &[Point<D>]) -> GeoResult<Closes
     })
 }
 
-fn widest_dim<const D: usize>(items: &[(Point<D>, u32)]) -> usize {
+/// The widest dimension of the items' bounding box; `None` if a
+/// coordinate is NaN or infinite.
+fn widest_dim<const D: usize>(items: &[(Point<D>, u32)]) -> Option<usize> {
     let mut bbox = pargeo_geometry::Bbox::empty();
+    let mut finite = true;
     for (p, _) in items {
         bbox.extend(p);
+        finite &= p.is_finite();
     }
-    bbox.widest_dim()
+    finite.then(|| bbox.widest_dim())
 }
 
 /// Returns `(id_a, id_b, dist²)` for `items` sorted along `dim`.
@@ -273,6 +281,30 @@ mod tests {
         );
         let two = [Point::new([0.0, 0.0]), Point::new([3.0, 4.0])];
         assert!(try_closest_pair(&two).is_ok());
+    }
+
+    /// A NaN or infinite coordinate at the first, a middle or the last
+    /// index is refused, in 2-D and 3-D.
+    #[test]
+    fn try_refuses_non_finite_coordinates() {
+        fn refused<const D: usize>(seed: u64) {
+            for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+                for at in [0, 500, 999] {
+                    let mut pts = uniform_cube::<D>(1_000, seed);
+                    pts[at].coords[at % D] = bad;
+                    assert_eq!(
+                        try_closest_pair(&pts),
+                        Err(GeoError::BadParameter {
+                            op: "closest_pair",
+                            what: "non-finite coordinate"
+                        }),
+                        "{bad} at {at}"
+                    );
+                }
+            }
+        }
+        refused::<2>(16);
+        refused::<3>(17);
     }
 
     #[test]

@@ -5,14 +5,15 @@
 //! point, each corner under the smallest index holding its coordinates.
 //! Collinear boundary points are *not* reported (strict hull), and
 //! degenerate inputs (≤ 2 distinct points, or all collinear) return the
-//! extreme points only.
+//! extreme points only; input with a NaN or infinite coordinate, none.
 //!
 //! [`try_hull2d`] runs the parallel quickhull: with one fused pass per
 //! level and the interior box of the extreme-point scan in front of its
 //! first level it is the sequential quickhull chunked, and the fastest of
 //! the four on every distribution of Figure 8 at one thread (EXPERIMENTS.md
-//! `fig8`); divide-and-conquer and the reservation algorithm stay
-//! selectable through [`try_hull2d_with`].
+//! `fig8`); divide-and-conquer and the reservation algorithm (the 3D
+//! hulls' Figure 5 driver over hull edges) stay selectable through
+//! [`try_hull2d_with`]. Both refuse a NaN or infinite coordinate.
 
 mod dnc;
 mod inc;
@@ -31,9 +32,10 @@ pub use seq::hull2d_seq;
 use pargeo_geometry::{orient2d, GeoError, GeoResult, Orientation, Point2};
 
 /// Non-panicking 2D hull that *rejects* inputs with no full-dimensional
-/// hull — empty, fewer than three points, all coincident, or all collinear
-/// — with a typed [`GeoError`] instead of silently returning the extreme
-/// points, then runs `algo` (any of this crate's `hull2d_*` entry points).
+/// hull — empty, fewer than three points, a NaN or infinite coordinate,
+/// all coincident, or all collinear — with a typed [`GeoError`] instead of
+/// silently returning the extreme points, then runs `algo` (any of this
+/// crate's `hull2d_*` entry points).
 pub fn try_hull2d_with(points: &[Point2], algo: fn(&[Point2]) -> Vec<u32>) -> GeoResult<Vec<u32>> {
     full_dimensional(points)?;
     Ok(algo(points))
@@ -61,12 +63,15 @@ fn full_dimensional(points: &[Point2]) -> GeoResult<Extremes> {
             got: points.len(),
         });
     }
-    extremes(points).map_err(|flat| GeoError::Degenerate {
-        op: "hull2d",
-        what: if flat.len() <= 1 {
-            "coincident"
-        } else {
-            "collinear"
+    // Non-empty input with no extreme point has a non-finite coordinate.
+    extremes(points).map_err(|flat| match flat.len() {
+        0 => GeoError::BadParameter {
+            op: "hull2d",
+            what: "non-finite coordinate",
+        },
+        n => GeoError::Degenerate {
+            op: "hull2d",
+            what: if n == 1 { "coincident" } else { "collinear" },
         },
     })
 }
@@ -173,14 +178,17 @@ pub(crate) struct Extremes {
 }
 
 /// One scan for the [`Extremes`]. `Err` carries the whole answer for an
-/// input with no 2D hull (empty, single point, or all collinear): its
-/// extreme point(s).
+/// input with no 2D hull: its extreme point(s) if it is a single point or
+/// all collinear, none if it is empty or has a NaN or infinite coordinate.
 pub(crate) fn extremes(points: &[Point2]) -> Result<Extremes, Vec<u32>> {
     if points.is_empty() {
         return Err(Vec::new());
     }
     let (lo, hi, inner) = prefilter::scan(points);
     let (a, b) = (&points[lo as usize], &points[hi as usize]);
+    if !a.is_finite() {
+        return Err(Vec::new()); // a non-finite point is the minimum
+    }
     if a == b {
         return Err(vec![lo.min(hi)]);
     }
@@ -318,6 +326,41 @@ mod tests {
             Point2::new([0.0, 1.0]),
         ];
         assert_eq!(try_hull2d(&tri).unwrap().len(), 3);
+    }
+
+    /// 1 000 uniform points with one coordinate made NaN or infinite, at
+    /// the first, a middle and the last index.
+    fn non_finite_inputs() -> Vec<Vec<Point2>> {
+        let mut inputs = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 500, 999] {
+                let mut pts = uniform_cube::<2>(1_000, 6);
+                pts[at].coords[at % 2] = bad;
+                inputs.push(pts);
+            }
+        }
+        inputs
+    }
+
+    const NON_FINITE: GeoResult<Vec<u32>> = Err(GeoError::BadParameter {
+        op: "hull2d",
+        what: "non-finite coordinate",
+    });
+
+    #[test]
+    fn try_hull2d_refuses_non_finite_coordinates() {
+        for pts in non_finite_inputs() {
+            assert_eq!(try_hull2d(&pts), NON_FINITE);
+        }
+    }
+
+    #[test]
+    fn try_hull2d_with_refuses_non_finite_coordinates() {
+        for pts in non_finite_inputs() {
+            for (name, f) in algos() {
+                assert_eq!(try_hull2d_with(&pts, f), NON_FINITE, "{name}");
+            }
+        }
     }
 
     #[test]

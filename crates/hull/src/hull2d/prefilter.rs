@@ -57,8 +57,13 @@ impl Scan {
         let mut scan = Scan::EMPTY;
         for (q, p) in (first..).zip(points) {
             let (x, y) = (p[0], p[1]);
+            // A non-finite point outranks every finite one as the minimum.
+            let lex_min = match p.is_finite() {
+                true => (-x, -y),
+                false => (f64::INFINITY, f64::INFINITY),
+            };
             let keys = [
-                (-x, -y),
+                lex_min,
                 (x, y),
                 (x + y, 0.0),
                 (-x - y, 0.0),

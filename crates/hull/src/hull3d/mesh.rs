@@ -5,11 +5,12 @@
 //! dying cavity's slots — and the storage of their conflict lists — are
 //! handed straight to the fan that replaces it, so the slab tracks the
 //! live mesh. Every algorithm in this module inserts a point through the
-//! same three steps ([`Mesh::find_cavity`], [`Mesh::replace_cavity`] +
-//! [`Mesh::distribute`], [`Mesh::install`]); the sequential quickhull runs
-//! them back to back, the reservation driver runs the first and third for
-//! many points at once.
+//! same three steps of [`Complex`] (`find_cavity`, `replace_cavity` +
+//! `distribute`, `install`); the sequential quickhull runs them back to
+//! back, the reservation driver runs the first and third for many points
+//! at once.
 
+use crate::reservation::{Complex, NONE};
 use pargeo_geometry::{orient3d, Orientation, Point3};
 use pargeo_parlay as parlay;
 
@@ -46,22 +47,6 @@ impl Hull3d {
         self
     }
 }
-
-/// Work counters behind Figure 12 and Appendix B.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HullStats {
-    /// Visible points processed (batch members across all rounds, or
-    /// insertion attempts for the sequential algorithm).
-    pub points_touched: u64,
-    /// Visible facets traversed while computing visible regions
-    /// (reservation targets included for the parallel algorithms).
-    pub facets_touched: u64,
-    /// Number of rounds (1 per insertion for the sequential algorithm).
-    pub rounds: u64,
-}
-
-/// "No facet" / "no point" / free-slot marker.
-pub(crate) const NONE: u32 = u32::MAX;
 
 /// Strict visibility: `q` sees the outward-oriented triangle `f` iff it is
 /// strictly outside its plane.
@@ -183,37 +168,10 @@ impl<'a> Mesh<'a> {
         }
     }
 
-    /// Number of facet slots (live and free).
-    pub fn slots(&self) -> usize {
-        self.v.len()
-    }
-
-    /// Number of live facets.
-    pub fn live(&self) -> usize {
-        self.v.len() - self.free.len()
-    }
-
     /// Strict visibility of facet `f` from point `q`.
     #[inline]
     pub fn sees(&self, f: u32, q: u32) -> bool {
         sees(self.points, &self.v[f as usize], q)
-    }
-
-    /// The first of the four initial facets that sees `q` (`NONE`: `q` is
-    /// inside the tetrahedron). One call per input point is the whole
-    /// initial conflict assignment.
-    pub fn seed_facet(&self, q: u32) -> u32 {
-        (0..4).find(|&f| self.sees(f, q)).unwrap_or(NONE)
-    }
-
-    /// The conflict point of `f` furthest above its plane (doubles;
-    /// selection only). `f`'s list must be non-empty.
-    pub fn furthest(&self, f: u32) -> u32 {
-        let [a, b, c] = self.v[f as usize].map(|i| self.points[i as usize]);
-        let n = (b - a).cross(&(c - a));
-        let pts = &self.pts[f as usize];
-        let best = parlay::max_index_by(pts, |&t| (self.points[t as usize] - a).dot(&n));
-        pts[best.expect("facet has conflicts")]
     }
 
     /// The slot of the directed ridge `a → b` in facet `g`.
@@ -224,13 +182,60 @@ impl<'a> Mesh<'a> {
             .expect("ridge must exist in the facet across it") as u8
     }
 
-    /// Fills `cav` with the cavity of `q` around the visible facet `f0`:
-    /// one counterclockwise tour of the visible region yields its facets,
+    /// The conflict point of `f` furthest above its plane (doubles;
+    /// selection only). `f`'s list must be non-empty.
+    fn furthest(&self, f: u32) -> u32 {
+        let [a, b, c] = self.v[f as usize].map(|i| self.points[i as usize]);
+        let n = (b - a).cross(&(c - a));
+        let pts = &self.pts[f as usize];
+        let best = parlay::max_index_by(pts, |&t| (self.points[t as usize] - a).dot(&n));
+        pts[best.expect("facet has conflicts")]
+    }
+
+    /// Extracts the hull from the live facets.
+    pub fn extract(&self) -> Hull3d {
+        let facets: Vec<[u32; 3]> = self.v.iter().filter(|f| f[0] != NONE).copied().collect();
+        let mut vertices: Vec<u32> = facets.iter().flatten().copied().collect();
+        vertices.sort_unstable();
+        vertices.dedup();
+        Hull3d { facets, vertices }
+    }
+}
+
+impl Complex for Mesh<'_> {
+    type Cavity = Cavity;
+    type Scratch = Scratch;
+    const FACETS_PER_ATTEMPT: usize = 64;
+
+    fn slots(&self) -> usize {
+        self.v.len()
+    }
+
+    fn live(&self) -> usize {
+        self.v.len() - self.free.len()
+    }
+
+    fn seed_facet(&self, q: u32) -> u32 {
+        (0..4).find(|&f| self.sees(f, q)).unwrap_or(NONE)
+    }
+
+    fn seed(&mut self, q: u32, f: u32) {
+        if f != NONE {
+            self.pts[f as usize].push(q);
+        }
+    }
+
+    fn conflicts(&self, f: u32) -> &[u32] {
+        &self.pts[f as usize]
+    }
+
+    /// One counterclockwise tour of the visible region yields its facets,
     /// the boundary ring, and the horizon already in cycle order. (The
     /// region is a disc; ridges between two facets the tour has both
     /// reached are cuts hanging off its boundary, so skipping them leaves
-    /// the order of the boundary ridges intact.) Read-only on the mesh.
-    pub fn find_cavity(&self, s: &mut Scratch, f0: u32, q: u32, cav: &mut Cavity) {
+    /// the order of the boundary ridges intact.)
+    fn find_cavity(&self, s: &mut Scratch, f0: u32, q: u32, cav: &mut Cavity) {
+        let q = if q == NONE { self.furthest(f0) } else { q };
         debug_assert!(self.sees(f0, q));
         cav.q = q;
         cav.visible.clear();
@@ -272,15 +277,13 @@ impl<'a> Mesh<'a> {
         debug_assert!(cav.horizon.len() >= 3, "horizon must be a cycle");
     }
 
-    /// Replaces the cavity with the fan of new facets around `cav.q`, in
-    /// the cavity's own slots (plus fresh ones, or minus freed ones), and
-    /// moves the dead facets' conflict points into `cav` for
-    /// [`Mesh::distribute`].
-    ///
-    /// The caller guarantees exclusive ownership of the cavity, its
-    /// points, and the ring facets' neighbor slots (sequentially trivial;
-    /// in the parallel algorithms guaranteed by the reservation).
-    pub fn replace_cavity(&mut self, cav: &mut Cavity) {
+    fn claimed(cav: &Cavity) -> impl Iterator<Item = u32> + '_ {
+        cav.visible.iter().chain(&cav.ring).copied()
+    }
+
+    /// The fan takes the cavity's own slots (plus fresh ones, or minus
+    /// freed ones); the ring facets' neighbor slots are rewired.
+    fn replace_cavity(&mut self, cav: &mut Cavity) {
         let k = cav.horizon.len();
         cav.orphans.clear();
         for &f in &cav.visible {
@@ -315,11 +318,8 @@ impl<'a> Mesh<'a> {
         }
     }
 
-    /// Assigns each orphaned conflict point to the first fan facet that
-    /// sees it and reports `placed(point, facet)` — `NONE` for a point the
-    /// new hull swallowed. Read-only on the mesh, so the winners of one
-    /// round run it side by side.
-    pub fn distribute(&self, cav: &mut Cavity, placed: impl Fn(u32, u32)) {
+    /// Onto the first fan facet that sees the point.
+    fn distribute(&self, cav: &mut Cavity, placed: impl Fn(u32, u32)) {
         for &t in &cav.orphans {
             if t == cav.q {
                 continue;
@@ -334,20 +334,14 @@ impl<'a> Mesh<'a> {
         }
     }
 
-    /// Moves the filled conflict lists into the fan's slots.
-    pub fn install(&mut self, cav: &mut Cavity) {
+    fn install(&mut self, cav: &mut Cavity) {
         for (&f, list) in cav.fan.iter().zip(cav.lists.drain(..)) {
             self.pts[f as usize] = list;
         }
     }
 
-    /// Extracts the hull from the live facets.
-    pub fn extract(&self) -> Hull3d {
-        let facets: Vec<[u32; 3]> = self.v.iter().filter(|f| f[0] != NONE).copied().collect();
-        let mut vertices: Vec<u32> = facets.iter().flatten().copied().collect();
-        vertices.sort_unstable();
-        vertices.dedup();
-        Hull3d { facets, vertices }
+    fn fan(cav: &Cavity) -> &[u32] {
+        &cav.fan
     }
 }
 

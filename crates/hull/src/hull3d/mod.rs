@@ -23,7 +23,8 @@
 //!
 //! Degenerate inputs (all points collinear or coplanar) have no 3D hull;
 //! they are handled by projecting onto the dominant plane and returning the
-//! 2D hull vertices with an empty facet list.
+//! 2D hull vertices with an empty facet list. A NaN or infinite coordinate
+//! is refused by the `try_*` entry points; the others' answer is unspecified.
 
 mod dnc;
 mod mesh;
@@ -32,8 +33,9 @@ mod reservation;
 mod seq;
 pub mod validate;
 
+pub use crate::reservation::HullStats;
 pub use dnc::hull3d_divide_conquer;
-pub use mesh::{Hull3d, HullStats};
+pub use mesh::Hull3d;
 pub use pseudo::{hull3d_pseudo, hull3d_pseudo_with_threshold};
 pub use reservation::{
     hull3d_quickhull_parallel, hull3d_quickhull_parallel_with_stats, hull3d_randinc,
@@ -43,32 +45,13 @@ pub use seq::{hull3d_seq, hull3d_seq_with_stats};
 
 use pargeo_geometry::{orient3d, GeoError, GeoResult, Orientation, Point3};
 
-/// The seed tetrahedron of a full-dimensional input, or the typed
-/// [`GeoError`] naming why there is none (empty, fewer than four points,
-/// all collinear/coplanar).
-fn seed_tetrahedron(points: &[Point3]) -> GeoResult<[u32; 4]> {
-    if points.is_empty() {
-        return Err(GeoError::EmptyInput { op: "hull3d" });
-    }
-    if points.len() < 4 {
-        return Err(GeoError::TooFewPoints {
-            op: "hull3d",
-            needed: 4,
-            got: points.len(),
-        });
-    }
-    initial_tetrahedron(points).ok_or(GeoError::Degenerate {
-        op: "hull3d",
-        what: "coplanar",
-    })
-}
-
 /// Non-panicking 3D hull that *rejects* inputs with no full-dimensional
-/// hull — empty, fewer than four points, or all collinear/coplanar — with
-/// a typed [`GeoError`] instead of degrading to the projected 2D hull,
-/// then runs `algo` (any of this crate's `hull3d_*` entry points).
+/// hull — empty, fewer than four points, a NaN or infinite coordinate, or
+/// all collinear/coplanar — with a typed [`GeoError`] instead of degrading
+/// to the projected 2D hull, then runs `algo` (any of this crate's
+/// `hull3d_*` entry points).
 pub fn try_hull3d_with(points: &[Point3], algo: fn(&[Point3]) -> Hull3d) -> GeoResult<Hull3d> {
-    seed_tetrahedron(points)?;
+    initial_tetrahedron(points)?;
     Ok(algo(points))
 }
 
@@ -77,7 +60,7 @@ pub fn try_hull3d_with(points: &[Point3], algo: fn(&[Point3]) -> Hull3d) -> GeoR
 /// member on every distribution of Figure 9 — started from the seed
 /// tetrahedron the check already found.
 pub fn try_hull3d(points: &[Point3]) -> GeoResult<Hull3d> {
-    let tetra = seed_tetrahedron(points)?;
+    let tetra = initial_tetrahedron(points)?;
     Ok(pseudo::pseudo_from(
         points,
         tetra,
@@ -85,33 +68,50 @@ pub fn try_hull3d(points: &[Point3]) -> GeoResult<Hull3d> {
     ))
 }
 
-/// Picks four affinely independent points (used as the initial
-/// tetrahedron). Returns `None` when the input is degenerate (flat).
-pub(crate) fn initial_tetrahedron(points: &[Point3]) -> Option<[u32; 4]> {
+/// Picks four affinely independent points (the initial tetrahedron), or
+/// names why the input has none with a typed [`GeoError`]: empty, fewer
+/// than four points, a non-finite coordinate (which the first pass finds:
+/// it outranks every finite point), or all collinear/coplanar.
+pub(crate) fn initial_tetrahedron(points: &[Point3]) -> GeoResult<[u32; 4]> {
     if points.len() < 4 {
-        return None;
+        return Err(match points.len() {
+            0 => GeoError::EmptyInput { op: "hull3d" },
+            got => GeoError::TooFewPoints {
+                op: "hull3d",
+                needed: 4,
+                got,
+            },
+        });
     }
-    let p0 = pargeo_parlay::max_index_by(points, |p| (-p[0], -p[1], -p[2]))? as u32;
+    let flat = GeoError::Degenerate {
+        op: "hull3d",
+        what: "coplanar",
+    };
+    let lex_min = |p: &Point3| (!p.is_finite(), -p[0], -p[1], -p[2]);
+    let p0 = pargeo_parlay::max_index_by(points, lex_min).ok_or(flat)? as u32;
     let a = points[p0 as usize];
-    let p1 = pargeo_parlay::max_index_by(points, |p| p.dist_sq(&a))? as u32;
-    let b = points[p1 as usize];
-    if a == b {
-        return None;
+    if !a.is_finite() {
+        return Err(GeoError::BadParameter {
+            op: "hull3d",
+            what: "non-finite coordinate",
+        });
     }
+    let p1 = pargeo_parlay::max_index_by(points, |p| p.dist_sq(&a)).ok_or(flat)? as u32;
+    let b = points[p1 as usize];
     let ab = b - a;
-    let p2 = pargeo_parlay::max_index_by(points, |p| ab.cross(&(*p - a)).norm_sq())? as u32;
-    let c = points[p2 as usize];
+    let p2 = pargeo_parlay::max_index_by(points, |p| ab.cross(&(*p - a)).norm_sq()).ok_or(flat)?;
+    let c = points[p2];
     if ab.cross(&(c - a)).norm_sq() == 0.0 {
-        return None; // all collinear
+        return Err(flat); // all coincident or collinear
     }
     // Furthest from the plane by |double det| as a heuristic, validated by
     // the exact predicate.
-    let p3 =
-        pargeo_parlay::max_index_by(points, |p| ((*p - a).dot(&ab.cross(&(c - a)))).abs())? as u32;
-    if orient3d(&a, &b, &c, &points[p3 as usize]) == Orientation::Zero {
-        return None; // all coplanar
+    let height = |p: &Point3| ((*p - a).dot(&ab.cross(&(c - a)))).abs();
+    let p3 = pargeo_parlay::max_index_by(points, height).ok_or(flat)?;
+    if orient3d(&a, &b, &c, &points[p3]) == Orientation::Zero {
+        return Err(flat); // all coplanar
     }
-    Some([p0, p1, p2, p3])
+    Ok([p0, p1, p2 as u32, p3 as u32])
 }
 
 /// Fallback for flat inputs: project on the dominant plane and take the 2D
@@ -125,7 +125,7 @@ pub(crate) fn degenerate_hull3d(points: &[Point3]) -> Hull3d {
         };
     }
     // Dominant plane: drop the coordinate with the smallest extent.
-    let bbox = pargeo_morton_free_bbox(points);
+    let bbox = pargeo_geometry::Bbox::from_points(points);
     let drop_dim = (0..3)
         .min_by(|&i, &j| bbox.side(i).partial_cmp(&bbox.side(j)).unwrap())
         .unwrap();
@@ -139,14 +139,6 @@ pub(crate) fn degenerate_hull3d(points: &[Point3]) -> Hull3d {
         facets: Vec::new(),
         vertices,
     }
-}
-
-fn pargeo_morton_free_bbox(points: &[Point3]) -> pargeo_geometry::Bbox<3> {
-    let mut b = pargeo_geometry::Bbox::empty();
-    for p in points {
-        b.extend(p);
-    }
-    b
 }
 
 #[cfg(test)]
@@ -295,6 +287,41 @@ mod tests {
             Point3::new([0.0, 0.0, 1.0]),
         ];
         assert_eq!(try_hull3d(&tetra).unwrap().facets.len(), 4);
+    }
+
+    /// 1 000 uniform points with one coordinate made NaN or infinite, at
+    /// the first, a middle and the last index.
+    fn non_finite_inputs() -> Vec<Vec<Point3>> {
+        let mut inputs = Vec::new();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for at in [0, 500, 999] {
+                let mut pts = uniform_cube::<3>(1_000, 48);
+                pts[at].coords[at % 3] = bad;
+                inputs.push(pts);
+            }
+        }
+        inputs
+    }
+
+    const NON_FINITE: GeoResult<Hull3d> = Err(GeoError::BadParameter {
+        op: "hull3d",
+        what: "non-finite coordinate",
+    });
+
+    #[test]
+    fn try_hull3d_refuses_non_finite_coordinates() {
+        for pts in non_finite_inputs() {
+            assert_eq!(try_hull3d(&pts), NON_FINITE);
+        }
+    }
+
+    #[test]
+    fn try_hull3d_with_refuses_non_finite_coordinates() {
+        for pts in non_finite_inputs() {
+            for (name, f) in algos() {
+                assert_eq!(try_hull3d_with(&pts, f), NON_FINITE, "{name}");
+            }
+        }
     }
 
     #[test]

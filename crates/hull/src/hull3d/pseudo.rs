@@ -31,8 +31,8 @@ pub fn hull3d_pseudo(points: &[Point3]) -> Hull3d {
 /// Pseudohull culling with an explicit stop threshold.
 pub fn hull3d_pseudo_with_threshold(points: &[Point3], threshold: usize) -> Hull3d {
     match initial_tetrahedron(points) {
-        Some(tetra) => pseudo_from(points, tetra, threshold),
-        None => degenerate_hull3d(points),
+        Ok(tetra) => pseudo_from(points, tetra, threshold),
+        Err(_) => degenerate_hull3d(points),
     }
 }
 

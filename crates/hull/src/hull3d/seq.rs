@@ -1,8 +1,9 @@
 //! Optimized sequential 3D quickhull — the CGAL / Qhull baseline stand-in
 //! of Figure 9, and the "no-reservation" side of Figure 12.
 
-use super::mesh::{Cavity, Hull3d, HullStats, Mesh, Scratch, NONE};
+use super::mesh::{Cavity, Hull3d, Mesh, Scratch};
 use super::{degenerate_hull3d, initial_tetrahedron};
+use crate::reservation::{Complex, HullStats, NONE};
 use pargeo_geometry::Point3;
 
 /// Sequential quickhull.
@@ -13,15 +14,12 @@ pub fn hull3d_seq(points: &[Point3]) -> Hull3d {
 /// Sequential quickhull with the Figure 12 work counters.
 pub fn hull3d_seq_with_stats(points: &[Point3]) -> (Hull3d, HullStats) {
     let mut stats = HullStats::default();
-    let Some(tetra) = initial_tetrahedron(points) else {
+    let Ok(tetra) = initial_tetrahedron(points) else {
         return (degenerate_hull3d(points), stats);
     };
     let mut mesh = Mesh::new_tetrahedron(points, tetra);
     for q in 0..points.len() as u32 {
-        let f = mesh.seed_facet(q);
-        if f != NONE {
-            mesh.pts[f as usize].push(q);
-        }
+        mesh.seed(q, mesh.seed_facet(q));
     }
     // Facet work stack (quickhull order: any facet with conflicts; its
     // furthest point is inserted next). A slot that died or was reused
@@ -32,11 +30,11 @@ pub fn hull3d_seq_with_stats(points: &[Point3]) -> (Hull3d, HullStats) {
         if mesh.pts[f as usize].is_empty() {
             continue;
         }
-        let q = mesh.furthest(f);
-        mesh.find_cavity(&mut scratch, f, q, &mut cav);
+        mesh.find_cavity(&mut scratch, f, NONE, &mut cav);
         stats.points_touched += 1;
         stats.facets_touched += cav.visible.len() as u64;
         stats.rounds += 1;
+        stats.insertions += 1;
         mesh.replace_cavity(&mut cav);
         mesh.distribute(&mut cav, |_, _| {});
         mesh.install(&mut cav);

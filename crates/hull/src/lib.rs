@@ -5,21 +5,20 @@
 //! round, a batch of *visible points* is processed; every point
 //! priority-writes its rank onto its visible facets (`WriteMin`), and only
 //! points that won **all** of their reservations mutate the hull this round
-//! — their cavities are disjoint, so the mutations are data-race-free. The
-//! same skeleton instantiates the randomized incremental algorithm (batch =
-//! prefix of a random permutation) and quickhull (batch = per-facet furthest
-//! points).
+//! — their cavities are disjoint, so the mutations are data-race-free. One
+//! driver runs this skeleton in both dimensions, with either batch policy:
+//! the randomized incremental algorithm (batch = prefix of a random
+//! permutation) or quickhull (batch = per-facet furthest points).
 //!
 //! Modules:
 //!
 //! * [`hull2d`] — sequential quickhull (the CGAL/Qhull baseline stand-in),
-//!   the PBBS-style parallel recursive quickhull, the reservation-based
-//!   randomized incremental algorithm, and the divide-and-conquer wrapper.
+//!   the PBBS-style parallel recursive quickhull, randomized incremental
+//!   (the driver over hull edges), and the divide-and-conquer wrapper.
 //! * [`hull3d`] — the facet/ridge mesh with conflict lists, sequential
-//!   quickhull, the reservation-based parallel incremental algorithms
-//!   (randinc + quickhull, with the work counters behind Figure 12), the
-//!   pseudohull point-culling heuristic of Tang et al. \[54\], and the
-//!   divide-and-conquer wrapper.
+//!   quickhull, the driver's randinc + quickhull over the mesh (with the
+//!   work counters behind Figure 12), the pseudohull point-culling
+//!   heuristic of Tang et al. \[54\], and the divide-and-conquer wrapper.
 //!
 //! One deliberate deviation from the paper's description: our reservation
 //! covers the visible facets **and** the facets just beyond the horizon.
@@ -34,6 +33,7 @@
 
 pub mod hull2d;
 pub mod hull3d;
+mod reservation;
 
 pub use hull2d::{
     hull2d_divide_conquer, hull2d_quickhull_parallel, hull2d_randinc, hull2d_seq, try_hull2d,

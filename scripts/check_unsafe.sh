@@ -2,8 +2,10 @@
 # `unsafe` is confined to the scheduler and the parallel primitives
 # (crates/sched, crates/parlay) and the offline shims (crates/shims). Fails
 # if the token `unsafe` appears in any other .rs file under crates/, tests/
-# or examples/ on more lines than the file's allowlisted sites below. The
-# ledger under bench/ is its own package and is not scanned. Plain grep, no
+# or examples/ on more lines than the file's allowlisted sites below, and
+# if any .rs file there, those three crates included, has more lines with
+# `unsafe` than `SAFETY:` comments plus `# Safety` doc sections. The ledger
+# under bench/ is its own package and is not scanned. Plain grep, no
 # dependency.
 set -u
 cd "$(dirname "$0")/.."
@@ -31,5 +33,14 @@ while IFS= read -r file; do
 done < <(grep -rlw --include='*.rs' --exclude-dir=sched --exclude-dir=parlay \
     --exclude-dir=shims unsafe crates tests examples)
 
-[ "$status" -eq 0 ] && echo "unsafe confinement: ok"
+while IFS= read -r file; do
+    reasons=$(( $(grep -c 'SAFETY:' "$file") + $(grep -c '# Safety' "$file") ))
+    if [ "$(grep -cw unsafe "$file")" -gt "$reasons" ]; then
+        echo "unsafe without a SAFETY: comment: $file ($reasons reasons)" >&2
+        grep -nw unsafe "$file" >&2
+        status=1
+    fi
+done < <(grep -rlw --include='*.rs' unsafe crates tests examples)
+
+[ "$status" -eq 0 ] && echo "unsafe confinement and SAFETY comments: ok"
 exit "$status"

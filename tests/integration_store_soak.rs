@@ -29,12 +29,16 @@ struct Counting;
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; the counter is only ever read for the assertion.
 unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller's `layout` meets `GlobalAlloc::alloc`'s contract
+    // and goes to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let live = LIVE_HEAP.fetch_add(layout.size(), Ordering::Relaxed) + layout.size();
         PEAK_HEAP.fetch_max(live, Ordering::Relaxed);
         System.alloc(layout)
     }
 
+    // SAFETY: `ptr` came from `alloc` above, that is from `System`, with
+    // this same `layout`.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         LIVE_HEAP.fetch_sub(layout.size(), Ordering::Relaxed);
         System.dealloc(ptr, layout)
