@@ -1,22 +1,31 @@
-//! Chase–Lev work-stealing deque (the weak-memory formulation of Lê,
-//! Pop, Cohen & Nardelli, PPoPP 2013).
+//! Fixed-capacity work-stealing deque: the ABP deque (Arora, Blumofe &
+//! Plaxton, SPAA 1998) that ParlayLib's scheduler uses, with the C11
+//! orderings of Lê, Pop, Cohen & Nardelli (PPoPP 2013).
 //!
 //! One worker owns each deque: only the owner calls [`Deque::push`] and
 //! [`Deque::pop`] (LIFO end, `bottom`); any thread may call
-//! [`Deque::steal`] (FIFO end, `top`). The buffer is a growable circular
-//! array published through an atomic pointer; retired buffers are kept
-//! alive until the deque drops because a slow thief may still read
-//! through a stale pointer (its CAS on `top` then fails, discarding the
-//! stale value). Slot reads/writes use volatile accesses for the same
-//! reason: a thief racing a wrapped-around owner write may observe a
-//! torn value, which the `top` CAS rejects before it is ever used.
+//! [`Deque::steal`] (FIFO end, `top`). The deque never grows: a push onto
+//! a full deque hands the job back, and `join` then runs it inline. Fork
+//! depth is recursion depth, so `CAP` sits far above the deepest deque
+//! ever measured (16).
+//!
+//! Each slot is one `AtomicPtr` to a job header, read and written
+//! `Relaxed`; the Release store of `bottom` and a thief's Acquire load of
+//! it order them. A thief may read slot `t` while the owner rewrites it,
+//! but the owner writes index `t + CAP` only after it has seen `top > t`,
+//! so such a thief's CAS on `top` fails and the value is dropped unused.
 //!
 //! This module is exposed publicly only so the crate's stress tests can
 //! hammer the pop/steal race directly; it is not a stable API.
 
+use crate::job::JobHeader;
 pub use crate::job::JobRef;
 use std::sync::atomic::{fence, AtomicIsize, AtomicPtr, Ordering};
-use std::sync::Mutex;
+
+/// Slots per deque, a power of two so a slot index is a mask: 16× the
+/// deepest deque measured, 2 KB per worker. The crate's own unit tests
+/// see 2, so its `join` tests run the inline overflow path.
+const CAP: usize = if cfg!(test) { 2 } else { 256 };
 
 /// Result of a [`Deque::steal`] attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,69 +38,12 @@ pub enum Steal {
     Success(JobRef),
 }
 
-/// A growable circular buffer of jobs. `cap` is always a power of two.
-struct Buf {
-    cap: usize,
-    slots: *mut JobRef,
-}
-
-impl Buf {
-    fn alloc(cap: usize) -> *mut Buf {
-        debug_assert!(cap.is_power_of_two());
-        let mut v: Vec<JobRef> = vec![JobRef::sentinel(0); cap];
-        let slots = v.as_mut_ptr();
-        std::mem::forget(v);
-        Box::into_raw(Box::new(Buf { cap, slots }))
-    }
-
-    /// # Safety
-    /// `ptr` must come from [`Buf::alloc`] and not be freed twice.
-    // SAFETY: `alloc` leaked exactly this box and a `Vec` of length and
-    // capacity `cap` at `slots`; the contract makes this their one free.
-    unsafe fn dealloc(ptr: *mut Buf) {
-        let buf = Box::from_raw(ptr);
-        drop(Vec::from_raw_parts(buf.slots, buf.cap, buf.cap));
-    }
-
-    /// # Safety
-    /// `self` is not yet freed: the live buffer, or a retired one (kept
-    /// until the deque drops). A read racing an owner write may tear, so
-    /// the caller uses the value only once it knows the slot was not
-    /// reused (a thief: its CAS on `top` succeeded).
-    // SAFETY: the mask keeps the slot inside the `cap` slots of `alloc`.
-    #[inline]
-    unsafe fn get(&self, i: isize) -> JobRef {
-        std::ptr::read_volatile(self.slots.add(i as usize & (self.cap - 1)))
-    }
-
-    /// # Safety
-    /// Owner only, on the live buffer, so each slot has one writer; a
-    /// thief reading the slot at once discards what it read ([`Buf::get`]).
-    // SAFETY: the mask keeps the slot inside the `cap` slots of `alloc`.
-    #[inline]
-    unsafe fn put(&self, i: isize, job: JobRef) {
-        std::ptr::write_volatile(self.slots.add(i as usize & (self.cap - 1)), job);
-    }
-}
-
 /// A single-owner, multi-thief work-stealing deque of [`JobRef`]s.
 pub struct Deque {
     bottom: AtomicIsize,
     top: AtomicIsize,
-    buf: AtomicPtr<Buf>,
-    /// Buffers replaced by [`grow`](Self::grow); freed only on drop, since
-    /// in-flight thieves may still read through them.
-    retired: Mutex<Vec<*mut Buf>>,
+    slots: [AtomicPtr<JobHeader>; CAP],
 }
-
-// SAFETY: the deque owns its buffers (raw pointers only because thieves
-// share them) and the jobs in them, and `JobRef` is itself Send.
-unsafe impl Send for Deque {}
-// SAFETY: shared access follows the Chase–Lev protocol: slots are touched
-// only by volatile reads and writes ordered by the atomics on `top` and
-// `bottom`, a value read in a lost race is discarded, retired buffers live
-// until drop, and `retired` is behind a `Mutex`.
-unsafe impl Sync for Deque {}
 
 impl Default for Deque {
     fn default() -> Self {
@@ -100,14 +52,17 @@ impl Default for Deque {
 }
 
 impl Deque {
-    /// An empty deque with a small initial buffer.
+    /// An empty deque.
     pub fn new() -> Self {
         Deque {
             bottom: AtomicIsize::new(0),
             top: AtomicIsize::new(0),
-            buf: AtomicPtr::new(Buf::alloc(64)),
-            retired: Mutex::new(Vec::new()),
+            slots: [const { AtomicPtr::new(std::ptr::null_mut()) }; CAP],
         }
+    }
+
+    fn slot(&self, i: isize) -> &AtomicPtr<JobHeader> {
+        &self.slots[i as usize & (CAP - 1)]
     }
 
     /// Racy size estimate (exact when quiescent). Any thread.
@@ -122,27 +77,22 @@ impl Deque {
         self.len() == 0
     }
 
-    /// Pushes a job on the owner (LIFO) end. Owner only.
-    pub fn push(&self, job: JobRef) {
+    /// Pushes a job on the owner (LIFO) end, or hands it back if the
+    /// deque is full. Owner only.
+    pub fn push(&self, job: JobRef) -> Result<(), JobRef> {
         let b = self.bottom.load(Ordering::Relaxed);
         let t = self.top.load(Ordering::Acquire);
-        let mut buf = self.buf.load(Ordering::Relaxed);
-        // SAFETY: owner only, so `buf` is the live buffer (only the owner
-        // replaces it) and `t..b` bounds its live slots; slot `b` is not
-        // live, so no thief uses it until the Release store below.
-        unsafe {
-            if b - t >= (*buf).cap as isize {
-                buf = self.grow(b, t, buf);
-            }
-            (*buf).put(b, job);
+        if b - t >= CAP as isize {
+            return Err(job);
         }
+        self.slot(b).store(job.0.cast_mut(), Ordering::Relaxed);
         self.bottom.store(b + 1, Ordering::Release);
+        Ok(())
     }
 
     /// Pops the most recently pushed job. Owner only.
     pub fn pop(&self) -> Option<JobRef> {
         let b = self.bottom.load(Ordering::Relaxed) - 1;
-        let buf = self.buf.load(Ordering::Relaxed);
         self.bottom.store(b, Ordering::Relaxed);
         fence(Ordering::SeqCst);
         let t = self.top.load(Ordering::Relaxed);
@@ -151,10 +101,7 @@ impl Deque {
             self.bottom.store(b + 1, Ordering::Relaxed);
             return None;
         }
-        // SAFETY: owner only, so `buf` is the live buffer; slot `b` holds a
-        // pushed job. Only when `t == b` can a thief take it first, and then
-        // the CAS below fails and this copy is dropped unused.
-        let job = unsafe { (*buf).get(b) };
+        let job = JobRef(self.slot(b).load(Ordering::Relaxed));
         if t == b {
             // Last element: race thieves for it via CAS on top.
             let won = self
@@ -175,11 +122,7 @@ impl Deque {
         if t >= b {
             return Steal::Empty;
         }
-        let buf = self.buf.load(Ordering::Acquire);
-        // SAFETY: `buf` may be stale (the owner grew it since), but retired
-        // buffers live until the deque drops; a torn or stale value is
-        // returned only if the CAS on `top` below succeeds.
-        let job = unsafe { (*buf).get(t) };
+        let job = JobRef(self.slot(t).load(Ordering::Relaxed));
         if self
             .top
             .compare_exchange(t, t + 1, Ordering::SeqCst, Ordering::Relaxed)
@@ -188,44 +131,6 @@ impl Deque {
             Steal::Success(job)
         } else {
             Steal::Retry
-        }
-    }
-
-    /// Doubles the buffer, copying live slots `t..b`.
-    ///
-    /// # Safety
-    /// Owner only: `old` is the live buffer and `t..b` its live range.
-    // SAFETY: thieves still reading `old` stay safe because it is retired,
-    // not freed, and the new buffer is published with Release.
-    unsafe fn grow(&self, b: isize, t: isize, old: *mut Buf) -> *mut Buf {
-        let new = Buf::alloc((*old).cap * 2);
-        for i in t..b {
-            (*new).put(i, (*old).get(i));
-        }
-        self.buf.store(new, Ordering::Release);
-        self.retired
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(old);
-        new
-    }
-}
-
-impl Drop for Deque {
-    fn drop(&mut self) {
-        // SAFETY: `&mut self`, so no thread can touch the deque; the live
-        // buffer and every retired one came from `Buf::alloc` and are freed
-        // here once each.
-        unsafe {
-            Buf::dealloc(self.buf.load(Ordering::Relaxed));
-            for old in self
-                .retired
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .drain(..)
-            {
-                Buf::dealloc(old);
-            }
         }
     }
 }
@@ -237,27 +142,58 @@ mod tests {
     #[test]
     fn lifo_for_owner_fifo_for_thief() {
         let d = Deque::new();
-        for i in 1..=4 {
-            d.push(JobRef::sentinel(i));
+        for i in [1, 2] {
+            d.push(JobRef::sentinel(i)).unwrap();
         }
-        assert_eq!(d.len(), 4);
+        assert_eq!(d.len(), 2);
         assert_eq!(d.steal(), Steal::Success(JobRef::sentinel(1)));
+        assert_eq!(d.pop().map(|j| j.tag()), Some(2));
+        for i in [3, 4] {
+            d.push(JobRef::sentinel(i)).unwrap();
+        }
+        assert_eq!(d.steal(), Steal::Success(JobRef::sentinel(3)));
         assert_eq!(d.pop().map(|j| j.tag()), Some(4));
-        assert_eq!(d.steal(), Steal::Success(JobRef::sentinel(2)));
-        assert_eq!(d.pop().map(|j| j.tag()), Some(3));
         assert_eq!(d.pop(), None);
         assert_eq!(d.steal(), Steal::Empty);
     }
 
     #[test]
-    fn grows_past_initial_capacity() {
+    fn a_refused_push_hands_back_the_same_job() {
         let d = Deque::new();
-        for i in 0..1000 {
-            d.push(JobRef::sentinel(i));
+        for i in 0..CAP {
+            d.push(JobRef::sentinel(i)).unwrap();
         }
-        for i in (0..1000).rev() {
-            assert_eq!(d.pop().map(|j| j.tag()), Some(i));
+        let extra = JobRef::sentinel(CAP);
+        assert_eq!(d.push(extra), Err(extra));
+        assert_eq!(d.len(), CAP);
+        // The refusal published nothing: the deque holds what it held.
+        assert_eq!(d.pop(), Some(JobRef::sentinel(CAP - 1)));
+        assert_eq!(d.steal(), Steal::Success(JobRef::sentinel(0)));
+    }
+
+    #[test]
+    fn order_holds_across_many_wrap_arounds() {
+        let d = Deque::new();
+        let mut next = 0;
+        // Each round fills the deque and drains it from both ends, so the
+        // indices wrap once a round.
+        for _ in 0..12 {
+            let round: Vec<usize> = (next..next + CAP).collect();
+            next += CAP;
+            for &i in &round {
+                d.push(JobRef::sentinel(i)).unwrap();
+            }
+            let (mut lo, mut hi) = (0, CAP);
+            while lo < hi {
+                assert_eq!(d.steal(), Steal::Success(JobRef::sentinel(round[lo])));
+                lo += 1;
+                if lo < hi {
+                    hi -= 1;
+                    assert_eq!(d.pop(), Some(JobRef::sentinel(round[hi])));
+                }
+            }
+            assert_eq!(d.pop(), None);
         }
-        assert_eq!(d.pop(), None);
+        assert_eq!(d.steal(), Steal::Empty);
     }
 }

@@ -1,74 +1,58 @@
 //! Type-erased schedulable jobs.
 //!
-//! A [`JobRef`] is a `(data, exec)` pair pointing at a [`StackJob`]:
-//! a closure borrowed from the stack of a blocked `join`/`install`
-//! caller, completion signalled through a latch. It wraps user code in
-//! `catch_unwind`, so a panicking task never unwinds into the worker
-//! loop — the pool is never poisoned; the payload is parked in the job's
-//! result slot and rethrown on the thread that waits for it.
+//! A [`JobRef`] is one pointer to a [`JobHeader`], the first field of a
+//! `#[repr(C)]` [`StackJob`]: a closure borrowed from the stack of a
+//! blocked `join`/`install` caller, completion signalled through a latch.
+//! The header holds the function that runs the job, so a deque slot is a
+//! single atomic word. A job wraps user code in `catch_unwind`, so a
+//! panicking task never unwinds into the worker loop — the pool is never
+//! poisoned; the payload is parked in the job's result slot and rethrown
+//! on the thread that waits for it.
 
 use crate::latch::Latch;
 use std::any::Any;
 use std::cell::UnsafeCell;
 use std::panic::{self, AssertUnwindSafe};
 
+/// What every job starts with: the function that runs it, called with a
+/// pointer to this header (which is also a pointer to the whole job).
+pub(crate) struct JobHeader {
+    // SAFETY: called only by `JobRef::execute`, under its contract.
+    exec: unsafe fn(*const JobHeader),
+}
+
 /// Type-erased pointer to a job queued on a deque or the injector.
 ///
 /// Public only for the deque stress tests (see [`crate::deque`]); nothing
 /// outside this crate can execute one.
-#[derive(Clone, Copy, Debug)]
-pub struct JobRef {
-    data: *const (),
-    // SAFETY: called only by `execute`, on `data`, under its contract.
-    exec: unsafe fn(*const ()),
-}
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct JobRef(pub(crate) *const JobHeader);
 
 // SAFETY: a JobRef crosses threads by design; `StackJob` requires its
 // closure and result to be Send, and each job is executed exactly once.
 unsafe impl Send for JobRef {}
-// SAFETY: a shared JobRef only exposes its two plain-data fields; running
-// it takes the value (`execute(self)`), which the deque hands to exactly
-// one thread.
-unsafe impl Sync for JobRef {}
-
-impl PartialEq for JobRef {
-    fn eq(&self, other: &Self) -> bool {
-        // Jobs are distinct allocations/stack slots, so the data pointer
-        // identifies a job; comparing `exec` would trip the
-        // unpredictable-fn-pointer-comparison lint for no extra precision.
-        std::ptr::eq(self.data, other.data)
-    }
-}
-impl Eq for JobRef {}
 
 impl JobRef {
     /// Runs the job. Called exactly once, by a pool worker.
     ///
     /// # Safety
-    /// `data` must still be alive: the owner of the stack job is blocked
-    /// on its latch.
-    // SAFETY: `exec` dereferences `data`, whose liveness no type tracks.
+    /// The job must still be alive: its owner is blocked on its latch.
+    // SAFETY: `exec` dereferences the job, whose liveness no type tracks.
     pub(crate) unsafe fn execute(self) {
-        // SAFETY: `exec` is the `StackJob::<L, F, R>::execute` that
-        // `as_job_ref` paired with this `data`; liveness is the caller's.
-        unsafe { (self.exec)(self.data) }
+        // SAFETY: the header is alive per the contract, and its `exec` is
+        // the `StackJob::<L, F, R>::execute` that `as_job_ref` put there.
+        unsafe { ((*self.0).exec)(self.0) }
     }
 
-    /// An inert job carrying `tag` as its payload pointer — never executed;
-    /// exists so the deque stress tests can queue distinguishable values.
+    /// An inert job carrying `tag` as its address — never executed; exists
+    /// so the deque stress tests can queue distinguishable values.
     pub fn sentinel(tag: usize) -> JobRef {
-        // SAFETY: does nothing, so it needs nothing; it is declared so
-        // only to fit `exec`'s type.
-        unsafe fn never(_: *const ()) {}
-        JobRef {
-            data: tag as *const (),
-            exec: never,
-        }
+        JobRef(std::ptr::without_provenance(tag))
     }
 
     /// The tag of a [`sentinel`](Self::sentinel) job.
     pub fn tag(&self) -> usize {
-        self.data as usize
+        self.0.addr()
     }
 }
 
@@ -83,16 +67,14 @@ pub(crate) enum JobResult<R> {
 }
 
 /// A job borrowed from the stack of a thread blocked on its completion.
+/// `repr(C)` keeps the header first, so a header pointer is a job pointer.
+#[repr(C)]
 pub(crate) struct StackJob<L: Latch, F, R> {
+    header: JobHeader,
     pub(crate) latch: L,
     func: UnsafeCell<Option<F>>,
     result: UnsafeCell<JobResult<R>>,
 }
-
-// SAFETY: accessed from the spawning thread and exactly one executing
-// worker, with the latch ordering the handoff (func is taken before the
-// latch is set; the result is read only after the latch is observed set).
-unsafe impl<L: Latch + Sync, F: Send, R: Send> Sync for StackJob<L, F, R> {}
 
 impl<L, F, R> StackJob<L, F, R>
 where
@@ -102,6 +84,9 @@ where
 {
     pub(crate) fn new(latch: L, func: F) -> Self {
         StackJob {
+            header: JobHeader {
+                exec: Self::execute,
+            },
             latch,
             func: UnsafeCell::new(Some(func)),
             result: UnsafeCell::new(JobResult::None),
@@ -113,21 +98,20 @@ where
     /// returned job has executed.
     // SAFETY: the `JobRef` erases `self`'s lifetime, so the caller keeps it.
     pub(crate) unsafe fn as_job_ref(&self) -> JobRef {
-        JobRef {
-            data: (self as *const Self).cast(),
-            exec: Self::execute,
-        }
+        // A pointer to the whole job (not just the header field), so
+        // `execute` may read all of it through the header pointer.
+        JobRef((self as *const Self).cast())
     }
 
     /// # Safety
-    /// `data` came from [`as_job_ref`](Self::as_job_ref) on a job that is
-    /// still alive, and this is the only execution of it.
-    // SAFETY: `data` is an erased `&Self`, so its type and liveness are the
-    // caller's word; the blocks below rely on it.
-    unsafe fn execute(data: *const ()) {
-        // SAFETY: `data` is the `&Self` erased by `as_job_ref`, alive per
-        // this function's contract.
-        let this = unsafe { &*data.cast::<Self>() };
+    /// `header` came from [`as_job_ref`](Self::as_job_ref) on a job that
+    /// is still alive, and this is the only execution of it.
+    // SAFETY: `header` is an erased `&Self`, so its type and liveness are
+    // the caller's word; the blocks below rely on it.
+    unsafe fn execute(header: *const JobHeader) {
+        // SAFETY: `header` is the first field of a live `repr(C)` `Self`
+        // (`as_job_ref`), so it points at the whole job.
+        let this = unsafe { &*header.cast::<Self>() };
         // SAFETY: until the latch is set the executing worker is the only
         // thread touching `func` and `result` (the spawner waits on the
         // latch before reading either).

@@ -2,8 +2,9 @@
 //!
 //! This is the runtime `pargeo-parlay` is written on (and therefore the
 //! one under the engines and the store executor): per-worker
-//! [Chase–Lev deques](deque) with owner-LIFO push/pop and thief-FIFO
-//! steal, a global injector for external submission, exponential-backoff
+//! fixed-capacity [ABP deques](deque) with owner-LIFO push/pop and
+//! thief-FIFO steal (a full deque runs the forked closure inline), a
+//! global injector for external submission, exponential-backoff
 //! parking for idle workers, and a panic-safe [`join`] that propagates
 //! payloads to the waiting caller without ever poisoning the pool. See
 //! DESIGN.md §2.8 for the architecture and the digest-invisibility
@@ -19,7 +20,8 @@
 //! fallback of [`join`]): the closure migrates onto a worker thread, and
 //! from there every [`join`] is two deque operations — push the second
 //! closure, run the first, pop the second back (or, if a thief took it,
-//! help with other work until its latch trips). `join` running `b`
+//! help with other work until its latch trips; if the deque was full,
+//! run the second inline). `join` running `b`
 //! before `a` never happens; `b` stolen and run concurrently is the
 //! *only* source of parallelism, which is what makes the scheduling
 //! schedule-invisible to deterministic reductions.
@@ -83,8 +85,12 @@ where
     // SAFETY: this frame outlives the job — it blocks below until the
     // latch is set.
     let b_ref = unsafe { b_job.as_job_ref() };
-    worker.push(b_ref);
+    let pushed = worker.push(b_ref).is_ok();
     let ra = panic::catch_unwind(AssertUnwindSafe(a));
+    if !pushed {
+        // The deque was full, so no other thread can see b: run it here.
+        worker.execute_job(b_ref);
+    }
     // Wait for b even if a panicked: b borrows this frame. Prefer popping
     // b back (it is on top unless stolen); a popped job that isn't b
     // belongs to an outer join frame — execute it here, its owner will
@@ -145,6 +151,72 @@ mod tests {
         let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
         assert_eq!(msg, "from a");
         // Pool still serves work afterwards.
+        assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
+    }
+
+    /// A seed-shaped reduce: split point, leaf size and merge come from
+    /// `seed`, so forking (`par`) or calling in order must give the same
+    /// bits. Deeper than the test deque's capacity of 2, so inner joins
+    /// find their deque full and run `b` inline.
+    fn fold_tree(data: &[u64], seed: u64, depth: u32, par: bool) -> u64 {
+        let r = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15).rotate_left(17);
+        if depth == 0 || data.len() <= 1 + (r % 3) as usize {
+            return data.iter().fold(r, |acc, &x| acc.rotate_left(5) ^ x);
+        }
+        let (l, rest) = data.split_at(1 + (r as usize) % (data.len() - 1));
+        let left = || fold_tree(l, seed ^ 0xa5a5, depth - 1, par);
+        let right = || fold_tree(rest, seed ^ 0x5a5a, depth - 1, par);
+        let (a, b) = if par {
+            join(left, right)
+        } else {
+            (left(), right())
+        };
+        a.wrapping_mul(3) ^ b.rotate_left(seed as u32 % 64)
+    }
+
+    #[test]
+    fn deep_fork_join_equals_its_sequential_fold() {
+        let data: Vec<u64> = (0..700u64).map(|i| i.wrapping_mul(0x100_0193)).collect();
+        for seed in [1, 7, 42] {
+            let want = fold_tree(&data, seed, 9, false);
+            for workers in [1, 2, 4] {
+                let got = Pool::new(workers).install(|| fold_tree(&data, seed, 9, true));
+                assert_eq!(got, want, "seed {seed}, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn a_full_deque_still_runs_b_and_a_payload_wins() {
+        // One worker, so nothing is stolen: the two outer joins fill the
+        // deque (capacity 2 under test) and the inner push is refused.
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let pool = Pool::new(1);
+        let b_ran = AtomicBool::new(false);
+        let caught = pool.install(|| {
+            panic::catch_unwind(AssertUnwindSafe(|| {
+                join(
+                    || {
+                        join(
+                            || {
+                                join(
+                                    || panic!("from a"),
+                                    || {
+                                        b_ran.store(true, Ordering::SeqCst);
+                                        panic!("from b")
+                                    },
+                                )
+                            },
+                            || (),
+                        )
+                    },
+                    || (),
+                )
+            }))
+        });
+        let payload = caught.expect_err("join must propagate");
+        assert_eq!(payload.downcast_ref::<&str>().copied(), Some("from a"));
+        assert!(b_ran.load(Ordering::SeqCst), "b ran inline");
         assert_eq!(pool.install(|| join(|| 1, || 2)), (1, 2));
     }
 

@@ -193,10 +193,12 @@ impl Worker {
         Arc::ptr_eq(&self.state, state)
     }
 
-    /// Pushes onto the own deque (LIFO end) and wakes a thief if parked.
-    pub(crate) fn push(&self, job: JobRef) {
-        self.state.deques[self.index].push(job);
+    /// Pushes onto the own deque (LIFO end) and wakes a thief if parked;
+    /// hands the job back if the deque is full.
+    pub(crate) fn push(&self, job: JobRef) -> Result<(), JobRef> {
+        self.state.deques[self.index].push(job)?;
         self.state.notify_sleepers();
+        Ok(())
     }
 
     pub(crate) fn pop(&self) -> Option<JobRef> {

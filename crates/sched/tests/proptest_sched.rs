@@ -9,10 +9,10 @@
 //!    digest-invisibility argument of DESIGN.md §2.8 as an executable
 //!    check (split shape depends only on the seed, never on who runs
 //!    what).
-//! 3. A loom-style bounded stress loop on the Chase–Lev deque's pop/steal
-//!    race, without a loom dependency: one owner and several thieves
-//!    hammer a raw deque with sentinel jobs and we assert exactly-once
-//!    delivery of every tag.
+//! 3. A loom-style bounded stress loop on the fixed-capacity deque's
+//!    pop/steal race, without a loom dependency: one owner and several
+//!    thieves hammer a raw deque with sentinel jobs and we assert
+//!    exactly-once delivery of every tag.
 
 use pargeo_sched::deque::{Deque, JobRef, Steal};
 use pargeo_sched::{join, Pool};
@@ -158,9 +158,11 @@ proptest! {
 /// One owner pushes tagged sentinels and randomly pops; `thieves` threads
 /// steal concurrently. Every tag must be delivered exactly once across
 /// owner pops and steals — the pop/steal last-element race must never
-/// duplicate or drop a job. Bounded iterations keep it deterministic in
-/// runtime, and the small deque capacity start (the `Deque` grows from 64)
-/// plus tag counts > 64 force buffer growth races too.
+/// duplicate or drop a job. A tag the full deque refuses is the owner's
+/// own, as `join` runs a refused `b` inline. Bounded iterations keep it
+/// deterministic in runtime; 10 000 tags through the deque's 256 slots
+/// wrap every slot index dozens of times while thieves read the slots the
+/// owner rewrites.
 fn deque_stress(items: usize, thieves: usize, seed: u64) {
     let deque = Arc::new(Deque::new());
     let done = Arc::new(AtomicBool::new(false));
@@ -192,7 +194,9 @@ fn deque_stress(items: usize, thieves: usize, seed: u64) {
     let mut owned = Vec::new();
     let mut rng = seed | 1;
     for tag in 0..items {
-        deque.push(JobRef::sentinel(tag));
+        if let Err(job) = deque.push(JobRef::sentinel(tag)) {
+            owned.push(job.tag());
+        }
         // Randomly interleave pops so bottom crosses top often (the racy
         // last-element CAS path).
         if splitmix(&mut rng).is_multiple_of(3) {

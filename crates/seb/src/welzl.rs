@@ -134,16 +134,22 @@ fn par_md<const D: usize>(
                 hi = (2 * hi).max(lo + 1).min(n);
             }
             Some(rel) => {
-                let mut idx = lo + rel;
+                let idx = lo + rel;
                 if opts.pivot {
-                    // Use the globally furthest point from the current
-                    // center instead (parallel maximum-finding); it is a
-                    // violator because one exists. Its big radius jump cuts
-                    // the number of subsequent violators (Gärtner).
+                    // Pivot on the furthest point from the current center
+                    // (parallel maximum-finding): its big radius jump cuts
+                    // the number of later violators (Gärtner). Everything
+                    // before `idx` is enclosed, so the furthest violator
+                    // lies at or after `idx`; swapped into the first
+                    // violator's slot it keeps Welzl's lemma — the ball of
+                    // the prefix before it, which it violates, grows onto
+                    // it — and the scan only moves forward.
                     let center = ball.center;
-                    let far = parlay::max_index_by(pts, |p| p.dist_sq(&center)).expect("non-empty");
-                    if !ball.contains(&pts[far]) {
-                        idx = far;
+                    let far = idx
+                        + parlay::max_index_by(&pts[idx..], |p| p.dist_sq(&center))
+                            .expect("non-empty");
+                    if far > idx && !ball.contains(&pts[far]) {
+                        pts.swap(idx, far);
                     }
                 }
                 let p = pts[idx];
@@ -157,10 +163,7 @@ fn par_md<const D: usize>(
                     ball = par_md(&mut pts[..idx], support, opts);
                     support.pop();
                 }
-                // Everything up to and including idx is now enclosed; with
-                // a pivot behind `lo` the scan backs up and revalidates the
-                // stretch in between (radius strictly grew, so this
-                // terminates).
+                // Everything up to and including idx is now enclosed.
                 lo = idx + 1;
                 hi = (2 * lo).max(SEQ_CUTOFF).min(n);
             }
@@ -183,7 +186,7 @@ fn first_violator<const D: usize>(pts: &[Point<D>], ball: &Ball<D>) -> Option<us
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pargeo_datagen::uniform_cube;
+    use pargeo_datagen::{on_sphere, uniform_cube};
 
     #[test]
     fn seq_md_supports_full_support() {
@@ -224,6 +227,52 @@ mod tests {
             assert!((par.radius - seq.radius).abs() < 1e-9 * (1.0 + seq.radius));
             assert!(pts.iter().all(|p| par.contains(p)));
         }
+    }
+
+    /// The pivot once replaced the first violator instead of joining it,
+    /// so a far point that was not on the true boundary went onto the
+    /// support and the radius came out too large (up to 4.4e-7 relative on
+    /// these seeds). The sets are above `SEQ_CUTOFF`, so the parallel
+    /// prefix loop runs.
+    fn pivot_radius_matches_sequential(seed: u64) {
+        let pts = on_sphere::<3>(120_000, seed);
+        let seq = seb_welzl_seq(&pts).radius;
+        let pivot = seb_welzl_parallel_mtf_pivot(&pts).radius;
+        assert!(
+            (pivot - seq).abs() <= 1e-12 * seq,
+            "seed {seed}: pivot {pivot} vs sequential {seq}"
+        );
+    }
+
+    #[test]
+    fn pivot_radius_is_exact_on_sphere_seed_11() {
+        pivot_radius_matches_sequential(11);
+    }
+
+    #[test]
+    fn pivot_radius_is_exact_on_sphere_seed_15() {
+        pivot_radius_matches_sequential(15);
+    }
+
+    #[test]
+    fn pivot_radius_is_exact_on_sphere_seed_19() {
+        pivot_radius_matches_sequential(19);
+    }
+
+    /// The pivot could also sit behind the scan, which then backed up; on
+    /// this input (the benchmark ledger's `geom-kernels` Welzl set at
+    /// seed 43: the first 500 000 of 5 000 000 points on a 3-sphere) it
+    /// never finished. It now takes about 0.1 s.
+    #[test]
+    fn pivot_finishes_on_the_seed_43_sphere() {
+        let tag = "geom-kernels"
+            .bytes()
+            .fold(0, |h, b| parlay::mix64(h, b as u64));
+        let mut pts = on_sphere::<3>(5_000_000, parlay::mix64(parlay::mix64(43, tag), 38));
+        pts.truncate(500_000);
+        let seq = seb_welzl_seq(&pts).radius;
+        let pivot = seb_welzl_parallel_mtf_pivot(&pts).radius;
+        assert!((pivot - seq).abs() <= 1e-12 * seq, "{pivot} vs {seq}");
     }
 
     #[test]

@@ -1010,10 +1010,10 @@ impl<const D: usize> GeoStore<D> {
 mod tests {
     use super::*;
     use pargeo_engine::LivePoints;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
     /// The oracle index with injected faults.
-    #[derive(Default)]
+    #[derive(Clone, Default)]
     struct Faulty {
         inner: VecIndex<2>,
         /// `remove` removes what it is told to and reports one point fewer
@@ -1023,6 +1023,8 @@ mod tests {
         panic_on_insert: bool,
         /// Workers of the pool the last completed `insert` ran on.
         insert_workers: Arc<AtomicUsize>,
+        /// The next `knn_batch`, on this index or any pin of it, panics.
+        panic_on_knn: Arc<AtomicBool>,
     }
 
     impl SpatialIndex<2> for Faulty {
@@ -1045,6 +1047,9 @@ mod tests {
             removed
         }
         fn knn_batch(&self, queries: &[Point<2>], k: usize) -> Vec<Vec<Neighbor>> {
+            if self.panic_on_knn.swap(false, Ordering::Relaxed) {
+                panic!("injected knn fault");
+            }
             self.inner.knn_batch(queries, k)
         }
         fn range_batch(&self, queries: &[Bbox<2>]) -> Vec<Vec<u32>> {
@@ -1057,7 +1062,7 @@ mod tests {
             self.inner.snapshot()
         }
         fn pin(&self) -> Box<dyn SpatialIndex<2> + Send + Sync> {
-            self.inner.pin()
+            Box::new(self.clone())
         }
         fn live_points(&self) -> LivePoints<2> {
             self.inner.live_points()
@@ -1230,6 +1235,60 @@ mod tests {
             assert_eq!((store.len(), store.stats().write_epoch), (60, 1));
             assert_eq!(store.live_view, Some(store.index.live_points()));
         }
+    }
+
+    /// A panic inside a read fan-out crosses the fan-out's joins to the
+    /// caller of `execute`; the pool runs the next call and the store's
+    /// state is what it was.
+    #[test]
+    fn a_panicking_read_keeps_the_pool_and_the_store_unchanged() {
+        let pts: Vec<Point<2>> = (0..60)
+            .map(|i| Point::new([(i % 8) as f64, (i / 8) as f64 + 0.1 * (i % 3) as f64]))
+            .collect();
+        let mut store = GeoStore::<2>::builder().threads(3).build();
+        let fault = Arc::new(AtomicBool::new(false));
+        store.index = Box::new(Faulty {
+            panic_on_knn: fault.clone(),
+            ..Faulty::default()
+        });
+        store.insert(&pts);
+        store.seb().expect("60 live points");
+        let before = (
+            store.len(),
+            store.stats().write_epoch,
+            store.live_view.clone(),
+        );
+        let knn = Request::Knn {
+            queries: pts[..4].to_vec(),
+            k: 3,
+        };
+        // A read run of several requests, so the fan-out forks.
+        let reads = [
+            knn.clone(),
+            Request::Range(vec![Bbox::from_points(&pts)]),
+            knn,
+            Request::Stats,
+        ];
+        fault.store(true, Ordering::Relaxed);
+        let unwound =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.execute(&reads)));
+        let payload = unwound.expect_err("the fault surfaced");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("injected knn fault")
+        );
+        assert!(!fault.load(Ordering::Relaxed), "the fault fired once");
+        assert_eq!(
+            (
+                store.len(),
+                store.stats().write_epoch,
+                store.live_view.clone()
+            ),
+            before
+        );
+        let got = store.execute(&reads);
+        assert!(got.iter().all(Result::is_ok));
+        assert_eq!(got[0], got[2]);
     }
 
     /// `pin` hands the snapshot the memo's values, not copies of them.
