@@ -3,18 +3,18 @@
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::knn::{KnnBuffer, KnnProbe, KnnWork, Neighbor};
 use pargeo_kdtree::tree::{SplitRule, LEAF_SIZE};
-use pargeo_kdtree::veb::VebTree;
+use pargeo_kdtree::LevelTree;
 use std::collections::HashSet;
 
 /// Default buffer-tree size `X` (tunable; the paper treats it as a
 /// performance constant).
 pub const DEFAULT_BUFFER_SIZE: usize = 1024;
 
-/// A parallel batch-dynamic kd-tree: log-structured set of vEB-layout
-/// static trees with capacities `X·2^i`, plus a flat buffer of size `< X`.
+/// A parallel batch-dynamic kd-tree: log-structured set of static
+/// kd-trees with capacities `X·2^i`, plus a flat buffer of size `< X`.
 ///
 /// `clone()` is O(X + log n): the buffer is copied, every static tree is
-/// shared ([`VebTree`]'s structure is immutable and its deletion overlay
+/// shared ([`LevelTree`]'s structure is immutable and its deletion overlay
 /// copy-on-write). Inserts and drains only ever *replace* trees, so a
 /// clone keeps answering its own epoch; a delete that removes points from
 /// a still-shared tree first copies that tree's ~1.2 B/pt overlay, which
@@ -25,7 +25,7 @@ pub struct BdlTree<const D: usize> {
     /// size a flat scan is the fastest possible "tree").
     buffer: Vec<(Point<D>, u32)>,
     /// `trees[i]` has capacity `x << i` when occupied.
-    trees: Vec<Option<VebTree<D>>>,
+    trees: Vec<Option<LevelTree<D>>>,
     x: usize,
     rule: SplitRule,
     live: usize,
@@ -42,7 +42,7 @@ pub struct BdlTree<const D: usize> {
 struct Rebuild<const D: usize> {
     level: usize,
     rows: Vec<(Point<D>, u32)>,
-    tree: Option<VebTree<D>>,
+    tree: Option<LevelTree<D>>,
 }
 
 /// What the write path did so far, in counts that depend on the update
@@ -121,7 +121,7 @@ impl<const D: usize> BdlTree<D> {
         self.epoch
     }
 
-    /// Static vEB trees constructed so far by the logarithmic cascade
+    /// Static trees constructed so far by the logarithmic cascade
     /// (including rebuild-after-shrink constructions).
     pub fn rebuilds(&self) -> u64 {
         self.rebuilds
@@ -175,14 +175,14 @@ impl<const D: usize> BdlTree<D> {
     /// Each row is read where it lives — the batch, a level's columns —
     /// and written once, into the row buffer its tree is built in; the
     /// build moves it once more, into the columns.
-    fn cascade(&mut self, batch: &[Point<D>], drained: Vec<VebTree<D>>) {
+    fn cascade(&mut self, batch: &[Point<D>], drained: Vec<LevelTree<D>>) {
         let first_id = self.next_id;
         self.next_id += batch.len() as u32;
         self.live += batch.len();
-        let n = batch.len() + drained.iter().map(VebTree::len).sum::<usize>();
+        let n = batch.len() + drained.iter().map(LevelTree::len).sum::<usize>();
         let mut incoming = (batch.iter().enumerate())
             .map(|(i, &p)| (p, first_id + i as u32))
-            .chain(drained.iter().flat_map(VebTree::live_rows));
+            .chain(drained.iter().flat_map(LevelTree::live_rows));
         // The tail goes to the buffer first (read from the back, so
         // reversed in place), and what is left of `incoming` is the prefix.
         let spill = self.buffer.len();
@@ -197,7 +197,7 @@ impl<const D: usize> BdlTree<D> {
         let f_new = f + k;
         let to_destroy = f & !f_new;
         let to_create = f_new & !f;
-        let destroyed: Vec<VebTree<D>> = (0..self.trees.len())
+        let destroyed: Vec<LevelTree<D>> = (0..self.trees.len())
             .filter(|i| to_destroy >> i & 1 == 1)
             .filter_map(|i| self.trees[i].take())
             .collect();
@@ -206,14 +206,14 @@ impl<const D: usize> BdlTree<D> {
         while self.trees.len() < top_bit {
             self.trees.push(None);
         }
-        let mut left = k as usize * self.x + destroyed.iter().map(VebTree::len).sum::<usize>();
+        let mut left = k as usize * self.x + destroyed.iter().map(LevelTree::len).sum::<usize>();
         let mut rows = incoming
             .chain(
                 take.then(|| self.buffer.drain(..self.x))
                     .into_iter()
                     .flatten(),
             )
-            .chain(destroyed.iter().flat_map(VebTree::live_rows));
+            .chain(destroyed.iter().flat_map(LevelTree::live_rows));
         let create_bits: Vec<usize> = (0..64).filter(|i| to_create >> i & 1 == 1).collect();
         let mut jobs: Vec<Rebuild<D>> = Vec::with_capacity(create_bits.len());
         for (j, &level) in create_bits.iter().enumerate() {
@@ -242,7 +242,7 @@ impl<const D: usize> BdlTree<D> {
         // Grain 1: an item is a whole tree build.
         pargeo_parlay::for_each_mut(&mut jobs, 1, |_, job| {
             let rows = std::mem::take(&mut job.rows);
-            job.tree = Some(VebTree::build_with(rows, LEAF_SIZE, rule));
+            job.tree = Some(LevelTree::build_with(rows, LEAF_SIZE, rule));
         });
         self.rebuilds += jobs.len() as u64;
         for Rebuild { level, tree, .. } in jobs {
@@ -298,7 +298,7 @@ impl<const D: usize> BdlTree<D> {
         // Levels below half capacity are drained: their survivors are the
         // incoming rows of one more carry.
         let x = self.x;
-        let drained: Vec<VebTree<D>> = (self.trees.iter_mut().enumerate())
+        let drained: Vec<LevelTree<D>> = (self.trees.iter_mut().enumerate())
             .filter(|(i, slot)| slot.as_ref().is_some_and(|t| 2 * t.len() < x << i))
             .filter_map(|(_, slot)| slot.take())
             .collect();
@@ -425,7 +425,7 @@ impl<const D: usize> BdlTree<D> {
             .collect()
     }
 
-    /// Heap bytes held by the cascade's flat arenas (every vEB tree's
+    /// Heap bytes held by the cascade's flat arenas (every level's
     /// slabs plus the insert buffer) — the `index_arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
         self.buffer.len() * std::mem::size_of::<(Point<D>, u32)>()
@@ -437,7 +437,7 @@ impl<const D: usize> BdlTree<D> {
                 .sum::<usize>()
     }
 
-    /// Total nodes across every occupied vEB tree — the
+    /// Total nodes across every occupied level — the
     /// `index_nodes_total` gauge.
     pub fn node_count(&self) -> usize {
         self.trees.iter().flatten().map(|t| t.node_count()).sum()

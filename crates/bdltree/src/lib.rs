@@ -1,8 +1,10 @@
 //! # pargeo-bdltree — the parallel batch-dynamic log-structured kd-tree
 //!
-//! The BDL-tree of the paper's §5: a set of static [`VebTree`]s of
+//! The BDL-tree of the paper's §5: a set of static [`LevelTree`]s of
 //! exponentially growing capacities `X·2^0, X·2^1, …` plus a size-`X`
-//! buffer, maintained with the logarithmic method of Bentley–Saxe:
+//! buffer, maintained with the logarithmic method of Bentley–Saxe (each
+//! level in its build's preorder, not Appendix C.1's van Emde Boas order:
+//! DESIGN §5, entry 7):
 //!
 //! * **Batch insert** (Algorithm 3) — a bitmask `F` records which static
 //!   trees are occupied; inserting `|P|` points advances it to
@@ -18,9 +20,9 @@
 //!   query accumulates results across the buffer and every occupied tree.
 //!
 //! Its §6.3 comparator, the Morton-order Zd-tree, is one of the kd-tree's
-//! layouts and lives beside `VebTree`, as [`pargeo_kdtree::ZdTree`].
+//! uses and lives beside `LevelTree`, as [`pargeo_kdtree::ZdTree`].
 //!
-//! [`VebTree`]: pargeo_kdtree::VebTree
+//! [`LevelTree`]: pargeo_kdtree::LevelTree
 
 #![warn(missing_docs)]
 

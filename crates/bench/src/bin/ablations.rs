@@ -5,7 +5,7 @@
 //! 2. SEB sampling segment size `c` (Figure 6's constant),
 //! 3. BDL buffer size `X`,
 //! 4. the static tree build through its two entry points (`KdTree` and
-//!    `VebTree`) on the four shapes that separate a build's weak cases,
+//!    `LevelTree`) on the four shapes that separate a build's weak cases,
 //! 5. reservation boundary ring on/off is structural (cannot be toggled
 //!    without forfeiting disjointness), so its cost shows in
 //!    `fig12_reservation` instead.
@@ -61,7 +61,7 @@ fn main() {
     // 4. The static build, on one worker: many rows, fat rows, many nodes,
     // and a tree that fits in cache.
     println!("\n## Static tree build (T1, best of 7)\n");
-    header(&["shape", "KdTree (ms)", "VebTree (ms)"]);
+    header(&["shape", "KdTree (ms)", "LevelTree (ms)"]);
     pargeo::parlay::with_threads(1, || {
         static_build::<2>(2 * n, 16);
         static_build::<5>(2 * n, 16);
@@ -71,16 +71,16 @@ fn main() {
 }
 
 /// One row of the static-build table: `n` uniform points, object-median
-/// splits, through `KdTree::build_with_leaf_size` and `VebTree::build_with`.
+/// splits, through `KdTree::build_with_leaf_size` and `LevelTree::build_with`.
 fn static_build<const D: usize>(n: usize, leaf_size: usize) {
     let pts = datagen::uniform_cube::<D>(n, 4);
     let rows: Vec<_> = pts.iter().copied().zip(0u32..).collect();
     let rule = SplitRule::ObjectMedian;
     let kd = time_best(7, || KdTree::build_with_leaf_size(&pts, rule, leaf_size));
-    let veb = time_best(7, || VebTree::build_with(rows.clone(), leaf_size, rule));
+    let level = time_best(7, || LevelTree::build_with(rows.clone(), leaf_size, rule));
     println!(
         "| {n} x {D}-D, leaf {leaf_size} | {} | {} |",
         ms(kd),
-        ms(veb)
+        ms(level)
     );
 }

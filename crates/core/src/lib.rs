@@ -266,7 +266,7 @@ pub mod prelude {
         hull3d_divide_conquer, hull3d_pseudo, hull3d_quickhull_parallel, hull3d_randinc,
         hull3d_seq, try_hull2d, try_hull3d, Hull2dIncremental, Hull3d, HullBatchOutcome,
     };
-    pub use pargeo_kdtree::{B1Tree, B2Tree, KdTree, SplitRule, VebTree, ZdTree};
+    pub use pargeo_kdtree::{B1Tree, B2Tree, KdTree, LevelTree, SplitRule, ZdTree};
     pub use pargeo_obs::{HistSummary, ObsLevel, Registry};
     pub use pargeo_seb::{
         seb_orthant_scan, seb_sampling, seb_welzl_parallel, seb_welzl_parallel_mtf_pivot,

@@ -88,7 +88,7 @@ pub struct Snapshot {
     pub inserted: u64,
     /// Total points deleted (`inserted - live` for value-delete backends).
     pub deleted: u64,
-    /// Internal structure (re)builds performed — vEB trees constructed by
+    /// Internal structure (re)builds performed — level trees constructed by
     /// the BDL cascade, radix rebuilds of the Zd-tree.
     pub rebuilds: u64,
     /// Heap bytes held by the backend's flat arenas (node slabs,

@@ -1,8 +1,8 @@
 //! # pargeo-kdtree — parallel kd-trees (paper Module 1)
 //!
-//! One tree in two layouts: the static kd-tree, its vEB layout under a
-//! liveness overlay (the BDL-tree's building block), and its Morton-order
-//! layout under merge updates (the Zd-tree comparator).
+//! One tree, used three ways: the static kd-tree, the same tree under a
+//! liveness overlay (the BDL-tree's level), and the tree built over
+//! Morton-ordered rows under merge updates (the Zd-tree comparator).
 //!
 //! * [`tree`] — the flat-array static kd-tree with fully parallel
 //!   construction: the crate's one node type, one build and one set of
@@ -17,11 +17,12 @@
 //!   data-parallel and evaluated in Z-order of the queries.
 //! * [`range`] — orthogonal (box) and spherical range search and counting,
 //!   the tree's range descents.
-//! * [`veb`] — the van Emde Boas layout static tree of Appendix C.1, the
-//!   building block of the BDL-tree: `veb` = `tree` + layout + overlay —
-//!   a [`KdTree`] whose node array is permuted into vEB order (Algorithm 1)
-//!   under a copy-on-write liveness overlay that the parallel bulk deletion
-//!   (Algorithm 2) writes and every descent reads.
+//! * [`LevelTree`] — one level of the BDL-tree: `tree` + overlay — a
+//!   [`KdTree`], nodes in the build's preorder, under a copy-on-write
+//!   liveness overlay that the parallel bulk deletion (Algorithm 2) writes
+//!   and every descent reads. The paper's Appendix C.1 lays a level out in
+//!   van Emde Boas order; this one keeps the preorder (DESIGN §5,
+//!   entry 7).
 //! * [`zdtree`] — the Morton-order Zd-tree, the batch-dynamic comparator
 //!   of §6.3: `zdtree` = `tree` + Morton order + merge updates — a
 //!   [`KdTree`] built as the radix tree over code-sorted rows, rebuilt
@@ -36,11 +37,11 @@ pub mod baselines;
 pub mod knn;
 pub mod range;
 pub mod tree;
-pub mod veb;
+mod veb;
 pub mod zdtree;
 
 pub use baselines::{B1Tree, B2Tree};
 pub use knn::{canonical_order, knn_brute_force, KnnBuffer, KnnProbe, KnnWork, Neighbor};
 pub use tree::{KdTree, SplitRule};
-pub use veb::VebTree;
+pub use veb::LevelTree;
 pub use zdtree::ZdTree;

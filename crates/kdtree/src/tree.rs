@@ -1,7 +1,7 @@
 //! The static kd-tree with parallel construction — the one tree of the
-//! crate, in two layouts: [`crate::veb::VebTree`] is this tree with its
-//! nodes permuted into van Emde Boas order and a deletion overlay on top,
-//! and [`crate::zdtree::ZdTree`] is this tree built over Morton-sorted rows.
+//! crate: [`crate::LevelTree`] is this tree with a deletion overlay on
+//! top, and [`crate::zdtree::ZdTree`] is this tree built over Morton-sorted
+//! rows.
 //!
 //! The tree is a flat node arena (children by `u32` index); points live in
 //! a columnar [`SoaPoints`] permutation of the input so that every node
@@ -18,7 +18,7 @@
 //!
 //! Traversals run on a borrowed `Walk`, generic over `Liveness`: the
 //! static tree passes `AllLive`, for which every liveness test folds
-//! away, and the vEB tree passes its overlay.
+//! away, and a BDL level passes its overlay.
 
 use pargeo_geometry::{Bbox, Point, SoaPoints};
 use pargeo_parlay as parlay;
@@ -33,13 +33,13 @@ pub enum SplitRule {
     SpatialMedian,
 }
 
-/// Points per leaf of a default build ([`KdTree::build`], and the vEB, BDL
-/// and Zd trees' defaults); [`KdTree::build_with_leaf_size`] takes another.
+/// Points per leaf of a default build ([`KdTree::build`], and the level,
+/// BDL and Zd trees' defaults); [`KdTree::build_with_leaf_size`] takes another.
 /// The leaf size never affects *answers* — only tree shape and build/query
 /// constants.
 pub const LEAF_SIZE: usize = 16;
 
-/// The one sequential cutoff of the tree builds and of the vEB tree's bulk
+/// The one sequential cutoff of the tree builds and of a BDL level's bulk
 /// erase: a node with fewer points (an erase with fewer queries) runs
 /// its bbox and partition serially and does not fork its children (the
 /// median selection has its own, far higher cutoff inside
@@ -95,8 +95,8 @@ impl<const D: usize> Node<D> {
 #[derive(Debug, Clone)]
 pub struct KdTree<const D: usize> {
     pub(crate) pts: SoaPoints<D>,
-    /// Root first (when there is one); otherwise in whatever order the
-    /// links say — preorder as built, vEB order under a `VebTree`.
+    /// In preorder as built: root first (when there is one), every left
+    /// subtree right after its parent, the right one after it.
     pub(crate) nodes: Vec<Node<D>>,
     leaf_size: usize,
 }

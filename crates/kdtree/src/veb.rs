@@ -1,24 +1,22 @@
-//! The van Emde Boas layout static kd-tree (paper Appendix C.1).
+//! One level of the BDL-tree (paper §5, Appendix C.1).
 //!
-//! This is the building block of the BDL-tree: the crate's one static
-//! tree ([`KdTree`], balanced object-median by default) with exactly what
-//! Appendix C.1 adds to it —
+//! A level is the crate's one static tree ([`KdTree`], balanced
+//! object-median by default), its node array kept in the preorder
+//! [`KdTree::from_rows`] writes, root in slot 0, with what the BDL-tree
+//! adds to it —
 //!
-//! * its nodes stored in the recursive vEB order of Agarwal et al. \[9\]
-//!   (top half of the levels first, then the bottom subtrees
-//!   left-to-right, recursively), making root-to-leaf traversals
-//!   cache-oblivious (Algorithm 1),
 //! * parallel bulk deletion with subtree collapse (Algorithm 2) — deleted
 //!   points are tombstoned and fully dead subtrees are flagged so every
 //!   traversal steps over them exactly as if they had been spliced out,
 //! * k-NN search into a shared [`KnnBuffer`] (the hook the BDL-tree uses to
 //!   combine answers across its log-structured set of trees).
 //!
-//! Construction is [`KdTree`]'s own (the `O(n log n)` part), followed by
-//! the vEB slot permutation of its node array in two linear passes — same
-//! layout as the paper's one-pass Algorithm 1, expressed as
-//! build-then-permute. The k-NN, range and count descents are the static
-//! tree's too, run under this tree's liveness overlay.
+//! Appendix C.1 also stores each level in the recursive van Emde Boas
+//! order of Agarwal et al. \[9\]. A level here keeps the build's
+//! preorder: that permutation moves node slots only, so it cannot change
+//! an answer or a work counter, and it bought no time measurable on a
+//! 2-vCPU box (DESIGN §5, entry 7). The k-NN, range and count descents
+//! are the static tree's, run under this tree's liveness overlay.
 //!
 //! Storage is **shared**: everything `build_with` produces (node
 //! geometry and ranges, coordinate and id columns) is never written
@@ -44,12 +42,12 @@ struct Overlay {
     dead: Vec<bool>,
 }
 
-/// A static kd-tree in van Emde Boas layout with tombstone deletion.
+/// A static kd-tree with tombstone deletion: one level of the BDL-tree.
 ///
 /// `clone()` shares the structure and the deletion overlay (O(1)); the
 /// clone and the original then diverge copy-on-write, see the module docs.
 #[derive(Debug, Clone)]
-pub struct VebTree<const D: usize> {
+pub struct LevelTree<const D: usize> {
     /// What construction produces and nothing ever writes again.
     core: Arc<KdTree<D>>,
     overlay: Arc<Overlay>,
@@ -61,8 +59,8 @@ pub struct VebTree<const D: usize> {
     cow_bytes: u64,
 }
 
-impl<const D: usize> VebTree<D> {
-    /// Builds a vEB tree over `(point, original id)` pairs
+impl<const D: usize> LevelTree<D> {
+    /// Builds a level over `(point, original id)` pairs
     /// (object-median splits, [`crate::tree::LEAF_SIZE`] points per leaf).
     pub fn build(items: &[(Point<D>, u32)]) -> Self {
         Self::build_with_leaf_size(items, crate::tree::LEAF_SIZE)
@@ -78,16 +76,15 @@ impl<const D: usize> VebTree<D> {
     /// partitioned in the buffer they arrive in.
     pub fn build_with(work: Vec<(Point<D>, u32)>, leaf_size: usize, rule: SplitRule) -> Self {
         assert!(leaf_size >= 1);
-        let mut core = KdTree::from_rows(work, rule, leaf_size);
-        core.nodes = veb_order(&core.nodes);
+        let core = KdTree::from_rows(work, rule, leaf_size);
         let live = core.len();
-        VebTree {
+        LevelTree {
             core: Arc::new(core),
             overlay: Arc::new(Overlay {
                 alive: vec![true; live],
                 dead: Vec::new(),
             }),
-            // The vEB order keeps the root in slot 0.
+            // Preorder keeps the root in slot 0.
             root: if live == 0 { u32::MAX } else { 0 },
             live,
             cow_bytes: 0,
@@ -442,89 +439,6 @@ impl Overlay {
     }
 }
 
-/// `nodes` — preorder, root first, as [`KdTree::from_rows`] leaves them —
-/// in van Emde Boas order, links renumbered.
-fn veb_order<const D: usize>(nodes: &[Node<D>]) -> Vec<Node<D>> {
-    if nodes.is_empty() {
-        return Vec::new();
-    }
-    // Preorder puts children after their parent: one backward pass has
-    // both heights before it needs them.
-    let mut height = vec![1u32; nodes.len()];
-    for (i, node) in nodes.iter().enumerate().rev() {
-        if !node.is_leaf() {
-            height[i] = 1 + height[node.left as usize].max(height[node.right as usize]);
-        }
-    }
-    let mut order = Vec::with_capacity(nodes.len());
-    veb_visit(nodes, &height, 0, height[0], &mut order);
-    debug_assert_eq!(order.len(), nodes.len());
-    let mut slot = vec![0u32; nodes.len()];
-    for (s, &i) in order.iter().enumerate() {
-        slot[i as usize] = s as u32;
-    }
-    order
-        .iter()
-        .map(|&i| {
-            let mut node = nodes[i as usize];
-            if !node.is_leaf() {
-                node.left = slot[node.left as usize];
-                node.right = slot[node.right as usize];
-            }
-            node
-        })
-        .collect()
-}
-
-/// Appends the nodes of `node`'s subtree at depth `< cap` to `order`, in
-/// vEB order: split the levels there are, `h = lt + lb`, lay out the top
-/// `lt` first, then each subtree hanging off it (`lb` levels) left to right.
-fn veb_visit<const D: usize>(
-    nodes: &[Node<D>],
-    height: &[u32],
-    node: u32,
-    cap: u32,
-    order: &mut Vec<u32>,
-) {
-    let h = cap.min(height[node as usize]);
-    if h == 1 {
-        order.push(node);
-        return;
-    }
-    // lb = hyperceiling(floor((h+1)/2)), clamped so both halves advance.
-    let lb = hyperceiling(h.div_ceil(2)).clamp(1, h - 1);
-    let lt = h - lb;
-    veb_visit(nodes, height, node, lt, order);
-    boundary_roots(nodes, node, lt, &mut |b| {
-        veb_visit(nodes, height, b, lb, order)
-    });
-}
-
-/// Visits the depth-`depth` descendants of `node` (left to right), not
-/// descending through leaves that end earlier.
-fn boundary_roots<const D: usize>(
-    nodes: &[Node<D>],
-    node: u32,
-    depth: u32,
-    visit: &mut impl FnMut(u32),
-) {
-    if depth == 0 {
-        visit(node);
-        return;
-    }
-    let at = &nodes[node as usize];
-    if at.is_leaf() {
-        return; // leaf shallower than the boundary: already laid out in the top
-    }
-    boundary_roots(nodes, at.left, depth - 1, visit);
-    boundary_roots(nodes, at.right, depth - 1, visit);
-}
-
-/// Smallest power of two `≥ n` (the paper's ⌈⌈n⌉⌉).
-fn hyperceiling(n: u32) -> u32 {
-    n.max(1).next_power_of_two()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -542,7 +456,7 @@ mod tests {
     #[test]
     fn build_and_collect_roundtrip() {
         let pts = uniform_cube::<3>(5_000, 1);
-        let t = VebTree::build(&items(&pts));
+        let t = LevelTree::build(&items(&pts));
         assert_eq!(t.len(), 5_000);
         let mut live: Vec<_> = t.live_rows().collect();
         live.sort_by_key(|&(_, id)| id);
@@ -556,10 +470,10 @@ mod tests {
     #[test]
     fn veb_slots_are_a_permutation() {
         let pts = uniform_cube::<2>(3_000, 2);
-        let t = VebTree::build(&items(&pts));
+        let t = LevelTree::build(&items(&pts));
         // Every node reachable exactly once from the root.
         let mut seen = vec![false; t.node_count()];
-        fn go<const D: usize>(t: &VebTree<D>, i: u32, seen: &mut [bool]) -> usize {
+        fn go<const D: usize>(t: &LevelTree<D>, i: u32, seen: &mut [bool]) -> usize {
             assert!(!seen[i as usize]);
             seen[i as usize] = true;
             let n = &t.core.nodes[i as usize];
@@ -574,46 +488,13 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
+    /// A level's core is the node array and the point columns
+    /// [`KdTree::from_rows`] writes over the same rows, root in slot 0 —
+    /// on uniform rows, on a lattice of duplicates and on one repeated
+    /// point, with `n` on both sides of the leaf size and of the fork
+    /// cutoff.
     #[test]
-    fn veb_layout_top_precedes_bottom() {
-        // For a perfectly balanced tree of 8 leaves with leaf_size 1 the
-        // paper's Figure 13 layout applies: root region (3 nodes) first,
-        // then four 3-node bottom subtrees. Check the root sits at slot 0
-        // and its grandchildren live in slots 1..3 while depth-2 subtree
-        // roots land at 3, 6, 9, 12.
-        let pts: Vec<Point<1>> = (0..8).map(|i| Point::new([i as f64])).collect();
-        let t = VebTree::build_with_leaf_size(&items(&pts), 1);
-        assert_eq!(t.node_count(), 15);
-        assert_eq!(t.root, 0);
-        let root = &t.core.nodes[0];
-        assert!(
-            root.left < 3 && root.right < 3,
-            "top half must occupy slots 0..3"
-        );
-        let l = &t.core.nodes[root.left as usize];
-        let r = &t.core.nodes[root.right as usize];
-        let mut bottoms = vec![l.left, l.right, r.left, r.right];
-        bottoms.sort();
-        assert_eq!(bottoms, vec![3, 6, 9, 12]);
-    }
-
-    /// `(dim, val, start, end)` of every node, in preorder by the links.
-    fn splits<const D: usize>(nodes: &[Node<D>], at: u32, out: &mut Vec<(u8, u64, u32, u32)>) {
-        let n = &nodes[at as usize];
-        out.push((n.dim, n.val.to_bits(), n.start, n.end));
-        if !n.is_leaf() {
-            splits(nodes, n.left, out);
-            splits(nodes, n.right, out);
-        }
-    }
-
-    /// The vEB tree's core is the static tree's node array in another
-    /// order: followed by its links it is the same splits over the same
-    /// point columns — on uniform rows, on a lattice of duplicates and on
-    /// one repeated point, with `n` on both sides of the leaf size and of
-    /// the fork cutoff.
-    #[test]
-    fn the_veb_order_keeps_every_split_of_the_tree_it_permutes() {
+    fn a_level_keeps_the_node_array_the_static_tree_builds() {
         let cutoff = SEQ_BUILD_CUTOFF;
         for leaf_size in [1, 3, 16] {
             for n in [
@@ -633,13 +514,13 @@ mod tests {
                 for pts in [uniform, lattice, same] {
                     for rule in [SplitRule::ObjectMedian, SplitRule::SpatialMedian] {
                         let kd = KdTree::from_rows(items(&pts), rule, leaf_size);
-                        let veb = VebTree::build_with(items(&pts), leaf_size, rule);
-                        let (mut want, mut got) = (Vec::new(), Vec::new());
-                        splits(&kd.nodes, 0, &mut want);
-                        splits(&veb.core.nodes, veb.root, &mut got);
-                        assert_eq!(got, want, "n {n}, leaf {leaf_size}, {rule:?}");
-                        assert_eq!(got.len(), veb.node_count());
-                        assert_eq!(veb.core.pts, kd.pts);
+                        let level = LevelTree::build_with(items(&pts), leaf_size, rule);
+                        assert_eq!(
+                            level.core.nodes, kd.nodes,
+                            "n {n}, leaf {leaf_size}, {rule:?}"
+                        );
+                        assert_eq!(level.core.pts, kd.pts);
+                        assert_eq!(level.root, 0);
                     }
                 }
             }
@@ -649,7 +530,7 @@ mod tests {
     #[test]
     fn knn_matches_brute_force() {
         let pts = uniform_cube::<3>(2_000, 3);
-        let t = VebTree::build(&items(&pts));
+        let t = LevelTree::build(&items(&pts));
         for q in pts.iter().step_by(101) {
             let got = t.knn(q, 6);
             let want = knn_brute_force(&pts, q, 6);
@@ -662,7 +543,7 @@ mod tests {
     #[test]
     fn erase_removes_batch_and_knn_respects_it() {
         let pts = uniform_cube::<2>(2_000, 4);
-        let mut t = VebTree::build(&items(&pts));
+        let mut t = LevelTree::build(&items(&pts));
         let victims: Vec<_> = pts.iter().copied().take(500).collect();
         let deleted = t.erase(&victims).len();
         assert_eq!(deleted, 500);
@@ -683,7 +564,7 @@ mod tests {
     #[test]
     fn erase_everything_collapses_tree() {
         let pts = uniform_cube::<2>(1_000, 5);
-        let mut t = VebTree::build(&items(&pts));
+        let mut t = LevelTree::build(&items(&pts));
         let deleted = t.erase(&pts).len();
         assert_eq!(deleted, 1_000);
         assert!(t.is_empty());
@@ -694,7 +575,7 @@ mod tests {
     }
 
     /// Brute-force answers over `(point, id)` survivors, for comparison.
-    fn check_against<const D: usize>(t: &VebTree<D>, survivors: &[(Point<D>, u32)]) {
+    fn check_against<const D: usize>(t: &LevelTree<D>, survivors: &[(Point<D>, u32)]) {
         let pts: Vec<Point<D>> = survivors.iter().map(|s| s.0).collect();
         assert_eq!(t.len(), survivors.len());
         // Every survivor is reachable: no live point hides under a flag.
@@ -733,7 +614,7 @@ mod tests {
         let pts = uniform_cube::<2>(4_000, 9);
         let all = items(&pts);
         let mid = pts.iter().map(|p| p[0]).sum::<f64>() / pts.len() as f64;
-        let mut t = VebTree::build(&all);
+        let mut t = LevelTree::build(&all);
         let west: Vec<_> = pts.iter().copied().filter(|p| p[0] < mid).collect();
         assert_eq!(t.erase(&west).len(), west.len());
         assert!(
@@ -770,7 +651,7 @@ mod tests {
         let mut want: Vec<_> = all.iter().copied().filter(|(p, _)| doomed(p)).collect();
         want.sort_by_key(|&(_, id)| id);
         let trees = [1, 2, 4].map(|workers| {
-            let mut t = VebTree::build(&all);
+            let mut t = LevelTree::build(&all);
             let mut got = parlay::with_threads(workers, || t.erase(&victims));
             got.sort_by_key(|&(_, id)| id);
             assert_eq!(got, want, "{workers} workers");
@@ -783,7 +664,7 @@ mod tests {
     #[test]
     fn a_leaf_dies_only_with_its_last_point() {
         let pts: Vec<Point<1>> = (0..8).map(|i| Point::new([i as f64])).collect();
-        let mut t = VebTree::build_with_leaf_size(&items(&pts), 4);
+        let mut t = LevelTree::build_with_leaf_size(&items(&pts), 4);
         assert_eq!(t.erase(&pts[..3]).len(), 3);
         assert!(t.overlay.dead.is_empty(), "point 3 keeps its leaf alive");
         assert_eq!(t.knn(&pts[0], 1)[0].id, 3);
@@ -796,7 +677,7 @@ mod tests {
     #[test]
     fn erase_missing_points_is_noop() {
         let pts = uniform_cube::<2>(500, 6);
-        let mut t = VebTree::build(&items(&pts));
+        let mut t = LevelTree::build(&items(&pts));
         let outside = vec![Point::new([-1000.0, -1000.0]); 10];
         assert_eq!(t.erase(&outside), []);
         assert_eq!(t.len(), 500);
@@ -807,7 +688,7 @@ mod tests {
         let p = Point::new([1.0, 2.0]);
         let q = Point::new([3.0, 4.0]);
         let items: Vec<_> = vec![(p, 0), (p, 1), (q, 2)];
-        let mut t = VebTree::build(&items);
+        let mut t = LevelTree::build(&items);
         let mut erased = t.erase(&[p]);
         erased.sort_by_key(|&(_, id)| id);
         assert_eq!(erased, [(p, 0), (p, 1)]);
@@ -816,16 +697,8 @@ mod tests {
 
     #[test]
     fn empty_build() {
-        let t = VebTree::<2>::build(&[]);
+        let t = LevelTree::<2>::build(&[]);
         assert!(t.is_empty());
         assert_eq!(t.live_rows().count(), 0);
-    }
-
-    #[test]
-    fn hyperceiling_values() {
-        assert_eq!(hyperceiling(1), 1);
-        assert_eq!(hyperceiling(2), 2);
-        assert_eq!(hyperceiling(3), 4);
-        assert_eq!(hyperceiling(5), 8);
     }
 }

@@ -5,7 +5,7 @@
 use pargeo_geometry::{Bbox, Point, Point2};
 use pargeo_kdtree::knn::knn_brute_force;
 use pargeo_kdtree::{
-    canonical_order, B1Tree, B2Tree, KdTree, KnnBuffer, Neighbor, SplitRule, VebTree, ZdTree,
+    canonical_order, B1Tree, B2Tree, KdTree, KnnBuffer, LevelTree, Neighbor, SplitRule, ZdTree,
 };
 use proptest::prelude::*;
 
@@ -68,7 +68,7 @@ proptest! {
         prop_assert_eq!(tree.count_ball(&c, r), want.len());
     }
 
-    /// Insert+delete through B1, B2, and the vEB tree leave exactly the
+    /// Insert+delete through B1, B2, and a BDL level leave exactly the
     /// expected survivors answering k-NN exactly.
     #[test]
     fn dynamic_trees_agree_after_churn(pts in lattice_points(), cut in 0usize..200) {
@@ -92,16 +92,16 @@ proptest! {
         let mut b2 = B2Tree::from_points(&pts, SplitRule::ObjectMedian);
         let items: Vec<(Point2, u32)> =
             pts.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
-        let mut veb = VebTree::build(&items);
+        let mut level = LevelTree::build(&items);
         b1.delete(&victims);
         b2.delete(&victims);
-        veb.erase(&victims);
+        level.erase(&victims);
         prop_assert_eq!(b1.len(), keep.len());
         prop_assert_eq!(b2.len(), keep.len());
-        prop_assert_eq!(veb.len(), keep.len());
+        prop_assert_eq!(level.len(), keep.len());
         let q = keep[0];
         let want = knn_brute_force(&keep, &q, 3);
-        for got in [b1.knn(&q, 3), b2.knn(&q, 3), veb.knn(&q, 3)] {
+        for got in [b1.knn(&q, 3), b2.knn(&q, 3), level.knn(&q, 3)] {
             prop_assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 prop_assert!((g.dist_sq - w.dist_sq).abs() < 1e-9);
@@ -158,7 +158,7 @@ proptest! {
         prop_assert_eq!(buf.finish(), offered);
     }
 
-    /// `VebTree::erase` against a `Vec`: a lattice makes most queries
+    /// `LevelTree::erase` against a `Vec`: a lattice makes most queries
     /// equal a split value and most points duplicates; the batches repeat
     /// queries, name absent points and points outside the root box; and a
     /// clone pinned between two batches keeps the epoch it was taken in.
@@ -171,9 +171,9 @@ proptest! {
     ) {
         let items: Vec<(Point2, u32)> =
             pts.iter().enumerate().map(|(i, &p)| (p, i as u32)).collect();
-        let mut tree = VebTree::build_with_leaf_size(&items, [1, 3, 16][leaf_sel]);
+        let mut tree = LevelTree::build_with_leaf_size(&items, [1, 3, 16][leaf_sel]);
         let mut live = items.clone();
-        let mut pinned: Option<(VebTree<2>, Vec<(Point2, u32)>)> = None;
+        let mut pinned: Option<(LevelTree<2>, Vec<(Point2, u32)>)> = None;
         // Three batches: a stored point, a lattice point that may be
         // absent or outside the root box, or both — twice.
         for round in 0..3 {
@@ -222,10 +222,10 @@ proptest! {
     }
 
     /// One static tree behind two entry points: over the same rows a
-    /// `KdTree` and a `VebTree` give identical k-NN rows, range rows and
+    /// `KdTree` and a `LevelTree` give identical k-NN rows, range rows and
     /// counts — uniform rows, a lattice of duplicates, one repeated point;
     /// `n` on both sides of the leaf size and of the build's fork cutoff;
-    /// both split rules — and after a batch erase the `VebTree` answers as
+    /// both split rules — and after a batch erase the `LevelTree` answers as
     /// a `KdTree` rebuilt over the survivors does.
     #[test]
     fn veb_tree_answers_as_the_kd_tree_over_the_same_rows(
@@ -250,12 +250,12 @@ proptest! {
         };
         let rows: Vec<(Point2, u32)> = pts.iter().copied().zip(0u32..).collect();
         let kd = KdTree::build_with_leaf_size(&pts, rule, leaf_size);
-        let mut veb = VebTree::build_with(rows.clone(), leaf_size, rule);
-        prop_assert_eq!(veb.node_count(), kd.node_count());
-        prop_assert_eq!(veb.arena_bytes(), kd.arena_bytes() + n);
+        let mut level = LevelTree::build_with(rows.clone(), leaf_size, rule);
+        prop_assert_eq!(level.node_count(), kd.node_count());
+        prop_assert_eq!(level.arena_bytes(), kd.arena_bytes() + n);
 
-        // `ids[i]` is the id the `VebTree` knows row `i` of `kd` by.
-        let agree = |kd: &KdTree<2>, ids: &[u32], veb: &VebTree<2>| -> Result<(), TestCaseError> {
+        // `ids[i]` is the id the `LevelTree` knows row `i` of `kd` by.
+        let agree = |kd: &KdTree<2>, ids: &[u32], level: &LevelTree<2>| -> Result<(), TestCaseError> {
             let step = (ids.len() / 7).max(1);
             for (j, i) in (0..ids.len()).step_by(step).enumerate() {
                 let q = kd.point_at(i);
@@ -264,34 +264,34 @@ proptest! {
                     .into_iter()
                     .map(|nb| Neighbor { id: ids[nb.id as usize], ..nb })
                     .collect();
-                prop_assert_eq!(veb.knn(&q, 1 + j), want);
+                prop_assert_eq!(level.knn(&q, 1 + j), want);
                 let query = Bbox::from_points(&[q, kd.point_at(ids.len() - 1 - i)]);
                 let want: Vec<u32> = kd.range_box(&query).iter().map(|&i| ids[i as usize]).collect();
                 let mut got = Vec::new();
-                veb.range_into(&query, &mut got);
+                level.range_into(&query, &mut got);
                 got.sort_unstable();
                 prop_assert_eq!(&got, &want);
-                prop_assert_eq!(veb.count_box(&query), kd.count_box(&query));
-                prop_assert_eq!(veb.count_box(&query), want.len());
+                prop_assert_eq!(level.count_box(&query), kd.count_box(&query));
+                prop_assert_eq!(level.count_box(&query), want.len());
             }
             Ok(())
         };
         let ids: Vec<u32> = (0..n as u32).collect();
-        agree(&kd, &ids, &veb)?;
+        agree(&kd, &ids, &level)?;
 
         // Erase by value: every third row, and with it each of its copies.
         let batch: Vec<Point2> = pts.iter().copied().step_by(3).collect();
         let named: std::collections::HashSet<[u64; 2]> = batch.iter().map(Point::bits_key).collect();
         let (gone, kept): (Vec<_>, Vec<_>) =
             rows.iter().partition(|(p, _)| named.contains(&p.bits_key()));
-        let mut erased = veb.erase(&batch);
+        let mut erased = level.erase(&batch);
         erased.sort_by_key(|&(_, id)| id);
         prop_assert_eq!(erased, gone);
         let survivors: Vec<Point2> = kept.iter().map(|r| r.0).collect();
         let ids: Vec<u32> = kept.iter().map(|r| r.1).collect();
         let rebuilt = KdTree::build_with_leaf_size(&survivors, rule, leaf_size);
-        prop_assert_eq!(veb.len(), rebuilt.len());
-        agree(&rebuilt, &ids, &veb)?;
+        prop_assert_eq!(level.len(), rebuilt.len());
+        agree(&rebuilt, &ids, &level)?;
     }
 
     /// The Zd-tree is the kd-tree over Morton-sorted rows: after random

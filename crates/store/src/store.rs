@@ -1025,6 +1025,8 @@ mod tests {
         insert_workers: Arc<AtomicUsize>,
         /// The next `knn_batch`, on this index or any pin of it, panics.
         panic_on_knn: Arc<AtomicBool>,
+        /// The next `live_points` panics.
+        panic_on_live_points: Arc<AtomicBool>,
     }
 
     impl SpatialIndex<2> for Faulty {
@@ -1065,6 +1067,9 @@ mod tests {
             Box::new(self.clone())
         }
         fn live_points(&self) -> LivePoints<2> {
+            if self.panic_on_live_points.swap(false, Ordering::Relaxed) {
+                panic!("injected live_points fault");
+            }
             self.inner.live_points()
         }
         fn live_bbox(&self) -> Bbox<2> {
@@ -1289,6 +1294,48 @@ mod tests {
         let got = store.execute(&reads);
         assert!(got.iter().all(Result::is_ok));
         assert_eq!(got[0], got[2]);
+    }
+
+    /// A panic inside a derived compute — here where the first derived
+    /// request derives the live view from the index — reaches the caller
+    /// of `execute` and leaves the store as it was: same live count and
+    /// epoch, no live view, nothing memoized. The next `Seb` is served as
+    /// an oracle store serves it.
+    #[test]
+    fn a_panicking_derived_compute_keeps_the_store_unchanged() {
+        let pts: Vec<Point<2>> = (0..60)
+            .map(|i| Point::new([(i % 8) as f64, (i / 8) as f64 + 0.1 * (i % 3) as f64]))
+            .collect();
+        let mut store = GeoStore::<2>::builder().threads(3).build();
+        let fault = Arc::new(AtomicBool::new(false));
+        store.index = Box::new(Faulty {
+            panic_on_live_points: fault.clone(),
+            ..Faulty::default()
+        });
+        store.insert(&pts);
+        let before = (store.len(), store.stats().write_epoch);
+        assert!(store.live_view.is_none() && store.cache.is_empty());
+
+        fault.store(true, Ordering::Relaxed);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.execute(&[Request::Seb])
+        }));
+        let payload = unwound.expect_err("the fault surfaced");
+        assert_eq!(
+            payload.downcast_ref::<&str>().copied(),
+            Some("injected live_points fault")
+        );
+        assert!(!fault.load(Ordering::Relaxed), "the fault fired once");
+        assert_eq!((store.len(), store.stats().write_epoch), before);
+        assert!(store.live_view.is_none(), "no half-derived live view");
+        assert!(store.cache.is_empty(), "nothing memoized");
+
+        let mut oracle = GeoStore::<2>::builder().backend(Backend::Oracle).build();
+        oracle.insert(&pts);
+        let want = oracle.execute(&[Request::Seb]);
+        assert!(want[0].is_ok());
+        assert_eq!(store.execute(&[Request::Seb]), want);
+        assert_eq!(store.live_view, Some(store.index.live_points()));
     }
 
     /// `pin` hands the snapshot the memo's values, not copies of them.

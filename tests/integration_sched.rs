@@ -160,12 +160,12 @@ fn select_and_both_tree_builds_fork_above_their_grain() {
     let one_select = tasks(&|| select(n));
     assert!(one_select >= 2 * (blocks - 1), "{one_select} tasks");
     let kd = |len: usize| tasks(&|| drop(KdTree::build(&pts[..len], SplitRule::ObjectMedian)));
-    let veb = |len: usize| tasks(&|| drop(VebTree::build(&rows[..len])));
+    let level = |len: usize| tasks(&|| drop(LevelTree::build(&rows[..len])));
     // A build hands out at least its sequential subtrees.
     let subtrees = (n / 2 / pargeo::kdtree::tree::SEQ_BUILD_CUTOFF) as u64;
     for (name, whole, half) in [
         ("KdTree", kd(n), kd(n / 2)),
-        ("VebTree", veb(n), veb(n / 2)),
+        ("LevelTree", level(n), level(n / 2)),
     ] {
         assert!(
             half >= subtrees,

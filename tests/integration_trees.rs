@@ -65,10 +65,10 @@ fn static_tree_and_veb_tree_answer_identically() {
         .enumerate()
         .map(|(i, &p)| (p, i as u32))
         .collect();
-    let veb = VebTree::build(&items);
+    let level = LevelTree::build(&items);
     for q in pts.iter().step_by(131) {
         let a = kd.knn(q, 7);
-        let b = veb.knn(q, 7);
+        let b = level.knn(q, 7);
         for (x, y) in a.iter().zip(&b) {
             assert!((x.dist_sq - y.dist_sq).abs() < 1e-9);
         }
