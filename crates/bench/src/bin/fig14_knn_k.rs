@@ -1,12 +1,18 @@
 //! Figure 14 / Appendix D reproduction: k-NN throughput vs k on trees
 //! built through a sequence of 5% batch insertions (not one bulk build).
 //! B2's skew shows up as the gap to B1/BDL.
+//!
+//! Also a check: the three trees hold the same points under the same ids
+//! after the same inserts, so it exits 1 unless their k-NN rows are
+//! identical for every k.
 
 use pargeo::datagen::{seed_spreader, uniform_cube, SeedSpreaderParams};
 use pargeo::prelude::*;
 use pargeo_bench::{env_n, header, max_threads, time};
 
-fn bench<const D: usize>(label: &str, pts: &[Point<D>], p: usize) {
+/// Prints one table; returns whether B1, B2 and the BDL-tree agreed on
+/// every row.
+fn bench<const D: usize>(label: &str, pts: &[Point<D>], p: usize) -> bool {
     let batch = (pts.len() / 20).max(1); // 5% batches
     let (b1, b2, bdl) = pargeo::parlay::with_threads(p, || {
         let mut b1 = B1Tree::<D>::new(SplitRule::ObjectMedian);
@@ -29,18 +35,21 @@ fn bench<const D: usize>(label: &str, pts: &[Point<D>], p: usize) {
         let mut row1 = vec!["B1-object".to_string()];
         let mut row2 = vec!["B2-object".to_string()];
         let mut row3 = vec!["BDL-object".to_string()];
+        let mut same_rows = true;
         for &k in &ks {
-            let (_, s) = time(|| b1.knn_batch(pts, k));
+            let (r1, s) = time(|| b1.knn_batch(pts, k));
             row1.push(format!("{:.2e}", n / s));
-            let (_, s) = time(|| b2.knn_batch(pts, k));
+            let (r2, s) = time(|| b2.knn_batch(pts, k));
             row2.push(format!("{:.2e}", n / s));
-            let (_, s) = time(|| bdl.knn_batch(pts, k));
+            let (r3, s) = time(|| bdl.knn_batch(pts, k));
             row3.push(format!("{:.2e}", n / s));
+            same_rows &= r1 == r2 && r2 == r3;
         }
         println!("| {} |", row1.join(" | "));
         println!("| {} |", row2.join(" | "));
         println!("| {} |", row3.join(" | "));
-    });
+        same_rows
+    })
 }
 
 fn main() {
@@ -48,7 +57,11 @@ fn main() {
     let p = max_threads();
     println!("# Figure 14 — k-NN throughput (queries/s) vs k on {p} threads");
     let v2 = seed_spreader::<2>(n, 1, SeedSpreaderParams::default());
-    bench("2D-V (seed spreader)", &v2, p);
+    let same_v2 = bench("2D-V (seed spreader)", &v2, p);
     let u7 = uniform_cube::<7>(n, 2);
-    bench("7D-U", &u7, p);
+    let same_u7 = bench("7D-U", &u7, p);
+    if !(same_v2 && same_u7) {
+        eprintln!("B1, B2 and the BDL-tree returned different k-NN rows");
+        std::process::exit(1);
+    }
 }

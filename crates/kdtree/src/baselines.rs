@@ -1,23 +1,40 @@
-//! The batch-dynamic baselines of §6.3.
+//! The batch-dynamic baselines of §6.3, both over the crate's one
+//! kd-tree build (`KdTree::from_rows`).
 //!
 //! * [`B1Tree`] — rebuilds the whole kd-tree on every batch insert/delete.
 //!   Always perfectly balanced (best queries, slowest updates).
-//! * [`B2Tree`] — inserts points directly into the existing spatial
-//!   structure (leaf buffers) and deletes by tombstoning, never recomputing
-//!   splits. Fastest updates; queries degrade as the tree skews, which is
-//!   exactly the effect Appendix D measures.
+//! * [`B2Tree`] — keeps the node array of the build over its first
+//!   non-empty batch, routes later points into that array's leaf buffers
+//!   and deletes by tombstoning, never recomputing a split. Fastest
+//!   updates; queries degrade as the tree skews, which is exactly the
+//!   effect Appendix D measures.
+//!
+//! Both answer k-NN in `(dist², id)` order with insertion-order ids, so
+//! their rows match each other's and the BDL-tree's over the same updates.
 
 use crate::knn::{KnnBuffer, Neighbor};
-use crate::tree::{KdTree, SplitRule};
-use pargeo_geometry::{Bbox, Point};
+use crate::tree::{compute_bbox, partition_by, KdTree, Node, SplitRule};
+use crate::tree::{LEAF_SIZE, SEQ_BUILD_CUTOFF};
+use pargeo_geometry::Point;
 use pargeo_morton::map_batch_z_order;
 use pargeo_parlay as parlay;
+
+/// `(point, id)` rows for `batch`, ids counted on from `next_id`.
+fn id_rows<const D: usize>(batch: &[Point<D>], next_id: &mut u32) -> Vec<(Point<D>, u32)> {
+    let rows = batch
+        .iter()
+        .zip(*next_id..)
+        .map(|(&p, id)| (p, id))
+        .collect();
+    *next_id += batch.len() as u32;
+    rows
+}
 
 /// Baseline B1: rebuild on every update.
 #[derive(Debug, Clone)]
 pub struct B1Tree<const D: usize> {
-    points: Vec<Point<D>>,
-    ids: Vec<u32>,
+    /// Every live `(point, id)`, in insertion order.
+    rows: Vec<(Point<D>, u32)>,
     tree: KdTree<D>,
     rule: SplitRule,
     next_id: u32,
@@ -27,9 +44,8 @@ impl<const D: usize> B1Tree<D> {
     /// Creates an empty tree with the given split rule.
     pub fn new(rule: SplitRule) -> Self {
         Self {
-            points: Vec::new(),
-            ids: Vec::new(),
-            tree: KdTree::build(&[], rule),
+            rows: Vec::new(),
+            tree: KdTree::from_rows(Vec::new(), rule, LEAF_SIZE),
             rule,
             next_id: 0,
         }
@@ -44,20 +60,18 @@ impl<const D: usize> B1Tree<D> {
 
     /// Number of live points.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.rows.len()
     }
 
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.rows.is_empty()
     }
 
     /// Batch insert: appends and rebuilds.
     pub fn insert(&mut self, batch: &[Point<D>]) {
-        self.points.extend_from_slice(batch);
-        self.ids
-            .extend((0..batch.len()).map(|i| self.next_id + i as u32));
-        self.next_id += batch.len() as u32;
+        let rows = id_rows(batch, &mut self.next_id);
+        self.rows.extend(rows);
         self.rebuild();
     }
 
@@ -65,35 +79,19 @@ impl<const D: usize> B1Tree<D> {
     /// Returns the number of points removed.
     pub fn delete(&mut self, batch: &[Point<D>]) -> usize {
         let victims: std::collections::HashSet<_> = batch.iter().map(Point::bits_key).collect();
-        let before = self.points.len();
-        let mut kept_pts = Vec::with_capacity(before);
-        let mut kept_ids = Vec::with_capacity(before);
-        for (p, id) in self.points.iter().zip(&self.ids) {
-            if !victims.contains(&p.bits_key()) {
-                kept_pts.push(*p);
-                kept_ids.push(*id);
-            }
-        }
-        self.points = kept_pts;
-        self.ids = kept_ids;
+        let before = self.rows.len();
+        self.rows.retain(|(p, _)| !victims.contains(&p.bits_key()));
         self.rebuild();
-        before - self.points.len()
+        before - self.rows.len()
     }
 
     fn rebuild(&mut self) {
-        self.tree = KdTree::build(&self.points, self.rule);
+        self.tree = KdTree::from_rows(self.rows.clone(), self.rule, LEAF_SIZE);
     }
 
     /// k nearest neighbors of `q` (ids are insertion-order ids).
     pub fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor> {
-        self.tree
-            .knn(q, k)
-            .into_iter()
-            .map(|n| Neighbor {
-                dist_sq: n.dist_sq,
-                id: self.ids[n.id as usize],
-            })
-            .collect()
+        self.tree.knn(q, k)
     }
 
     /// Data-parallel batch k-NN.
@@ -104,42 +102,33 @@ impl<const D: usize> B1Tree<D> {
 
 // ---------------- B2 ----------------
 
-#[derive(Debug)]
-enum B2Node<const D: usize> {
-    Leaf {
-        bbox: Bbox<D>,
-        points: Vec<(Point<D>, u32)>,
-        alive: Vec<bool>,
-        live: usize,
-    },
-    Internal {
-        bbox: Bbox<D>,
-        dim: u8,
-        val: f64,
-        left: Box<B2Node<D>>,
-        right: Box<B2Node<D>>,
-    },
-}
+/// A leaf's rows as `(point, id, alive)`.
+type LeafRows<const D: usize> = Vec<(Point<D>, u32, bool)>;
 
 /// Baseline B2: fixed spatial structure, buffered leaves, tombstone deletes.
 #[derive(Debug)]
 pub struct B2Tree<const D: usize> {
-    root: Option<Box<B2Node<D>>>,
+    /// The node array `KdTree::from_rows` builds over the first non-empty
+    /// batch (empty before it), in its preorder, so every subtree is one
+    /// contiguous run of slots. Splits never change; boxes grow as inserts
+    /// pass through.
+    nodes: Vec<Node<D>>,
+    /// Slot for slot with `nodes`: a leaf's share of the first batch, then
+    /// every insert routed to it; a delete clears `alive`. Empty at
+    /// internal nodes.
+    leaves: Vec<LeafRows<D>>,
     rule: SplitRule,
-    leaf_size: usize,
     live: usize,
     next_id: u32,
 }
-
-const B2_SEQ_CUTOFF: usize = 2048;
 
 impl<const D: usize> B2Tree<D> {
     /// Creates an empty tree.
     pub fn new(rule: SplitRule) -> Self {
         Self {
-            root: None,
+            nodes: Vec::new(),
+            leaves: Vec::new(),
             rule,
-            leaf_size: crate::tree::LEAF_SIZE,
             live: 0,
             next_id: 0,
         }
@@ -162,43 +151,51 @@ impl<const D: usize> B2Tree<D> {
         self.live == 0
     }
 
-    /// Batch insert. The first batch establishes the spatial structure
-    /// (a balanced build); later batches are routed into existing leaves
-    /// without recomputing any split.
+    /// Batch insert. The first non-empty batch establishes the spatial
+    /// structure (a balanced build); later batches are routed into
+    /// existing leaves without recomputing any split.
     pub fn insert(&mut self, batch: &[Point<D>]) {
-        let mut items: Vec<(Point<D>, u32)> = batch
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (p, self.next_id + i as u32))
-            .collect();
-        self.next_id += batch.len() as u32;
-        self.live += batch.len();
-        match &mut self.root {
-            None => {
-                self.root = Some(Box::new(build_b2(&mut items, self.rule, self.leaf_size)));
-            }
-            Some(root) => insert_rec(root, items),
+        let mut rows = id_rows(batch, &mut self.next_id);
+        self.live += rows.len();
+        if !self.nodes.is_empty() {
+            insert_rec(&mut self.nodes, &mut self.leaves, &mut rows);
+            return;
         }
+        let tree = KdTree::from_rows(rows, self.rule, LEAF_SIZE);
+        // Every leaf's buffer has room for four leaves' worth of rows: the
+        // headroom for future inserts that §6.3 counts in B2's build. A
+        // task fills about a `SEQ_BUILD_CUTOFF`-row subtree's slots.
+        self.leaves = parlay::tabulate(tree.nodes.len(), SEQ_BUILD_CUTOFF / LEAF_SIZE, |i| {
+            let node = &tree.nodes[i];
+            if !node.is_leaf() {
+                return Vec::new();
+            }
+            let mut leaf = Vec::with_capacity(4 * LEAF_SIZE);
+            leaf.extend(
+                node.rows()
+                    .map(|r| (tree.point_at(r), tree.original_id(r), true)),
+            );
+            leaf
+        });
+        self.nodes = tree.nodes;
     }
 
     /// Batch delete by point value (all matching live copies are
     /// tombstoned). Returns the number deleted.
     pub fn delete(&mut self, batch: &[Point<D>]) -> usize {
-        match &mut self.root {
-            None => 0,
-            Some(root) => {
-                let deleted = delete_rec(root, batch.to_vec());
-                self.live -= deleted;
-                deleted
-            }
+        if self.nodes.is_empty() {
+            return 0;
         }
+        let deleted = delete_rec(&mut self.nodes, &mut self.leaves, batch);
+        self.live -= deleted;
+        deleted
     }
 
     /// k nearest live neighbors of `q`.
     pub fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor> {
         let mut buf = KnnBuffer::new(k);
-        if let Some(root) = &self.root {
-            knn_rec(root, q, &mut buf);
+        if !self.nodes.is_empty() {
+            self.knn_rec(0, q, &mut buf);
         }
         buf.finish()
     }
@@ -207,207 +204,102 @@ impl<const D: usize> B2Tree<D> {
     pub fn knn_batch(&self, queries: &[Point<D>], k: usize) -> Vec<Vec<Neighbor>> {
         map_batch_z_order(queries, |q| self.knn(q, k))
     }
-}
 
-fn build_b2<const D: usize>(
-    items: &mut [(Point<D>, u32)],
-    rule: SplitRule,
-    leaf_size: usize,
-) -> B2Node<D> {
-    let n = items.len();
-    let mut bbox = Bbox::empty();
-    for (p, _) in items.iter() {
-        bbox.extend(p);
-    }
-    if n <= leaf_size || bbox.diag_sq() == 0.0 {
-        return B2Node::Leaf {
-            bbox,
-            // Extra headroom: B2 pre-allocates leaf buffers for future
-            // inserts (the cost §6.3 attributes to its construction).
-            points: {
-                let mut v = Vec::with_capacity(4 * leaf_size);
-                v.extend_from_slice(items);
-                v
-            },
-            alive: vec![true; n],
-            live: n,
-        };
-    }
-    let dim = bbox.widest_dim();
-    let (mid, val) = match rule {
-        SplitRule::ObjectMedian => {
-            let mid = n / 2;
-            items.select_nth_unstable_by(mid, |a, b| a.0[dim].partial_cmp(&b.0[dim]).unwrap());
-            (mid, items[mid].0[dim])
-        }
-        SplitRule::SpatialMedian => {
-            let val = 0.5 * (bbox.min[dim] + bbox.max[dim]);
-            let mut i = 0;
-            let mut j = n;
-            while i < j {
-                if items[i].0[dim] < val {
-                    i += 1;
-                } else {
-                    j -= 1;
-                    items.swap(i, j);
+    /// Offers the live rows under slot `i` to `buf`, nearer child first,
+    /// skipping a child whose box lies beyond the bound.
+    fn knn_rec(&self, i: usize, q: &Point<D>, buf: &mut KnnBuffer) {
+        let node = &self.nodes[i];
+        if node.is_leaf() {
+            for &(p, id, alive) in &self.leaves[i] {
+                if alive {
+                    buf.insert(q.dist_sq(&p), id);
                 }
             }
-            if i == 0 || i == n {
-                let mid = n / 2;
-                items.select_nth_unstable_by(mid, |a, b| a.0[dim].partial_cmp(&b.0[dim]).unwrap());
-                (mid, items[mid].0[dim])
-            } else {
-                (i, val)
+            return;
+        }
+        let (l, r) = (node.left as usize, node.right as usize);
+        let (near, far) = if q[node.dim as usize] <= node.val {
+            (l, r)
+        } else {
+            (r, l)
+        };
+        for c in [near, far] {
+            if self.nodes[c].bbox.dist_sq_to_point(q) <= buf.bound() {
+                self.knn_rec(c, q, buf);
             }
         }
-    };
-    let (lo, hi) = items.split_at_mut(mid);
-    let (l, r) = parlay::par_do_if(
-        n >= B2_SEQ_CUTOFF,
-        || build_b2(lo, rule, leaf_size),
-        || build_b2(hi, rule, leaf_size),
-    );
-    B2Node::Internal {
-        bbox,
-        dim: dim as u8,
-        val,
-        left: Box::new(l),
-        right: Box::new(r),
     }
 }
 
-fn insert_rec<const D: usize>(node: &mut B2Node<D>, mut items: Vec<(Point<D>, u32)>) {
-    if items.is_empty() {
+/// How many slots the left subtree of internal node `node` takes: in
+/// preorder they follow `node` directly, and the right subtree's follow
+/// them.
+fn left_len<const D: usize>(node: &Node<D>) -> usize {
+    (node.right - node.left) as usize
+}
+
+/// Routes `rows` down the subtree whose preorder slots `nodes`/`leaves`
+/// start with: every node on the way takes them into its box, and each
+/// leaf appends its share, live.
+fn insert_rec<const D: usize>(
+    nodes: &mut [Node<D>],
+    leaves: &mut [LeafRows<D>],
+    rows: &mut [(Point<D>, u32)],
+) {
+    if rows.is_empty() {
         return;
     }
-    match node {
-        B2Node::Leaf {
-            bbox,
-            points,
-            alive,
-            live,
-        } => {
-            for (p, _) in &items {
-                bbox.extend(p);
-            }
-            *live += items.len();
-            alive.extend(std::iter::repeat_n(true, items.len()));
-            points.append(&mut items);
-        }
-        B2Node::Internal {
-            bbox,
-            dim,
-            val,
-            left,
-            right,
-        } => {
-            for (p, _) in &items {
-                bbox.extend(p);
-            }
-            let dim = *dim as usize;
-            let val = *val;
-            let (l_items, r_items): (Vec<_>, Vec<_>) =
-                items.into_iter().partition(|(p, _)| p[dim] < val);
-            parlay::par_do_if(
-                l_items.len() + r_items.len() >= B2_SEQ_CUTOFF,
-                || insert_rec(left, l_items),
-                || insert_rec(right, r_items),
-            );
-        }
+    let node = &mut nodes[0];
+    node.bbox = node.bbox.union(&compute_bbox(rows));
+    if node.is_leaf() {
+        leaves[0].extend(rows.iter().map(|&(p, id)| (p, id, true)));
+        return;
     }
+    let (dim, val, len) = (node.dim as usize, node.val, left_len(node));
+    let mid = partition_by(rows, |p| p[dim] < val);
+    let fork = rows.len() >= SEQ_BUILD_CUTOFF;
+    let (lo, hi) = rows.split_at_mut(mid);
+    let (ln, rn) = nodes[1..].split_at_mut(len);
+    let (ll, rl) = leaves[1..].split_at_mut(len);
+    parlay::par_do_if(fork, || insert_rec(ln, ll, lo), || insert_rec(rn, rl, hi));
 }
 
-fn delete_rec<const D: usize>(node: &mut B2Node<D>, queries: Vec<Point<D>>) -> usize {
+/// Tombstones every live row under the subtree whose preorder slots
+/// `nodes`/`leaves` start with that is bitwise equal to one of `queries`,
+/// and returns how many. A query on a node's split value goes both ways:
+/// rows equal to it may lie on either side.
+fn delete_rec<const D: usize>(
+    nodes: &mut [Node<D>],
+    leaves: &mut [LeafRows<D>],
+    queries: &[Point<D>],
+) -> usize {
     if queries.is_empty() {
         return 0;
     }
-    match node {
-        B2Node::Leaf {
-            points,
-            alive,
-            live,
-            ..
-        } => {
-            let mut deleted = 0;
-            for q in &queries {
-                for (i, (p, _)) in points.iter().enumerate() {
-                    // Bitwise identity, matching every other backend's
-                    // delete-by-value semantic.
-                    if alive[i] && p.bits_key() == q.bits_key() {
-                        alive[i] = false;
-                        *live -= 1;
-                        deleted += 1;
-                    }
+    let node = &nodes[0];
+    if node.is_leaf() {
+        let mut deleted = 0;
+        for q in queries {
+            for (p, _, alive) in leaves[0].iter_mut() {
+                if *alive && p.bits_key() == q.bits_key() {
+                    *alive = false;
+                    deleted += 1;
                 }
             }
-            deleted
         }
-        B2Node::Internal {
-            dim,
-            val,
-            left,
-            right,
-            ..
-        } => {
-            let dim = *dim as usize;
-            let val = *val;
-            // Superset routing on ties, mirroring object-median ambiguity.
-            let mut ql = Vec::new();
-            let mut qr = Vec::new();
-            for q in &queries {
-                if q[dim] <= val {
-                    ql.push(*q);
-                }
-                if q[dim] >= val {
-                    qr.push(*q);
-                }
-            }
-            let (a, b) = parlay::par_do_if(
-                ql.len() + qr.len() >= B2_SEQ_CUTOFF,
-                || delete_rec(left, ql),
-                || delete_rec(right, qr),
-            );
-            a + b
-        }
+        return deleted;
     }
-}
-
-fn knn_rec<const D: usize>(node: &B2Node<D>, q: &Point<D>, buf: &mut KnnBuffer) {
-    match node {
-        B2Node::Leaf { points, alive, .. } => {
-            for (i, (p, id)) in points.iter().enumerate() {
-                if alive[i] {
-                    buf.insert(q.dist_sq(p), *id);
-                }
-            }
-        }
-        B2Node::Internal {
-            dim,
-            val,
-            left,
-            right,
-            ..
-        } => {
-            let (near, far) = if q[*dim as usize] <= *val {
-                (left, right)
-            } else {
-                (right, left)
-            };
-            if node_bbox(near).dist_sq_to_point(q) <= buf.bound() {
-                knn_rec(near, q, buf);
-            }
-            if node_bbox(far).dist_sq_to_point(q) <= buf.bound() {
-                knn_rec(far, q, buf);
-            }
-        }
-    }
-}
-
-fn node_bbox<const D: usize>(node: &B2Node<D>) -> Bbox<D> {
-    match node {
-        B2Node::Leaf { bbox, .. } => *bbox,
-        B2Node::Internal { bbox, .. } => *bbox,
-    }
+    let (dim, val, len) = (node.dim as usize, node.val, left_len(node));
+    let ql: Vec<_> = queries.iter().filter(|q| q[dim] <= val).copied().collect();
+    let qr: Vec<_> = queries.iter().filter(|q| q[dim] >= val).copied().collect();
+    let (ln, rn) = nodes[1..].split_at_mut(len);
+    let (ll, rl) = leaves[1..].split_at_mut(len);
+    let (a, b) = parlay::par_do_if(
+        queries.len() >= SEQ_BUILD_CUTOFF,
+        || delete_rec(ln, ll, &ql),
+        || delete_rec(rn, rl, &qr),
+    );
+    a + b
 }
 
 #[cfg(test)]
@@ -476,16 +368,8 @@ mod tests {
             .collect();
         t.insert(&corner);
         // Maximum leaf occupancy — the skew diagnostic used in Appendix D.
-        fn max_leaf_size<const D: usize>(n: &B2Node<D>) -> usize {
-            match n {
-                B2Node::Leaf { points, .. } => points.len(),
-                B2Node::Internal { left, right, .. } => {
-                    max_leaf_size(left).max(max_leaf_size(right))
-                }
-            }
-        }
-        let root = t.root.as_ref().expect("built over 1 000 points");
-        assert!(max_leaf_size(root) > 4 * crate::tree::LEAF_SIZE);
+        let max_leaf = t.leaves.iter().map(Vec::len).max();
+        assert!(max_leaf.expect("built over 1 000 points") > 4 * crate::tree::LEAF_SIZE);
         // Queries remain exact despite the skew.
         let all: Vec<_> = pts.iter().chain(&corner).copied().collect();
         let queries: Vec<_> = all.iter().copied().step_by(211).collect();

@@ -27,9 +27,10 @@
 //!   of §6.3: `zdtree` = `tree` + Morton order + merge updates — a
 //!   [`KdTree`] built as the radix tree over code-sorted rows, rebuilt
 //!   after every merge-insert or merge-subtract batch.
-//! * [`baselines`] — the §6.3 comparison baselines: **B1** (rebuild on every
-//!   batch update) and **B2** (in-place leaf insertion + tombstone deletes,
-//!   no rebalancing).
+//! * [`baselines`] — the §6.3 comparison baselines, both on `tree`'s one
+//!   build: **B1** (rebuild on every batch update) and **B2** (the node
+//!   array of the first build kept, in-place leaf insertion + tombstone
+//!   deletes, no rebalancing).
 
 #![warn(missing_docs)]
 

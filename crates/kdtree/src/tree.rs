@@ -430,7 +430,7 @@ fn split_segment<const D: usize>(
 
 /// Bounding box of a run of work-buffer items, [`SEQ_BUILD_CUTOFF`] items
 /// to a task.
-fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)]) -> Bbox<D> {
+pub(crate) fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)]) -> Bbox<D> {
     parlay::reduce(
         items.len(),
         SEQ_BUILD_CUTOFF,
@@ -457,7 +457,7 @@ fn compute_bbox<const D: usize>(items: &[(Point<D>, u32)]) -> Bbox<D> {
 /// Unstable in-place partition; returns the number of elements satisfying
 /// `pred`. Parallel from [`SEQ_BUILD_CUTOFF`] rows up (out-of-place pack +
 /// copy back).
-fn partition_by<const D: usize>(
+pub(crate) fn partition_by<const D: usize>(
     items: &mut [(Point<D>, u32)],
     pred: impl Fn(&Point<D>) -> bool + Sync,
 ) -> usize {

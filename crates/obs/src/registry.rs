@@ -143,53 +143,41 @@ impl Registry {
     /// The counter registered under `(name, labels)`, created at zero on
     /// first use. Cache the handle on hot paths.
     pub fn counter(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Counter> {
-        let owned: Labels = labels.iter().map(|(k, v)| (*k, v.to_string())).collect();
-        let k = key(name, &owned);
-        if let Some(c) = self
-            .inner
-            .read()
-            .ok()
-            .and_then(|i| i.counters.get(&k).cloned())
-        {
-            return c;
-        }
-        let mut i = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        i.counters.entry(k).or_default().clone()
+        self.get_or_create(name, labels, |i| &i.counters, |i| &mut i.counters)
     }
 
     /// The gauge registered under `(name, labels)`.
     pub fn gauge(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Gauge> {
-        let owned: Labels = labels.iter().map(|(k, v)| (*k, v.to_string())).collect();
-        let k = key(name, &owned);
-        if let Some(g) = self
-            .inner
-            .read()
-            .ok()
-            .and_then(|i| i.gauges.get(&k).cloned())
-        {
-            return g;
-        }
-        let mut i = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        i.gauges.entry(k).or_default().clone()
+        self.get_or_create(name, labels, |i| &i.gauges, |i| &mut i.gauges)
     }
 
     /// The histogram registered under `(name, labels)`.
     pub fn histogram(&self, name: &'static str, labels: &[(&'static str, &str)]) -> Arc<Histogram> {
+        self.get_or_create(name, labels, |i| &i.histograms, |i| &mut i.histograms)
+    }
+
+    /// The handle under `(name, labels)` in the family map that `map` and
+    /// `map_mut` pick out, created empty on first use: a read-lock lookup,
+    /// and the write lock only when the key is new.
+    fn get_or_create<M: Default>(
+        &self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+        map: fn(&Inner) -> &BTreeMap<Key, Arc<M>>,
+        map_mut: fn(&mut Inner) -> &mut BTreeMap<Key, Arc<M>>,
+    ) -> Arc<M> {
         let owned: Labels = labels.iter().map(|(k, v)| (*k, v.to_string())).collect();
         let k = key(name, &owned);
-        if let Some(h) = self
+        if let Some(m) = self
             .inner
             .read()
             .ok()
-            .and_then(|i| i.histograms.get(&k).cloned())
+            .and_then(|i| map(&i).get(&k).cloned())
         {
-            return h;
+            return m;
         }
         let mut i = self.inner.write().unwrap_or_else(|e| e.into_inner());
-        i.histograms
-            .entry(k)
-            .or_insert_with(|| Arc::new(Histogram::new()))
-            .clone()
+        map_mut(&mut i).entry(k).or_default().clone()
     }
 
     /// Opens a span: on drop, its wall-time lands in the

@@ -79,6 +79,7 @@ pub(crate) fn compute<const D: usize>(
     ids: &[u32],
     pts: &[Point<D>],
 ) -> GeoResult<(DerivedVal<D>, Option<Engine>)> {
+    injected_fault();
     let value = match kind {
         DerivedKind::Hull => {
             if let Some(p2) = cast_slice::<D, 2>(pts) {
@@ -221,6 +222,7 @@ pub(crate) fn advance_engine<const D: usize>(
     pts: &[Point<D>],
     max_damage: f64,
 ) -> Result<DerivedVal<D>, Fallback> {
+    injected_fault();
     let p2 = cast_slice::<D, 2>(pts).ok_or(Fallback::AnchorLost)?;
     match engine {
         Engine::Hull2(h) => match h.try_insert_batch(p2, max_damage) {
@@ -255,6 +257,25 @@ fn remap_edges(edges: &[(u32, u32)], ids: &[u32]) -> Vec<(u32, u32)> {
         .iter()
         .map(|&(u, v)| (ids[u as usize], ids[v as usize]))
         .collect()
+}
+
+/// Where the store's tests make a compute or an engine advance panic; a
+/// no-op in every other build.
+#[cfg(not(test))]
+fn injected_fault() {}
+
+#[cfg(test)]
+thread_local! {
+    /// Set by a test: the next compute or engine advance on this thread
+    /// panics, and clears it.
+    pub(crate) static PANIC_NEXT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+#[cfg(test)]
+fn injected_fault() {
+    if PANIC_NEXT.with(|armed| armed.replace(false)) {
+        panic!("injected derived fault");
+    }
 }
 
 #[cfg(test)]

@@ -1338,6 +1338,88 @@ mod tests {
         assert_eq!(store.live_view, Some(store.index.live_points()));
     }
 
+    /// A panic inside a derived kind's own work once the live view exists —
+    /// a full compute, then an engine advance over an insert-only epoch —
+    /// reaches the caller of `execute` and leaves the store as it was: same
+    /// live count, epoch and live view, and no value for that kind at the
+    /// current epoch. The next request for it is served as an oracle store
+    /// serves it, by a fresh compute.
+    #[test]
+    fn a_panicking_kind_compute_keeps_the_store_unchanged() {
+        // Quasi-random points; the second batch lies inside the first's box,
+        // so an unfaulted store advances its Delaunay engine over it.
+        let at = |i: usize, lo: f64, w: f64| {
+            let t = i as f64;
+            Point::new([
+                lo + w * (t * 0.618_034).fract(),
+                lo + w * (t * 0.754_878).fract(),
+            ])
+        };
+        let first: Vec<Point<2>> = (1..=150).map(|i| at(i, 0.0, 1.0)).collect();
+        let second: Vec<Point<2>> = (1..=8).map(|i| at(i + 500, 0.3, 0.4)).collect();
+        // No pool of its own: the store computes on this thread, where the
+        // fault is armed.
+        let mut store = GeoStore::<2>::builder().build();
+        let mut oracle = GeoStore::<2>::builder().backend(Backend::Oracle).build();
+        let kind = DerivedKind::DelaunayGraph;
+        let request = [Request::DelaunayGraph];
+        let fault_then_serve = |store: &mut GeoStore<2>, oracle: &mut GeoStore<2>| {
+            let before = (
+                store.len(),
+                store.stats().write_epoch,
+                store.live_view.clone(),
+            );
+            let misses = store.stats().cache.misses;
+            derived::PANIC_NEXT.with(|armed| armed.set(true));
+            let unwound =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| store.execute(&request)));
+            let payload = unwound.expect_err("the fault surfaced");
+            assert_eq!(
+                payload.downcast_ref::<&str>().copied(),
+                Some("injected derived fault")
+            );
+            assert!(
+                !derived::PANIC_NEXT.with(|armed| armed.get()),
+                "it fired once"
+            );
+            let after = (
+                store.len(),
+                store.stats().write_epoch,
+                store.live_view.clone(),
+            );
+            assert_eq!(after, before);
+            assert_eq!(store.derived_path(kind), None, "nothing memoized");
+            assert_eq!(store.stats().cache.misses, misses + 1);
+
+            let want = oracle.execute(&request);
+            assert!(want[0].is_ok());
+            assert_eq!(store.execute(&request), want);
+            assert_eq!(store.derived_path(kind), Some(MemoPath::Fresh));
+        };
+
+        store.insert(&first);
+        oracle.insert(&first);
+        // The live view exists before the faulted compute.
+        assert_eq!(
+            store.execute(&[Request::Seb]),
+            oracle.execute(&[Request::Seb])
+        );
+        assert!(store.live_view.is_some());
+        fault_then_serve(&mut store, &mut oracle);
+        assert_eq!(oracle.derived_path(kind), Some(MemoPath::Fresh));
+
+        store.insert(&second);
+        oracle.insert(&second);
+        fault_then_serve(&mut store, &mut oracle);
+        assert_eq!(
+            oracle.derived_path(kind),
+            Some(MemoPath::Incremental),
+            "the faulted request was an engine advance"
+        );
+        assert_eq!(store.stats().cache.incremental, 0);
+        assert_eq!(store.stats().cache.rebuilds, 0);
+    }
+
     /// `pin` hands the snapshot the memo's values, not copies of them.
     #[test]
     fn pin_shares_memoized_values() {
