@@ -26,7 +26,7 @@ impl Delaunay {
 
 /// The error for input with no 2-D extent: all points collinear or
 /// coincident.
-pub(crate) const FLAT: GeoError = GeoError::Degenerate {
+const FLAT: GeoError = GeoError::Degenerate {
     op: "delaunay",
     what: "collinear",
 };
@@ -47,8 +47,9 @@ pub(crate) fn check_finite(points: &[Point2]) -> GeoResult<()> {
 
 /// The input checks shared by the fallible entry points. Flat input is
 /// refused by one early-exit scan — two distinct points, then any third
-/// off their line — before a single point is inserted.
-pub(crate) fn check_input(points: &[Point2]) -> GeoResult<()> {
+/// off their line — before a single point is inserted; that first
+/// non-collinear triple is returned as the mesh's seed.
+pub(crate) fn check_input(points: &[Point2]) -> GeoResult<[u32; 3]> {
     if points.is_empty() {
         return Err(GeoError::EmptyInput { op: "delaunay" });
     }
@@ -61,16 +62,12 @@ pub(crate) fn check_input(points: &[Point2]) -> GeoResult<()> {
     }
     check_finite(points)?;
     let a = &points[0];
-    let Some(b) = points.iter().find(|&p| p != a) else {
-        return Err(FLAT);
-    };
-    if points
+    let b = points.iter().position(|p| p != a).ok_or(FLAT)?;
+    let c = points
         .iter()
-        .all(|q| orient2d(a, b, q) == Orientation::Zero)
-    {
-        return Err(FLAT);
-    }
-    Ok(())
+        .position(|q| orient2d(a, &points[b], q) != Orientation::Zero)
+        .ok_or(FLAT)?;
+    Ok([0, b as u32, c as u32])
 }
 
 /// Delaunay triangulation by Bowyer–Watson insertion in Morton order (a
@@ -87,15 +84,12 @@ pub fn delaunay(points: &[Point2]) -> Delaunay {
 /// non-finite coordinate, or all points collinear/coincident — with a
 /// typed [`GeoError`] instead of returning an empty triangle list.
 pub fn try_delaunay(points: &[Point2]) -> GeoResult<Delaunay> {
-    check_input(points)?;
-    let mut mesh = TriMesh::with_points(points);
+    let mut mesh = TriMesh::new(points, check_input(points)?);
     let order = pargeo_morton::morton_sort(&mut points.to_vec());
     mesh.insert_all(order, f64::INFINITY);
-    let triangles = mesh.extract();
-    if triangles.is_empty() {
-        return Err(FLAT);
-    }
-    Ok(Delaunay { triangles })
+    Ok(Delaunay {
+        triangles: mesh.extract(),
+    })
 }
 
 #[cfg(test)]
@@ -126,9 +120,9 @@ mod tests {
         validate_delaunay(&pts, &d.triangles).unwrap();
     }
 
-    /// One insertion loop, two orders: in general position the
-    /// triangulation is unique, so Morton order and the store's index
-    /// order build the same edges.
+    /// One insertion loop, two orders: the perturbed triangulation is
+    /// unique, so Morton order and the store's index order build the same
+    /// edges (`tests/metamorphic.rs` covers cocircular input).
     #[test]
     fn parallel_matches_sequential() {
         for seed in 0..3 {

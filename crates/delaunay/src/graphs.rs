@@ -2,7 +2,7 @@
 //! Gabriel graph (Table 1 rows "Delaunay Graph" and "Gabriel Graph").
 
 use crate::bw::Delaunay;
-use pargeo_geometry::Point2;
+use pargeo_geometry::{in_diametral_circle, Orientation, Point2};
 
 /// Undirected Delaunay edges, deduplicated, `(min, max)` ordered.
 pub fn delaunay_edges(d: &Delaunay) -> Vec<(u32, u32)> {
@@ -21,11 +21,15 @@ pub fn delaunay_edges(d: &Delaunay) -> Vec<(u32, u32)> {
     edges
 }
 
-/// The Gabriel graph: Delaunay edges whose diametral circle is empty.
+/// The Gabriel graph: Delaunay edges whose closed diametral disk holds no
+/// other point.
 ///
 /// Local test: an edge `(u, v)` is Gabriel iff the opposite vertex of each
-/// adjacent triangle lies outside (or on) the circle with `uv` as diameter,
-/// i.e. the angle it subtends at the opposite vertex is at most 90°.
+/// adjacent triangle lies strictly outside the circle with `uv` as
+/// diameter, i.e. the angle it subtends at the opposite vertex is acute —
+/// the exact sign of [`in_diametral_circle`]. Such an edge is in every
+/// Delaunay triangulation of the points, so the answer depends on the
+/// point set alone.
 pub fn gabriel_graph(points: &[Point2], d: &Delaunay) -> Vec<(u32, u32)> {
     // (edge, opposite vertex), sorted: each edge becomes one run of length
     // 1 (hull edge) or 2 (interior), and the output comes out sorted.
@@ -40,12 +44,9 @@ pub fn gabriel_graph(points: &[Point2], d: &Delaunay) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
     for run in opposite.chunk_by(|x, y| x.0 == y.0) {
         let (u, v) = run[0].0;
-        let (pu, pv) = (points[u as usize], points[v as usize]);
-        // w strictly inside the diametral circle ⇔ angle(u,w,v) > 90°
-        // ⇔ (u - w)·(v - w) < 0.
+        let (pu, pv) = (&points[u as usize], &points[v as usize]);
         if run.iter().all(|&(_, w)| {
-            let pw = points[w as usize];
-            (pu - pw).dot(&(pv - pw)) >= 0.0
+            in_diametral_circle(pu, pv, &points[w as usize]) == Orientation::Negative
         }) {
             out.push((u, v));
         }
@@ -59,20 +60,18 @@ mod tests {
     use crate::bw::delaunay;
     use pargeo_datagen::uniform_cube;
 
-    /// Brute-force Gabriel graph definition.
+    /// Brute-force Gabriel graph definition: no other point in or on the
+    /// diametral circle.
     fn gabriel_brute(points: &[Point2]) -> Vec<(u32, u32)> {
         let n = points.len();
         let mut out = Vec::new();
         for u in 0..n as u32 {
             for v in u + 1..n as u32 {
-                let pu = points[u as usize];
-                let pv = points[v as usize];
+                let (pu, pv) = (&points[u as usize], &points[v as usize]);
                 let empty = (0..n as u32).all(|w| {
-                    if w == u || w == v {
-                        return true;
-                    }
-                    let pw = points[w as usize];
-                    (pu - pw).dot(&(pv - pw)) >= 0.0
+                    w == u
+                        || w == v
+                        || in_diametral_circle(pu, pv, &points[w as usize]) == Orientation::Negative
                 });
                 if empty {
                     out.push((u, v));
@@ -140,31 +139,22 @@ mod tests {
     }
 
     #[test]
-    fn gabriel_of_square_grid_is_subset_of_definition() {
-        // Maximally cocircular input: both diagonals of every unit square
-        // satisfy the open-disk Gabriel definition, but only one lives in
-        // the triangulation, so the DT-local extraction returns a subset.
-        // Every axis-aligned unit edge, however, must be present.
+    fn gabriel_of_square_grid_equals_definition() {
+        // Maximally cocircular input: no diagonal of a unit square is
+        // Gabriel (the other two corners lie on its diametral circle), so
+        // the local extraction equals the brute force on any of the
+        // lattice's triangulations: the 2 · 6 · 5 unit edges.
         let mut pts = Vec::new();
-        for i in 0..4u32 {
-            for j in 0..4u32 {
+        for i in 0..6u32 {
+            for j in 0..6u32 {
                 pts.push(Point2::new([i as f64, j as f64]));
             }
         }
-        let d = delaunay(&pts);
-        let got = gabriel_graph(&pts, &d);
-        let want: std::collections::HashSet<(u32, u32)> = gabriel_brute(&pts).into_iter().collect();
-        for e in &got {
-            assert!(want.contains(e), "non-Gabriel edge {e:?} reported");
-        }
-        let got_set: std::collections::HashSet<(u32, u32)> = got.into_iter().collect();
-        for i in 0..4u32 {
-            for j in 0..3u32 {
-                let a = i * 4 + j;
-                assert!(got_set.contains(&(a, a + 1)), "missing vertical edge {a}");
-                let b = j * 4 + i;
-                assert!(got_set.contains(&(b, b + 4)), "missing horizontal edge {b}");
-            }
-        }
+        let got = gabriel_graph(&pts, &delaunay(&pts));
+        assert_eq!(got, gabriel_brute(&pts));
+        assert_eq!(got.len(), 60);
+        assert!(got
+            .iter()
+            .all(|&(a, b)| pts[a as usize].dist_sq(&pts[b as usize]) == 1.0));
     }
 }

@@ -9,21 +9,18 @@
 //! - [`delaunay`] / [`try_delaunay`] run it over the Morton order of the
 //!   input (a BRIO-style locality order) — the library entry point behind
 //!   `graphgen`'s Delaunay graph and β-skeleton;
-//! - [`DelaunayIncremental`] runs it over index order, the schedule the
-//!   store's batches resume, so an advanced engine and a fresh build agree
-//!   edge for edge even on cocircular input.
+//! - [`DelaunayIncremental`] runs it over index order, the order the
+//!   store's batches append in.
 //!
-//! In general position both orders build the one Delaunay triangulation;
-//! on cocircular input each gives one valid triangulation, fixed by its
-//! order. Input with no 2-D extent (all points coincident or collinear)
-//! is refused by one early-exit scan before any point is inserted.
-//!
-//! The triangulation is seeded with a far-away enclosing super-triangle
-//! whose corners are removed at the end. The corners sit `10⁶ ×` the input
-//! diameter away; with exact predicates this yields the true Delaunay
-//! triangulation for all but adversarially flat inputs (the classic
-//! trade-off of non-symbolic super-triangles; [`validate_delaunay`]'s
-//! empty-circumcircle check guards the tests).
+//! Both build the one triangulation of the point set. The mesh is closed
+//! by a ghost vertex at infinity instead of a far-away super-triangle, so
+//! no coordinate is invented and every triangle is a Delaunay triangle of
+//! the input; cocircular ties are broken by a symbolic perturbation of
+//! `incircle` over the points' lexicographic ranks (Simulation of
+//! Simplicity), so the answer depends on neither the insertion order nor
+//! the input's order (duplicates collapse onto their lowest index). Input
+//! with no 2-D extent (all points coincident or collinear) is refused by
+//! one early-exit scan before any point is inserted.
 
 #![warn(missing_docs)]
 

@@ -1,33 +1,43 @@
 //! The Bowyer–Watson kernel: a flat triangle slab with edge adjacency,
 //! in-place cavity re-starring and hinted point location.
 //!
+//! - **One ghost vertex closes the mesh.** Beyond every hull edge lies a
+//!   ghost triangle whose third vertex is [`GHOST`], the vertex at
+//!   infinity, so the mesh is a triangulated sphere: every triangle has
+//!   three neighbours, a real vertex id *is* its input index, and a point
+//!   anywhere in the plane can be inserted. A ghost triangle's
+//!   "circumcircle" is the open half-plane beyond its finite edge plus the
+//!   open edge itself.
+//! - **Ties are perturbed, so a point set has one triangulation.** An
+//!   exact `incircle` zero is broken by the points' lexicographic ranks
+//!   (`TriMesh::conflicts`), so insertion order, batch splits and the
+//!   input's order cannot change the answer. `orient2d` is not perturbed,
+//!   so no output triangle is degenerate.
 //! - **The slab is exactly the live mesh.** `v[t]` / `nbr[t]` are plain
 //!   arrays; a cavity of `r` triangles around a new vertex is re-starred
 //!   into its own `r` slots plus two fresh ones, so no slot is ever dead
-//!   and the slab of a mesh over `m` distinct points is `2m + 1` long.
-//! - **Super vertices never move.** Their ids are the fixed sentinels
-//!   [`SUPER`]`..SUPER + 3` above every real id, so a real vertex id *is*
-//!   its input index and appending points rewrites no triangle.
-//! - **Cavities need no membership set.** The triangles in strict conflict
-//!   with a point form a disc without interior vertices (every vertex of
-//!   a Delaunay triangulation survives an insertion), so their dual graph
+//!   and the slab of a mesh over `m` distinct points is `2m − 2` long.
+//! - **Cavities need no membership set.** The triangles in conflict with a
+//!   point form a disc without interior vertices (every vertex of a
+//!   Delaunay triangulation survives an insertion), so their dual graph
 //!   is a tree: one counterclockwise depth-first tour from the containing
 //!   triangle that never re-crosses the edge it entered by visits every
 //!   cavity triangle once and emits the boundary edges already in cycle
 //!   order.
 //! - **Location is a hint, not an input.** A walk starts at a triangle
 //!   incident to a nearby inserted vertex, found through a coarse-to-fine
-//!   grid over the mesh's bbox. Where a walk starts cannot change what is
-//!   built: the cavity is the *set* of triangles whose circumcircle
-//!   strictly contains the point, and every triangle containing the point
-//!   belongs to it.
+//!   grid over the build's bbox (points outside it clamp to border cells).
+//!   Where a walk starts cannot change what is built: the cavity is the
+//!   *set* of triangles in conflict with the point, and every triangle
+//!   containing the point belongs to it.
 
 use pargeo_geometry::{incircle, orient2d, Bbox, Orientation, Point2};
+use std::cmp::Ordering;
 
-/// "No triangle" in `nbr`, "no vertex" in the hint arrays.
+/// "No triangle" in the hint arrays, "no vertex" in the hint grid.
 pub(crate) const NONE: u32 = u32::MAX;
-/// First of the three super-vertex ids.
-pub(crate) const SUPER: u32 = u32::MAX - 3;
+/// The vertex at infinity, third vertex of every ghost triangle.
+pub(crate) const GHOST: u32 = u32::MAX - 1;
 
 /// A directed cavity-boundary edge `a → b` (as in its cavity triangle)
 /// and the triangle beyond it, whose `nbr[outer_slot]` points back in.
@@ -50,7 +60,7 @@ struct Cavity {
     stack: Vec<(u32, u8, u8)>,
 }
 
-/// Pyramid of square grids over the mesh's bbox, level `l` holding
+/// Pyramid of square grids over the build's bbox, level `l` holding
 /// `2^l × 2^l` cells, each remembering the first vertex inserted into it.
 /// An occupied cell has occupied ancestors, so a lookup climbs from the
 /// finest level to the first hit: the vertex it finds is as close as the
@@ -89,7 +99,8 @@ impl Grid {
 
     fn cell(&self, p: &Point2) -> [usize; 2] {
         let side = 1usize << self.top;
-        // A zero span gives NaN, which casts to cell 0.
+        // The cast saturates: a point outside the bbox clamps to a border
+        // cell, and a zero span (NaN) casts to cell 0.
         [0, 1].map(|d| (((p[d] - self.lo[d]) / self.span[d] * side as f64) as usize).min(side - 1))
     }
 
@@ -125,12 +136,10 @@ impl Grid {
 pub(crate) struct TriMesh {
     /// The input points; vertex id = index.
     pub points: Vec<Point2>,
-    /// Corners of the enclosing super-triangle, vertex ids `SUPER..`.
-    sup: [Point2; 3],
-    /// Vertex ids of each triangle, counterclockwise.
+    /// Vertex ids of each triangle, counterclockwise; a ghost triangle's
+    /// finite edge runs from the vertex after [`GHOST`] to the one before.
     pub v: Vec<[u32; 3]>,
-    /// `nbr[t][i]` = triangle across edge `(v[t][i], v[t][(i+1)%3])`;
-    /// [`NONE`] on the outer boundary of the super-triangle.
+    /// `nbr[t][i]` = triangle across edge `(v[t][i], v[t][(i+1)%3])`.
     nbr: Vec<[u32; 3]>,
     /// One triangle incident to each inserted vertex ([`NONE`] for points
     /// not inserted: pending, or duplicates of an earlier one).
@@ -144,42 +153,43 @@ pub(crate) struct TriMesh {
 }
 
 impl TriMesh {
-    /// A mesh of one super-triangle enclosing `bbox` (a pure function of
-    /// it), with no points yet.
-    pub fn new(bbox: &Bbox<2>) -> Self {
-        let c = bbox.center();
-        let r = bbox.diag_sq().sqrt().max(1.0) * 1e6;
-        // Equilateral-ish super-triangle, counterclockwise.
-        let sup = [
-            Point2::new([c[0] - 1.8 * r, c[1] - r]),
-            Point2::new([c[0] + 1.8 * r, c[1] - r]),
-            Point2::new([c[0], c[1] + 2.1 * r]),
-        ];
-        debug_assert_eq!(orient2d(&sup[0], &sup[1], &sup[2]), Orientation::Positive);
+    /// A mesh over `points` holding the triangle `seed` (three of them, not
+    /// collinear) and its three ghost triangles; every other point is
+    /// uninserted. The perturbed triangulation does not depend on the
+    /// order of insertion, so the seed changes no answer.
+    pub fn new(points: &[Point2], seed: [u32; 3]) -> Self {
+        let [a, b, c] = seed;
+        let [a, b] = match orient2d(
+            &points[a as usize],
+            &points[b as usize],
+            &points[c as usize],
+        ) {
+            Orientation::Positive => [a, b],
+            _ => [b, a],
+        };
+        let bbox = Bbox::from_points(points);
         let span = [bbox.side(0), bbox.side(1)];
-        TriMesh {
-            points: Vec::new(),
-            sup,
-            v: vec![[SUPER, SUPER + 1, SUPER + 2]],
-            nbr: vec![[NONE; 3]],
-            vtri: Vec::new(),
-            grid: Grid::new(bbox.min.coords, span, 0),
+        let mut mesh = TriMesh {
+            points: points.to_vec(),
+            // Slot `1 + i` is the ghost triangle beyond the seed's edge `i`.
+            v: vec![[a, b, c], [b, a, GHOST], [c, b, GHOST], [a, c, GHOST]],
+            nbr: vec![[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]],
+            vtri: vec![NONE; points.len()],
+            grid: Grid::new(bbox.min.coords, span, points.len()),
             cav: Cavity::default(),
             #[cfg(test)]
             no_hint: false,
+        };
+        for q in [a, b, c] {
+            mesh.vtri[q as usize] = 0;
+            mesh.grid.put(&points[q as usize], q);
         }
-    }
-
-    /// A mesh enclosing `points`, holding all of them uninserted.
-    pub fn with_points(points: &[Point2]) -> Self {
-        let mut mesh = Self::new(&Bbox::from_points(points));
-        mesh.append_points(points);
         mesh
     }
 
-    /// Appends uninserted points, which must lie inside the bbox the mesh
-    /// was built from. Touches no triangle; when the point count outgrows
-    /// the hint grid (every 4×) the grid is refilled from the vertices.
+    /// Appends uninserted points, anywhere in the plane. Touches no
+    /// triangle; when the point count outgrows the hint grid (every 4×)
+    /// the grid is refilled from the vertices, over the same bbox.
     pub fn append_points(&mut self, extra: &[Point2]) {
         self.points.extend_from_slice(extra);
         self.vtri.resize(self.points.len(), NONE);
@@ -196,44 +206,103 @@ impl TriMesh {
 
     #[inline]
     fn pt(&self, v: u32) -> &Point2 {
-        if v < SUPER {
-            &self.points[v as usize]
-        } else {
-            &self.sup[(v - SUPER) as usize]
-        }
+        &self.points[v as usize]
     }
 
-    /// True iff no vertex of `t` is a super vertex.
+    /// Position of [`GHOST`] in triangle `t`, if it is a ghost triangle.
     #[inline]
-    fn is_real(&self, t: u32) -> bool {
-        self.v[t as usize].iter().all(|&v| v < SUPER)
+    fn ghost_at(&self, t: u32) -> Option<usize> {
+        self.v[t as usize].iter().position(|&v| v == GHOST)
     }
 
     /// The triangles of the triangulation proper, in slab order.
     pub fn real_tris(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.v.len() as u32).filter(|&t| self.is_real(t))
+        (0..self.v.len() as u32).filter(|&t| self.ghost_at(t).is_none())
     }
 
-    /// Strict conflict: `q` lies strictly inside the circumcircle of `t`.
+    /// Conflict of ghost triangle `t` (ghost at `k`) with point `p`: `p`
+    /// lies strictly beyond its finite edge `a → b`, or on that edge's line
+    /// strictly between `a` and `b`.
+    #[inline]
+    fn ghost_conflicts(&self, t: u32, k: usize, p: &Point2) -> bool {
+        let v = self.v[t as usize];
+        let (a, b) = (self.pt(v[(k + 1) % 3]), self.pt(v[(k + 2) % 3]));
+        match orient2d(a, b, p) {
+            Orientation::Positive => true,
+            Orientation::Negative => false,
+            Orientation::Zero => {
+                // Collinear: compare along an axis the edge spans.
+                let d = usize::from(a[0] == b[0]);
+                let (lo, hi) = if a[d] < b[d] {
+                    (a[d], b[d])
+                } else {
+                    (b[d], a[d])
+                };
+                lo < p[d] && p[d] < hi
+            }
+        }
+    }
+
+    /// Conflict of triangle `t` with point `q`: `q` lies strictly inside
+    /// its circumcircle (a ghost triangle's: [`TriMesh::ghost_conflicts`]).
+    /// A cocircular tie goes to Simulation of Simplicity over the
+    /// lexicographic `(x, y)` ranks (DESIGN §4): the highest-ranked of the
+    /// four points decides — no conflict if it is `q`, else the sign of
+    /// `orient2d` with `q` in that vertex's place — and the second-ranked
+    /// decides when that triple is collinear (both are only if `q` is a
+    /// vertex).
     #[inline]
     fn conflicts(&self, t: u32, q: u32) -> bool {
-        let [a, b, c] = self.v[t as usize];
-        incircle(self.pt(a), self.pt(b), self.pt(c), self.pt(q)) == Orientation::Positive
-    }
-
-    /// True iff `q` lies inside triangle `t` (boundary inclusive).
-    #[inline]
-    fn contains(&self, t: u32, q: u32) -> bool {
+        if let Some(k) = self.ghost_at(t) {
+            return self.ghost_conflicts(t, k, self.pt(q));
+        }
         let v = self.v[t as usize];
-        (0..3).all(|i| {
-            orient2d(self.pt(v[i]), self.pt(v[(i + 1) % 3]), self.pt(q)) != Orientation::Negative
-        })
+        let [a, b, c] = v.map(|x| self.pt(x));
+        match incircle(a, b, c, self.pt(q)) {
+            Orientation::Positive => true,
+            Orientation::Negative => false,
+            Orientation::Zero => {
+                let rank = |x: &u32, y: &u32| {
+                    let (p, r) = (self.pt(*x), self.pt(*y));
+                    p.coords.partial_cmp(&r.coords).unwrap_or(Ordering::Equal)
+                };
+                let mut four = [v[0], v[1], v[2], q];
+                four.sort_unstable_by(|x, y| rank(y, x));
+                for top in &four[..2] {
+                    let Some(i) = v.iter().position(|x| x == top) else {
+                        return false;
+                    };
+                    let mut w = v;
+                    w[i] = q;
+                    match orient2d(self.pt(w[0]), self.pt(w[1]), self.pt(w[2])) {
+                        Orientation::Positive => return true,
+                        Orientation::Negative => return false,
+                        Orientation::Zero => {}
+                    }
+                }
+                unreachable!("a duplicate point reached the cavity")
+            }
+        }
     }
 
-    /// True iff `q` coincides with a vertex of `t`.
+    /// True iff triangle `t` holds `q`: contains it (boundary inclusive),
+    /// or for a ghost triangle, conflicts with it.
     #[inline]
-    fn is_vertex_of(&self, t: u32, q: u32) -> bool {
-        self.v[t as usize].iter().any(|&v| self.pt(v) == self.pt(q))
+    fn holds(&self, t: u32, q: u32) -> bool {
+        let p = self.pt(q);
+        if let Some(k) = self.ghost_at(t) {
+            return self.ghost_conflicts(t, k, p);
+        }
+        let v = self.v[t as usize];
+        (0..3).all(|i| orient2d(self.pt(v[i]), self.pt(v[(i + 1) % 3]), p) != Orientation::Negative)
+    }
+
+    /// The vertex of `t` at the location of `q`, if any.
+    #[inline]
+    fn vertex_at(&self, t: u32, q: u32) -> Option<u32> {
+        let v = self.v[t as usize];
+        v.into_iter()
+            .find(|&v| v != GHOST && self.pt(v) == self.pt(q))
     }
 
     /// Index of the edge of `g` that borders `t`.
@@ -243,9 +312,9 @@ impl TriMesh {
         j.expect("adjacency is symmetric") as u8
     }
 
-    /// Fills `cav` with the conflict cavity of `q` around the containing
-    /// triangle `t0` (which always conflicts): a counterclockwise tour of
-    /// the cavity's dual tree.
+    /// Fills `cav` with the conflict cavity of `q` around the triangle
+    /// `t0` (which always conflicts): a counterclockwise tour of the
+    /// cavity's dual tree.
     fn cavity(&self, t0: u32, q: u32, cav: &mut Cavity) {
         cav.region.clear();
         cav.ring.clear();
@@ -256,8 +325,8 @@ impl TriMesh {
                 cav.stack.push((t, (i + 1) % 3, left - 1));
             }
             let g = self.nbr[t as usize][i as usize];
-            let back = if g == NONE { 0 } else { self.edge_to(g, t) };
-            if g != NONE && self.conflicts(g, q) {
+            let back = self.edge_to(g, t);
+            if self.conflicts(g, q) {
                 // A cycle in the cavity's dual would tour forever.
                 assert!(cav.region.len() < self.v.len(), "cavity is a disc");
                 cav.region.push(g);
@@ -289,29 +358,28 @@ impl TriMesh {
         self.nbr.resize(base as usize + k - r, [NONE; 3]);
         for (pos, e) in cav.ring.iter().enumerate() {
             debug_assert_eq!(e.b, cav.ring[(pos + 1) % k].a, "cavity boundary must chain");
-            debug_assert_eq!(
-                orient2d(self.pt(e.a), self.pt(e.b), self.pt(q)),
-                Orientation::Positive,
+            debug_assert!(
+                e.a == GHOST
+                    || e.b == GHOST
+                    || orient2d(self.pt(e.a), self.pt(e.b), self.pt(q)) == Orientation::Positive,
                 "new triangle must be CCW"
             );
             let id = slot(pos);
             self.v[id as usize] = [e.a, e.b, q];
             self.nbr[id as usize] = [e.outer, slot((pos + 1) % k), slot((pos + k - 1) % k)];
-            if e.outer != NONE {
-                self.nbr[e.outer as usize][e.outer_slot as usize] = id;
-            }
-            if e.a < SUPER {
+            self.nbr[e.outer as usize][e.outer_slot as usize] = id;
+            if e.a != GHOST {
                 self.vtri[e.a as usize] = id;
             }
         }
         self.vtri[q as usize] = slot(0);
     }
 
-    /// A triangle containing `q` (boundary inclusive): an orientation walk
-    /// from the hinted triangle, step-capped with an exhaustive fallback
-    /// so location terminates on any mesh. `None` iff `q` lies outside the
-    /// super-triangle.
-    fn locate(&self, q: u32) -> Option<u32> {
+    /// A triangle that holds `q` (see [`TriMesh::holds`]): an orientation
+    /// walk from the hinted triangle that stops at the first ghost
+    /// triangle in conflict, step-capped with an exhaustive fallback so
+    /// location terminates on any mesh.
+    fn locate(&self, q: u32) -> u32 {
         let p = self.pt(q);
         let hinted = match self.grid.get(p) {
             NONE => 0,
@@ -322,27 +390,35 @@ impl TriMesh {
         let mut t = hinted;
         'walk: for _ in 0..self.v.len() {
             let v = self.v[t as usize];
+            if let Some(k) = self.ghost_at(t) {
+                if self.ghost_conflicts(t, k, p) {
+                    return t;
+                }
+                t = self.nbr[t as usize][(k + 1) % 3];
+                continue;
+            }
             for i in 0..3 {
                 if orient2d(self.pt(v[i]), self.pt(v[(i + 1) % 3]), p) == Orientation::Negative {
-                    match self.nbr[t as usize][i] {
-                        NONE => break 'walk,
-                        g => t = g,
-                    }
+                    t = self.nbr[t as usize][i];
                     continue 'walk;
                 }
             }
-            return Some(t);
+            return t;
         }
-        (0..self.v.len() as u32).find(|&t| self.contains(t, q))
+        (0..self.v.len() as u32)
+            .find(|&t| self.holds(t, q))
+            .expect("the mesh covers the plane")
     }
 
     /// Locates and inserts point `q`, returning the number of triangles
-    /// its cavity replaced (0 for a duplicate of an inserted point), or
-    /// `None` if no triangle contains `q`.
-    fn insert(&mut self, q: u32) -> Option<usize> {
-        let t0 = self.locate(q)?;
-        if self.is_vertex_of(t0, q) {
-            return Some(0); // duplicate point collapses onto the first copy
+    /// its cavity replaced (0 for a duplicate of an inserted point).
+    fn insert(&mut self, q: u32) -> usize {
+        let t0 = self.locate(q);
+        if let Some(v) = self.vertex_at(t0, q) {
+            // Every insertion order puts the lowest index of a location
+            // first (Morton order by a stable sort), so that copy stays.
+            debug_assert!(v <= q, "duplicate {q} inserted before {v}");
+            return 0;
         }
         let mut cav = std::mem::take(&mut self.cav);
         self.cavity(t0, q, &mut cav);
@@ -351,13 +427,13 @@ impl TriMesh {
         self.grid.put(&p, q);
         let killed = cav.region.len();
         self.cav = cav;
-        Some(killed)
+        killed
     }
 
     /// The one sequential insertion loop: inserts `ids` in order until
     /// done or more than `budget` triangles were replaced. Returns the
-    /// points inserted (duplicates excluded), the triangles replaced, and
-    /// whether the run completed.
+    /// points inserted (duplicates and seed vertices excluded), the
+    /// triangles replaced, and whether the run completed.
     pub fn insert_all(
         &mut self,
         ids: impl IntoIterator<Item = u32>,
@@ -365,10 +441,7 @@ impl TriMesh {
     ) -> (usize, usize, bool) {
         let (mut inserted, mut killed) = (0, 0);
         for q in ids {
-            let Some(k) = self.insert(q) else {
-                debug_assert!(false, "the super-triangle encloses every point of its bbox");
-                return (inserted, killed, false);
-            };
+            let k = self.insert(q);
             killed += k;
             inserted += usize::from(k > 0);
             if killed as f64 > budget {
@@ -378,7 +451,7 @@ impl TriMesh {
         (inserted, killed, true)
     }
 
-    /// The real triangles (no super vertices).
+    /// The real triangles (no ghost vertex).
     pub fn extract(&self) -> Vec<[u32; 3]> {
         self.real_tris().map(|t| self.v[t as usize]).collect()
     }
@@ -391,7 +464,7 @@ impl TriMesh {
         for t in self.real_tris() {
             let v = self.v[t as usize];
             for (i, &g) in self.nbr[t as usize].iter().enumerate() {
-                if g > t || !self.is_real(g) {
+                if g > t || self.ghost_at(g).is_some() {
                     let (a, b) = (v[i], v[(i + 1) % 3]);
                     out.push((a.min(b), a.max(b)));
                 }

@@ -192,6 +192,31 @@ fn incircle_exact(a: &Point2, b: &Point2, c: &Point2, d: &Point2) -> Orientation
     Orientation::from_sign(det.sign())
 }
 
+/// Diametral-circle test: `Positive` iff `c` lies strictly inside the
+/// circle with diameter `ab`, `Zero` on it, `Negative` outside — the sign
+/// of `−(a − c)·(b − c)`, the angle `acb` being obtuse, right or acute.
+/// Exact.
+pub fn in_diametral_circle(a: &Point2, b: &Point2, c: &Point2) -> Orientation {
+    let x = (a[0] - c[0]) * (b[0] - c[0]);
+    let y = (a[1] - c[1]) * (b[1] - c[1]);
+    let dot = x + y;
+    // Two products of differences, summed: `orient2d`'s shape and bound.
+    let errbound = CCW_ERRBOUND_A * (x.abs() + y.abs());
+    if dot > errbound || -dot > errbound {
+        return Orientation::from_f64(-dot);
+    }
+    in_diametral_circle_exact(a, b, c)
+}
+
+fn in_diametral_circle_exact(a: &Point2, b: &Point2, c: &Point2) -> Orientation {
+    let acx = Expansion::from_diff(a[0], c[0]);
+    let acy = Expansion::from_diff(a[1], c[1]);
+    let bcx = Expansion::from_diff(b[0], c[0]);
+    let bcy = Expansion::from_diff(b[1], c[1]);
+    let dot = acx.mul(&bcx).add(&acy.mul(&bcy));
+    Orientation::from_sign(-dot.sign())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -299,6 +324,36 @@ mod tests {
         let d_out = p2(0.0, -(1.0 + f64::EPSILON));
         assert_eq!(incircle(&a, &b, &c, &d_in), Orientation::Positive);
         assert_eq!(incircle(&a, &b, &c, &d_out), Orientation::Negative);
+    }
+
+    #[test]
+    fn in_diametral_circle_is_exact() {
+        let a = p2(0.0, 0.0);
+        let b = p2(1.0, 0.0);
+        assert_eq!(
+            in_diametral_circle(&a, &b, &p2(0.5, 0.25)),
+            Orientation::Positive
+        );
+        assert_eq!(
+            in_diametral_circle(&a, &b, &p2(0.5, 0.5)),
+            Orientation::Zero
+        );
+        assert_eq!(
+            in_diametral_circle(&a, &b, &p2(0.5, -0.5)),
+            Orientation::Zero
+        );
+        assert_eq!(
+            in_diametral_circle(&a, &b, &p2(2.0, 0.0)),
+            Orientation::Negative
+        );
+        // One ulp either side of the circle, inside the float filter's
+        // error bound: only the exact path tells.
+        let above = p2(0.5, 0.5 + 2f64.powi(-53));
+        let below = p2(0.5, 0.5 - 2f64.powi(-54));
+        assert_eq!(in_diametral_circle(&a, &b, &above), Orientation::Negative);
+        assert_eq!(in_diametral_circle(&a, &b, &below), Orientation::Positive);
+        // Endpoints lie on the circle.
+        assert_eq!(in_diametral_circle(&a, &b, &a), Orientation::Zero);
     }
 
     #[test]

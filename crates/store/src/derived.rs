@@ -10,12 +10,10 @@
 //! The 2D hull and Delaunay kinds are *maintainable*: a full compute also
 //! hands back the delta [`Engine`] it read the value off, which later
 //! epochs advance in place over insert-only batches ([`advance_engine`]),
-//! producing
-//! values bit-identical to a fresh compute on the same live view. The
-//! canonical full-recompute paths are chosen to make that equivalence
-//! exact: quickhull for the hull (minimal-index tie-breaks) and the
-//! index-order Bowyer–Watson build for the Delaunay graph (fixed
-//! insertion schedule pins the triangle set even on cocircular inputs).
+//! producing values bit-identical to a fresh compute on the same live
+//! view: the hull's minimal-index tie-breaks are what index-order
+//! insertion produces, and the Delaunay kernel gives a point set one
+//! triangulation whatever the insertion order.
 
 use crate::request::{DerivedKind, Response};
 use pargeo_closestpair::{try_closest_pair, ClosestPair};
@@ -151,10 +149,6 @@ pub(crate) fn compute<const D: usize>(
                     dim: D,
                 });
             };
-            // Canonical index-order build (not the library's Morton
-            // order): on cocircular inputs the triangulation is not
-            // unique, and only the schedule batches resume keeps full
-            // recomputes bit-identical to engine-advanced results.
             let eng = DelaunayIncremental::try_build(p2)?;
             let graph = DerivedVal::Graph(remap_edges(&eng.edges()?, ids));
             return Ok((graph, Some(Engine::Delaunay2(Box::new(eng)))));
@@ -180,22 +174,20 @@ pub(crate) enum Engine {
 pub(crate) enum Fallback {
     /// A delete epoch dropped the engine (deletes shuffle positions).
     Delete,
-    /// A batch point fell outside the bbox the engine was built on.
-    OutsideBounds,
     /// The batch tore down more than the damage threshold allows.
     Damage,
     /// The engine's consumed prefix is no longer a prefix of the view.
     AnchorLost,
-    /// The engine answered with an error: poisoned by an aborted batch,
-    /// or handed a batch no build would accept either.
+    /// The engine answered with an error — poisoned by an aborted batch,
+    /// or handed a batch no build would accept either — or a panic
+    /// unwound out of its advance or the compute that replaced it.
     Poisoned,
 }
 
 impl Fallback {
     /// Every cause, in metric-label order.
-    pub(crate) const ALL: [Fallback; 5] = [
+    pub(crate) const ALL: [Fallback; 4] = [
         Fallback::Delete,
-        Fallback::OutsideBounds,
         Fallback::Damage,
         Fallback::AnchorLost,
         Fallback::Poisoned,
@@ -204,7 +196,6 @@ impl Fallback {
     pub(crate) fn label(self) -> &'static str {
         match self {
             Fallback::Delete => "delete",
-            Fallback::OutsideBounds => "outside_bounds",
             Fallback::Damage => "damage",
             Fallback::AnchorLost => "anchor_lost",
             Fallback::Poisoned => "poisoned",
@@ -241,7 +232,6 @@ pub(crate) fn advance_engine<const D: usize>(
                     Ok(DerivedVal::Graph(remap_edges(&edges, ids)))
                 }
                 Ok(DelaunayBatchOutcome::DamageExceeded { .. }) => Err(Fallback::Damage),
-                Ok(DelaunayBatchOutcome::OutsideBounds) => Err(Fallback::OutsideBounds),
                 Err(_) => Err(Fallback::Poisoned),
             }
         }

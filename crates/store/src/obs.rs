@@ -269,7 +269,7 @@ mod tests {
             &[Request::Insert(pts[500..550].to_vec())],
             &both, // incremental
             &[Request::Insert(vec![Point2::new([5.0, 0.5])])],
-            &both[1..], // outside the Delaunay engine's bbox
+            &both[1..], // outside the build's bbox: the engine advances
             &[Request::Delete(pts[10..20].to_vec())],
             &both, // no engine survives a delete
         ]
@@ -306,7 +306,6 @@ mod tests {
             vec![
                 (series("delaunay-graph", "delete"), 1),
                 (series("hull", "delete"), 1),
-                (series("delaunay-graph", "outside_bounds"), 1),
             ]
         );
         assert_eq!(
@@ -337,7 +336,7 @@ mod tests {
                 of("fresh", None),
                 of("incremental", None),
                 of("incremental", None),
-                of("rebuilt", Some("outside_bounds")),
+                of("incremental", None),
                 of("rebuilt", Some("delete")),
                 of("rebuilt", Some("delete")),
             ]

@@ -327,9 +327,9 @@ fn retire<const D: usize>((ids, pts): &mut LiveView<D>, removed: &[(Point<D>, u3
 /// An entry whose `epoch` matches the store's write epoch serves reads
 /// directly (a hit). A *stale* entry survives epoch bumps only to carry
 /// maintenance state forward: a live [`Engine`] across insert-only epochs
-/// (advanced on the next request), or a `rebuild_pending` marker across
-/// delete epochs (so the next compute is counted as a rebuild fallback,
-/// not a fresh start). Stale values are never served.
+/// (advanced on the next request), or a `rebuild_pending` cause across
+/// delete epochs and panics (so the next compute is counted as a rebuild
+/// fallback, not a fresh start). Stale values are never served.
 struct MemoEntry<const D: usize> {
     /// Write epoch `value` was computed at.
     epoch: u64,
@@ -344,9 +344,10 @@ struct MemoEntry<const D: usize> {
     anchor: Option<(usize, u32)>,
     /// How `value` was produced.
     path: MemoPath,
-    /// A delete invalidated the prior structure; the next compute is a
-    /// rebuild, not a fresh start.
-    rebuild_pending: bool,
+    /// Why the prior structure is gone — a delete, or a panic in its
+    /// advance or compute: the next compute is a rebuild, not a fresh
+    /// start.
+    rebuild_pending: Option<Fallback>,
 }
 
 /// One service-grade façade over every ParGeo module.
@@ -762,17 +763,14 @@ impl<const D: usize> GeoStore<D> {
             o.index_cow_bytes.add(cow_bytes);
         }
         if deleting {
-            self.cache.retain(|_, e| {
-                let maintained = e.engine.is_some() || e.rebuild_pending;
-                e.engine = None;
-                e.anchor = None;
-                e.rebuild_pending = maintained;
-                maintained
-            });
-        } else {
-            self.cache
-                .retain(|_, e| e.engine.is_some() || e.rebuild_pending);
+            for e in self.cache.values_mut() {
+                if e.engine.take().is_some() {
+                    e.rebuild_pending = Some(Fallback::Delete);
+                }
+            }
         }
+        self.cache
+            .retain(|_, e| e.engine.is_some() || e.rebuild_pending.is_some());
         cow_bytes
     }
 
@@ -816,25 +814,32 @@ impl<const D: usize> GeoStore<D> {
         let (ids, pts) = &*self
             .live_view
             .get_or_insert_with(|| self.index.live_points());
-        let mut prior = self.cache.remove(&kind);
+        // The engine leaves its entry for the advance. Until this request
+        // stores a new entry, the one left behind holds no engine and is
+        // pending a rebuild: a panic below costs the next request a counted
+        // `Rebuilt`, and a half-advanced engine is never reused.
+        let prior = self.cache.get_mut(&kind).map(|e| {
+            let pending = e.rebuild_pending.replace(Fallback::Poisoned);
+            (e.engine.take(), e.anchor.take(), pending)
+        });
         let had_structure = prior
             .as_ref()
-            .is_some_and(|e| e.engine.is_some() || e.rebuild_pending);
+            .is_some_and(|(engine, _, pending)| engine.is_some() || pending.is_some());
 
         // Incremental path: a live engine whose consumed prefix is intact
         // (live ids ascend and inserts append, so one id pins the prefix)
         // absorbs the delta in place; otherwise `fallback` says why not.
         let mut fallback = None;
-        if let Some(mut entry) = prior.take() {
-            let anchored = entry.anchor.is_some_and(|(consumed, last_id)| {
+        if let Some((mut engine, anchor, pending)) = prior {
+            let anchored = anchor.is_some_and(|(consumed, last_id)| {
                 consumed >= 1 && ids.len() >= consumed && ids[consumed - 1] == last_id
             });
-            let advanced = match entry.engine.as_mut() {
+            let advanced = match engine.as_mut() {
                 Some(engine) if anchored => {
                     derived::advance_engine(engine, ids, pts, DAMAGE_THRESHOLD)
                 }
                 Some(_) => Err(Fallback::AnchorLost),
-                None => Err(Fallback::Delete),
+                None => Err(pending.unwrap_or(Fallback::Delete)),
             };
             match (advanced, ids.last()) {
                 (Ok(val), Some(&last)) => {
@@ -845,12 +850,17 @@ impl<const D: usize> GeoStore<D> {
                     if let Some(s) = span.as_mut() {
                         s.label("path", MemoPath::Incremental.label());
                     }
-                    entry.epoch = self.write_epoch;
-                    entry.value = Ok(Arc::new(val));
-                    entry.anchor = Some((ids.len(), last));
-                    entry.path = MemoPath::Incremental;
-                    entry.rebuild_pending = false;
-                    self.cache.insert(kind, entry);
+                    self.cache.insert(
+                        kind,
+                        MemoEntry {
+                            epoch: self.write_epoch,
+                            value: Ok(Arc::new(val)),
+                            engine,
+                            anchor: Some((ids.len(), last)),
+                            path: MemoPath::Incremental,
+                            rebuild_pending: None,
+                        },
+                    );
                     return;
                 }
                 (Err(cause), _) if had_structure => fallback = Some(cause),
@@ -894,7 +904,7 @@ impl<const D: usize> GeoStore<D> {
                 engine,
                 anchor,
                 path,
-                rebuild_pending: false,
+                rebuild_pending: None,
             },
         );
     }
@@ -1359,11 +1369,11 @@ mod tests {
         let second: Vec<Point<2>> = (1..=8).map(|i| at(i + 500, 0.3, 0.4)).collect();
         // No pool of its own: the store computes on this thread, where the
         // fault is armed.
-        let mut store = GeoStore::<2>::builder().build();
+        let mut store = GeoStore::<2>::builder().observe(ObsLevel::Metrics).build();
         let mut oracle = GeoStore::<2>::builder().backend(Backend::Oracle).build();
         let kind = DerivedKind::DelaunayGraph;
         let request = [Request::DelaunayGraph];
-        let fault_then_serve = |store: &mut GeoStore<2>, oracle: &mut GeoStore<2>| {
+        let fault_then_serve = |store: &mut GeoStore<2>, oracle: &mut GeoStore<2>, path| {
             let before = (
                 store.len(),
                 store.stats().write_epoch,
@@ -1394,7 +1404,7 @@ mod tests {
             let want = oracle.execute(&request);
             assert!(want[0].is_ok());
             assert_eq!(store.execute(&request), want);
-            assert_eq!(store.derived_path(kind), Some(MemoPath::Fresh));
+            assert_eq!(store.derived_path(kind), Some(path));
         };
 
         store.insert(&first);
@@ -1405,18 +1415,52 @@ mod tests {
             oracle.execute(&[Request::Seb])
         );
         assert!(store.live_view.is_some());
-        fault_then_serve(&mut store, &mut oracle);
+        // Nothing was memoized before the first compute, so nothing is
+        // rebuilt after it.
+        fault_then_serve(&mut store, &mut oracle, MemoPath::Fresh);
         assert_eq!(oracle.derived_path(kind), Some(MemoPath::Fresh));
 
+        // The faulted advance leaves the entry without its engine, pending
+        // a rebuild: the next request is a counted `Rebuilt`.
         store.insert(&second);
         oracle.insert(&second);
-        fault_then_serve(&mut store, &mut oracle);
+        fault_then_serve(&mut store, &mut oracle, MemoPath::Rebuilt);
         assert_eq!(
             oracle.derived_path(kind),
             Some(MemoPath::Incremental),
             "the faulted request was an engine advance"
         );
         assert_eq!(store.stats().cache.incremental, 0);
+        assert_eq!(store.stats().cache.rebuilds, 1);
+        let registry = store.registry().expect("observed");
+        let poisoned = [("kind", "delaunay-graph"), ("cause", "poisoned")];
+        let fallbacks = registry.counter("geostore_memo_fallback_total", &poisoned);
+        assert_eq!(fallbacks.get(), 1);
+    }
+
+    /// The Delaunay engine has no bbox: an insert epoch entirely outside
+    /// the one it was built on advances it, and the answer equals the
+    /// oracle's fresh compute.
+    #[test]
+    fn a_delaunay_insert_outside_the_build_bbox_is_incremental() {
+        let mut store = GeoStore::<2>::builder().build();
+        let mut oracle = GeoStore::<2>::builder().backend(Backend::Oracle).build();
+        let inside = pargeo_datagen::uniform_cube::<2>(300, 5);
+        let outside: Vec<Point<2>> = pargeo_datagen::uniform_cube::<2>(40, 6)
+            .iter()
+            .map(|p| Point::new([3.0 + p[0], -2.0 - p[1]]))
+            .collect();
+        for batch in [inside, outside] {
+            store.insert(&batch);
+            oracle.insert(&batch);
+            let want = oracle.execute(&[Request::DelaunayGraph]);
+            assert!(want[0].is_ok());
+            assert_eq!(store.execute(&[Request::DelaunayGraph]), want);
+        }
+        assert_eq!(
+            store.derived_path(DerivedKind::DelaunayGraph),
+            Some(MemoPath::Incremental)
+        );
         assert_eq!(store.stats().cache.rebuilds, 0);
     }
 

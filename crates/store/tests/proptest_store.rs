@@ -304,11 +304,11 @@ fn check_response(
             );
         }
         Request::DelaunayGraph => {
-            // The store's canonical Delaunay path is the index-order
-            // incremental build (fixed insertion schedule ⇒ unique triangle
-            // set even on cocircular lattice inputs); mirror it exactly.
-            let want = pargeo_delaunay::DelaunayIncremental::try_build(live)
-                .and_then(|d| d.edges())
+            // The library's Morton-order build: the store's index-order
+            // engine must give the same edges, cocircular lattices included
+            // (a point set has one perturbed triangulation).
+            let want = pargeo_delaunay::try_delaunay(live)
+                .map(|d| pargeo_delaunay::delaunay_edges(&d))
                 .map(|edges| {
                     edges
                         .into_iter()
