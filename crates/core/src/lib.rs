@@ -264,7 +264,7 @@ pub mod prelude {
     pub use pargeo_hull::{
         hull2d_divide_conquer, hull2d_quickhull_parallel, hull2d_randinc, hull2d_seq,
         hull3d_divide_conquer, hull3d_pseudo, hull3d_quickhull_parallel, hull3d_randinc,
-        hull3d_seq, try_hull2d, try_hull3d, Hull2dIncremental, Hull3d, HullBatchOutcome,
+        hull3d_seq, try_hull2d, try_hull3d, Hull3d,
     };
     pub use pargeo_kdtree::{B1Tree, B2Tree, KdTree, LevelTree, SplitRule, ZdTree};
     pub use pargeo_obs::{HistSummary, ObsLevel, Registry};

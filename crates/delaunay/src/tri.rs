@@ -26,10 +26,10 @@
 //!   order.
 //! - **Location is a hint, not an input.** A walk starts at a triangle
 //!   incident to a nearby inserted vertex, found through a coarse-to-fine
-//!   grid over the build's bbox (points outside it clamp to border cells).
-//!   Where a walk starts cannot change what is built: the cavity is the
-//!   *set* of triangles in conflict with the point, and every triangle
-//!   containing the point belongs to it.
+//!   grid over the points' bbox (a batch that lands beyond it grows the
+//!   box and refills the grid). Where a walk starts cannot change what is
+//!   built: the cavity is the *set* of triangles in conflict with the
+//!   point, and every triangle containing the point belongs to it.
 
 use pargeo_geometry::{incircle, orient2d, Bbox, Orientation, Point2};
 use std::cmp::Ordering;
@@ -60,7 +60,7 @@ struct Cavity {
     stack: Vec<(u32, u8, u8)>,
 }
 
-/// Pyramid of square grids over the build's bbox, level `l` holding
+/// Pyramid of square grids over the points' bbox, level `l` holding
 /// `2^l × 2^l` cells, each remembering the first vertex inserted into it.
 /// An occupied cell has occupied ancestors, so a lookup climbs from the
 /// finest level to the first hit: the vertex it finds is as close as the
@@ -95,6 +95,28 @@ impl Grid {
     /// Points beyond which walks from the finest level get long (16 a cell).
     fn capacity(&self) -> usize {
         16 << (2 * self.top)
+    }
+
+    /// The `(lo, span)` to refill over once the points in `b` join, or
+    /// `None` while each lies within a finest cell of the box (it clamps
+    /// to the border cell beside it). Each side a point overflows at least
+    /// doubles the box, so a stream drifting away refills the grid once
+    /// per doubling of the distance, not once a batch.
+    fn grown(&self, b: &Bbox<2>) -> Option<([f64; 2], [f64; 2])> {
+        let (mut lo, mut hi) = (self.lo, [0, 1].map(|d| self.lo[d] + self.span[d]));
+        let mut grew = false;
+        for d in 0..2 {
+            let slack = self.span[d] / (1usize << self.top) as f64;
+            if b.min[d] < self.lo[d] - slack {
+                lo[d] = b.min[d].min(hi[d] - 2.0 * self.span[d]);
+                grew = true;
+            }
+            if b.max[d] > hi[d] + slack {
+                hi[d] = b.max[d].max(self.lo[d] + 2.0 * self.span[d]);
+                grew = true;
+            }
+        }
+        grew.then(|| (lo, [0, 1].map(|d| hi[d] - lo[d])))
     }
 
     fn cell(&self, p: &Point2) -> [usize; 2] {
@@ -150,6 +172,9 @@ pub(crate) struct TriMesh {
     /// Walks start at slot 0 instead of the hinted triangle.
     #[cfg(test)]
     pub no_hint: bool,
+    /// Triangles visited by location walks so far.
+    #[cfg(test)]
+    pub steps: std::cell::Cell<usize>,
 }
 
 impl TriMesh {
@@ -179,6 +204,8 @@ impl TriMesh {
             cav: Cavity::default(),
             #[cfg(test)]
             no_hint: false,
+            #[cfg(test)]
+            steps: Default::default(),
         };
         for q in [a, b, c] {
             mesh.vtri[q as usize] = 0;
@@ -188,13 +215,16 @@ impl TriMesh {
     }
 
     /// Appends uninserted points, anywhere in the plane. Touches no
-    /// triangle; when the point count outgrows the hint grid (every 4×)
-    /// the grid is refilled from the vertices, over the same bbox.
+    /// triangle; the hint grid is refilled from the vertices when the
+    /// points land beyond its box (over the grown box) or the point count
+    /// outgrows it (every 4×).
     pub fn append_points(&mut self, extra: &[Point2]) {
         self.points.extend_from_slice(extra);
         self.vtri.resize(self.points.len(), NONE);
-        if self.points.len() > self.grid.capacity() {
-            let mut grid = Grid::new(self.grid.lo, self.grid.span, self.points.len());
+        let grown = self.grid.grown(&Bbox::from_points(extra));
+        if grown.is_some() || self.points.len() > self.grid.capacity() {
+            let (lo, span) = grown.unwrap_or((self.grid.lo, self.grid.span));
+            let mut grid = Grid::new(lo, span, self.points.len());
             for (q, p) in self.points.iter().enumerate() {
                 if self.vtri[q] != NONE {
                     grid.put(p, q as u32);
@@ -389,6 +419,8 @@ impl TriMesh {
         let hinted = if self.no_hint { 0 } else { hinted };
         let mut t = hinted;
         'walk: for _ in 0..self.v.len() {
+            #[cfg(test)]
+            self.steps.set(self.steps.get() + 1);
             let v = self.v[t as usize];
             if let Some(k) = self.ghost_at(t) {
                 if self.ghost_conflicts(t, k, p) {
@@ -497,4 +529,68 @@ pub fn validate_delaunay(points: &[Point2], triangles: &[[u32; 3]]) -> Result<()
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::bw::check_input;
+    use pargeo_datagen::uniform_cube;
+
+    /// `n` uniform points in the unit square moved right by `dx`.
+    fn square(n: usize, seed: u64, dx: f64) -> Vec<Point2> {
+        let side = (n as f64).sqrt();
+        let pts = uniform_cube::<2>(n, seed).into_iter();
+        pts.map(|p| Point2::new([dx + p[0] / side, p[1] / side]))
+            .collect()
+    }
+
+    /// A mesh over `build`, then `batches` appended and inserted one by
+    /// one, and how many times the hint grid's box grew on the way.
+    fn grow(build: &[Point2], batches: &[Vec<Point2>]) -> (TriMesh, usize) {
+        let mut mesh = TriMesh::new(build, check_input(build).unwrap());
+        mesh.insert_all(0..build.len() as u32, f64::INFINITY);
+        let mut growths = 0;
+        for batch in batches {
+            let (first, span) = (mesh.points.len() as u32, mesh.grid.span);
+            mesh.append_points(batch);
+            growths += usize::from(mesh.grid.span != span);
+            mesh.insert_all(first..mesh.points.len() as u32, f64::INFINITY);
+        }
+        (mesh, growths)
+    }
+
+    /// Batches that land beside the build's box, or drift ever further
+    /// from it, start their walks near their own points: the hint grid
+    /// grows over them, so walks stay a few triangles long (a grid kept on
+    /// the build's box sends every such point in from a border cell, tens
+    /// of triangles away), and it grows by doublings, not once a batch.
+    #[test]
+    fn walks_stay_short_when_batches_leave_the_build_box() {
+        let build = square(500, 1, 0.0);
+        // Batch k lands at x in [1, 2], or in [1 + k, 2 + k].
+        let shifts: [(&str, fn(u64) -> f64, usize); 2] =
+            [("beside", |_| 1.0, 1), ("drifting", |k| 1.0 + k as f64, 5)];
+        for (name, shift, doublings) in shifts {
+            let batches: Vec<Vec<Point2>> = (0..20).map(|k| square(250, 2 + k, shift(k))).collect();
+            let (mesh, growths) = grow(&build, &batches);
+            let points = mesh.points.len();
+            assert!(
+                mesh.steps.get() < 10 * points,
+                "{name}: {} walk steps for {points} points",
+                mesh.steps.get()
+            );
+            assert_eq!(growths, doublings, "{name}");
+        }
+    }
+
+    /// A batch from the build's own distribution may beat its bbox by a
+    /// hair; that is no reason to refill the grid.
+    #[test]
+    fn a_batch_a_hair_outside_the_box_keeps_the_grid() {
+        let build = square(5_000, 3, 0.0);
+        let batch = square(500, 4, 0.0);
+        assert!(!Bbox::from_points(&build).contains_box(&Bbox::from_points(&batch)));
+        assert_eq!(grow(&build, &[batch]).1, 0);
+    }
 }

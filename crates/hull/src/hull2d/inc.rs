@@ -24,6 +24,13 @@
 //! The damage threshold bounds how much of the structure one batch may
 //! tear down before the caller is told to rebuild from scratch instead
 //! (`destroyed edges / (cycle edges at batch start + batch size)`).
+//!
+//! No library path uses this engine: the store computes its 2D hull with
+//! [`try_hull2d`](crate::try_hull2d), which returns the same index
+//! vector; advancing this engine instead saved under 1% of the store's
+//! derived time. Its only caller is the
+//! benchmark ledger (`bench/ledger/src/store.rs`, metric
+//! `hull.inc2d_batch_ms`); the module goes when the ledger drops it.
 
 use super::{rotate_to_lex_min, sees, strip_collinear, try_hull2d};
 use pargeo_geometry::{GeoError, GeoResult, Point2};

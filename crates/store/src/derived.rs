@@ -7,19 +7,18 @@
 //! const-generic `D` at runtime; unsupported dimensions come back as
 //! [`GeoError::DimensionUnsupported`], never a panic.
 //!
-//! The 2D hull and Delaunay kinds are *maintainable*: a full compute also
-//! hands back the delta [`Engine`] it read the value off, which later
-//! epochs advance in place over insert-only batches ([`advance_engine`]),
-//! producing values bit-identical to a fresh compute on the same live
-//! view: the hull's minimal-index tie-breaks are what index-order
-//! insertion produces, and the Delaunay kernel gives a point set one
-//! triangulation whatever the insertion order.
+//! The 2D Delaunay graph is the one *maintained* kind: a full compute
+//! also hands back the [`DelaunayIncremental`] engine it read the edges
+//! off, which later epochs advance in place over insert-only batches
+//! ([`advance_engine`]), producing values bit-identical to a fresh compute
+//! on the same live view — the kernel gives a point set one triangulation
+//! whatever the insertion order. Every other kind, the hull included,
+//! recomputes.
 
 use crate::request::{DerivedKind, Response};
 use pargeo_closestpair::{try_closest_pair, ClosestPair};
 use pargeo_delaunay::{DelaunayBatchOutcome, DelaunayIncremental};
 use pargeo_geometry::{Ball, GeoError, GeoResult, Point};
-use pargeo_hull::{Hull2dIncremental, HullBatchOutcome};
 use pargeo_wspd::EmstEdge;
 
 /// A computed derived structure, id-remapped, ready to cache.
@@ -68,22 +67,20 @@ fn cast_slice<const D: usize, const E: usize>(pts: &[Point<D>]) -> Option<&[Poin
 }
 
 /// Computes `kind` over the live view: `pts[i]` is the live point with
-/// store id `ids[i]` (`ids` strictly ascending). The maintainable kinds
-/// also return the delta engine the value was read off: the
-/// engine-extracted value IS the canonical value, both being the same
-/// algorithm on the same input. A caller with no use for it drops it.
+/// store id `ids[i]` (`ids` strictly ascending). The Delaunay graph also
+/// returns the engine its edges were read off: the engine-extracted value
+/// IS the canonical value, both being the same algorithm on the same
+/// input. A caller with no use for it drops it.
 pub(crate) fn compute<const D: usize>(
     kind: DerivedKind,
     ids: &[u32],
     pts: &[Point<D>],
-) -> GeoResult<(DerivedVal<D>, Option<Engine>)> {
+) -> GeoResult<(DerivedVal<D>, Option<DelaunayIncremental>)> {
     injected_fault();
     let value = match kind {
         DerivedKind::Hull => {
             if let Some(p2) = cast_slice::<D, 2>(pts) {
-                let eng = Hull2dIncremental::try_build(p2)?;
-                let hull = DerivedVal::Hull(remap_ids(&eng.hull(p2)?, ids));
-                return Ok((hull, Some(Engine::Hull2(eng))));
+                DerivedVal::Hull(remap_ids(&pargeo_hull::try_hull2d(p2)?, ids))
             } else if let Some(p3) = cast_slice::<D, 3>(pts) {
                 let hull = pargeo_hull::try_hull3d(p3)?;
                 DerivedVal::Hull(remap_ids(&hull.vertices, ids))
@@ -151,20 +148,10 @@ pub(crate) fn compute<const D: usize>(
             };
             let eng = DelaunayIncremental::try_build(p2)?;
             let graph = DerivedVal::Graph(remap_edges(&eng.edges()?, ids));
-            return Ok((graph, Some(Engine::Delaunay2(Box::new(eng)))));
+            return Ok((graph, Some(eng)));
         }
     };
     Ok((value, None))
-}
-
-/// A delta-maintenance engine carried inside the memo cache between
-/// insert-only epochs. Engines exist only for the maintainable kinds in
-/// 2D; everything else always recomputes.
-pub(crate) enum Engine {
-    /// Incremental 2D hull over the compacted live view.
-    Hull2(Hull2dIncremental),
-    /// Incremental 2D Delaunay over the compacted live view.
-    Delaunay2(Box<DelaunayIncremental>),
 }
 
 /// Why a maintained structure was rebuilt wholesale instead of advanced —
@@ -174,8 +161,6 @@ pub(crate) enum Engine {
 pub(crate) enum Fallback {
     /// A delete epoch dropped the engine (deletes shuffle positions).
     Delete,
-    /// The batch tore down more than the damage threshold allows.
-    Damage,
     /// The engine's consumed prefix is no longer a prefix of the view.
     AnchorLost,
     /// The engine answered with an error — poisoned by an aborted batch,
@@ -186,55 +171,39 @@ pub(crate) enum Fallback {
 
 impl Fallback {
     /// Every cause, in metric-label order.
-    pub(crate) const ALL: [Fallback; 4] = [
-        Fallback::Delete,
-        Fallback::Damage,
-        Fallback::AnchorLost,
-        Fallback::Poisoned,
-    ];
+    pub(crate) const ALL: [Fallback; 3] =
+        [Fallback::Delete, Fallback::AnchorLost, Fallback::Poisoned];
 
     pub(crate) fn label(self) -> &'static str {
         match self {
             Fallback::Delete => "delete",
-            Fallback::Damage => "damage",
             Fallback::AnchorLost => "anchor_lost",
             Fallback::Poisoned => "poisoned",
         }
     }
 }
 
-/// Advances a delta engine over the current live view (whose consumed
-/// prefix must be unchanged — the store checks the id anchor before
-/// calling). Returns the new canonical value, or why the engine declined
-/// — the caller must then drop the engine and recompute wholesale.
+/// Advances the Delaunay engine over the current live view (whose
+/// consumed prefix must be unchanged — the store checks the id anchor
+/// before calling) by every point past that prefix: an advance of `b`
+/// points is `b` insertions, which no rebuild of the whole view undercuts,
+/// so the engine is given no damage budget. Returns the new canonical
+/// value, or why the engine could not advance — the caller must then drop
+/// it and recompute wholesale.
 pub(crate) fn advance_engine<const D: usize>(
-    engine: &mut Engine,
+    engine: &mut DelaunayIncremental,
     ids: &[u32],
     pts: &[Point<D>],
-    max_damage: f64,
 ) -> Result<DerivedVal<D>, Fallback> {
     injected_fault();
     let p2 = cast_slice::<D, 2>(pts).ok_or(Fallback::AnchorLost)?;
-    match engine {
-        Engine::Hull2(h) => match h.try_insert_batch(p2, max_damage) {
-            Ok(HullBatchOutcome::Applied { .. }) => {
-                let hull = h.hull(p2).map_err(|_| Fallback::Poisoned)?;
-                Ok(DerivedVal::Hull(remap_ids(&hull, ids)))
-            }
-            Ok(HullBatchOutcome::DamageExceeded { .. }) => Err(Fallback::Damage),
-            Err(_) => Err(Fallback::Poisoned),
-        },
-        Engine::Delaunay2(d) => {
-            let fresh = p2.get(d.consumed()..).ok_or(Fallback::AnchorLost)?;
-            match d.try_insert_batch(fresh, max_damage) {
-                Ok(DelaunayBatchOutcome::Applied { .. }) => {
-                    let edges = d.edges().map_err(|_| Fallback::Poisoned)?;
-                    Ok(DerivedVal::Graph(remap_edges(&edges, ids)))
-                }
-                Ok(DelaunayBatchOutcome::DamageExceeded { .. }) => Err(Fallback::Damage),
-                Err(_) => Err(Fallback::Poisoned),
-            }
+    let fresh = p2.get(engine.consumed()..).ok_or(Fallback::AnchorLost)?;
+    match engine.try_insert_batch(fresh, f64::INFINITY) {
+        Ok(DelaunayBatchOutcome::Applied { .. }) => {
+            let edges = engine.edges().map_err(|_| Fallback::Poisoned)?;
+            Ok(DerivedVal::Graph(remap_edges(&edges, ids)))
         }
+        Ok(DelaunayBatchOutcome::DamageExceeded { .. }) | Err(_) => Err(Fallback::Poisoned),
     }
 }
 
@@ -354,7 +323,7 @@ mod tests {
         let (_, engine) = built.expect("the finite prefix builds");
         let mut engine = engine.expect("a 2D Delaunay build leaves its engine");
         assert_eq!(
-            advance_engine(&mut engine, &ids, &pts, f64::INFINITY).map(|_| ()),
+            advance_engine(&mut engine, &ids, &pts).map(|_| ()),
             Err(Fallback::Poisoned)
         );
     }

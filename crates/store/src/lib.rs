@@ -34,12 +34,11 @@
 //!   EMST, Delaunay, …) are cached per write epoch: repeated reads
 //!   between writes are free, and any write that changes the live set
 //!   invalidates. No-op writes (empty batches, deletes matching nothing
-//!   live) spare the cache instead. The memoized 2D hull and Delaunay
-//!   graph go further: across insert-only epochs a delta engine applies
-//!   the coalesced batch to the existing structure instead of
-//!   recomputing, falling back to a full rebuild on deletes or when a
-//!   batch would tear down more than half the structure — with answers
-//!   bit-identical to a fresh compute either way.
+//!   live) spare the cache instead. The memoized 2D Delaunay graph goes
+//!   further: across insert-only epochs a delta engine inserts the
+//!   coalesced batch into the existing triangulation instead of
+//!   recomputing, falling back to a full rebuild after deletes — with
+//!   answers bit-identical to a fresh compute either way.
 //!   [`CacheStats`] reports hits, misses, spared epochs, incremental
 //!   applies, and rebuild fallbacks; [`GeoStore::derived_path`] names
 //!   the path ([`MemoPath`]) that produced the current value.

@@ -46,10 +46,6 @@ pub(crate) const MEMO_HIT: usize = 3;
 /// Slot of the spared-write-run counter in [`MEMO_PATHS`].
 pub(crate) const MEMO_SPARED: usize = 4;
 
-/// `geostore_memo_fallback_total{kind=..}` label order: the kinds a delta
-/// engine maintains, the only ones that can fall back.
-pub(crate) const MAINTAINED: [DerivedKind; 2] = [DerivedKind::Hull, DerivedKind::DelaunayGraph];
-
 /// Pre-resolved metric handles for one store. Cloned as an `Arc` at the
 /// top of every instrumented method so span guards never borrow `self`.
 pub(crate) struct StoreObs {
@@ -66,9 +62,10 @@ pub(crate) struct StoreObs {
     pub class_nanos: Vec<Arc<Histogram>>,
     /// `geostore_memo_total{path=..}`, indexed by [`MEMO_PATHS`].
     pub memo: Vec<Arc<Counter>>,
-    /// `geostore_memo_fallback_total{kind=.., cause=..}` — why each
-    /// `rebuilt` of `geostore_memo_total` was not an `incremental`:
-    /// [`MAINTAINED`]-major, [`Fallback::ALL`]-minor.
+    /// `geostore_memo_fallback_total{kind="delaunay-graph", cause=..}` —
+    /// why each `rebuilt` of `geostore_memo_total` was not an
+    /// `incremental` (the Delaunay graph is the one maintained kind),
+    /// indexed by [`Fallback::ALL`].
     memo_fallback: Vec<Arc<Counter>>,
     /// `geostore_write_epochs_total` — epoch bumps applied.
     pub epochs: Arc<Counter>,
@@ -121,11 +118,13 @@ impl StoreObs {
             .iter()
             .map(|p| registry.counter("geostore_memo_total", &[("path", p)]))
             .collect();
-        let memo_fallback = MAINTAINED
+        let memo_fallback = Fallback::ALL
             .iter()
-            .flat_map(|kind| Fallback::ALL.map(|cause| (kind.label(), cause.label())))
-            .map(|(kind, cause)| {
-                let labels = [("kind", kind), ("cause", cause)];
+            .map(|cause| {
+                let labels = [
+                    ("kind", DerivedKind::DelaunayGraph.label()),
+                    ("cause", cause.label()),
+                ];
                 registry.counter("geostore_memo_fallback_total", &labels)
             })
             .collect();
@@ -155,12 +154,10 @@ impl StoreObs {
         }
     }
 
-    /// The fallback counter of a maintained `kind` and `cause`.
-    pub(crate) fn memo_fallback(&self, kind: DerivedKind, cause: Fallback) -> &Counter {
-        let k = MAINTAINED.iter().position(|&m| m == kind);
-        let k = k.expect("only maintained kinds have an engine to fall back from");
+    /// The fallback counter of `cause`.
+    pub(crate) fn memo_fallback(&self, cause: Fallback) -> &Counter {
         let c = Fallback::ALL.iter().position(|&c| c == cause);
-        &self.memo_fallback[k * Fallback::ALL.len() + c.expect("every cause is listed")]
+        &self.memo_fallback[c.expect("every cause is listed")]
     }
 }
 
@@ -267,28 +264,35 @@ mod tests {
             &[Request::Insert(pts[..500].to_vec())][..],
             &both, // fresh
             &[Request::Insert(pts[500..550].to_vec())],
-            &both, // incremental
+            &both, // hull fresh, Delaunay incremental
             &[Request::Insert(vec![Point2::new([5.0, 0.5])])],
             &both[1..], // outside the build's bbox: the engine advances
             &[Request::Delete(pts[10..20].to_vec())],
-            &both, // no engine survives a delete
+            &both, // no engine survives a delete: Delaunay rebuilt
         ]
         .concat();
         let mut store = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
         let responses = store.execute(&stream);
         assert!(responses.iter().all(Result::is_ok));
-        // A batch four times the mesh it lands on tears down more of it
-        // than the store's budget (half) allows: the Delaunay engine falls
-        // back, the hull's engine advances (interior points leave it alone).
+        // A batch four times the mesh it lands on is still an advance: no
+        // budget turns it into a rebuild, and the answers are the oracle's.
+        let brittle_stream = [
+            &[Request::Insert(pts[..100].to_vec())][..],
+            &both,
+            &[Request::Insert(pts[100..500].to_vec())],
+            &both,
+        ]
+        .concat();
         let mut brittle = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
-        brittle.execute(
-            &[
-                &[Request::Insert(pts[..100].to_vec())][..],
-                &both,
-                &[Request::Insert(pts[100..500].to_vec())],
-                &both,
-            ]
-            .concat(),
+        let mut oracle = GeoStore::<2>::builder()
+            .backend(crate::Backend::Oracle)
+            .build();
+        let answers = brittle.execute(&brittle_stream);
+        assert!(answers.iter().all(Result::is_ok));
+        assert_eq!(answers, oracle.execute(&brittle_stream));
+        assert_eq!(
+            brittle.derived_path(crate::DerivedKind::DelaunayGraph),
+            Some(crate::MemoPath::Incremental)
         );
 
         let fallbacks = |store: &GeoStore<2>| -> Vec<(String, u64)> {
@@ -303,15 +307,9 @@ mod tests {
         };
         assert_eq!(
             fallbacks(&store),
-            vec![
-                (series("delaunay-graph", "delete"), 1),
-                (series("hull", "delete"), 1),
-            ]
+            vec![(series("delaunay-graph", "delete"), 1)]
         );
-        assert_eq!(
-            fallbacks(&brittle),
-            vec![(series("delaunay-graph", "damage"), 1)]
-        );
+        assert_eq!(fallbacks(&brittle), vec![]);
         // Every rebuild is explained.
         let rebuilt = store.registry().expect("observed");
         let rebuilt = rebuilt.counter("geostore_memo_total", &[("path", "rebuilt")]);
@@ -329,15 +327,16 @@ mod tests {
             .map(|e| (label(e, "path"), label(e, "cause")))
             .collect();
         let of = |path: &str, cause: Option<&str>| (Some(path.into()), cause.map(String::from));
+        // The hull is never maintained: every hull compute is `fresh`.
         assert_eq!(
             memo,
             vec![
                 of("fresh", None),
                 of("fresh", None),
+                of("fresh", None),
                 of("incremental", None),
                 of("incremental", None),
-                of("incremental", None),
-                of("rebuilt", Some("delete")),
+                of("fresh", None),
                 of("rebuilt", Some("delete")),
             ]
         );

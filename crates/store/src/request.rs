@@ -157,7 +157,8 @@ pub struct CacheStats {
     /// batch to the previous epoch's structure instead of recomputing.
     pub incremental: u64,
     /// Misses where a previous structure existed but had to be recomputed
-    /// wholesale (deletes, damage threshold, bbox growth).
+    /// wholesale (a delete epoch, a lost prefix anchor, or an engine that
+    /// failed or panicked).
     pub rebuilds: u64,
 }
 
@@ -171,8 +172,8 @@ pub enum MemoPath {
     Fresh,
     /// A live delta engine applied the insert batch in place.
     Incremental,
-    /// A prior structure existed but was recomputed wholesale (deletes,
-    /// damage threshold exceeded, bbox growth, or an unsupported delta).
+    /// A prior structure existed but was recomputed wholesale (a delete
+    /// epoch, a lost prefix anchor, or an engine that failed or panicked).
     Rebuilt,
 }
 

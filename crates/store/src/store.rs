@@ -1,11 +1,12 @@
 //! The store itself: builder, epoch planner, memo cache — the index is
 //! the point set, and the compacted live view its one store-side shadow.
 
-use crate::derived::{self, Engine, Fallback};
+use crate::derived::{self, Fallback};
 use crate::obs::{self, StoreObs};
 use crate::pipeline::{LiveView, Memo, StoreSnapshot};
 use crate::request::{CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
 use pargeo_bdltree::{bdl::DEFAULT_BUFFER_SIZE, BdlTree};
+use pargeo_delaunay::DelaunayIncremental;
 use pargeo_engine::{ShardedIndex, Snapshot, SpatialIndex, VecIndex};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
@@ -56,15 +57,6 @@ pub struct GeoStoreBuilder<const D: usize> {
     observe: ObsLevel,
     pipeline: bool,
 }
-
-/// Fraction of a maintained structure (hull edges, alive triangles — each
-/// relative to structure size plus batch size) one coalesced insert batch
-/// may tear down before the delta engine gives up and the store recomputes
-/// wholesale. Bowyer–Watson kills ~4.5 triangles per insert even when
-/// nothing is "damaged", so 0.5 refuses batches larger than about a third
-/// of the structure — about where a rebuild is competitive anyway. Answers
-/// are bit-identical on either path; only the cost differs.
-const DAMAGE_THRESHOLD: f64 = 0.5;
 
 impl<const D: usize> Default for GeoStoreBuilder<D> {
     fn default() -> Self {
@@ -326,7 +318,7 @@ fn retire<const D: usize>((ids, pts): &mut LiveView<D>, removed: &[(Point<D>, u3
 ///
 /// An entry whose `epoch` matches the store's write epoch serves reads
 /// directly (a hit). A *stale* entry survives epoch bumps only to carry
-/// maintenance state forward: a live [`Engine`] across insert-only epochs
+/// maintenance state forward: a live Delaunay engine across insert-only epochs
 /// (advanced on the next request), or a `rebuild_pending` cause across
 /// delete epochs and panics (so the next compute is counted as a rebuild
 /// fallback, not a fresh start). Stale values are never served.
@@ -335,9 +327,9 @@ struct MemoEntry<const D: usize> {
     epoch: u64,
     /// Shared with every snapshot pinned at `epoch`.
     value: Memo<D>,
-    /// Delta engine for maintainable kinds (2D hull / Delaunay), present
-    /// only while `value` is `Ok` and no delete has intervened.
-    engine: Option<Engine>,
+    /// Delta engine of the 2D Delaunay graph, present only while `value`
+    /// is `Ok` and no delete has intervened.
+    engine: Option<DelaunayIncremental>,
     /// `(consumed, last_id)` of the engine's live-view prefix: an O(1)
     /// append-only check (live ids ascend, inserts append) guarding the
     /// engine against any planner bug that would reorder the prefix.
@@ -745,8 +737,8 @@ impl<const D: usize> GeoStore<D> {
     /// compacted view was already brought up to date). What *survives* the
     /// bump is maintenance state: across an insert-only epoch, entries
     /// with a live delta engine (the engine absorbs the batch on the next
-    /// request); across a delete epoch, a rebuild marker per maintainable
-    /// entry (deletes shuffle compacted positions, so no engine survives).
+    /// request); across a delete epoch, a rebuild marker in place of each
+    /// engine (deletes shuffle compacted positions, so no engine survives).
     ///
     /// Returns the bytes the index copied on write during this epoch (read
     /// from its snapshot; 0 when unobserved — the snapshot is only taken
@@ -835,9 +827,7 @@ impl<const D: usize> GeoStore<D> {
                 consumed >= 1 && ids.len() >= consumed && ids[consumed - 1] == last_id
             });
             let advanced = match engine.as_mut() {
-                Some(engine) if anchored => {
-                    derived::advance_engine(engine, ids, pts, DAMAGE_THRESHOLD)
-                }
+                Some(engine) if anchored => derived::advance_engine(engine, ids, pts),
                 Some(_) => Err(Fallback::AnchorLost),
                 None => Err(pending.unwrap_or(Fallback::Delete)),
             };
@@ -887,7 +877,7 @@ impl<const D: usize> GeoStore<D> {
         }
         if let Some(cause) = fallback {
             if let Some(o) = &obs {
-                o.memo_fallback(kind, cause).inc();
+                o.memo_fallback(cause).inc();
             }
             if let Some(s) = span.as_mut() {
                 s.label("cause", cause.label());

@@ -105,8 +105,9 @@ fn remap(ids: &[u32], positions: &[u32]) -> Vec<u32> {
     positions.iter().map(|&p| ids[p as usize]).collect()
 }
 
-/// The independent full-recompute check for the two maintainable kinds:
-/// whatever path the store took (hit, incremental apply, rebuild, fresh),
+/// The independent full-recompute check for the hull and the maintained
+/// Delaunay graph: whatever path the store took (hit, incremental apply,
+/// rebuild, fresh),
 /// the answer must be bit-identical to the canonical algorithm run from
 /// scratch on the live snapshot.
 fn check_maintained(
@@ -194,12 +195,11 @@ fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCa
 /// machine through every path — Fresh on first compute, Incremental across
 /// an insert-only epoch, Rebuilt after a delete — with the counters and
 /// `derived_path` to prove it, so a generator drifting away from the
-/// incremental path can't silently pass the property.
+/// incremental path can't silently pass the property. The Delaunay graph
+/// walks the three paths; the hull, never maintained, is `Fresh` after
+/// every write.
 #[test]
 fn scripted_churn_walks_every_memo_path() {
-    // First batch spans the full lattice bbox (corners included), so the
-    // follow-up inserts stay inside the Delaunay engine's bounds and the
-    // incremental path is reachable for both maintainable kinds.
     let corners = [
         Point2::new([0.0, 0.0]),
         Point2::new([15.0, 0.0]),
@@ -210,15 +210,12 @@ fn scripted_churn_walks_every_memo_path() {
         .map(|i| Point2::new([(1 + i % 7) as f64 * 2.0, (1 + i / 7) as f64 * 2.0]))
         .collect();
 
-    // The insert-only epoch adds 4 points to a 36-point mesh: cavity kills
-    // are ~4.5 per insert even when nothing is "damaged", so a batch much
-    // past a third of the structure would exceed the store's damage budget
-    // (half) and rebuild — this test is about path mechanics, not the
-    // crossover policy.
+    // The insert-only epoch adds 16 points to a 24-point mesh: however much
+    // of the mesh a batch tears down, it is advanced, not rebuilt.
     let writes = [
         Request::Insert(corners.to_vec()),
-        Request::Insert(interior[..32].to_vec()),
-        Request::Insert(interior[32..36].to_vec()),
+        Request::Insert(interior[..20].to_vec()),
+        Request::Insert(interior[20..36].to_vec()),
         Request::Delete(interior[..4].to_vec()),
     ];
     let mut store: GeoStore<2> = GeoStore::builder().build();
@@ -234,42 +231,39 @@ fn scripted_churn_walks_every_memo_path() {
     );
 
     // Repeat without a write: hits, path unchanged.
-    assert_eq!(store.hull().unwrap(), h1);
-    assert_eq!(store.derived_path(DerivedKind::Hull), Some(MemoPath::Fresh));
+    assert_eq!(store.delaunay_graph().unwrap(), d1);
+    assert_eq!(
+        store.derived_path(DerivedKind::DelaunayGraph),
+        Some(MemoPath::Fresh)
+    );
 
-    // Insert-only epoch: both engines absorb the batch in place.
+    // Insert-only epoch: the Delaunay engine absorbs the batch in place.
     store.execute(&writes[2..3]);
     let h2 = store.hull().unwrap();
     let d2 = store.delaunay_graph().unwrap();
-    assert_eq!(
-        store.derived_path(DerivedKind::Hull),
-        Some(MemoPath::Incremental)
-    );
+    assert_eq!(store.derived_path(DerivedKind::Hull), Some(MemoPath::Fresh));
     assert_eq!(
         store.derived_path(DerivedKind::DelaunayGraph),
         Some(MemoPath::Incremental)
     );
 
-    // Delete epoch: engines die, the next compute is a rebuild.
+    // Delete epoch: the engine dies, the next compute is a rebuild.
     store.execute(&writes[3..]);
     let h3 = store.hull().unwrap();
     let d3 = store.delaunay_graph().unwrap();
-    assert_eq!(
-        store.derived_path(DerivedKind::Hull),
-        Some(MemoPath::Rebuilt)
-    );
+    assert_eq!(store.derived_path(DerivedKind::Hull), Some(MemoPath::Fresh));
     assert_eq!(
         store.derived_path(DerivedKind::DelaunayGraph),
         Some(MemoPath::Rebuilt)
     );
 
-    // Counters agree with the walk: 6 computes (2 fresh + 2 incremental +
-    // 2 rebuilds), 1 hit, and misses covering all three compute paths.
+    // Counters agree with the walk: 6 computes (4 fresh + 1 incremental +
+    // 1 rebuild), 1 hit, and misses covering all three compute paths.
     let stats = store.stats();
     assert_eq!(stats.cache.hits, 1);
     assert_eq!(stats.cache.misses, 6);
-    assert_eq!(stats.cache.incremental, 2);
-    assert_eq!(stats.cache.rebuilds, 2);
+    assert_eq!(stats.cache.incremental, 1);
+    assert_eq!(stats.cache.rebuilds, 1);
 
     // Every answer must equal a wholesale recompute over the same live set:
     // a fresh store replayed to each epoch's writes computes both kinds

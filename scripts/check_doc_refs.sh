@@ -2,9 +2,11 @@
 # Cross-references in the design docs (DESIGN.md, EXPERIMENTS.md) and in
 # every file under crates/, tests/, examples/, scripts/ and .github/ must
 # not go stale. Fails when
-#   - a backticked `crates/...`, `scripts/...` or `tests/...` path names
-#     nothing (resolved from the repo root, or from the crate of the file
-#     that cites it; globs must match something);
+#   - a backticked `crates/...`, `scripts/...`, `tests/...` or `bench/...`
+#     path names nothing (resolved from the repo root, or from the crate
+#     of the file that cites it; globs must match something). `bench/` is
+#     only read: the paths cited into it must exist, and no file under it
+#     is scanned;
 #   - a "DESIGN §N" or "DESIGN §N.M" reference names no heading of
 #     DESIGN.md;
 #   - a ROADMAP item is cited by number ("ROADMAP item 3", "ROADMAP items
@@ -44,7 +46,7 @@ while IFS=: read -r file line ref; do
         echo "doc refs: $file:$line: \`$path\` does not exist" >&2
         status=1
     fi
-done < <(grep -noE '`(crates|scripts|tests)/[^` ]+`' $files)
+done < <(grep -noE '`(crates|scripts|tests|bench)/[^` ]+`' $files)
 
 headings=$(grep -oE '^#+ §[0-9]+(\.[0-9]+)?' DESIGN.md | grep -oE '[0-9]+(\.[0-9]+)?')
 while IFS=: read -r file line ref; do

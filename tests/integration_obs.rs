@@ -95,12 +95,12 @@ fn memo_path_spans_and_counters_mirror_cache_stats() {
     let pts = pargeo::datagen::uniform_cube::<2>(400, 9);
     let mut store: GeoStore<2> = GeoStore::builder().observe(ObsLevel::Trace).build();
     store.insert(&pts[..300]);
-    store.hull().unwrap(); // fresh compute
-    store.hull().unwrap(); // cache hit
+    store.delaunay_graph().unwrap(); // fresh compute
+    store.delaunay_graph().unwrap(); // cache hit
     store.insert(&pts[300..]); // insert-only epoch: engine survives
-    store.hull().unwrap(); // incremental apply
+    store.delaunay_graph().unwrap(); // incremental apply
     store.delete(&pts[..10]); // delete epoch: rebuild pending
-    store.hull().unwrap(); // rebuild fallback
+    store.delaunay_graph().unwrap(); // rebuild fallback
     store.insert(&[]); // no-op write: spared
     let cache = store.stats().cache;
     assert_eq!(
@@ -153,7 +153,7 @@ fn memo_path_spans_and_counters_mirror_cache_stats() {
     }
     // Non-empty per-class latency histograms for the exercised classes.
     let derived = registry.histogram("geostore_request_nanos", &[("class", "derived")]);
-    assert_eq!(derived.count(), 4, "one sample per hull request");
+    assert_eq!(derived.count(), 4, "one sample per Delaunay request");
     let insert = registry.histogram("geostore_request_nanos", &[("class", "insert")]);
     assert!(insert.count() >= 3);
     store.knn(&pts[..2], 3).unwrap();
