@@ -7,7 +7,7 @@
 //! without the reservation machinery — batches arriving from a store
 //! planner are small relative to the structure), and splices the new
 //! vertex in place of the chain. Extraction via [`Hull2dIncremental::hull`]
-//! is **bit-identical** to [`try_hull2d`](crate::try_hull2d) on the same
+//! is **bit-identical** to [`try_hull2d`] on the same
 //! prefix:
 //!
 //! - quickhull's furthest-point selection breaks exact ties toward the
@@ -26,7 +26,7 @@
 //! (`destroyed edges / (cycle edges at batch start + batch size)`).
 //!
 //! No library path uses this engine: the store computes its 2D hull with
-//! [`try_hull2d`](crate::try_hull2d), which returns the same index
+//! [`try_hull2d`], which returns the same index
 //! vector; advancing this engine instead saved under 1% of the store's
 //! derived time. Its only caller is the
 //! benchmark ledger (`bench/ledger/src/store.rs`, metric

@@ -2,56 +2,24 @@
 //!
 //! Each [`DerivedKind`] maps to one algorithm-crate call through its
 //! non-panicking `try_*` entry point, run on the *compacted* live view
-//! (positions `0..live`) and remapped to store ids before caching. The
-//! dimension-specific algorithms (hull, Delaunay) dispatch on the
-//! const-generic `D` at runtime; unsupported dimensions come back as
-//! [`GeoError::DimensionUnsupported`], never a panic.
+//! (positions `0..live`) and remapped to store ids in the [`Response`]
+//! the memo caches. The dimension-specific algorithms (hull, Delaunay)
+//! dispatch on the const-generic `D` at runtime; unsupported dimensions
+//! come back as [`GeoError::DimensionUnsupported`], never a panic.
 //!
-//! The 2D Delaunay graph is the one *maintained* kind: a full compute
-//! also hands back the [`DelaunayIncremental`] engine it read the edges
-//! off, which later epochs advance in place over insert-only batches
-//! ([`advance_engine`]), producing values bit-identical to a fresh compute
+//! The 2D Delaunay graph is the one *maintained* kind, and this module is
+//! where that is decided: the store keeps one [`DelaunaySlot`], whose
+//! [`DelaunayIncremental`] engine later epochs advance in place over
+//! insert-only batches, producing values bit-identical to a fresh compute
 //! on the same live view — the kernel gives a point set one triangulation
 //! whatever the insertion order. Every other kind, the hull included,
-//! recomputes.
+//! recomputes through [`compute`].
 
-use crate::request::{DerivedKind, Response};
+use crate::request::{DerivedKind, MemoPath, Response};
 use pargeo_closestpair::{try_closest_pair, ClosestPair};
 use pargeo_delaunay::{DelaunayBatchOutcome, DelaunayIncremental};
-use pargeo_geometry::{Ball, GeoError, GeoResult, Point};
+use pargeo_geometry::{GeoError, GeoResult, Point};
 use pargeo_wspd::EmstEdge;
-
-/// A computed derived structure, id-remapped, ready to cache.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum DerivedVal<const D: usize> {
-    /// Hull vertex ids (CCW in 2D, sorted ascending in 3D).
-    Hull(Vec<u32>),
-    /// Smallest enclosing ball.
-    Seb(Ball<D>),
-    /// Closest pair over store ids.
-    ClosestPair(ClosestPair),
-    /// EMST edges over store ids.
-    Emst(Vec<EmstEdge>),
-    /// Graph edges over store ids (k-NN or Delaunay).
-    Graph(Vec<(u32, u32)>),
-}
-
-impl<const D: usize> DerivedVal<D> {
-    /// The response that carries a copy of this value to a request for
-    /// `kind` (which tells the two graph kinds apart).
-    pub(crate) fn to_response(&self, kind: DerivedKind) -> Response<D> {
-        match self {
-            DerivedVal::Hull(h) => Response::Hull(h.clone()),
-            DerivedVal::Seb(b) => Response::Seb(*b),
-            DerivedVal::ClosestPair(cp) => Response::ClosestPair(*cp),
-            DerivedVal::Emst(e) => Response::Emst(e.clone()),
-            DerivedVal::Graph(g) => match kind {
-                DerivedKind::KnnGraph(_) => Response::KnnGraph(g.clone()),
-                _ => Response::DelaunayGraph(g.clone()),
-            },
-        }
-    }
-}
 
 /// Reinterprets a point slice as a different compile-time dimension.
 /// Returns `None` unless `D == E`, in which case `Point<D>` and `Point<E>`
@@ -67,32 +35,29 @@ fn cast_slice<const D: usize, const E: usize>(pts: &[Point<D>]) -> Option<&[Poin
 }
 
 /// Computes `kind` over the live view: `pts[i]` is the live point with
-/// store id `ids[i]` (`ids` strictly ascending). The Delaunay graph also
-/// returns the engine its edges were read off: the engine-extracted value
-/// IS the canonical value, both being the same algorithm on the same
-/// input. A caller with no use for it drops it.
+/// store id `ids[i]` (`ids` strictly ascending).
 pub(crate) fn compute<const D: usize>(
     kind: DerivedKind,
     ids: &[u32],
     pts: &[Point<D>],
-) -> GeoResult<(DerivedVal<D>, Option<DelaunayIncremental>)> {
+) -> GeoResult<Response<D>> {
     injected_fault();
-    let value = match kind {
+    Ok(match kind {
         DerivedKind::Hull => {
             if let Some(p2) = cast_slice::<D, 2>(pts) {
-                DerivedVal::Hull(remap_ids(&pargeo_hull::try_hull2d(p2)?, ids))
+                Response::Hull(remap_ids(&pargeo_hull::try_hull2d(p2)?, ids))
             } else if let Some(p3) = cast_slice::<D, 3>(pts) {
                 let hull = pargeo_hull::try_hull3d(p3)?;
-                DerivedVal::Hull(remap_ids(&hull.vertices, ids))
+                Response::Hull(remap_ids(&hull.vertices, ids))
             } else {
                 return Err(GeoError::DimensionUnsupported { op: "hull", dim: D });
             }
         }
-        DerivedKind::Seb => DerivedVal::Seb(pargeo_seb::try_seb(pts)?),
+        DerivedKind::Seb => Response::Seb(pargeo_seb::try_seb(pts)?),
         DerivedKind::ClosestPair => {
             let cp = try_closest_pair(pts)?;
             let (a, b) = (ids[cp.a as usize], ids[cp.b as usize]);
-            DerivedVal::ClosestPair(ClosestPair {
+            Response::ClosestPair(ClosestPair {
                 a: a.min(b),
                 b: a.max(b),
                 dist: cp.dist,
@@ -114,7 +79,7 @@ pub(crate) fn compute<const D: usize>(
                     weight: e.weight,
                 })
                 .collect();
-            DerivedVal::Emst(edges)
+            Response::Emst(edges)
         }
         DerivedKind::KnnGraph(k) => {
             if pts.is_empty() {
@@ -137,21 +102,27 @@ pub(crate) fn compute<const D: usize>(
                 });
             }
             let edges = pargeo_graphgen::knn_graph(pts, k);
-            DerivedVal::Graph(remap_edges(&edges, ids))
+            Response::KnnGraph(remap_edges(&edges, ids))
         }
-        DerivedKind::DelaunayGraph => {
-            let Some(p2) = cast_slice::<D, 2>(pts) else {
-                return Err(GeoError::DimensionUnsupported {
-                    op: "delaunay",
-                    dim: D,
-                });
-            };
-            let eng = DelaunayIncremental::try_build(p2)?;
-            let graph = DerivedVal::Graph(remap_edges(&eng.edges()?, ids));
-            return Ok((graph, Some(eng)));
-        }
+        DerivedKind::DelaunayGraph => Response::DelaunayGraph(delaunay(ids, pts)?.0),
+    })
+}
+
+/// The Delaunay graph of the live view over store ids, and the engine its
+/// edges were read off: the engine-extracted value IS the canonical value,
+/// both being the same algorithm on the same input.
+fn delaunay<const D: usize>(
+    ids: &[u32],
+    pts: &[Point<D>],
+) -> GeoResult<(Vec<(u32, u32)>, DelaunayIncremental)> {
+    let Some(p2) = cast_slice::<D, 2>(pts) else {
+        return Err(GeoError::DimensionUnsupported {
+            op: "delaunay",
+            dim: D,
+        });
     };
-    Ok((value, None))
+    let engine = DelaunayIncremental::try_build(p2)?;
+    Ok((remap_edges(&engine.edges()?, ids), engine))
 }
 
 /// Why a maintained structure was rebuilt wholesale instead of advanced —
@@ -183,27 +154,99 @@ impl Fallback {
     }
 }
 
-/// Advances the Delaunay engine over the current live view (whose
-/// consumed prefix must be unchanged — the store checks the id anchor
-/// before calling) by every point past that prefix: an advance of `b`
-/// points is `b` insertions, which no rebuild of the whole view undercuts,
-/// so the engine is given no damage budget. Returns the new canonical
-/// value, or why the engine could not advance — the caller must then drop
-/// it and recompute wholesale.
-pub(crate) fn advance_engine<const D: usize>(
-    engine: &mut DelaunayIncremental,
-    ids: &[u32],
-    pts: &[Point<D>],
-) -> Result<DerivedVal<D>, Fallback> {
-    injected_fault();
-    let p2 = cast_slice::<D, 2>(pts).ok_or(Fallback::AnchorLost)?;
-    let fresh = p2.get(engine.consumed()..).ok_or(Fallback::AnchorLost)?;
-    match engine.try_insert_batch(fresh, f64::INFINITY) {
-        Ok(DelaunayBatchOutcome::Applied { .. }) => {
-            let edges = engine.edges().map_err(|_| Fallback::Poisoned)?;
-            Ok(DerivedVal::Graph(remap_edges(&edges, ids)))
+/// The `(consumed, last_id)` anchor of a live view an engine has consumed
+/// whole: live ids ascend and inserts append, so one id pins the prefix.
+fn anchor(ids: &[u32]) -> Option<(usize, u32)> {
+    ids.last().map(|&last| (ids.len(), last))
+}
+
+/// The maintained kind's state between requests: the 2D Delaunay graph's
+/// delta engine, or why the next request must rebuild it.
+#[derive(Default)]
+pub(crate) struct DelaunaySlot {
+    /// The engine the last Delaunay value was read off, and the
+    /// `(consumed, last_id)` anchor of the live-view prefix it consumed:
+    /// an O(1) append-only check guarding it against any planner bug that
+    /// would reorder the prefix.
+    engine: Option<(DelaunayIncremental, (usize, u32))>,
+    /// Why the prior structure is gone — a delete, or a panic in its
+    /// advance or rebuild: the next compute is a rebuild, not a fresh
+    /// start.
+    pending: Option<Fallback>,
+}
+
+impl DelaunaySlot {
+    /// A write epoch: deletes shuffle compacted positions, so a delete
+    /// drops the engine and leaves a rebuild pending; an insert-only epoch
+    /// keeps it, to absorb the batch on the next request.
+    pub(crate) fn bump(&mut self, deleting: bool) {
+        if deleting && self.engine.take().is_some() {
+            self.pending = Some(Fallback::Delete);
         }
-        Ok(DelaunayBatchOutcome::DamageExceeded { .. }) | Err(_) => Err(Fallback::Poisoned),
+    }
+
+    /// The Delaunay graph of the live view `pts` (store ids `ids`), the
+    /// path that produced it, and why it was a rebuild if it was one.
+    ///
+    /// An engine whose anchor holds advances by every point past its
+    /// consumed prefix: an advance of `b` points is `b` insertions, which
+    /// no rebuild of the whole view undercuts, so the engine is given no
+    /// damage budget. Otherwise the graph is built over the whole view — a
+    /// rebuild when a structure existed, fresh when none did — and the
+    /// build's engine is kept for the next epoch.
+    pub(crate) fn ensure<const D: usize>(
+        &mut self,
+        ids: &[u32],
+        pts: &[Point<D>],
+    ) -> (GeoResult<Response<D>>, MemoPath, Option<Fallback>) {
+        let prior = self.engine.take();
+        let existed = prior.is_some() || self.pending.is_some();
+        // Until this returns, a structure that existed stays pending a
+        // rebuild: a panic below costs the next request a counted
+        // `Rebuilt`, and a half-advanced engine is never reused.
+        let pending = if existed {
+            self.pending.replace(Fallback::Poisoned)
+        } else {
+            None
+        };
+        injected_fault();
+        let cause = match prior {
+            None => pending,
+            Some((_, (consumed, last_id)))
+                if consumed.checked_sub(1).and_then(|at| ids.get(at)) != Some(&last_id) =>
+            {
+                Some(Fallback::AnchorLost)
+            }
+            Some((mut engine, _)) => {
+                let fresh = cast_slice::<D, 2>(pts).and_then(|p2| p2.get(engine.consumed()..));
+                match fresh.map(|batch| engine.try_insert_batch(batch, f64::INFINITY)) {
+                    None => Some(Fallback::AnchorLost),
+                    Some(Ok(DelaunayBatchOutcome::Applied { .. })) => match engine.edges() {
+                        Ok(edges) => {
+                            self.engine = anchor(ids).map(|at| (engine, at));
+                            self.pending = None;
+                            let graph = Response::DelaunayGraph(remap_edges(&edges, ids));
+                            return (Ok(graph), MemoPath::Incremental, None);
+                        }
+                        Err(_) => Some(Fallback::Poisoned),
+                    },
+                    Some(Ok(DelaunayBatchOutcome::DamageExceeded { .. }) | Err(_)) => {
+                        Some(Fallback::Poisoned)
+                    }
+                }
+            }
+        };
+        let value = delaunay(ids, pts).map(|(edges, engine)| {
+            self.engine = anchor(ids).map(|at| (engine, at));
+            Response::DelaunayGraph(edges)
+        });
+        self.pending = None;
+        let path = if existed {
+            MemoPath::Rebuilt
+        } else {
+            MemoPath::Fresh
+        };
+        (value, path, cause)
     }
 }
 
@@ -218,15 +261,15 @@ fn remap_edges(edges: &[(u32, u32)], ids: &[u32]) -> Vec<(u32, u32)> {
         .collect()
 }
 
-/// Where the store's tests make a compute or an engine advance panic; a
-/// no-op in every other build.
+/// Where the store's tests make a compute, an engine advance or a rebuild
+/// panic; a no-op in every other build.
 #[cfg(not(test))]
 fn injected_fault() {}
 
 #[cfg(test)]
 thread_local! {
-    /// Set by a test: the next compute or engine advance on this thread
-    /// panics, and clears it.
+    /// Set by a test: the next compute, engine advance or rebuild on this
+    /// thread panics, and clears it.
     pub(crate) static PANIC_NEXT: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
@@ -281,8 +324,8 @@ mod tests {
         let pts = uniform_cube::<2>(40, 3);
         let ids: Vec<u32> = (0..40u32).map(|i| 2 * i + 1).collect();
         let direct = pargeo_hull::try_hull2d(&pts).unwrap();
-        match compute(DerivedKind::Hull, &ids, &pts).unwrap().0 {
-            DerivedVal::Hull(h) => {
+        match compute(DerivedKind::Hull, &ids, &pts).unwrap() {
+            Response::Hull(h) => {
                 assert_eq!(h.len(), direct.len());
                 for (got, want) in h.iter().zip(&direct) {
                     assert_eq!(*got, 2 * want + 1);
@@ -319,12 +362,23 @@ mod tests {
                 what: "non-finite coordinate"
             })
         );
-        let built = compute(DerivedKind::DelaunayGraph, &ids[..77], &pts[..77]);
-        let (_, engine) = built.expect("the finite prefix builds");
-        let mut engine = engine.expect("a 2D Delaunay build leaves its engine");
+        let mut slot = DelaunaySlot::default();
+        let (built, path, _) = slot.ensure(&ids[..77], &pts[..77]);
+        assert!(
+            built.is_ok() && path == MemoPath::Fresh,
+            "the finite prefix builds"
+        );
+        let (advanced, path, cause) = slot.ensure(&ids, &pts);
         assert_eq!(
-            advance_engine(&mut engine, &ids, &pts).map(|_| ()),
-            Err(Fallback::Poisoned)
+            (advanced.map(|_| ()), path, cause),
+            (
+                Err(GeoError::BadParameter {
+                    op: "delaunay",
+                    what: "non-finite coordinate"
+                }),
+                MemoPath::Rebuilt,
+                Some(Fallback::Poisoned)
+            )
         );
     }
 }

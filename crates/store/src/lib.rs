@@ -31,14 +31,15 @@
 //!   the shards whose region can contribute, and answers stay
 //!   bit-identical to the unsharded store at any shard count.
 //! * **Memoization with delta maintenance** — derived structures (hull,
-//!   EMST, Delaunay, …) are cached per write epoch: repeated reads
-//!   between writes are free, and any write that changes the live set
-//!   invalidates. No-op writes (empty batches, deletes matching nothing
-//!   live) spare the cache instead. The memoized 2D Delaunay graph goes
-//!   further: across insert-only epochs a delta engine inserts the
-//!   coalesced batch into the existing triangulation instead of
-//!   recomputing, falling back to a full rebuild after deletes — with
-//!   answers bit-identical to a fresh compute either way.
+//!   EMST, Delaunay, …) are cached in a map of the current write epoch's
+//!   responses: repeated reads between writes are free, and any write
+//!   that changes the live set clears it. No-op writes (empty batches,
+//!   deletes matching nothing live) spare the cache instead. The 2D
+//!   Delaunay graph, the one maintained kind, goes further: across
+//!   insert-only epochs its delta engine inserts the coalesced batch into
+//!   the existing triangulation instead of recomputing, falling back to a
+//!   full rebuild after deletes — with answers bit-identical to a fresh
+//!   compute either way.
 //!   [`CacheStats`] reports hits, misses, spared epochs, incremental
 //!   applies, and rebuild fallbacks; [`GeoStore::derived_path`] names
 //!   the path ([`MemoPath`]) that produced the current value.

@@ -1,6 +1,6 @@
-//! Store-side observability: the metric handles a [`GeoStore`]
-//! (crate::GeoStore) registers once at build time and records into on the
-//! serve path.
+//! Store-side observability: the metric handles a
+//! [`GeoStore`](crate::GeoStore) registers once at build time and records
+//! into on the serve path.
 //!
 //! All handles are `Arc`s resolved at construction, so the hot path never
 //! touches the registry's lock — recording is relaxed atomics only. When
@@ -83,8 +83,8 @@ pub(crate) struct StoreObs {
     pub pipeline_overlapped: Arc<Counter>,
     /// `index_arena_bytes{backend=..}` — heap bytes held by the backing
     /// index's flat arenas (node slabs, coordinate columns, id/liveness
-    /// slabs, insert buffers), refreshed from the index [`Snapshot`]
-    /// (pargeo_engine::Snapshot) at every write epoch.
+    /// slabs, insert buffers), refreshed from the index
+    /// [`Snapshot`](pargeo_engine::Snapshot) at every write epoch.
     pub index_arena_bytes: Arc<Gauge>,
     /// `index_nodes_total{backend=..}` — structure nodes currently
     /// allocated across the backing index's arenas, refreshed alongside

@@ -6,7 +6,8 @@
 //! clone, boxed ([`SpatialIndex::pin`]: O(X + log n) for the
 //! structure-sharing BDL-tree, one pin per shard for the sharded executor;
 //! the oracle copies itself whole) — the epoch's memoized derived values
-//! (each an `Arc` shared with the store's memo, never copied), and the
+//! (each the `Arc<Response>` the store's memo holds, shared, never
+//! copied), and the
 //! store statistics as of the pin: everything needed to answer every read
 //! request class *bit-identically to a frozen copy of the store* while
 //! later write epochs apply on the live side. The pinned index runs the
@@ -30,7 +31,7 @@
 //! Snapshots a caller pins may outlive rebuilds and be dropped in any
 //! order.
 
-use crate::derived::{self, DerivedVal};
+use crate::derived;
 use crate::obs::{self, StoreObs};
 use crate::request::{check_knn, DerivedKind, Request, Response, StoreStats};
 use pargeo_engine::{Snapshot, SpatialIndex};
@@ -45,9 +46,9 @@ use std::time::Instant;
 /// [`LivePoints`](pargeo_engine::LivePoints), since index ids are store ids.
 pub(crate) type LiveView<const D: usize> = pargeo_engine::LivePoints<D>;
 
-/// A memoized derived value, shared between the store's memo and every
-/// snapshot pinned at its epoch.
-pub(crate) type Memo<const D: usize> = GeoResult<Arc<DerivedVal<D>>>;
+/// A memoized derived value — the response that answers its kind —
+/// shared between the store's memo and every snapshot pinned at its epoch.
+pub(crate) type Memo<const D: usize> = GeoResult<Arc<Response<D>>>;
 
 /// An immutable capture of a [`GeoStore`](crate::GeoStore) at one write
 /// epoch, created by [`GeoStore::pin`](crate::GeoStore::pin).
@@ -172,7 +173,7 @@ impl<const D: usize> StoreSnapshot<D> {
                         what: "unroutable request against a pinned snapshot",
                     });
                 };
-                self.derived_value(kind).map(|v| v.to_response(kind))
+                self.derived_value(kind).map(|v| (*v).clone())
             }
         }
     }
@@ -190,7 +191,7 @@ impl<const D: usize> StoreSnapshot<D> {
         // Index ids are store ids (both count inserted points in order),
         // so the pinned index's own live points are the store's live view.
         let (ids, pts) = self.live_view.get_or_init(|| self.index.live_points());
-        let value = derived::compute(kind, ids, pts).map(|(v, _)| Arc::new(v));
+        let value = derived::compute(kind, ids, pts).map(Arc::new);
         if let (Some(o), Some(t)) = (&self.obs, t) {
             o.class_nanos[4].record_duration(t.elapsed());
         }

@@ -1,12 +1,11 @@
 //! The store itself: builder, epoch planner, memo cache — the index is
 //! the point set, and the compacted live view its one store-side shadow.
 
-use crate::derived::{self, Fallback};
+use crate::derived::{self, DelaunaySlot};
 use crate::obs::{self, StoreObs};
 use crate::pipeline::{LiveView, Memo, StoreSnapshot};
 use crate::request::{CacheStats, DerivedKind, MemoPath, Request, Response, StoreStats};
 use pargeo_bdltree::{bdl::DEFAULT_BUFFER_SIZE, BdlTree};
-use pargeo_delaunay::DelaunayIncremental;
 use pargeo_engine::{ShardedIndex, Snapshot, SpatialIndex, VecIndex};
 use pargeo_geometry::{Ball, Bbox, GeoError, GeoResult, Point};
 use pargeo_kdtree::Neighbor;
@@ -199,6 +198,7 @@ impl<const D: usize> GeoStoreBuilder<D> {
             write_epoch: 0,
             live_view: None,
             cache: HashMap::new(),
+            delaunay: DelaunaySlot::default(),
             cache_stats: CacheStats::default(),
         }
     }
@@ -313,35 +313,6 @@ fn retire<const D: usize>((ids, pts): &mut LiveView<D>, removed: &[(Point<D>, u3
     pts.truncate(kept);
 }
 
-/// One slot of the per-kind memo cache — the `Fresh | Incremental |
-/// Rebuilt` state machine.
-///
-/// An entry whose `epoch` matches the store's write epoch serves reads
-/// directly (a hit). A *stale* entry survives epoch bumps only to carry
-/// maintenance state forward: a live Delaunay engine across insert-only epochs
-/// (advanced on the next request), or a `rebuild_pending` cause across
-/// delete epochs and panics (so the next compute is counted as a rebuild
-/// fallback, not a fresh start). Stale values are never served.
-struct MemoEntry<const D: usize> {
-    /// Write epoch `value` was computed at.
-    epoch: u64,
-    /// Shared with every snapshot pinned at `epoch`.
-    value: Memo<D>,
-    /// Delta engine of the 2D Delaunay graph, present only while `value`
-    /// is `Ok` and no delete has intervened.
-    engine: Option<DelaunayIncremental>,
-    /// `(consumed, last_id)` of the engine's live-view prefix: an O(1)
-    /// append-only check (live ids ascend, inserts append) guarding the
-    /// engine against any planner bug that would reorder the prefix.
-    anchor: Option<(usize, u32)>,
-    /// How `value` was produced.
-    path: MemoPath,
-    /// Why the prior structure is gone — a delete, or a panic in its
-    /// advance or compute: the next compute is a rebuild, not a fresh
-    /// start.
-    rebuild_pending: Option<Fallback>,
-}
-
 /// One service-grade façade over every ParGeo module.
 ///
 /// A `GeoStore` owns a chosen batch-dynamic [`SpatialIndex`] backend — the
@@ -381,10 +352,11 @@ pub struct GeoStore<const D: usize> {
     /// current in place by every write: appended to on insert, merged
     /// against the index's report on delete. Never shared with a pin.
     live_view: Option<LiveView<D>>,
-    /// Per-kind memo state machine. Entries at the current epoch serve
-    /// reads; stale entries only carry delta engines (insert-only bumps)
-    /// or rebuild markers (delete bumps) into the next compute.
-    cache: HashMap<DerivedKind, MemoEntry<D>>,
+    /// The derived values of the current write epoch and the path that
+    /// produced each; every epoch bump clears it.
+    cache: HashMap<DerivedKind, (Memo<D>, MemoPath)>,
+    /// The Delaunay graph's delta engine, carried across epoch bumps.
+    delaunay: DelaunaySlot,
     cache_stats: CacheStats,
 }
 
@@ -577,8 +549,7 @@ impl<const D: usize> GeoStore<D> {
         let derived: HashMap<DerivedKind, Memo<D>> = self
             .cache
             .iter()
-            .filter(|(_, e)| e.epoch == self.write_epoch)
-            .map(|(k, e)| (*k, e.value.clone()))
+            .map(|(kind, (value, _))| (*kind, value.clone()))
             .collect();
         StoreSnapshot::new(self.index.pin(), self.stats(), derived, self.obs.clone())
     }
@@ -734,11 +705,8 @@ impl<const D: usize> GeoStore<D> {
 
     /// Advances the write epoch. Structures memoized over the previous live
     /// set expire immediately, so stale values are never served (the
-    /// compacted view was already brought up to date). What *survives* the
-    /// bump is maintenance state: across an insert-only epoch, entries
-    /// with a live delta engine (the engine absorbs the batch on the next
-    /// request); across a delete epoch, a rebuild marker in place of each
-    /// engine (deletes shuffle compacted positions, so no engine survives).
+    /// compacted view was already brought up to date); only the Delaunay
+    /// engine's slot carries state across the bump.
     ///
     /// Returns the bytes the index copied on write during this epoch (read
     /// from its snapshot; 0 when unobserved — the snapshot is only taken
@@ -754,15 +722,8 @@ impl<const D: usize> GeoStore<D> {
             cow_bytes = s.cow_bytes.saturating_sub(o.index_cow_bytes.get());
             o.index_cow_bytes.add(cow_bytes);
         }
-        if deleting {
-            for e in self.cache.values_mut() {
-                if e.engine.take().is_some() {
-                    e.rebuild_pending = Some(Fallback::Delete);
-                }
-            }
-        }
-        self.cache
-            .retain(|_, e| e.engine.is_some() || e.rebuild_pending.is_some());
+        self.delaunay.bump(deleting);
+        self.cache.clear();
         cow_bytes
     }
 
@@ -780,19 +741,17 @@ impl<const D: usize> GeoStore<D> {
         }
     }
 
-    /// Brings the memo entry for `kind` to the current epoch: a hit when
-    /// already current, an incremental engine advance when an insert-only
-    /// delta can be applied, and a full (re)compute otherwise.
+    /// Memoizes `kind` at the current epoch: a hit when already there,
+    /// else the Delaunay slot's advance or rebuild for the maintained
+    /// kind and a fresh compute for every other.
     fn ensure_derived(&mut self, kind: DerivedKind) {
         let obs = self.obs.clone();
-        if let Some(e) = self.cache.get(&kind) {
-            if e.epoch == self.write_epoch {
-                self.cache_stats.hits += 1;
-                if let Some(o) = &obs {
-                    o.memo[obs::MEMO_HIT].inc();
-                }
-                return;
+        if self.cache.contains_key(&kind) {
+            self.cache_stats.hits += 1;
+            if let Some(o) = &obs {
+                o.memo[obs::MEMO_HIT].inc();
             }
+            return;
         }
         self.cache_stats.misses += 1;
         let mut span = obs.as_ref().map(|o| {
@@ -806,106 +765,34 @@ impl<const D: usize> GeoStore<D> {
         let (ids, pts) = &*self
             .live_view
             .get_or_insert_with(|| self.index.live_points());
-        // The engine leaves its entry for the advance. Until this request
-        // stores a new entry, the one left behind holds no engine and is
-        // pending a rebuild: a panic below costs the next request a counted
-        // `Rebuilt`, and a half-advanced engine is never reused.
-        let prior = self.cache.get_mut(&kind).map(|e| {
-            let pending = e.rebuild_pending.replace(Fallback::Poisoned);
-            (e.engine.take(), e.anchor.take(), pending)
-        });
-        let had_structure = prior
-            .as_ref()
-            .is_some_and(|(engine, _, pending)| engine.is_some() || pending.is_some());
-
-        // Incremental path: a live engine whose consumed prefix is intact
-        // (live ids ascend and inserts append, so one id pins the prefix)
-        // absorbs the delta in place; otherwise `fallback` says why not.
-        let mut fallback = None;
-        if let Some((mut engine, anchor, pending)) = prior {
-            let anchored = anchor.is_some_and(|(consumed, last_id)| {
-                consumed >= 1 && ids.len() >= consumed && ids[consumed - 1] == last_id
-            });
-            let advanced = match engine.as_mut() {
-                Some(engine) if anchored => derived::advance_engine(engine, ids, pts),
-                Some(_) => Err(Fallback::AnchorLost),
-                None => Err(pending.unwrap_or(Fallback::Delete)),
-            };
-            match (advanced, ids.last()) {
-                (Ok(val), Some(&last)) => {
-                    self.cache_stats.incremental += 1;
-                    if let Some(o) = &obs {
-                        o.memo[obs::memo_idx(MemoPath::Incremental)].inc();
-                    }
-                    if let Some(s) = span.as_mut() {
-                        s.label("path", MemoPath::Incremental.label());
-                    }
-                    self.cache.insert(
-                        kind,
-                        MemoEntry {
-                            epoch: self.write_epoch,
-                            value: Ok(Arc::new(val)),
-                            engine,
-                            anchor: Some((ids.len(), last)),
-                            path: MemoPath::Incremental,
-                            rebuild_pending: None,
-                        },
-                    );
-                    return;
-                }
-                (Err(cause), _) if had_structure => fallback = Some(cause),
-                _ => {}
-            }
+        let (value, path, fallback) = match kind {
+            DerivedKind::DelaunayGraph => self.delaunay.ensure(ids, pts),
+            _ => (derived::compute(kind, ids, pts), MemoPath::Fresh, None),
+        };
+        match path {
+            MemoPath::Fresh => {}
+            MemoPath::Incremental => self.cache_stats.incremental += 1,
+            MemoPath::Rebuilt => self.cache_stats.rebuilds += 1,
         }
-
-        // Full (re)compute — the rebuild path when a structure existed.
-        let (value, engine) = match derived::compute(kind, ids, pts) {
-            Ok((value, engine)) => (Ok(Arc::new(value)), engine),
-            Err(e) => (Err(e), None),
-        };
-        let path = if had_structure {
-            self.cache_stats.rebuilds += 1;
-            MemoPath::Rebuilt
-        } else {
-            MemoPath::Fresh
-        };
         if let Some(o) = &obs {
             o.memo[obs::memo_idx(path)].inc();
+            if let Some(cause) = fallback {
+                o.memo_fallback(cause).inc();
+            }
         }
         if let Some(s) = span.as_mut() {
             s.label("path", path.label());
-        }
-        if let Some(cause) = fallback {
-            if let Some(o) = &obs {
-                o.memo_fallback(cause).inc();
-            }
-            if let Some(s) = span.as_mut() {
+            if let Some(cause) = fallback {
                 s.label("cause", cause.label());
             }
         }
-        let anchor = engine
-            .as_ref()
-            .and_then(|_| ids.last().map(|&last| (ids.len(), last)));
-        self.cache.insert(
-            kind,
-            MemoEntry {
-                epoch: self.write_epoch,
-                value,
-                engine,
-                anchor,
-                path,
-                rebuild_pending: None,
-            },
-        );
+        self.cache.insert(kind, (value.map(Arc::new), path));
     }
 
     /// Which path produced the memoized value for `kind`, if one is
     /// cached for the current epoch.
     pub fn derived_path(&self, kind: DerivedKind) -> Option<MemoPath> {
-        self.cache
-            .get(&kind)
-            .filter(|e| e.epoch == self.write_epoch)
-            .map(|e| e.path)
+        self.cache.get(&kind).map(|&(_, path)| path)
     }
 
     // ---- typed sugar over `run` ----------------------------------------
@@ -1410,8 +1297,8 @@ mod tests {
         fault_then_serve(&mut store, &mut oracle, MemoPath::Fresh);
         assert_eq!(oracle.derived_path(kind), Some(MemoPath::Fresh));
 
-        // The faulted advance leaves the entry without its engine, pending
-        // a rebuild: the next request is a counted `Rebuilt`.
+        // The faulted advance leaves the Delaunay slot without its engine,
+        // pending a rebuild: the next request is a counted `Rebuilt`.
         store.insert(&second);
         oracle.insert(&second);
         fault_then_serve(&mut store, &mut oracle, MemoPath::Rebuilt);
@@ -1422,10 +1309,25 @@ mod tests {
         );
         assert_eq!(store.stats().cache.incremental, 0);
         assert_eq!(store.stats().cache.rebuilds, 1);
-        let registry = store.registry().expect("observed");
-        let poisoned = [("kind", "delaunay-graph"), ("cause", "poisoned")];
-        let fallbacks = registry.counter("geostore_memo_fallback_total", &poisoned);
-        assert_eq!(fallbacks.get(), 1);
+        let registry = store.registry().expect("observed").clone();
+        let fallbacks = |cause| {
+            let labels = [("kind", "delaunay-graph"), ("cause", cause)];
+            registry
+                .counter("geostore_memo_fallback_total", &labels)
+                .get()
+        };
+        assert_eq!((fallbacks("poisoned"), fallbacks("delete")), (1, 0));
+
+        // The faulted rebuild after a delete leaves the structure pending
+        // again: the next request is a second counted `Rebuilt`, and its
+        // cause is the panic, not the delete that preceded it.
+        store.delete(&first[..20]);
+        oracle.delete(&first[..20]);
+        fault_then_serve(&mut store, &mut oracle, MemoPath::Rebuilt);
+        assert_eq!(oracle.derived_path(kind), Some(MemoPath::Rebuilt));
+        assert_eq!(store.stats().cache.incremental, 0);
+        assert_eq!(store.stats().cache.rebuilds, 2);
+        assert_eq!((fallbacks("poisoned"), fallbacks("delete")), (2, 0));
     }
 
     /// The Delaunay engine has no bbox: an insert epoch entirely outside
@@ -1465,7 +1367,7 @@ mod tests {
         store.execute(&[Request::DelaunayGraph, Request::Emst]);
         let kinds = [DerivedKind::DelaunayGraph, DerivedKind::Emst];
         let holders = |store: &GeoStore<2>| -> Vec<usize> {
-            let memo = kinds.iter().map(|kind| &store.cache[kind].value);
+            let memo = kinds.iter().map(|kind| &store.cache[kind].0);
             memo.map(|v| Arc::strong_count(v.as_ref().expect("computed")))
                 .collect()
         };
