@@ -2,6 +2,7 @@
 
 use pargeo_geometry::{Bbox, Point};
 use pargeo_kdtree::knn::{KnnBuffer, KnnProbe, KnnWork, Neighbor};
+use pargeo_kdtree::range::{RangeProbe, RangeWork};
 use pargeo_kdtree::tree::{SplitRule, LEAF_SIZE};
 use pargeo_kdtree::LevelTree;
 use std::collections::HashSet;
@@ -11,19 +12,27 @@ use std::collections::HashSet;
 pub const DEFAULT_BUFFER_SIZE: usize = 1024;
 
 /// A parallel batch-dynamic kd-tree: log-structured set of static
-/// kd-trees with capacities `X·2^i`, plus a flat buffer of size `< X`.
+/// kd-trees with capacities `X·2^i`, plus an insert buffer of `< X` rows
+/// kept twice — in arrival order, and as a small kd-tree every read
+/// searches like a level.
 ///
-/// `clone()` is O(X + log n): the buffer is copied, every static tree is
-/// shared ([`LevelTree`]'s structure is immutable and its deletion overlay
-/// copy-on-write). Inserts and drains only ever *replace* trees, so a
-/// clone keeps answering its own epoch; a delete that removes points from
-/// a still-shared tree first copies that tree's ~1.2 B/pt overlay, which
-/// [`cow_bytes`](Self::cow_bytes) counts.
+/// `clone()` is O(X + log n): the buffer's rows are copied, every static
+/// tree and the buffer's tree are shared ([`LevelTree`]'s structure is
+/// immutable and its deletion overlay copy-on-write). Inserts and drains
+/// only ever *replace* trees, so a clone keeps answering its own epoch; a
+/// delete that removes points from a still-shared tree first copies that
+/// tree's ~1.2 B/pt overlay, which [`cow_bytes`](Self::cow_bytes) counts.
 #[derive(Debug, Clone)]
 pub struct BdlTree<const D: usize> {
-    /// Buffer holding `< x` points (the paper's buffer kd-tree; at this
-    /// size a flat scan is the fastest possible "tree").
+    /// The `< x` insert-buffer rows in arrival order: the cascade spills
+    /// to its back and deals its oldest X rows from its front, so this is
+    /// what fixes every row's slot.
     buffer: Vec<(Point<D>, u32)>,
+    /// The same rows built into a tree (the paper's buffer kd-tree),
+    /// which reads descend under the shared bound after the levels. Built
+    /// again whenever a write changes the buffer's rows; never erased
+    /// from.
+    buffer_tree: LevelTree<D>,
     /// `trees[i]` has capacity `x << i` when occupied.
     trees: Vec<Option<LevelTree<D>>>,
     x: usize,
@@ -63,6 +72,9 @@ pub struct BdlWriteWork {
     pub erase_query_levels: u64,
     /// Query-against-row key tests at the leaves.
     pub erase_compares: u64,
+    /// Rows built into the insert buffer's tree, summed over its builds:
+    /// the buffer's length after every write that changed its rows.
+    pub rows_indexed: u64,
 }
 
 impl<const D: usize> BdlTree<D> {
@@ -82,6 +94,7 @@ impl<const D: usize> BdlTree<D> {
         assert!(x >= 1);
         Self {
             buffer: Vec::with_capacity(x),
+            buffer_tree: LevelTree::build_with(Vec::new(), LEAF_SIZE, rule),
             trees: Vec::new(),
             x,
             rule,
@@ -156,10 +169,25 @@ impl<const D: usize> BdlTree<D> {
         f
     }
 
-    /// Batch insert (Algorithm 3).
+    /// Batch insert (Algorithm 3). The points get the next ids in batch
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// If the tree would have handed out more than `u32::MAX` ids over its
+    /// life: ids are `u32` and never reused.
     pub fn insert(&mut self, batch: &[Point<D>]) {
         self.epoch += 1;
-        self.cascade(batch, Vec::new());
+        if self.cascade(batch, Vec::new()) {
+            self.index_buffer();
+        }
+    }
+
+    /// Builds the buffer's tree over the buffer's rows again.
+    fn index_buffer(&mut self) {
+        let rows = self.buffer.clone();
+        self.work.rows_indexed += rows.len() as u64;
+        self.buffer_tree = LevelTree::build_with(rows, LEAF_SIZE, self.rule);
     }
 
     /// The logarithmic carry, the one write both updates end in: the
@@ -175,9 +203,16 @@ impl<const D: usize> BdlTree<D> {
     /// Each row is read where it lives — the batch, a level's columns —
     /// and written once, into the row buffer its tree is built in; the
     /// build moves it once more, into the columns.
-    fn cascade(&mut self, batch: &[Point<D>], drained: Vec<LevelTree<D>>) {
+    ///
+    /// Returns whether the insert buffer's rows changed: they do exactly
+    /// when `|incoming|` is not a multiple of X (a tail spills in, and
+    /// only a spill can fill the buffer for the take).
+    fn cascade(&mut self, batch: &[Point<D>], drained: Vec<LevelTree<D>>) -> bool {
         let first_id = self.next_id;
-        self.next_id += batch.len() as u32;
+        self.next_id = u32::try_from(batch.len())
+            .ok()
+            .and_then(|n| first_id.checked_add(n))
+            .expect("BdlTree: more than u32::MAX inserts exhaust the u32 id space");
         self.live += batch.len();
         let n = batch.len() + drained.iter().map(LevelTree::len).sum::<usize>();
         let mut incoming = (batch.iter().enumerate())
@@ -190,8 +225,9 @@ impl<const D: usize> BdlTree<D> {
         self.buffer[spill..].reverse();
         let take = self.buffer.len() >= self.x;
         let k = (n / self.x + take as usize) as u64;
+        let changed = !n.is_multiple_of(self.x);
         if k == 0 {
-            return;
+            return changed;
         }
         let f = self.bitmask();
         let f_new = f + k;
@@ -249,6 +285,7 @@ impl<const D: usize> BdlTree<D> {
             debug_assert!(self.trees[level].is_none());
             self.trees[level] = tree.filter(|t| !t.is_empty());
         }
+        changed
     }
 
     /// Batch delete by point value (Algorithm 4). All live copies of each
@@ -274,6 +311,7 @@ impl<const D: usize> BdlTree<D> {
                     .extract_if(.., |(p, _)| victims.contains(&p.bits_key())),
             );
         }
+        let buffer_hit = !removed.is_empty();
         // Parallel bulk erase across all occupied trees (grain 1: an item
         // is a whole tree's erase), each tree reporting into its own slot:
         // the rows it lost, the overlay bytes it copied, its query-levels
@@ -302,16 +340,18 @@ impl<const D: usize> BdlTree<D> {
             .filter(|(i, slot)| slot.as_ref().is_some_and(|t| 2 * t.len() < x << i))
             .filter_map(|(_, slot)| slot.take())
             .collect();
-        self.cascade(&[], drained);
+        if self.cascade(&[], drained) || buffer_hit {
+            self.index_buffer();
+        }
         removed
     }
 
     /// k nearest live neighbors of `q` (ids are insertion-order ids),
     /// ascending by distance. One shared buffer accumulates across every
-    /// occupied static tree and the insert buffer (Appendix C.4), largest
-    /// tree first: the tree most likely to hold the true neighbors sets the
-    /// bound, smaller trees are then pruned by it or skipped whole, and the
-    /// insert buffer — a flat scan nothing can prune — is mostly rejected.
+    /// occupied static tree and the insert buffer's tree (Appendix C.4),
+    /// largest tree first: the tree most likely to hold the true neighbors
+    /// sets the bound, and every smaller tree, the buffer's last, is then
+    /// pruned by it or skipped whole.
     pub fn knn(&self, q: &Point<D>, k: usize) -> Vec<Neighbor> {
         self.knn_with(q, KnnBuffer::new(k)).finish()
     }
@@ -323,14 +363,20 @@ impl<const D: usize> BdlTree<D> {
     }
 
     fn knn_with<W: KnnProbe>(&self, q: &Point<D>, mut buf: KnnBuffer<W>) -> KnnBuffer<W> {
-        for t in self.trees.iter().rev().flatten() {
+        for t in self.searched() {
             t.knn_into(q, &mut buf);
         }
-        buf.probe().points_tested(self.buffer.len());
-        for (p, id) in &self.buffer {
-            buf.insert(q.dist_sq(p), *id);
-        }
         buf
+    }
+
+    /// Every tree a read descends, in k-NN order: the occupied levels,
+    /// largest first, then the insert buffer's tree.
+    fn searched(&self) -> impl Iterator<Item = &LevelTree<D>> {
+        self.trees
+            .iter()
+            .rev()
+            .flatten()
+            .chain(std::iter::once(&self.buffer_tree))
     }
 
     /// Data-parallel batch k-NN (parallel over the queries `S`, evaluated
@@ -340,18 +386,23 @@ impl<const D: usize> BdlTree<D> {
     }
 
     /// Insertion-order ids of all live points inside `query` (boundary
-    /// inclusive), sorted ascending. One answer accumulates across the
-    /// buffer and every occupied static tree, mirroring the shared-buffer
-    /// k-NN strategy.
+    /// inclusive), sorted ascending. One answer accumulates across every
+    /// occupied static tree and the insert buffer's tree, mirroring the
+    /// shared-buffer k-NN strategy.
     pub fn range_box(&self, query: &Bbox<D>) -> Vec<u32> {
-        let mut out: Vec<u32> = self
-            .buffer
-            .iter()
-            .filter(|(p, _)| query.contains(p))
-            .map(|&(_, id)| id)
-            .collect();
-        for t in self.trees.iter().flatten() {
-            t.range_into(query, &mut out);
+        self.range_with(query, &mut ())
+    }
+
+    /// [`range_box`](Self::range_box) plus the work the same descents did.
+    pub fn range_work(&self, query: &Bbox<D>) -> (Vec<u32>, RangeWork) {
+        let mut work = RangeWork::default();
+        (self.range_with(query, &mut work), work)
+    }
+
+    fn range_with<W: RangeProbe>(&self, query: &Bbox<D>, probe: &mut W) -> Vec<u32> {
+        let mut out = Vec::new();
+        for t in self.searched() {
+            t.range_into(query, &mut out, probe);
         }
         out.sort_unstable();
         out
@@ -359,18 +410,7 @@ impl<const D: usize> BdlTree<D> {
 
     /// Number of live points inside `query` without materializing them.
     pub fn count_box(&self, query: &Bbox<D>) -> usize {
-        let buffered = self
-            .buffer
-            .iter()
-            .filter(|(p, _)| query.contains(p))
-            .count();
-        buffered
-            + self
-                .trees
-                .iter()
-                .flatten()
-                .map(|t| t.count_box(query))
-                .sum::<usize>()
+        self.searched().map(|t| t.count_box(query)).sum()
     }
 
     /// Data-parallel batch box reporting (parallel over the queries,
@@ -391,16 +431,10 @@ impl<const D: usize> BdlTree<D> {
 
     /// Bounding box of the live points — the cascade's current effective
     /// region (shrinks when deletes remove extreme points). Folded in place
-    /// from the insert buffer and each tree's columns; nothing is copied.
+    /// from each tree's columns, the buffer's included; nothing is copied.
     pub fn live_bbox(&self) -> Bbox<D> {
-        let mut b = Bbox::empty();
-        for (p, _) in &self.buffer {
-            b.extend(p);
-        }
-        for t in self.trees.iter().flatten() {
-            b = b.union(&t.live_bbox());
-        }
-        b
+        self.searched()
+            .fold(Bbox::empty(), |b, t| b.union(&t.live_bbox()))
     }
 
     /// Per static tree (smallest first; empty levels skipped): whether
@@ -426,21 +460,17 @@ impl<const D: usize> BdlTree<D> {
     }
 
     /// Heap bytes held by the cascade's flat arenas (every level's
-    /// slabs plus the insert buffer) — the `index_arena_bytes` gauge.
+    /// slabs, the insert buffer's rows and its tree's slabs) — the
+    /// `index_arena_bytes` gauge.
     pub fn arena_bytes(&self) -> usize {
         self.buffer.len() * std::mem::size_of::<(Point<D>, u32)>()
-            + self
-                .trees
-                .iter()
-                .flatten()
-                .map(|t| t.arena_bytes())
-                .sum::<usize>()
+            + self.searched().map(LevelTree::arena_bytes).sum::<usize>()
     }
 
-    /// Total nodes across every occupied level — the
-    /// `index_nodes_total` gauge.
+    /// Total nodes across every occupied level and the insert buffer's
+    /// tree — the `index_nodes_total` gauge.
     pub fn node_count(&self) -> usize {
-        self.trees.iter().flatten().map(|t| t.node_count()).sum()
+        self.searched().map(LevelTree::node_count).sum()
     }
 }
 
@@ -453,7 +483,7 @@ impl<const D: usize> Default for BdlTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pargeo_datagen::uniform_cube;
+    use pargeo_datagen::{cube_side, uniform_cube};
     use pargeo_kdtree::knn::knn_brute_force;
 
     fn check_knn<const D: usize>(t: &BdlTree<D>, reference: &[Point<D>], k: usize) {
@@ -733,17 +763,10 @@ mod tests {
         total
     }
 
-    /// The machine-independent regression guard of the k-NN read path: a
-    /// seeded 50k-point 5-D tree in `index-batch`'s insert shape (half,
-    /// then ten batches of 5%: trees of 32 768 and 16 384 points and 848 in
-    /// the insert buffer), 400 uniform queries, k = 5. Recorded with the
-    /// exact-bound buffer searching the largest tree first: 103.1 nodes and
-    /// 1 227.9 distances (848 of them the buffer's) per query. Smallest
-    /// tree first costs 110.1 / 1 259.0; with the 2k-slot buffer's lagging
-    /// bound on top (the code before this guard) it was 119 / 1 308, and
-    /// the gap widens with n (207 vs 150 nodes at 200k points).
-    #[test]
-    fn knn_work_stays_under_the_recorded_ceiling() {
+    /// A seeded 50k-point 5-D tree in `index-batch`'s insert shape (half,
+    /// then ten batches of 5%: trees of 32 768 and 16 384 points and 848
+    /// in the insert buffer), and 400 uniform queries.
+    fn index_batch_shape() -> (BdlTree<5>, Vec<Point<5>>) {
         let n = 50_000;
         let pts = uniform_cube::<5>(n, 42);
         let mut t = BdlTree::<5>::new();
@@ -752,11 +775,64 @@ mod tests {
             t.insert(batch);
         }
         assert_eq!(t.tree_sizes()[4..], [16_384, 32_768]);
-        let queries = &uniform_cube::<5>(n, 43)[..400];
-        let w = work_of(&t, queries, 5);
-        assert!(w.nodes <= 105 * 400, "{w:?}");
-        assert!(w.points_tested <= 1_238 * 400, "{w:?}");
-        assert_eq!(w.leaves * 16 + 848 * 400, w.points_tested, "{w:?}");
+        assert_eq!(t.len() - 16_384 - 32_768, 848);
+        (t, uniform_cube::<5>(n, 43)[..400].to_vec())
+    }
+
+    /// The machine-independent regression guard of the k-NN read path, on
+    /// [`index_batch_shape`] with k = 5. Recorded with the insert buffer
+    /// searched as a tree after the levels: 115.4 nodes and 414.0
+    /// distances per query (46 150 and 165 599 over the 400; 10 526
+    /// leaves, not all of 16 rows). The buffer's tree adds its own path to
+    /// the nodes: 4 907 of the 46 150, 12.3 a query. With the buffer scanned flat
+    /// it was 103.1 nodes and 1 227.9 distances, 848 of them the buffer's;
+    /// before that, smallest tree first cost 110.1 / 1 259.0, and with
+    /// the 2k-slot buffer's lagging bound on top 119 / 1 308 (the gap
+    /// widens with n: 207 vs 150 nodes at 200k points).
+    #[test]
+    fn knn_work_stays_under_the_recorded_ceiling() {
+        let (t, queries) = index_batch_shape();
+        let w = work_of(&t, &queries, 5);
+        assert!(w.nodes <= 116 * 400, "{w:?}");
+        assert!(w.points_tested <= 415 * 400, "{w:?}");
+    }
+
+    /// The machine-independent regression guard of the box read path, on
+    /// [`index_batch_shape`]: 400 boxes 0.2 of the cube's side wide on
+    /// every axis (`index-batch`'s widest), centred on the queries, which
+    /// report 4 921 ids. Each answer is checked against `range_box` and
+    /// `count_box` on the way. Recorded with the insert buffer searched as
+    /// a tree: 63 640 nodes, 9 109 leaves and 143 116 rows tested (159.1
+    /// nodes and 357.8 rows a query), 7 850 of the nodes the buffer
+    /// tree's. With the buffer scanned flat it was 55 790 nodes (none of
+    /// them the buffer's), 8 151 leaves and 469 616 rows, 339 200 of them
+    /// the buffer's 848 per query.
+    #[test]
+    fn range_work_stays_under_the_recorded_ceiling() {
+        let (t, queries) = index_batch_shape();
+        let half = 0.1 * cube_side(50_000);
+        let mut total = RangeWork::default();
+        let mut reported = 0;
+        for q in &queries {
+            let query = Bbox {
+                min: Point::new(q.coords.map(|c| c - half)),
+                max: Point::new(q.coords.map(|c| c + half)),
+            };
+            let (ids, w) = t.range_work(&query);
+            assert_eq!(
+                ids,
+                t.range_box(&query),
+                "the probe must not change the answer"
+            );
+            assert_eq!(ids.len(), t.count_box(&query));
+            reported += ids.len();
+            total.nodes += w.nodes;
+            total.leaves += w.leaves;
+            total.rows_tested += w.rows_tested;
+        }
+        assert_eq!(reported, 4_921, "{total:?}");
+        assert!(total.nodes <= 63_640, "{total:?}");
+        assert!(total.rows_tested <= 143_116, "{total:?}");
     }
 
     /// The machine-independent regression guard of the write path:
@@ -771,7 +847,9 @@ mod tests {
     /// and a drain's survivors were gathered and dealt again); the one
     /// before it — an AoS pool, a `to_vec` per share and another inside
     /// the build — 560 128, and its erase, without the root-box test, took
-    /// 536 008 query-levels and 774 046 compares.
+    /// 536 008 query-levels and 774 046 compares. The insert buffer's tree
+    /// is built over 17 056 rows in all: every insert spills into the
+    /// buffer, and so does a drain whose survivors are not a multiple of X.
     #[test]
     fn write_work_stays_under_the_recorded_ceiling() {
         let pts = uniform_cube::<2>(56_000, 42);
@@ -792,6 +870,7 @@ mod tests {
         assert_eq!(w.rows_moved, 2 * w.rows_built, "{w:?}");
         assert!(w.erase_query_levels <= 535_676, "{w:?}");
         assert!(w.erase_compares <= 773_223, "{w:?}");
+        assert!(w.rows_indexed <= 17_056, "{w:?}");
     }
 
     /// FNV-1a over every live row in slot order (the buffer, then each
@@ -858,6 +937,73 @@ mod tests {
             0x4f6ae03469bc3c54,
         ];
         assert_eq!(digests, want, "{digests:#x?}");
+    }
+
+    /// The buffer's tree holds exactly the buffer's rows after every write
+    /// of the slot-digest replay (with one small delete added before its
+    /// last, and a delete of everything after it), and is built again
+    /// exactly when they
+    /// changed: a write that leaves the buffer as it was — a delete that
+    /// removes no buffer row and drains nothing, among others — indexes
+    /// no row, any other indexes the new buffer once.
+    #[test]
+    fn the_buffer_tree_is_built_again_exactly_when_the_buffer_changes() {
+        let x = 32;
+        let pts = uniform_cube::<2>(6_000, 26);
+        let mut t = BdlTree::<2>::with_buffer_size(x);
+        let script: [(bool, std::ops::Range<usize>); 12] = [
+            (true, 0..1_000),
+            (true, 1_000..1_021),
+            (false, 0..30),
+            (true, 1_021..2_500),
+            (false, 100..900),
+            (false, 1_000..1_400),
+            (true, 2_500..2_517),
+            (false, 1_400..2_200),
+            (true, 2_517..6_000),
+            (false, 2_200..2_210),
+            (false, 2_210..5_990),
+            (false, 0..6_000),
+        ];
+        let by_id = |mut rows: Vec<(Point<2>, u32)>| {
+            rows.sort_by_key(|&(_, id)| id);
+            rows
+        };
+        let mut untouched = Vec::new();
+        for (step, (insert, range)) in script.into_iter().enumerate() {
+            let (buffer, indexed) = (t.buffer.clone(), t.write_work().rows_indexed);
+            if insert {
+                t.insert(&pts[range]);
+            } else {
+                t.delete(&pts[range]);
+            }
+            let rows = by_id(t.buffer_tree.live_rows().collect());
+            assert_eq!(rows, by_id(t.buffer.clone()));
+            let grew = t.write_work().rows_indexed - indexed;
+            if t.buffer == buffer {
+                untouched.push(step);
+                assert_eq!(grew, 0);
+            } else {
+                assert_eq!(grew, t.buffer.len() as u64);
+            }
+        }
+        // Write 5 empties a level, with no survivor to spill; write 9
+        // removes ten points from the levels and drains none.
+        assert_eq!(untouched, [5, 9]);
+    }
+
+    /// Ids are `u32` and never reused: the insert that would hand out one
+    /// past the id space panics instead of wrapping to duplicates.
+    #[test]
+    #[should_panic(expected = "u32 id space")]
+    fn an_insert_past_the_u32_id_space_panics() {
+        let pts = uniform_cube::<2>(3, 27);
+        let mut t = BdlTree::<2>::with_buffer_size(4);
+        t.next_id = u32::MAX - 2;
+        t.insert(&pts[..2]);
+        assert_eq!(t.total_inserted(), u32::MAX as u64);
+        assert_eq!(t.knn(&pts[1], 1)[0].id, u32::MAX - 1);
+        t.insert(&pts[2..]);
     }
 
     #[test]

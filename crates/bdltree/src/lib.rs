@@ -17,7 +17,10 @@
 //!   into the larger trees exactly like an inserted batch, in the same
 //!   one pass.
 //! * **Data-parallel k-NN** (Appendix C.4) — one shared k-NN buffer per
-//!   query accumulates results across the buffer and every occupied tree.
+//!   query accumulates results across every occupied tree, largest first,
+//!   and last the insert buffer's own small tree, so the shared bound
+//!   prunes the buffer like a level. Box reporting and counting descend
+//!   the same trees.
 //!
 //! Its §6.3 comparator, the Morton-order Zd-tree, is one of the kd-tree's
 //! uses and lives beside `LevelTree`, as [`pargeo_kdtree::ZdTree`].

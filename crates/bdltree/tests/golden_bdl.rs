@@ -126,53 +126,53 @@ fn bdl_answers_and_work_are_unchanged() {
     replay("5D uniform 20k", &uniform5, 28.0, &mut got);
     let want = [
         "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] knn k=1 600 973c7632c138c71b",
-        "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] knn_work k=1 KnnWork { nodes: 10501, leaves: 1438, points_tested: 36508, trees_skipped: 74 }",
+        "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] knn_work k=1 KnnWork { nodes: 10524, leaves: 1446, points_tested: 23097, trees_skipped: 366 }",
         "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] knn k=8 4800 0aa488cc69f3078c",
-        "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] knn_work k=8 KnnWork { nodes: 12558, leaves: 2185, points_tested: 48460, trees_skipped: 72 }",
+        "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] knn_work k=8 KnnWork { nodes: 12583, leaves: 2194, points_tested: 35061, trees_skipped: 364 }",
         "2D uniform 40k step 2 [256, 512, 1024, 2048, 0, 8192] range 6033 a07ebeecb71dc789",
         "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] knn k=1 600 9b80f986bec60c0d",
-        "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] knn_work k=1 KnnWork { nodes: 12128, leaves: 1692, points_tested: 69972, trees_skipped: 1 }",
+        "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] knn_work k=1 KnnWork { nodes: 13419, leaves: 1896, points_tested: 28873, trees_skipped: 10 }",
         "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] knn k=8 4800 999264657f6db289",
-        "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] knn_work k=8 KnnWork { nodes: 15152, leaves: 2874, points_tested: 88884, trees_skipped: 0 }",
+        "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] knn_work k=8 KnnWork { nodes: 16553, leaves: 3115, points_tested: 48115, trees_skipped: 0 }",
         "2D uniform 40k step 5 [256, 512, 1024, 0, 2173, 0, 8192] range 6022 71f96e2fb046e904",
         "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] knn k=1 600 2f95a7b7fd3c98c5",
-        "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] knn_work k=1 KnnWork { nodes: 4354, leaves: 623, points_tested: 43568, trees_skipped: 741 }",
+        "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] knn_work k=1 KnnWork { nodes: 5447, leaves: 881, points_tested: 13580, trees_skipped: 750 }",
         "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] knn k=8 4800 576f122b17b6e8bd",
-        "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] knn_work k=8 KnnWork { nodes: 6007, leaves: 1268, points_tested: 53888, trees_skipped: 729 }",
+        "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] knn_work k=8 KnnWork { nodes: 7169, leaves: 1554, points_tested: 24292, trees_skipped: 729 }",
         "2D uniform 40k step 8 [256, 512, 1024, 0, 4096, 0, 0] range 3103 536b98ab2657a081",
-        "2D uniform 40k BdlWriteWork { rows_moved: 146944, rows_built: 73472, trees_built: 20, erase_query_levels: 1225334, erase_compares: 1727681 }",
+        "2D uniform 40k BdlWriteWork { rows_moved: 146944, rows_built: 73472, trees_built: 20, erase_query_levels: 1225334, erase_compares: 1727681, rows_indexed: 1064 }",
         "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] knn k=1 600 49d4b6dc9dbfe9cc",
-        "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] knn_work k=1 KnnWork { nodes: 8613, leaves: 1091, points_tested: 28256, trees_skipped: 0 }",
+        "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] knn_work k=1 KnnWork { nodes: 8765, leaves: 1131, points_tested: 17816, trees_skipped: 238 }",
         "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] knn k=8 4800 b66db92d85f72d47",
-        "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] knn_work k=8 KnnWork { nodes: 11681, leaves: 2335, points_tested: 48160, trees_skipped: 0 }",
+        "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] knn_work k=8 KnnWork { nodes: 11845, leaves: 2383, points_tested: 37792, trees_skipped: 238 }",
         "2D lattice 30k step 2 [192, 332, 679, 0, 0, 5040] range 2340 11e80588e2495945",
         "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] knn k=1 600 bca65c958b471dae",
-        "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] knn_work k=1 KnnWork { nodes: 4956, leaves: 739, points_tested: 49624, trees_skipped: 0 }",
+        "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] knn_work k=1 KnnWork { nodes: 6047, leaves: 970, points_tested: 15502, trees_skipped: 0 }",
         "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] knn k=8 4800 70b7f711dff6e5e2",
-        "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] knn_work k=8 KnnWork { nodes: 6387, leaves: 1314, points_tested: 58824, trees_skipped: 0 }",
+        "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] knn_work k=8 KnnWork { nodes: 7582, leaves: 1604, points_tested: 25643, trees_skipped: 0 }",
         "2D lattice 30k step 5 [0, 0, 1024, 2048, 0, 0, 0] range 1223 dc1b2b6a40e72375",
         "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] knn k=1 600 f0c9a1b1d3808611",
-        "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] knn_work k=1 KnnWork { nodes: 2074, leaves: 434, points_tested: 10844, trees_skipped: 0 }",
+        "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] knn_work k=1 KnnWork { nodes: 2191, leaves: 551, points_tested: 8465, trees_skipped: 183 }",
         "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] knn k=8 4800 66624bca22bb4cc7",
-        "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] knn_work k=8 KnnWork { nodes: 2953, leaves: 782, points_tested: 16412, trees_skipped: 0 }",
+        "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] knn_work k=8 KnnWork { nodes: 3094, leaves: 923, points_tested: 14345, trees_skipped: 159 }",
         "2D lattice 30k step 8 [0, 512, 0, 0, 0, 0, 0] range 489 a3cdce612638a039",
-        "2D lattice 30k BdlWriteWork { rows_moved: 83352, rows_built: 41676, trees_built: 16, erase_query_levels: 653694, erase_compares: 781273 }",
+        "2D lattice 30k BdlWriteWork { rows_moved: 83352, rows_built: 41676, trees_built: 16, erase_query_levels: 653694, erase_compares: 781273, rows_indexed: 1109 }",
         "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] knn k=1 600 8f46d4d3ab06cdeb",
-        "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] knn_work k=1 KnnWork { nodes: 17318, leaves: 4112, points_tested: 122492, trees_skipped: 0 }",
+        "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] knn_work k=1 KnnWork { nodes: 19455, leaves: 4620, points_tested: 71792, trees_skipped: 0 }",
         "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] knn k=8 4800 f4b8c401e153ebfb",
-        "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] knn_work k=8 KnnWork { nodes: 29051, leaves: 8687, points_tested: 195692, trees_skipped: 0 }",
+        "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] knn_work k=8 KnnWork { nodes: 31950, leaves: 9538, points_tested: 149029, trees_skipped: 0 }",
         "5D uniform 20k step 2 [256, 512, 1024, 0, 4096] range 11075 25139fbe981ed3f4",
         "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] knn k=1 600 70b3d9e861e2118b",
-        "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] knn_work k=1 KnnWork { nodes: 20753, leaves: 4929, points_tested: 95364, trees_skipped: 0 }",
+        "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] knn_work k=1 KnnWork { nodes: 21834, leaves: 5336, points_tested: 84473, trees_skipped: 0 }",
         "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] knn k=8 4800 b55ecdfdfef6517c",
-        "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] knn_work k=8 KnnWork { nodes: 39371, leaves: 11936, points_tested: 207476, trees_skipped: 0 }",
+        "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] knn_work k=8 KnnWork { nodes: 40607, leaves: 12457, points_tested: 198146, trees_skipped: 0 }",
         "5D uniform 20k step 5 [0, 0, 1024, 1125, 0, 4096] range 11510 1ea0b9699cac7c69",
         "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] knn k=1 600 3d30f71c14ee887b",
-        "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] knn_work k=1 KnnWork { nodes: 9697, leaves: 2433, points_tested: 94128, trees_skipped: 339 }",
+        "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] knn_work k=1 KnnWork { nodes: 11695, leaves: 2879, points_tested: 43968, trees_skipped: 339 }",
         "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] knn k=8 4800 02ff7cf06aa0fcbb",
-        "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] knn_work k=8 KnnWork { nodes: 17532, leaves: 5653, points_tested: 145648, trees_skipped: 262 }",
+        "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] knn_work k=8 KnnWork { nodes: 20370, leaves: 6473, points_tested: 99716, trees_skipped: 262 }",
         "5D uniform 20k step 8 [256, 512, 0, 2048, 0, 0] range 5738 d097fbe33e257615",
-        "5D uniform 20k BdlWriteWork { rows_moved: 74752, rows_built: 37376, trees_built: 18, erase_query_levels: 498672, erase_compares: 734213 }",
+        "5D uniform 20k BdlWriteWork { rows_moved: 74752, rows_built: 37376, trees_built: 18, erase_query_levels: 498672, erase_compares: 734213, rows_indexed: 1088 }",
     ];
     assert_eq!(got, want, "{got:#?}");
 }

@@ -3,7 +3,7 @@
 //! 1. pseudohull facet-threshold cutoff (stack-overflow guard vs pruning
 //!    quality),
 //! 2. SEB sampling segment size `c` (Figure 6's constant),
-//! 3. BDL buffer size `X`,
+//! 3. BDL buffer size `X`, with the k-NN distance tests per query,
 //! 4. the static tree build through its two entry points (`KdTree` and
 //!    `LevelTree`) on the four shapes that separate a build's weak cases,
 //! 5. reservation boundary ring on/off is structural (cannot be toggled
@@ -12,7 +12,7 @@
 
 use pargeo::datagen;
 use pargeo::prelude::*;
-use pargeo_bench::{env_n, header, ms, time_best};
+use pargeo_bench::{env_n, header, ms, time, time_best};
 
 fn main() {
     let n = env_n(100_000);
@@ -40,23 +40,36 @@ fn main() {
     let t_scan = time_best(3, || seb_orthant_scan(&ptsu));
     println!("| (no sampling: Scan) | {} |", ms(t_scan));
 
-    // 3. BDL buffer size X.
-    println!("\n## BDL buffer size X (5D-U, 10x10% inserts)\n");
+    // 3. BDL buffer size X, with the k-NN distance tests a query costs.
+    println!("\n## BDL buffer size X\n");
+    header(&[
+        "shape",
+        "X",
+        "write time (ms)",
+        "k-NN time (ms)",
+        "points tested / query",
+    ]);
     let pts5 = datagen::uniform_cube::<5>(n, 3);
-    header(&["X", "insert time (ms)", "k-NN time (ms)"]);
+    let build = |x| {
+        let mut t = BdlTree::<5>::with_buffer_size(x);
+        for chunk in pts5.chunks(n / 10) {
+            t.insert(chunk);
+        }
+        t
+    };
     for x in [64usize, 256, 1_024, 4_096, 16_384] {
-        let ins = time_best(1, || {
-            let mut t = BdlTree::<5>::with_buffer_size(x);
-            for chunk in pts5.chunks(n / 10) {
-                t.insert(chunk);
-            }
-            t
-        });
-        let mut tree = BdlTree::<5>::with_buffer_size(x);
-        tree.insert(&pts5);
-        let knn = time_best(1, || tree.knn_batch(&pts5[..n / 10], 5));
-        println!("| {x} | {} | {} |", ms(ins), ms(knn));
+        let ins = time_best(1, || build(x));
+        let tree = build(x);
+        let queries = &pts5[..n / 10];
+        let knn = time_best(1, || tree.knn_batch(queries, 5));
+        let tested = points_tested(&tree, queries, 5);
+        println!(
+            "| 5D-U, 10x10% inserts, k = 5 | {x} | {} | {} | {tested:.1} |",
+            ms(ins),
+            ms(knn)
+        );
     }
+    serve_shape(4 * n);
 
     // 4. The static build, on one worker: many rows, fat rows, many nodes,
     // and a tree that fits in cache.
@@ -68,6 +81,45 @@ fn main() {
         static_build::<2>(3 * n / 10, 1);
         static_build::<2>(3 * n / 10, 16);
     });
+}
+
+/// Mean k-NN distance tests per query over `queries` (`BdlTree::knn_work`).
+fn points_tested<const D: usize>(tree: &BdlTree<D>, queries: &[Point<D>], k: usize) -> f64 {
+    let total: u64 = queries
+        .iter()
+        .map(|q| tree.knn_work(q, k).1.points_tested)
+        .sum();
+    total as f64 / queries.len() as f64
+}
+
+/// The X table's row in `store-serve`'s shape, at the default X: `live`
+/// 2-D points, then 16 windows that each insert 1 000 new points, delete
+/// the 1 000 oldest and answer 250 k-NN queries with k = 8 — so the insert
+/// buffer holds a different number of rows in every window. Times are
+/// summed over the windows, points tested averaged.
+fn serve_shape(live: usize) {
+    const WINDOWS: usize = 16;
+    const STEP: usize = 1_000;
+    let pts = datagen::uniform_cube::<2>(live + WINDOWS * STEP, 5);
+    let queries = &datagen::uniform_cube::<2>(pts.len(), 6)[..250];
+    let mut tree = BdlTree::<2>::new();
+    tree.insert(&pts[..live]);
+    let (mut write, mut knn, mut tested) = (0.0, 0.0, 0.0);
+    for w in 0..WINDOWS {
+        write += time(|| {
+            tree.insert(&pts[live + w * STEP..][..STEP]);
+            tree.delete(&pts[w * STEP..][..STEP]);
+        })
+        .1;
+        knn += time(|| tree.knn_batch(queries, 8)).1;
+        tested += points_tested(&tree, queries, 8) / WINDOWS as f64;
+    }
+    println!(
+        "| 2D-U, {live} + {WINDOWS} windows of {STEP} insert+delete, k = 8 | {} | {} | {} | {tested:.1} |",
+        tree.buffer_size(),
+        ms(write),
+        ms(knn)
+    );
 }
 
 /// One row of the static-build table: `n` uniform points, object-median

@@ -194,14 +194,14 @@ pub trait SpatialIndex<const D: usize> {
     /// copy-on-write, and whichever side writes shared state first copies
     /// it.
     ///
-    /// Cost: [`BdlTree`] pins in O(X + log n): the insert buffer is
-    /// copied and every static tree shared; inserts and drains replace
-    /// trees without touching the other side's, and the first delete that
-    /// removes points from a shared tree copies that tree's deletion
-    /// overlay (~1.2 B/pt, never coordinates). [`ShardedIndex`] pins
-    /// every shard and shares each shard's id map until one side appends
-    /// to it. [`ZdTree`] and the [`VecIndex`] oracle copy themselves whole
-    /// (O(n)). Every overlay copy is counted in the copying side's
+    /// Cost: [`BdlTree`] pins in O(X + log n): the insert buffer's rows
+    /// are copied, and its tree and every static tree shared; inserts and
+    /// drains replace trees without touching the other side's, and the
+    /// first delete that removes points from a shared tree copies that
+    /// tree's deletion overlay (~1.2 B/pt, never coordinates).
+    /// [`ShardedIndex`] pins every shard and shares each shard's id map
+    /// until one side appends to it. [`ZdTree`] and the [`VecIndex`]
+    /// oracle copy themselves whole (O(n)). Every overlay copy is counted in the copying side's
     /// [`Snapshot::cow_bytes`].
     fn pin(&self) -> Box<dyn SpatialIndex<D> + Send + Sync>;
 

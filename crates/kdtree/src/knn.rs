@@ -75,7 +75,7 @@ pub struct KnnWork {
     pub nodes: u64,
     /// Leaves scanned.
     pub leaves: u64,
-    /// Point distances computed (leaf scans and insert-buffer scans).
+    /// Point distances computed (rows of the leaves scanned).
     pub points_tested: u64,
     /// Trees skipped whole by their root box.
     pub trees_skipped: u64,

@@ -16,7 +16,8 @@
 //!   trades a stale bound for O(1) inserts). Batch queries are
 //!   data-parallel and evaluated in Z-order of the queries.
 //! * [`range`] — orthogonal (box) and spherical range search and counting,
-//!   the tree's range descents.
+//!   the tree's range descents; the box descents report their work to a
+//!   `RangeProbe` the way k-NN reports to a `KnnProbe`.
 //! * [`LevelTree`] — one level of the BDL-tree: `tree` + overlay — a
 //!   [`KdTree`], nodes in the build's preorder, under a copy-on-write
 //!   liveness overlay that the parallel bulk deletion (Algorithm 2) writes
@@ -43,6 +44,7 @@ pub mod zdtree;
 
 pub use baselines::{B1Tree, B2Tree};
 pub use knn::{canonical_order, knn_brute_force, KnnBuffer, KnnProbe, KnnWork, Neighbor};
+pub use range::{RangeProbe, RangeWork};
 pub use tree::{KdTree, SplitRule};
 pub use veb::LevelTree;
 pub use zdtree::ZdTree;

@@ -8,10 +8,53 @@
 //! Reporting output is **deterministic**: ids come back sorted ascending
 //! regardless of tree shape, split rule, or thread count, so answers from
 //! different trees over the same points are comparable verbatim.
+//!
+//! The box descents report their work to a [`RangeProbe`], the range
+//! counterpart of [`crate::knn::KnnProbe`]: `()` everywhere but where a
+//! caller asks for [`RangeWork`].
 
 use crate::tree::{AllLive, KdTree, Liveness, Node, Walk};
 use pargeo_geometry::{Bbox, Point};
 use pargeo_morton::map_batch_z_order_by;
+
+/// What a box descent reports about its own work. Every method defaults to
+/// nothing, so the `()` probe every query runs with compiles away and the
+/// counting [`RangeWork`] probe measures the *same* descent.
+pub trait RangeProbe {
+    /// A node's box was tested against the query.
+    fn node(&mut self) {}
+    /// A leaf the query box straddles was scanned row by row.
+    fn leaf(&mut self) {}
+    /// `n` rows were tested against the query box.
+    fn rows_tested(&mut self, _n: usize) {}
+}
+
+impl RangeProbe for () {}
+
+/// Machine-independent work of the box queries a counting probe saw.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RangeWork {
+    /// Nodes whose box was tested against the query.
+    pub nodes: u64,
+    /// Leaves scanned row by row (the query box straddles them).
+    pub leaves: u64,
+    /// Rows of the leaves scanned, each tested against the query box
+    /// unless it was deleted. A node inside the box is reported without a
+    /// test.
+    pub rows_tested: u64,
+}
+
+impl RangeProbe for RangeWork {
+    fn node(&mut self) {
+        self.nodes += 1;
+    }
+    fn leaf(&mut self) {
+        self.leaves += 1;
+    }
+    fn rows_tested(&mut self, n: usize) {
+        self.rows_tested += n as u64;
+    }
+}
 
 impl<const D: usize> KdTree<D> {
     /// Original ids of all points inside `query` (boundary inclusive),
@@ -19,7 +62,7 @@ impl<const D: usize> KdTree<D> {
     pub fn range_box(&self, query: &Bbox<D>) -> Vec<u32> {
         let mut out = Vec::new();
         if !self.is_empty() {
-            self.walk(AllLive).range_box(0, query, &mut out);
+            self.walk(AllLive).range_box(0, query, &mut out, &mut ());
         }
         out.sort_unstable();
         out
@@ -65,7 +108,7 @@ impl<const D: usize> KdTree<D> {
         if self.is_empty() {
             return 0;
         }
-        self.walk(AllLive).count_box(0, query)
+        self.walk(AllLive).count_box(0, query, &mut ())
     }
 
     /// Data-parallel batch box search.
@@ -98,13 +141,35 @@ impl<const D: usize, L: Liveness> Walk<'_, D, L> {
             .filter(move |&i| self.live.alive(i) && (whole || inside(i)))
     }
 
-    /// Appends the ids of the live points inside `query` under `idx`.
-    pub(crate) fn range_box(&self, idx: u32, query: &Bbox<D>, out: &mut Vec<u32>) {
-        let node = &self.nodes[idx as usize];
+    /// Tells `probe` about node `node` — its box was tested — and, when
+    /// the query box straddles it and it is a leaf, the rows about to be
+    /// tested. Returns whether the node lies `whole` inside the query.
+    #[inline]
+    fn visit<W: RangeProbe>(node: &Node<D>, query: &Bbox<D>, probe: &mut W) -> Option<bool> {
+        probe.node();
         if !node.bbox.intersects(query) {
-            return;
+            return None;
         }
         let whole = query.contains_box(&node.bbox);
+        if !whole && node.is_leaf() {
+            probe.leaf();
+            probe.rows_tested(node.rows().len());
+        }
+        Some(whole)
+    }
+
+    /// Appends the ids of the live points inside `query` under `idx`.
+    pub(crate) fn range_box<W: RangeProbe>(
+        &self,
+        idx: u32,
+        query: &Bbox<D>,
+        out: &mut Vec<u32>,
+        probe: &mut W,
+    ) {
+        let node = &self.nodes[idx as usize];
+        let Some(whole) = Self::visit(node, query, probe) else {
+            return;
+        };
         if whole && L::NEVER_DEAD {
             out.extend_from_slice(&self.pts.ids()[node.rows()]);
         } else if whole || node.is_leaf() {
@@ -114,8 +179,8 @@ impl<const D: usize, L: Liveness> Walk<'_, D, L> {
             }
         } else {
             let (left, right) = self.children(node);
-            self.range_box(left, query, out);
-            self.range_box(right, query, out);
+            self.range_box(left, query, out, probe);
+            self.range_box(right, query, out, probe);
         }
     }
 
@@ -142,12 +207,16 @@ impl<const D: usize, L: Liveness> Walk<'_, D, L> {
     }
 
     /// Number of live points inside `query` under `idx`.
-    pub(crate) fn count_box(&self, idx: u32, query: &Bbox<D>) -> usize {
+    pub(crate) fn count_box<W: RangeProbe>(
+        &self,
+        idx: u32,
+        query: &Bbox<D>,
+        probe: &mut W,
+    ) -> usize {
         let node = &self.nodes[idx as usize];
-        if !node.bbox.intersects(query) {
+        let Some(whole) = Self::visit(node, query, probe) else {
             return 0;
-        }
-        let whole = query.contains_box(&node.bbox);
+        };
         if whole && L::NEVER_DEAD {
             node.rows().len()
         } else if whole || node.is_leaf() {
@@ -155,7 +224,7 @@ impl<const D: usize, L: Liveness> Walk<'_, D, L> {
             self.hits(node, whole, inside).count()
         } else {
             let (left, right) = self.children(node);
-            self.count_box(left, query) + self.count_box(right, query)
+            self.count_box(left, query, probe) + self.count_box(right, query, probe)
         }
     }
 
@@ -289,6 +358,50 @@ mod tests {
         for ((c, r), cnt) in queries.iter().zip(counts) {
             assert_eq!(cnt, t.range_ball(c, *r).len());
         }
+    }
+
+    /// The count descent does the work the range descent does, and the
+    /// probe sees the pruning: a box a few leaves wide tests a few leaves'
+    /// rows, a box over everything tests none (the root lies inside it).
+    #[test]
+    fn count_and_range_descents_report_the_same_work() {
+        let n = 3_000;
+        let pts = uniform_cube::<2>(n, 8);
+        let t = KdTree::build(&pts, SplitRule::ObjectMedian);
+        let side = pargeo_datagen::cube_side(n);
+        let mut queries: Vec<Bbox<2>> = (pts.iter().step_by(151).enumerate())
+            .map(|(i, q)| {
+                let half = side * 0.01 * (1 + i) as f64;
+                Bbox {
+                    min: Point2::new([q[0] - half, q[1] - half]),
+                    max: Point2::new([q[0] + half, q[1] + half]),
+                }
+            })
+            .collect();
+        queries.push(t.bbox());
+        for query in &queries {
+            let (mut ranged, mut counted) = (RangeWork::default(), RangeWork::default());
+            let mut out = Vec::new();
+            t.walk(AllLive).range_box(0, query, &mut out, &mut ranged);
+            let count = t.walk(AllLive).count_box(0, query, &mut counted);
+            assert_eq!(count, out.len());
+            assert_eq!(ranged, counted);
+            assert!(ranged.rows_tested <= 16 * ranged.leaves, "{ranged:?}");
+        }
+        let mut first = RangeWork::default();
+        t.walk(AllLive)
+            .range_box(0, &queries[0], &mut Vec::new(), &mut first);
+        assert!(first.rows_tested < n as u64 / 20, "{first:?}");
+        let mut all = RangeWork::default();
+        t.walk(AllLive).count_box(0, &t.bbox(), &mut all);
+        assert_eq!(
+            all,
+            RangeWork {
+                nodes: 1,
+                leaves: 0,
+                rows_tested: 0
+            }
+        );
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! copies that small overlay, never a coordinate, id or bounding box.
 
 use crate::knn::{KnnBuffer, KnnProbe};
+use crate::range::RangeProbe;
 use crate::tree::{fork_onto, KdTree, Liveness, Node, SplitRule, Walk, SEQ_BUILD_CUTOFF};
 use pargeo_geometry::{Bbox, Point};
 use std::sync::Arc;
@@ -251,10 +252,11 @@ impl<const D: usize> LevelTree<D> {
 
     /// Appends the ids of all live points inside `query` (boundary
     /// inclusive) to `out`, in unspecified order — the hook the BDL-tree
-    /// uses to accumulate one answer across its forest of trees.
-    pub fn range_into(&self, query: &Bbox<D>, out: &mut Vec<u32>) {
+    /// uses to accumulate one answer across its forest of trees — and
+    /// reports the descent's work to `probe` (`&mut ()` counts nothing).
+    pub fn range_into<W: RangeProbe>(&self, query: &Bbox<D>, out: &mut Vec<u32>, probe: &mut W) {
         if self.root != u32::MAX {
-            self.walk().range_box(self.root, query, out);
+            self.walk().range_box(self.root, query, out, probe);
         }
     }
 
@@ -263,7 +265,7 @@ impl<const D: usize> LevelTree<D> {
         if self.root == u32::MAX {
             0
         } else {
-            self.walk().count_box(self.root, query)
+            self.walk().count_box(self.root, query, &mut ())
         }
     }
 
@@ -580,7 +582,7 @@ mod tests {
         assert_eq!(t.len(), survivors.len());
         // Every survivor is reachable: no live point hides under a flag.
         let mut reached = Vec::new();
-        t.range_into(&Bbox::from_points(&pts), &mut reached);
+        t.range_into(&Bbox::from_points(&pts), &mut reached, &mut ());
         reached.sort_unstable();
         let ids: Vec<u32> = survivors.iter().map(|s| s.1).collect();
         assert_eq!(reached, ids);
@@ -593,7 +595,7 @@ mod tests {
             assert_eq!(got, want);
             let query = Bbox::from_points(&[*q, pts[0]]);
             let mut got = Vec::new();
-            t.range_into(&query, &mut got);
+            t.range_into(&query, &mut got, &mut ());
             got.sort_unstable();
             let mut want: Vec<u32> = survivors
                 .iter()

@@ -208,7 +208,7 @@ proptest! {
                 // nearest neighbour is a live one.
                 let everywhere = Bbox::from_points(&pts);
                 let mut reached = Vec::new();
-                t.range_into(&everywhere, &mut reached);
+                t.range_into(&everywhere, &mut reached, &mut ());
                 reached.sort_unstable();
                 let ids: Vec<u32> = rows.iter().map(|&(_, id)| id).collect();
                 prop_assert_eq!(reached, ids);
@@ -268,7 +268,7 @@ proptest! {
                 let query = Bbox::from_points(&[q, kd.point_at(ids.len() - 1 - i)]);
                 let want: Vec<u32> = kd.range_box(&query).iter().map(|&i| ids[i as usize]).collect();
                 let mut got = Vec::new();
-                level.range_into(&query, &mut got);
+                level.range_into(&query, &mut got, &mut ());
                 got.sort_unstable();
                 prop_assert_eq!(&got, &want);
                 prop_assert_eq!(level.count_box(&query), kd.count_box(&query));
