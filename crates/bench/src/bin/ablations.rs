@@ -6,7 +6,10 @@
 //! 3. BDL buffer size `X`, with the k-NN distance tests per query,
 //! 4. the static tree build through its two entry points (`KdTree` and
 //!    `LevelTree`) on the four shapes that separate a build's weak cases,
-//! 5. reservation boundary ring on/off is structural (cannot be toggled
+//! 5. Delaunay removal against a build over the survivors, the
+//!    measurement behind the store giving delete epochs no rebuild
+//!    threshold (at 90% the row shows the engine's own switch to a build),
+//! 6. reservation boundary ring on/off is structural (cannot be toggled
 //!    without forfeiting disjointness), so its cost shows in
 //!    `fig12_reservation` instead.
 
@@ -81,6 +84,43 @@ fn main() {
         static_build::<2>(3 * n / 10, 1);
         static_build::<2>(3 * n / 10, 16);
     });
+
+    // 5. Delaunay removal against a rebuild.
+    let m = 3 * n / 10;
+    println!("\n## Delaunay: remove b of {m} points in place, or rebuild (best of 5)\n");
+    header(&[
+        "b / n",
+        "try_remove_batch (ms)",
+        "try_build over survivors (ms)",
+    ]);
+    let pts = datagen::uniform_cube::<2>(m, 7);
+    for percent in [1, 10, 50, 90] {
+        remove_or_rebuild(&pts, m * percent / 100, percent);
+    }
+}
+
+/// One row of the removal table: the oldest `b` of `pts` (positions
+/// `0..b`, as a store's sliding window deletes them) removed from a built
+/// engine, against a build over the other points. Exits non-zero unless
+/// both hold the same edges.
+fn remove_or_rebuild(pts: &[Point2], b: usize, percent: usize) {
+    let gone: Vec<u32> = (0..b as u32).collect();
+    let mut remove = f64::INFINITY;
+    let mut removed = None;
+    for _ in 0..5 {
+        let mut engine = DelaunayIncremental::try_build(pts).expect("uniform points triangulate");
+        remove = remove.min(time(|| engine.try_remove_batch(&gone)).1);
+        removed = Some(engine);
+    }
+    let rebuild = time_best(5, || DelaunayIncremental::try_build(&pts[b..]));
+    let fresh = DelaunayIncremental::try_build(&pts[b..]).expect("survivors triangulate");
+    let edges = |e: &DelaunayIncremental| e.edges().expect("a usable engine");
+    assert_eq!(
+        edges(&removed.expect("five runs")),
+        edges(&fresh),
+        "b = {b}"
+    );
+    println!("| {percent}% ({b}) | {} | {} |", ms(remove), ms(rebuild));
 }
 
 /// Mean k-NN distance tests per query over `queries` (`BdlTree::knn_work`).

@@ -1,21 +1,26 @@
-//! Resumable batch-insert maintenance of a 2D Delaunay triangulation.
+//! Batch maintenance of a 2D Delaunay triangulation of a point slice.
 //!
-//! [`DelaunayIncremental`] keeps the Bowyer–Watson mesh of a growing
-//! *prefix* of a point slice alive across insert batches. Its edge list
-//! after any batch schedule is bit-identical to a fresh build over the
-//! same prefix, and to [`delaunay`](crate::delaunay)'s: the kernel's
-//! perturbed `incircle` gives every point set one triangulation, whatever
-//! the insertion order (duplicates collapse onto their lowest index), and
-//! its ghost vertex accepts a point anywhere in the plane. For the same
-//! reason nothing the kernel does to be fast can show in an answer: which
-//! triangle a location walk starts from, and which slab slots a cavity's
-//! new triangles land in, choose among representations of the same set.
+//! [`DelaunayIncremental`] keeps the Bowyer–Watson mesh of the points it
+//! has consumed alive across insert batches, which append points after
+//! them, and remove batches, which take any of them out and renumber the
+//! rest in order. Its edge list after any schedule of both is
+//! bit-identical to a fresh build over the same points, and to
+//! [`delaunay`](crate::delaunay)'s: the kernel's perturbed `incircle`
+//! gives every point set one triangulation, whatever the insertion order
+//! (duplicates collapse onto their lowest index), its ghost vertex accepts
+//! a point anywhere in the plane, and a removal refills the star it leaves
+//! with that one triangulation's triangles. For the same reason nothing
+//! the kernel does to be fast can show in an answer: which triangle a
+//! location walk starts from, and which slab slots new triangles land in,
+//! choose among representations of the same set.
 //!
 //! A build *is* a batch: `try_build` seeds the mesh with the first
 //! non-collinear triple and runs the same insertion loop over `0..n` that
 //! a batch runs over its own ids, so a 500-point advance costs 500
 //! insertions — appending points rewrites no triangle and the slab holds
-//! no dead slot to skip.
+//! no dead slot to skip. A removal of `b` points costs `b` star refills
+//! plus one `O(n)` renumbering pass, or a build over the survivors when
+//! more points go than stay.
 
 use crate::bw::{check_finite, check_input, Delaunay};
 use crate::tri::TriMesh;
@@ -39,8 +44,8 @@ pub enum DelaunayBatchOutcome {
     },
 }
 
-/// Incrementally maintained Delaunay triangulation over a growing point
-/// prefix, batches appending in index order.
+/// Incrementally maintained Delaunay triangulation of a point slice:
+/// insert batches append in index order, remove batches drop positions.
 #[derive(Debug)]
 pub struct DelaunayIncremental {
     mesh: TriMesh,
@@ -60,7 +65,7 @@ impl DelaunayIncremental {
         })
     }
 
-    /// Length of the consumed prefix.
+    /// Number of points consumed: built, appended and not removed.
     pub fn consumed(&self) -> usize {
         self.mesh.points.len()
     }
@@ -91,6 +96,49 @@ impl DelaunayIncremental {
         Ok(DelaunayBatchOutcome::Applied { inserted, killed })
     }
 
+    /// Removes the points at `positions` — strictly ascending, each below
+    /// [`consumed`](Self::consumed) — and renumbers the survivors in
+    /// order: the engine then holds what [`try_build`](Self::try_build)
+    /// over the survivors holds, edge for edge.
+    ///
+    /// Each removed point's star is refilled in place, unless more points
+    /// go than stay: then the survivors are built afresh, which touches
+    /// fewer points for the same answer (at 30 000 points the two cost
+    /// about the same at a half, and refilling 90% in place costs eight
+    /// to ten times the build: EXPERIMENTS "Delete epochs advance the
+    /// engine").
+    ///
+    /// Survivors no build accepts (fewer than three, or all collinear or
+    /// coincident) get that build's typed error, and positions out of
+    /// order or range a `BadParameter`; either way the engine stays as it
+    /// was.
+    pub fn try_remove_batch(&mut self, positions: &[u32]) -> GeoResult<()> {
+        let mesh = self.usable("delaunay_remove_batch")?;
+        let n = mesh.points.len() as u32;
+        if positions.windows(2).any(|w| w[0] >= w[1]) || positions.last() >= Some(&n) {
+            return Err(GeoError::BadParameter {
+                op: "delaunay_remove_batch",
+                what: "positions must ascend strictly within the consumed prefix",
+            });
+        }
+        if positions.is_empty() {
+            return Ok(());
+        }
+        let mut gone = positions.iter().peekable();
+        let kept: Vec<Point2> = (0..n)
+            .zip(&mesh.points)
+            .filter(|&(q, _)| gone.next_if_eq(&&q).is_none())
+            .map(|(_, p)| *p)
+            .collect();
+        check_input(&kept)?;
+        if 2 * positions.len() > mesh.points.len() {
+            *self = Self::try_build(&kept)?;
+        } else {
+            self.mesh.remove_all(positions, kept);
+        }
+        Ok(())
+    }
+
     fn usable(&self, op: &'static str) -> GeoResult<&TriMesh> {
         if self.poisoned {
             return Err(GeoError::BadParameter {
@@ -117,7 +165,7 @@ impl DelaunayIncremental {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tri::validate_delaunay;
+    use crate::tri::{validate_delaunay, NONE};
     use crate::try_delaunay;
     use pargeo_datagen::uniform_cube;
     use proptest::prelude::*;
@@ -239,6 +287,41 @@ mod tests {
         }
     }
 
+    /// Positions out of order or beyond the consumed prefix are refused
+    /// before anything changes, as are survivors no build accepts.
+    #[test]
+    fn bad_removals_are_refused_and_change_nothing() {
+        let pts = uniform_cube::<2>(50, 2);
+        let mut eng = DelaunayIncremental::try_build(&pts).unwrap();
+        let edges = eng.edges().unwrap();
+        let refused = Err(GeoError::BadParameter {
+            op: "delaunay_remove_batch",
+            what: "positions must ascend strictly within the consumed prefix",
+        });
+        for bad in [&[3, 3][..], &[4, 2], &[50], &[0, 49, 50]] {
+            assert_eq!(eng.try_remove_batch(bad), refused, "{bad:?}");
+        }
+        let all_but_two: Vec<u32> = (2..50).collect();
+        let too_few = Err(GeoError::TooFewPoints {
+            op: "delaunay",
+            needed: 3,
+            got: 2,
+        });
+        assert_eq!(eng.try_remove_batch(&all_but_two), too_few);
+        assert_eq!(eng.try_remove_batch(&[]), Ok(()));
+        assert_eq!((eng.consumed(), eng.edges().unwrap()), (50, edges));
+        // Three survivors on one line: no triangulation.
+        let mut line: Vec<Point2> = (0..3).map(|i| Point2::new([i as f64, 0.0])).collect();
+        line.push(Point2::new([1.0, 1.0]));
+        let mut eng = DelaunayIncremental::try_build(&line).unwrap();
+        let flat = Err(GeoError::Degenerate {
+            op: "delaunay",
+            what: "collinear",
+        });
+        assert_eq!(eng.try_remove_batch(&[3]), flat);
+        assert_eq!(eng.edges().unwrap().len(), 5);
+    }
+
     /// A zero damage budget aborts on the first cavity and poisons the
     /// engine.
     #[test]
@@ -299,6 +382,58 @@ mod tests {
                     pts[..at].iter().map(|p| p.bits_key()).collect();
                 prop_assert_eq!(hinted.mesh.v.len(), 2 * distinct.len() - 2);
                 prop_assert_eq!(blind.mesh.v.len(), 2 * distinct.len() - 2);
+            }
+        }
+
+        /// After every remove batch the slab is still exactly the live
+        /// mesh: `2m − 2` triangles over `m` distinct survivors, adjacency
+        /// symmetric, each vertex's hint triangle holding it, and only
+        /// the lowest copy of a location a vertex.
+        #[test]
+        fn removals_keep_the_slab_exact(
+            cells in prop::collection::vec((0i32..10, 0i32..10), 12..160),
+            seed in 0u64..1_000_000,
+            on_lattice in 0u8..2,
+            cuts in prop::collection::vec(1u32..7, 1..8),
+        ) {
+            let mut pts: Vec<Point2> = if on_lattice == 1 {
+                cells.iter().map(|&(x, y)| Point2::new([x as f64, y as f64])).collect()
+            } else {
+                uniform_cube::<2>(cells.len(), seed)
+            };
+            let Ok(mut eng) = DelaunayIncremental::try_build(&pts) else {
+                return Ok(());
+            };
+            for (round, every) in cuts.into_iter().enumerate() {
+                let positions: Vec<u32> = (0..pts.len() as u32)
+                    .filter(|q| (q + round as u32).is_multiple_of(every + 1))
+                    .collect();
+                let kept: Vec<Point2> = (0..pts.len() as u32)
+                    .filter(|q| positions.binary_search(q).is_err())
+                    .map(|q| pts[q as usize])
+                    .collect();
+                if check_input(&kept).is_err() {
+                    break;
+                }
+                eng.try_remove_batch(&positions).unwrap();
+                pts = kept;
+                let mesh = &eng.mesh;
+                let mut first = std::collections::HashMap::new();
+                for (q, p) in pts.iter().enumerate() {
+                    let lowest = *first.entry(p.bits_key()).or_insert(q);
+                    prop_assert_eq!(mesh.vtri[q] != NONE, lowest == q, "vertex {}", q);
+                    if mesh.vtri[q] != NONE {
+                        prop_assert!(mesh.v[mesh.vtri[q] as usize].contains(&(q as u32)));
+                    }
+                }
+                prop_assert_eq!(mesh.v.len(), 2 * first.len() - 2);
+                for (t, nbr) in mesh.nbr.iter().enumerate() {
+                    for &g in nbr {
+                        prop_assert!(mesh.nbr[g as usize].contains(&(t as u32)));
+                    }
+                }
+                let fresh = DelaunayIncremental::try_build(&pts).unwrap();
+                prop_assert_eq!(eng.edges().unwrap(), fresh.edges().unwrap());
             }
         }
     }

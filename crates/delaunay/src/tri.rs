@@ -24,6 +24,13 @@
 //!   triangle that never re-crosses the edge it entered by visits every
 //!   cavity triangle once and emits the boundary edges already in cycle
 //!   order.
+//! - **A removal refills the star it leaves.** A removed vertex's link
+//!   polygon is cut into ears, each a proper triangle over three
+//!   consecutive corners that no other corner left conflicts with (the
+//!   same perturbed test), which makes it a triangle of the remaining
+//!   points' one triangulation (after Devillers, IJCGA 2002); a batch
+//!   then renumbers the survivors in order, so the mesh is the one a
+//!   build over them makes.
 //! - **Location is a hint, not an input.** A walk starts at a triangle
 //!   incident to a nearby inserted vertex, found through a coarse-to-fine
 //!   grid over the points' bbox (a batch that lands beyond it grows the
@@ -49,15 +56,26 @@ struct BEdge {
     outer_slot: u8,
 }
 
-/// One point's conflict cavity: its triangles and its boundary cycle.
+/// One point's conflict cavity, or one removed vertex's star: its
+/// triangles and its boundary cycle.
 #[derive(Debug, Default)]
 struct Cavity {
     region: Vec<u32>,
     /// Boundary edges in counterclockwise cycle order; `ring.len() ==
-    /// region.len() + 2`.
+    /// region.len() + 2` for a cavity, `region.len()` for a star.
     ring: Vec<BEdge>,
     /// Tour frames `(triangle, next edge, edges left)`.
     stack: Vec<(u32, u8, u8)>,
+}
+
+/// Ear cutting's scratch, kept apart from [`Cavity`], which every
+/// insertion moves: a linked list over a star's ring, and the positions
+/// whose ear failed since its edges last changed.
+#[derive(Debug, Default)]
+struct Ears {
+    next: Vec<u32>,
+    prev: Vec<u32>,
+    failed: Vec<bool>,
 }
 
 /// Pyramid of square grids over the points' bbox, level `l` holding
@@ -162,10 +180,10 @@ pub(crate) struct TriMesh {
     /// finite edge runs from the vertex after [`GHOST`] to the one before.
     pub v: Vec<[u32; 3]>,
     /// `nbr[t][i]` = triangle across edge `(v[t][i], v[t][(i+1)%3])`.
-    nbr: Vec<[u32; 3]>,
+    pub nbr: Vec<[u32; 3]>,
     /// One triangle incident to each inserted vertex ([`NONE`] for points
     /// not inserted: pending, or duplicates of an earlier one).
-    vtri: Vec<u32>,
+    pub vtri: Vec<u32>,
     grid: Grid,
     /// Scratch of [`TriMesh::insert`].
     cav: Cavity,
@@ -224,14 +242,19 @@ impl TriMesh {
         let grown = self.grid.grown(&Bbox::from_points(extra));
         if grown.is_some() || self.points.len() > self.grid.capacity() {
             let (lo, span) = grown.unwrap_or((self.grid.lo, self.grid.span));
-            let mut grid = Grid::new(lo, span, self.points.len());
-            for (q, p) in self.points.iter().enumerate() {
-                if self.vtri[q] != NONE {
-                    grid.put(p, q as u32);
-                }
-            }
-            self.grid = grid;
+            self.regrid(lo, span);
         }
+    }
+
+    /// Refills the hint grid over `(lo, span)` from the inserted vertices.
+    fn regrid(&mut self, lo: [f64; 2], span: [f64; 2]) {
+        let mut grid = Grid::new(lo, span, self.points.len());
+        for (q, p) in self.points.iter().enumerate() {
+            if self.vtri[q] != NONE {
+                grid.put(p, q as u32);
+            }
+        }
+        self.grid = grid;
     }
 
     #[inline]
@@ -242,7 +265,7 @@ impl TriMesh {
     /// Position of [`GHOST`] in triangle `t`, if it is a ghost triangle.
     #[inline]
     fn ghost_at(&self, t: u32) -> Option<usize> {
-        self.v[t as usize].iter().position(|&v| v == GHOST)
+        ghost_in(self.v[t as usize])
     }
 
     /// The triangles of the triangulation proper, in slab order.
@@ -250,12 +273,11 @@ impl TriMesh {
         (0..self.v.len() as u32).filter(|&t| self.ghost_at(t).is_none())
     }
 
-    /// Conflict of ghost triangle `t` (ghost at `k`) with point `p`: `p`
+    /// Conflict of ghost triangle `v` (ghost at `k`) with point `p`: `p`
     /// lies strictly beyond its finite edge `a → b`, or on that edge's line
     /// strictly between `a` and `b`.
     #[inline]
-    fn ghost_conflicts(&self, t: u32, k: usize, p: &Point2) -> bool {
-        let v = self.v[t as usize];
+    fn ghost_conflicts(&self, v: [u32; 3], k: usize, p: &Point2) -> bool {
         let (a, b) = (self.pt(v[(k + 1) % 3]), self.pt(v[(k + 2) % 3]));
         match orient2d(a, b, p) {
             Orientation::Positive => true,
@@ -283,10 +305,16 @@ impl TriMesh {
     /// vertex).
     #[inline]
     fn conflicts(&self, t: u32, q: u32) -> bool {
-        if let Some(k) = self.ghost_at(t) {
-            return self.ghost_conflicts(t, k, self.pt(q));
+        self.in_circle(self.v[t as usize], q)
+    }
+
+    /// [`TriMesh::conflicts`] of the triangle with vertices `v`, in the
+    /// slab or not.
+    #[inline]
+    fn in_circle(&self, v: [u32; 3], q: u32) -> bool {
+        if let Some(k) = ghost_in(v) {
+            return self.ghost_conflicts(v, k, self.pt(q));
         }
-        let v = self.v[t as usize];
         let [a, b, c] = v.map(|x| self.pt(x));
         match incircle(a, b, c, self.pt(q)) {
             Orientation::Positive => true,
@@ -319,11 +347,10 @@ impl TriMesh {
     /// or for a ghost triangle, conflicts with it.
     #[inline]
     fn holds(&self, t: u32, q: u32) -> bool {
-        let p = self.pt(q);
-        if let Some(k) = self.ghost_at(t) {
-            return self.ghost_conflicts(t, k, p);
+        let (p, v) = (self.pt(q), self.v[t as usize]);
+        if let Some(k) = ghost_in(v) {
+            return self.ghost_conflicts(v, k, p);
         }
-        let v = self.v[t as usize];
         (0..3).all(|i| orient2d(self.pt(v[i]), self.pt(v[(i + 1) % 3]), p) != Orientation::Negative)
     }
 
@@ -422,8 +449,8 @@ impl TriMesh {
             #[cfg(test)]
             self.steps.set(self.steps.get() + 1);
             let v = self.v[t as usize];
-            if let Some(k) = self.ghost_at(t) {
-                if self.ghost_conflicts(t, k, p) {
+            if let Some(k) = ghost_in(v) {
+                if self.ghost_conflicts(v, k, p) {
                     return t;
                 }
                 t = self.nbr[t as usize][(k + 1) % 3];
@@ -488,23 +515,289 @@ impl TriMesh {
         self.real_tris().map(|t| self.v[t as usize]).collect()
     }
 
-    /// Sorted `(min, max)` edges of the real triangles, each emitted once
-    /// straight from adjacency: by the lower-numbered of its two real
-    /// triangles, or by its only one.
+    /// Sorted `(min, max)` edges of the real triangles. Each is the
+    /// half-edge `a → b` with `a < b` of exactly one slab triangle (ghost
+    /// triangles included, their ghost edges skipped), so one pass counts
+    /// the edges by `a`, a second places them in `a`'s bucket, and each
+    /// bucket's few upper ends are insertion-sorted: no comparison sort,
+    /// no neighbour lookup.
     pub fn edges(&self) -> Vec<(u32, u32)> {
-        let mut out = Vec::with_capacity(3 * self.points.len());
-        for t in self.real_tris() {
-            let v = self.v[t as usize];
-            for (i, &g) in self.nbr[t as usize].iter().enumerate() {
-                if g > t || self.ghost_at(g).is_some() {
-                    let (a, b) = (v[i], v[(i + 1) % 3]);
-                    out.push((a.min(b), a.max(b)));
+        let n = self.points.len();
+        // `end[a + 1]` counts `a`'s edges, then (summed) starts its bucket.
+        let mut end = vec![0u32; n + 1];
+        for v in &self.v {
+            for i in 0..3 {
+                let (a, b) = (v[i], v[(i + 1) % 3]);
+                if a < b && b < GHOST {
+                    end[a as usize + 1] += 1;
                 }
             }
         }
-        out.sort_unstable();
+        for a in 1..end.len() {
+            end[a] += end[a - 1];
+        }
+        let mut out = vec![(0, 0); end[n] as usize];
+        for v in &self.v {
+            for i in 0..3 {
+                let (a, b) = (v[i], v[(i + 1) % 3]);
+                if a < b && b < GHOST {
+                    let at = &mut end[a as usize];
+                    out[*at as usize] = (a, b);
+                    *at += 1; // ends at the start of bucket `a + 1`
+                }
+            }
+        }
+        let mut lo = 0;
+        for &hi in &end[..n] {
+            let bucket = &mut out[lo..hi as usize];
+            for i in 1..bucket.len() {
+                let e = bucket[i];
+                let mut j = i;
+                while j > 0 && bucket[j - 1].1 > e.1 {
+                    bucket[j] = bucket[j - 1];
+                    j -= 1;
+                }
+                bucket[j] = e;
+            }
+            lo = hi as usize;
+        }
         out
     }
+
+    /// Removes the points at `gone` (strictly ascending positions) and
+    /// renumbers the rest in order; `kept` is the surviving points, which
+    /// the caller has checked span the plane. Each removed vertex's star
+    /// is refilled ([`TriMesh::fill`]) — unless an uninserted copy of its
+    /// point survives, when the lowest such copy takes over its triangles
+    /// as a build over `kept` would have inserted it — and its two spare
+    /// slots are filled from the slab's end, so the slab stays exactly the
+    /// live mesh. The hint grid is refilled over its box.
+    pub fn remove_all(&mut self, gone: &[u32], kept: Vec<Point2>) {
+        // `NONE` marks a removed point until the survivors are numbered.
+        let mut renumber = vec![0u32; self.points.len()];
+        for &x in gone {
+            renumber[x as usize] = NONE;
+        }
+        // The kernel's `==` has `-0.0 == 0.0`; so do these keys.
+        let at = |p: &Point2| p.coords.map(|c| (c + 0.0).to_bits());
+        let mut copies = std::collections::HashMap::new();
+        for (q, p) in self.points.iter().enumerate() {
+            if self.vtri[q] == NONE && renumber[q] != NONE {
+                copies.entry(at(p)).or_insert(q as u32);
+            }
+        }
+        let (mut cav, mut ears) = (std::mem::take(&mut self.cav), Ears::default());
+        for &x in gone {
+            if self.vtri[x as usize] == NONE {
+                continue;
+            }
+            match copies.get(&at(self.pt(x))) {
+                Some(&copy) => self.rename(x, copy),
+                None => {
+                    self.star(x, &mut cav);
+                    self.fill(&mut cav, &mut ears);
+                    let k = cav.region.len();
+                    let (s, t) = (cav.region[k - 2], cav.region[k - 1]);
+                    self.free_slot(s.max(t));
+                    self.free_slot(s.min(t));
+                }
+            }
+            self.vtri[x as usize] = NONE;
+        }
+        self.cav = cav;
+        for (next, r) in renumber.iter_mut().filter(|r| **r != NONE).enumerate() {
+            *r = next as u32;
+        }
+        for x in self.v.iter_mut().flatten().filter(|x| **x != GHOST) {
+            *x = renumber[*x as usize];
+        }
+        let mut q = 0;
+        self.vtri.retain(|_| {
+            q += 1;
+            renumber[q - 1] != NONE
+        });
+        self.points = kept;
+        self.regrid(self.grid.lo, self.grid.span);
+    }
+
+    /// Gives vertex `x`'s triangles to `copy`, an uninserted point at the
+    /// same location.
+    fn rename(&mut self, x: u32, copy: u32) {
+        let t0 = self.vtri[x as usize];
+        let mut t = t0;
+        loop {
+            let i = self.v[t as usize].iter().position(|&y| y == x);
+            let i = i.expect("the star of a vertex holds it");
+            self.v[t as usize][i] = copy;
+            t = self.nbr[t as usize][(i + 2) % 3];
+            if t == t0 {
+                break;
+            }
+        }
+        self.vtri[copy as usize] = t0;
+    }
+
+    /// Fills `cav` with the star of vertex `x`: its triangles
+    /// counterclockwise around it in `region`, and in `ring` the edge of
+    /// each opposite `x` with the triangle beyond it — the link polygon,
+    /// counterclockwise, [`GHOST`] a corner when `x` is on the hull.
+    fn star(&self, x: u32, cav: &mut Cavity) {
+        cav.region.clear();
+        cav.ring.clear();
+        let t0 = self.vtri[x as usize];
+        let mut t = t0;
+        loop {
+            let v = self.v[t as usize];
+            let i = v.iter().position(|&y| y == x);
+            let i = i.expect("the star of a vertex holds it");
+            let outer = self.nbr[t as usize][(i + 1) % 3];
+            cav.region.push(t);
+            cav.ring.push(BEdge {
+                a: v[(i + 1) % 3],
+                b: v[(i + 2) % 3],
+                outer,
+                outer_slot: self.edge_to(outer, t),
+            });
+            t = self.nbr[t as usize][(i + 2) % 3];
+            if t == t0 {
+                break;
+            }
+            // A cycle that misses `t0` would walk forever.
+            assert!(cav.region.len() < self.v.len(), "star is a disc");
+        }
+    }
+
+    /// True iff the ear `tri`, cut at position `at` of the polygon `ring`
+    /// (linked by `next`), is a triangle of the mesh without the removed vertex:
+    /// proper (a real one counterclockwise), and in conflict with no other
+    /// corner of the polygon. The polygon's edges are edges of that mesh,
+    /// so its triangles there are the polygon's own Delaunay triangles,
+    /// and its corners are the only points that can conflict with one.
+    fn is_ear(&self, tri: [u32; 3], ring: &[BEdge], next: &[u32], at: usize) -> bool {
+        if ghost_in(tri).is_none()
+            && orient2d(self.pt(tri[0]), self.pt(tri[1]), self.pt(tri[2])) != Orientation::Positive
+        {
+            return false;
+        }
+        // The corners after the ear's last one, back round to its first.
+        let mut j = next[next[at] as usize] as usize;
+        loop {
+            j = next[j] as usize;
+            if j == at {
+                return true;
+            }
+            let q = ring[j].a;
+            if q != GHOST && self.in_circle(tri, q) {
+                return false;
+            }
+        }
+    }
+
+    /// Triangulates the link polygon of `cav` (a star) by cutting ears in
+    /// place of the removed vertex: the `k − 2` new triangles take the
+    /// star's first `k − 2` slots, and its last two are left free. An ear
+    /// that fails is tried again only once one of its edges changes, so a
+    /// link of `k` corners costs `O(k²)` conflict tests.
+    fn fill(&mut self, cav: &mut Cavity, ears: &mut Ears) {
+        let k = cav.ring.len();
+        ears.next.clear();
+        ears.next.extend((1..=k as u32).map(|i| i % k as u32));
+        ears.prev.clear();
+        ears.prev
+            .extend((0..k as u32).map(|i| (i + k as u32 - 1) % k as u32));
+        ears.failed.clear();
+        ears.failed.resize(k, false);
+        let (mut i, mut left, mut used, mut tried) = (0usize, k, 0, 0);
+        while left > 3 {
+            let j = ears.next[i] as usize;
+            let (e, f) = (cav.ring[i], cav.ring[j]);
+            let tri = [e.a, e.b, f.b];
+            if !ears.failed[i] && self.is_ear(tri, &cav.ring, &ears.next, i) {
+                let id = cav.region[used];
+                used += 1;
+                self.put_tri(id, tri, [Some(e), Some(f), None]);
+                cav.ring[i] = BEdge {
+                    a: e.a,
+                    b: f.b,
+                    outer: id,
+                    outer_slot: 2,
+                };
+                let after = ears.next[j];
+                ears.next[i] = after;
+                ears.prev[after as usize] = i as u32;
+                left -= 1;
+                // The ears on both sides of the new edge changed.
+                let before = ears.prev[i] as usize;
+                ears.failed[i] = false;
+                ears.failed[before] = false;
+                i = before;
+                tried = 0;
+                continue;
+            }
+            ears.failed[i] = true;
+            tried += 1;
+            assert!(tried <= left, "a link polygon has a Delaunay ear");
+            i = j;
+        }
+        let (j, l) = (
+            ears.next[i] as usize,
+            ears.next[ears.next[i] as usize] as usize,
+        );
+        let (e, f, g) = (cav.ring[i], cav.ring[j], cav.ring[l]);
+        debug_assert_eq!(g.b, e.a, "the last three edges close a triangle");
+        self.put_tri(
+            cav.region[used],
+            [e.a, e.b, f.b],
+            [Some(e), Some(f), Some(g)],
+        );
+    }
+
+    /// Writes triangle `tri` into slot `id`, each edge `i` facing the
+    /// triangle beyond `edges[i]` (pointed back at `id`), or left for a
+    /// later triangle to claim.
+    fn put_tri(&mut self, id: u32, tri: [u32; 3], edges: [Option<BEdge>; 3]) {
+        self.v[id as usize] = tri;
+        for (i, e) in edges.iter().enumerate() {
+            let Some(e) = e else { continue };
+            self.nbr[id as usize][i] = e.outer;
+            self.nbr[e.outer as usize][e.outer_slot as usize] = id;
+        }
+        for x in tri.into_iter().filter(|&x| x != GHOST) {
+            self.vtri[x as usize] = id;
+        }
+    }
+
+    /// Empties slot `f` by moving the slab's last triangle into it and
+    /// repointing that triangle's neighbours and vertices.
+    fn free_slot(&mut self, f: u32) {
+        let last = self.v.len() as u32 - 1;
+        if f != last {
+            let (v, nbr) = (self.v[last as usize], self.nbr[last as usize]);
+            self.v[f as usize] = v;
+            self.nbr[f as usize] = nbr;
+            for g in nbr {
+                for s in &mut self.nbr[g as usize] {
+                    if *s == last {
+                        *s = f;
+                    }
+                }
+            }
+            for x in v.into_iter().filter(|&x| x != GHOST) {
+                if self.vtri[x as usize] == last {
+                    self.vtri[x as usize] = f;
+                }
+            }
+        }
+        self.v.pop();
+        self.nbr.pop();
+    }
+}
+
+/// Position of [`GHOST`] among a triangle's vertices `v`, if it is a ghost
+/// triangle.
+#[inline]
+fn ghost_in(v: [u32; 3]) -> Option<usize> {
+    v.iter().position(|&x| x == GHOST)
 }
 
 /// Validates the Delaunay property directly: every triangle is CCW and no

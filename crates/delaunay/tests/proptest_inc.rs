@@ -2,7 +2,9 @@
 //! interface: on point families from benign to maximally degenerate and
 //! under a random batch schedule, the engine's edge list equals that of a
 //! fresh build on every prefix, and what it holds at the end
-//! is a Delaunay triangulation. (The two white-box properties — the slab
+//! is a Delaunay triangulation; under churn — insert batches and remove
+//! batches interleaved — it equals a fresh build over the live points
+//! after every batch. (The two white-box properties — the slab
 //! has no dead slot, the locate hint cannot change the answer — sit with
 //! the engine's unit tests in `src/inc.rs`, where the slab is visible.)
 
@@ -76,5 +78,63 @@ proptest! {
         }
         let tris = eng.triangulation().unwrap().triangles;
         prop_assert_eq!(validate_delaunay(&pts[..at], &tris), Ok(()));
+    }
+
+    #[test]
+    fn churn_equals_fresh_builds_after_every_batch(
+        which in 0u8..5,
+        n in 12usize..300,
+        seed in 0u64..1_000_000,
+        schedule in prop::collection::vec((0u8..2, 1usize..60), 1..10),
+    ) {
+        let pts = family(which, n, seed);
+        let mut at = n / 2;
+        let mut live: Vec<Point2> = pts[..at].to_vec();
+        let Ok(mut eng) = DelaunayIncremental::try_build(&live) else {
+            return Ok(());
+        };
+        for (step, (remove, size)) in schedule.into_iter().enumerate() {
+            if remove == 1 {
+                // `size` positions spread over the live points.
+                let stride = (live.len() / size).max(1);
+                let positions: Vec<u32> = (0..live.len())
+                    .skip(step % stride)
+                    .step_by(stride)
+                    .take(size)
+                    .map(|q| q as u32)
+                    .collect();
+                let kept: Vec<Point2> = (0..live.len() as u32)
+                    .filter(|q| positions.binary_search(q).is_err())
+                    .map(|q| live[q as usize])
+                    .collect();
+                match DelaunayIncremental::try_build(&kept) {
+                    Ok(fresh) => {
+                        prop_assert_eq!(eng.try_remove_batch(&positions), Ok(()));
+                        live = kept;
+                        prop_assert_eq!(eng.edges().unwrap(), fresh.edges().unwrap(), "family {} step {}", which, step);
+                    }
+                    Err(refused) => {
+                        prop_assert_eq!(eng.try_remove_batch(&positions), Err(refused));
+                    }
+                }
+            } else {
+                let to = (at + size).min(n);
+                let outcome = eng.try_insert_batch(&pts[at..to], f64::INFINITY).unwrap();
+                prop_assert!(
+                    matches!(outcome, DelaunayBatchOutcome::Applied { .. }),
+                    "family {} step {}: {:?}",
+                    which,
+                    step,
+                    outcome
+                );
+                live.extend_from_slice(&pts[at..to]);
+                at = to;
+                let fresh = DelaunayIncremental::try_build(&live).unwrap();
+                prop_assert_eq!(eng.edges().unwrap(), fresh.edges().unwrap(), "family {} step {}", which, step);
+            }
+            prop_assert_eq!(eng.consumed(), live.len());
+        }
+        let tris = eng.triangulation().unwrap().triangles;
+        prop_assert_eq!(validate_delaunay(&live, &tris), Ok(()));
     }
 }

@@ -46,14 +46,16 @@ impl<const D: usize> Ball<D> {
 
     /// Containment with a relative slack — a point on the boundary is
     /// inside. This is the test used by all SEB algorithms to decide whether
-    /// a point is a *visible point* (outside the current ball).
+    /// a point is a *visible point* (outside the current ball). The slack
+    /// scales with the ball, so the test answers the same at every scale
+    /// (the degenerate ball `{p}` holds only `p`).
     #[inline]
     pub fn contains(&self, p: &Point<D>) -> bool {
         if self.radius < 0.0 {
             return false;
         }
         let r2 = self.radius * self.radius;
-        p.dist_sq(&self.center) <= r2 * (1.0 + REL_TOL) + REL_TOL
+        p.dist_sq(&self.center) <= r2 * (1.0 + REL_TOL)
     }
 }
 

@@ -9,11 +9,11 @@
 //!
 //! The 2D Delaunay graph is the one *maintained* kind, and this module is
 //! where that is decided: the store keeps one [`DelaunaySlot`], whose
-//! [`DelaunayIncremental`] engine later epochs advance in place over
-//! insert-only batches, producing values bit-identical to a fresh compute
-//! on the same live view — the kernel gives a point set one triangulation
-//! whatever the insertion order. Every other kind, the hull included,
-//! recomputes through [`compute`].
+//! [`DelaunayIncremental`] engine later epochs advance in place — deletes
+//! removed, inserts appended — producing values bit-identical to a fresh
+//! compute on the same live view: the kernel gives a point set one
+//! triangulation whatever the order of insertions and removals. Every
+//! other kind, the hull included, recomputes through [`compute`].
 
 use crate::request::{DerivedKind, MemoPath, Response};
 use pargeo_closestpair::{try_closest_pair, ClosestPair};
@@ -130,9 +130,9 @@ fn delaunay<const D: usize>(
 /// `derived_memo` span.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Fallback {
-    /// A delete epoch dropped the engine (deletes shuffle positions).
-    Delete,
-    /// The engine's consumed prefix is no longer a prefix of the view.
+    /// The live view holds an id inside the engine's consumed range that
+    /// the engine never consumed: the view is no longer its consumed ids
+    /// minus deletes plus appends.
     AnchorLost,
     /// The engine answered with an error — poisoned by an aborted batch,
     /// or handed a batch no build would accept either — or a panic
@@ -142,105 +142,89 @@ pub(crate) enum Fallback {
 
 impl Fallback {
     /// Every cause, in metric-label order.
-    pub(crate) const ALL: [Fallback; 3] =
-        [Fallback::Delete, Fallback::AnchorLost, Fallback::Poisoned];
+    pub(crate) const ALL: [Fallback; 2] = [Fallback::AnchorLost, Fallback::Poisoned];
 
     pub(crate) fn label(self) -> &'static str {
         match self {
-            Fallback::Delete => "delete",
             Fallback::AnchorLost => "anchor_lost",
             Fallback::Poisoned => "poisoned",
         }
     }
 }
 
-/// The `(consumed, last_id)` anchor of a live view an engine has consumed
-/// whole: live ids ascend and inserts append, so one id pins the prefix.
-fn anchor(ids: &[u32]) -> Option<(usize, u32)> {
-    ids.last().map(|&last| (ids.len(), last))
-}
-
 /// The maintained kind's state between requests: the 2D Delaunay graph's
-/// delta engine, or why the next request must rebuild it.
+/// delta engine, or the mark that the next request must rebuild it.
 #[derive(Default)]
 pub(crate) struct DelaunaySlot {
-    /// The engine the last Delaunay value was read off, and the
-    /// `(consumed, last_id)` anchor of the live-view prefix it consumed:
-    /// an O(1) append-only check guarding it against any planner bug that
-    /// would reorder the prefix.
-    engine: Option<(DelaunayIncremental, (usize, u32))>,
-    /// Why the prior structure is gone — a delete, or a panic in its
-    /// advance or rebuild: the next compute is a rebuild, not a fresh
-    /// start.
-    pending: Option<Fallback>,
+    /// The engine the last Delaunay value was read off, and the store ids
+    /// of the live view it consumed (ascending; engine position `i` is
+    /// id `ids[i]`), bounded by the live count.
+    engine: Option<(DelaunayIncremental, Vec<u32>)>,
+    /// A panic in the last advance or rebuild took the engine: the next
+    /// compute is a rebuild (cause `poisoned`), not a fresh start.
+    poisoned: bool,
+}
+
+/// The consumed ids `seen` against the live view's `ids`, both ascending,
+/// in one merge: the engine positions whose ids left, and where the ids
+/// past the last consumed one start in `ids` — or `None` when `ids` holds
+/// an id below that one the engine never consumed.
+fn diff(seen: &[u32], ids: &[u32]) -> Option<(Vec<u32>, usize)> {
+    let (mut gone, mut j) = (Vec::new(), 0);
+    for (i, &id) in seen.iter().enumerate() {
+        match ids.get(j) {
+            Some(&live) if live == id => j += 1,
+            Some(&live) if live < id => return None,
+            _ => gone.push(i as u32),
+        }
+    }
+    Some((gone, j))
 }
 
 impl DelaunaySlot {
-    /// A write epoch: deletes shuffle compacted positions, so a delete
-    /// drops the engine and leaves a rebuild pending; an insert-only epoch
-    /// keeps it, to absorb the batch on the next request.
-    pub(crate) fn bump(&mut self, deleting: bool) {
-        if deleting && self.engine.take().is_some() {
-            self.pending = Some(Fallback::Delete);
-        }
-    }
-
     /// The Delaunay graph of the live view `pts` (store ids `ids`), the
     /// path that produced it, and why it was a rebuild if it was one.
     ///
-    /// An engine whose anchor holds advances by every point past its
-    /// consumed prefix: an advance of `b` points is `b` insertions, which
-    /// no rebuild of the whole view undercuts, so the engine is given no
-    /// damage budget. Otherwise the graph is built over the whole view — a
-    /// rebuild when a structure existed, fresh when none did — and the
-    /// build's engine is kept for the next epoch.
+    /// An engine whose consumed ids merge with the view advances: it
+    /// removes the positions whose ids left and inserts every point past
+    /// its last consumed id. The store gives neither a budget: an advance
+    /// of `b` points is `b` insertions or star refills (the engine builds
+    /// afresh itself when a removal takes more points than it keeps), which
+    /// no rebuild of the whole view undercuts (EXPERIMENTS "Delete epochs
+    /// advance the engine"). Otherwise the graph is built over the whole
+    /// view — a rebuild when a structure existed, fresh when none did —
+    /// and the build's engine is kept for the next epoch.
     pub(crate) fn ensure<const D: usize>(
         &mut self,
         ids: &[u32],
         pts: &[Point<D>],
     ) -> (GeoResult<Response<D>>, MemoPath, Option<Fallback>) {
         let prior = self.engine.take();
-        let existed = prior.is_some() || self.pending.is_some();
-        // Until this returns, a structure that existed stays pending a
-        // rebuild: a panic below costs the next request a counted
-        // `Rebuilt`, and a half-advanced engine is never reused.
-        let pending = if existed {
-            self.pending.replace(Fallback::Poisoned)
-        } else {
-            None
-        };
+        let existed = prior.is_some() || self.poisoned;
+        // Until this returns, a structure that existed stays poisoned: a
+        // panic below costs the next request a counted `Rebuilt`, and a
+        // half-advanced engine is never reused.
+        self.poisoned = existed;
         injected_fault();
         let cause = match prior {
-            None => pending,
-            Some((_, (consumed, last_id)))
-                if consumed.checked_sub(1).and_then(|at| ids.get(at)) != Some(&last_id) =>
-            {
-                Some(Fallback::AnchorLost)
-            }
-            Some((mut engine, _)) => {
-                let fresh = cast_slice::<D, 2>(pts).and_then(|p2| p2.get(engine.consumed()..));
-                match fresh.map(|batch| engine.try_insert_batch(batch, f64::INFINITY)) {
-                    None => Some(Fallback::AnchorLost),
-                    Some(Ok(DelaunayBatchOutcome::Applied { .. })) => match engine.edges() {
-                        Ok(edges) => {
-                            self.engine = anchor(ids).map(|at| (engine, at));
-                            self.pending = None;
-                            let graph = Response::DelaunayGraph(remap_edges(&edges, ids));
-                            return (Ok(graph), MemoPath::Incremental, None);
-                        }
-                        Err(_) => Some(Fallback::Poisoned),
-                    },
-                    Some(Ok(DelaunayBatchOutcome::DamageExceeded { .. }) | Err(_)) => {
-                        Some(Fallback::Poisoned)
-                    }
+            None => existed.then_some(Fallback::Poisoned),
+            Some((mut engine, mut seen)) => match advance(&mut engine, &seen, ids, pts) {
+                Ok(edges) => {
+                    seen.clear();
+                    seen.extend_from_slice(ids);
+                    self.engine = Some((engine, seen));
+                    self.poisoned = false;
+                    let graph = Response::DelaunayGraph(remap_edges(&edges, ids));
+                    return (Ok(graph), MemoPath::Incremental, None);
                 }
-            }
+                Err(cause) => Some(cause),
+            },
         };
         let value = delaunay(ids, pts).map(|(edges, engine)| {
-            self.engine = anchor(ids).map(|at| (engine, at));
+            self.engine = Some((engine, ids.to_vec()));
             Response::DelaunayGraph(edges)
         });
-        self.pending = None;
+        self.poisoned = false;
         let path = if existed {
             MemoPath::Rebuilt
         } else {
@@ -248,6 +232,30 @@ impl DelaunaySlot {
         };
         (value, path, cause)
     }
+}
+
+/// Brings `engine`, which consumed the store ids `seen`, to the live view
+/// `(ids, pts)` and reads its edges off (engine positions).
+fn advance<const D: usize>(
+    engine: &mut DelaunayIncremental,
+    seen: &[u32],
+    ids: &[u32],
+    pts: &[Point<D>],
+) -> Result<Vec<(u32, u32)>, Fallback> {
+    let (gone, fresh) = diff(seen, ids).ok_or(Fallback::AnchorLost)?;
+    let p2 = cast_slice::<D, 2>(pts).ok_or(Fallback::AnchorLost)?;
+    engine
+        .try_remove_batch(&gone)
+        .map_err(|_| Fallback::Poisoned)?;
+    if fresh < p2.len() {
+        match engine.try_insert_batch(&p2[fresh..], f64::INFINITY) {
+            Ok(DelaunayBatchOutcome::Applied { .. }) => {}
+            Ok(DelaunayBatchOutcome::DamageExceeded { .. }) | Err(_) => {
+                return Err(Fallback::Poisoned)
+            }
+        }
+    }
+    engine.edges().map_err(|_| Fallback::Poisoned)
 }
 
 fn remap_ids(positions: &[u32], ids: &[u32]) -> Vec<u32> {
@@ -334,6 +342,40 @@ mod tests {
             other => panic!("wrong variant: {other:?}"),
         }
     }
+    /// The merge names the engine positions whose ids left and where the
+    /// appended ids start, and refuses a view with an id the engine never
+    /// consumed below its last one; that view is rebuilt, `anchor_lost`.
+    #[test]
+    fn consumed_ids_merge_with_the_view_or_lose_the_anchor() {
+        assert_eq!(diff(&[1, 3, 5, 8], &[3, 8, 9, 12]), Some((vec![0, 2], 2)));
+        assert_eq!(diff(&[1, 3], &[]), Some((vec![0, 1], 0)));
+        assert_eq!(diff(&[], &[4, 6]), Some((vec![], 0)));
+        assert_eq!(diff(&[1, 3, 5], &[1, 2, 3, 5, 7]), None);
+
+        let pts = uniform_cube::<2>(300, 5);
+        let ids: Vec<u32> = (0..300).map(|i| 2 * i).collect();
+        let mut slot = DelaunaySlot::default();
+        let (_, path, _) = slot.ensure(&ids[..200], &pts[..200]);
+        assert_eq!(path, MemoPath::Fresh);
+        // Every other point leaves, then the rest arrive: an advance.
+        let (odd_ids, odd_pts): (Vec<u32>, Vec<Point<2>>) =
+            (1..300).step_by(2).map(|i| (ids[i], pts[i])).unzip();
+        let (value, path, cause) = slot.ensure(&odd_ids, &odd_pts);
+        assert_eq!((path, cause), (MemoPath::Incremental, None));
+        let want = compute(DerivedKind::DelaunayGraph, &odd_ids, &odd_pts).unwrap();
+        assert_eq!(value.unwrap(), want);
+        // An id below the last consumed one that was never consumed.
+        let mut lost_ids = odd_ids.clone();
+        lost_ids[10] += 1;
+        let (value, path, cause) = slot.ensure(&lost_ids, &odd_pts);
+        assert_eq!(
+            (path, cause),
+            (MemoPath::Rebuilt, Some(Fallback::AnchorLost))
+        );
+        let want = compute(DerivedKind::DelaunayGraph, &lost_ids, &odd_pts).unwrap();
+        assert_eq!(value.unwrap(), want);
+    }
+
     /// The store refuses a non-finite coordinate at the boundary, so no
     /// request can bring one here; the kernel's own check stays for direct
     /// callers, as a typed error from the wholesale build and as the

@@ -35,11 +35,10 @@
 //!   responses: repeated reads between writes are free, and any write
 //!   that changes the live set clears it. No-op writes (empty batches,
 //!   deletes matching nothing live) spare the cache instead. The 2D
-//!   Delaunay graph, the one maintained kind, goes further: across
-//!   insert-only epochs its delta engine inserts the coalesced batch into
-//!   the existing triangulation instead of recomputing, falling back to a
-//!   full rebuild after deletes — with answers bit-identical to a fresh
-//!   compute either way.
+//!   Delaunay graph, the one maintained kind, goes further: across write
+//!   epochs its delta engine removes the deleted points from the existing
+//!   triangulation and inserts the appended ones instead of recomputing —
+//!   with answers bit-identical to a fresh compute.
 //!   [`CacheStats`] reports hits, misses, spared epochs, incremental
 //!   applies, and rebuild fallbacks; [`GeoStore::derived_path`] names
 //!   the path ([`MemoPath`]) that produced the current value.

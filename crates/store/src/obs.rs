@@ -268,12 +268,21 @@ mod tests {
             &[Request::Insert(vec![Point2::new([5.0, 0.5])])],
             &both[1..], // outside the build's bbox: the engine advances
             &[Request::Delete(pts[10..20].to_vec())],
-            &both, // no engine survives a delete: Delaunay rebuilt
+            &both, // the engine removes the deleted points: incremental
+            &[Request::Insert(vec![Point2::new([0.5, 0.5])])],
+            &both[1..], // a panic in the advance: Delaunay rebuilt
         ]
         .concat();
         let mut store = GeoStore::<2>::builder().observe(ObsLevel::Trace).build();
-        let responses = store.execute(&stream);
+        let (before_fault, faulted) = stream.split_at(stream.len() - 1);
+        let responses = store.execute(before_fault);
         assert!(responses.iter().all(Result::is_ok));
+        crate::derived::PANIC_NEXT.with(|armed| armed.set(true));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            store.execute(faulted);
+        }));
+        assert!(unwound.is_err(), "the injected fault surfaced");
+        assert!(store.execute(faulted).iter().all(Result::is_ok));
         // A batch four times the mesh it lands on is still an advance: no
         // budget turns it into a rebuild, and the answers are the oracle's.
         let brittle_stream = [
@@ -307,7 +316,7 @@ mod tests {
         };
         assert_eq!(
             fallbacks(&store),
-            vec![(series("delaunay-graph", "delete"), 1)]
+            vec![(series("delaunay-graph", "poisoned"), 1)]
         );
         assert_eq!(fallbacks(&brittle), vec![]);
         // Every rebuild is explained.
@@ -327,7 +336,9 @@ mod tests {
             .map(|e| (label(e, "path"), label(e, "cause")))
             .collect();
         let of = |path: &str, cause: Option<&str>| (Some(path.into()), cause.map(String::from));
-        // The hull is never maintained: every hull compute is `fresh`.
+        // The hull is never maintained: every hull compute is `fresh`. A
+        // delete epoch advances the Delaunay engine; only the panic makes
+        // a rebuild.
         assert_eq!(
             memo,
             vec![
@@ -337,7 +348,9 @@ mod tests {
                 of("incremental", None),
                 of("incremental", None),
                 of("fresh", None),
-                of("rebuilt", Some("delete")),
+                of("incremental", None),
+                (None, None), // the faulted compute's span, unlabelled
+                of("rebuilt", Some("poisoned")),
             ]
         );
     }

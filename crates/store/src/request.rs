@@ -153,12 +153,11 @@ pub struct CacheStats {
     /// batches, deletes matching no live point) and therefore spared the
     /// write epoch and the memo cache instead of invalidating them.
     pub spared: u64,
-    /// Misses answered by a delta engine applying the coalesced insert
-    /// batch to the previous epoch's structure instead of recomputing.
+    /// Misses answered by a delta engine applying the epochs' deletes and
+    /// inserts to the previous structure instead of recomputing.
     pub incremental: u64,
     /// Misses where a previous structure existed but had to be recomputed
-    /// wholesale (a delete epoch, a lost prefix anchor, or an engine that
-    /// failed or panicked).
+    /// wholesale (a lost anchor, or an engine that failed or panicked).
     pub rebuilds: u64,
 }
 
@@ -170,10 +169,10 @@ pub struct CacheStats {
 pub enum MemoPath {
     /// Computed from scratch with no prior structure for this kind.
     Fresh,
-    /// A live delta engine applied the insert batch in place.
+    /// A live delta engine applied the deletes and inserts in place.
     Incremental,
-    /// A prior structure existed but was recomputed wholesale (a delete
-    /// epoch, a lost prefix anchor, or an engine that failed or panicked).
+    /// A prior structure existed but was recomputed wholesale (a lost
+    /// anchor, or an engine that failed or panicked).
     Rebuilt,
 }
 

@@ -622,7 +622,7 @@ impl<const D: usize> GeoStore<D> {
                 ids.extend(first..next_id); // fresh ids ascend: order preserved
                 pts.extend_from_slice(&points);
             }
-            cow_bytes = self.bump_epoch(false);
+            cow_bytes = self.bump_epoch();
         }
         if let Some(o) = &obs {
             o.class_nanos[0].record_duration(t.elapsed());
@@ -662,7 +662,7 @@ impl<const D: usize> GeoStore<D> {
                 })
             }));
             self.live_view = None;
-            cow_bytes = self.bump_epoch(true);
+            cow_bytes = self.bump_epoch();
         } else if removed.is_empty() {
             // A delete run that matched no live point (or was empty) is a
             // no-op: the index reports it removed nothing, so the epoch
@@ -684,7 +684,7 @@ impl<const D: usize> GeoStore<D> {
             if let Some(view) = &mut self.live_view {
                 retire(view, &removed);
             }
-            cow_bytes = self.bump_epoch(true);
+            cow_bytes = self.bump_epoch();
         }
         if let Some(o) = &obs {
             o.class_nanos[1].record_duration(t.elapsed());
@@ -711,7 +711,7 @@ impl<const D: usize> GeoStore<D> {
     /// Returns the bytes the index copied on write during this epoch (read
     /// from its snapshot; 0 when unobserved — the snapshot is only taken
     /// for the gauges).
-    fn bump_epoch(&mut self, deleting: bool) -> u64 {
+    fn bump_epoch(&mut self) -> u64 {
         self.write_epoch += 1;
         let mut cow_bytes = 0;
         if let Some(o) = &self.obs {
@@ -722,7 +722,6 @@ impl<const D: usize> GeoStore<D> {
             cow_bytes = s.cow_bytes.saturating_sub(o.index_cow_bytes.get());
             o.index_cow_bytes.add(cow_bytes);
         }
-        self.delaunay.bump(deleting);
         self.cache.clear();
         cow_bytes
     }
@@ -1226,10 +1225,10 @@ mod tests {
     }
 
     /// A panic inside a derived kind's own work once the live view exists —
-    /// a full compute, then an engine advance over an insert-only epoch —
-    /// reaches the caller of `execute` and leaves the store as it was: same
-    /// live count, epoch and live view, and no value for that kind at the
-    /// current epoch. The next request for it is served as an oracle store
+    /// a full compute, then engine advances over an insert epoch and a
+    /// delete epoch — reaches the caller of `execute` and leaves the store
+    /// as it was: same live count, epoch and live view, and no value for
+    /// that kind at the current epoch. The next request for it is served as an oracle store
     /// serves it, by a fresh compute.
     #[test]
     fn a_panicking_kind_compute_keeps_the_store_unchanged() {
@@ -1316,18 +1315,18 @@ mod tests {
                 .counter("geostore_memo_fallback_total", &labels)
                 .get()
         };
-        assert_eq!((fallbacks("poisoned"), fallbacks("delete")), (1, 0));
+        assert_eq!((fallbacks("poisoned"), fallbacks("anchor_lost")), (1, 0));
 
-        // The faulted rebuild after a delete leaves the structure pending
-        // again: the next request is a second counted `Rebuilt`, and its
-        // cause is the panic, not the delete that preceded it.
+        // A faulted advance over a delete epoch leaves the structure
+        // pending again: the next request is a second counted `Rebuilt`,
+        // where the unfaulted store removes the deleted points in place.
         store.delete(&first[..20]);
         oracle.delete(&first[..20]);
         fault_then_serve(&mut store, &mut oracle, MemoPath::Rebuilt);
-        assert_eq!(oracle.derived_path(kind), Some(MemoPath::Rebuilt));
+        assert_eq!(oracle.derived_path(kind), Some(MemoPath::Incremental));
         assert_eq!(store.stats().cache.incremental, 0);
         assert_eq!(store.stats().cache.rebuilds, 2);
-        assert_eq!((fallbacks("poisoned"), fallbacks("delete")), (2, 0));
+        assert_eq!((fallbacks("poisoned"), fallbacks("anchor_lost")), (2, 0));
     }
 
     /// The Delaunay engine has no bbox: an insert epoch entirely outside

@@ -22,9 +22,8 @@ enum OpSpec {
 }
 
 fn op_strategy() -> impl Strategy<Value = OpSpec> {
-    // Insert- and derived-heavy mix: the incremental path only fires on
-    // insert-only epochs, so the stream must produce long insert runs
-    // punctuated by occasional deletes (which force the rebuild path).
+    // Insert- and derived-heavy mix: long insert runs punctuated by
+    // occasional deletes, each of which the engine removes in place.
     prop_oneof![
         (1usize..24).prop_map(|len| OpSpec::Insert { len }),
         (1usize..24).prop_map(|len| OpSpec::Insert { len }),
@@ -48,7 +47,9 @@ fn pool() -> impl Strategy<Value = Vec<Point2>> {
 }
 
 /// Interprets `ops` into a request stream, tracking the live set so each
-/// derived request gets an independent `(ids, points)` snapshot.
+/// derived request gets an independent `(ids, points)` snapshot. Every
+/// delete is followed by a Delaunay graph request, so each removal the
+/// engine makes is checked against a fresh build.
 type Snapshots = Vec<Option<(Vec<u32>, Vec<Point2>)>>;
 fn interpret(pts: &[Point2], ops: &[OpSpec]) -> (Vec<Request<2>>, Snapshots) {
     let mut live: Vec<(u32, Point2)> = Vec::new();
@@ -83,6 +84,11 @@ fn interpret(pts: &[Point2], ops: &[OpSpec]) -> (Vec<Request<2>>, Snapshots) {
                 live.retain(|(_, p)| !victims.contains(&p.bits_key()));
                 reqs.push(Request::Delete(batch));
                 snaps.push(None);
+                reqs.push(Request::DelaunayGraph);
+                snaps.push(Some((
+                    live.iter().map(|&(id, _)| id).collect(),
+                    live.iter().map(|&(_, p)| p).collect(),
+                )));
             }
             OpSpec::Derived { which } => {
                 reqs.push(match which {
@@ -191,13 +197,13 @@ fn run_case(pts: &[Point2], ops: &[OpSpec], threads: usize) -> Result<(), TestCa
     Ok(())
 }
 
-/// Deterministic anchor: a scripted churn case must drive the memo state
-/// machine through every path — Fresh on first compute, Incremental across
-/// an insert-only epoch, Rebuilt after a delete — with the counters and
-/// `derived_path` to prove it, so a generator drifting away from the
-/// incremental path can't silently pass the property. The Delaunay graph
-/// walks the three paths; the hull, never maintained, is `Fresh` after
-/// every write.
+/// Deterministic anchor: a scripted churn case must drive the memo through
+/// every path a write can lead to — Fresh on first compute, Incremental
+/// across an insert epoch and across a delete epoch — with the counters
+/// and `derived_path` to prove it, so a generator drifting away from the
+/// incremental path can't silently pass the property. (`Rebuilt` takes a
+/// panic in the advance; the store's unit tests inject one.) The hull,
+/// never maintained, is `Fresh` after every write.
 #[test]
 fn scripted_churn_walks_every_memo_path() {
     let corners = [
@@ -247,23 +253,23 @@ fn scripted_churn_walks_every_memo_path() {
         Some(MemoPath::Incremental)
     );
 
-    // Delete epoch: the engine dies, the next compute is a rebuild.
+    // Delete epoch: the engine removes the deleted points in place.
     store.execute(&writes[3..]);
     let h3 = store.hull().unwrap();
     let d3 = store.delaunay_graph().unwrap();
     assert_eq!(store.derived_path(DerivedKind::Hull), Some(MemoPath::Fresh));
     assert_eq!(
         store.derived_path(DerivedKind::DelaunayGraph),
-        Some(MemoPath::Rebuilt)
+        Some(MemoPath::Incremental)
     );
 
-    // Counters agree with the walk: 6 computes (4 fresh + 1 incremental +
-    // 1 rebuild), 1 hit, and misses covering all three compute paths.
+    // Counters agree with the walk: 6 computes (4 fresh + 2 incremental),
+    // 1 hit, and no rebuild.
     let stats = store.stats();
     assert_eq!(stats.cache.hits, 1);
     assert_eq!(stats.cache.misses, 6);
-    assert_eq!(stats.cache.incremental, 1);
-    assert_eq!(stats.cache.rebuilds, 1);
+    assert_eq!(stats.cache.incremental, 2);
+    assert_eq!(stats.cache.rebuilds, 0);
 
     // Every answer must equal a wholesale recompute over the same live set:
     // a fresh store replayed to each epoch's writes computes both kinds
@@ -283,7 +289,87 @@ fn scripted_churn_walks_every_memo_path() {
         wholesale(&writes[..3]),
         "incremental epoch diverged"
     );
-    assert_eq!((h3, d3), wholesale(&writes), "rebuild epoch diverged");
+    assert_eq!((h3, d3), wholesale(&writes), "delete epoch diverged");
+}
+
+/// The Delaunay graph of `live` (store id, point), built fresh.
+fn fresh_graph(live: &[(u32, Point2)]) -> Result<Response<2>, GeoError> {
+    let pts: Vec<Point2> = live.iter().map(|&(_, p)| p).collect();
+    let edges = pargeo_delaunay::DelaunayIncremental::try_build(&pts)?.edges()?;
+    let ids = edges
+        .into_iter()
+        .map(|(u, v)| (live[u as usize].0, live[v as usize].0));
+    Ok(Response::DelaunayGraph(ids.collect()))
+}
+
+/// The ledger's `store-analytics` shape at a tenth of its size: a
+/// prefill, eight windows that insert and two that delete, each asking
+/// for the hull twice and the Delaunay graph, SEB and closest pair once.
+/// The Delaunay graph is `Fresh` once and then `Incremental` in every
+/// window, deletes included; every answer is the oracle store's, and the
+/// Delaunay graph a fresh build's over the live points.
+/// Write epochs that pile up unasked — deletes and inserts mixed — are
+/// one advance too.
+#[test]
+fn an_analytics_shaped_stream_never_rebuilds() {
+    let all = pargeo_datagen::uniform_cube::<2>(4_000, 47);
+    let (mut lo, mut hi) = (0, 3_000);
+    let mut store: GeoStore<2> = GeoStore::builder().build();
+    let mut oracle: GeoStore<2> = GeoStore::builder().backend(Backend::Oracle).build();
+    let asks = [
+        Request::Hull,
+        Request::DelaunayGraph,
+        Request::Seb,
+        Request::ClosestPair,
+        Request::Hull,
+    ];
+    let prefill = [Request::Insert(all[..hi].to_vec())];
+    assert_eq!(store.execute(&prefill), oracle.execute(&prefill));
+    for w in 0..10 {
+        let write = if w < 8 {
+            hi += 50;
+            Request::Insert(all[hi - 50..hi].to_vec())
+        } else {
+            lo += 50;
+            Request::Delete(all[lo - 50..lo].to_vec())
+        };
+        let window: Vec<Request<2>> = std::iter::once(write).chain(asks.clone()).collect();
+        let answers = store.execute(&window);
+        assert_eq!(answers, oracle.execute(&window), "window {w}");
+        let live: Vec<(u32, Point2)> = (lo..hi).map(|i| (i as u32, all[i])).collect();
+        assert_eq!(answers[2], fresh_graph(&live), "window {w}");
+        let path = store.derived_path(DerivedKind::DelaunayGraph);
+        let want = if w == 0 {
+            MemoPath::Fresh
+        } else {
+            MemoPath::Incremental
+        };
+        assert_eq!(path, Some(want), "window {w}");
+    }
+    let cache = store.stats().cache;
+    assert_eq!((cache.incremental, cache.rebuilds, cache.hits), (9, 0, 10));
+
+    let piled = [
+        Request::Delete(all[lo..lo + 40].to_vec()),
+        Request::Insert(all[hi..hi + 30].to_vec()),
+        Request::Hull,
+        Request::Delete(all[lo + 40..lo + 90].to_vec()),
+        Request::Insert(all[hi + 30..hi + 60].to_vec()),
+        Request::Delete(all[hi..hi + 10].to_vec()),
+        Request::DelaunayGraph,
+    ];
+    let answers = store.execute(&piled);
+    assert_eq!(answers, oracle.execute(&piled));
+    let live: Vec<(u32, Point2)> = (lo + 90..hi + 60)
+        .filter(|i| !(hi..hi + 10).contains(i))
+        .map(|i| (i as u32, all[i]))
+        .collect();
+    assert_eq!(answers[6], fresh_graph(&live));
+    assert_eq!(
+        store.derived_path(DerivedKind::DelaunayGraph),
+        Some(MemoPath::Incremental)
+    );
+    assert_eq!(store.stats().cache.rebuilds, 0);
 }
 
 proptest! {

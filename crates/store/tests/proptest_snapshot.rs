@@ -17,8 +17,8 @@ enum OpSpec {
     /// Open a write epoch inserting `len` fresh pool points.
     Insert { len: usize },
     /// Open a write epoch deleting a window of inserted points (lattice
-    /// collisions make these multi-kill, and a delete epoch forces the
-    /// memoized derived engines down the rebuild path).
+    /// collisions make these multi-kill, and the Delaunay engine removes
+    /// them in place).
     Delete { start: usize, len: usize },
     /// A derived request on the *live* store: churns the memo cache so
     /// pins capture hit/miss/rebuild states, not just fresh ones.

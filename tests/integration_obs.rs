@@ -97,10 +97,10 @@ fn memo_path_spans_and_counters_mirror_cache_stats() {
     store.insert(&pts[..300]);
     store.delaunay_graph().unwrap(); // fresh compute
     store.delaunay_graph().unwrap(); // cache hit
-    store.insert(&pts[300..]); // insert-only epoch: engine survives
+    store.insert(&pts[300..]); // insert epoch: engine survives
     store.delaunay_graph().unwrap(); // incremental apply
-    store.delete(&pts[..10]); // delete epoch: rebuild pending
-    store.delaunay_graph().unwrap(); // rebuild fallback
+    store.delete(&pts[..10]); // delete epoch: engine survives
+    store.delaunay_graph().unwrap(); // incremental removal
     store.insert(&[]); // no-op write: spared
     let cache = store.stats().cache;
     assert_eq!(
@@ -111,7 +111,7 @@ fn memo_path_spans_and_counters_mirror_cache_stats() {
             cache.rebuilds,
             cache.spared
         ),
-        (1, 3, 1, 1, 1),
+        (1, 3, 2, 0, 1),
         "scenario drifted; span assertions below assume this shape"
     );
 
@@ -143,7 +143,7 @@ fn memo_path_spans_and_counters_mirror_cache_stats() {
                 .map(|(_, v)| v.clone())
         })
         .collect();
-    assert_eq!(paths, ["fresh", "incremental", "rebuilt"]);
+    assert_eq!(paths, ["fresh", "incremental", "incremental"]);
     // Every serve-path phase appears as a span scope.
     for scope in ["plan_coalesce", "write_apply", "read_fanout"] {
         assert!(

@@ -77,3 +77,34 @@ fn sampling_phase_actually_prunes_scans() {
         "sample ball should cover ≥95%, {outliers} escaped"
     );
 }
+
+/// `Ball::contains` has no absolute slack: a set whose radius is far below
+/// 1e-5 gets a ball that encloses it, from the kernel and through the
+/// store alike, and scaling the input by a power of two scales the radius
+/// and nothing else.
+#[test]
+fn seb_is_scale_invariant_down_to_tiny_inputs() {
+    use pargeo::store::{GeoStore, Request, Response};
+    let unit = datagen::uniform_cube::<2>(2_000, 31);
+    let r1 = seb::try_seb(&unit).unwrap().radius;
+    for e in [-16, -20, -100] {
+        let scale = 2f64.powi(e);
+        let pts: Vec<Point<2>> = unit.iter().map(|&p| p * scale).collect();
+        let mut store: GeoStore<2> = GeoStore::builder().build();
+        let served = match store.execute(&[Request::Insert(pts.clone()), Request::Seb])[1] {
+            Ok(Response::Seb(b)) => b,
+            ref other => panic!("2^{e}: {other:?}"),
+        };
+        for (via, ball) in [("try_seb", seb::try_seb(&pts).unwrap()), ("store", served)] {
+            let r = ball.radius;
+            assert!(
+                (r - r1 * scale).abs() <= 1e-9 * r1 * scale,
+                "2^{e} {via}: radius {r}"
+            );
+            for p in &pts {
+                let d = p.dist(&ball.center);
+                assert!(d <= r * (1.0 + 1e-9), "2^{e} {via}: {p:?} at {d} > {r}");
+            }
+        }
+    }
+}

@@ -468,7 +468,7 @@ fn noop_writes_spare_the_memo_cache() {
 #[test]
 fn incremental_maintenance_is_bit_identical_across_backends_and_shards() {
     // The delta-maintaining store must answer the scripted mixed stream —
-    // fresh computes, insert-only epochs, delete-forced rebuilds —
+    // fresh computes, insert epochs, delete epochs the engine removes —
     // bit-identically to the oracle store at every shard count, and its
     // maintained kinds as the canonical kernels recompute them wholesale.
     let pts = points(2_000, 39);
